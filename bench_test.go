@@ -423,7 +423,7 @@ func BenchmarkSyncContention(b *testing.B) {
 		b.Run(pol.String(), func(b *testing.B) {
 			rt, err := rio.New(rio.Options{
 				Model: rio.InOrder, Workers: benchWorkers, Mapping: m,
-				WaitPolicy: pol, NoAccounting: true,
+				Tuning: rio.TuningOptions{WaitPolicy: pol}, NoAccounting: true,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -529,8 +529,8 @@ func BenchmarkRetryOverhead(b *testing.B) {
 		opts rio.Options
 	}{
 		{"nil-policy", rio.Options{}},
-		{"checkpoint", rio.Options{Checkpoint: true}},
-		{"retry-armed", rio.Options{Retry: &rio.RetryPolicy{MaxAttempts: 3}, Snapshots: snaps}},
+		{"checkpoint", rio.Options{Fault: rio.FaultOptions{Checkpoint: true}}},
+		{"retry-armed", rio.Options{Fault: rio.FaultOptions{Retry: &rio.RetryPolicy{MaxAttempts: 3}, Snapshots: snaps}}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			opts := v.opts
@@ -559,12 +559,13 @@ func BenchmarkRetryOverhead(b *testing.B) {
 // machinery when nobody steals. "nil-policy" is what every pre-existing
 // caller pays after the hybrid model landed: one pointer test per task
 // (the CI perf-regression gate holds it to the historical baseline).
-// "steal-armed" installs a policy on a *balanced* cyclic mapping, so no
-// worker ever finds a victim worth robbing: closure replay prices the
-// candidate-ring recording of foreign tasks, compiled replay prices the
-// (one-off) steal-metadata build plus the idle-probe path. Independent
-// empty-body tasks with NoAccounting make per-task engine overhead the
-// entire signal.
+// "steal-armed-compiled" installs a policy on a *balanced* cyclic mapping,
+// so no worker ever finds a victim worth robbing: it prices the owner's
+// per-task claim plus the idle-probe path (the steal metadata is built
+// once, outside the timed region). There is no armed closure row: an armed
+// engine compiles a closure program before running it, so its steady state
+// is this one. Independent empty-body tasks with NoAccounting make
+// per-task engine overhead the entire signal.
 func BenchmarkStealOverhead(b *testing.B) {
 	g := graphs.Independent(32768)
 	noop := func(*stf.Task, stf.WorkerID) {}
@@ -576,7 +577,6 @@ func BenchmarkStealOverhead(b *testing.B) {
 		steal    *rio.StealPolicy
 	}{
 		{"nil-policy", false, nil},
-		{"steal-armed", false, pol},
 		{"nil-policy-compiled", true, nil},
 		{"steal-armed-compiled", true, pol},
 	} {

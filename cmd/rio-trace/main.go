@@ -58,20 +58,30 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	var e bench.Engine
+	var exec func(stf.Kernel) error
 	if *steal {
 		if kind != bench.RIO {
 			return fmt.Errorf("-steal applies to the rio engine only (got %q)", *engine)
 		}
-		e, err = core.New(core.Options{
+		ce, err := core.New(core.Options{
 			Workers: *workers,
 			Mapping: mapping,
 			Steal:   &stf.StealPolicy{Victims: sched.RankVictims(g, mapping, *workers)},
 		})
+		if err != nil {
+			return err
+		}
+		// Stealing reads a compiled program's tables; the graph is at hand.
+		cp, err := stf.Compile(g, mapping, *workers, nil)
+		if err != nil {
+			return err
+		}
+		e, exec = ce, func(k stf.Kernel) error { return ce.RunCompiled(cp, k) }
 	} else {
-		e, err = bench.NewEngine(kind, *workers, mapping)
-	}
-	if err != nil {
-		return err
+		if e, err = bench.NewEngine(kind, *workers, mapping); err != nil {
+			return err
+		}
+		exec = func(k stf.Kernel) error { return e.Run(g.NumData, stf.Replay(g, k)) }
 	}
 
 	rec := trace.NewRecorder(*workers)
@@ -84,7 +94,7 @@ func run(args []string, out io.Writer) error {
 		kern = rec.InstrumentOwned(base, mapping)
 	}
 	t0 := time.Now()
-	if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
+	if err := exec(kern); err != nil {
 		return err
 	}
 	wall := time.Since(t0)

@@ -55,8 +55,9 @@ func Compile(g *Graph, workers int, m Mapping, prune bool) (*CompiledProgram, er
 // streams bake the task→worker assignment in.
 //
 // Engine also implements Runtime, executing closure programs through the
-// ordinary replay path — use that for flows that change between runs or
-// need partial (SharedWorker) mappings. Options.Timeout is honored for
+// ordinary replay path (or, with Options.Steal, a per-run recording of it)
+// — use that for flows that change between runs or need partial
+// (SharedWorker) mappings. Options.Timeout is honored for
 // all runs. Options.Preflight is honored on both paths: closure programs
 // are analyzed in record mode before every run, recorded graphs once per
 // compilation (at the cache miss, so iterative replays pay it once).
@@ -99,10 +100,6 @@ type inflightCompile struct {
 // InOrder (the zero value): the compiled path is specific to
 // decentralized replay.
 func NewEngine(o Options) (*Engine, error) {
-	o, err := normalizeOptions(o)
-	if err != nil {
-		return nil, err
-	}
 	if o.Model != InOrder {
 		return nil, fmt.Errorf("rio: NewEngine: compiled replay requires the InOrder model, got %v", o.Model)
 	}
@@ -244,11 +241,11 @@ func (e *Engine) compileOne(g *Graph, mapping Mapping) (*CompiledProgram, error)
 		if err := certify(g, cp, mapping, nil); err != nil {
 			return nil, err
 		}
-		if e.opts.Resume != nil {
+		if resume := e.opts.Fault.Resume; resume != nil {
 			// The run will prune the checkpointed tasks out (see
 			// core.RunCompiledContext); certify what will actually run.
-			pruned := stf.PruneCompleted(cp, e.opts.Resume)
-			if err := certify(g, pruned, mapping, e.opts.Resume); err != nil {
+			pruned := stf.PruneCompleted(cp, resume)
+			if err := certify(g, pruned, mapping, resume); err != nil {
 				return nil, err
 			}
 		}

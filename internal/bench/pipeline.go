@@ -66,7 +66,7 @@ var pipelineVariants = []struct {
 	noCompile bool
 }{
 	{"rio", rio.InOrder, false},                  // native session, per-shape compiled replay
-	{"rio-closure", rio.InOrder, true},           // native session, closure replay + per-epoch guard
+	{"rio-closure", rio.InOrder, true},           // native session, closure replay of each window
 	{"centralized-fifo", rio.Centralized, false}, // per-window fallback: unroll + dispatch every window
 }
 

@@ -12,10 +12,13 @@ import (
 
 // Work-stealing ablation (the `rio-bench steal` subcommand): the hybrid
 // execution model's headline matrix — {balanced, skewed} mapping ×
-// {steal off, steal on} — on both replay paths (closure replay steals
-// from the candidate ring, compiled replay from the precomputed steal
-// metadata). The workload is a flow of independent tasks whose bodies
-// *sleep* rather than compute:
+// {steal off, steal on} — through both entry points: the `rio` rows are a
+// closure Run (plain closure replay with steal off; with steal on the
+// engine records and compiles the program on every run, so the row prices
+// that too), the `rio-compiled` rows replay one precompiled program. Either
+// way thieves read the compiled program's precomputed steal metadata. The
+// workload is a flow of independent tasks whose bodies *sleep* rather than
+// compute:
 //
 //   - skewed + steal off is the adversarial case the preflight's RIO-M004
 //     serialization bound predicts: every task is mapped to worker 0, so
@@ -58,8 +61,8 @@ func (c StealConfig) check() error {
 	return nil
 }
 
-// StealAblation measures the mapping × stealing matrix on both replay
-// paths.
+// StealAblation measures the mapping × stealing matrix through both entry
+// points.
 func StealAblation(cfg StealConfig) ([]Row, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err

@@ -556,40 +556,30 @@ func execTask(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 		return execOnce(m, t, w, noAcct, taskTime)
 	}
 
-	restore, can := stf.SnapshotWriteSet(m.eng.snaps, t.accs)
-	maxAttempts := p.MaxAttempts
-	if maxAttempts < 1 || !can {
-		maxAttempts = 1
+	if h != nil && h.OnTaskStart != nil {
+		h.OnTaskStart(w, t.id)
 	}
-	for attempt := 1; ; attempt++ {
-		if h != nil && h.OnTaskStart != nil && attempt == 1 {
-			h.OnTaskStart(w, t.id)
-		}
-		cause, ok := tryTask(t, w, noAcct, taskTime)
-		if ok {
-			if h != nil && h.OnTaskEnd != nil {
-				h.OnTaskEnd(w, t.id)
+	tf, ok := p.RunAttempts(m.eng.snaps, t.id, t.accs,
+		func() { runTimed(t, w, noAcct, taskTime) },
+		func() bool { return m.canceled.Load() },
+		func(attempt int, cause any) {
+			*retried++
+			cell.StoreRetried(*retried)
+			if h != nil && h.OnTaskRetry != nil {
+				h.OnTaskRetry(w, t.id, attempt, cause)
 			}
-			return taskDone
+		})
+	switch {
+	case ok:
+		if h != nil && h.OnTaskEnd != nil {
+			h.OnTaskEnd(w, t.id)
 		}
-		if restore != nil {
-			// Roll back even when terminal: a checkpointed resume
-			// re-executes this task over its pre-attempt data.
-			restore()
-		}
-		if attempt >= maxAttempts || !p.Transient(cause) || m.canceled.Load() {
-			m.recordError(&stf.TaskFailure{Task: t.id, Attempts: attempt, Cause: cause})
-			return taskFailed
-		}
-		*retried++
-		cell.StoreRetried(*retried)
-		if h != nil && h.OnTaskRetry != nil {
-			h.OnTaskRetry(w, t.id, attempt, cause)
-		}
-		if !m.backoff(p.Delay(attempt + 1)) {
-			return taskDropped
-		}
+		return taskDone
+	case tf != nil:
+		m.recordError(tf)
+		return taskFailed
 	}
+	return taskDropped
 }
 
 // execOnce is the legacy nil-policy path of execTask: one attempt, panic
@@ -606,56 +596,23 @@ func execOnce(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 	if h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(w, t.id)
 	}
-	if noAcct {
-		t.run(w)
-	} else {
-		tt := time.Now()
-		t.run(w)
-		*taskTime += time.Since(tt)
-	}
+	runTimed(t, w, noAcct, taskTime)
 	if h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(w, t.id)
 	}
 	return outcome
 }
 
-// tryTask runs the body once, converting a panic into a returned cause.
-func tryTask(t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration) (cause any, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			cause = r
-			ok = false
-		}
-	}()
+// runTimed runs the body once, charging its duration to *taskTime unless
+// accounting is off.
+func runTimed(t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration) {
 	if noAcct {
 		t.run(w)
-	} else {
-		tt := time.Now()
-		t.run(w)
-		*taskTime += time.Since(tt)
+		return
 	}
-	return nil, true
-}
-
-// backoffSlice bounds each individual sleep of a retry backoff so a
-// canceled run cuts the wait short.
-const backoffSlice = 10 * time.Millisecond
-
-// backoff sleeps d in short slices, polling the canceled flag. Returns
-// false when the run aborted mid-wait.
-func (m *master) backoff(d time.Duration) bool {
-	for d > 0 {
-		if m.canceled.Load() {
-			return false
-		}
-		step := d
-		if step > backoffSlice {
-			step = backoffSlice
-		}
-		time.Sleep(step)
-		d -= step
-	}
-	return !m.canceled.Load()
+	tt := time.Now()
+	t.run(w)
+	*taskTime += time.Since(tt)
 }
 
 // recordError stores the first asynchronous (worker-side) error.

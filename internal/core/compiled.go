@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"rio/internal/stf"
 )
@@ -51,32 +50,88 @@ func (e *Engine) RunCompiledContext(ctx context.Context, cp *stf.CompiledProgram
 		meta = e.stealMetaFor(cp)
 	}
 	return e.run(ctx, cp.NumData, false, len(cp.Tasks), func(s *submitter) {
-		if s.steal != nil {
+		if meta != nil {
+			s.steal = newStealState(e.steal, s.worker, e.workers)
 			s.steal.reset(meta, cp.Tasks, k)
 		}
-		s.runStream(cp, k)
+		s.runStreamTasks(cp, cp.Tasks, k)
 	})
 }
 
-// runStream is the compiled execution loop: a flat walk over this worker's
-// micro-op stream. Declares and terminates call the localState/sharedState
-// protocol primitives directly; gets reuse the same escalating waits as
-// closure replay (so the stall watchdog and abort latch behave
-// identically); OpExec polls the abort flag once per task, mirroring the
-// per-submission poll of the closure path.
-func (s *submitter) runStream(cp *stf.CompiledProgram, k stf.Kernel) {
-	s.runStreamTasks(cp, cp.Tasks, k)
+// recordCompiled is the front half of an armed engine's closure Run: it
+// records prog once — every task's accesses and body, no body executed —
+// and compiles the recording under the engine's current mapping. The
+// returned kernel dispatches each task to the body it was submitted with.
+// It returns a nil program when the recording is not one dense flow every
+// worker would replay alike (a §3.5-pruned or out-of-order SubmitTask
+// sequence) or does not compile (SharedWorker or out-of-range owners,
+// malformed accesses): the caller then takes plain closure replay, which
+// handles the former two and reports the rest as it always has.
+func (e *Engine) recordCompiled(numData int, prog stf.Program) (cp *stf.CompiledProgram, k stf.Kernel) {
+	r := &flowRecorder{g: stf.NewGraph("recorded", numData), workers: e.workers}
+	defer func() {
+		if recover() != nil {
+			// A panicking submission closure: closure replay turns it into
+			// the run's error on a worker goroutine.
+			cp, k = nil, nil
+		}
+	}()
+	prog(r)
+	if r.gap {
+		return nil, nil
+	}
+	cp, err := stf.Compile(r.g, *e.mapping.Load(), e.workers, nil)
+	if err != nil {
+		return nil, nil
+	}
+	bodies := r.bodies
+	return cp, func(t *stf.Task, w stf.WorkerID) { bodies[t.ID].run(w) }
 }
 
-// runStreamTasks interprets cp's micro-op stream for this worker against an
-// explicit task table. For a one-shot run the table is cp.Tasks itself;
-// streaming sessions pass the current window's tasks instead — a cached
-// program carries only the window's *shape* (access structure and
-// ownership), while kernel selectors, coordinates and closure bodies vary
-// window to window. len(tasks) must equal len(cp.Tasks); the session
-// enforces this via the shape fingerprint before publishing a window.
+// flowRecorder is the stf.Submitter recordCompiled unrolls a program
+// against: the flow's structure goes into g, each task's body into the
+// parallel bodies table.
+type flowRecorder struct {
+	g       *stf.Graph
+	bodies  []body
+	workers int
+	gap     bool // a SubmitTask ID was not the next dense one
+}
+
+func (r *flowRecorder) Submit(fn stf.TaskFunc, accesses ...stf.Access) stf.TaskID {
+	r.bodies = append(r.bodies, body{fn: fn})
+	// Copied: the graph outlives the call, the caller's slice may not.
+	return r.g.Add(stf.RecordedClosure, 0, 0, 0, append([]stf.Access(nil), accesses...)...)
+}
+
+func (r *flowRecorder) SubmitTask(t *stf.Task, k stf.Kernel) stf.TaskID {
+	if t.ID != stf.TaskID(len(r.g.Tasks)) {
+		r.gap = true
+		return t.ID
+	}
+	r.bodies = append(r.bodies, body{t: t, k: k})
+	return r.g.Add(t.Kernel, t.I, t.J, t.K, t.Accesses...)
+}
+
+func (r *flowRecorder) Worker() stf.WorkerID { return stf.MasterWorker }
+func (r *flowRecorder) NumWorkers() int      { return r.workers }
+
+// runStreamTasks is the compiled execution loop: a flat walk over this
+// worker's micro-op stream. Declares and terminates call the
+// localState/sharedState protocol primitives directly; gets reuse the same
+// escalating waits as closure replay (so the stall watchdog and abort latch
+// behave identically); OpExec polls the abort flag once per task, mirroring
+// the per-submission poll of the closure path.
+//
+// The stream is interpreted against an explicit task table. For a one-shot
+// run the table is cp.Tasks itself; streaming sessions pass the current
+// window's tasks instead — a cached program carries only the window's
+// *shape* (access structure and ownership), while kernel selectors,
+// coordinates and closure bodies vary window to window. len(tasks) must
+// equal len(cp.Tasks); the session enforces this via the shape fingerprint
+// before publishing a window.
 func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k stf.Kernel) {
-	if st := s.steal; st != nil && st.meta != nil {
+	if s.steal != nil {
 		// The steal-aware interpreter lives in its own loop so the
 		// nil-policy walk below keeps its single-pointer-test cost.
 		s.runStreamTasksSteal(cp, tasks, k)
@@ -112,8 +167,7 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 				s.fail(errAborted)
 				return
 			}
-			s.execCompiled(&tasks[in.Task], k)
-			if s.err != nil {
+			if t := &tasks[in.Task]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}) {
 				return // task failed terminally (retries exhausted)
 			}
 		case stf.OpTermRead:
@@ -211,8 +265,7 @@ func (s *submitter) runStreamTasksSteal(cp *stf.CompiledProgram, tasks []stf.Tas
 				s.fail(errAborted)
 				return
 			}
-			s.execCompiled(&tasks[in.Task], k)
-			if s.err != nil {
+			if t := &tasks[in.Task]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}) {
 				return // task failed terminally (retries exhausted)
 			}
 		case stf.OpTermRead:
@@ -245,50 +298,5 @@ func (s *submitter) runStreamTasksSteal(cp *stf.CompiledProgram, tasks []stf.Tas
 	if sk := cp.Stats[s.worker].Skipped; sk > 0 {
 		s.ws.Skipped += sk
 		s.prog.StoreSkipped(s.ws.Skipped)
-	}
-}
-
-// execCompiled runs one task body of a compiled stream between its
-// reduction locks. Unlike the closure path's execLocked, completion is
-// NOT published here — the stream carries explicit terminate micro-ops.
-// The reduction mutexes are therefore released before the terminates
-// publish the counters, which is safe: the mutex only serializes bodies
-// of commuting reductions, while waiters are gated by the counters, which
-// advance only after the body has completed either way. Under a retry
-// policy a terminal task failure sets s.err and the stream walk stops
-// before the task's terminates — completion stays unpublished, exactly as
-// a closure-path failure leaves release() uncalled.
-func (s *submitter) execCompiled(t *stf.Task, k stf.Kernel) {
-	if s.lockReductions(t.Accesses) {
-		defer s.unlockReductions(t.Accesses)
-	}
-	if h := s.health; h != nil {
-		h.setExec(int64(t.ID))
-		defer h.endExec()
-	}
-	s.prog.SetCurrent(t.ID)
-	if h := s.hooks; h != nil && h.OnTaskStart != nil {
-		h.OnTaskStart(s.worker, t.ID)
-	}
-	if s.retry != nil {
-		if !s.runAttempts(t.Accesses, int64(t.ID), func() { k(t, s.worker) }) {
-			s.prog.SetCurrent(stf.NoTask)
-			return
-		}
-	} else if s.eng.noAcct {
-		k(t, s.worker)
-	} else {
-		t0 := time.Now()
-		k(t, s.worker)
-		s.ws.Task += time.Since(t0)
-	}
-	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
-		h.OnTaskEnd(s.worker, t.ID)
-	}
-	s.prog.SetCurrent(stf.NoTask)
-	s.ws.Executed++
-	s.prog.StoreExecuted(s.ws.Executed)
-	if s.track {
-		s.done = append(s.done, t.ID)
 	}
 }

@@ -84,8 +84,11 @@ type Options struct {
 	// (parked or past its spin budget in a dependency wait, or done with
 	// its own replay) may claim and execute a victim's next in-order task
 	// when the shared counter state proves all of its accesses available
-	// (see stf.StealPolicy and internal/core/steal.go). Nil (the default)
-	// keeps the paper's pure static model at one pointer test per task.
+	// (see stf.StealPolicy and internal/core/steal.go). Steal readiness comes
+	// from a compiled program's stf.BuildStealMeta tables, so an armed
+	// engine records and compiles a closure program before running it (see
+	// RunContext). Nil (the default) keeps the paper's pure static model at
+	// one pointer test per task.
 	Steal *stf.StealPolicy
 }
 
@@ -136,9 +139,6 @@ func New(o Options) (*Engine, error) {
 	if p := o.Steal; p != nil {
 		if p.MaxScan < 0 {
 			return nil, fmt.Errorf("core: negative Steal.MaxScan %d", p.MaxScan)
-		}
-		if p.Buffer < 0 {
-			return nil, fmt.Errorf("core: negative Steal.Buffer %d", p.Buffer)
 		}
 		for _, v := range p.Victims {
 			if v < 0 || int(v) >= o.Workers {
@@ -251,7 +251,23 @@ func (e *Engine) Run(numData int, prog stf.Program) error {
 // keeps RunContext blocked unless the stall watchdog is armed, in which
 // case the run is abandoned with a StallError after the threshold (the
 // wedged worker goroutine is leaked and the engine must not be reused).
+//
+// With Options.Steal set the program is recorded once on the caller's
+// goroutine (bodies kept, none executed), compiled under the engine's
+// mapping and run through RunCompiledContext: steal readiness lives in the
+// compiled program's metadata, and one recording replayed by every worker
+// cannot diverge. A program that does not record as one dense flow under a
+// total mapping (SharedWorker tasks, §3.5-pruned submissions) takes plain
+// closure replay instead, without stealing.
 func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) error {
+	if e.steal != nil {
+		if cp, k := e.recordCompiled(numData, prog); cp != nil {
+			// The recording is single-use: its steal metadata must not
+			// stay cached (and keep the task table alive) after the run.
+			defer e.stealMetaCache.Store(nil)
+			return e.RunCompiledContext(ctx, cp, k)
+		}
+	}
 	return e.run(ctx, numData, e.guard, -1, func(s *submitter) { prog(s) })
 }
 
@@ -348,9 +364,6 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 		}
 		if guard {
 			subs[w].guard = &guardState{}
-		}
-		if e.steal != nil {
-			subs[w].steal = newStealState(e.steal, stf.WorkerID(w), e.workers)
 		}
 	}
 
@@ -538,7 +551,7 @@ type submitter struct {
 	snaps   stf.Snapshotter     // write-set capture for retry rollback
 	resume  *stf.Checkpoint     // completed tasks of a previous run to skip
 	track   bool                // log completed tasks for checkpoints
-	steal   *stealState         // nil unless Options.Steal is set
+	steal   *stealState         // nil unless this replay carries steal metadata
 	done    []stf.TaskID        // tasks this worker completed (track only)
 	ws      trace.WorkerStats
 	err     error
@@ -556,27 +569,21 @@ type submitter struct {
 var errAborted = errors.New("aborted after a failure elsewhere in the run")
 
 // owns resolves the executor of task id for this worker: statically via
-// the mapping, dynamically (first-to-reach claim) for SharedWorker tasks,
-// or by claim CAS for the worker's own tasks when stealing is enabled — a
-// lost self-claim means a thief proved the task ready and took it, and the
-// owner treats it like any foreign task (declare only). It reports whether
-// this worker executes the task and who its static owner is; ok is false
-// on a mapping error (already recorded via fail).
-func (s *submitter) owns(id stf.TaskID) (execute bool, owner stf.WorkerID, ok bool) {
-	owner = s.mapping(id)
+// the mapping, or dynamically (first-to-reach claim) for SharedWorker
+// tasks. It reports whether this worker executes the task; ok is false on
+// a mapping error (already recorded via fail).
+func (s *submitter) owns(id stf.TaskID) (execute, ok bool) {
+	owner := s.mapping(id)
 	switch {
 	case owner == s.worker:
-		if s.steal != nil && !s.claims.tryClaim(int64(id)) {
-			return false, owner, true
-		}
-		return true, owner, true
+		return true, true
 	case owner == stf.SharedWorker:
 		if s.claims.tryClaim(int64(id)) {
 			s.ws.Claimed++
 			s.prog.StoreClaimed(s.ws.Claimed)
-			return true, owner, true
+			return true, true
 		}
-		return false, owner, true
+		return false, true
 	case owner < 0 || int(owner) >= s.eng.workers:
 		err := fmt.Errorf("core: mapping(%d) = %d out of range [0,%d)", id, owner, s.eng.workers)
 		s.fail(err)
@@ -584,9 +591,9 @@ func (s *submitter) owns(id stf.TaskID) (execute bool, owner stf.WorkerID, ok bo
 		// worker may be blocked on this task's data rather than reach
 		// this point itself — raise the abort so nobody waits forever.
 		s.abort.raise(err, false)
-		return false, owner, false
+		return false, false
 	default:
-		return false, owner, true
+		return false, true
 	}
 }
 
@@ -596,10 +603,27 @@ func (s *submitter) Worker() stf.WorkerID { return s.worker }
 // NumWorkers implements stf.Submitter.
 func (s *submitter) NumWorkers() int { return s.eng.workers }
 
+// body is a task's work in either submission form: a recorded task
+// dispatched through its kernel, or a closure. It travels by value, so
+// neither form allocates on the per-task path.
+type body struct {
+	t  *stf.Task
+	k  stf.Kernel
+	fn stf.TaskFunc
+}
+
+func (b body) run(w stf.WorkerID) {
+	if b.fn != nil {
+		b.fn()
+		return
+	}
+	b.k(b.t, w)
+}
+
 // Submit implements stf.Submitter for closure tasks.
 func (s *submitter) Submit(fn stf.TaskFunc, accesses ...stf.Access) stf.TaskID {
 	id := s.next
-	s.submit(id, accesses, func() { fn() })
+	s.submit(id, accesses, body{fn: fn})
 	return id
 }
 
@@ -619,11 +643,13 @@ func (s *submitter) SubmitTask(t *stf.Task, k stf.Kernel) stf.TaskID {
 		// cross-worker divergence check does not apply.
 		s.guard.markGap()
 	}
-	s.submitRecorded(t, k)
+	s.submit(t.ID, t.Accesses, body{t: t, k: k})
 	return t.ID
 }
 
-func (s *submitter) submitRecorded(t *stf.Task, k stf.Kernel) {
+// submit is one step of the closure replay (Algorithm 1): skip, declare or
+// acquire → execute → release task id, as the mapping decides.
+func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 	if s.err != nil {
 		return
 	}
@@ -631,38 +657,30 @@ func (s *submitter) submitRecorded(t *stf.Task, k stf.Kernel) {
 		s.fail(errAborted)
 		return
 	}
-	id := t.ID
 	if s.resume != nil && s.resume.Contains(id) {
 		s.skipCompleted(id)
 		return
 	}
 	s.next = id + 1
 	if s.guard != nil {
-		s.guard.fold(id, t.Accesses)
+		s.guard.fold(id, accesses)
 	}
-	execute, owner, ok := s.owns(id)
+	execute, ok := s.owns(id)
 	if !ok {
 		return
 	}
-	if execute {
-		s.acquire(id, t.Accesses)
-		if s.err != nil {
-			return // aborted while waiting
-		}
-		if s.execLocked(t.Accesses, int64(id), func() { k(t, s.worker) }) {
-			s.ws.Executed++
-			s.prog.StoreExecuted(s.ws.Executed)
-			if s.track {
-				s.done = append(s.done, id)
-			}
-		}
-	} else {
-		if st := s.steal; st != nil && owner != s.worker && st.wants(owner) {
-			s.recordStealCand(owner, id, t.Accesses, func() { k(t, s.worker) })
-		}
-		s.declare(t.Accesses, int64(id))
+	if !execute {
+		s.declare(accesses, int64(id))
 		s.ws.Declared++
 		s.prog.StoreDeclared(s.ws.Declared)
+		return
+	}
+	s.acquire(id, accesses)
+	if s.err != nil {
+		return // aborted while waiting
+	}
+	if s.exec(id, accesses, b) {
+		s.release(accesses, int64(id))
 	}
 }
 
@@ -680,85 +698,62 @@ func (s *submitter) skipCompleted(id stf.TaskID) {
 	}
 }
 
-// execLocked runs a task body between its reduction locks and publishes
-// completion, reporting whether the task completed. The unlock is deferred
-// so a panicking body cannot leave the per-data mutexes held; completion
-// is *not* published on a failure — without a retry policy the panic
-// propagates to the worker recover and the run aborts; with one, the
-// attempt loop (runAttempts) rolls the write-set back and either retries
-// or fails the task gracefully, returning false.
-func (s *submitter) execLocked(accesses []stf.Access, id int64, run func()) bool {
+// exec is the task-execution lifecycle, shared by every way a task reaches
+// its executor (closure replay, a compiled stream's OpExec, a steal): run
+// the body between its reduction locks, under the watchdog's exec stamp,
+// the lifecycle hooks and — when installed — the retry policy, and count
+// it. It reports whether the body completed; the caller then publishes
+// completion its own way (release, releaseStolen, or the stream's
+// terminate micro-ops). The reduction mutexes are therefore released before
+// the counters publish, which is safe: the mutex only serializes bodies of
+// commuting reductions, while waiters are gated by the counters, which
+// advance only after the body has completed either way. The unlock is
+// deferred so a panicking body cannot leave the per-data mutexes held. On
+// a failure completion stays unpublished: without a retry policy the panic
+// propagates to the worker recover and the run aborts; with one,
+// runAttempts has recorded the terminal failure in s.err.
+func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body) bool {
 	if s.lockReductions(accesses) {
 		defer s.unlockReductions(accesses)
 	}
 	if h := s.health; h != nil {
-		h.setExec(id)
+		h.setExec(int64(id))
 		defer h.endExec()
 	}
-	s.prog.SetCurrent(stf.TaskID(id))
+	s.prog.SetCurrent(id)
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
-		h.OnTaskStart(s.worker, stf.TaskID(id))
+		h.OnTaskStart(s.worker, id)
 	}
 	if s.retry != nil {
-		if !s.runAttempts(accesses, id, run) {
+		if !s.runAttempts(id, accesses, b) {
 			s.prog.SetCurrent(stf.NoTask)
 			return false
 		}
-	} else if s.eng.noAcct {
-		run()
 	} else {
-		t0 := time.Now()
-		run()
-		s.ws.Task += time.Since(t0)
+		s.runTimed(b)
 	}
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
-		h.OnTaskEnd(s.worker, stf.TaskID(id))
+		h.OnTaskEnd(s.worker, id)
 	}
 	s.prog.SetCurrent(stf.NoTask)
-	s.release(accesses, id)
+	s.ws.Executed++
+	s.prog.StoreExecuted(s.ws.Executed)
+	if s.track {
+		s.done = append(s.done, id)
+	}
 	return true
 }
 
-func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, run func()) {
-	if s.err != nil {
+// runTimed runs the body once, charging its duration to the worker's task
+// time unless accounting is off (a panicking body charges nothing).
+func (s *submitter) runTimed(b body) {
+	if s.eng.noAcct {
+		b.run(s.worker)
 		return
 	}
-	if s.abort.raised() {
-		s.fail(errAborted)
-		return
-	}
-	if s.resume != nil && s.resume.Contains(id) {
-		s.skipCompleted(id)
-		return
-	}
-	s.next = id + 1
-	if s.guard != nil {
-		s.guard.fold(id, accesses)
-	}
-	execute, owner, ok := s.owns(id)
-	if !ok {
-		return
-	}
-	if execute {
-		s.acquire(id, accesses)
-		if s.err != nil {
-			return // aborted while waiting
-		}
-		if s.execLocked(accesses, int64(id), run) {
-			s.ws.Executed++
-			s.prog.StoreExecuted(s.ws.Executed)
-			if s.track {
-				s.done = append(s.done, id)
-			}
-		}
-	} else {
-		if st := s.steal; st != nil && owner != s.worker && st.wants(owner) {
-			s.recordStealCand(owner, id, accesses, run)
-		}
-		s.declare(accesses, int64(id))
-		s.ws.Declared++
-		s.prog.StoreDeclared(s.ws.Declared)
-	}
+	t0 := time.Now()
+	b.run(s.worker)
+	s.ws.Task += time.Since(t0)
 }
 
 func (s *submitter) fail(err error) {

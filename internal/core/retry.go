@@ -1,111 +1,41 @@
 package core
 
-import (
-	"time"
+import "rio/internal/stf"
 
-	"rio/internal/stf"
-)
-
-// Task retry with write-set rollback. When a RetryPolicy is installed, the
-// per-worker recover moves from the worker goroutine (where a panic aborts
-// the whole run) down to the individual attempt: the write-set is
-// snapshotted before the first attempt, a recovered failure rolls it back,
-// and the body re-executes after a deterministic bounded backoff. Only
-// when the attempts are exhausted — or the failure is classified permanent,
-// or the write-set cannot be snapshotted — does the failure surface as a
-// run abort, now carrying a *stf.TaskFailure instead of a bare panic
-// message. With a nil policy none of this code runs: the execution paths
-// pay a single pointer test.
-
-// runAttempts executes one task body under the worker's retry policy. It
-// is only called with s.retry != nil; the reduction locks of the task are
-// held and its dependencies have resolved, so the write-set is quiescent
-// and safe to snapshot. It returns whether the task completed; on terminal
-// failure the worker's error is set to a *stf.TaskFailure and the run
-// abort is raised (graceful: other workers drain their in-flight bodies).
-func (s *submitter) runAttempts(accesses []stf.Access, id int64, run func()) bool {
-	p := s.retry
-	restore, can := stf.SnapshotWriteSet(s.snaps, accesses)
-	maxAttempts := p.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
+// runAttempts executes one task body under the worker's retry policy (the
+// shared attempt loop, stf.RetryPolicy.RunAttempts). It is only called
+// with s.retry != nil: the per-worker recover then moves from the worker
+// goroutine (where a panic aborts the whole run) down to the individual
+// attempt. It returns whether the task completed; on terminal failure the
+// worker's error is set to a *stf.TaskFailure and the run abort is raised
+// (graceful: other workers drain their in-flight bodies).
+func (s *submitter) runAttempts(id stf.TaskID, accesses []stf.Access, b body) bool {
+	tf, ok := s.retry.RunAttempts(s.snaps, id, accesses,
+		func() { s.runTimed(b) },
+		func() bool {
+			if h := s.health; h != nil {
+				// Re-stamp the heartbeat: a task in backoff is live, not
+				// stuck — to the watchdog it has been "busy" only since the
+				// last backoff slice, never across the whole schedule.
+				h.setExec(int64(id))
+			}
+			return s.abort.raised()
+		},
+		func(attempt int, cause any) {
+			s.ws.Retried++
+			s.prog.StoreRetried(s.ws.Retried)
+			if h := s.hooks; h != nil && h.OnTaskRetry != nil {
+				h.OnTaskRetry(s.worker, id, attempt, cause)
+			}
+		})
+	switch {
+	case ok:
+		return true
+	case tf != nil:
+		s.fail(tf)
+		s.abort.raise(tf, false)
+	default:
+		s.fail(errAborted)
 	}
-	if !can {
-		// No rollback possible: one shot. The preflight RIO-R001 pass
-		// reports this configuration before a run ever gets here.
-		maxAttempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		cause, ok := s.tryOnce(run)
-		if ok {
-			return true
-		}
-		if restore != nil {
-			// Roll back even when the failure is terminal: a checkpointed
-			// resume re-executes this task over its pre-attempt data.
-			restore()
-		}
-		if attempt >= maxAttempts || !p.Transient(cause) || s.abort.raised() {
-			tf := &stf.TaskFailure{Task: stf.TaskID(id), Attempts: attempt, Cause: cause}
-			s.fail(tf)
-			s.abort.raise(tf, false)
-			return false
-		}
-		s.ws.Retried++
-		s.prog.StoreRetried(s.ws.Retried)
-		if h := s.hooks; h != nil && h.OnTaskRetry != nil {
-			h.OnTaskRetry(s.worker, stf.TaskID(id), attempt, cause)
-		}
-		if !s.backoff(p.Delay(attempt+1), id) {
-			s.fail(errAborted)
-			return false
-		}
-	}
-}
-
-// tryOnce runs the body once, converting a panic into a returned cause.
-func (s *submitter) tryOnce(run func()) (cause any, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			cause = r
-			ok = false
-		}
-	}()
-	if s.eng.noAcct {
-		run()
-	} else {
-		t0 := time.Now()
-		run()
-		s.ws.Task += time.Since(t0)
-	}
-	return nil, true
-}
-
-// backoffSlice bounds each individual sleep of a retry backoff so the
-// worker keeps polling the abort latch and keeps refreshing its watchdog
-// heartbeat: a task in backoff is live, not stuck, and must neither trip
-// the StuckTask verdict nor outlive a run abort by a full backoff.
-const backoffSlice = 10 * time.Millisecond
-
-// backoff sleeps d in short slices. Returns false when the run aborted
-// mid-wait.
-func (s *submitter) backoff(d time.Duration, id int64) bool {
-	for d > 0 {
-		if s.abort.raised() {
-			return false
-		}
-		step := d
-		if step > backoffSlice {
-			step = backoffSlice
-		}
-		time.Sleep(step)
-		d -= step
-		if h := s.health; h != nil {
-			// Re-stamp the heartbeat: to the watchdog this task has been
-			// "busy" only since the last slice, never across the whole
-			// backoff schedule.
-			h.setExec(id)
-		}
-	}
-	return !s.abort.raised()
+	return false
 }

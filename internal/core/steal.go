@@ -6,19 +6,12 @@ package core
 // per-task atomic claim arbitrates the executor; the thief publishes the
 // canonical terminate effects), and DESIGN.md §13 for the full proof.
 //
-// Mechanically there are two modes, chosen by whether the run carries
-// compiled steal metadata:
-//
-//   - ring mode (closure replay): as a worker's replay declares a foreign
-//     task owned by a victim, it snapshots its private counters for the
-//     task's accesses — those *are* the task's registered values — into a
-//     bounded candidate ring. Steal attempts scan the ring front (earliest
-//     task first), drop candidates already claimed elsewhere, and claim the
-//     first candidate whose shared cells prove readiness.
-//   - table mode (compiled replay): stf.BuildStealMeta precomputed every
-//     task's owner and registered values, so no recording is needed; a
-//     per-victim cursor walks each victim's owned tasks in flow order and
-//     always points at the victim's next unclaimed task.
+// Candidates come from compiled steal metadata: stf.BuildStealMeta
+// precomputed every task's owner and registered values, and a per-victim
+// cursor walks each victim's owned tasks in flow order, always pointing at
+// the victim's next unclaimed task. A replay without a compiled program
+// (closure replay under a partial mapping, closure stream windows) carries
+// no metadata and no steal state: its SharedWorker tasks already float.
 //
 // Steal attempts fire from two places: the slow phase of a dependency wait
 // (the worker is provably not runnable locally) and the end-of-replay drain
@@ -32,35 +25,19 @@ import (
 	"rio/internal/stf"
 )
 
-// stealCand is one recorded steal opportunity of ring mode.
-type stealCand struct {
-	id       stf.TaskID
-	owner    stf.WorkerID
-	accesses []stf.Access
-	// reqs are the task's registered counter values, snapshotted from the
-	// recording worker's private state at declare time (one per access).
-	reqs []stf.StealReq
-	run  func()
-}
-
-// stealState is one worker's stealing machinery, allocated only when
-// Options.Steal is set — a nil-policy run pays a single pointer test per
-// task and allocates nothing.
+// stealState is one worker's stealing machinery, allocated only for
+// replays that carry steal metadata — a nil-policy run pays a single
+// pointer test per task and allocates nothing.
 type stealState struct {
 	scanBound int
 	// victims is the resolved scan order: the policy's ranked list (self
 	// excluded) or, when empty, every other worker in neighbor-ring order
 	// starting after the thief.
 	victims []stf.WorkerID
-	// victimSet indexes victims by worker for the ring-mode recording
-	// filter.
-	victimSet []bool
-	ringCap   int
-	ring      []stealCand
 
-	// Table mode (nil meta selects ring mode). tasks and kernel are the
-	// current run's (or window's) task table and dispatcher; cursors is
-	// per-victim (parallel to victims) and points into meta.ByOwner.
+	// tasks and kernel are the current run's (or window's) task table and
+	// dispatcher; cursors is per-victim (parallel to victims) and points
+	// into meta.ByOwner.
 	meta    *stf.StealMeta
 	tasks   []stf.Task
 	kernel  stf.Kernel
@@ -70,120 +47,40 @@ type stealState struct {
 // newStealState resolves a policy against this worker's identity. workers
 // is the engine's worker count.
 func newStealState(p *stf.StealPolicy, self stf.WorkerID, workers int) *stealState {
-	st := &stealState{
-		scanBound: p.ScanBound(),
-		victimSet: make([]bool, workers),
-		ringCap:   p.RingCap(),
-	}
+	st := &stealState{scanBound: p.ScanBound()}
 	if len(p.Victims) > 0 {
+		seen := make([]bool, workers)
 		for _, v := range p.Victims {
-			if v != self && v >= 0 && int(v) < workers && !st.victimSet[v] {
+			if v != self && v >= 0 && int(v) < workers && !seen[v] {
 				st.victims = append(st.victims, v)
-				st.victimSet[v] = true
+				seen[v] = true
 			}
 		}
 	} else {
 		for i := 1; i < workers; i++ {
-			v := stf.WorkerID((int(self) + i) % workers)
-			st.victims = append(st.victims, v)
-			st.victimSet[v] = true
+			st.victims = append(st.victims, stf.WorkerID((int(self)+i)%workers))
 		}
 	}
 	st.cursors = make([]int, len(st.victims))
 	return st
 }
 
-// reset rearms the state for a new run or stream window: table mode when
-// the caller supplies compiled steal metadata, ring mode otherwise. Steal
-// state never survives an epoch boundary — the session resets it before
-// each window and drains it before the window's barrier.
+// reset rearms the state for a new run or stream window. Steal state never
+// survives an epoch boundary — the session resets it before each window
+// and drains it before the window's barrier.
 func (st *stealState) reset(meta *stf.StealMeta, tasks []stf.Task, kernel stf.Kernel) {
-	st.ring = st.ring[:0]
 	st.meta, st.tasks, st.kernel = meta, tasks, kernel
 	for i := range st.cursors {
 		st.cursors[i] = 0
 	}
 }
 
-// wants reports whether a foreign task owned by owner should be recorded as
-// a ring-mode steal candidate.
-func (st *stealState) wants(owner stf.WorkerID) bool {
-	return st.meta == nil && owner >= 0 && int(owner) < len(st.victimSet) &&
-		st.victimSet[owner] && len(st.ring) < st.ringCap
-}
-
-// recordStealCand snapshots the registered counter values of a foreign task
-// this worker's replay just reached — before declaring it, so the private
-// counters still describe the flow prefix strictly before the task, which
-// is exactly what its get_* calls will compare against. Only called when
-// st.wants(owner) held.
-func (s *submitter) recordStealCand(owner stf.WorkerID, id stf.TaskID, accesses []stf.Access, run func()) {
-	reqs := make([]stf.StealReq, len(accesses))
-	for i, a := range accesses {
-		lo := &s.local[a.Data]
-		reqs[i] = stf.StealReq{
-			Data:       a.Data,
-			Mode:       a.Mode,
-			LastWrite:  lo.lastRegisteredWrite,
-			Reads:      lo.nbReadsSinceWrite,
-			Reds:       lo.nbRedsSinceWrite,
-			RedsBefore: lo.nbRedsBeforeRun,
-		}
-	}
-	s.steal.ring = append(s.steal.ring, stealCand{
-		id: id, owner: owner, accesses: accesses, reqs: reqs, run: run,
-	})
-}
-
 // trySteal makes one bounded steal attempt and reports whether a task was
 // claimed and executed (or claimed and failed — either way the caller's
-// local picture changed and its wait condition is worth re-checking).
+// local picture changed and its wait condition is worth re-checking). It
+// probes each victim's next unclaimed owned task (per-victim cursors over
+// the compiled steal metadata), bounded by scanBound probes.
 func (s *submitter) trySteal() bool {
-	if s.steal.meta != nil {
-		return s.tryStealTable()
-	}
-	return s.tryStealRing()
-}
-
-// tryStealRing scans the candidate ring front: candidates claimed elsewhere
-// are dropped (their executor is decided), up to scanBound live candidates
-// are probed for readiness, and the first ready one is claimed by CAS and
-// executed. A lost CAS (the owner reached the task, or another thief beat
-// us) drops the candidate and counts a StealFailed.
-func (s *submitter) tryStealRing() bool {
-	st := s.steal
-	ring := st.ring
-	out := ring[:0]
-	probed := 0
-	stole := false
-	for i := range ring {
-		c := ring[i]
-		if stole || probed >= st.scanBound {
-			out = append(out, c)
-			continue
-		}
-		if s.claims.claimed(int64(c.id)) {
-			continue // resolved elsewhere: drop
-		}
-		probed++
-		if !s.stealReady(c.reqs) {
-			out = append(out, c)
-			continue
-		}
-		if !s.claims.tryClaim(int64(c.id)) {
-			s.noteStealFailed()
-			continue // lost the race at the last moment: drop
-		}
-		s.stealExec(c.owner, c.id, c.accesses, c.run)
-		stole = true
-	}
-	st.ring = out
-	return stole
-}
-
-// tryStealTable probes each victim's next unclaimed owned task (per-victim
-// cursors over the compiled steal metadata), bounded by scanBound probes.
-func (s *submitter) tryStealTable() bool {
 	st := s.steal
 	probed := 0
 	for vi, v := range st.victims {
@@ -210,9 +107,7 @@ func (s *submitter) tryStealTable() bool {
 			continue
 		}
 		st.cursors[vi] = cur + 1
-		t := &st.tasks[idx]
-		k := st.kernel
-		s.stealExec(v, stf.TaskID(idx), t.Accesses, func() { k(t, s.worker) })
+		s.stealExec(v, &st.tasks[idx])
 		return true
 	}
 	return false
@@ -234,52 +129,23 @@ func (s *submitter) stealReady(reqs []stf.StealReq) bool {
 	return true
 }
 
-// stealExec runs a task this worker just claimed from owner: the stolen
-// twin of execLocked. The lifecycle (reduction locks, health, hooks, retry)
-// is identical; the completion publication differs — the thief performs
-// shared-only terminates (releaseStolen), because its *own* replay declares
-// the task separately at its flow position (it already has, in ring mode;
-// it may not have reached it yet, in table mode — either way the private
-// bookkeeping belongs to the replay, not to the execution).
-func (s *submitter) stealExec(owner stf.WorkerID, id stf.TaskID, accesses []stf.Access, run func()) {
+// stealExec runs a task this worker just claimed from owner. The lifecycle
+// is exec's, like any task's; the completion publication differs — the
+// thief performs shared-only terminates (releaseStolen), because its *own*
+// replay declares the task separately at its flow position, which it may
+// or may not have reached yet: the private bookkeeping belongs to the
+// replay, not to the execution. A terminal failure leaves completion
+// unpublished.
+func (s *submitter) stealExec(owner stf.WorkerID, t *stf.Task) {
 	if h := s.hooks; h != nil && h.OnTaskSteal != nil {
-		h.OnTaskSteal(s.worker, owner, id)
+		h.OnTaskSteal(s.worker, owner, t.ID)
 	}
-	if s.lockReductions(accesses) {
-		defer s.unlockReductions(accesses)
+	if !s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.kernel}) {
+		return
 	}
-	if h := s.health; h != nil {
-		h.setExec(int64(id))
-		defer h.endExec()
-	}
-	s.prog.SetCurrent(id)
-	if h := s.hooks; h != nil && h.OnTaskStart != nil {
-		h.OnTaskStart(s.worker, id)
-	}
-	if s.retry != nil {
-		if !s.runAttempts(accesses, int64(id), run) {
-			s.prog.SetCurrent(stf.NoTask)
-			return // terminal failure: completion stays unpublished
-		}
-	} else if s.eng.noAcct {
-		run()
-	} else {
-		t0 := time.Now()
-		run()
-		s.ws.Task += time.Since(t0)
-	}
-	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
-		h.OnTaskEnd(s.worker, id)
-	}
-	s.prog.SetCurrent(stf.NoTask)
-	s.releaseStolen(accesses, int64(id))
-	s.ws.Executed++
-	s.prog.StoreExecuted(s.ws.Executed)
+	s.releaseStolen(t.Accesses, int64(t.ID))
 	s.ws.Stolen++
 	s.prog.StoreStolen(s.ws.Stolen)
-	if s.track {
-		s.done = append(s.done, id)
-	}
 }
 
 // releaseStolen publishes a stolen task's completion to the shared cells:
@@ -341,13 +207,9 @@ func (s *submitter) stealDrain() {
 }
 
 // stealDrained reports whether no stealable work remains in this worker's
-// view: an empty ring, or every victim cursor past its victim's last
-// unclaimed task.
+// view: every victim cursor is past its victim's last unclaimed task.
 func (s *submitter) stealDrained() bool {
 	st := s.steal
-	if st.meta == nil {
-		return len(st.ring) == 0
-	}
 	for vi, v := range st.victims {
 		list := st.meta.ByOwner[v]
 		cur := st.cursors[vi]

@@ -28,7 +28,6 @@ func writeGraph(n int) *stf.Graph {
 func TestStealOptionValidation(t *testing.T) {
 	bad := []core.Options{
 		{Workers: 2, Steal: &stf.StealPolicy{MaxScan: -1}},
-		{Workers: 2, Steal: &stf.StealPolicy{Buffer: -1}},
 		{Workers: 2, Steal: &stf.StealPolicy{Victims: []stf.WorkerID{-1}}},
 		{Workers: 2, Steal: &stf.StealPolicy{Victims: []stf.WorkerID{2}}},
 	}
@@ -146,7 +145,10 @@ func TestStealFromDependencyWait(t *testing.T) {
 
 // Every workload, mapping and policy variant must stay sequentially
 // consistent with stealing enabled — the steal protocol is an executor
-// choice, never an ordering choice. Both replay paths.
+// choice, never an ordering choice. Both entry points: a closure Run (which
+// an armed engine records and compiles itself, or — under the partial
+// "shared" mapping, which cannot compile — replays plainly) and an
+// explicitly compiled program.
 func TestStealMatchesSequentialMatrix(t *testing.T) {
 	workloads := []*stf.Graph{
 		graphs.Independent(200),
@@ -160,7 +162,7 @@ func TestStealMatchesSequentialMatrix(t *testing.T) {
 	}
 	policies := map[string]*stf.StealPolicy{
 		"default": {},
-		"tight":   {MaxScan: 1, Buffer: 4},
+		"tight":   {MaxScan: 1},
 		"ranked":  {Victims: []stf.WorkerID{0, 1}},
 	}
 	for _, g := range workloads {
@@ -169,6 +171,7 @@ func TestStealMatchesSequentialMatrix(t *testing.T) {
 				"single": sched.Single(0),
 				"cyclic": sched.Cyclic(p),
 				"block":  sched.Block(len(g.Tasks), p),
+				"shared": sched.Partial(sched.Cyclic(p), func(id stf.TaskID) bool { return id%2 == 0 }),
 			}
 			for mname, m := range mappings {
 				for pname, pol := range policies {
@@ -178,6 +181,9 @@ func TestStealMatchesSequentialMatrix(t *testing.T) {
 					}
 					if n := e.Stats().Executed(); n != int64(len(g.Tasks)) {
 						t.Errorf("%s p=%d %s/%s closure: executed %d of %d", g.Name, p, mname, pname, n, len(g.Tasks))
+					}
+					if mname == "shared" {
+						continue // partial mappings have no compiled form
 					}
 					cp := compile(t, g, m, p, nil)
 					if err := enginetest.CheckCompiled(e, g, cp); err != nil {
@@ -351,7 +357,9 @@ func TestStealHooksAndCounters(t *testing.T) {
 // (independent slow writes, fully skewed) and a fully serialized chain
 // whose values thread through the whole window — sequential consistency
 // within each window, epoch recycling between them, and steals confined to
-// their window must all hold across many epochs. Both window replay paths.
+// their window must all hold across many epochs. Both window replay paths:
+// compiled windows carry steal metadata and must steal; closure windows
+// (no compiled shape) carry none and simply replay statically.
 func TestStealStreamSession(t *testing.T) {
 	const (
 		numData = 16
@@ -434,8 +442,8 @@ func TestStealStreamSession(t *testing.T) {
 				}
 			}
 			prog := e.Progress()
-			if got := prog.Stolen(); got == 0 {
-				t.Error("no steals across a fully skewed streaming session")
+			if got := prog.Stolen(); (got > 0) != (mode == "compiled") {
+				t.Errorf("%s windows of a fully skewed streaming session stole %d tasks", mode, got)
 			}
 			if err := ss.Close(); err != nil {
 				t.Fatal(err)

@@ -14,9 +14,6 @@ func TestStealStateVictimResolution(t *testing.T) {
 	if got, want := ranked.victims, []stf.WorkerID{2, 3}; !equalVictims(got, want) {
 		t.Errorf("ranked victims = %v, want %v", got, want)
 	}
-	if ranked.victimSet[1] || !ranked.victimSet[2] || !ranked.victimSet[3] || ranked.victimSet[0] {
-		t.Errorf("ranked victimSet = %v", ranked.victimSet)
-	}
 
 	ring := newStealState(&stf.StealPolicy{}, 2, 4)
 	if got, want := ring.victims, []stf.WorkerID{3, 0, 1}; !equalVictims(got, want) {
@@ -33,21 +30,18 @@ func TestStealStateVictimResolution(t *testing.T) {
 }
 
 // TestStealEpochQuiescence: steal state never survives an epoch boundary.
-// After a streaming session drains, every worker's candidate ring must be
-// empty — the end-of-window drain runs before the barrier arrival, so a
-// candidate recorded in window k can never be claimed or executed once
+// After a streaming session drains, every worker's victim cursors must be
+// past every claimed task — the end-of-window drain runs before the barrier
+// arrival, so a candidate of window k can never be claimed or executed once
 // window k's epoch has been recycled. The windows here are fully skewed
-// with slow tasks, so the rings are heavily exercised.
+// with slow tasks, so the cursors are heavily exercised.
 func TestStealEpochQuiescence(t *testing.T) {
 	const (
 		numData = 8
 		windows = 6
 	)
-	e, err := New(Options{
-		Workers: 3,
-		Mapping: func(stf.TaskID) stf.WorkerID { return 0 },
-		Steal:   &stf.StealPolicy{},
-	})
+	single := func(stf.TaskID) stf.WorkerID { return 0 }
+	e, err := New(Options{Workers: 3, Mapping: single, Steal: &stf.StealPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,27 +60,33 @@ func TestStealEpochQuiescence(t *testing.T) {
 		touched[i] = stf.DataID(i)
 	}
 	kern := func(*stf.Task, stf.WorkerID) { time.Sleep(100 * time.Microsecond) }
+	shape, err := stf.Compile(&stf.Graph{NumData: numData, Tasks: tasks}, single, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var stolen int64
 	for w := 0; w < windows; w++ {
-		if err := ss.Flush(WindowRun{Tasks: tasks, Kernel: kern, Touched: touched}); err != nil {
+		if err := ss.Flush(WindowRun{Tasks: tasks, Kernel: kern, Compiled: shape, Touched: touched}); err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
 		if err := ss.Drain(); err != nil {
 			t.Fatalf("drain after window %d: %v", w, err)
 		}
 		// The barrier has passed: every worker finished its replay AND its
-		// steal drain. Any candidate still in a ring here could be claimed
+		// steal drain. Any candidate still unclaimed here could be claimed
 		// against recycled counters in the next epoch.
 		for wk, sub := range ss.subs {
 			if sub.steal == nil {
 				t.Fatalf("worker %d has no steal state", wk)
 			}
-			if n := len(sub.steal.ring); n != 0 {
-				t.Errorf("window %d: worker %d ring holds %d candidates at the epoch boundary", w, wk, n)
+			if !sub.stealDrained() {
+				t.Errorf("window %d: worker %d still sees stealable tasks at the epoch boundary", w, wk)
 			}
-			stolen += sub.ws.Stolen
 		}
+	}
+	for _, sub := range ss.subs {
+		stolen += sub.ws.Stolen
 	}
 	if stolen == 0 {
 		t.Error("quiescence test exercised no steals")

@@ -5,7 +5,8 @@
 // protocol intact. The producer records a bounded window of tasks with
 // window-local IDs, publishes it, and all workers replay exactly that
 // window — record-once-replay-everywhere, so replay divergence between
-// workers is impossible by construction within a window. An epoch barrier
+// workers is impossible by construction within a window, compiled or not,
+// and no divergence guard is armed. An epoch barrier
 // separates consecutive windows: window k+1 is only published after every
 // worker arrived at the end of window k, which makes the concatenation of
 // windows sequentially consistent (everything in window k happens-before
@@ -44,8 +45,8 @@ type WindowRun struct {
 	// Compiled optionally carries a program compiled from this window's
 	// shape (same access structure, same mapping, same worker count). When
 	// set, workers interpret its micro-op streams against Tasks; when nil,
-	// workers replay Tasks through the closure protocol path with the
-	// divergence guard armed per window (if the engine has it enabled).
+	// workers replay Tasks through the closure protocol path (which resolves
+	// SharedWorker ownership dynamically; such windows do not steal).
 	Compiled *stf.CompiledProgram
 	// Touched lists the data objects the window accesses; exactly their
 	// state is recycled at the window's epoch boundary.
@@ -64,7 +65,7 @@ type windowSpec struct {
 	closed bool
 	// stealMeta carries the compiled window shape's steal metadata when the
 	// session's engine has stealing enabled (nil for closure windows, which
-	// record candidates live). Published with the spec, read-only after.
+	// do not steal). Published with the spec, read-only after.
 	stealMeta *stf.StealMeta
 }
 
@@ -82,7 +83,11 @@ type Session struct {
 	timeout time.Duration
 	shared  []sharedState
 	subs    []*submitter
-	prog    *trace.ProgressTable
+	// steals holds each worker's steal state (nil when the engine has no
+	// steal policy), attached to its submitter for the windows that carry
+	// steal metadata.
+	steals []*stealState
+	prog   *trace.ProgressTable
 
 	pub  epochGate // windows published to the workers
 	done epochGate // windows fully executed (barrier passed)
@@ -151,7 +156,7 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 			spinBudget: e.spinLimit,
 		}
 		if e.steal != nil {
-			ss.subs[w].steal = newStealState(e.steal, stf.WorkerID(w), e.workers)
+			ss.steals = append(ss.steals, newStealState(e.steal, stf.WorkerID(w), e.workers))
 		}
 	}
 	ss.wg.Add(e.workers)
@@ -308,14 +313,7 @@ func (ss *Session) runWindow(s *submitter, spec *windowSpec) {
 	s.err = nil
 	s.abort = spec.abort
 	s.claims = spec.claims
-	if spec.Compiled == nil && ss.eng.guard {
-		// Fresh divergence guard per epoch: each window is a complete replay
-		// of its own flow, so the cross-worker fold/cross-check argument
-		// applies window by window (see guardVerdict).
-		s.guard = &guardState{}
-	} else {
-		s.guard = nil
-	}
+	s.steal = nil
 	for _, d := range spec.Touched {
 		s.local[d].recycle()
 	}
@@ -326,20 +324,22 @@ func (ss *Session) runWindow(s *submitter, spec *windowSpec) {
 			spec.abort.raise(err, false)
 		}
 	}()
-	if st := s.steal; st != nil {
-		st.reset(spec.stealMeta, spec.Tasks, spec.Kernel)
+	if spec.stealMeta != nil {
+		s.steal = ss.steals[s.worker]
+		s.steal.reset(spec.stealMeta, spec.Tasks, spec.Kernel)
 	}
 	if cp := spec.Compiled; cp != nil {
 		s.runStreamTasks(cp, spec.Tasks, spec.Kernel)
 	} else {
 		for i := range spec.Tasks {
-			s.submitRecorded(&spec.Tasks[i], spec.Kernel)
+			t := &spec.Tasks[i]
+			s.submit(t.ID, t.Accesses, body{t: t, k: spec.Kernel})
 		}
 	}
 	if s.steal != nil && s.err == nil {
 		// Drain before arriving: every candidate of this window gets an
 		// executor inside this epoch, so no steal crosses the barrier
-		// (candidate state is also reset above — window-local by
+		// (the cursors are also reset above — window-local by
 		// construction).
 		s.stealDrain()
 	}
@@ -380,10 +380,6 @@ func (ss *Session) arrive(spec *windowSpec) {
 		}
 		if aborted > 0 {
 			errs = append(errs, fmt.Errorf("core: %d worker(s) %w", aborted, errAborted))
-		}
-	} else if spec.Compiled == nil && ss.eng.guard {
-		if err := guardVerdict(ss.subs); err != nil {
-			errs = append(errs, fmt.Errorf("core: %w", err))
 		}
 	}
 	if err := errors.Join(errs...); err != nil {

@@ -405,8 +405,8 @@ func TestFaultRetryToSuccess(t *testing.T) {
 			var mu sync.Mutex
 			var retries []int
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			opts.Hooks = &rio.Hooks{OnTaskRetry: func(_ stf.WorkerID, id stf.TaskID, attempt int, _ any) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -452,8 +452,8 @@ func TestFaultRetryRollsBackWriteSet(t *testing.T) {
 			tr := enginetest.NewTrace(g)
 			var clock atomic.Int64
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 3}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			rt := mustEngine(t, opts)
 			kern := faultinject.CorruptThenFail(enginetest.Kernel(tr, &clock), 1, 2, func() {
 				tr.Vals[0] = 0xDEAD // dirty task 1's write-set mid-body
@@ -478,8 +478,8 @@ func TestFaultRetriesExhausted(t *testing.T) {
 			tr := enginetest.NewTrace(g)
 			var clock atomic.Int64
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			rt := mustEngine(t, opts)
 			kern := faultinject.PanicAt(enginetest.Kernel(tr, &clock), failID)
 			err := rt.Run(g.NumData, stf.Replay(g, kern))
@@ -535,8 +535,10 @@ func TestFaultRetryBackoffKeepsWatchdogQuiet(t *testing.T) {
 	rt := mustEngine(t, rio.Options{
 		Model: rio.InOrder, Workers: 2,
 		StallTimeout: 50 * time.Millisecond,
-		Retry:        &rio.RetryPolicy{MaxAttempts: 4, Backoff: 150 * time.Millisecond},
-		Snapshots:    snapshotVals(tr),
+		Fault: rio.FaultOptions{
+			Retry:     &rio.RetryPolicy{MaxAttempts: 4, Backoff: 150 * time.Millisecond},
+			Snapshots: snapshotVals(tr),
+		},
 	})
 	kern := faultinject.FailNTimes(enginetest.Kernel(tr, &clock), failID, failures)
 	start := time.Now()
@@ -572,8 +574,8 @@ func TestFaultChaosStorm(t *testing.T) {
 			tr := enginetest.NewTrace(g)
 			var clock atomic.Int64
 			opts := spec.opts
-			opts.Retry = &rio.RetryPolicy{MaxAttempts: 3}
-			opts.Snapshots = snapshotVals(tr)
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3}
+			opts.Fault.Snapshots = snapshotVals(tr)
 			rt := mustEngine(t, opts)
 			kern := faultinject.Flaky(enginetest.Kernel(tr, &clock), 42, 0.4)
 			if err := rt.Run(g.NumData, stf.Replay(g, kern)); err != nil {

@@ -30,7 +30,7 @@ import (
 // every engine (and enables checkpoint tracking).
 func failResume(t *testing.T, opts rio.Options, g *stf.Graph, tr *enginetest.Trace, clock *atomic.Int64, failID stf.TaskID) *rio.Checkpoint {
 	t.Helper()
-	opts.Retry = &rio.RetryPolicy{MaxAttempts: 1}
+	opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 1}
 	rt := mustEngine(t, opts)
 	kern := faultinject.PanicAt(enginetest.Kernel(tr, clock), failID)
 	err := rt.Run(g.NumData, stf.Replay(g, kern))
@@ -72,7 +72,7 @@ func TestResumeAfterFailure(t *testing.T) {
 			cp := failResume(t, spec.opts, g, tr, &clock, failID)
 
 			opts := spec.opts
-			opts.Resume = cp
+			opts.Fault.Resume = cp
 			rt := mustEngine(t, opts)
 			if err := rt.Run(g.NumData, stf.Replay(g, enginetest.Kernel(tr, &clock))); err != nil {
 				t.Fatalf("resumed run failed: %v", err)
@@ -106,7 +106,7 @@ func TestResumeCompiledReplay(t *testing.T) {
 			tr := enginetest.NewTrace(g)
 			var clock atomic.Int64
 
-			eng1, err := rio.NewEngine(rio.Options{Workers: 2, Prune: prune, Retry: &rio.RetryPolicy{MaxAttempts: 1}})
+			eng1, err := rio.NewEngine(rio.Options{Workers: 2, Prune: prune, Fault: rio.FaultOptions{Retry: &rio.RetryPolicy{MaxAttempts: 1}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestResumeCompiledReplay(t *testing.T) {
 				t.Fatal("empty checkpoint")
 			}
 
-			eng2, err := rio.NewEngine(rio.Options{Workers: 2, Prune: prune, Resume: cp})
+			eng2, err := rio.NewEngine(rio.Options{Workers: 2, Prune: prune, Fault: rio.FaultOptions{Resume: cp}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestResumeChained(t *testing.T) {
 			cp1 := failResume(t, spec.opts, g, tr, &clock, 5)
 
 			opts := spec.opts
-			opts.Resume = cp1
+			opts.Fault.Resume = cp1
 			cp2 := failResume(t, opts, g, tr, &clock, 12)
 			for _, id := range cp1.Completed {
 				if !cp2.Contains(id) {
@@ -166,7 +166,7 @@ func TestResumeChained(t *testing.T) {
 			}
 
 			opts = spec.opts
-			opts.Resume = cp2
+			opts.Fault.Resume = cp2
 			rt := mustEngine(t, opts)
 			if err := rt.Run(g.NumData, stf.Replay(g, enginetest.Kernel(tr, &clock))); err != nil {
 				t.Fatalf("final resumed run failed: %v", err)

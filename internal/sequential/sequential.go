@@ -206,30 +206,17 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 		s.prog.StoreSkipped(s.ws.Skipped)
 		return
 	}
-	if s.retry != nil {
-		s.runAttempts(id, accesses, f)
-		return
-	}
-	// A panicking task fails the run but does not unwind the caller
-	// (Submit keeps its documented return-after-execution contract);
-	// subsequent tasks are skipped via the sticky error. The unwinding
-	// panic skips OnTaskEnd and leaves Current parked on the failed task,
-	// matching the parallel engines' contract.
-	defer func() {
-		if r := recover(); r != nil {
-			s.err = fmt.Errorf("sequential: task %d panicked: %v", id, r)
-		}
-	}()
 	s.prog.SetCurrent(id)
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(stf.MasterWorker, id)
 	}
-	if s.noAcct {
-		f()
-	} else {
-		t0 := time.Now()
-		f()
-		s.ws.Task += time.Since(t0)
+	// A failing task fails the run but does not unwind the caller (Submit
+	// keeps its documented return-after-execution contract); subsequent
+	// tasks are skipped via the sticky error, so the completed set is a
+	// clean prefix. The failure skips OnTaskEnd and leaves Current parked on
+	// the failed task, matching the parallel engines' contract.
+	if s.err = s.attempt(id, accesses, f); s.err != nil {
+		return
 	}
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(stf.MasterWorker, id)
@@ -242,92 +229,49 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 	}
 }
 
-// runAttempts executes one task body under the retry policy: failed
-// attempts roll back the write-set (the sequential engine's data is
-// trivially quiescent) and re-execute after a deterministic backoff. A
-// terminal failure sets the sticky error to a *stf.TaskFailure; later
-// tasks are skipped, so the completed set is a clean prefix.
-func (s *submitter) runAttempts(id stf.TaskID, accesses []stf.Access, f func()) {
-	s.prog.SetCurrent(id)
-	if h := s.hooks; h != nil && h.OnTaskStart != nil {
-		h.OnTaskStart(stf.MasterWorker, id)
-	}
-	p := s.retry
-	restore, can := stf.SnapshotWriteSet(s.snaps, accesses)
-	maxAttempts := p.MaxAttempts
-	if maxAttempts < 1 || !can {
-		maxAttempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		cause, ok := s.tryOnce(f)
-		if ok {
-			if h := s.hooks; h != nil && h.OnTaskEnd != nil {
-				h.OnTaskEnd(stf.MasterWorker, id)
+// attempt runs one task body to completion and returns its failure, if
+// any. Without a retry policy that is one shot, a panic converted into the
+// run's error. With one it is the shared attempt loop
+// (stf.RetryPolicy.RunAttempts): failed attempts roll back the write-set
+// (the sequential engine's data is trivially quiescent) and re-execute
+// after a deterministic backoff; a terminal failure is a *stf.TaskFailure.
+func (s *submitter) attempt(id stf.TaskID, accesses []stf.Access, f func()) (err error) {
+	if s.retry == nil {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("sequential: task %d panicked: %v", id, r)
 			}
-			s.prog.SetCurrent(stf.NoTask)
-			s.ws.Executed++
-			s.prog.StoreExecuted(s.ws.Executed)
-			if s.track {
-				s.done = append(s.done, id)
-			}
-			return
-		}
-		if restore != nil {
-			restore()
-		}
-		canceled := s.ctx != nil && s.ctx.Err() != nil
-		if attempt >= maxAttempts || !p.Transient(cause) || canceled {
-			// Current stays parked on the failed task, like the panic path.
-			s.err = &stf.TaskFailure{Task: id, Attempts: attempt, Cause: cause}
-			return
-		}
-		s.ws.Retried++
-		s.prog.StoreRetried(s.ws.Retried)
-		if h := s.hooks; h != nil && h.OnTaskRetry != nil {
-			h.OnTaskRetry(stf.MasterWorker, id, attempt, cause)
-		}
-		if !s.backoff(p.Delay(attempt + 1)) {
-			s.err = fmt.Errorf("sequential: run canceled: %w", context.Cause(s.ctx))
-			return
-		}
+		}()
+		s.timed(f)
+		return nil
 	}
+	tf, ok := s.retry.RunAttempts(s.snaps, id, accesses,
+		func() { s.timed(f) },
+		func() bool { return s.ctx != nil && s.ctx.Err() != nil },
+		func(attempt int, cause any) {
+			s.ws.Retried++
+			s.prog.StoreRetried(s.ws.Retried)
+			if h := s.hooks; h != nil && h.OnTaskRetry != nil {
+				h.OnTaskRetry(stf.MasterWorker, id, attempt, cause)
+			}
+		})
+	switch {
+	case ok:
+		return nil
+	case tf != nil:
+		return tf
+	}
+	return fmt.Errorf("sequential: run canceled: %w", context.Cause(s.ctx))
 }
 
-// tryOnce runs the body once, converting a panic into a returned cause.
-func (s *submitter) tryOnce(f func()) (cause any, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			cause = r
-			ok = false
-		}
-	}()
+// timed runs the body once, charging its duration to the task time unless
+// accounting is off.
+func (s *submitter) timed(f func()) {
 	if s.noAcct {
 		f()
-	} else {
-		t0 := time.Now()
-		f()
-		s.ws.Task += time.Since(t0)
+		return
 	}
-	return nil, true
-}
-
-// backoffSlice bounds each individual sleep of a retry backoff so a
-// canceled run cuts the wait short.
-const backoffSlice = 10 * time.Millisecond
-
-// backoff sleeps d in short slices, polling the run context. Returns
-// false when the run was canceled mid-wait.
-func (s *submitter) backoff(d time.Duration) bool {
-	for d > 0 {
-		if s.ctx != nil && s.ctx.Err() != nil {
-			return false
-		}
-		step := d
-		if step > backoffSlice {
-			step = backoffSlice
-		}
-		time.Sleep(step)
-		d -= step
-	}
-	return true
+	t0 := time.Now()
+	f()
+	s.ws.Task += time.Since(t0)
 }

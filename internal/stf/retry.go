@@ -71,6 +71,72 @@ func (p *RetryPolicy) Delay(attempt int) time.Duration {
 	return d
 }
 
+// backoffSlice bounds each individual sleep of a retry backoff so the
+// engine's abort signal is polled — and cuts the wait short — at least
+// this often.
+const backoffSlice = 10 * time.Millisecond
+
+// RunAttempts executes one task body under the policy: the attempt loop
+// every engine shares. The task's write-set is snapshotted once through
+// snaps (the caller holds the task's reduction locks and its dependencies
+// have resolved, so the data is quiescent); a failed attempt — attempt
+// panicked — is rolled back, then retried after the policy's deterministic
+// backoff, until it succeeds, the attempts are exhausted, the cause is
+// classified permanent, or the run aborts. A write-set that cannot be
+// snapshotted gets exactly one attempt (the preflight RIO-R001 pass
+// reports that configuration before a run gets here).
+//
+// The engine supplies its side through three callbacks: attempt runs the
+// body once (a panic is the failure signal); aborted reports whether the
+// run is shutting down — it is polled after every failed attempt and at
+// least every backoffSlice during a backoff, so an engine may also use it
+// as a liveness heartbeat; retried is told of each failed attempt that will
+// be retried, before its backoff.
+//
+// It returns completed when an attempt succeeded. Otherwise failure is the
+// task's terminal *TaskFailure (write-set rolled back where a snapshot
+// existed, so a checkpointed resume re-executes over clean data), or nil
+// when the run aborted during a backoff: the task neither completed nor
+// failed.
+func (p *RetryPolicy) RunAttempts(snaps Snapshotter, id TaskID, accesses []Access,
+	attempt func(), aborted func() bool, retried func(attempt int, cause any)) (failure *TaskFailure, completed bool) {
+	restore, can := SnapshotWriteSet(snaps, accesses)
+	maxAttempts := p.MaxAttempts
+	if maxAttempts < 1 || !can {
+		maxAttempts = 1
+	}
+	for n := 1; ; n++ {
+		cause, ok := tryOnce(attempt)
+		if ok {
+			return nil, true
+		}
+		if restore != nil {
+			restore()
+		}
+		if n >= maxAttempts || !p.Transient(cause) || aborted() {
+			return &TaskFailure{Task: id, Attempts: n, Cause: cause}, false
+		}
+		retried(n, cause)
+		for d := p.Delay(n + 1); d > 0 && !aborted(); d -= backoffSlice {
+			time.Sleep(min(d, backoffSlice))
+		}
+		if aborted() {
+			return nil, false
+		}
+	}
+}
+
+// tryOnce runs the body once, converting a panic into a returned cause.
+func tryOnce(attempt func()) (cause any, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			cause, ok = r, false
+		}
+	}()
+	attempt()
+	return nil, true
+}
+
 // Snapshotter is the capability that makes rollback possible: it captures
 // the value of one runtime-managed data object and returns a closure that
 // restores it. The runtime invokes it on the executing worker, after the

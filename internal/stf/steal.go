@@ -12,10 +12,8 @@ package stf
 //   - The registered counter values of a task T (the values Algorithm 2
 //     waits on) are a function of the task-flow prefix before T alone, so
 //     they are identical on every worker's replay. A thief therefore checks
-//     readiness against the shared cells with T's *registered* values —
-//     either snapshotted from its own private counters as its replay passes
-//     T (closure replay), or precomputed per task by BuildStealMeta
-//     (compiled replay).
+//     readiness against the shared cells with T's *registered* values,
+//     precomputed per task by BuildStealMeta from the compiled program.
 //   - Readiness is stable once true: any task that could perturb a shared
 //     cell past T's registered values is registered after T and therefore
 //     transitively waits for T's completion, whoever executes T.
@@ -34,17 +32,12 @@ package stf
 // when StealPolicy.MaxScan is zero.
 const DefaultStealScan = 8
 
-// DefaultStealBuffer is the per-worker candidate ring capacity of closure
-// replay when StealPolicy.Buffer is zero.
-const DefaultStealBuffer = 256
-
 // StealPolicy enables bounded, dependency-safe work stealing in the
 // in-order engine (Options.Steal). The zero value of every field selects a
 // sensible default; a nil *StealPolicy disables stealing entirely.
 type StealPolicy struct {
-	// MaxScan bounds one steal attempt: in closure replay, how many
-	// recorded candidates are inspected; in compiled replay, how many
-	// victims' next-task slots are probed. 0 means DefaultStealScan.
+	// MaxScan bounds one steal attempt: how many victims' next-task slots
+	// are probed. 0 means DefaultStealScan.
 	MaxScan int
 	// Victims is the ranked victim preference — workers to steal from, in
 	// descending priority (typically the overloaded workers the preflight
@@ -52,12 +45,6 @@ type StealPolicy struct {
 	// other worker, scanned in neighbor-ring order starting after the
 	// thief.
 	Victims []WorkerID
-	// Buffer is the per-worker steal-candidate ring capacity of closure
-	// replay (compiled replay needs no ring — candidates come from the
-	// program's precomputed steal metadata). 0 means DefaultStealBuffer;
-	// when the ring is full new candidates are dropped, never blocking
-	// the replay.
-	Buffer int
 }
 
 // ScanBound returns the effective MaxScan.
@@ -66,14 +53,6 @@ func (p *StealPolicy) ScanBound() int {
 		return DefaultStealScan
 	}
 	return p.MaxScan
-}
-
-// RingCap returns the effective closure-replay candidate capacity.
-func (p *StealPolicy) RingCap() int {
-	if p == nil || p.Buffer <= 0 {
-		return DefaultStealBuffer
-	}
-	return p.Buffer
 }
 
 // StealReq is the readiness requirement of one access of a stealable task:

@@ -11,16 +11,13 @@ func TestStealPolicyDefaults(t *testing.T) {
 	if nilPolicy.ScanBound() != stf.DefaultStealScan {
 		t.Errorf("nil ScanBound = %d", nilPolicy.ScanBound())
 	}
-	if nilPolicy.RingCap() != stf.DefaultStealBuffer {
-		t.Errorf("nil RingCap = %d", nilPolicy.RingCap())
-	}
 	zero := &stf.StealPolicy{}
-	if zero.ScanBound() != stf.DefaultStealScan || zero.RingCap() != stf.DefaultStealBuffer {
-		t.Errorf("zero policy = scan %d, ring %d", zero.ScanBound(), zero.RingCap())
+	if zero.ScanBound() != stf.DefaultStealScan {
+		t.Errorf("zero policy = scan %d", zero.ScanBound())
 	}
-	set := &stf.StealPolicy{MaxScan: 3, Buffer: 17}
-	if set.ScanBound() != 3 || set.RingCap() != 17 {
-		t.Errorf("set policy = scan %d, ring %d", set.ScanBound(), set.RingCap())
+	set := &stf.StealPolicy{MaxScan: 3}
+	if set.ScanBound() != 3 {
+		t.Errorf("set policy = scan %d", set.ScanBound())
 	}
 }
 

@@ -1,82 +1,15 @@
 package rio_test
 
-// Tests for the grouped Options layout (Options.Tuning, Options.Fault) and
-// its merge/conflict contract with the deprecated flat aliases.
+// Tests for the grouped Options layout (Options.Tuning, Options.Fault).
 
 import (
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rio"
 )
-
-func mustReject(t *testing.T, o rio.Options, knob string) {
-	t.Helper()
-	if _, err := rio.New(o); err == nil || !strings.Contains(err.Error(), knob) {
-		t.Errorf("New with conflicting %s: err = %v, want conflict naming it", knob, err)
-	}
-	if o.Model == rio.InOrder {
-		if _, err := rio.NewEngine(o); err == nil || !strings.Contains(err.Error(), knob) {
-			t.Errorf("NewEngine with conflicting %s: err = %v, want conflict naming it", knob, err)
-		}
-	}
-}
-
-// TestOptionsConflictsRejected: the same knob set to different values in
-// its flat and grouped spelling is a construction error — never a silent
-// preference for one of the two.
-func TestOptionsConflictsRejected(t *testing.T) {
-	base := rio.Options{Workers: 2}
-	o := base
-	o.WaitPolicy, o.Tuning.WaitPolicy = rio.WaitSpin, rio.WaitPark
-	mustReject(t, o, "WaitPolicy")
-	o = base
-	o.SpinLimit, o.Tuning.SpinLimit = 10, 20
-	mustReject(t, o, "SpinLimit")
-	o = base
-	o.YieldLimit, o.Tuning.YieldLimit = 5, 6
-	mustReject(t, o, "YieldLimit")
-	o = base
-	o.SleepInit, o.Tuning.SleepInit = time.Millisecond, 2*time.Millisecond
-	mustReject(t, o, "SleepInit")
-	o = base
-	o.SleepMax, o.Tuning.SleepMax = time.Millisecond, 2*time.Millisecond
-	mustReject(t, o, "SleepMax")
-	o = base
-	o.Retry, o.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 2}, &rio.RetryPolicy{MaxAttempts: 3}
-	mustReject(t, o, "Retry")
-	o = base
-	o.Resume, o.Fault.Resume = &rio.Checkpoint{}, &rio.Checkpoint{}
-	mustReject(t, o, "Resume")
-	// Snapshotter implementations need not be comparable, so ANY doubly-set
-	// Snapshots is rejected, even the "same" value twice.
-	o = base
-	snaps := rio.SnapshotFuncs{Save: func(rio.DataID) func() { return func() {} }}
-	o.Snapshots, o.Fault.Snapshots = snaps, snaps
-	mustReject(t, o, "Snapshots")
-}
-
-// TestOptionsAgreementAccepted: setting a knob identically in both places
-// is not a conflict, and pointer knobs may share the same pointer.
-func TestOptionsAgreementAccepted(t *testing.T) {
-	rp := &rio.RetryPolicy{MaxAttempts: 2}
-	o := rio.Options{
-		Workers:    2,
-		WaitPolicy: rio.WaitPark,
-		Tuning:     rio.TuningOptions{WaitPolicy: rio.WaitPark, SpinLimit: 64},
-		Retry:      rp,
-		Fault:      rio.FaultOptions{Retry: rp},
-	}
-	if _, err := rio.New(o); err != nil {
-		t.Fatalf("agreeing options rejected: %v", err)
-	}
-	if _, err := rio.NewEngine(o); err != nil {
-		t.Fatalf("NewEngine with agreeing options rejected: %v", err)
-	}
-}
 
 // TestOptionsGroupedTuningRuns: an engine configured purely through the
 // grouped Tuning fields runs correctly under every model.
@@ -110,9 +43,9 @@ func TestOptionsGroupedTuningRuns(t *testing.T) {
 	}
 }
 
-// TestOptionsGroupedFaultRuns: retry configured only through Options.Fault
-// actually retries — functional proof the grouped fields are merged into
-// the engine, not just accepted.
+// TestOptionsGroupedFaultRuns: retry configured through Options.Fault
+// actually retries — functional proof the grouped fields reach the engine,
+// not just compile.
 func TestOptionsGroupedFaultRuns(t *testing.T) {
 	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
 		var attempts atomic.Int64
@@ -155,28 +88,22 @@ func TestOptionsGroupedFaultRuns(t *testing.T) {
 	}
 }
 
-// TestOptionsFaultCheckpointORed: Checkpoint set in either spelling (or
-// both) enables checkpointing; the two are OR-ed, never conflicting.
-func TestOptionsFaultCheckpointORed(t *testing.T) {
-	for _, o := range []rio.Options{
-		{Workers: 2, Checkpoint: true},
-		{Workers: 2, Fault: rio.FaultOptions{Checkpoint: true}},
-		{Workers: 2, Checkpoint: true, Fault: rio.FaultOptions{Checkpoint: true}},
-	} {
-		rt, err := rio.New(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = rt.Run(1, func(s rio.Submitter) {
-			s.Submit(func() {}, rio.Write(0))
-			s.Submit(func() { panic("fail") }, rio.RW(0))
-		})
-		var pe *rio.PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("checkpointing run did not return PartialError: %v", err)
-		}
-		if len(pe.Result.Checkpoint().Completed) != 1 {
-			t.Errorf("checkpoint frontier = %v, want task 0", pe.Result.Checkpoint().Completed)
-		}
+// TestOptionsFaultCheckpoint: Fault.Checkpoint alone (no retry policy)
+// enables checkpointing.
+func TestOptionsFaultCheckpoint(t *testing.T) {
+	rt, err := rio.New(rio.Options{Workers: 2, Fault: rio.FaultOptions{Checkpoint: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Run(1, func(s rio.Submitter) {
+		s.Submit(func() {}, rio.Write(0))
+		s.Submit(func() { panic("fail") }, rio.RW(0))
+	})
+	var pe *rio.PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("checkpointing run did not return PartialError: %v", err)
+	}
+	if len(pe.Result.Checkpoint().Completed) != 1 {
+		t.Errorf("checkpoint frontier = %v, want task 0", pe.Result.Checkpoint().Completed)
 	}
 }

@@ -85,8 +85,8 @@ type (
 	// WorkerProgress is one worker's slice of a Progress snapshot.
 	WorkerProgress = trace.WorkerProgress
 	// WaitPolicy selects how waits behave once busy-polling has not
-	// resolved them (Options.WaitPolicy): see WaitAdaptive, WaitSpin,
-	// WaitPark, WaitSleep.
+	// resolved them (Options.Tuning.WaitPolicy): see WaitAdaptive,
+	// WaitSpin, WaitPark, WaitSleep.
 	WaitPolicy = stf.WaitPolicy
 	// StealPolicy enables bounded, dependency-safe work stealing in the
 	// in-order engine (Options.Steal): an idle worker executes a victim's
@@ -111,10 +111,10 @@ type (
 	DivergenceError = stf.DivergenceError
 
 	// RetryPolicy configures transient-fault retry of task bodies with
-	// write-set rollback (Options.Retry).
+	// write-set rollback (Options.Fault.Retry).
 	RetryPolicy = stf.RetryPolicy
 	// Snapshotter captures and restores data objects so a failed task's
-	// write-set can be rolled back before a retry (Options.Snapshots).
+	// write-set can be rolled back before a retry (Options.Fault.Snapshots).
 	Snapshotter = stf.Snapshotter
 	// SnapshotFuncs adapts two closures into a Snapshotter.
 	SnapshotFuncs = stf.SnapshotFuncs
@@ -122,7 +122,7 @@ type (
 	// exhausted or declined (use errors.As).
 	TaskFailure = stf.TaskFailure
 	// Checkpoint is the dependency-closed completed-task frontier of an
-	// aborted run; pass it to Options.Resume to skip those tasks.
+	// aborted run; pass it to Options.Fault.Resume to skip those tasks.
 	Checkpoint = stf.Checkpoint
 	// PartialResult describes how far an aborted run got: completed,
 	// failed and skipped task sets.
@@ -163,7 +163,7 @@ const (
 	// PreflightRetry lints fault-tolerance configuration: with a retry
 	// policy installed, every task's written data must be idempotent or
 	// snapshottable to be retryable (RIO-R001), and oversized per-attempt
-	// snapshots are flagged (RIO-R002). No-op without Options.Retry.
+	// snapshots are flagged (RIO-R002). No-op without Options.Fault.Retry.
 	PreflightRetry = analyze.PassRetry
 	// PreflightAll runs every pass.
 	PreflightAll = analyze.PassAll
@@ -194,7 +194,7 @@ const (
 	Reduction = stf.Reduction
 )
 
-// Wait policies (Options.WaitPolicy). They apply to the in-order engine's
+// Wait policies (Options.Tuning.WaitPolicy). They apply to the in-order engine's
 // dependency waits and to the centralized engine's ready-queue pops; the
 // sequential engine never waits.
 const (
@@ -290,29 +290,30 @@ type TuningOptions struct {
 // with write-set rollback, checkpointing and resume. The zero value
 // disables all of it.
 type FaultOptions struct {
-	// Retry installs transient-fault retry of task bodies with write-set
-	// rollback (see Options.Retry for the full contract). Implies
-	// Checkpoint.
+	// Retry installs transient-fault tolerance: a task body that panics
+	// (or fails per Retry.Classify) has its write-set rolled back via
+	// Snapshots and is re-executed after a deterministic backoff, up to
+	// Retry.MaxAttempts times. Tasks whose written data is neither
+	// idempotent (see Access.AsIdempotent) nor snapshottable get exactly
+	// one attempt. nil (the default) disables retry and costs the hot
+	// path one pointer test per task. Retry implies Checkpoint.
 	Retry *RetryPolicy
 	// Snapshots captures and restores data objects for retry rollback.
+	// Without it, only tasks whose writes are all idempotent are retried.
 	Snapshots Snapshotter
 	// Resume skips the tasks recorded as completed in a previous run's
-	// Checkpoint.
+	// Checkpoint (obtained from a PartialError); their effects must still
+	// be present in the data objects. The program (or graph) must be the
+	// one that produced the checkpoint.
 	Resume *Checkpoint
-	// Checkpoint enables completed-task tracking so a failed run returns a
-	// *PartialError carrying a resumable frontier. Implied by Retry.
+	// Checkpoint enables completed-task tracking: a failed run returns a
+	// *PartialError whose PartialResult carries the dependency-closed
+	// completed frontier for Resume. Implied by Retry.
 	Checkpoint bool
 }
 
-// Options configures an engine.
-//
-// The wait-tuning and fault-tolerance knobs live in the Tuning and Fault
-// sub-structs. Their top-level twins (WaitPolicy, SpinLimit, YieldLimit,
-// SleepInit, SleepMax, Retry, Snapshots, Resume, Checkpoint) are kept as
-// aliases for compatibility with existing callers; the two spellings are
-// merged when an engine is built, and setting the same knob to different
-// values in both places is a construction error rather than a silent
-// preference. New code should use the grouped fields.
+// Options configures an engine. The wait-tuning and fault-tolerance knobs
+// live in the Tuning and Fault sub-structs.
 type Options struct {
 	// Model selects the execution model (InOrder by default).
 	Model Model
@@ -336,26 +337,22 @@ type Options struct {
 	// consistent — readiness is derived from the same registered counter
 	// values every worker's replay computes — while skewed mappings stop
 	// serializing on the hot worker (see the RIO-M010 preflight finding
-	// and sched-ranked Victims via RankVictims). nil (the default)
-	// disables stealing and costs the hot path one pointer test per task.
-	// Other models ignore it (CentralizedWS has its own queue stealing).
+	// and sched-ranked Victims via RankVictims). Steal readiness is read
+	// from a compiled program's per-task tables, so on an armed engine a
+	// closure Run records the program once and replays the compiled
+	// recording (task bodies that capture the Submitter then observe the
+	// recording one, as under Centralized); programs under a partial
+	// (SharedWorker) mapping keep plain closure replay, where those tasks
+	// already float. nil (the default) disables stealing and costs the hot
+	// path one pointer test per task. Other models ignore it
+	// (CentralizedWS has its own queue stealing).
 	Steal *StealPolicy
-	// Tuning groups the wait-tuning knobs — the preferred spelling of
-	// WaitPolicy, SpinLimit, YieldLimit, SleepInit and SleepMax.
+	// Tuning groups the wait-tuning knobs: WaitPolicy, SpinLimit,
+	// YieldLimit, SleepInit and SleepMax.
 	Tuning TuningOptions
-	// Fault groups the fault-tolerance knobs — the preferred spelling of
-	// Retry, Snapshots, Resume and Checkpoint.
+	// Fault groups the fault-tolerance knobs: Retry, Snapshots, Resume and
+	// Checkpoint.
 	Fault FaultOptions
-	// WaitPolicy is the flat alias of Tuning.WaitPolicy, kept for
-	// compatibility; prefer the grouped field in new code.
-	WaitPolicy WaitPolicy
-	// SpinLimit is the flat alias of Tuning.SpinLimit.
-	SpinLimit int
-	// YieldLimit, SleepInit and SleepMax are the flat aliases of their
-	// Tuning counterparts.
-	YieldLimit int
-	SleepInit  time.Duration
-	SleepMax   time.Duration
 	// NoAccounting disables fine-grained time-stamping (wall time and
 	// task counts remain available).
 	NoAccounting bool
@@ -383,29 +380,6 @@ type Options struct {
 	// runtimes ignore it; explicit Compile calls take pruning as an
 	// argument instead.
 	Prune bool
-	// Retry installs transient-fault tolerance: a task body that panics
-	// (or fails per Retry.Classify) has its write-set rolled back via
-	// Snapshots and is re-executed after a deterministic backoff, up to
-	// Retry.MaxAttempts times. Tasks whose written data is neither
-	// idempotent (see Access.AsIdempotent) nor snapshottable get exactly
-	// one attempt. nil (the default) disables retry and costs the hot
-	// path one pointer test per task. Retry implies Checkpoint. Flat alias
-	// of Fault.Retry; prefer the grouped field in new code.
-	Retry *RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback.
-	// Without it, only tasks whose writes are all idempotent are retried.
-	// Flat alias of Fault.Snapshots.
-	Snapshots Snapshotter
-	// Resume skips the tasks recorded as completed in a previous run's
-	// Checkpoint (obtained from a PartialError); their effects must still
-	// be present in the data objects. The program (or graph) must be the
-	// one that produced the checkpoint. Flat alias of Fault.Resume.
-	Resume *Checkpoint
-	// Checkpoint enables completed-task tracking: a failed run returns a
-	// *PartialError whose PartialResult carries the dependency-closed
-	// completed frontier for Resume. Implied by Retry. Flat alias of
-	// Fault.Checkpoint (the two are OR-ed).
-	Checkpoint bool
 	// Hooks optionally installs lifecycle callbacks fired by every engine:
 	// run start/end, task start/end and dependency-wait start/end. The
 	// callbacks run on the worker goroutines and must be concurrency-safe;
@@ -422,7 +396,7 @@ type Options struct {
 	Preflight PreflightPasses
 	// Verify runs translation validation (internal/verify) on every
 	// compiled-program cache miss of a caching Engine: the freshly
-	// compiled streams — and, with Resume set, their checkpoint-pruned
+	// compiled streams — and, with Fault.Resume set, their checkpoint-pruned
 	// form — are statically certified against the recorded graph
 	// (coverage, order, ownership, pruning soundness, happens-before)
 	// before they enter the cache. A failed certificate rejects the run
@@ -485,15 +459,8 @@ type GraphRunner interface {
 //	}
 //
 // Every model's Runtime implements Streamer (the non-in-order models
-// through a per-window fallback), and the Timeout/Preflight decorators
-// preserve whatever optional interfaces the wrapped runtime offers — a
-// type assertion that succeeds on a bare engine succeeds on its wrapped
-// form too.
+// through a per-window fallback, see wrap.go).
 func New(o Options) (Runtime, error) {
-	o, err := normalizeOptions(o)
-	if err != nil {
-		return nil, err
-	}
 	if o.Model == InOrder {
 		// The caching engine applies Timeout and Preflight itself, across
 		// the closure, compiled and streaming paths.
@@ -503,101 +470,7 @@ func New(o Options) (Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Timeout > 0 {
-		rt = withDeadline(rt, o.Timeout)
-	}
-	// Stream windows execute on the deadline-wrapped form (each window is
-	// one bounded run) but bypass preflight, whose single-window view would
-	// misdiagnose cross-window dataflow; see withStreaming.
-	streamBase := rt
-	if o.Preflight != 0 {
-		rt = withPreflight(rt, o)
-	}
-	return withStreaming(rt, streamBase), nil
-}
-
-// normalizeOptions merges the grouped option sub-structs (Options.Tuning,
-// Options.Fault) with their flat aliases into one canonical form: after it
-// returns, each knob's two spellings agree, so the internal consumers
-// (coreOptions, the centralized branch, preflightConfig) keep reading the
-// flat fields. A knob set to conflicting values in both places is an error
-// — silently preferring one spelling would make the other a no-op.
-// Idempotent, so New and NewEngine may both apply it.
-func normalizeOptions(o Options) (Options, error) {
-	// Wait-tuning knobs. Zero means "unset" for all of them (the engines
-	// already treat zero as "use the default").
-	if o.Tuning.WaitPolicy != 0 && o.WaitPolicy != 0 && o.Tuning.WaitPolicy != o.WaitPolicy {
-		return o, optionConflict("WaitPolicy", "Tuning.WaitPolicy")
-	}
-	if o.Tuning.WaitPolicy != 0 {
-		o.WaitPolicy = o.Tuning.WaitPolicy
-	}
-	o.Tuning.WaitPolicy = o.WaitPolicy
-	if o.Tuning.SpinLimit != 0 && o.SpinLimit != 0 && o.Tuning.SpinLimit != o.SpinLimit {
-		return o, optionConflict("SpinLimit", "Tuning.SpinLimit")
-	}
-	if o.Tuning.SpinLimit != 0 {
-		o.SpinLimit = o.Tuning.SpinLimit
-	}
-	o.Tuning.SpinLimit = o.SpinLimit
-	if o.Tuning.YieldLimit != 0 && o.YieldLimit != 0 && o.Tuning.YieldLimit != o.YieldLimit {
-		return o, optionConflict("YieldLimit", "Tuning.YieldLimit")
-	}
-	if o.Tuning.YieldLimit != 0 {
-		o.YieldLimit = o.Tuning.YieldLimit
-	}
-	o.Tuning.YieldLimit = o.YieldLimit
-	if o.Tuning.SleepInit != 0 && o.SleepInit != 0 && o.Tuning.SleepInit != o.SleepInit {
-		return o, optionConflict("SleepInit", "Tuning.SleepInit")
-	}
-	if o.Tuning.SleepInit != 0 {
-		o.SleepInit = o.Tuning.SleepInit
-	}
-	o.Tuning.SleepInit = o.SleepInit
-	if o.Tuning.SleepMax != 0 && o.SleepMax != 0 && o.Tuning.SleepMax != o.SleepMax {
-		return o, optionConflict("SleepMax", "Tuning.SleepMax")
-	}
-	if o.Tuning.SleepMax != 0 {
-		o.SleepMax = o.Tuning.SleepMax
-	}
-	o.Tuning.SleepMax = o.SleepMax
-
-	// Fault knobs. Retry and Resume are pointers, comparable — the same
-	// pointer in both places is not a conflict. Snapshotter is an
-	// interface whose implementations (SnapshotFuncs) need not be
-	// comparable, so any doubly-set Snapshots is rejected outright.
-	if o.Fault.Retry != nil && o.Retry != nil && o.Fault.Retry != o.Retry {
-		return o, optionConflict("Retry", "Fault.Retry")
-	}
-	if o.Fault.Retry != nil {
-		o.Retry = o.Fault.Retry
-	}
-	o.Fault.Retry = o.Retry
-	if o.Fault.Snapshots != nil && o.Snapshots != nil {
-		return o, optionConflict("Snapshots", "Fault.Snapshots")
-	}
-	if o.Fault.Snapshots != nil {
-		o.Snapshots = o.Fault.Snapshots
-	}
-	// The flat field is the canonical home; unlike the other knobs it is
-	// not mirrored back, because a second normalization pass (New →
-	// NewEngine) must not see two copies of a possibly-uncomparable value
-	// and call them a conflict.
-	o.Fault.Snapshots = nil
-	if o.Fault.Resume != nil && o.Resume != nil && o.Fault.Resume != o.Resume {
-		return o, optionConflict("Resume", "Fault.Resume")
-	}
-	if o.Fault.Resume != nil {
-		o.Resume = o.Fault.Resume
-	}
-	o.Fault.Resume = o.Resume
-	o.Checkpoint = o.Checkpoint || o.Fault.Checkpoint
-	o.Fault.Checkpoint = o.Checkpoint
-	return o, nil
-}
-
-func optionConflict(flat, grouped string) error {
-	return fmt.Errorf("rio: Options.%s and Options.%s are set to different values; set one (the flat field is an alias of the grouped one)", flat, grouped)
+	return &fallbackRuntime{Runtime: rt, opts: o}, nil
 }
 
 // coreOptions is the single translation of the public Options into the
@@ -609,18 +482,18 @@ func coreOptions(o Options) core.Options {
 		Mapping:      o.Mapping,
 		Steal:        o.Steal,
 		NoAccounting: o.NoAccounting,
-		WaitPolicy:   o.WaitPolicy,
-		SpinLimit:    o.SpinLimit,
-		YieldLimit:   o.YieldLimit,
-		SleepInit:    o.SleepInit,
-		SleepMax:     o.SleepMax,
+		WaitPolicy:   o.Tuning.WaitPolicy,
+		SpinLimit:    o.Tuning.SpinLimit,
+		YieldLimit:   o.Tuning.YieldLimit,
+		SleepInit:    o.Tuning.SleepInit,
+		SleepMax:     o.Tuning.SleepMax,
 		StallTimeout: o.StallTimeout,
 		NoGuard:      o.NoGuard,
 		Hooks:        o.Hooks,
-		Retry:        o.Retry,
-		Snapshots:    o.Snapshots,
-		Resume:       o.Resume,
-		Checkpoint:   o.Checkpoint,
+		Retry:        o.Fault.Retry,
+		Snapshots:    o.Fault.Snapshots,
+		Resume:       o.Fault.Resume,
+		Checkpoint:   o.Fault.Checkpoint,
 	}
 }
 
@@ -642,19 +515,19 @@ func newEngine(o Options) (Runtime, error) {
 			Window:       o.Window,
 			Hint:         o.Mapping,
 			NoAccounting: o.NoAccounting,
-			WaitPolicy:   o.WaitPolicy,
-			SpinLimit:    o.SpinLimit,
+			WaitPolicy:   o.Tuning.WaitPolicy,
+			SpinLimit:    o.Tuning.SpinLimit,
 			Hooks:        o.Hooks,
-			Retry:        o.Retry,
-			Snapshots:    o.Snapshots,
-			Resume:       o.Resume,
-			Checkpoint:   o.Checkpoint,
+			Retry:        o.Fault.Retry,
+			Snapshots:    o.Fault.Snapshots,
+			Resume:       o.Fault.Resume,
+			Checkpoint:   o.Fault.Checkpoint,
 		})
 	case Sequential:
 		return sequential.New(sequential.Options{
 			NoAccounting: o.NoAccounting, Hooks: o.Hooks,
-			Retry: o.Retry, Snapshots: o.Snapshots,
-			Resume: o.Resume, Checkpoint: o.Checkpoint,
+			Retry: o.Fault.Retry, Snapshots: o.Fault.Snapshots,
+			Resume: o.Fault.Resume, Checkpoint: o.Fault.Checkpoint,
 		}), nil
 	}
 	return nil, fmt.Errorf("rio: unknown model %v", o.Model)
@@ -664,7 +537,7 @@ func newEngine(o Options) (Runtime, error) {
 // timeout it derives a deadline context (composing with any deadline ctx
 // already carries — the earlier one wins), otherwise it returns ctx
 // unchanged with a no-op cancel. The single implementation behind both
-// the deadlineRuntime decorator and the caching Engine.
+// the fallback runtime and the caching Engine.
 func deadlineContext(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout > 0 {
 		return context.WithTimeout(ctx, timeout)
@@ -681,10 +554,10 @@ func preflightConfig(o Options, workers int) analyze.Config {
 		Workers: workers,
 		Mapping: o.Mapping,
 		InOrder: o.Model == InOrder,
-		Retry:   o.Retry != nil,
+		Retry:   o.Fault.Retry != nil,
 	}
-	if o.Snapshots != nil {
-		cfg.Snapshottable = o.Snapshots.CanSnapshot
+	if o.Fault.Snapshots != nil {
+		cfg.Snapshottable = o.Fault.Snapshots.CanSnapshot
 	}
 	if cfg.Mapping == nil && o.Model == InOrder {
 		cfg.Mapping = CyclicMapping(workers)
@@ -710,46 +583,6 @@ func preflightGraph(g *Graph, o Options, workers int) error {
 		return &PreflightError{Report: report}
 	}
 	return nil
-}
-
-// deadlineRuntime bounds every run of the wrapped engine with
-// Options.Timeout.
-type deadlineRuntime struct {
-	Runtime
-	timeout time.Duration
-}
-
-func (d *deadlineRuntime) Run(numData int, prog Program) error {
-	return d.RunContext(context.Background(), numData, prog)
-}
-
-func (d *deadlineRuntime) RunContext(ctx context.Context, numData int, prog Program) error {
-	ctx, cancel := deadlineContext(ctx, d.timeout)
-	defer cancel()
-	return d.Runtime.RunContext(ctx, numData, prog)
-}
-
-// preflightRuntime runs the selected static-analysis passes over the
-// program before handing it to the wrapped engine. Recording executes no
-// task body, so a rejected program has no side effects beyond those of
-// the submission closure itself.
-type preflightRuntime struct {
-	Runtime
-	opts Options
-}
-
-func (p *preflightRuntime) Run(numData int, prog Program) error {
-	return p.RunContext(context.Background(), numData, prog)
-}
-
-func (p *preflightRuntime) RunContext(ctx context.Context, numData int, prog Program) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("rio: run not started: %w", context.Cause(ctx))
-	}
-	if err := preflightProgram(numData, prog, p.opts, p.Runtime.NumWorkers()); err != nil {
-		return err
-	}
-	return p.Runtime.RunContext(ctx, numData, prog)
 }
 
 // CyclicMapping maps task id to worker id mod p — the default mapping of

@@ -190,59 +190,136 @@ func TestPartialMappingThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// Options.Steal must reach the in-order engine through New: a fully
-// skewed program on a steal-enabled runtime executes every task exactly
-// once, reports thief-side steals through Progress, and fires the
-// OnTaskSteal hook. RankVictims feeds the policy's preference list.
+// Options.Steal must reach the in-order engine through New. A closure
+// program on an armed engine is recorded once and replayed compiled (the
+// only steal mechanism): under a fully skewed mapping it executes every
+// task exactly once, matches the Sequential oracle, reports thief-side
+// steals through Progress and fires the OnTaskSteal hook (RankVictims feeds
+// the policy's preference list), and a panicking body under
+// Fault.Checkpoint yields a resumable *PartialError. Under an
+// all-SharedWorker mapping the same program cannot compile and falls back
+// to plain closure replay, where the tasks float without stealing.
 func TestStealThroughPublicAPI(t *testing.T) {
-	const n = 32
-	g := graphs.Independent(n)
+	const n, lanes = 32, 8
+	// Task i extends lane i%lanes: vals[i] = vals[i-lanes] + i + 1.
+	program := func(vals []int64, execs *[n]atomic.Int64, fail int) rio.Program {
+		return func(s rio.Submitter) {
+			for i := 0; i < n; i++ {
+				i := i
+				body := func() {
+					time.Sleep(200 * time.Microsecond)
+					if i == fail {
+						panic("injected failure")
+					}
+					vals[i] = int64(i) + 1
+					if i >= lanes {
+						vals[i] += vals[i-lanes]
+					}
+					execs[i].Add(1)
+				}
+				if i >= lanes {
+					s.Submit(body, rio.Read(rio.DataID(i-lanes)), rio.Write(rio.DataID(i)))
+				} else {
+					s.Submit(body, rio.Write(rio.DataID(i)))
+				}
+			}
+		}
+	}
+	want := make([]int64, n)
+	seq, err := rio.New(rio.Options{Model: rio.Sequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.Run(n, program(want, new([n]atomic.Int64), -1)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, rt rio.Runtime, vals []int64, execs *[n]atomic.Int64) {
+		t.Helper()
+		for i := range execs {
+			if c := execs[i].Load(); c != 1 {
+				t.Errorf("task %d executed %d times", i, c)
+			}
+			if vals[i] != want[i] {
+				t.Errorf("vals[%d] = %d, sequential oracle %d", i, vals[i], want[i])
+			}
+		}
+		if pr := rt.Progress(); pr.Executed()+pr.Skipped() != n {
+			t.Errorf("executed %d + skipped %d != %d", pr.Executed(), pr.Skipped(), n)
+		}
+	}
+
 	skew := func(rio.TaskID) rio.WorkerID { return 0 }
-	victims := rio.RankVictims(g, skew, 3)
+	victims := rio.RankVictims(graphs.Independent(n), skew, 3)
 	if len(victims) != 1 || victims[0] != 0 {
 		t.Fatalf("RankVictims = %v, want [0]", victims)
 	}
-
-	var hooks atomic.Int64
-	rt, err := rio.New(rio.Options{
-		Workers: 3,
-		Mapping: skew,
-		Steal:   &rio.StealPolicy{Victims: victims},
-		Hooks: &rio.Hooks{OnTaskSteal: func(thief, owner rio.WorkerID, id rio.TaskID) {
-			if owner != 0 || thief == 0 {
-				t.Errorf("steal hook thief=%d owner=%d", thief, owner)
+	for _, row := range []struct {
+		name    string
+		mapping rio.Mapping
+		steals  bool
+	}{
+		{"single", skew, true},
+		{"shared-fallback", func(rio.TaskID) rio.WorkerID { return rio.SharedWorker }, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var hooks atomic.Int64
+			rt, err := rio.New(rio.Options{
+				Workers: 3,
+				Mapping: row.mapping,
+				Steal:   &rio.StealPolicy{Victims: victims},
+				Hooks: &rio.Hooks{OnTaskSteal: func(thief, owner rio.WorkerID, id rio.TaskID) {
+					if owner != 0 || thief == 0 {
+						t.Errorf("steal hook thief=%d owner=%d", thief, owner)
+					}
+					hooks.Add(1)
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			hooks.Add(1)
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
+			vals, execs := make([]int64, n), new([n]atomic.Int64)
+			if err := rt.Run(n, program(vals, execs, -1)); err != nil {
+				t.Fatal(err)
+			}
+			check(t, rt, vals, execs)
+			pr := rt.Progress()
+			if (pr.Stolen() > 0) != row.steals {
+				t.Errorf("Progress.Stolen = %d, want steals: %v", pr.Stolen(), row.steals)
+			}
+			if hooks.Load() != pr.Stolen() {
+				t.Errorf("OnTaskSteal fired %d times, Progress.Stolen = %d", hooks.Load(), pr.Stolen())
+			}
+		})
 	}
-	var execs [n]atomic.Int64
-	err = rt.Run(n, func(s rio.Submitter) {
-		for i := 0; i < n; i++ {
-			i := i
-			s.Submit(func() {
-				time.Sleep(200 * time.Microsecond)
-				execs[i].Add(1)
-			}, rio.Write(rio.DataID(i)))
+
+	t.Run("checkpoint-resume", func(t *testing.T) {
+		const fail = 20
+		opts := rio.Options{Workers: 3, Mapping: skew, Steal: &rio.StealPolicy{}, Fault: rio.FaultOptions{Checkpoint: true}}
+		rt, err := rio.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, execs := make([]int64, n), new([n]atomic.Int64)
+		var pe *rio.PartialError
+		if err := rt.Run(n, program(vals, execs, fail)); !errors.As(err, &pe) {
+			t.Fatalf("panicking body on the recorded path = %v, want *PartialError", err)
+		}
+		cp := pe.Result.Checkpoint()
+		if cp.Len() == 0 || cp.Contains(fail) || pe.Result.Tasks != n {
+			t.Fatalf("checkpoint: %d of %d tasks completed, contains the failed task: %v", cp.Len(), pe.Result.Tasks, cp.Contains(fail))
+		}
+		opts.Fault.Resume = cp
+		if rt, err = rio.New(opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(n, program(vals, execs, -1)); err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		check(t, rt, vals, execs)
+		if pr := rt.Progress(); pr.Skipped() != int64(cp.Len()) {
+			t.Errorf("resumed run skipped %d tasks, checkpoint holds %d", pr.Skipped(), cp.Len())
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range execs {
-		if c := execs[i].Load(); c != 1 {
-			t.Errorf("task %d executed %d times", i, c)
-		}
-	}
-	pr := rt.Progress()
-	if pr.Stolen() == 0 {
-		t.Error("no steals on a fully skewed flow with idle thieves")
-	}
-	if hooks.Load() != pr.Stolen() {
-		t.Errorf("OnTaskSteal fired %d times, Progress.Stolen = %d", hooks.Load(), pr.Stolen())
-	}
 }
 
 // A defective steal policy must be rejected at construction.
@@ -258,7 +335,7 @@ func TestStealOptionValidatedThroughPublicAPI(t *testing.T) {
 }
 
 func TestSpinLimitOptionThroughPublicAPI(t *testing.T) {
-	rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: 2, Mapping: rio.CyclicMapping(2), SpinLimit: 4})
+	rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: 2, Mapping: rio.CyclicMapping(2), Tuning: rio.TuningOptions{SpinLimit: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +559,7 @@ func TestVerifyOptionCertifiesOnCacheMiss(t *testing.T) {
 func TestVerifyOptionWithResume(t *testing.T) {
 	g := graphs.LU(4)
 	c := &rio.Checkpoint{Tasks: len(g.Tasks), Completed: []rio.TaskID{0, 1, 2}}
-	e, err := rio.NewEngine(rio.Options{Workers: 2, Mapping: rio.CyclicMapping(2), Verify: true, Resume: c})
+	e, err := rio.NewEngine(rio.Options{Workers: 2, Mapping: rio.CyclicMapping(2), Verify: true, Fault: rio.FaultOptions{Resume: c}})
 	if err != nil {
 		t.Fatal(err)
 	}

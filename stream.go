@@ -34,8 +34,8 @@ type StreamOptions struct {
 	Kernel Kernel
 	// NoCompile forces closure replay for every window of an in-order
 	// session, disabling the per-shape compiled-window cache. Mainly for
-	// ablation: closure windows also run the per-epoch divergence guard,
-	// compiled windows cannot diverge by construction.
+	// ablation. Closure windows do not steal (Options.Steal reads a
+	// compiled shape's tables).
 	NoCompile bool
 	// MaxShapes bounds the in-order session's compiled-shape cache
 	// (0 = DefaultMaxShapes, negative = unbounded). On overflow an
@@ -79,8 +79,8 @@ type Stream struct {
 	shapes                 map[[32]byte]*compiledShape
 	shapeHits, shapeMisses int64
 
-	// Fallback backend: every window is one synchronous run.
-	rt Runtime
+	// Fallback backend: every window is one synchronous call of run.
+	run func(numData int, prog Program) error
 
 	win       [2]*stf.Window // double buffer: record k+1 while k executes
 	cur       int
@@ -143,18 +143,19 @@ func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 	return s, nil
 }
 
-// newRuntimeStream opens a fallback stream over any Runtime: each window
-// executes as one ordinary synchronous run of rt. This keeps the Stream
-// semantics (windowed submission, epoch barriers, sticky errors) identical
-// across models, with the per-window cost profile of the underlying engine
-// — the centralized baseline of the pipeline ablation pays a full unroll,
-// dependency derivation and goroutine fan-out per window.
-func newRuntimeStream(rt Runtime, numData int, opts StreamOptions) (*Stream, error) {
+// newRuntimeStream opens a fallback stream over any engine's run function:
+// each window executes as one ordinary synchronous run. This keeps the
+// Stream semantics (windowed submission, epoch barriers, sticky errors)
+// identical across models, with the per-window cost profile of the
+// underlying engine — the centralized baseline of the pipeline ablation
+// pays a full unroll, dependency derivation and goroutine fan-out per
+// window.
+func newRuntimeStream(run func(numData int, prog Program) error, numData int, opts StreamOptions) (*Stream, error) {
 	s, err := newStream(numData, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.rt = rt
+	s.run = run
 	return s, nil
 }
 
@@ -164,7 +165,7 @@ func OpenStream(rt Runtime, numData int, opts StreamOptions) (*Stream, error) {
 	if st, ok := rt.(Streamer); ok {
 		return st.Stream(numData, opts)
 	}
-	return newRuntimeStream(rt, numData, opts)
+	return newRuntimeStream(rt.Run, numData, opts)
 }
 
 // Submit records a closure task accessing the given data into the current
@@ -268,7 +269,7 @@ func (s *Stream) flushWindow(w *stf.Window) error {
 			}
 		}
 	}
-	if err := s.rt.Run(s.numData, prog); err != nil {
+	if err := s.run(s.numData, prog); err != nil {
 		return fmt.Errorf("rio: stream window %d: %w", s.windows+1, err)
 	}
 	return nil

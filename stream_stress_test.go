@@ -42,7 +42,7 @@ func TestStreamEpochRecycleStress(t *testing.T) {
 		nocompile bool
 	}{
 		{"compiled", false}, // cached shape replay: recycle under compiled windows
-		{"closure", true},   // closure replay: recycle under the per-epoch divergence guard
+		{"closure", true},   // closure replay: recycle under the Submitter protocol path
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			eng, err := rio.NewEngine(rio.Options{

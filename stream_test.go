@@ -174,8 +174,8 @@ func TestStreamShapeCacheDistinctShapes(t *testing.T) {
 	}
 }
 
-// TestStreamNoCompile forces closure replay (per-epoch divergence guard
-// armed) and checks the shape cache stays untouched.
+// TestStreamNoCompile forces closure replay of every window
+// and checks the shape cache stays untouched.
 func TestStreamNoCompile(t *testing.T) {
 	eng, err := rio.NewEngine(rio.Options{Workers: 2})
 	if err != nil {

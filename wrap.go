@@ -1,189 +1,55 @@
 package rio
 
-// Runtime decorators with capability preservation.
-//
-// New composes the engines out of small wrappers: withDeadline bounds every
-// run with Options.Timeout, withPreflight analyzes programs before they
-// run, withStreaming attaches the per-window Stream fallback. A naive
-// wrapper — a struct embedding Runtime — would erase the wrapped engine's
-// optional interfaces: a *Engine that is a GraphRunner and a Streamer would
-// stop type-asserting to either the moment a Timeout is set. Every
-// constructor here therefore re-exposes exactly the optional interfaces the
-// wrapped runtime offers (no more — a wrapper must never invent a
-// capability its inner runtime lacks), with the decorator's semantics
-// applied to the forwarded calls: a deadline wrapper bounds RunGraph like
-// Run, a preflight wrapper analyzes a graph before compiling it.
-
 import (
 	"context"
 	"fmt"
-	"time"
 )
 
-// withDeadline bounds every run of rt — Run, RunContext and, when rt is a
-// GraphRunner, RunGraph/RunGraphContext — with timeout, preserving rt's
-// optional interfaces. Stream is forwarded untouched: a streaming session
-// applies the timeout per window itself (each window is one bounded
-// execution, the session as a whole is unbounded by design).
-func withDeadline(rt Runtime, timeout time.Duration) Runtime {
-	return preserveCaps(&deadlineRuntime{Runtime: rt, timeout: timeout}, rt)
+// fallbackRuntime is what New returns for every model but InOrder (whose
+// caching Engine applies the same options itself): the bare Centralized* or
+// Sequential engine plus the two run-level options those engines do not
+// implement — Options.Preflight analyzes a program before it runs,
+// Options.Timeout bounds the run — and the per-window Stream fallback.
+type fallbackRuntime struct {
+	Runtime
+	opts Options
 }
 
-// withPreflight analyzes every program (and, for GraphRunners, every
-// graph) before handing it to rt, preserving rt's optional interfaces.
-// Stream is forwarded untouched: preflight does not apply to stream
-// windows — a window routinely reads data written by an earlier window,
-// which single-window analysis would misdiagnose as a read of
-// never-written data.
-func withPreflight(rt Runtime, o Options) Runtime {
-	return preserveCaps(&preflightRuntime{Runtime: rt, opts: o}, rt)
+func (f *fallbackRuntime) Run(numData int, prog Program) error {
+	return f.RunContext(context.Background(), numData, prog)
 }
 
-// withStreaming ensures rt implements Streamer: natively-streaming
-// runtimes pass through unchanged; anything else gains the per-window
-// fallback, in which every flushed window executes as one ordinary run of
-// base. base is the runtime the windows run on — the deadline-wrapped but
-// not preflight-wrapped form, so each window is bounded by Options.Timeout
-// without being misanalyzed in isolation.
-func withStreaming(rt, base Runtime) Runtime {
-	if _, ok := rt.(Streamer); ok {
-		return rt
-	}
-	return preserveCaps(&streamingRuntime{Runtime: rt, base: base}, rt)
-}
-
-// preserveCaps masks w down to Runtime plus exactly the optional
-// capabilities it can serve: an interface is exposed when the inner
-// runtime implements it (the wrapper forwards), or when the wrapper itself
-// provides it natively (selfCapable — the streaming fallback's Stream).
-// The combinatorial structs are the standard Go answer to the middleware
-// interface-erasure problem (compare net/http.ResponseWriter wrappers):
-// embedding picks the method sets at compile time, so a type assertion on
-// the wrapped form succeeds exactly when it would on the bare engine.
-func preserveCaps(w Runtime, inner Runtime) Runtime {
-	gr, hasGR := w.(GraphRunner)
-	if _, ok := inner.(GraphRunner); !ok {
-		hasGR = false
-	}
-	st, hasST := w.(Streamer)
-	if _, ok := inner.(Streamer); !ok {
-		if sc, self := w.(selfCapable); !self || !sc.selfStreams() {
-			hasST = false
+// RunContext analyzes prog in record mode when Options.Preflight is set (no
+// task body executes, so a rejected program has no side effects beyond
+// those of the submission closure itself), then runs it under the deadline.
+func (f *fallbackRuntime) RunContext(ctx context.Context, numData int, prog Program) error {
+	if f.opts.Preflight != 0 {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("rio: run not started: %w", context.Cause(ctx))
+		}
+		if err := preflightProgram(numData, prog, f.opts, f.NumWorkers()); err != nil {
+			return err
 		}
 	}
-	switch {
-	case hasGR && hasST:
-		return struct {
-			Runtime
-			GraphRunner
-			Streamer
-		}{w, gr, st}
-	case hasGR:
-		return struct {
-			Runtime
-			GraphRunner
-		}{w, gr}
-	case hasST:
-		return struct {
-			Runtime
-			Streamer
-		}{w, st}
-	}
-	return struct{ Runtime }{w}
+	return f.runBounded(ctx, numData, prog)
 }
 
-// selfCapable marks wrappers that provide a capability themselves rather
-// than forwarding it to the inner runtime.
-type selfCapable interface{ selfStreams() bool }
-
-// errNoCapability reports a forwarded capability call whose inner runtime
-// lacks the interface. preserveCaps makes these unreachable through New's
-// wrapping (the method is masked out), but the wrapper types are exported
-// behavior via OpenStream and direct construction in tests, so they degrade
-// with an error instead of a panic.
-func errNoCapability(name, cap string) error {
-	return fmt.Errorf("rio: the wrapped %s runtime does not implement %s", name, cap)
-}
-
-// --- deadline decorator: optional-interface forwarding -------------------
-
-// RunGraph bounds the wrapped GraphRunner's compiled-path run with the
-// deadline, exactly like Run.
-func (d *deadlineRuntime) RunGraph(g *Graph, k Kernel) error {
-	return d.RunGraphContext(context.Background(), g, k)
-}
-
-// RunGraphContext is RunGraph with cancellation; the earlier of ctx's
-// deadline and the wrapper's timeout wins.
-func (d *deadlineRuntime) RunGraphContext(ctx context.Context, g *Graph, k Kernel) error {
-	gr, ok := d.Runtime.(GraphRunner)
-	if !ok {
-		return errNoCapability(d.Runtime.Name(), "GraphRunner")
-	}
-	ctx, cancel := deadlineContext(ctx, d.timeout)
+func (f *fallbackRuntime) runBounded(ctx context.Context, numData int, prog Program) error {
+	ctx, cancel := deadlineContext(ctx, f.opts.Timeout)
 	defer cancel()
-	return gr.RunGraphContext(ctx, g, k)
+	return f.Runtime.RunContext(ctx, numData, prog)
 }
-
-// Stream forwards to the wrapped Streamer: the session bounds each window
-// with its own timeout (the native backend snapshots Options.Timeout at
-// open), so the wrapper adds nothing per call.
-func (d *deadlineRuntime) Stream(numData int, opts StreamOptions) (*Stream, error) {
-	st, ok := d.Runtime.(Streamer)
-	if !ok {
-		return nil, errNoCapability(d.Runtime.Name(), "Streamer")
-	}
-	return st.Stream(numData, opts)
-}
-
-// --- preflight decorator: optional-interface forwarding ------------------
-
-// RunGraph analyzes g before handing it to the wrapped GraphRunner.
-func (p *preflightRuntime) RunGraph(g *Graph, k Kernel) error {
-	return p.RunGraphContext(context.Background(), g, k)
-}
-
-// RunGraphContext is RunGraph with cancellation.
-func (p *preflightRuntime) RunGraphContext(ctx context.Context, g *Graph, k Kernel) error {
-	gr, ok := p.Runtime.(GraphRunner)
-	if !ok {
-		return errNoCapability(p.Runtime.Name(), "GraphRunner")
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("rio: run not started: %w", context.Cause(ctx))
-	}
-	if err := preflightGraph(g, p.opts, p.Runtime.NumWorkers()); err != nil {
-		return err
-	}
-	return gr.RunGraphContext(ctx, g, k)
-}
-
-// Stream forwards to the wrapped Streamer; preflight does not apply to
-// stream windows (see withPreflight).
-func (p *preflightRuntime) Stream(numData int, opts StreamOptions) (*Stream, error) {
-	st, ok := p.Runtime.(Streamer)
-	if !ok {
-		return nil, errNoCapability(p.Runtime.Name(), "Streamer")
-	}
-	return st.Stream(numData, opts)
-}
-
-// --- streaming fallback --------------------------------------------------
-
-// streamingRuntime attaches the Streamer capability to a runtime that has
-// none: each flushed window runs as one ordinary synchronous run of base.
-type streamingRuntime struct {
-	Runtime
-	base Runtime
-}
-
-func (s *streamingRuntime) selfStreams() bool { return true }
 
 // Stream opens a fallback streaming session: windowed submission, epoch
 // barriers and sticky errors exactly like the native path, with each
 // window executing as one run of the underlying engine (full unroll,
 // dependency derivation and worker fan-out per window — the cost profile
-// the pipeline ablation measures against RIO's persistent session).
-func (s *streamingRuntime) Stream(numData int, opts StreamOptions) (*Stream, error) {
-	return newRuntimeStream(s.base, numData, opts)
+// the pipeline ablation measures against RIO's persistent session). Each
+// window is bounded by Options.Timeout but bypasses preflight: a window
+// routinely reads data written by an earlier window, which single-window
+// analysis would misdiagnose as a read of never-written data.
+func (f *fallbackRuntime) Stream(numData int, opts StreamOptions) (*Stream, error) {
+	return newRuntimeStream(func(numData int, prog Program) error {
+		return f.runBounded(context.Background(), numData, prog)
+	}, numData, opts)
 }

@@ -1,184 +1,21 @@
 package rio
 
-// White-box tests for the runtime decorators: the wrappers New composes
-// around an engine must neither erase the optional interfaces the engine
-// offers (GraphRunner, Streamer) nor invent capabilities it lacks.
+// White-box tests for what New returns: every model's Runtime streams, and
+// the fallback runtime around the non-in-order engines applies Timeout and
+// Preflight to Run while its stream windows keep the timeout but bypass
+// preflight.
 
 import (
+	"context"
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"rio/internal/stf"
 )
 
-func wrapVariants(t *testing.T, rt Runtime) map[string]Runtime {
-	t.Helper()
-	o := Options{Preflight: PreflightAccess}
-	return map[string]Runtime{
-		"deadline":            withDeadline(rt, time.Minute),
-		"preflight":           withPreflight(rt, o),
-		"deadline(preflight)": withDeadline(withPreflight(rt, o), time.Minute),
-		"preflight(deadline)": withPreflight(withDeadline(rt, time.Minute), o),
-		"streaming":           withStreaming(rt, rt),
-		"full stack":          withStreaming(withPreflight(withDeadline(rt, time.Minute), o), rt),
-	}
-}
-
-// TestWrappersPreserveEngineCapabilities: every decorator combination
-// around the in-order Engine still type-asserts to GraphRunner and
-// Streamer — the interface-preservation contract of the API redesign.
-func TestWrappersPreserveEngineCapabilities(t *testing.T) {
-	eng, err := NewEngine(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range wrapVariants(t, eng) {
-		if _, ok := w.(GraphRunner); !ok {
-			t.Errorf("%s: wrapped Engine lost GraphRunner", name)
-		}
-		if _, ok := w.(Streamer); !ok {
-			t.Errorf("%s: wrapped Engine lost Streamer", name)
-		}
-		if w.NumWorkers() != 2 || w.Name() != "rio" {
-			t.Errorf("%s: Runtime surface broken: %s/%d", name, w.Name(), w.NumWorkers())
-		}
-	}
-}
-
-// TestWrappersInventNoCapabilities: wrapping a runtime that lacks an
-// optional interface must not make a type assertion for it succeed —
-// except Streamer on the streaming wrapper, whose whole purpose is to
-// provide the fallback.
-func TestWrappersInventNoCapabilities(t *testing.T) {
-	seq, err := newEngine(Options{Model: Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range wrapVariants(t, seq) {
-		if _, ok := w.(GraphRunner); ok {
-			t.Errorf("%s: wrapper invented GraphRunner on the sequential engine", name)
-		}
-		_, isStreamer := w.(Streamer)
-		wantStreamer := strings.Contains(name, "streaming") || strings.Contains(name, "full")
-		if isStreamer != wantStreamer {
-			t.Errorf("%s: Streamer = %v, want %v", name, isStreamer, wantStreamer)
-		}
-	}
-}
-
-// TestWrappedGraphRunnerExecutes: the forwarded RunGraph actually runs,
-// with the decorator semantics applied — the preflight wrapper rejects a
-// defective graph before execution, the deadline wrapper bounds it.
-func TestWrappedGraphRunnerExecutes(t *testing.T) {
-	eng, err := NewEngine(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := RecordProgram(2, func(s Submitter) {
-		s.Submit(func() {}, Write(0))
-		s.Submit(func() {}, Read(0), Write(1))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Int64
-	k := func(*stf.Task, WorkerID) { n.Add(1) }
-
-	wrapped := withDeadline(withPreflight(Runtime(eng), Options{Preflight: PreflightAccess}), time.Minute)
-	gr, ok := wrapped.(GraphRunner)
-	if !ok {
-		t.Fatal("wrapped engine lost GraphRunner")
-	}
-	if err := gr.RunGraph(g, k); err != nil {
-		t.Fatalf("wrapped RunGraph: %v", err)
-	}
-	if n.Load() != 2 {
-		t.Fatalf("wrapped RunGraph executed %d tasks, want 2", n.Load())
-	}
-
-	// A graph that reads data before its first write must be rejected by
-	// the preflight decorator, not executed.
-	bad, err := RecordProgram(1, func(s Submitter) {
-		s.Submit(func() {}, Read(0))
-		s.Submit(func() {}, Write(0))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Store(0)
-	var pf *PreflightError
-	if err := gr.RunGraph(bad, k); !errors.As(err, &pf) {
-		t.Fatalf("preflight-wrapped RunGraph(bad) = %v, want PreflightError", err)
-	}
-	if n.Load() != 0 {
-		t.Fatal("rejected graph still executed tasks")
-	}
-}
-
-// TestWrappedStreamerExecutes: Stream through the full decorator stack
-// reaches the native session (shape-cache misses prove it) and runs.
-func TestWrappedStreamerExecutes(t *testing.T) {
-	eng, err := NewEngine(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := withStreaming(withPreflight(withDeadline(Runtime(eng), time.Minute), Options{Preflight: PreflightAccess}), eng)
-	st, ok := wrapped.(Streamer)
-	if !ok {
-		t.Fatal("wrapped engine lost Streamer")
-	}
-	s, err := st.Stream(1, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Int64
-	// A window that reads a datum before this window's write: as a
-	// program, preflight would reject it (uninitialized read) — it must
-	// not apply to stream windows, where the datum routinely carries an
-	// earlier window's value.
-	s.Submit(func() { n.Add(1) }, Read(0))
-	s.Submit(func() { n.Add(1) }, Write(0))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 2 {
-		t.Fatalf("streamed tasks did not run")
-	}
-	if _, misses, _ := s.CacheStats(); misses != 1 {
-		t.Errorf("wrapped Stream took the fallback path (misses = %d, want 1)", misses)
-	}
-}
-
-// TestWrapperCapabilityErrors: calling a forwarded capability on a wrapper
-// whose inner runtime lacks it degrades to an error, not a panic. (New
-// masks these methods out via preserveCaps; direct construction is the
-// only way to reach them.)
-func TestWrapperCapabilityErrors(t *testing.T) {
-	seq, err := newEngine(Options{Model: Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &deadlineRuntime{Runtime: seq, timeout: time.Minute}
-	if err := d.RunGraph(&Graph{}, nil); err == nil || !strings.Contains(err.Error(), "GraphRunner") {
-		t.Errorf("deadline.RunGraph on sequential = %v, want capability error", err)
-	}
-	if _, err := d.Stream(1, StreamOptions{}); err == nil || !strings.Contains(err.Error(), "Streamer") {
-		t.Errorf("deadline.Stream on sequential = %v, want capability error", err)
-	}
-	p := &preflightRuntime{Runtime: seq, opts: Options{Preflight: PreflightAccess}}
-	if err := p.RunGraph(&Graph{}, nil); err == nil || !strings.Contains(err.Error(), "GraphRunner") {
-		t.Errorf("preflight.RunGraph on sequential = %v, want capability error", err)
-	}
-	if _, err := p.Stream(1, StreamOptions{}); err == nil || !strings.Contains(err.Error(), "Streamer") {
-		t.Errorf("preflight.Stream on sequential = %v, want capability error", err)
-	}
-}
-
-// TestNewReturnsStreamerForAllModels: the public constructor's composed
-// result implements Streamer for every model and option combination.
+// TestNewReturnsStreamerForAllModels: the public constructor's result
+// implements Streamer for every model and option combination, and
+// GraphRunner for the in-order model.
 func TestNewReturnsStreamerForAllModels(t *testing.T) {
 	for _, m := range []Model{InOrder, Centralized, CentralizedWS, CentralizedPrio, Sequential} {
 		for _, o := range []Options{
@@ -194,11 +31,73 @@ func TestNewReturnsStreamerForAllModels(t *testing.T) {
 			if _, ok := rt.(Streamer); !ok {
 				t.Errorf("New(%v, timeout=%v, preflight=%v): no Streamer", m, o.Timeout, o.Preflight)
 			}
-			if m == InOrder {
-				if _, ok := rt.(GraphRunner); !ok {
-					t.Errorf("New(InOrder, timeout=%v, preflight=%v): no GraphRunner", o.Timeout, o.Preflight)
-				}
+			if _, ok := rt.(GraphRunner); ok != (m == InOrder) {
+				t.Errorf("New(%v, timeout=%v, preflight=%v): GraphRunner = %v", m, o.Timeout, o.Preflight, ok)
 			}
+		}
+	}
+}
+
+// TestFallbackRuntimeAppliesOptionsToRun: on the non-in-order models Run
+// is bounded by Options.Timeout and vetted by Options.Preflight — a
+// program reading data before its first write is rejected before any body
+// executes.
+func TestFallbackRuntimeAppliesOptionsToRun(t *testing.T) {
+	for _, m := range []Model{Centralized, Sequential} {
+		rt, err := New(Options{Model: m, Workers: 2, Timeout: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = rt.Run(1, func(s Submitter) {
+			for i := 0; i < 1000; i++ {
+				s.Submit(func() { time.Sleep(time.Millisecond) }, RW(0))
+			}
+		})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%v: run past Options.Timeout = %v, want deadline exceeded", m, err)
+		}
+
+		rt, err = New(Options{Model: m, Workers: 2, Timeout: time.Minute, Preflight: PreflightAccess})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n atomic.Int64
+		err = rt.Run(1, func(s Submitter) {
+			s.Submit(func() { n.Add(1) }, Read(0))
+			s.Submit(func() { n.Add(1) }, Write(0))
+		})
+		var pf *PreflightError
+		if !errors.As(err, &pf) {
+			t.Errorf("%v: preflight Run(bad) = %v, want PreflightError", m, err)
+		}
+		if n.Load() != 0 {
+			t.Errorf("%v: rejected program still executed %d tasks", m, n.Load())
+		}
+	}
+}
+
+// TestFallbackStreamBypassesPreflight: a window that reads a datum before
+// this window's write would be rejected as a program (uninitialized read);
+// preflight must not apply to stream windows, where the datum routinely
+// carries an earlier window's value. In-order sessions behave the same.
+func TestFallbackStreamBypassesPreflight(t *testing.T) {
+	for _, m := range []Model{InOrder, Centralized, Sequential} {
+		rt, err := New(Options{Model: m, Workers: 2, Timeout: time.Minute, Preflight: PreflightAccess})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStream(rt, 1, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n atomic.Int64
+		s.Submit(func() { n.Add(1) }, Read(0))
+		s.Submit(func() { n.Add(1) }, Write(0))
+		if err := s.Close(); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if n.Load() != 2 {
+			t.Errorf("%v: streamed window ran %d tasks, want 2", m, n.Load())
 		}
 	}
 }
