@@ -419,7 +419,7 @@ func BenchmarkSyncContention(b *testing.B) {
 	g := graphs.ReadersWriter(256, benchWorkers)
 	noop := func(*stf.Task, stf.WorkerID) {}
 	m := rio.CyclicMapping(benchWorkers)
-	for _, pol := range []rio.WaitPolicy{rio.WaitAdaptive, rio.WaitSpin, rio.WaitPark, rio.WaitSleep} {
+	for _, pol := range []rio.WaitPolicy{rio.WaitAdaptive, rio.WaitSpin, rio.WaitPark} {
 		b.Run(pol.String(), func(b *testing.B) {
 			rt, err := rio.New(rio.Options{
 				Model: rio.InOrder, Workers: benchWorkers, Mapping: m,
@@ -681,8 +681,9 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 // session, so ns/task is the per-window protocol cost — epoch barrier,
 // state recycle and replay — with the shape compiled once before the
 // timer starts. The variants mirror `rio-bench pipeline`: the compiled
-// shape-cache hit path, closure replay of every window (NoCompile), and
-// the centralized baseline's per-window fallback run.
+// shape-cache hit path, the closure window path (the same shape with the
+// last task of every chain SharedWorker, which is what selects it), and the
+// centralized baseline's per-window fallback run.
 func BenchmarkStreamPipeline(b *testing.B) {
 	const (
 		chains   = 32
@@ -690,6 +691,7 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	)
 	noop := func(*stf.Task, stf.WorkerID) {}
 	m := func(id rio.TaskID) rio.WorkerID { return rio.WorkerID(int(id) / chainLen % benchWorkers) }
+	shared := rio.PartialMapping(m, func(id rio.TaskID) bool { return int(id)%chainLen == chainLen-1 })
 	window := func(s *rio.Stream) {
 		for c := 0; c < chains; c++ {
 			for l := 0; l < chainLen; l++ {
@@ -698,25 +700,22 @@ func BenchmarkStreamPipeline(b *testing.B) {
 		}
 	}
 	for _, v := range []struct {
-		name      string
-		model     rio.Model
-		noCompile bool
+		name    string
+		model   rio.Model
+		mapping rio.Mapping
 	}{
-		{"stream-compiled", rio.InOrder, false},
-		{"stream-closure", rio.InOrder, true},
-		{"fallback-centralized", rio.Centralized, false},
+		{"stream-compiled", rio.InOrder, m},
+		{"stream-shared", rio.InOrder, shared},
+		{"fallback-centralized", rio.Centralized, m},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			rt, err := rio.New(rio.Options{
-				Model: v.model, Workers: benchWorkers, Mapping: m, NoAccounting: true,
+				Model: v.model, Workers: benchWorkers, Mapping: v.mapping, NoAccounting: true,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := rio.OpenStream(rt, chains, rio.StreamOptions{
-				MaxWindow: -1, NoCompile: v.noCompile,
-				Kernel: noop,
-			})
+			s, err := rio.OpenStream(rt, chains, rio.StreamOptions{MaxWindow: -1, Kernel: noop})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -17,7 +17,7 @@
 //	                     replay vs compiled per-worker instruction streams
 //	                     (plus guard-off and compile-time-pruned variants)
 //	rio-bench sync       synchronization ablation: wait policies (adaptive,
-//	                     spin, park, sleep) on contended readers-writer and
+//	                     spin, park) on contended readers-writer and
 //	                     reduction rounds plus the uncontended fig7 replay,
 //	                     reporting wall, ns/task and process CPU time
 //	rio-bench steal      work-stealing ablation: balanced vs skewed mapping ×
@@ -26,7 +26,8 @@
 //	                     matrix, reporting wall, ns/task and process CPU time
 //	rio-bench pipeline   streaming ablation: an unbounded flow of small-task
 //	                     windows through the Stream API — native in-order
-//	                     session (compiled shapes and closure replay) vs the
+//	                     session (compiled shapes; closure replay of SharedWorker
+//	                     shapes) vs the
 //	                     centralized per-window fallback
 //	rio-bench all        fig2..fig8 + costmodel (run sim/sim7/hpl/ablation
 //	                     separately; they have their own time budgets)
@@ -72,7 +73,7 @@ func run(args []string) error {
 		jsonOut    = fs.Bool("json", false, "emit the BENCH_*.json perf-trajectory array instead of a text table")
 		rounds     = fs.Int("sync-rounds", 200, "sync only: writer/readers rounds of the contended workloads")
 		readers    = fs.Int("sync-readers", 0, "sync only: readers per round (0 = workers)")
-		syncSize   = fs.Uint64("sync-task-size", 2000, "sync only: counter task size; nonzero makes waits long enough that the sleep ladder's oversleep shows")
+		syncSize   = fs.Uint64("sync-task-size", 2000, "sync only: counter task size; nonzero makes the contended waits outlast the spin phase")
 		syncBlock  = fs.Duration("sync-block", 200*time.Microsecond, "sync only: sleeping task body of the blocking workload (0 disables it)")
 		syncSpin   = fs.Int("sync-spin", 0, "sync only: SpinLimit override (0 = engine default)")
 		syncYield  = fs.Int("sync-yield", 0, "sync only: YieldLimit override (0 = engine default); small values force contended waits into the policies' slow phases")

@@ -1,12 +1,12 @@
 // Command rio-serve is the multi-tenant graph-execution service: a
 // long-running HTTP front end over the caching rio.Engine. Clients POST
-// task flows in the JSON wire format rio-graph writes and rio-vet vets;
+// task flows in the JSON wire format rio-vet writes (-emit json) and vets;
 // the server preflights them, compiles each distinct (graph, mapping)
 // once — certifying the compiled streams when -verify is set — and
 // serves repeated executions from the compiled-program cache.
 //
 //	rio-serve -addr :8080 -workers 8 -verify
-//	rio-graph -workload lu -size 6 -json | curl -sd @- localhost:8080/v1/flows
+//	rio-vet -workload lu -size 6 -emit json | curl -sd @- localhost:8080/v1/flows
 //	curl -sd '{"kernel":"spin"}' localhost:8080/v1/flows/<id>/run
 //	curl -s localhost:8080/v1/progress
 //	curl -s localhost:8080/metrics

@@ -16,6 +16,19 @@
 //	rio-vet -workload cholesky -size 4 -verify
 //	rio-vet -workload nondet
 //
+// With -emit the flow is printed instead of vetted: structural statistics,
+// mapping load-balance, pruning effectiveness and the flow's content
+// identity (stats), or the flow itself as JSON or Graphviz DOT.
+//
+//	rio-vet -workload lu -size 6 -workers 4 -mapping owner -emit stats
+//	rio-vet -workload random -size 200 -emit json    # JSON on stdout
+//	rio-vet -workload gemm -size 3 -emit dot         # DOT on stdout
+//
+// The JSON is the wire format of the rio-serve service: POST it to
+// /v1/flows verbatim. Workloads and mappings use the shared grammar of
+// internal/server/ingest (the one the server accepts), so the stats name
+// the content hash the server would assign the flow.
+//
 // The exit status is 0 when the flow is clean, 1 when findings at or
 // above -fail-on were reported, and 2 on usage errors. With -json the
 // report is machine-readable; the same analysis runs inside the library
@@ -49,12 +62,12 @@ func main() {
 
 func run(args []string, out io.Writer) (reject bool, err error) {
 	fs := flag.NewFlagSet("rio-vet", flag.ContinueOnError)
-	workload := fs.String("workload", "lu", "task flow to vet: lu | cholesky | gemm | wavefront | chain | random | nondet (a nondeterminism demo)")
+	workload := fs.String("workload", "lu", "task flow to vet: lu | cholesky | gemm | wavefront | chain | independent | random | nondet (a nondeterminism demo)")
 	size := fs.Int("size", 3, "workload size (tiles / grid side / task count)")
 	seed := fs.Int64("seed", 1, "seed of the random workload")
-	graphFile := fs.String("graph", "", "vet a task flow from a JSON file (as written by rio-graph) instead of a named workload")
+	graphFile := fs.String("graph", "", "vet a task flow from a JSON file (as written by -emit json) instead of a named workload")
 	workers := fs.Int("workers", 4, "worker count the flow will run with")
-	mapSpec := fs.String("mapping", "cyclic", "static mapping: cyclic | block | blockcyclic:B | single:W | owner2d")
+	mapSpec := fs.String("mapping", "cyclic", "static mapping: cyclic | block | blockcyclic:B | single:W | owner (owner2d)")
 	passSpec := fs.String("passes", "all", "comma-separated passes: access,mapping,determinism,spec,retry (or all)")
 	replays := fs.Int("replays", analyze.DefaultReplays, "record-mode replays of the determinism lint")
 	specTasks := fs.Int("spec-tasks", analyze.DefaultSpecTaskLimit, "task-count bound of the spec-conformance pass")
@@ -63,6 +76,7 @@ func run(args []string, out io.Writer) (reject bool, err error) {
 	writeSetLimit := fs.Int("retry-write-set", analyze.DefaultRetryWriteSetLimit, "per-task snapshotted-object count above which the retry pass warns")
 	doVerify := fs.Bool("verify", false, "compile the flow (pruned and unpruned) and certify the streams against the graph (translation validation, RIO-V00x findings)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
+	emitKind := fs.String("emit", "", "print the flow instead of vetting it: stats | json (the rio-serve wire format) | dot")
 	failOn := fs.String("fail-on", "warning", "lowest severity that makes the exit status 1: info | warning | error")
 	minShow := fs.String("show", "info", "lowest severity printed in the human report")
 	if err := fs.Parse(args); err != nil {
@@ -108,6 +122,12 @@ func run(args []string, out io.Writer) (reject bool, err error) {
 	if g != nil {
 		numData = g.NumData
 		prog = stf.Replay(g, nil)
+	}
+	if *emitKind != "" {
+		if g == nil {
+			return false, fmt.Errorf("-emit needs a recorded graph (workload %q records none)", *workload)
+		}
+		return false, emit(out, *emitKind, g, *mapSpec, *workers)
 	}
 	// The mapping resolves through the wire-format grammar only: strict
 	// instance validation (out-of-range mappings and the like) stays the
@@ -158,6 +178,42 @@ func run(args []string, out io.Writer) (reject bool, err error) {
 		return false, err
 	}
 	return report.CountAtLeast(failSev) > 0, nil
+}
+
+// emit prints the flow itself (-emit). The stats validate the (graph,
+// workers, mapping) instance and derive its content identity through the
+// exact path a server submission takes.
+func emit(out io.Writer, kind string, g *stf.Graph, mapSpec string, workers int) error {
+	switch kind {
+	case "dot":
+		return g.WriteDOT(out)
+	case "json":
+		return g.WriteJSON(out)
+	case "stats":
+	default:
+		return fmt.Errorf("unknown -emit %q (want stats|json|dot)", kind)
+	}
+	ms := &ingest.MappingSpec{Spec: mapSpec}
+	sub, err := ingest.NewSubmission(g, ms, workers)
+	if err != nil {
+		return err
+	}
+	s := g.Summarize()
+	fmt.Fprintf(out, "workload   %s\n", s.Name)
+	fmt.Fprintf(out, "tasks      %d\n", s.Tasks)
+	fmt.Fprintf(out, "data       %d\n", s.NumData)
+	fmt.Fprintf(out, "edges      %d (%.2f deps/task)\n", s.Edges, s.AvgDeps)
+	fmt.Fprintf(out, "depth      %d (critical path in tasks)\n", s.Depth)
+	fmt.Fprintf(out, "max width  %d (peak available parallelism)\n", s.MaxWidth)
+	fmt.Fprintf(out, "flow id    %s (rio-serve content hash under mapping %s)\n", sub.Hash, ms.Canonical())
+
+	m := sub.Mapping
+	fmt.Fprintf(out, "\nmapping %s over %d workers\n", mapSpec, workers)
+	fmt.Fprintf(out, "load histogram: %v\n", sched.Histogram(g, m, workers))
+	rel := sched.Relevant(g, m, workers)
+	fmt.Fprintf(out, "pruning: %.1f%% of per-worker bookkeeping removable (§3.5)\n",
+		100*sched.PruneRatio(rel))
+	return nil
 }
 
 // parsePasses parses the -passes flag.

@@ -150,9 +150,66 @@ func TestVetHumanReportAndFailOn(t *testing.T) {
 	}
 }
 
+// -emit prints the flow instead of vetting it: never a rejection, and the
+// output is the named form.
+func TestVetEmit(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-workload", "lu", "-size", "4", "-workers", "4", "-mapping", "owner", "-emit", "stats"},
+			[]string{"workload   lu", "tasks", "depth", "flow id", "load histogram", "pruning"}},
+		{[]string{"-workload", "gemm", "-size", "2", "-emit", "dot"}, []string{"digraph"}},
+		{[]string{"-workload", "lu", "-size", "2", "-emit", "json"}, []string{`"tasks"`}},
+	} {
+		var buf bytes.Buffer
+		reject, err := run(tc.args, &buf)
+		if err != nil || reject {
+			t.Fatalf("rio-vet %v: reject=%v err=%v", tc.args, reject, err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("rio-vet %v: output missing %q:\n%s", tc.args, want, buf.String())
+			}
+		}
+	}
+	// The emitted JSON is what -graph reads back, with the same identity.
+	var js, direct, viaFile bytes.Buffer
+	if _, err := run([]string{"-workload", "cholesky", "-size", "3", "-emit", "json"}, &js); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flow.json")
+	if err := os.WriteFile(path, js.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run([]string{"-workload", "cholesky", "-size", "3", "-emit", "stats"}, &direct); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run([]string{"-graph", path, "-emit", "stats"}, &viaFile); err != nil {
+		t.Fatal(err)
+	}
+	if direct.String() != viaFile.String() {
+		t.Errorf("stats differ between the workload and its emitted JSON:\n%s\nvs\n%s", direct.String(), viaFile.String())
+	}
+}
+
+func TestVetEmitAllWorkloadsAndMappings(t *testing.T) {
+	for _, wl := range []string{"independent", "random", "gemm", "lu", "cholesky", "wavefront"} {
+		for _, m := range []string{"cyclic", "block", "owner"} {
+			if _, err := run([]string{"-workload", wl, "-size", "4", "-mapping", m, "-emit", "stats"}, &bytes.Buffer{}); err != nil {
+				t.Errorf("%s/%s: %v", wl, m, err)
+			}
+		}
+	}
+}
+
 func TestVetUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "nope"},
+		{"-workload", "nope", "-emit", "stats"},
+		{"-mapping", "nope", "-emit", "stats"},
+		{"-emit", "nope"},
+		{"-workload", "nondet", "-emit", "json"},
 		{"-mapping", "nope"},
 		{"-passes", "nope"},
 		{"-fail-on", "nope"},

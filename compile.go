@@ -229,25 +229,33 @@ func (e *Engine) compileOne(g *Graph, mapping Mapping) (*CompiledProgram, error)
 			return nil, err
 		}
 	}
-	var rel [][]bool
-	if e.opts.Prune {
-		rel = sched.Relevant(g, mapping, e.core.NumWorkers())
+	cp, err := e.lower(g, mapping)
+	if err != nil {
+		return nil, err
 	}
-	cp, err := stf.Compile(g, mapping, e.core.NumWorkers(), rel)
+	if resume := e.opts.Fault.Resume; e.opts.Verify && resume != nil {
+		// The run will prune the checkpointed tasks out (see
+		// core.RunCompiledContext); certify what will actually run.
+		pruned := stf.PruneCompleted(cp, resume)
+		if err := certify(g, pruned, mapping, resume); err != nil {
+			return nil, err
+		}
+	}
+	return cp, nil
+}
+
+// lower is the compile-miss pipeline shared by the graph cache (compileOne)
+// and a stream's shape cache (compileShape): Compile under the given
+// mapping snapshot — §3.5-pruned when Options.Prune is set — and with
+// Options.Verify the translation-validation certificate.
+func (e *Engine) lower(g *Graph, mapping Mapping) (*CompiledProgram, error) {
+	cp, err := Compile(g, e.core.NumWorkers(), mapping, e.opts.Prune)
 	if err != nil {
 		return nil, err
 	}
 	if e.opts.Verify {
 		if err := certify(g, cp, mapping, nil); err != nil {
 			return nil, err
-		}
-		if resume := e.opts.Fault.Resume; resume != nil {
-			// The run will prune the checkpointed tasks out (see
-			// core.RunCompiledContext); certify what will actually run.
-			pruned := stf.PruneCompleted(cp, resume)
-			if err := certify(g, pruned, mapping, resume); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return cp, nil

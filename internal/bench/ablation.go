@@ -18,7 +18,7 @@ import (
 //     hinted or not) — the "scheduling heuristics" axis of §3.1;
 //   - submission-window size — the task-storage bound of the centralized
 //     model (its space is linear in in-flight tasks, §3.1);
-//   - RIO's wait spin budget — the busy-poll/yield/sleep escalation of the
+//   - RIO's wait spin budget — the busy-poll/yield/park escalation of the
 //     decentralized synchronization waits;
 //   - mapping quality — the paper's central assumption that a proper
 //     static mapping is supplied (§3.2): good vs oblivious mappings on

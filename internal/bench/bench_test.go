@@ -339,7 +339,7 @@ func TestSyncAblationRows(t *testing.T) {
 		seen[r.Workload+"/"+r.Policy] = true
 	}
 	for _, w := range []string{"readers-writer", "reduce-rounds", "readers-writer+block", "independent"} {
-		for _, pol := range []string{"adaptive", "spin", "park", "sleep"} {
+		for _, pol := range []string{"adaptive", "spin", "park"} {
 			if !seen[w+"/"+pol] {
 				t.Errorf("missing row %s/%s", w, pol)
 			}

@@ -12,9 +12,10 @@ package bench
 // task and one epoch barrier per window — the paper predicts RIO wins
 // decisively once tasks are small, and the streaming layers (windowed
 // recording, epoch-recycled state, per-shape compiled replay) must
-// preserve that edge for flows that never end. The rio-closure variant
-// isolates what the per-shape compiled cache buys over closure replay of
-// every window.
+// preserve that edge for flows that never end. The rio-shared variant maps
+// the last task of every chain to SharedWorker, which sends its windows down
+// the closure window path: it isolates what the per-shape compiled cache
+// buys over closure replay of every window.
 
 import (
 	"fmt"
@@ -61,12 +62,12 @@ func (c PipelineConfig) check() error {
 
 // pipelineVariants are the engines the ablation compares.
 var pipelineVariants = []struct {
-	engine    string
-	model     rio.Model
-	noCompile bool
+	engine string
+	model  rio.Model
+	shared bool // last task of every chain is SharedWorker
 }{
 	{"rio", rio.InOrder, false},                  // native session, per-shape compiled replay
-	{"rio-closure", rio.InOrder, true},           // native session, closure replay of each window
+	{"rio-shared", rio.InOrder, true},            // native session, closure replay of each window
 	{"centralized-fifo", rio.Centralized, false}, // per-window fallback: unroll + dispatch every window
 }
 
@@ -87,15 +88,19 @@ func PipelineAblation(cfg PipelineConfig) ([]Row, error) {
 		// periodic pipeline, so cross-worker waits measure the protocol,
 		// not an artificial ping-pong.
 		chainLen := cfg.ChainLen
-		mapping := func(id rio.TaskID) rio.WorkerID {
+		mapping := rio.Mapping(func(id rio.TaskID) rio.WorkerID {
 			return rio.WorkerID(int(id) / chainLen % p)
-		}
+		})
 		for _, size := range cfg.TaskSizes {
 			kern := graphs.CounterKernel(cells, size)
 			for _, v := range pipelineVariants {
+				m := mapping
+				if v.shared {
+					m = rio.PartialMapping(mapping, func(id rio.TaskID) bool { return int(id)%chainLen == chainLen-1 })
+				}
 				run := func() (time.Duration, error) {
 					rt, err := rio.New(rio.Options{
-						Model: v.model, Workers: p, Mapping: mapping,
+						Model: v.model, Workers: p, Mapping: m,
 						NoAccounting: true,
 					})
 					if err != nil {
@@ -104,7 +109,6 @@ func PipelineAblation(cfg PipelineConfig) ([]Row, error) {
 					s, err := rio.OpenStream(rt, chains, rio.StreamOptions{
 						Kernel:    kern,
 						MaxWindow: -1, // explicit Flush marks the window
-						NoCompile: v.noCompile,
 					})
 					if err != nil {
 						return 0, err

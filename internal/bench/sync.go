@@ -13,8 +13,8 @@ import (
 
 // Synchronization ablation (the `rio-bench sync` subcommand): the wait
 // policies of RIO's phase-3 dependency waits — adaptive spin (default),
-// pure spin, event-gate parking, and the legacy sleep-poll ladder — on
-// three workloads chosen to bracket the design space:
+// pure spin and event-gate parking — on workloads chosen to bracket the
+// design space:
 //
 //   - readers-writer   — rounds of one writer followed by many parallel
 //     reads of a single data object: every task blocks on the previous
@@ -25,9 +25,7 @@ import (
 //   - readers-writer+block — the same contention shape with task bodies
 //     that sleep instead of compute (I/O-like tasks): the producer holds
 //     no core while it "works", so a spinning waiter burns CPU the
-//     compute-bound shape hides behind the producer's own occupancy, and
-//     a sleep-ladder waiter's oversleep lands on an otherwise-idle
-//     critical path instead of being absorbed by runnable siblings. The
+//     compute-bound shape hides behind the producer's own occupancy. The
 //     shape that separates the policies even on a single hardware thread;
 //   - independent      — the Fig 7 weak-scaling flow on the compiled
 //     replay path: no dependencies, so waits are rare and the ablation
@@ -72,7 +70,7 @@ func (c SyncConfig) check() error {
 }
 
 // SyncPolicies are the wait policies the ablation sweeps.
-var SyncPolicies = []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark, stf.WaitSleep}
+var SyncPolicies = []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark}
 
 // SyncAblation measures every wait policy on the contended and uncontended
 // workloads.

@@ -89,7 +89,7 @@ func New(o Options) (*Engine, error) {
 	if o.Window < 0 {
 		return nil, fmt.Errorf("centralized: negative Window %d", o.Window)
 	}
-	if o.WaitPolicy < stf.WaitAdaptive || o.WaitPolicy > stf.WaitSleep {
+	if !o.WaitPolicy.Valid() {
 		return nil, fmt.Errorf("centralized: unknown WaitPolicy %d", o.WaitPolicy)
 	}
 	sl := o.SpinLimit
@@ -508,15 +508,7 @@ func (m *master) onFailed(t *task) {
 func (m *master) partialResult() *stf.PartialResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	pr := &stf.PartialResult{Tasks: int(m.next)}
-	if r := m.eng.resume; r != nil {
-		pr.Completed = append(pr.Completed, r.Completed...)
-	}
-	pr.Completed = append(pr.Completed, m.doneIDs...)
-	pr.Failed = append(pr.Failed, m.failedIDs...)
-	stf.SortTaskIDs(pr.Completed)
-	stf.SortTaskIDs(pr.Failed)
-	return pr
+	return stf.NewPartialResult(int(m.next), m.eng.resume, m.doneIDs, m.failedIDs)
 }
 
 // Outcomes of execTask.

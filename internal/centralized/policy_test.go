@@ -17,7 +17,7 @@ import (
 )
 
 func TestWaitPolicySchedulerMatrix(t *testing.T) {
-	for _, pol := range []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark, stf.WaitSleep} {
+	for _, pol := range []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark} {
 		for _, kind := range []centralized.SchedulerKind{centralized.FIFO, centralized.WorkStealing, centralized.Priority} {
 			e := newEngine(t, centralized.Options{Workers: 4, Scheduler: kind, WaitPolicy: pol, SpinLimit: 8})
 			for _, g := range []*stf.Graph{

@@ -26,9 +26,8 @@ type scheduler interface {
 // scheduler's condition variable. The policies map as follows — WaitSpin
 // never parks (Gosched-poll until a task or close), WaitAdaptive spins for
 // the budget then parks (no feedback loop here: queue pops have no per-data
-// histogram to feed from), WaitPark and WaitSleep park immediately (parking
-// *is* the legacy centralized behavior; there is no sleep ladder to fall
-// back to).
+// histogram to feed from), WaitPark parks immediately (parking *is* the
+// legacy centralized behavior).
 type waitTuning struct {
 	policy stf.WaitPolicy
 	spin   int
@@ -43,7 +42,7 @@ func (wt waitTuning) budget() int {
 	case stf.WaitAdaptive:
 		return wt.spin
 	}
-	return 0 // WaitPark, WaitSleep: park immediately
+	return 0 // WaitPark: park immediately
 }
 
 // spinPop busy-polls readyOrClosed (with Gosched between probes) for the

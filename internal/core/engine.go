@@ -30,8 +30,8 @@ type Options struct {
 	// on the data object's event gate.
 	WaitPolicy stf.WaitPolicy
 	// SpinLimit is the number of busy-poll iterations before a waiting
-	// worker starts yielding to the Go scheduler (and eventually parking
-	// or sleeping, per WaitPolicy). 0 means DefaultSpinLimit. Under
+	// worker starts yielding to the Go scheduler (and eventually parking,
+	// per WaitPolicy). 0 means DefaultSpinLimit. Under
 	// WaitAdaptive this is the starting budget; the per-worker budget
 	// then floats between the adaptive bounds.
 	SpinLimit int
@@ -39,12 +39,6 @@ type Options struct {
 	// after the spin phase before a wait enters its policy's slow phase.
 	// 0 means DefaultYieldLimit.
 	YieldLimit int
-	// SleepInit and SleepMax bound the WaitSleep policy's exponential
-	// sleep ladder (initial and maximum sleep). Zero values mean
-	// DefaultSleepInit and DefaultSleepMax. SleepMax also seeds the
-	// parked-waiter failsafe timeout of the parking policies.
-	SleepInit time.Duration
-	SleepMax  time.Duration
 	// StallTimeout arms the stall watchdog: when no task completes for
 	// this long and the workers are provably deadlocked (all blocked in
 	// dependency waits) or stuck inside one task body, the run aborts
@@ -105,8 +99,6 @@ type Engine struct {
 	policy       stf.WaitPolicy
 	spinLimit    int
 	yieldLimit   int
-	sleepInit    time.Duration
-	sleepMax     time.Duration
 	stallTimeout time.Duration
 	guard        bool
 	hooks        *stf.Hooks
@@ -151,7 +143,7 @@ func New(o Options) (*Engine, error) {
 		p := o.Workers
 		m = func(id stf.TaskID) stf.WorkerID { return stf.WorkerID(id % stf.TaskID(p)) }
 	}
-	if o.WaitPolicy < stf.WaitAdaptive || o.WaitPolicy > stf.WaitSleep {
+	if !o.WaitPolicy.Valid() {
 		return nil, fmt.Errorf("core: unknown WaitPolicy %d", o.WaitPolicy)
 	}
 	sl := o.SpinLimit
@@ -162,25 +154,12 @@ func New(o Options) (*Engine, error) {
 	if yl <= 0 {
 		yl = DefaultYieldLimit
 	}
-	si := o.SleepInit
-	if si <= 0 {
-		si = DefaultSleepInit
-	}
-	sm := o.SleepMax
-	if sm <= 0 {
-		sm = DefaultSleepMax
-	}
-	if sm < si {
-		sm = si
-	}
 	e := &Engine{
 		workers:      o.Workers,
 		noAcct:       o.NoAccounting,
 		policy:       o.WaitPolicy,
 		spinLimit:    sl,
 		yieldLimit:   yl,
-		sleepInit:    si,
-		sleepMax:     sm,
 		stallTimeout: o.StallTimeout,
 		guard:        !o.NoGuard,
 		hooks:        o.Hooks,
@@ -312,34 +291,22 @@ func (e *Engine) run(ctx context.Context, numData int, guard bool, flowLen int, 
 	return err
 }
 
-// execute is run's engine room, split out so run can bracket it with the
-// progress table's lifecycle and the OnRunStart/OnRunEnd hooks.
-func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace.ProgressTable, spinSeed int, flowLen int, body func(*submitter)) error {
+// newSubmitters allocates what every replay starts from — idle shared
+// cells, the workers' local state and one submitter per worker — for a
+// one-shot run (execute adds the per-run latch, claims, checkpoint and
+// watchdog plumbing) or a streaming session (runWindow installs the
+// per-window plumbing).
+func (e *Engine) newSubmitters(numData int, rp *trace.ProgressTable, spinBudget int) ([]sharedState, []*submitter) {
 	shared := make([]sharedState, numData)
 	for i := range shared {
-		shared[i].lastExecutedWrite.Store(int64(stf.NoTask))
+		shared[i].recycle()
 	}
 	// One flat arena backs every worker's local protocol state: segments
 	// indexed directly by data ID, separated by guard cache lines (see
 	// localArena).
 	arena := newLocalArena(e.workers, numData)
-
-	claims := newClaimTable()
-	abort := &abortState{}
-	// An abort must reach waiters parked on data event gates, not only
-	// polling ones: raise wakes every gate (set before any worker can
-	// raise, so never racing a raise).
-	abort.onRaise = func() {
-		for i := range shared {
-			shared[i].wake()
-		}
-	}
-	var health []workerHealth
-	if e.stallTimeout > 0 {
-		health = make([]workerHealth, e.workers)
-	}
-	// One mapping snapshot for the whole run: every worker must resolve
-	// ownership identically even if SetMapping races the run's start.
+	// One mapping snapshot for the whole run or session: every worker must
+	// resolve ownership identically even if SetMapping races the start.
 	mapping := *e.mapping.Load()
 	subs := make([]*submitter, e.workers)
 	for w := range subs {
@@ -349,21 +316,33 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 			mapping:    mapping,
 			shared:     shared,
 			local:      arena.worker(w),
-			claims:     claims,
-			abort:      abort,
 			prog:       rp.Worker(w),
 			hooks:      e.hooks,
 			retry:      e.retry,
 			snaps:      e.snaps,
-			resume:     e.resume,
-			track:      e.checkpoint,
-			spinBudget: spinSeed,
+			spinBudget: spinBudget,
 		}
+	}
+	return shared, subs
+}
+
+// execute is run's engine room, split out so run can bracket it with the
+// progress table's lifecycle and the OnRunStart/OnRunEnd hooks.
+func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace.ProgressTable, spinSeed int, flowLen int, body func(*submitter)) error {
+	shared, subs := e.newSubmitters(numData, rp, spinSeed)
+	claims := newClaimTable()
+	abort := newAbortState(shared)
+	var health []workerHealth
+	if e.stallTimeout > 0 {
+		health = make([]workerHealth, e.workers)
+	}
+	for w, s := range subs {
+		s.claims, s.abort, s.resume, s.track = claims, abort, e.resume, e.checkpoint
 		if health != nil {
-			subs[w].health = &health[w]
+			s.health = &health[w]
 		}
 		if guard {
-			subs[w].guard = &guardState{}
+			s.guard = &guardState{}
 		}
 	}
 
@@ -438,13 +417,6 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 	wall := time.Since(start)
 
 	e.stats = trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: wall, Accounted: !e.noAcct}
-	var errs []error
-	if cause, external := abort.state(); external && cause != nil {
-		// Cancellation or watchdog verdict: the root cause is not in any
-		// worker's error slot, so report it first.
-		errs = append(errs, cause)
-	}
-	aborted := 0
 	for w, s := range subs {
 		ws := s.ws
 		if !e.noAcct {
@@ -453,76 +425,70 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 			}
 		}
 		e.stats.Workers[w] = ws
-		switch {
-		case s.err == nil:
-		case errors.Is(s.err, errAborted):
-			// Secondary casualties of the abort: collapsed into one
-			// summary entry below so the originating error stays on top.
-			aborted++
-		default:
-			errs = append(errs, fmt.Errorf("worker %d: %w", w, s.err))
+	}
+	err := verdict(subs, abort)
+	if err == nil {
+		if err = guardVerdict(subs); err != nil {
+			err = fmt.Errorf("core: %w", err)
 		}
 	}
-	if aborted > 0 {
-		errs = append(errs, fmt.Errorf("core: %d worker(s) %w", aborted, errAborted))
-	}
-	if len(errs) == 0 {
-		if err := guardVerdict(subs); err != nil {
-			errs = append(errs, fmt.Errorf("core: %w", err))
-		}
-	}
-	err := errors.Join(errs...)
 	if err != nil && e.checkpoint {
 		return &stf.PartialError{Cause: err, Result: e.partialResult(subs, flowLen)}
 	}
 	return err
 }
 
+// verdict assembles the error of a run (execute) or a stream window
+// (Session.arrive) from its workers' error slots, read after every worker
+// has finished. The originating failure comes first when it came from
+// outside the workers (cancellation, a timeout, the watchdog) — it is in no
+// worker's slot — then the workers' own errors, then the secondary
+// casualties of the abort collapsed into one summary entry. An external
+// raise that lost the race against a fully completed flow — every worker
+// clean, so every task ran — is ignored: the flow met its deadline.
+func verdict(subs []*submitter, abort *abortState) error {
+	var errs []error
+	aborted := 0
+	for w, s := range subs {
+		switch {
+		case s.err == nil:
+		case errors.Is(s.err, errAborted):
+			aborted++
+		default:
+			errs = append(errs, fmt.Errorf("worker %d: %w", w, s.err))
+		}
+	}
+	if len(errs) == 0 && aborted == 0 {
+		return nil
+	}
+	if cause, external := abort.state(); external && cause != nil {
+		errs = append([]error{cause}, errs...)
+	}
+	if aborted > 0 {
+		errs = append(errs, fmt.Errorf("core: %d worker(s) %w", aborted, errAborted))
+	}
+	return errors.Join(errs...)
+}
+
 // partialResult assembles the dependency-closed frontier of a failed
 // fault-tolerant run from the workers' completed-task logs. A task is
 // completed when its body finished (its effects are published in data
 // memory); the set is dependency-closed because a body only ever started
-// after its get_* waits observed every predecessor's completion. Tasks
-// skipped by a Resume checkpoint are carried over: they stay completed.
+// after its get_* waits observed every predecessor's completion. flowLen
+// < 0 (closure replay) derives the flow length from the replay positions.
 func (e *Engine) partialResult(subs []*submitter, flowLen int) *stf.PartialResult {
 	var completed, failed []stf.TaskID
-	if e.resume != nil {
-		completed = append(completed, e.resume.Completed...)
-	}
-	maxNext := stf.TaskID(0)
 	for _, s := range subs {
 		completed = append(completed, s.done...)
-		if s.next > maxNext {
-			maxNext = s.next
+		if flowLen < int(s.next) {
+			flowLen = int(s.next)
 		}
 		var tf *stf.TaskFailure
 		if errors.As(s.err, &tf) {
 			failed = append(failed, tf.Task)
 		}
 	}
-	stf.SortTaskIDs(completed)
-	stf.SortTaskIDs(failed)
-	pr := &stf.PartialResult{
-		Tasks:     int(maxNext),
-		Completed: dedupeTaskIDs(completed),
-		Failed:    dedupeTaskIDs(failed),
-	}
-	if flowLen >= 0 {
-		pr.Tasks = flowLen
-	}
-	return pr
-}
-
-// dedupeTaskIDs compacts a sorted ID slice in place (each worker replays
-// the whole flow, so resume-carried IDs repeat across workers).
-func dedupeTaskIDs(ids []stf.TaskID) []stf.TaskID {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return stf.NewPartialResult(flowLen, e.resume, completed, failed)
 }
 
 // Stats returns the time decomposition of the last Run.

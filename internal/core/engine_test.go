@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rio/internal/core"
 	"rio/internal/enginetest"
@@ -422,4 +424,57 @@ func fanOut(n int) *stf.Graph {
 		g.Add(0, i, 0, 0, stf.R(0))
 	}
 	return g
+}
+
+// A cancellation that loses the race against a completed run must not fail
+// it: every worker finished cleanly, so every task ran and the flow met its
+// deadline (the rule stream windows always had). The last task of a chain
+// runs after every other task; its body waits until the other workers have
+// replayed past it, cancels, and leaves the context watcher time to raise
+// the abort while the run is still in flight. Mid-run cancellation keeps
+// returning the wrapped cause (TestCompiledCancellation,
+// TestFaultCancelMidRun).
+func TestCancelAfterLastTaskIsClean(t *testing.T) {
+	const p, n = 3, 12
+	g := graphs.Chain(n)
+	m := sched.Cyclic(p)
+	cp, err := stf.Compile(g, m, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compiled := range []bool{false, true} {
+		e := newEngine(t, core.Options{Workers: p, Mapping: m})
+		ctx, cancel := context.WithCancel(context.Background())
+		kern := func(tk *stf.Task, w stf.WorkerID) {
+			if int(tk.ID) != n-1 {
+				return
+			}
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+				replayed := 0
+				for o, wp := range e.Progress().Workers {
+					if stf.WorkerID(o) != w && wp.Declared == n-n/p {
+						replayed++
+					}
+				}
+				if replayed == p-1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Error("the other workers never finished their replay")
+					break
+				}
+			}
+			cancel()
+			time.Sleep(20 * time.Millisecond)
+		}
+		if compiled {
+			err = e.RunCompiledContext(ctx, cp, kern)
+		} else {
+			err = e.RunContext(ctx, g.NumData, stf.Replay(g, kern))
+		}
+		cancel()
+		if err != nil {
+			t.Errorf("compiled=%v: run that completed before its cancellation was observed failed: %v", compiled, err)
+		}
+	}
 }

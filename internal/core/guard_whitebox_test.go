@@ -91,12 +91,12 @@ func TestGuardFoldPackingHeadroom(t *testing.T) {
 
 // The spin budget must be per wait: a worker that waits many times, each
 // resolving within the busy-poll phase, must never escalate to the
-// publish/sleep phase (audited: `spin` is a local of wait(), so the budget
+// publish/park phase (audited: `spin` is a local of wait(), so the budget
 // resets — this test fails if it is ever hoisted into worker state).
 func TestWaitSpinBudgetIsPerWait(t *testing.T) {
-	// WaitSleep pins the busy budget to the engine's SpinLimit (under
+	// WaitPark pins the busy budget to the engine's SpinLimit (under
 	// WaitAdaptive the per-worker budget floats by design).
-	e, err := New(Options{Workers: 1, SpinLimit: 1000, StallTimeout: time.Minute, WaitPolicy: stf.WaitSleep})
+	e, err := New(Options{Workers: 1, SpinLimit: 1000, StallTimeout: time.Minute, WaitPolicy: stf.WaitPark})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWaitSpinBudgetIsPerWait(t *testing.T) {
 	polls := 0
 	s.wait(4, stf.W(0), sh, func() bool {
 		polls++
-		return polls > 1000+1024+3 // past busy and yield phases
+		return polls > 1000+3 // past the busy phase: a few park rounds
 	})
 	if got := h.phase.Load(); got != phaseReplay {
 		t.Fatalf("after a slow wait, phase = %d, want %d (replay)", got, phaseReplay)

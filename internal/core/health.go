@@ -40,11 +40,21 @@ type abortState struct {
 	// cancellation, watchdog) and must therefore be reported separately.
 	cause    error
 	external bool
-	// onRaise, when set, runs after the flag is raised — the engine wires
-	// it to wake every data event gate so parked waiters observe the
-	// abort promptly. Set once before any worker starts (never concurrent
-	// with raise); must be idempotent, as every raise invokes it.
+	// onRaise, when set, runs after the flag is raised (newAbortState wires
+	// it to wake every data event gate). Set at construction, never
+	// concurrently with raise; must be idempotent, as every raise invokes it.
 	onRaise func()
+}
+
+// newAbortState returns the abort latch of one run or stream window over
+// shared. An abort must reach waiters parked on data event gates, not only
+// polling ones, so every raise wakes every gate.
+func newAbortState(shared []sharedState) *abortState {
+	return &abortState{onRaise: func() {
+		for i := range shared {
+			shared[i].wake()
+		}
+	}}
 }
 
 // raised reports whether the run is aborting.

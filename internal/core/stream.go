@@ -126,36 +126,19 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 	if !e.sessionActive.CompareAndSwap(false, true) {
 		return nil, errors.New("core: engine already has an open streaming session")
 	}
-	shared := make([]sharedState, numData)
-	for i := range shared {
-		shared[i].recycle()
-	}
-	arena := newLocalArena(e.workers, numData)
 	rp := trace.NewProgressTable(e.workers)
 	e.progress.Store(rp)
+	shared, subs := e.newSubmitters(numData, rp, e.spinLimit)
 	ss := &Session{
 		eng:     e,
 		numData: numData,
 		timeout: timeout,
 		shared:  shared,
+		subs:    subs,
 		prog:    rp,
 	}
-	mapping := *e.mapping.Load()
-	ss.subs = make([]*submitter, e.workers)
-	for w := range ss.subs {
-		ss.subs[w] = &submitter{
-			eng:        e,
-			worker:     stf.WorkerID(w),
-			mapping:    mapping,
-			shared:     shared,
-			local:      arena.worker(w),
-			prog:       rp.Worker(w),
-			hooks:      e.hooks,
-			retry:      e.retry,
-			snaps:      e.snaps,
-			spinBudget: e.spinLimit,
-		}
-		if e.steal != nil {
+	if e.steal != nil {
+		for w := range subs {
 			ss.steals = append(ss.steals, newStealState(e.steal, stf.WorkerID(w), e.workers))
 		}
 	}
@@ -204,14 +187,8 @@ func (ss *Session) Flush(wr WindowRun) error {
 	spec := &windowSpec{
 		WindowRun: wr,
 		epoch:     ss.published,
-		abort:     &abortState{},
+		abort:     newAbortState(ss.shared),
 		claims:    newClaimTable(),
-	}
-	shared := ss.shared
-	spec.abort.onRaise = func() {
-		for i := range shared {
-			shared[i].wake()
-		}
 	}
 	if ss.timeout > 0 {
 		ab, d := spec.abort, ss.timeout
@@ -359,30 +336,7 @@ func (ss *Session) arrive(spec *windowSpec) {
 	if spec.timer != nil {
 		spec.timer.Stop()
 	}
-	var errs []error
-	aborted := 0
-	for w, s := range ss.subs {
-		switch {
-		case s.err == nil:
-		case errors.Is(s.err, errAborted):
-			aborted++
-		default:
-			errs = append(errs, fmt.Errorf("worker %d: %w", w, s.err))
-		}
-	}
-	if len(errs) > 0 || aborted > 0 {
-		// The originating failure first when it came from outside the
-		// workers (the window timeout). A raise that lost the race against
-		// a fully completed window — every worker clean — is ignored: the
-		// window met its deadline.
-		if cause, external := spec.abort.state(); external && cause != nil {
-			errs = append([]error{cause}, errs...)
-		}
-		if aborted > 0 {
-			errs = append(errs, fmt.Errorf("core: %d worker(s) %w", aborted, errAborted))
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := verdict(ss.subs, spec.abort); err != nil {
 		ss.fail(fmt.Errorf("core: stream window %d: %w", spec.epoch, err))
 	} else {
 		// Quiescent recycle: every worker is past its last terminate on this

@@ -1,10 +1,12 @@
 package core_test
 
 // Synchronization-scalability tests for the wait policies (adaptive spin,
-// pure spin, event-gate parking, legacy sleep ladder): sequential
-// consistency under every policy, lost-wakeup stress under oversubscription,
-// abort responsiveness while parked, and the agreement between idle-time
-// accounting and the wait histogram.
+// pure spin, event-gate parking): sequential consistency under every
+// policy, lost-wakeup stress under oversubscription, abort responsiveness
+// while parked, and the agreement between idle-time accounting and the wait
+// histogram. The park tests run with and without a steal policy: the one
+// park serves both, differing only in the backstop cadence its wait loop
+// picks.
 
 import (
 	"errors"
@@ -21,7 +23,10 @@ import (
 	"rio/internal/trace"
 )
 
-var allPolicies = []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark, stf.WaitSleep}
+var allPolicies = []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark}
+
+// stealModes are the two states of Options.Steal the park tests cover.
+var stealModes = []*stf.StealPolicy{nil, {}}
 
 // Every policy must preserve sequential consistency on dependency-dense
 // flows: a strict chain, the many-readers/one-writer-chain contention
@@ -76,17 +81,19 @@ func TestLostWakeupStressOversubscribed(t *testing.T) {
 	if testing.Short() {
 		reps = 2
 	}
-	for _, pol := range []stf.WaitPolicy{stf.WaitPark, stf.WaitAdaptive} {
-		for rep := 0; rep < reps; rep++ {
-			e := newEngine(t, core.Options{Workers: 16, Mapping: sched.Cyclic(16), WaitPolicy: pol, SpinLimit: 1})
-			for _, g := range []*stf.Graph{
-				graphs.Chain(120),
-				graphs.ReadersWriter(12, 15),
-				graphs.ReduceRounds(8, 15),
-				graphs.RandomDeps(200, 8, 2, 1, int64(100+rep)),
-			} {
-				if err := enginetest.Check(e, g); err != nil {
-					t.Fatalf("policy %v rep %d, %s: %v", pol, rep, g.Name, err)
+	for _, steal := range stealModes {
+		for _, pol := range []stf.WaitPolicy{stf.WaitPark, stf.WaitAdaptive} {
+			for rep := 0; rep < reps; rep++ {
+				e := newEngine(t, core.Options{Workers: 16, Mapping: sched.Cyclic(16), WaitPolicy: pol, SpinLimit: 1, Steal: steal})
+				for _, g := range []*stf.Graph{
+					graphs.Chain(120),
+					graphs.ReadersWriter(12, 15),
+					graphs.ReduceRounds(8, 15),
+					graphs.RandomDeps(200, 8, 2, 1, int64(100+rep)),
+				} {
+					if err := enginetest.Check(e, g); err != nil {
+						t.Fatalf("policy %v steal %v rep %d, %s: %v", pol, steal != nil, rep, g.Name, err)
+					}
 				}
 			}
 		}
@@ -107,30 +114,32 @@ func TestReductionContentionWake(t *testing.T) {
 		rounds   = 6
 		reducers = 23 // not a multiple of workers: reds of one run span all workers unevenly
 	)
-	for _, pol := range []stf.WaitPolicy{stf.WaitPark, stf.WaitAdaptive} {
-		e := newEngine(t, core.Options{Workers: workers, Mapping: sched.Cyclic(workers), WaitPolicy: pol, SpinLimit: 1})
-		var sum int64
-		var snaps [rounds]int64
-		err := e.Run(1, func(s stf.Submitter) {
+	for _, steal := range stealModes {
+		for _, pol := range []stf.WaitPolicy{stf.WaitPark, stf.WaitAdaptive} {
+			e := newEngine(t, core.Options{Workers: workers, Mapping: sched.Cyclic(workers), WaitPolicy: pol, SpinLimit: 1, Steal: steal})
+			var sum int64
+			var snaps [rounds]int64
+			err := e.Run(1, func(s stf.Submitter) {
+				for r := 0; r < rounds; r++ {
+					r := r
+					s.Submit(func() { snaps[r] = sum; sum++ }, stf.RW(0))
+					for j := 0; j < reducers; j++ {
+						s.Submit(func() { sum++ }, stf.Red(0))
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("policy %v steal %v: %v", pol, steal != nil, err)
+			}
 			for r := 0; r < rounds; r++ {
-				r := r
-				s.Submit(func() { snaps[r] = sum; sum++ }, stf.RW(0))
-				for j := 0; j < reducers; j++ {
-					s.Submit(func() { sum++ }, stf.Red(0))
+				if want := int64(r) * (reducers + 1); snaps[r] != want {
+					t.Errorf("policy %v: round %d writer saw sum %d, want %d (a reduction of an earlier run had not terminated)",
+						pol, r, snaps[r], want)
 				}
 			}
-		})
-		if err != nil {
-			t.Fatalf("policy %v: %v", pol, err)
-		}
-		for r := 0; r < rounds; r++ {
-			if want := int64(r) * (reducers + 1); snaps[r] != want {
-				t.Errorf("policy %v: round %d writer saw sum %d, want %d (a reduction of an earlier run had not terminated)",
-					pol, r, snaps[r], want)
+			if want := int64(rounds) * (reducers + 1); sum != want {
+				t.Errorf("policy %v: final sum %d, want %d (overlapping reduction bodies lost updates)", pol, sum, want)
 			}
-		}
-		if want := int64(rounds) * (reducers + 1); sum != want {
-			t.Errorf("policy %v: final sum %d, want %d (overlapping reduction bodies lost updates)", pol, sum, want)
 		}
 	}
 }
@@ -139,16 +148,18 @@ func TestReductionContentionWake(t *testing.T) {
 // unpublished dependencies: the abort latch's wake-all covers the event
 // gates, not only the polling phases.
 func TestAbortWakesParkedWaiters(t *testing.T) {
-	e := newEngine(t, core.Options{Workers: 2, Mapping: sched.Cyclic(2), WaitPolicy: stf.WaitPark, SpinLimit: 1})
-	err := e.Run(1, func(s stf.Submitter) {
-		s.Submit(func() { panic("boom") }, stf.W(0)) // worker 0
-		s.Submit(func() {}, stf.RW(0))               // worker 1: parks on data 0
-	})
-	if err == nil {
-		t.Fatal("run with a panicking producer returned nil")
-	}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("error does not carry the panic: %v", err)
+	for _, steal := range stealModes {
+		e := newEngine(t, core.Options{Workers: 2, Mapping: sched.Cyclic(2), WaitPolicy: stf.WaitPark, SpinLimit: 1, Steal: steal})
+		err := e.Run(1, func(s stf.Submitter) {
+			s.Submit(func() { panic("boom") }, stf.W(0)) // worker 0
+			s.Submit(func() {}, stf.RW(0))               // worker 1: parks on data 0
+		})
+		if err == nil {
+			t.Fatalf("steal %v: run with a panicking producer returned nil", steal != nil)
+		}
+		if !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("steal %v: error does not carry the panic: %v", steal != nil, err)
+		}
 	}
 }
 

@@ -7,21 +7,17 @@ import (
 	"rio/internal/stf"
 )
 
-// Wait tuning defaults (Options.SpinLimit / YieldLimit / SleepInit /
-// SleepMax). The escalation keeps the engine live even when goroutines
-// outnumber hardware threads (GOMAXPROCS oversubscription).
+// Wait tuning defaults (Options.SpinLimit / YieldLimit). The escalation
+// keeps the engine live even when goroutines outnumber hardware threads
+// (GOMAXPROCS oversubscription).
 const (
 	// DefaultSpinLimit is the busy-poll budget of dependency waits before
 	// the waiter escalates to runtime.Gosched and then to its policy's
 	// slow phase.
 	DefaultSpinLimit = 128
 	// DefaultYieldLimit is the number of Gosched-polling iterations after
-	// the spin phase before the slow phase (sleep or park).
+	// the spin phase before the slow phase (park).
 	DefaultYieldLimit = 1024
-	// DefaultSleepInit and DefaultSleepMax bound the WaitSleep ladder's
-	// exponential sleeps.
-	DefaultSleepInit = time.Microsecond
-	DefaultSleepMax  = 100 * time.Microsecond
 )
 
 // Adaptive spin-budget bounds (WaitAdaptive). The budget moves by powers of
@@ -32,11 +28,17 @@ const (
 	maxSpinBudget = 4096
 )
 
-// parkBackstopMax caps the failsafe timeout of a parked waiter. Wakes are
-// event-driven (terminates and the abort latch publish them), so the
-// backstop exists only to bound the damage of a missed-wake bug; it starts
-// at the engine's SleepMax and doubles up to this cap.
-const parkBackstopMax = 10 * time.Millisecond
+// Failsafe timeout of a parked waiter. Wakes are event-driven (terminates
+// and the abort latch publish them), so the backstop exists only to bound
+// the damage of a missed-wake bug. A wait without steal state starts at
+// parkBackstop and doubles per expiry up to parkBackstopMax, so a
+// pathological case degrades to slow polling instead of a busy timer loop;
+// a steal-armed wait keeps the parkBackstop cadence, because each expiry is
+// also its next steal attempt.
+const (
+	parkBackstop    = 100 * time.Microsecond
+	parkBackstopMax = 10 * time.Millisecond
+)
 
 // wait blocks until cond() holds, accounting the elapsed time as idle time
 // (τ_{p,i}) when accounting is enabled. id and a identify the acquiring
@@ -59,8 +61,9 @@ const parkBackstopMax = 10 * time.Millisecond
 //     run-abort flag so that a dependency held by a failed worker cannot
 //     block forever. WaitAdaptive and WaitPark park on sh's event gate
 //     (woken by the terminate that publishes the dependency, or by the
-//     abort latch's wake-all); WaitSleep polls with exponentially growing
-//     sleeps capped at SleepMax.
+//     abort latch's wake-all), one round per iteration, so this loop's
+//     re-check of cond, the abort flag and the steal attempt run between
+//     rounds; WaitSpin keeps yielding.
 //
 // Every phase keeps the wait's obligations: one OnWaitEnd per OnWaitStart,
 // stall-watchdog publication, abort responsiveness, idle-time accounting.
@@ -90,7 +93,7 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 
 	spin := 0
 	published := false
-	sleep := s.eng.sleepInit
+	backstop := parkBackstop
 	for !cond() {
 		spin++
 		switch {
@@ -132,24 +135,10 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 				}
 				continue
 			}
-			switch policy {
-			case stf.WaitSleep:
-				time.Sleep(sleep)
-				if sleep < s.eng.sleepMax {
-					sleep *= 2
-				}
-			case stf.WaitSpin:
+			if policy == stf.WaitSpin {
 				runtime.Gosched()
-			default: // WaitAdaptive, WaitPark
-				if s.steal != nil {
-					// Park one wake/backstop round at a time so parked
-					// workers keep making steal attempts.
-					if !s.parkOnce(sh, cond) {
-						s.fail(errAborted)
-					}
-				} else if !s.park(sh, cond) {
-					s.fail(errAborted)
-				}
+			} else if s.park(sh, cond, backstop) && s.steal == nil && backstop < parkBackstopMax {
+				backstop *= 2 // failsafe expiry: back off (see parkBackstop)
 			}
 		}
 		if s.err != nil {
@@ -186,73 +175,33 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 	}
 }
 
-// park blocks on sh's event gate until cond holds. It returns false (without
-// recording an error) if the run aborted instead. The gate protocol is
-// lost-wakeup-free: register with the waiter counter first, fetch the gate
-// channel, then re-check cond and the abort latch before blocking — any
-// release or abort published before the fetch is visible to the re-check,
-// and any published after it observes the registration and closes the
-// fetched channel (see sharedCell.wake).
-func (s *submitter) park(sh *sharedState, cond func() bool) bool {
-	sh.waiters.Add(1)
-	defer sh.waiters.Add(-1)
-	backstop := s.eng.sleepMax
-	for {
-		ch := sh.parkChan()
-		if cond() {
-			return true
-		}
-		if s.abort.raised() {
-			return false
-		}
-		t := s.parkTimer
-		if t == nil {
-			t = time.NewTimer(backstop)
-			s.parkTimer = t
-		} else {
-			t.Reset(backstop)
-		}
-		select {
-		case <-ch:
-		case <-t.C:
-			// Failsafe only: terminates wake the gate and the abort latch
-			// wakes all gates, so an expiry means either a spurious near
-			// miss or a missed-wake bug. Back off so a pathological case
-			// degrades to slow polling instead of a busy timer loop.
-			if backstop < parkBackstopMax {
-				backstop *= 2
-			}
-		}
-		t.Stop()
-	}
-}
-
-// parkOnce is park's single-round variant for steal-enabled runs: register,
-// block until one wake or one backstop expiry, deregister. The caller's
-// wait loop re-checks the condition and interleaves steal attempts between
-// rounds. Returns false when the run aborted. The registration/fetch/
-// re-check ordering is the same lost-wakeup-free protocol as park's.
-func (s *submitter) parkOnce(sh *sharedState, cond func() bool) bool {
+// park blocks on sh's event gate for one round: until one wake or until the
+// backstop expires, which it reports. The caller's wait loop re-checks cond
+// and the abort latch (and interleaves steal attempts) between rounds. The
+// gate protocol is lost-wakeup-free: register with the waiter counter first,
+// fetch the gate channel, then re-check cond and the abort latch before
+// blocking — any release or abort published before the fetch is visible to
+// the re-check, and any published after it observes the registration and
+// closes the fetched channel (see sharedCell.wake).
+func (s *submitter) park(sh *sharedState, cond func() bool, backstop time.Duration) (expired bool) {
 	sh.waiters.Add(1)
 	defer sh.waiters.Add(-1)
 	ch := sh.parkChan()
-	if cond() {
-		return true
-	}
-	if s.abort.raised() {
+	if cond() || s.abort.raised() {
 		return false
 	}
 	t := s.parkTimer
 	if t == nil {
-		t = time.NewTimer(s.eng.sleepMax)
+		t = time.NewTimer(backstop)
 		s.parkTimer = t
 	} else {
-		t.Reset(s.eng.sleepMax)
+		t.Reset(backstop)
 	}
 	select {
 	case <-ch:
 	case <-t.C:
+		expired = true
 	}
 	t.Stop()
-	return !s.abort.raised()
+	return expired
 }

@@ -150,17 +150,12 @@ type submitter struct {
 // sequential execution makes it trivially dependency-closed (a prefix of
 // the flow, minus nothing).
 func (s *submitter) partialResult(resume *stf.Checkpoint) *stf.PartialResult {
-	pr := &stf.PartialResult{Tasks: int(s.next)}
-	if resume != nil {
-		pr.Completed = append(pr.Completed, resume.Completed...)
-	}
-	pr.Completed = append(pr.Completed, s.done...)
-	stf.SortTaskIDs(pr.Completed)
+	var failed []stf.TaskID
 	var tf *stf.TaskFailure
 	if errors.As(s.err, &tf) {
-		pr.Failed = []stf.TaskID{tf.Task}
+		failed = []stf.TaskID{tf.Task}
 	}
-	return pr
+	return stf.NewPartialResult(int(s.next), resume, s.done, failed)
 }
 
 // Worker implements stf.Submitter; the sequential executor is its own

@@ -1,6 +1,6 @@
 // Package ingest is the single submission path shared by the rio-serve
-// service and the CLI tools (rio-vet, rio-graph): it parses the JSON
-// wire format — the graph form written by rio-graph and read by rio-vet,
+// service and the rio-vet CLI: it parses the JSON wire format — the
+// graph form rio-vet -emit json writes and rio-vet -graph reads,
 // optionally wrapped in an envelope that adds a mapping — validates the
 // (graph, workers, mapping) instance, preflights it through
 // internal/analyze, and derives the content hash that gives a graph a
@@ -163,7 +163,7 @@ type Submission struct {
 }
 
 // envelope is the submit-body wire form: either a bare graph (exactly
-// the rio-graph -json output) or {"graph": …, "mapping": …}.
+// the rio-vet -emit json output) or {"graph": …, "mapping": …}.
 type envelope struct {
 	Graph   json.RawMessage `json:"graph,omitempty"`
 	Mapping *MappingSpec    `json:"mapping,omitempty"`
@@ -252,8 +252,8 @@ func Preflight(sub *Submission, passes analyze.Passes) (*analyze.Report, error) 
 	return report, nil
 }
 
-// LoadGraphFile reads a bare graph JSON file (as written by rio-graph
-// -json) — the CLI half of the shared submission path.
+// LoadGraphFile reads a bare graph JSON file (as written by rio-vet
+// -emit json) — the CLI half of the shared submission path.
 func LoadGraphFile(path string) (*stf.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -264,7 +264,7 @@ func LoadGraphFile(path string) (*stf.Graph, error) {
 }
 
 // Workload builds one of the named generator workloads; the grammar is
-// analyze.WorkloadGraph's, shared by rio-vet, rio-graph and rio-serve's
+// analyze.WorkloadGraph's, shared by rio-vet and rio-serve's
 // test harness.
 func Workload(name string, size int, seed int64) (*stf.Graph, error) {
 	return analyze.WorkloadGraph(name, size, seed)

@@ -1,7 +1,7 @@
 // Package server is the rio-serve service: a long-running multi-tenant
 // HTTP front end over the caching rio.Engine. Clients POST task flows in
-// the JSON graph wire format (the form rio-graph writes and rio-vet
-// vets), the server preflights them through internal/analyze, compiles
+// the JSON graph wire format (the form rio-vet -emit json writes and
+// rio-vet vets), the server preflights them through internal/analyze, compiles
 // each distinct (graph, mapping) once — certifying the streams when
 // Config.Verify is set — and serves repeated executions from the
 // compiled-program cache. This is the paper's compile-once/replay-many

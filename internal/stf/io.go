@@ -2,7 +2,7 @@ package stf
 
 // Task-flow import/export: a JSON form for persisting workloads and a
 // Graphviz DOT form for visualizing the derived dependency DAG. Both are
-// used by the cmd/rio-graph inspection tool.
+// written by rio-vet -emit.
 
 import (
 	"encoding/json"

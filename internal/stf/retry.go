@@ -269,6 +269,42 @@ type PartialResult struct {
 	Failed []TaskID
 }
 
+// NewPartialResult is the one constructor of a failed run's frontier,
+// shared by every engine: tasks is the observed flow length, completed and
+// failed are the run's own logs in any order (completed may repeat IDs —
+// in-order workers each log what they ran, and a stolen task is logged by
+// its thief), and the tasks a resume checkpoint skipped are carried over:
+// they stay completed. The sets come out sorted and duplicate-free; the
+// arguments are not retained.
+func NewPartialResult(tasks int, resume *Checkpoint, completed, failed []TaskID) *PartialResult {
+	var carried []TaskID
+	if resume != nil {
+		carried = resume.Completed
+	}
+	return &PartialResult{
+		Tasks:     tasks,
+		Completed: sortedSet(carried, completed),
+		Failed:    sortedSet(failed),
+	}
+}
+
+// sortedSet returns the ascending duplicate-free union of its arguments in
+// fresh storage (nil when empty).
+func sortedSet(lists ...[]TaskID) []TaskID {
+	var ids []TaskID
+	for _, l := range lists {
+		ids = append(ids, l...)
+	}
+	SortTaskIDs(ids)
+	out := ids[:0]
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // Checkpoint returns the resumable frontier of the partial run.
 func (r *PartialResult) Checkpoint() *Checkpoint {
 	return &Checkpoint{Tasks: r.Tasks, Completed: r.Completed}

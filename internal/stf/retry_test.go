@@ -1,6 +1,7 @@
 package stf_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -80,6 +81,61 @@ func TestRunAttempts(t *testing.T) {
 			}
 			if val != tc.wantVal {
 				t.Errorf("datum = %d after the loop, want %d", val, tc.wantVal)
+			}
+		})
+	}
+}
+
+// The shared frontier constructor, one row per thing an engine hands it:
+// a resume checkpoint's carry-over, logs that repeat IDs across workers
+// (and overlap the carry-over), and the failed set.
+func TestNewPartialResult(t *testing.T) {
+	ids := func(v ...stf.TaskID) []stf.TaskID { return v }
+	for _, tc := range []struct {
+		name          string
+		tasks         int
+		resume        *stf.Checkpoint
+		completed     []stf.TaskID
+		failed        []stf.TaskID
+		wantCompleted []stf.TaskID
+		wantFailed    []stf.TaskID
+		wantSkipped   []stf.TaskID
+	}{
+		{name: "nothing ran", tasks: 2, wantSkipped: ids(0, 1)},
+		{name: "unsorted log", tasks: 4, completed: ids(2, 0, 1), failed: ids(3),
+			wantCompleted: ids(0, 1, 2), wantFailed: ids(3)},
+		{name: "resume carry-over", tasks: 5, resume: &stf.Checkpoint{Tasks: 5, Completed: ids(0, 1)},
+			completed: ids(3, 2), wantCompleted: ids(0, 1, 2, 3), wantSkipped: ids(4)},
+		{name: "duplicates across workers", tasks: 6, resume: &stf.Checkpoint{Tasks: 6, Completed: ids(0, 2)},
+			completed: ids(4, 2, 1, 4, 0), failed: ids(5, 3, 5),
+			wantCompleted: ids(0, 1, 2, 4), wantFailed: ids(3, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var carried []stf.TaskID
+			if tc.resume != nil {
+				carried = append(carried, tc.resume.Completed...)
+			}
+			log := append([]stf.TaskID(nil), tc.completed...)
+			pr := stf.NewPartialResult(tc.tasks, tc.resume, tc.completed, tc.failed)
+			if pr.Tasks != tc.tasks {
+				t.Errorf("Tasks = %d, want %d", pr.Tasks, tc.tasks)
+			}
+			if !slices.Equal(pr.Completed, tc.wantCompleted) {
+				t.Errorf("Completed = %v, want %v", pr.Completed, tc.wantCompleted)
+			}
+			if !slices.Equal(pr.Failed, tc.wantFailed) {
+				t.Errorf("Failed = %v, want %v", pr.Failed, tc.wantFailed)
+			}
+			if got := pr.Skipped(); !slices.Equal(got, tc.wantSkipped) {
+				t.Errorf("Skipped = %v, want %v", got, tc.wantSkipped)
+			}
+			// The caller's logs and the checkpoint being resumed are inputs,
+			// not scratch space.
+			if !slices.Equal(tc.completed, log) {
+				t.Errorf("completed log reordered: %v", tc.completed)
+			}
+			if tc.resume != nil && !slices.Equal(tc.resume.Completed, carried) {
+				t.Errorf("resume checkpoint mutated: %v", tc.resume.Completed)
 			}
 		})
 	}

@@ -24,11 +24,11 @@ const (
 	// budget: lowest CPU use, pays one wake on every dependency hand-off.
 	// Appropriate under heavy contention or oversubscription.
 	WaitPark
-	// WaitSleep is the legacy spin → yield → exponential-sleep ladder that
-	// parking replaced, kept selectable for the synchronization ablation
-	// (`rio-bench sync`) and as a fallback that uses no event gates.
-	WaitSleep
 )
+
+// Valid reports whether p names a policy. The value 3 was the removed
+// sleep-ladder policy; engines reject it like any other unknown value.
+func (p WaitPolicy) Valid() bool { return p >= WaitAdaptive && p <= WaitPark }
 
 // String names the policy as used in reports and benchmark labels.
 func (p WaitPolicy) String() string {
@@ -39,8 +39,6 @@ func (p WaitPolicy) String() string {
 		return "spin"
 	case WaitPark:
 		return "park"
-	case WaitSleep:
-		return "sleep"
 	}
 	return "unknown"
 }

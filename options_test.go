@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rio"
 )
@@ -22,8 +21,6 @@ func TestOptionsGroupedTuningRuns(t *testing.T) {
 				WaitPolicy: rio.WaitPark,
 				SpinLimit:  128,
 				YieldLimit: 16,
-				SleepInit:  time.Microsecond,
-				SleepMax:   time.Millisecond,
 			},
 		})
 		if err != nil {
@@ -39,6 +36,33 @@ func TestOptionsGroupedTuningRuns(t *testing.T) {
 		}
 		if atomic.LoadInt64(&got) != 42 {
 			t.Errorf("%v: got %d, want 42", m, got)
+		}
+	}
+}
+
+// TestOptionsRejectUnknownWaitPolicy: both engines that take a wait policy
+// reject values outside the three policies with an error — 3 was the
+// sleep-ladder policy until it was removed, and must not silently select
+// another policy.
+func TestOptionsRejectUnknownWaitPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		model  rio.Model
+		policy rio.WaitPolicy
+		ok     bool
+	}{
+		{rio.InOrder, rio.WaitPark, true},
+		{rio.Centralized, rio.WaitPark, true},
+		{rio.InOrder, 3, false},
+		{rio.Centralized, 3, false},
+		{rio.InOrder, -1, false},
+		{rio.Centralized, -1, false},
+	} {
+		_, err := rio.New(rio.Options{
+			Model: tc.model, Workers: 2,
+			Tuning: rio.TuningOptions{WaitPolicy: tc.policy},
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("%v, WaitPolicy %d: err = %v, want accepted = %v", tc.model, tc.policy, err, tc.ok)
 		}
 	}
 }

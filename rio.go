@@ -86,7 +86,7 @@ type (
 	WorkerProgress = trace.WorkerProgress
 	// WaitPolicy selects how waits behave once busy-polling has not
 	// resolved them (Options.Tuning.WaitPolicy): see WaitAdaptive,
-	// WaitSpin, WaitPark, WaitSleep.
+	// WaitSpin, WaitPark.
 	WaitPolicy = stf.WaitPolicy
 	// StealPolicy enables bounded, dependency-safe work stealing in the
 	// in-order engine (Options.Steal): an idle worker executes a victim's
@@ -209,9 +209,6 @@ const (
 	// wake per dependency hand-off. For heavy contention or
 	// oversubscription.
 	WaitPark = stf.WaitPark
-	// WaitSleep is the legacy spin → yield → exponential-sleep ladder,
-	// kept for comparison (`rio-bench sync`).
-	WaitSleep = stf.WaitSleep
 )
 
 // Read declares a read-only access to d.
@@ -268,8 +265,8 @@ func (m Model) String() string {
 type TuningOptions struct {
 	// WaitPolicy selects how the engines wait — the in-order engine for
 	// unresolved dependencies, the centralized engine for ready tasks:
-	// WaitAdaptive (the default), WaitSpin, WaitPark or WaitSleep. The
-	// sequential engine ignores it.
+	// WaitAdaptive (the default), WaitSpin or WaitPark. The sequential
+	// engine ignores it.
 	WaitPolicy WaitPolicy
 	// SpinLimit is the busy-poll budget before a wait escalates per
 	// WaitPolicy (0 = default). Under WaitAdaptive it seeds the in-order
@@ -279,11 +276,6 @@ type TuningOptions struct {
 	// between the spin phase and the policy's slow phase (0 = default).
 	// In-order engine only.
 	YieldLimit int
-	// SleepInit and SleepMax bound the WaitSleep ladder's exponential
-	// sleeps; SleepMax also seeds a parked waiter's failsafe timeout.
-	// In-order engine only.
-	SleepInit time.Duration
-	SleepMax  time.Duration
 }
 
 // FaultOptions groups the fault-tolerance knobs (Options.Fault): retry
@@ -347,8 +339,8 @@ type Options struct {
 	// path one pointer test per task. Other models ignore it
 	// (CentralizedWS has its own queue stealing).
 	Steal *StealPolicy
-	// Tuning groups the wait-tuning knobs: WaitPolicy, SpinLimit,
-	// YieldLimit, SleepInit and SleepMax.
+	// Tuning groups the wait-tuning knobs: WaitPolicy, SpinLimit and
+	// YieldLimit.
 	Tuning TuningOptions
 	// Fault groups the fault-tolerance knobs: Retry, Snapshots, Resume and
 	// Checkpoint.
@@ -474,8 +466,7 @@ func New(o Options) (Runtime, error) {
 }
 
 // coreOptions is the single translation of the public Options into the
-// in-order engine's — shared by New and NewEngine so every option (Hooks
-// included) is wired exactly once.
+// in-order engine's, so every option (Hooks included) is wired exactly once.
 func coreOptions(o Options) core.Options {
 	return core.Options{
 		Workers:      o.Workers,
@@ -485,8 +476,6 @@ func coreOptions(o Options) core.Options {
 		WaitPolicy:   o.Tuning.WaitPolicy,
 		SpinLimit:    o.Tuning.SpinLimit,
 		YieldLimit:   o.Tuning.YieldLimit,
-		SleepInit:    o.Tuning.SleepInit,
-		SleepMax:     o.Tuning.SleepMax,
 		StallTimeout: o.StallTimeout,
 		NoGuard:      o.NoGuard,
 		Hooks:        o.Hooks,
@@ -497,10 +486,9 @@ func coreOptions(o Options) core.Options {
 	}
 }
 
+// newEngine builds the non-in-order engines (New hands InOrder to NewEngine).
 func newEngine(o Options) (Runtime, error) {
 	switch o.Model {
-	case InOrder:
-		return core.New(coreOptions(o))
 	case Centralized, CentralizedWS, CentralizedPrio:
 		kind := centralized.FIFO
 		switch o.Model {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rio/internal/core"
-	"rio/internal/sched"
 	"rio/internal/stf"
 )
 
@@ -32,11 +31,6 @@ type StreamOptions struct {
 	// Kernel dispatches tasks submitted through Stream.Task (the
 	// allocation-free path). Streams using only Submit may leave it nil.
 	Kernel Kernel
-	// NoCompile forces closure replay for every window of an in-order
-	// session, disabling the per-shape compiled-window cache. Mainly for
-	// ablation. Closure windows do not steal (Options.Steal reads a
-	// compiled shape's tables).
-	NoCompile bool
 	// MaxShapes bounds the in-order session's compiled-shape cache
 	// (0 = DefaultMaxShapes, negative = unbounded). On overflow an
 	// arbitrary cached shape is evicted — the cache is a performance
@@ -72,11 +66,13 @@ type Stream struct {
 	maxShapes int
 
 	// In-order (native) backend.
-	eng                    *Engine
-	sess                   *core.Session
-	mapping                Mapping // snapshot at open; the cached shapes bake it in
-	workers                int
-	shapes                 map[[32]byte]*compiledShape
+	eng     *Engine
+	sess    *core.Session
+	mapping Mapping // snapshot at open; the cached shapes bake it in
+	// shapes caches one compiled program per window shape. A nil program is
+	// a negative entry: the shape cannot compile under the session's mapping
+	// (SharedWorker tasks), so its windows take closure replay.
+	shapes                 map[[32]byte]*stf.CompiledProgram
 	shapeHits, shapeMisses int64
 
 	// Fallback backend: every window is one synchronous call of run.
@@ -88,13 +84,6 @@ type Stream struct {
 	windows   int64
 	err       error
 	closed    bool
-}
-
-// compiledShape is one cached window shape. cp == nil is a negative entry:
-// the shape cannot compile under the session's mapping (SharedWorker
-// tasks), so its windows take closure replay.
-type compiledShape struct {
-	cp *stf.CompiledProgram
 }
 
 func newStream(numData int, o StreamOptions) (*Stream, error) {
@@ -138,8 +127,7 @@ func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 	e.mu.Unlock()
 	s.eng = e
 	s.sess = sess
-	s.workers = e.core.NumWorkers()
-	s.shapes = make(map[[32]byte]*compiledShape)
+	s.shapes = make(map[[32]byte]*stf.CompiledProgram)
 	return s, nil
 }
 
@@ -250,15 +238,11 @@ func (s *Stream) flushWindow(w *stf.Window) error {
 	tasks, bodies := w.Tasks(), w.Bodies()
 	kern := windowKernel(bodies, s.opts.Kernel)
 	if s.sess != nil {
-		wr := core.WindowRun{Tasks: tasks, Kernel: kern, Touched: w.Touched()}
-		if !s.opts.NoCompile {
-			cs, err := s.shapeFor(w)
-			if err != nil {
-				return err
-			}
-			wr.Compiled = cs.cp
+		cp, err := s.shapeFor(w)
+		if err != nil {
+			return err
 		}
-		return s.sess.Flush(wr)
+		return s.sess.Flush(core.WindowRun{Tasks: tasks, Kernel: kern, Compiled: cp, Touched: w.Touched()})
 	}
 	prog := func(sub Submitter) {
 		for i := range tasks {
@@ -279,14 +263,14 @@ func (s *Stream) flushWindow(w *stf.Window) error {
 // cache: windows whose access structure repeats — the steady state of a
 // periodic pipeline — compile once and replay the cached micro-op streams
 // against each window's own task table.
-func (s *Stream) shapeFor(w *stf.Window) (*compiledShape, error) {
+func (s *Stream) shapeFor(w *stf.Window) (*stf.CompiledProgram, error) {
 	fp := w.Fingerprint()
-	if cs, ok := s.shapes[fp]; ok {
+	if cp, ok := s.shapes[fp]; ok {
 		s.shapeHits++
-		return cs, nil
+		return cp, nil
 	}
 	s.shapeMisses++
-	cs, err := s.compileShape(w)
+	cp, err := s.compileShape(w)
 	if err != nil {
 		return nil, err
 	}
@@ -296,41 +280,28 @@ func (s *Stream) shapeFor(w *stf.Window) (*compiledShape, error) {
 			break
 		}
 	}
-	s.shapes[fp] = cs
-	return cs, nil
+	s.shapes[fp] = cp
+	return cp, nil
 }
 
 // compileShape lowers one window shape under the session's mapping
 // snapshot. The graph is deep-copied out of the reusable window buffer
 // first: compiled programs alias their source graph's task table, and a
 // cached program must not alias storage the next window overwrites.
-// Partial mappings (SharedWorker) yield a negative entry — those windows
-// replay through the closure path, which resolves ownership dynamically.
-func (s *Stream) compileShape(w *stf.Window) (*compiledShape, error) {
+// Partial mappings (SharedWorker) yield the negative entry, a nil program —
+// those windows replay through the closure path, which resolves ownership
+// dynamically.
+func (s *Stream) compileShape(w *stf.Window) (*stf.CompiledProgram, error) {
 	for i := range w.Tasks() {
 		o := s.mapping(TaskID(i))
 		if o == SharedWorker {
-			return &compiledShape{}, nil
+			return nil, nil
 		}
-		if o < 0 || int(o) >= s.workers {
-			return nil, fmt.Errorf("rio: stream mapping(%d) = %d out of range [0,%d)", i, o, s.workers)
-		}
-	}
-	g := w.CloneGraph(fmt.Sprintf("stream-shape-%d", s.shapeMisses))
-	var rel [][]bool
-	if s.eng.opts.Prune {
-		rel = sched.Relevant(g, s.mapping, s.workers)
-	}
-	cp, err := stf.Compile(g, s.mapping, s.workers, rel)
-	if err != nil {
-		return nil, err
-	}
-	if s.eng.opts.Verify {
-		if err := certify(g, cp, s.mapping, nil); err != nil {
-			return nil, err
+		if p := s.eng.NumWorkers(); o < 0 || int(o) >= p {
+			return nil, fmt.Errorf("rio: stream mapping(%d) = %d out of range [0,%d)", i, o, p)
 		}
 	}
-	return &compiledShape{cp: cp}, nil
+	return s.eng.lower(w.CloneGraph(fmt.Sprintf("stream-shape-%d", s.shapeMisses)), s.mapping)
 }
 
 // windowKernel dispatches a window's recorded tasks: closure tasks run

@@ -37,22 +37,28 @@ func TestStreamEpochRecycleStress(t *testing.T) {
 	if testing.Short() {
 		windows = 300
 	}
+	cyclic := rio.CyclicMapping(workers)
 	for _, mode := range []struct {
-		name      string
-		nocompile bool
+		name    string
+		mapping rio.Mapping
+		shared  int // SharedWorker tasks per window
 	}{
-		{"compiled", false}, // cached shape replay: recycle under compiled windows
-		{"closure", true},   // closure replay: recycle under the Submitter protocol path
+		// cached shape replay: recycle under compiled windows
+		{"compiled", cyclic, 0},
+		// a SharedWorker task per chain sends every window down closure
+		// replay: recycle under the Submitter protocol path and its claims
+		{"shared", rio.PartialMapping(cyclic, func(id rio.TaskID) bool { return id%chain == chain-1 }), numData},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			eng, err := rio.NewEngine(rio.Options{
 				Workers: workers,
+				Mapping: mode.mapping,
 				Tuning:  rio.TuningOptions{WaitPolicy: rio.WaitPark},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := eng.Stream(numData, rio.StreamOptions{NoCompile: mode.nocompile})
+			s, err := eng.Stream(numData, rio.StreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,6 +108,15 @@ func TestStreamEpochRecycleStress(t *testing.T) {
 			}
 			if got := s.Submitted(); got != int64(windows*numData*chain) {
 				t.Errorf("Submitted = %d, want %d", got, windows*numData*chain)
+			}
+			// One shape throughout: its entry (negative for the shared
+			// mapping) is taken once, then hit.
+			if hits, misses, _ := s.CacheStats(); misses != 1 || hits != int64(windows-1) {
+				t.Errorf("shape cache: hits=%d misses=%d, want %d, 1", hits, misses, windows-1)
+			}
+			p := eng.Progress()
+			if got, want := p.Claimed(), int64(windows*mode.shared); got != want {
+				t.Errorf("claimed %d SharedWorker tasks, want %d", got, want)
 			}
 		})
 	}

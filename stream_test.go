@@ -174,36 +174,6 @@ func TestStreamShapeCacheDistinctShapes(t *testing.T) {
 	}
 }
 
-// TestStreamNoCompile forces closure replay of every window
-// and checks the shape cache stays untouched.
-func TestStreamNoCompile(t *testing.T) {
-	eng, err := rio.NewEngine(rio.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := eng.Stream(2, rio.StreamOptions{NoCompile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Int64
-	for w := 0; w < 10; w++ {
-		s.Submit(func() { n.Add(1) }, rio.RW(0))
-		s.Submit(func() { n.Add(1) }, rio.RW(1))
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, _ := s.CacheStats(); hits != 0 || misses != 0 {
-		t.Errorf("NoCompile stream used the shape cache: hits=%d misses=%d", hits, misses)
-	}
-	if n.Load() != 20 {
-		t.Errorf("executed %d, want 20", n.Load())
-	}
-}
-
 // TestStreamAutoFlush: reaching MaxWindow flushes automatically.
 func TestStreamAutoFlush(t *testing.T) {
 	rt, err := rio.New(rio.Options{Workers: 2})
@@ -415,37 +385,55 @@ func TestStreamInvalidAccessPoisons(t *testing.T) {
 	}
 }
 
-// TestStreamSharedWorkerFallsBackToClosure: a partial mapping cannot bake
-// ownership into a compiled shape, so its windows replay through the
-// closure path (a negative cache entry) and still execute correctly.
-func TestStreamSharedWorkerFallsBackToClosure(t *testing.T) {
-	eng, err := rio.NewEngine(rio.Options{
-		Workers: 2,
-		Mapping: func(id rio.TaskID) rio.WorkerID { return rio.SharedWorker },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := eng.Stream(2, rio.StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Int64
-	for w := 0; w < 8; w++ {
-		s.Submit(func() { n.Add(1) }, rio.RW(0))
-		s.Submit(func() { n.Add(1) }, rio.RW(1))
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 16 {
-		t.Errorf("executed %d, want 16", n.Load())
-	}
-	if hits, misses, _ := s.CacheStats(); misses != 1 || hits != 7 {
-		t.Errorf("negative shape entry: hits=%d misses=%d, want 7, 1", hits, misses)
+// TestStreamSharedWorkerShapesTakeClosureWindows: a mapping with
+// SharedWorker tasks cannot bake ownership into a compiled shape, and that
+// observation alone selects the closure window path — compileShape caches a
+// negative entry on the first window and every later window of the shape
+// hits it. The claims prove the path ran: only closure replay resolves
+// SharedWorker ownership.
+func TestStreamSharedWorkerShapesTakeClosureWindows(t *testing.T) {
+	const windows = 10
+	for _, tc := range []struct {
+		name    string
+		mapping rio.Mapping
+		shared  int64 // SharedWorker tasks per window
+	}{
+		{"all-shared", func(rio.TaskID) rio.WorkerID { return rio.SharedWorker }, 2},
+		{"partial", rio.PartialMapping(
+			func(rio.TaskID) rio.WorkerID { return 1 },
+			func(id rio.TaskID) bool { return id%2 == 1 }), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := rio.NewEngine(rio.Options{Workers: 2, Mapping: tc.mapping})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := eng.Stream(2, rio.StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v0, v1 int64
+			for w := 0; w < windows; w++ {
+				s.Submit(func() { v0++ }, rio.RW(0))
+				s.Submit(func() { v1 += v0 }, rio.Read(0), rio.RW(1))
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(windows * (windows + 1) / 2); v0 != windows || v1 != want {
+				t.Errorf("v0, v1 = %d, %d, want %d, %d", v0, v1, windows, want)
+			}
+			if hits, misses, entries := s.CacheStats(); misses != 1 || hits != windows-1 || entries != 1 {
+				t.Errorf("negative shape entry: hits=%d misses=%d entries=%d, want %d, 1, 1", hits, misses, entries, windows-1)
+			}
+			p := eng.Progress()
+			if got := p.Claimed(); got != tc.shared*windows {
+				t.Errorf("claimed %d SharedWorker tasks, want %d", got, tc.shared*windows)
+			}
+		})
 	}
 }
 
