@@ -407,6 +407,31 @@ func BenchmarkCompiledReplay(b *testing.B) {
 			perTask(b)
 		})
 	}
+	// Independent tasks have no accesses, so nothing above sees what an
+	// access costs. chain-private gives every task one: 65536 RW tasks over
+	// 256 chains, each chain on one worker under the cyclic mapping — the
+	// uncontended-data case, which the compiler lowers to bare execs.
+	b.Run("chain-private", func(b *testing.B) {
+		chains := stf.NewGraph("chain-private", 256)
+		for i := 0; i < 65536; i++ {
+			chains.Add(0, i, 0, 0, stf.RW(stf.DataID(i%256)))
+		}
+		e, err := rio.NewEngine(rio.Options{Workers: benchWorkers, Mapping: m, NoAccounting: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.RunGraph(chains, noop); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := e.RunGraph(chains, noop); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(chains.Tasks)), "ns/task")
+	})
 }
 
 // BenchmarkSyncContention — the synchronization ablation's contended shape

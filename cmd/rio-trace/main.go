@@ -72,7 +72,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		// Stealing reads a compiled program's tables; the graph is at hand.
-		cp, err := stf.Compile(g, mapping, *workers, nil)
+		// Canonical lowering: any task may end up on a thief.
+		cp, err := stf.CompileCanonical(g, mapping, *workers, nil)
 		if err != nil {
 			return err
 		}

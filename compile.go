@@ -25,7 +25,8 @@ type CompiledProgram = stf.CompiledProgram
 // Compile lowers a recorded graph for the given worker count and mapping
 // (nil means the cyclic default). With prune set, §3.5 task pruning is
 // applied at compile time: tasks irrelevant to a worker are omitted from
-// its stream entirely.
+// its stream entirely. Data no two workers conflict on get no
+// synchronization micro-ops at all (CompiledProgram.Elided lists them).
 //
 // The mapping must give every task a static owner in [0, workers);
 // partial mappings (SharedWorker) resolve ownership at run time and
@@ -33,6 +34,12 @@ type CompiledProgram = stf.CompiledProgram
 // across runs and engines of the same worker count, and assumes g is not
 // mutated while it is in use.
 func Compile(g *Graph, workers int, m Mapping, prune bool) (*CompiledProgram, error) {
+	return compile(g, workers, m, prune, false)
+}
+
+// compile is Compile in front of either lowering: eliding (stf.Compile) or
+// canonical (stf.CompileCanonical).
+func compile(g *Graph, workers int, m Mapping, prune, canonical bool) (*CompiledProgram, error) {
 	if m == nil {
 		if workers < 1 {
 			return nil, fmt.Errorf("rio: Compile: workers must be >= 1, got %d", workers)
@@ -42,6 +49,9 @@ func Compile(g *Graph, workers int, m Mapping, prune bool) (*CompiledProgram, er
 	var rel [][]bool
 	if prune {
 		rel = sched.Relevant(g, m, workers)
+	}
+	if canonical {
+		return stf.CompileCanonical(g, m, workers, rel)
 	}
 	return stf.Compile(g, m, workers, rel)
 }
@@ -247,9 +257,11 @@ func (e *Engine) compileOne(g *Graph, mapping Mapping) (*CompiledProgram, error)
 // lower is the compile-miss pipeline shared by the graph cache (compileOne)
 // and a stream's shape cache (compileShape): Compile under the given
 // mapping snapshot — §3.5-pruned when Options.Prune is set — and with
-// Options.Verify the translation-validation certificate.
+// Options.Verify the translation-validation certificate. With Options.Steal
+// the lowering is canonical: a thief may execute any task, so every access
+// must stay provable against the shared cells.
 func (e *Engine) lower(g *Graph, mapping Mapping) (*CompiledProgram, error) {
-	cp, err := Compile(g, e.core.NumWorkers(), mapping, e.opts.Prune)
+	cp, err := compile(g, e.core.NumWorkers(), mapping, e.opts.Prune, e.opts.Steal != nil)
 	if err != nil {
 		return nil, err
 	}

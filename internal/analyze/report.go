@@ -185,6 +185,10 @@ const (
 	// or a reduction fence) is not ordered by the certified
 	// happens-before relation of the streams' waits.
 	CodeVerifyHappensBefore Code = "RIO-V008"
+	// CodeVerifyContended: the program claims a data object elided (no
+	// micro-ops in any stream) that is contended — tasks of different
+	// workers conflict on it, so only the protocol could order them.
+	CodeVerifyContended Code = "RIO-V009"
 )
 
 // NoID marks the Task/Data/Worker fields of findings that are not tied to

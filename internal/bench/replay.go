@@ -27,6 +27,20 @@ import (
 //   - compiled-pruned  — streams with §3.5 pruning applied at compile
 //     time; for independent tasks a worker's stream shrinks to just its
 //     own n/p executions.
+//
+// Independent tasks have no accesses, so none of those rows prices the
+// protocol itself. A second flow does: the same n tasks, each doing
+// RW(i mod 64p) — 64p chains, every chain on one worker under the cyclic
+// mapping, so no datum ever crosses workers. Variants:
+//
+//   - chain-canonical   — every access lowered to get/exec/terminate
+//     (three micro-ops per task, the shared-cell atomics of Algorithm 2):
+//     the streams before uncontended-data elision, and what an engine with
+//     work stealing armed still runs;
+//   - chain-elided      — stf.Compile's default lowering: the data are
+//     uncontended, the stream is bare execs;
+//   - chain-centralized — the centralized FIFO engine on the same flow and
+//     kernel, the Fig 6 comparison point for "how small a task pays off".
 
 // ReplayConfig parameterizes the replay ablation.
 type ReplayConfig struct {
@@ -133,6 +147,65 @@ func ReplayAblation(cfg ReplayConfig) ([]Row, error) {
 			Tasks:      st.Executed(),
 			Wall:       wall,
 			PerTask:    perTask(wall, p, st.Executed()),
+		})
+	}
+	chainRows, err := chainReplay(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, chainRows...), nil
+}
+
+// chainReplay measures the single-owner chain flow of the replay ablation.
+func chainReplay(cfg ReplayConfig) ([]Row, error) {
+	p := cfg.Workers
+	kern := graphs.CounterKernel(kernels.NewCells(max(p, 2)), cfg.TaskSize)
+	g := stf.NewGraph("chain-private", 64*p)
+	for i := 0; i < cfg.TasksPerWorker*p; i++ {
+		g.Add(graphs.KCounter, i, 0, 0, stf.RW(stf.DataID(i%(64*p))))
+	}
+	m := sched.Cyclic(p)
+	canonical, err := stf.CompileCanonical(g, m, p, nil)
+	if err != nil {
+		return nil, err
+	}
+	elided, err := stf.Compile(g, m, p, nil)
+	if err != nil {
+		return nil, err
+	}
+	e, err := core.New(core.Options{Workers: p, Mapping: m})
+	if err != nil {
+		return nil, err
+	}
+	cen, err := NewEngine(CentralizedFIFO, max(p, 2), nil)
+	if err != nil {
+		return nil, err
+	}
+	prog := stf.Replay(g, kern)
+	var rows []Row
+	for _, v := range []struct {
+		name    string
+		workers int
+		run     func() error
+		stats   func() *trace.Stats
+	}{
+		{"chain-canonical", p, func() error { return e.RunCompiled(canonical, kern) }, e.Stats},
+		{"chain-elided", p, func() error { return e.RunCompiled(elided, kern) }, e.Stats},
+		{"chain-centralized", max(p, 2), func() error { return cen.Run(g.NumData, prog) }, cen.Stats},
+	} {
+		wall, st, err := MeasureRun(v.run, v.stats, cfg.Warmup, cfg.Reps)
+		if err != nil {
+			return nil, fmt.Errorf("replay/%s: %w", v.name, err)
+		}
+		rows = append(rows, Row{
+			Experiment: "replay",
+			Workload:   g.Name,
+			Engine:     v.name,
+			Workers:    v.workers,
+			TaskSize:   cfg.TaskSize,
+			Tasks:      st.Executed(),
+			Wall:       wall,
+			PerTask:    perTask(wall, v.workers, st.Executed()),
 		})
 	}
 	return rows, nil

@@ -44,10 +44,13 @@ func (e *Engine) RunCompiledContext(ctx context.Context, cp *stf.CompiledProgram
 	}
 	// Steal metadata is derived from the (possibly pruned) program actually
 	// run, so resumed tasks are never stealable — consistently with every
-	// worker's stream having dropped them.
+	// worker's stream having dropped them. An armed run interprets the
+	// metadata's canonical program: a thief proves readiness against the
+	// shared cells, which streams with elided data do not keep current.
 	var meta *stf.StealMeta
 	if e.steal != nil {
 		meta = e.stealMetaFor(cp)
+		cp = meta.Program
 	}
 	return e.run(ctx, cp.NumData, false, len(cp.Tasks), func(s *submitter) {
 		if meta != nil {
@@ -80,7 +83,8 @@ func (e *Engine) recordCompiled(numData int, prog stf.Program) (cp *stf.Compiled
 	if r.gap {
 		return nil, nil
 	}
-	cp, err := stf.Compile(r.g, *e.mapping.Load(), e.workers, nil)
+	// Canonical: the recording exists to be stolen from.
+	cp, err := stf.CompileCanonical(r.g, *e.mapping.Load(), e.workers, nil)
 	if err != nil {
 		return nil, nil
 	}

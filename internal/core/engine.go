@@ -81,7 +81,8 @@ type Options struct {
 	// (see stf.StealPolicy and internal/core/steal.go). Steal readiness comes
 	// from a compiled program's stf.BuildStealMeta tables, so an armed
 	// engine records and compiles a closure program before running it (see
-	// RunContext). Nil (the default) keeps the paper's pure static model at
+	// RunContext), and runs every compiled program in canonical form — no
+	// access elided, since any task may execute on a thief. Nil (the default) keeps the paper's pure static model at
 	// one pointer test per task.
 	Steal *stf.StealPolicy
 }
@@ -180,7 +181,8 @@ type stealMetaEntry struct {
 }
 
 // stealMetaFor returns (building and memoizing if needed) the steal
-// metadata of cp. Engine runs are serialized, but the pointer is atomic so
+// metadata of cp, which carries the canonical program an armed run must
+// interpret in cp's place. Engine runs are serialized, but the pointer is atomic so
 // a concurrent Progress reader can never observe a torn cache.
 func (e *Engine) stealMetaFor(cp *stf.CompiledProgram) *stf.StealMeta {
 	if c := e.stealMetaCache.Load(); c != nil && c.cp == cp {

@@ -46,7 +46,9 @@ type WindowRun struct {
 	// shape (same access structure, same mapping, same worker count). When
 	// set, workers interpret its micro-op streams against Tasks; when nil,
 	// workers replay Tasks through the closure protocol path (which resolves
-	// SharedWorker ownership dynamically; such windows do not steal).
+	// SharedWorker ownership dynamically; such windows do not steal). On an
+	// engine with stealing armed the window runs the program's canonical
+	// form (stf.BuildStealMeta), whatever was elided from the one given.
 	Compiled *stf.CompiledProgram
 	// Touched lists the data objects the window accesses; exactly their
 	// state is recycled at the window's epoch boundary.
@@ -206,6 +208,7 @@ func (ss *Session) Flush(wr WindowRun) error {
 			ss.stealMetas[wr.Compiled] = meta
 		}
 		spec.stealMeta = meta
+		spec.Compiled = meta.Program // canonical: what thieves may read
 	}
 	if h := ss.eng.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(ss.eng.workers, ss.numData)

@@ -68,22 +68,34 @@ func (tr *Trace) Order() []stf.TaskID {
 func Kernel(tr *Trace, clock *atomic.Int64) stf.Kernel {
 	return func(t *stf.Task, _ stf.WorkerID) {
 		tr.Tickets[t.ID] = clock.Add(1)
-		h := uint64(t.ID)
-		for _, a := range t.Accesses {
-			if a.Mode.Reads() {
-				h = mix(h, tr.Vals[a.Data])
-			}
+		fold(tr.Vals, uint64(t.ID), t.Accesses)
+	}
+}
+
+// Fold returns the oracle kernel's value fold alone, over vals, with the
+// task's identity taken from its I coordinate instead of its ID — for
+// streaming sessions, where IDs are window-local but RandomGraph's I is the
+// task's position in the whole flow (equal to its ID in a one-shot run).
+func Fold(vals []uint64) stf.Kernel {
+	return func(t *stf.Task, _ stf.WorkerID) { fold(vals, uint64(t.I), t.Accesses) }
+}
+
+func fold(vals []uint64, id uint64, accesses []stf.Access) {
+	h := id
+	for _, a := range accesses {
+		if a.Mode.Reads() {
+			h = mix(h, vals[a.Data])
 		}
-		for _, a := range t.Accesses {
-			switch {
-			case a.Mode == stf.WriteOnly:
-				// Write-only semantics: overwrite without reading.
-				tr.Vals[a.Data] = mix(0, h)
-			case a.Mode == stf.ReadWrite:
-				tr.Vals[a.Data] = mix(tr.Vals[a.Data], h)
-			case a.Mode.Commutes():
-				tr.Vals[a.Data] += h
-			}
+	}
+	for _, a := range accesses {
+		switch {
+		case a.Mode == stf.WriteOnly:
+			// Write-only semantics: overwrite without reading.
+			vals[a.Data] = mix(0, h)
+		case a.Mode == stf.ReadWrite:
+			vals[a.Data] = mix(vals[a.Data], h)
+		case a.Mode.Commutes():
+			vals[a.Data] += h
 		}
 	}
 }

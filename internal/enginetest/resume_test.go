@@ -2,10 +2,12 @@ package enginetest_test
 
 import (
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"rio"
+	"rio/internal/core"
 	"rio/internal/enginetest"
 	"rio/internal/faultinject"
 	"rio/internal/graphs"
@@ -175,5 +177,59 @@ func TestResumeChained(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// Resume accounting does not depend on the lowering: a task whose accesses
+// were all elided leaves a lone exec in its owner's stream and nothing in
+// anyone else's, exactly like an access-free task, and PruneCompleted must
+// still move it from Executed to Skipped and out of every other worker's
+// Declared. For random flows × mappings × checkpoint prefixes, the
+// per-worker Progress() of a resumed elided program equals that of the
+// resumed canonical one, and executed + skipped covers the flow.
+func TestResumeElidedAccounting(t *testing.T) {
+	const workers = 3
+	for seed := int64(1); seed <= 12; seed++ {
+		g := randomFlow(seed)
+		n := len(g.Tasks)
+		// A task-flow prefix is always dependency-closed.
+		done := make([]stf.TaskID, rand.New(rand.NewSource(seed)).Intn(n+1))
+		for i := range done {
+			done[i] = stf.TaskID(i)
+		}
+		resume := &stf.Checkpoint{Tasks: n, Completed: done}
+		for _, nm := range elisionMappings(g, workers) {
+			elided, err := stf.Compile(g, nm.m, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canonical, err := stf.CompileCanonical(g, nm.m, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var progress [2]rio.Progress
+			for i, cp := range []*stf.CompiledProgram{elided, canonical} {
+				eng, err := core.New(core.Options{Workers: workers, Resume: resume})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.RunCompiled(cp, noop); err != nil {
+					t.Fatalf("seed %d, %s: %v", seed, nm.name, err)
+				}
+				progress[i] = eng.Progress()
+			}
+			e, c := progress[0], progress[1]
+			if got := e.Executed() + e.Skipped(); got != int64(n) || e.Skipped() != int64(len(done)) {
+				t.Errorf("seed %d, %s: executed %d + skipped %d, want %d tasks of which %d skipped",
+					seed, nm.name, e.Executed(), e.Skipped(), n, len(done))
+			}
+			for w := range e.Workers {
+				ew, cw := e.Workers[w], c.Workers[w]
+				if ew.Executed != cw.Executed || ew.Declared != cw.Declared || ew.Skipped != cw.Skipped {
+					t.Errorf("seed %d, %s, worker %d: elided resume executed/declared/skipped %d/%d/%d, canonical %d/%d/%d",
+						seed, nm.name, w, ew.Executed, ew.Declared, ew.Skipped, cw.Executed, cw.Declared, cw.Skipped)
+				}
+			}
+		}
 	}
 }

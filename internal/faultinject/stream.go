@@ -19,6 +19,7 @@ import "rio/internal/stf"
 //	MutElideDeclares  → RIO-V006 (undominated declare elision)
 //	MutSplitResume    → RIO-V007 (checkpoint pruning applied unevenly)
 //	MutDropWait       → RIO-V008 (a dependency wait removed; also V005)
+//	MutElideContended → RIO-V009 (a contended data object lowered to nothing)
 
 // StreamMutation enumerates the compiled-stream defect classes.
 type StreamMutation int
@@ -32,6 +33,7 @@ const (
 	MutElideDeclares
 	MutSplitResume
 	MutDropWait
+	MutElideContended
 	numStreamMutations
 )
 
@@ -63,6 +65,8 @@ func (m StreamMutation) String() string {
 		return "split-resume"
 	case MutDropWait:
 		return "drop-wait"
+	case MutElideContended:
+		return "elide-contended"
 	}
 	return "unknown-mutation"
 }
@@ -94,6 +98,8 @@ func MutateStream(cp *stf.CompiledProgram, m StreamMutation, site int) (*stf.Com
 		return dropInstr(cp, site, func(in stf.Instr) bool {
 			return in.Op == stf.OpGetRead || in.Op == stf.OpGetWrite || in.Op == stf.OpGetRed
 		})
+	case MutElideContended:
+		return elideContended(cp, site)
 	}
 	return nil, false
 }
@@ -109,6 +115,7 @@ func CloneProgram(cp *stf.CompiledProgram) *stf.CompiledProgram {
 		Streams: make([][]stf.Instr, len(cp.Streams)),
 		Stats:   append([]stf.StreamStats(nil), cp.Stats...),
 		Pruned:  cp.Pruned,
+		Elided:  append([]bool(nil), cp.Elided...),
 	}
 	for w, s := range cp.Streams {
 		out.Streams[w] = append([]stf.Instr(nil), s...)
@@ -362,6 +369,66 @@ func unsoundToElide(s []stf.Instr, start, end int) bool {
 		}
 	}
 	return false
+}
+
+// elideContended removes every micro-op on one contended data object from
+// every stream and adds the object to the program's elision set — what a
+// compiler that misclassified it would emit. The objects it picks from are
+// those written by one worker's task and accessed by another's (executors
+// read off the streams' execs). Returns false when there is none (a
+// single-worker program, or one whose written data are all private).
+func elideContended(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool) {
+	executor := make([]int, len(cp.Tasks))
+	for w, s := range cp.Streams {
+		for _, in := range s {
+			if in.Op == stf.OpExec {
+				executor[in.Task] = w + 1 // 0: no stream executes the task
+			}
+		}
+	}
+	const several = -1
+	users := make([]int, cp.NumData) // 0 none, w+1 one worker, several
+	written := make([]bool, cp.NumData)
+	for i := range cp.Tasks {
+		if executor[i] == 0 {
+			continue
+		}
+		for _, a := range cp.Tasks[i].Accesses {
+			switch users[a.Data] {
+			case 0:
+				users[a.Data] = executor[i]
+			case executor[i]:
+			default:
+				users[a.Data] = several
+			}
+			written[a.Data] = written[a.Data] || a.Mode.Writes()
+		}
+	}
+	var sites []stf.DataID
+	for d := range users {
+		if users[d] == several && written[d] {
+			sites = append(sites, stf.DataID(d))
+		}
+	}
+	if len(sites) == 0 {
+		return nil, false
+	}
+	d := sites[site%len(sites)]
+	out := CloneProgram(cp)
+	if out.Elided == nil {
+		out.Elided = make([]bool, cp.NumData)
+	}
+	out.Elided[d] = true
+	for w, s := range out.Streams {
+		ns := s[:0]
+		for _, in := range s {
+			if in.Op == stf.OpExec || in.Data != d {
+				ns = append(ns, in)
+			}
+		}
+		out.Streams[w] = ns
+	}
+	return out, true
 }
 
 // SplitResume applies checkpoint pruning to exactly one worker's stream,

@@ -18,7 +18,10 @@ import "fmt"
 //
 // The synchronization protocol is untouched: the micro-ops invoke exactly
 // the declare/get/terminate operations of Algorithms 1 and 2, in the same
-// order closure replay would.
+// order closure replay would — for every data object some pair of workers
+// must be ordered on. A datum no two workers conflict on (see uncontended)
+// gets no micro-ops at all: the protocol exists to order conflicting
+// accesses across workers, and there it has nothing to order.
 
 // OpCode identifies one compiled micro-op. The access mode is folded into
 // the opcode so the execution loop dispatches on a single byte; the
@@ -126,6 +129,11 @@ type CompiledProgram struct {
 	Stats []StreamStats
 	// Pruned records whether §3.5 pruning was applied.
 	Pruned bool
+	// Elided marks, per data object, the uncontended data whose accesses
+	// were lowered to no micro-ops in any stream (nil when there is none).
+	// Such streams are sound only for the executors the mapping assigned:
+	// stealing needs Canonical.
+	Elided []bool
 }
 
 // Ops returns the total micro-op count across all streams — the compiled
@@ -144,13 +152,27 @@ func (cp *CompiledProgram) Ops() int {
 // analysis (one bitmap per worker over g's tasks, as computed by
 // sched.Relevant): tasks irrelevant to a worker are omitted from its
 // stream entirely. A nil relevant compiles the full flow for every
-// worker.
+// worker. Accesses to uncontended data emit no micro-ops; the program's
+// Elided set records which data those are.
 //
 // The mapping is evaluated exactly once per task, at compile time. It
 // must be total over g and must not return SharedWorker: partial mappings
 // resolve ownership at run time by first-to-reach claims, which a
 // pre-resolved stream cannot express — use closure replay for those.
 func Compile(g *Graph, m Mapping, workers int, relevant [][]bool) (*CompiledProgram, error) {
+	return compile(g, m, workers, relevant, true)
+}
+
+// CompileCanonical is Compile without elision: every access of every
+// relevant task gets its micro-ops, so any worker can prove any task's
+// readiness against the shared cells. It is the lowering of an engine with
+// work stealing armed, where the executor of a task is not the mapping's to
+// decide.
+func CompileCanonical(g *Graph, m Mapping, workers int, relevant [][]bool) (*CompiledProgram, error) {
+	return compile(g, m, workers, relevant, false)
+}
+
+func compile(g *Graph, m Mapping, workers int, relevant [][]bool, elide bool) (*CompiledProgram, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("stf: compile: workers must be >= 1, got %d", workers)
 	}
@@ -192,73 +214,192 @@ func Compile(g *Graph, m Mapping, workers int, relevant [][]bool) (*CompiledProg
 		NumData: g.NumData,
 		Workers: workers,
 		Tasks:   g.Tasks,
-		Streams: make([][]Instr, workers),
-		Stats:   make([]StreamStats, workers),
 		Pruned:  relevant != nil,
 	}
-	for w := 0; w < workers; w++ {
-		stream := make([]Instr, 0, streamSize(g, owners, relevant, w))
-		for i := range g.Tasks {
-			if relevant != nil && !relevant[w][i] {
+	if elide {
+		cp.Elided = uncontended(g.Tasks, owners, g.NumData)
+	}
+	cp.lower(owners, relevant)
+	return cp, nil
+}
+
+// uncontended classifies the data of a flow under one ownership: a datum
+// is uncontended iff no two accesses to it whose order Algorithms 1 and 2
+// enforce — one of them a write, or a reduction against a read — belong to
+// tasks of different owners. That is: all of its accesses share one owner,
+// or they are all reads, or all reductions. Conflicting accesses to such a
+// datum are ordered by their common worker's program order, and no stream
+// holds a wait on its cell, so nothing published there is ever read. Tasks
+// without an owner (owners[i] < 0) are not part of the flow. The result
+// marks the uncontended data that are accessed at all; nil means none.
+func uncontended(tasks []Task, owners []WorkerID, numData int) []bool {
+	const unseen, several = WorkerID(-1), WorkerID(-2)
+	type use struct {
+		owner                WorkerID
+		reads, reds, written bool
+	}
+	uses := make([]use, numData)
+	for d := range uses {
+		uses[d].owner = unseen
+	}
+	for i := range tasks {
+		if owners[i] < 0 {
+			continue
+		}
+		for _, a := range tasks[i].Accesses {
+			u := &uses[a.Data]
+			switch {
+			case u.owner == unseen:
+				u.owner = owners[i]
+			case u.owner != owners[i]:
+				u.owner = several
+			}
+			switch {
+			case a.Mode.Writes():
+				u.written = true
+			case a.Mode.Commutes():
+				u.reds = true
+			default:
+				u.reads = true
+			}
+		}
+	}
+	var out []bool
+	for d, u := range uses {
+		if u.owner == unseen || (u.owner == several && (u.written || (u.reads && u.reds))) {
+			continue
+		}
+		if out == nil {
+			out = make([]bool, numData)
+		}
+		out[d] = true
+	}
+	return out
+}
+
+// lower emits cp's streams and their execute/declare counts from cp.Tasks:
+// owners[i] executes task i, a negative owner drops the task from every
+// stream, relevant (when non-nil) drops foreign tasks per worker, and
+// accesses to cp.Elided data emit nothing. The counts are of tasks, so
+// they do not depend on how many micro-ops a task kept.
+func (cp *CompiledProgram) lower(owners []WorkerID, relevant [][]bool) {
+	// Size every stream exactly, so each is allocated once.
+	sizes := make([]int, cp.Workers)
+	for i := range cp.Tasks {
+		if owners[i] < 0 {
+			continue
+		}
+		live := len(cp.Tasks[i].Accesses) // accesses that emit micro-ops
+		if cp.Elided != nil {
+			live = 0
+			for _, a := range cp.Tasks[i].Accesses {
+				if !cp.Elided[a.Data] {
+					live++
+				}
+			}
+		}
+		for w := range sizes {
+			switch {
+			case relevant != nil && !relevant[w][i]:
+			case owners[i] == WorkerID(w):
+				sizes[w] += 2*live + 1
+			default:
+				sizes[w] += live
+			}
+		}
+	}
+	cp.Streams = make([][]Instr, cp.Workers)
+	cp.Stats = make([]StreamStats, cp.Workers)
+	for w := range cp.Streams {
+		stream := make([]Instr, 0, sizes[w])
+		for i := range cp.Tasks {
+			if owners[i] < 0 || (relevant != nil && !relevant[w][i]) {
 				continue
 			}
-			t := &g.Tasks[i]
+			t := &cp.Tasks[i]
 			if owners[i] == WorkerID(w) {
-				stream = appendOwned(stream, t)
+				stream = appendOwned(stream, t, cp.Elided)
 				cp.Stats[w].Executed++
-			} else if len(t.Accesses) > 0 {
-				stream = appendForeign(stream, t)
-				cp.Stats[w].Declared++
 			} else {
-				// A foreign task with no accesses needs no bookkeeping at
+				// A foreign task with no live access needs no bookkeeping at
 				// all — it synchronizes on nothing. Closure replay still
 				// pays a submission for it; the compiled stream is free.
+				stream = appendForeign(stream, t, cp.Elided)
 				cp.Stats[w].Declared++
 			}
 		}
 		cp.Streams[w] = stream
 	}
-	return cp, nil
 }
 
-// streamSize pre-computes worker w's exact stream length so compilation
-// allocates each stream once.
-func streamSize(g *Graph, owners []WorkerID, relevant [][]bool, w int) int {
-	n := 0
-	for i := range g.Tasks {
-		if relevant != nil && !relevant[w][i] {
-			continue
-		}
-		if owners[i] == WorkerID(w) {
-			n += 2*len(g.Tasks[i].Accesses) + 1
-		} else {
-			n += len(g.Tasks[i].Accesses)
+// execOwners recovers each task's executor from the streams (an owned task
+// always keeps its OpExec); -1 marks tasks no stream executes — those a
+// checkpoint resume pruned out.
+func (cp *CompiledProgram) execOwners() []WorkerID {
+	owners := make([]WorkerID, len(cp.Tasks))
+	for i := range owners {
+		owners[i] = -1
+	}
+	for w, stream := range cp.Streams {
+		for i := range stream {
+			if stream[i].Op == OpExec {
+				owners[stream[i].Task] = WorkerID(w)
+			}
 		}
 	}
-	return n
+	return owners
+}
+
+// Canonical returns cp's flow with every access lowered: cp itself when
+// nothing was elided, otherwise a re-lowering of cp.Tasks under the
+// executors the streams record, resume-pruned tasks still absent. §3.5
+// pruning is not carried over (which foreign tasks an elided stream found
+// relevant is no longer recoverable; the full flow is always sound).
+func (cp *CompiledProgram) Canonical() *CompiledProgram {
+	if cp.Elided == nil {
+		return cp
+	}
+	out := &CompiledProgram{
+		Name:    cp.Name,
+		NumData: cp.NumData,
+		Workers: cp.Workers,
+		Tasks:   cp.Tasks,
+	}
+	out.lower(cp.execOwners(), nil)
+	for w := range out.Stats {
+		out.Stats[w].Skipped = cp.Stats[w].Skipped
+	}
+	return out
 }
 
 // appendOwned emits the micro-ops of a task the worker executes: the
 // get_* waits in declared access order, the body, then the terminate_*
-// publications — exactly the sequence of Algorithm 1's execute path.
-func appendOwned(stream []Instr, t *Task) []Instr {
+// publications — exactly the sequence of Algorithm 1's execute path, minus
+// the accesses to elided data.
+func appendOwned(stream []Instr, t *Task, elided []bool) []Instr {
 	id := int32(t.ID)
 	for _, a := range t.Accesses {
-		stream = append(stream, Instr{Op: getOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		if elided == nil || !elided[a.Data] {
+			stream = append(stream, Instr{Op: getOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		}
 	}
 	stream = append(stream, Instr{Op: OpExec, Task: id})
 	for _, a := range t.Accesses {
-		stream = append(stream, Instr{Op: termOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		if elided == nil || !elided[a.Data] {
+			stream = append(stream, Instr{Op: termOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		}
 	}
 	return stream
 }
 
 // appendForeign emits the declare_* bookkeeping of a task owned by another
 // worker.
-func appendForeign(stream []Instr, t *Task) []Instr {
+func appendForeign(stream []Instr, t *Task, elided []bool) []Instr {
 	id := int32(t.ID)
 	for _, a := range t.Accesses {
-		stream = append(stream, Instr{Op: declareOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		if elided == nil || !elided[a.Data] {
+			stream = append(stream, Instr{Op: declareOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		}
 	}
 	return stream
 }

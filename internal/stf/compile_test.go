@@ -1,6 +1,7 @@
 package stf_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,15 +31,16 @@ func cyclic(p int) stf.Mapping {
 
 func TestCompileStreamStructure(t *testing.T) {
 	g := compileGraph()
-	cp, err := stf.Compile(g, cyclic(2), 2, nil)
+	// The canonical lowering: every access of every task.
+	cp, err := stf.CompileCanonical(g, cyclic(2), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.Workers != 2 || cp.NumData != 3 || cp.Name != "compile-test" {
 		t.Errorf("header = %d workers, %d data, %q", cp.Workers, cp.NumData, cp.Name)
 	}
-	if cp.Pruned {
-		t.Error("Pruned set without pruning bitmaps")
+	if cp.Pruned || cp.Elided != nil {
+		t.Errorf("Pruned = %v, Elided = %v on a canonical unpruned program", cp.Pruned, cp.Elided)
 	}
 
 	// Worker 0 owns tasks 0, 2, 4; declares 1 (and 3, for free).
@@ -97,6 +99,93 @@ func TestCompileStreamStructure(t *testing.T) {
 	}
 	if cp.Ops() != len(want0)+len(want1) {
 		t.Errorf("Ops() = %d, want %d", cp.Ops(), len(want0)+len(want1))
+	}
+}
+
+// TestCompileElidesUncontendedData: data 2 of compileGraph is touched by
+// one reduction only, so the default lowering drops its micro-ops from both
+// streams and says so; data 0 and 1 cross workers and keep theirs. Task
+// counts do not move, and Canonical restores the full lowering.
+func TestCompileElidesUncontendedData(t *testing.T) {
+	g := compileGraph()
+	cp, err := stf.Compile(g, cyclic(2), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := stf.CompileCanonical(g, cyclic(2), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{false, false, true}; !reflect.DeepEqual(cp.Elided, want) {
+		t.Fatalf("Elided = %v, want %v", cp.Elided, want)
+	}
+	for w := range canon.Streams {
+		var want []stf.Instr
+		for _, in := range canon.Streams[w] {
+			if in.Op == stf.OpExec || in.Data != 2 {
+				want = append(want, in)
+			}
+		}
+		if !reflect.DeepEqual(cp.Streams[w], want) {
+			t.Errorf("worker %d stream = %v, want the canonical one minus data 2: %v", w, cp.Streams[w], want)
+		}
+		if cap(cp.Streams[w]) != len(cp.Streams[w]) {
+			t.Errorf("worker %d stream holds %d micro-ops in room for %d: sized before elision", w, len(cp.Streams[w]), cap(cp.Streams[w]))
+		}
+	}
+	if !reflect.DeepEqual(cp.Stats, canon.Stats) {
+		t.Errorf("Stats = %+v, want the canonical %+v (they count tasks)", cp.Stats, canon.Stats)
+	}
+	if got := cp.Canonical(); !reflect.DeepEqual(got, canon) {
+		t.Errorf("Canonical() = %+v, want %+v", got, canon)
+	}
+	if canon.Canonical() != canon {
+		t.Error("Canonical() of a canonical program is not the program itself")
+	}
+}
+
+// TestCompileElisionClasses walks the definition: a data object keeps its
+// micro-ops iff two tasks of different workers conflict on it.
+func TestCompileElisionClasses(t *testing.T) {
+	acc := func(d stf.DataID, modes ...stf.AccessMode) *stf.Graph {
+		g := stf.NewGraph("class", 1)
+		for _, m := range modes {
+			g.Add(0, 0, 0, 0, stf.Access{Data: d, Mode: m})
+		}
+		return g
+	}
+	const R, W, RW, Red = stf.ReadOnly, stf.WriteOnly, stf.ReadWrite, stf.Reduction
+	single := func(stf.TaskID) stf.WorkerID { return 1 }
+	cases := []struct {
+		name   string
+		g      *stf.Graph
+		m      stf.Mapping
+		elided bool
+	}{
+		{"single-owner chain", acc(0, W, RW, R, Red, W), single, true},
+		{"never written", acc(0, R, R, R), cyclic(2), true},
+		{"reduction only", acc(0, Red, Red, Red), cyclic(2), true},
+		{"write then foreign read", acc(0, W, R), cyclic(2), false},
+		{"read then foreign write", acc(0, R, W), cyclic(2), false},
+		{"two writers", acc(0, W, W), cyclic(2), false},
+		{"reduction against foreign read", acc(0, Red, R), cyclic(2), false},
+		{"reduction against foreign write", acc(0, Red, W), cyclic(2), false},
+	}
+	for _, tc := range cases {
+		cp, err := stf.Compile(tc.g, tc.m, 2, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := cp.Elided != nil && cp.Elided[0]; got != tc.elided {
+			t.Errorf("%s: elided = %v, want %v", tc.name, got, tc.elided)
+		}
+		if tc.elided && cp.Ops() != len(tc.g.Tasks) {
+			t.Errorf("%s: %d micro-ops, want one exec per task (%d)", tc.name, cp.Ops(), len(tc.g.Tasks))
+		}
+	}
+	// A data object nobody accesses is not listed.
+	if cp, _ := stf.Compile(stf.NewGraph("empty", 3), cyclic(2), 2, nil); cp.Elided != nil {
+		t.Errorf("Elided = %v for a flow without accesses, want nil", cp.Elided)
 	}
 }
 

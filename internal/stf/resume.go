@@ -17,18 +17,27 @@ package stf
 // as-is.
 //
 // The checkpoint must come from a run of the same flow cp was compiled
-// from (same graph, any engine). Completed IDs beyond cp's task table are
+// from (same graph, any engine). Completed IDs beyond cp's task table, or
+// of tasks no stream executes (an earlier checkpoint took them), are
 // ignored.
 //
-// One accounting nuance: a zero-access foreign task emits no instructions
-// (Compile charges it straight to Declared), so when cp was itself
-// §3.5-pruned the compiler's relevance decision for it is no longer
-// recoverable and its Declared charge is left in place — a documented
-// over-count of at most the completed zero-access task count, affecting
-// statistics only, never synchronization.
+// One accounting nuance: a foreign task may leave no micro-ops in a stream
+// that still counts it as Declared — it has no accesses, or all of them are
+// to elided data. Without §3.5 pruning every foreign task is charged to
+// every other worker, so the count is exact. When cp was itself
+// §3.5-pruned the compiler's relevance decision for such a task is no
+// longer recoverable and its Declared charge is left in place — a
+// documented over-count of at most the completed tasks without micro-ops,
+// affecting statistics only, never synchronization.
 func PruneCompleted(cp *CompiledProgram, c *Checkpoint) *CompiledProgram {
 	if c == nil || len(c.Completed) == 0 {
 		return cp
+	}
+	done := make([]bool, len(cp.Tasks))
+	for _, id := range c.Completed {
+		if id >= 0 && int(id) < len(done) {
+			done[id] = true
+		}
 	}
 	out := &CompiledProgram{
 		Name:    cp.Name,
@@ -36,63 +45,39 @@ func PruneCompleted(cp *CompiledProgram, c *Checkpoint) *CompiledProgram {
 		Workers: cp.Workers,
 		Tasks:   cp.Tasks,
 		Streams: make([][]Instr, cp.Workers),
-		Stats:   make([]StreamStats, cp.Workers),
+		Stats:   append([]StreamStats(nil), cp.Stats...),
 		Pruned:  cp.Pruned,
+		Elided:  cp.Elided,
 	}
-	// Owners of completed zero-access tasks, discovered while scanning (an
-	// owned task always emits an OpExec, even with no accesses).
-	var zeroOwner map[TaskID]WorkerID
-	for w := range cp.Streams {
-		old := cp.Streams[w]
-		st := cp.Stats[w]
+	for w, old := range cp.Streams {
+		st := &out.Stats[w]
 		ns := make([]Instr, 0, len(old))
 		// A task's instructions are contiguous in its stream (Compile emits
-		// task by task), so group by task and drop whole groups.
-		for i := 0; i < len(old); {
-			id := old[i].Task
-			j := i
-			hasExec := false
-			for j < len(old) && old[j].Task == id {
-				if old[j].Op == OpExec {
-					hasExec = true
-				}
-				j++
-			}
-			if c.Contains(TaskID(id)) {
-				if hasExec {
-					st.Executed--
-					st.Skipped++
-					if j-i == 1 && !cp.Pruned {
-						if zeroOwner == nil {
-							zeroOwner = make(map[TaskID]WorkerID)
-						}
-						zeroOwner[TaskID(id)] = WorkerID(w)
-					}
-				} else {
-					st.Declared--
-				}
-			} else {
-				ns = append(ns, old[i:j]...)
-			}
-			i = j
-		}
-		out.Streams[w] = ns
-		out.Stats[w] = st
-	}
-	if !cp.Pruned {
-		// Completed zero-access foreign tasks left no instructions to drop,
-		// but Compile charged them to every non-owner's Declared.
-		for _, id := range c.Completed {
-			if int(id) >= len(cp.Tasks) || len(cp.Tasks[id].Accesses) != 0 {
+		// task by task); group tracks the dropped group being skipped over.
+		group := int32(-1)
+		for _, in := range old {
+			if !done[in.Task] {
+				ns = append(ns, in)
 				continue
 			}
-			owner, ok := zeroOwner[id]
-			for w := range out.Stats {
-				if !ok || WorkerID(w) != owner {
-					out.Stats[w].Declared--
+			switch {
+			case in.Op == OpExec:
+				st.Executed--
+				st.Skipped++
+				for v := range out.Stats {
+					if !cp.Pruned && v != w {
+						out.Stats[v].Declared--
+					}
 				}
+			case cp.Pruned && in.Task != group && in.Op <= OpDeclareRed:
+				// The first micro-op of a foreign group (declares are the
+				// lowest opcodes): this stream found the task relevant and
+				// charged it.
+				st.Declared--
 			}
+			group = in.Task
 		}
+		out.Streams[w] = ns
 	}
 	return out
 }

@@ -95,6 +95,11 @@ func (r *StealReq) Ready(lastWrite, reads, reds int64) bool {
 // per-owner index of tasks in flow order. It is immutable after
 // BuildStealMeta and shared read-only by every thief.
 type StealMeta struct {
+	// Program is the program the metadata describes and the only one it may
+	// be stolen from: the canonical form of what BuildStealMeta was given. A
+	// thief proves readiness against the shared cells, so every access of
+	// the flow must publish there — streams with elided data do not.
+	Program *CompiledProgram
 	// Owners maps each task index to its owning worker, or -1 for tasks
 	// absent from every stream (checkpoint-resume pruned: already
 	// executed, never stealable).
@@ -107,7 +112,10 @@ type StealMeta struct {
 	ByOwner [][]int32
 }
 
-// BuildStealMeta derives steal metadata from a compiled program. Ownership
+// BuildStealMeta derives steal metadata from a compiled program, first
+// re-lowering it to canonical form when it carries elided data (the
+// requirements below describe every access, so the streams must publish
+// every access; run StealMeta.Program, never cp as given). Ownership
 // is recovered from the streams (each OpExec belongs to the stream's
 // worker); the registered counter values are produced by replaying the
 // surviving flow's declare_* semantics once. Tasks without an OpExec in
@@ -115,21 +123,13 @@ type StealMeta struct {
 // nor counter updates, matching PruneCompleted's streams, which dropped
 // their micro-ops everywhere.
 func BuildStealMeta(cp *CompiledProgram) *StealMeta {
+	cp = cp.Canonical()
 	n := len(cp.Tasks)
 	m := &StealMeta{
-		Owners:  make([]WorkerID, n),
+		Program: cp,
+		Owners:  cp.execOwners(),
 		Reqs:    make([][]StealReq, n),
 		ByOwner: make([][]int32, cp.Workers),
-	}
-	for i := range m.Owners {
-		m.Owners[i] = -1
-	}
-	for w, stream := range cp.Streams {
-		for i := range stream {
-			if stream[i].Op == OpExec {
-				m.Owners[stream[i].Task] = WorkerID(w)
-			}
-		}
 	}
 
 	// One forward pass simulating every worker's (identical) private

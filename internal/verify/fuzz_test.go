@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rio/internal/analyze"
 	"rio/internal/enginetest"
 	"rio/internal/faultinject"
 	"rio/internal/sched"
@@ -11,11 +12,12 @@ import (
 )
 
 // FuzzCompileVerify is the translation-validation property: for any
-// graph, mapping and worker count, whatever stf.Compile produces — with
-// or without §3.5 pruning, with or without checkpoint resume — must
-// certify clean, and every faultinject stream mutation of it must be
-// rejected. The first half fuzzes the compiler against the certifier;
-// the second fuzzes the certifier against known-broken streams.
+// graph, mapping and worker count, whatever stf.Compile (eliding) and
+// stf.CompileCanonical produce — with or without §3.5 pruning, with or
+// without checkpoint resume — must certify clean, and every faultinject
+// stream mutation of either must be rejected. The first half fuzzes the
+// compilers against the certifier; the second fuzzes the certifier against
+// known-broken streams.
 func FuzzCompileVerify(f *testing.F) {
 	f.Add(int64(1), 12, 5, 2, 0, false)
 	f.Add(int64(2), 24, 3, 3, 7, true)
@@ -43,37 +45,45 @@ func FuzzCompileVerify(f *testing.F) {
 		if prune {
 			rel = sched.Relevant(g, m, workers)
 		}
-		cp, err := stf.Compile(g, m, workers, rel)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		if rep := Certify(g, cp, Config{Mapping: m}); len(rep.Findings) != 0 {
-			t.Fatalf("fresh compile did not certify: %s", rep.Findings[0])
-		}
+		for _, lowering := range []func(*stf.Graph, stf.Mapping, int, [][]bool) (*stf.CompiledProgram, error){
+			stf.Compile, stf.CompileCanonical,
+		} {
+			cp, err := lowering(g, m, workers, rel)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if rep := Certify(g, cp, Config{Mapping: m}); len(rep.Findings) != 0 {
+				t.Fatalf("fresh compile did not certify: %s", rep.Findings[0])
+			}
 
-		// Resume from a task-flow prefix (always dependency-closed).
-		c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: prefixIDs(site % (len(g.Tasks) + 1))}
-		resumed := stf.PruneCompleted(cp, c)
-		if rep := Certify(g, resumed, Config{Mapping: m, Resume: c}); len(rep.Findings) != 0 {
-			t.Fatalf("resumed program did not certify: %s", rep.Findings[0])
-		}
+			// Resume from a task-flow prefix (always dependency-closed).
+			c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: prefixIDs(site % (len(g.Tasks) + 1))}
+			resumed := stf.PruneCompleted(cp, c)
+			if rep := Certify(g, resumed, Config{Mapping: m, Resume: c}); len(rep.Findings) != 0 {
+				t.Fatalf("resumed program did not certify: %s", rep.Findings[0])
+			}
 
-		// Every applicable stream mutation must be rejected.
-		for _, mut := range faultinject.StreamMutations() {
-			if mut == faultinject.MutSplitResume {
-				if mutated, ok := faultinject.SplitResume(cp, c, site); ok {
-					if rep := Certify(g, mutated, Config{Mapping: m, Resume: c}); rep.Errors == 0 {
-						t.Fatalf("%s at site %d not rejected", mut, site)
+			// Every applicable stream mutation must be rejected.
+			for _, mut := range faultinject.StreamMutations() {
+				if mut == faultinject.MutSplitResume {
+					if mutated, ok := faultinject.SplitResume(cp, c, site); ok {
+						if rep := Certify(g, mutated, Config{Mapping: m, Resume: c}); rep.Errors == 0 {
+							t.Fatalf("%s at site %d not rejected", mut, site)
+						}
 					}
+					continue
 				}
-				continue
-			}
-			mutated, ok := faultinject.MutateStream(cp, mut, site)
-			if !ok {
-				continue
-			}
-			if rep := Certify(g, mutated, Config{Mapping: m}); rep.Errors == 0 {
-				t.Fatalf("%s at site %d not rejected", mut, site)
+				mutated, ok := faultinject.MutateStream(cp, mut, site)
+				if !ok {
+					continue
+				}
+				rep := Certify(g, mutated, Config{Mapping: m})
+				if rep.Errors == 0 {
+					t.Fatalf("%s at site %d not rejected", mut, site)
+				}
+				if mut == faultinject.MutElideContended && !rep.Has(analyze.CodeVerifyContended) {
+					t.Fatalf("%s at site %d rejected without %s: %v", mut, site, analyze.CodeVerifyContended, rep.Findings)
+				}
 			}
 		}
 	})

@@ -70,8 +70,11 @@ func (c *certifier) certifyHB() {
 		known[i] = true
 	}
 	// One finding per data object: a single missing wait leaves every
-	// later conflicting pair on that data uncovered too.
+	// later conflicting pair on that data uncovered too. Accesses to elided
+	// data have no waits, only program order — which covers every conflict
+	// on an uncontended object; a contended one is already RIO-V009.
 	reported := make([]bool, c.g.NumData)
+	copy(reported, c.contended)
 	for i := range c.g.Tasks {
 		if c.completed[i] || !known[i] {
 			continue

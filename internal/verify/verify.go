@@ -8,7 +8,7 @@
 // protocol definition (core/data.go, Algorithms 1 and 2), so a compiler
 // bug cannot vouch for itself.
 //
-// Three properties are certified, each with its own RIO-V00x codes:
+// Four properties are certified, each with its own RIO-V00x codes:
 //
 //   - Coverage & order (RIO-V001..V005): every surviving task executes
 //     exactly once, on its mapped worker, in program order, with its
@@ -31,6 +31,17 @@
 //     certified waits proving every conflicting access pair (W→W, W→R,
 //     R→W, and reduction fences) is ordered — the compile-time
 //     complement of the dynamic trace.RaceDetector.
+//
+//   - Elision soundness (RIO-V009): a program may lower a data object to
+//     no micro-ops at all (CompiledProgram.Elided) only when the object
+//     is uncontended — no two conflicting accesses to it belong to tasks
+//     of different workers — which the certifier re-derives from the
+//     graph and the mapping (elision.go). The claim also fixes what the
+//     access-set check expects: exactly the micro-ops of the unclaimed
+//     data, so a missing get/terminate/declare on any other object stays
+//     RIO-V005. Elided accesses have no wait to certify; the
+//     happens-before pass covers them by program order alone, which for
+//     an uncontended object is every conflict there is.
 //
 // Findings flow through the analyze report machinery, so rio-vet,
 // preflight and callers of the stf-level API all consume one format.
@@ -77,6 +88,9 @@ type certifier struct {
 
 	owners    []stf.WorkerID
 	completed []bool
+	// contended marks the claimed-elided data objects checkElision flagged
+	// (nil when none).
+	contended []bool
 	// pre holds, for each residual task and each of its accesses, the
 	// state of the data object the full residual flow implies just before
 	// the task (see reference.go).
@@ -111,6 +125,7 @@ func Certify(g *stf.Graph, cp *stf.CompiledProgram, cfg Config) *analyze.Report 
 		return c.rep.Finish()
 	}
 	c.validateResume()
+	c.checkElision()
 	c.buildReference()
 	structOK := true
 	for w := range cp.Streams {
@@ -167,6 +182,12 @@ func (c *certifier) validateInputs() bool {
 		c.addf(analyze.CodeVerifyStructure, noID, noID, noID,
 			"program compiled over %d data object(s), graph has %d",
 			c.cp.NumData, c.g.NumData)
+		return false
+	}
+	if c.cp.Elided != nil && len(c.cp.Elided) != c.g.NumData {
+		c.addf(analyze.CodeVerifyStructure, noID, noID, noID,
+			"program's elision set covers %d data object(s), graph has %d",
+			len(c.cp.Elided), c.g.NumData)
 		return false
 	}
 	if len(c.cp.Tasks) != len(c.g.Tasks) {
@@ -318,7 +339,7 @@ func (c *certifier) scanGroups(w int) {
 				c.addf(analyze.CodeVerifyOwnership, stf.TaskID(id), analyze.NoID, wid,
 					"task %d executes on worker %d but the mapping assigns it to worker %d", id, w, c.owners[id])
 			}
-			c.checkGroupShape(wid, t, group, expectedOwned(t))
+			c.checkGroupShape(wid, t, group, c.expectedOwned(t))
 			continue
 		}
 		if c.owners[id] == wid {
@@ -328,7 +349,7 @@ func (c *certifier) scanGroups(w int) {
 			// either template would only add noise.
 			continue
 		}
-		c.checkGroupShape(wid, t, group, expectedForeign(t))
+		c.checkGroupShape(wid, t, group, c.expectedForeign(t))
 	}
 }
 
@@ -417,29 +438,35 @@ func multisetDiff(got, want []stf.Instr) (missing, extra *stf.Instr, permuted bo
 }
 
 // expectedOwned re-derives the exec-path micro-ops of a task from the
-// graph alone: get_* waits in declared access order, the exec, then
-// terminate_* publications in declared access order (Algorithm 1's
-// execute path).
-func expectedOwned(t *stf.Task) []stf.Instr {
+// graph and the program's elision claim: get_* waits in declared access
+// order, the exec, then terminate_* publications in declared access order
+// (Algorithm 1's execute path), accesses to claimed-elided data left out.
+func (c *certifier) expectedOwned(t *stf.Task) []stf.Instr {
 	out := make([]stf.Instr, 0, 2*len(t.Accesses)+1)
 	id := int32(t.ID)
 	for _, a := range t.Accesses {
-		out = append(out, stf.Instr{Op: wantGet(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		if !c.elided(a.Data) {
+			out = append(out, stf.Instr{Op: wantGet(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		}
 	}
 	out = append(out, stf.Instr{Op: stf.OpExec, Task: id})
 	for _, a := range t.Accesses {
-		out = append(out, stf.Instr{Op: wantTerm(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		if !c.elided(a.Data) {
+			out = append(out, stf.Instr{Op: wantTerm(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		}
 	}
 	return out
 }
 
 // expectedForeign re-derives the declare-path micro-ops of a foreign
-// task.
-func expectedForeign(t *stf.Task) []stf.Instr {
+// task, accesses to claimed-elided data left out.
+func (c *certifier) expectedForeign(t *stf.Task) []stf.Instr {
 	out := make([]stf.Instr, 0, len(t.Accesses))
 	id := int32(t.ID)
 	for _, a := range t.Accesses {
-		out = append(out, stf.Instr{Op: wantDeclare(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		if !c.elided(a.Data) {
+			out = append(out, stf.Instr{Op: wantDeclare(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+		}
 	}
 	return out
 }

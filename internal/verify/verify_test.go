@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
 	"rio/internal/analyze"
@@ -145,6 +146,7 @@ func TestMutationClassesFlagged(t *testing.T) {
 		// Site 2 drops t1's get_read on data 0: the wait that orders the
 		// reader after t0's write on the other worker.
 		{faultinject.MutDropWait, 2, analyze.CodeVerifyHappensBefore},
+		{faultinject.MutElideContended, 0, analyze.CodeVerifyContended},
 	}
 	for _, tc := range cases {
 		mutated, ok := faultinject.MutateStream(cp, tc.mut, tc.site)
@@ -160,9 +162,17 @@ func TestMutationClassesFlagged(t *testing.T) {
 		if !rep.Has(tc.want) {
 			t.Errorf("%s: want %s, got findings: %v", tc.mut, tc.want, rep.Findings)
 		}
+		if tc.mut == faultinject.MutElideContended {
+			// The elision claim and the streams agree; only the claim is wrong.
+			for _, f := range rep.Findings {
+				if f.Code != tc.want {
+					t.Errorf("%s: want %s alone, also got %s", tc.mut, tc.want, f)
+				}
+			}
+		}
 	}
 
-	// The eighth class needs a checkpoint: prune one stream only.
+	// The split-resume class needs a checkpoint: prune one stream only.
 	c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: []stf.TaskID{0}}
 	mutated, ok := faultinject.SplitResume(cp, c, 0)
 	if !ok {
@@ -171,6 +181,65 @@ func TestMutationClassesFlagged(t *testing.T) {
 	rep := Certify(g, mutated, Config{Mapping: m, Resume: c})
 	if !rep.Has(analyze.CodeVerifyResume) {
 		t.Errorf("split-resume: want %s, got findings: %v", analyze.CodeVerifyResume, rep.Findings)
+	}
+}
+
+// elisionGraph has one data object of each uncontended kind next to a
+// contended one, under cyclic(2): data 0 is single-owner (worker 0 writes
+// and reads it), data 1 is never written, data 2 is only reduced, data 3
+// is written by worker 0 and read by worker 1.
+func elisionGraph() (*stf.Graph, stf.Mapping) {
+	g := stf.NewGraph("elision", 4)
+	g.Add(0, 0, 0, 0, stf.W(0), stf.R(1), stf.W(3))   // t0 → worker 0
+	g.Add(0, 0, 0, 0, stf.R(1), stf.Red(2), stf.R(3)) // t1 → worker 1
+	g.Add(0, 0, 0, 0, stf.RW(0), stf.Red(2))          // t2 → worker 0
+	g.Add(0, 0, 0, 0, stf.R(1), stf.RW(3))            // t3 → worker 1
+	return g, cyclic(2)
+}
+
+// TestElisionClaimChecked pins both directions of the elision contract:
+// the compiler elides exactly the uncontended data and certifies; a
+// program whose streams and elision set disagree is an access-set
+// mismatch (RIO-V005), never silently accepted and never RIO-V009.
+func TestElisionClaimChecked(t *testing.T) {
+	g, m := elisionGraph()
+	cp := mustCompile(t, g, m, 2, false)
+	if want := []bool{true, true, true, false}; !slices.Equal(cp.Elided, want) {
+		t.Fatalf("Elided = %v, want %v", cp.Elided, want)
+	}
+	for _, s := range cp.Streams {
+		for _, in := range s {
+			if in.Op != stf.OpExec && in.Data != 3 {
+				t.Fatalf("micro-op %v on an elided data object", in)
+			}
+		}
+	}
+	assertClean(t, Certify(g, cp, Config{Mapping: m}), "elided program")
+	canon, err := stf.CompileCanonical(g, m, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, Certify(g, canon, Config{Mapping: m}), "canonical program")
+
+	onlyAccessSet := func(what string, rep *analyze.Report) {
+		t.Helper()
+		if !rep.Has(analyze.CodeVerifyAccessSet) || rep.Has(analyze.CodeVerifyContended) {
+			t.Errorf("%s: want %s and no %s, got %v", what, analyze.CodeVerifyAccessSet, analyze.CodeVerifyContended, rep.Findings)
+		}
+	}
+	// Streams elided, claim withdrawn: every micro-op on data 0 is missing.
+	unclaimed := faultinject.CloneProgram(cp)
+	unclaimed.Elided[0] = false
+	onlyAccessSet("unclaimed elision", Certify(g, unclaimed, Config{Mapping: m}))
+	// Claim made, streams canonical: the micro-ops on data 0 are unexpected.
+	overclaimed := faultinject.CloneProgram(canon)
+	overclaimed.Elided = []bool{true, false, false, false}
+	onlyAccessSet("claim without elision", Certify(g, overclaimed, Config{Mapping: m}))
+
+	short := faultinject.CloneProgram(cp)
+	short.Elided = short.Elided[:2]
+	if rep := Certify(g, short, Config{Mapping: m}); !rep.Has(analyze.CodeVerifyStructure) {
+		t.Errorf("truncated elision set: want %s, got %v", analyze.CodeVerifyStructure, rep.Findings)
 	}
 }
 
