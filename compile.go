@@ -74,36 +74,23 @@ func compile(g *Graph, workers int, m Mapping, prune, canonical bool) (*Compiled
 // Programs pre-compiled explicitly via Compile bypass preflight — their
 // graphs were validated structurally at compile time.
 //
-// Concurrency: the cache surface — Precompile, CacheStats, SetMapping,
-// Invalidate, Progress — is safe for concurrent use from any goroutine.
-// Concurrent first callers of the same uncached graph share a single
-// compilation (and, with Options.Verify, a single certification): one
-// caller compiles, the rest wait for its result, so CacheStats reports
-// exactly one miss however many goroutines raced. Runs themselves
-// (Run/RunGraph/RunCompiled) still must not overlap: an Engine executes
-// one task flow at a time, and callers wanting concurrent executions must
-// serialize runs externally (see internal/server for the serving-side
-// pattern: concurrent Precompile, serialized RunCompiledContext).
+// Concurrency: an Engine has one caller. Run, RunGraph, RunCompiled,
+// Precompile, SetMapping and Invalidate must not overlap one another: an
+// Engine executes one task flow at a time, and a cache miss compiles on
+// the calling goroutine. Progress and CacheStats may be called from any
+// goroutine at any time. Callers wanting concurrent compilation compile
+// outside the engine with Compile (and Verify) and hand the programs to
+// RunCompiled from the one goroutine that runs — internal/server is that
+// pattern: submitters compile into a per-tenant flow table, one executor
+// runs.
 type Engine struct {
 	core    *core.Engine
 	opts    Options
 	mapping Mapping
 
-	mu           sync.Mutex
+	mu           sync.Mutex // guards cache and the counters against CacheStats
 	cache        map[*Graph]*CompiledProgram
-	inflight     map[*Graph]*inflightCompile
-	gen          uint64 // bumped by SetMapping/Invalidate; stale compiles are discarded
 	hits, misses int64
-}
-
-// inflightCompile is one in-progress compilation that concurrent
-// cache-miss callers of the same graph wait on instead of recompiling.
-type inflightCompile struct {
-	done chan struct{} // closed when the leader finished
-	cp   *CompiledProgram
-	err  error
-	// cp == nil && err == nil after done means the leader's compile was
-	// invalidated mid-flight (SetMapping/Invalidate); waiters retry.
 }
 
 // NewEngine returns a caching in-order engine. Options.Model must be
@@ -121,13 +108,7 @@ func NewEngine(o Options) (*Engine, error) {
 	if m == nil {
 		m = CyclicMapping(o.Workers)
 	}
-	return &Engine{
-		core:     c,
-		opts:     o,
-		mapping:  m,
-		cache:    make(map[*Graph]*CompiledProgram),
-		inflight: make(map[*Graph]*inflightCompile),
-	}, nil
+	return &Engine{core: c, opts: o, mapping: m, cache: make(map[*Graph]*CompiledProgram)}, nil
 }
 
 // RunGraph executes g with kernel k through the compiled fast path,
@@ -138,108 +119,48 @@ func (e *Engine) RunGraph(g *Graph, k Kernel) error {
 
 // RunGraphContext is RunGraph with cancellation.
 func (e *Engine) RunGraphContext(ctx context.Context, g *Graph, k Kernel) error {
-	cp, err := e.compiled(g)
+	cp, err := e.Precompile(g)
 	if err != nil {
 		return err
 	}
 	return e.RunCompiledContext(ctx, cp, k)
 }
 
-// Precompile ensures g's compiled program is in the cache, compiling —
-// and, with Options.Verify, certifying — it on a miss, and returns it.
-// Safe for concurrent use: concurrent first callers of the same graph
-// share one compilation (CacheStats records one miss, the waiters count
-// as hits). Use it to warm the cache before a run, or to overlap the
-// compilation of the next graph with the execution of the current one.
+// Precompile returns the cached program for g, compiling on a miss — use
+// it to warm the cache before a run; like a run it belongs to the engine's
+// one caller. The miss path is also where Options.Preflight analyzes the
+// graph and Options.Verify certifies the streams: once per (engine, graph)
+// pair, not once per run.
 func (e *Engine) Precompile(g *Graph) (*CompiledProgram, error) {
-	return e.compiled(g)
-}
-
-// testCompileDelay, when non-nil, runs at the start of every off-lock
-// compilation. White-box race tests use it to hold a compile open while
-// SetMapping/Invalidate land mid-flight; it is never set in production.
-var testCompileDelay func(g *Graph)
-
-// compiled returns the cached program for g, compiling on a miss. The
-// miss path is also where Options.Preflight analyzes the graph and
-// Options.Verify certifies the streams: once per (engine, graph) pair,
-// not once per run.
-//
-// Concurrent misses of the same graph are deduplicated: the first caller
-// becomes the leader and compiles outside the lock; the rest park on the
-// leader's inflightCompile. A SetMapping or Invalidate racing the
-// compile bumps e.gen, and a leader that observes a generation change
-// discards its program instead of inserting it — a program compiled
-// under the old mapping must never enter the new mapping's cache — and
-// retries under the new state, as do its waiters.
-func (e *Engine) compiled(g *Graph) (*CompiledProgram, error) {
-	for {
-		e.mu.Lock()
-		if cp, ok := e.cache[g]; ok {
-			e.hits++
-			e.mu.Unlock()
-			return cp, nil
-		}
-		if f, ok := e.inflight[g]; ok {
-			e.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				return nil, f.err
-			}
-			if f.cp != nil {
-				e.mu.Lock()
-				e.hits++
-				e.mu.Unlock()
-				return f.cp, nil
-			}
-			continue // leader's compile was invalidated; retry
-		}
-		f := &inflightCompile{done: make(chan struct{})}
-		e.inflight[g] = f
-		gen := e.gen
-		mapping := e.mapping
-		e.mu.Unlock()
-
-		cp, err := e.compileOne(g, mapping)
-
-		e.mu.Lock()
-		delete(e.inflight, g)
-		stale := e.gen != gen
-		if err == nil && !stale {
-			e.misses++
-			e.cache[g] = cp
-		}
-		e.mu.Unlock()
-		if err != nil {
-			f.err = err
-			close(f.done)
-			return nil, err
-		}
-		if stale {
-			// Mapping (or the graph itself) changed mid-compile; cp bakes
-			// the old state in. Drop it and recompile under the new one.
-			close(f.done)
-			continue
-		}
-		f.cp = cp
-		close(f.done)
+	e.mu.Lock()
+	cp, ok := e.cache[g]
+	if ok {
+		e.hits++
+	}
+	e.mu.Unlock()
+	if ok {
 		return cp, nil
 	}
+	cp, err := e.compileOne(g)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.misses++
+	e.cache[g] = cp
+	e.mu.Unlock()
+	return cp, nil
 }
 
-// compileOne is the off-lock miss path: preflight, compile and certify g
-// under one mapping snapshot. It reads only immutable engine state
-// (opts, worker count) besides its arguments.
-func (e *Engine) compileOne(g *Graph, mapping Mapping) (*CompiledProgram, error) {
-	if testCompileDelay != nil {
-		testCompileDelay(g)
-	}
+// compileOne is the miss path: preflight, compile and certify g under the
+// engine's mapping.
+func (e *Engine) compileOne(g *Graph) (*CompiledProgram, error) {
 	if e.opts.Preflight != 0 {
 		if err := preflightGraph(g, e.opts, e.core.NumWorkers()); err != nil {
 			return nil, err
 		}
 	}
-	cp, err := e.lower(g, mapping)
+	cp, err := e.lower(g, e.mapping)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +168,7 @@ func (e *Engine) compileOne(g *Graph, mapping Mapping) (*CompiledProgram, error)
 		// The run will prune the checkpointed tasks out (see
 		// core.RunCompiledContext); certify what will actually run.
 		pruned := stf.PruneCompleted(cp, resume)
-		if err := certify(g, pruned, mapping, resume); err != nil {
+		if err := certify(g, pruned, e.mapping, resume); err != nil {
 			return nil, err
 		}
 	}
@@ -338,37 +259,30 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog Program) erro
 // SetMapping replaces the engine's task mapping (nil restores the cyclic
 // default) and flushes the compiled-program cache: cached streams bake
 // the old task→worker assignment in and would execute tasks on the wrong
-// workers. Compilations in flight when the mapping changes are discarded
-// and redone under the new mapping (the cache generation bump), so a
-// miss racing a flush can never insert an old-mapping program into the
-// new-mapping cache. Programs compiled explicitly via Compile are
-// unaffected. Must not be called while a run is in flight.
+// workers. Programs compiled explicitly via Compile are unaffected. Must
+// not be called while a run or a Precompile is in flight.
 func (e *Engine) SetMapping(m Mapping) {
 	if m == nil {
 		m = CyclicMapping(e.core.NumWorkers())
 	}
-	e.mu.Lock()
 	e.mapping = m
+	e.mu.Lock()
 	e.cache = make(map[*Graph]*CompiledProgram)
-	e.gen++
 	e.mu.Unlock()
 	e.core.SetMapping(m)
 }
 
 // Invalidate drops g's cached compiled program (use after mutating a
 // graph in place; re-adding tasks to a cached graph would otherwise keep
-// replaying the stale streams). Like SetMapping it bumps the cache
-// generation, so an in-flight compilation of the just-mutated graph is
-// discarded rather than cached.
+// replaying the stale streams).
 func (e *Engine) Invalidate(g *Graph) {
 	e.mu.Lock()
 	delete(e.cache, g)
-	e.gen++
 	e.mu.Unlock()
 }
 
 // CacheStats reports the compiled-program cache's hit/miss counters and
-// current size.
+// current size. Callable from any goroutine.
 func (e *Engine) CacheStats() (hits, misses int64, entries int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

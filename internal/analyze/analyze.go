@@ -179,7 +179,7 @@ func Program(numData int, prog stf.Program, cfg Config) (*Report, *stf.Graph) {
 	if cfg.Passes&PassDeterminism != 0 {
 		determinismPass(rep, numData, prog, rec, cfg.replays())
 	}
-	g := rec.sanitized()
+	g := sanitizeGraph(rec.g)
 	graphPasses(rep, g, cfg)
 	return rep.finish(), g
 }
@@ -189,8 +189,10 @@ func Program(numData int, prog stf.Program, cfg Config) (*Report, *stf.Graph) {
 // rather than aborting the analysis.
 func Graph(g *stf.Graph, cfg Config) *Report {
 	rep := &Report{NumData: g.NumData, Tasks: len(g.Tasks)}
-	structuralScan(rep, g)
-	graphPasses(rep, sanitizeGraph(g), cfg)
+	if !structuralScan(rep, g) {
+		g = sanitizeGraph(g)
+	}
+	graphPasses(rep, g, cfg)
 	return rep.finish()
 }
 

@@ -22,6 +22,7 @@ type recording struct {
 
 	badAccess int
 	dupAccess int
+	seen      map[stf.DataID]bool // scanAccesses' scratch set, cleared per task
 }
 
 // record replays prog once in record mode. A panic in the program is
@@ -66,7 +67,10 @@ func (r *recording) addf(code Code, sev Severity, task stf.TaskID, data stf.Data
 
 // scanAccesses emits structural findings for one task's access list.
 func (r *recording) scanAccesses(id stf.TaskID, accesses []stf.Access) {
-	seen := make(map[stf.DataID]bool, len(accesses))
+	if r.seen == nil {
+		r.seen = make(map[stf.DataID]bool, len(accesses))
+	}
+	clear(r.seen)
 	for _, a := range accesses {
 		switch {
 		case a.Data < 0 || int(a.Data) >= r.g.NumData:
@@ -80,14 +84,14 @@ func (r *recording) scanAccesses(id stf.TaskID, accesses []stf.Access) {
 			if r.badAccess <= capPerCode {
 				r.addf(CodeBadAccess, Error, id, a.Data, "access declares mode None")
 			}
-		case seen[a.Data]:
+		case r.seen[a.Data]:
 			r.dupAccess++
 			if r.dupAccess <= capPerCode {
 				r.addf(CodeDuplicateAccess, Error, id, a.Data,
 					"data %d accessed more than once by the same task", a.Data)
 			}
 		default:
-			seen[a.Data] = true
+			r.seen[a.Data] = true
 		}
 	}
 }
@@ -125,32 +129,31 @@ func (r *recording) Worker() stf.WorkerID { return stf.MasterWorker }
 // NumWorkers implements stf.Submitter.
 func (r *recording) NumWorkers() int { return 1 }
 
-// sanitized returns a structurally valid copy of the recorded flow:
-// out-of-range and None accesses are dropped, duplicate accesses keep
-// the first declaration. The copy passes stf.Graph.Validate and is what
-// the graph-level passes analyze.
-func (r *recording) sanitized() *stf.Graph { return sanitizeGraph(r.g) }
-
 // structuralScan is the Graph-entry-point counterpart of the recorder's
-// inline scanning.
-func structuralScan(rep *Report, g *stf.Graph) {
-	rec := &recording{g: stf.NewGraph(g.Name, g.NumData)}
+// inline scanning: it scans g in place and reports whether g is
+// structurally clean, i.e. whether the graph-level passes may read g
+// itself instead of a sanitized copy.
+func structuralScan(rep *Report, g *stf.Graph) (clean bool) {
+	rec := &recording{g: g}
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		want := stf.TaskID(len(rec.g.Tasks))
+		want := stf.TaskID(i)
 		if t.ID != want {
 			rec.addf(CodeBadTaskID, Error, want, NoID,
 				"task at position %d carries ID %d", want, t.ID)
 		}
-		rec.g.Add(t.Kernel, t.I, t.J, t.K, t.Accesses...)
 		rec.scanAccesses(want, t.Accesses)
 	}
 	rec.summarize()
 	rep.add(rec.findings...)
+	return len(rec.findings) == 0
 }
 
-// sanitizeGraph drops structurally invalid accesses (the matching
-// findings are produced by the recorder / structuralScan).
+// sanitizeGraph returns a structurally valid copy of g: out-of-range and
+// None accesses are dropped, duplicate accesses keep the first
+// declaration, tasks are renumbered by position (the matching findings
+// come from the recorder / structuralScan). The copy passes
+// stf.Graph.Validate and is what the graph-level passes analyze.
 func sanitizeGraph(g *stf.Graph) *stf.Graph {
 	out := stf.NewGraph(g.Name, g.NumData)
 	for i := range g.Tasks {

@@ -91,10 +91,9 @@ type Options struct {
 // reusable (Run may be called repeatedly) but not concurrently.
 type Engine struct {
 	workers int
-	// mapping is published atomically: SetMapping may race a run's start
-	// (the serving layer's cache-generation stress exercises exactly
-	// that), and each run snapshots one consistent mapping for all of its
-	// workers — a racing swap affects the next run, never a running one.
+	// mapping is published atomically: should a SetMapping race a run's
+	// start, each run still snapshots one consistent mapping for all of
+	// its workers — a racing swap affects the next run, never a running one.
 	mapping      atomic.Pointer[stf.Mapping]
 	noAcct       bool
 	policy       stf.WaitPolicy

@@ -13,7 +13,9 @@
 package ingest
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -71,8 +73,7 @@ func (ms *MappingSpec) UnmarshalJSON(b []byte) error {
 }
 
 // IsDefault reports whether the spec denotes the cyclic default mapping
-// (nil, empty, or literally "cyclic"). Default-mapped submissions can
-// share a tenant engine's compiled-program cache directly.
+// (nil, empty, or literally "cyclic").
 func (ms *MappingSpec) IsDefault() bool {
 	return ms == nil || (len(ms.Assign) == 0 && (ms.Spec == "" || ms.Spec == "cyclic"))
 }
@@ -157,49 +158,61 @@ type Submission struct {
 	Workers int
 	// Hash is the content identity of (graph, mapping): two submissions
 	// with equal hashes are the same program and may share one compiled
-	// form. Graph JSON is canonical (fixed field order, no maps), so the
-	// hash is stable across processes and machines.
+	// form. It is computed from the decoded flow, not from the bytes that
+	// carried it, so it is stable across encodings, processes and machines.
 	Hash string
+	// Kernel is the kernel name the body carried, if any. Only POST
+	// /v1/run reads it; it is not part of the flow's identity.
+	Kernel string
 }
 
-// envelope is the submit-body wire form: either a bare graph (exactly
-// the rio-vet -emit json output) or {"graph": …, "mapping": …}.
+// envelope is the submit-body wire form, decoded in one pass: either a
+// bare graph (exactly the rio-vet -emit json output — the embedded struct
+// takes its fields) or {"graph": …, "mapping": …}. Either form may carry
+// a kernel name for POST /v1/run.
 type envelope struct {
-	Graph   json.RawMessage `json:"graph,omitempty"`
-	Mapping *MappingSpec    `json:"mapping,omitempty"`
-	// Tasks detects a bare-graph body: a graph object has a tasks field,
-	// an envelope does not.
-	Tasks json.RawMessage `json:"tasks,omitempty"`
+	stf.GraphJSON
+	Graph   *stf.GraphJSON `json:"graph"`
+	Mapping *MappingSpec   `json:"mapping"`
+	Kernel  string         `json:"kernel"`
 }
 
 // Parse reads one submission — a bare graph JSON document or an
 // envelope adding a mapping — validates the (graph, workers, mapping)
 // instance through the same analyze entry points the CLI tools use, and
-// computes its content hash.
+// computes its content hash. The body is read once and decoded once.
 func Parse(r io.Reader, workers int) (*Submission, error) {
-	body, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
-	if err != nil {
+	var body bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok { // an in-memory reader: one exact buffer
+		body.Grow(min(sized.Len(), MaxBodyBytes) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(io.LimitReader(r, MaxBodyBytes+1)); err != nil {
 		return nil, fmt.Errorf("ingest: reading submission: %w", err)
 	}
-	if len(body) > MaxBodyBytes {
+	if body.Len() > MaxBodyBytes {
 		return nil, fmt.Errorf("ingest: submission exceeds %d bytes", MaxBodyBytes)
 	}
 	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &env); err != nil {
 		return nil, fmt.Errorf("ingest: decoding submission: %w", err)
 	}
-	graphBytes := []byte(env.Graph)
-	if env.Graph == nil {
+	jg := env.Graph
+	if jg == nil {
 		if env.Tasks == nil {
 			return nil, errors.New(`ingest: submission has neither "graph" nor "tasks"; POST a graph document or {"graph": …, "mapping": …}`)
 		}
-		graphBytes = body // bare graph body
+		jg = &env.GraphJSON // bare graph body
 	}
-	g, err := stf.ReadJSON(strings.NewReader(string(graphBytes)))
+	g, err := jg.Build()
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
-	return NewSubmission(g, env.Mapping, workers)
+	sub, err := NewSubmission(g, env.Mapping, workers)
+	if err != nil {
+		return nil, err
+	}
+	sub.Kernel = env.Kernel
+	return sub, nil
 }
 
 // NewSubmission validates an already-parsed graph + mapping spec and
@@ -221,17 +234,37 @@ func NewSubmission(g *stf.Graph, ms *MappingSpec, workers int) (*Submission, err
 }
 
 // Hash returns the content identity of a (graph, mapping) pair: the
-// hex-encoded SHA-256 of the canonical graph serialization and the
-// canonical mapping form. Submitting the same flow twice — from
-// different clients, processes or machines — yields the same hash, which
-// is what lets a server compile it once and replay it for everyone.
+// hex-encoded SHA-256 of a binary canonical form of everything WriteJSON
+// serializes — name, num_data, each task's kernel/i/j/k and accesses
+// (data, mode, idempotent) — followed by the canonical mapping text.
+// Values are self-delimiting and lists length-prefixed, so distinct flows
+// have distinct forms. Submitting the same flow twice — from different
+// clients, processes or machines — yields the same hash, which is what
+// lets a server compile it once and replay it for everyone. The error is
+// always nil.
 func Hash(g *stf.Graph, ms *MappingSpec) (string, error) {
 	h := sha256.New()
-	if err := g.WriteJSON(h); err != nil {
-		return "", fmt.Errorf("ingest: hashing graph: %w", err)
+	buf := binary.AppendUvarint(make([]byte, 0, 256), uint64(len(g.Name)))
+	buf = append(buf, g.Name...)
+	buf = binary.AppendVarint(buf, int64(g.NumData))
+	buf = binary.AppendUvarint(buf, uint64(len(g.Tasks)))
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		for _, v := range [...]int{t.Kernel, t.I, t.J, t.K, len(t.Accesses)} {
+			buf = binary.AppendVarint(buf, int64(v))
+		}
+		for _, a := range t.Accesses {
+			buf = binary.AppendVarint(buf, int64(a.Data))
+			mode := byte(a.Mode) << 1
+			if a.Idempotent {
+				mode |= 1
+			}
+			buf = append(buf, mode)
+		}
+		h.Write(buf)
+		buf = buf[:0]
 	}
-	io.WriteString(h, "\x00mapping:")
-	io.WriteString(h, ms.Canonical())
+	h.Write(append(buf, ms.Canonical()...))
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 

@@ -7,6 +7,8 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,6 +78,13 @@ func TestParseRejects(t *testing.T) {
 	for name, body := range map[string]string{
 		"not json":        "{nope",
 		"no graph":        `{"mapping":{"spec":"cyclic"}}`,
+		"null tasks":      `{"name":"x","num_data":0,"tasks":null}`,
+		"null graph":      `{"graph":null,"mapping":"cyclic"}`,
+		"kernel only":     `{"kernel":"noop"}`,
+		"graph not a map": `{"graph":[1,2,3]}`,
+		"kernel a number": `{"name":"x","num_data":0,"tasks":[],"kernel":7}`,
+		"bad mode in env": `{"graph":{"name":"x","num_data":1,"tasks":[{"kernel":0,"accesses":[{"data":0,"mode":"X"}]}]}}`,
+		"trailing bytes":  `{"name":"x","num_data":0,"tasks":[]} {"kernel":"noop"}`,
 		"bad mode":        `{"name":"x","num_data":1,"tasks":[{"kernel":0,"accesses":[{"data":0,"mode":"X"}]}]}`,
 		"data oob":        `{"name":"x","num_data":1,"tasks":[{"kernel":0,"accesses":[{"data":9,"mode":"W"}]}]}`,
 		"both mappings":   `{"graph":{"name":"x","num_data":0,"tasks":[]},"mapping":{"spec":"block","assign":[0]}}`,
@@ -86,6 +95,93 @@ func TestParseRejects(t *testing.T) {
 		if _, err := Parse(strings.NewReader(body), 4); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// mustParse parses body for 4 workers.
+func mustParse(t *testing.T, body string) *Submission {
+	t.Helper()
+	sub, err := Parse(strings.NewReader(body), 4)
+	if err != nil {
+		t.Fatalf("Parse: %v\n%s", err, body)
+	}
+	return sub
+}
+
+// sameSubmission reports whether two submissions are the same flow under
+// the same mapping: equal graph, wire spec, identity and sampled owners
+// (the resolved mapping is a closure, so it is compared by what it
+// answers). The kernel is per request and not part of it.
+func sameSubmission(a, b *Submission) error {
+	switch {
+	case !reflect.DeepEqual(a.Graph, b.Graph):
+		return fmt.Errorf("graphs differ:\n%+v\n%+v", a.Graph, b.Graph)
+	case a.MappingSpec.Canonical() != b.MappingSpec.Canonical():
+		return fmt.Errorf("mapping %q vs %q", a.MappingSpec.Canonical(), b.MappingSpec.Canonical())
+	case a.Hash != b.Hash || a.Workers != b.Workers:
+		return fmt.Errorf("identity %s/%d vs %s/%d", a.Hash, a.Workers, b.Hash, b.Workers)
+	}
+	for i := range a.Graph.Tasks {
+		if id := stf.TaskID(i); a.Mapping(id) != b.Mapping(id) {
+			return fmt.Errorf("task %d owned by %d vs %d", i, a.Mapping(id), b.Mapping(id))
+		}
+	}
+	return nil
+}
+
+// TestWireForms pins what the single decode accepts: the bare graph and
+// the envelope are two spellings of one submission, "graph" wins over
+// stray top-level graph fields, the kernel rides along in either form,
+// and the mapping has a string and an object spelling.
+func TestWireForms(t *testing.T) {
+	g := graphs.LU(3)
+	bare := string(wire(t, g))
+	want := mustParse(t, bare)
+	if !reflect.DeepEqual(want.Graph, g) {
+		t.Fatalf("bare graph does not parse back to the graph that wrote it")
+	}
+	if want.Kernel != "" {
+		t.Errorf("kernel = %q from a body that names none", want.Kernel)
+	}
+	// A bare graph with one more top-level field: splice it in after the
+	// opening brace.
+	bareWith := func(field string) string { return "{" + field + "," + strings.TrimPrefix(bare, "{") }
+
+	for name, c := range map[string]struct{ body, kernel string }{
+		"envelope":                 {`{"graph":` + bare + `}`, ""},
+		"envelope, null mapping":   {`{"graph":` + bare + `,"mapping":null}`, ""},
+		"envelope, cyclic by name": {`{"graph":` + bare + `,"mapping":"cyclic"}`, ""},
+		// "graph" wins: stray top-level graph fields are ignored, not merged.
+		"envelope, stray tasks":      {`{"tasks":[{"kernel":9}],"num_data":77,"name":"stray","graph":` + bare + `}`, ""},
+		"envelope, stray null tasks": {`{"graph":` + bare + `,"tasks":null}`, ""},
+		"envelope with kernel":       {`{"kernel":"spin","graph":` + bare + `}`, "spin"},
+		"bare with kernel":           {bareWith(`"kernel":"fold"`), "fold"},
+		"bare, null graph":           {bareWith(`"graph":null`), ""},
+		"bare, unknown field":        {bareWith(`"comment":{"by":["anyone"]}`), ""},
+	} {
+		got := mustParse(t, c.body)
+		if err := sameSubmission(want, got); err != nil {
+			t.Errorf("%s: not the bare submission: %v", name, err)
+		}
+		if got.Kernel != c.kernel {
+			t.Errorf("%s: kernel = %q, want %q", name, got.Kernel, c.kernel)
+		}
+	}
+
+	// The two mapping spellings are one submission, and a different one
+	// from the default.
+	short := mustParse(t, `{"graph":`+bare+`,"mapping":"blockcyclic:2"}`)
+	long := mustParse(t, `{"graph":`+bare+`,"mapping":{"spec":"blockcyclic:2"}}`)
+	if err := sameSubmission(short, long); err != nil {
+		t.Errorf("string and object mapping forms differ: %v", err)
+	}
+	if short.Hash == want.Hash {
+		t.Error("mapping is not part of the flow identity")
+	}
+
+	// An empty flow is a flow; tasks that are null or absent are not.
+	if sub := mustParse(t, `{"name":"empty","num_data":0,"tasks":[]}`); len(sub.Graph.Tasks) != 0 {
+		t.Errorf("empty flow parsed %d tasks", len(sub.Graph.Tasks))
 	}
 }
 
@@ -117,6 +213,90 @@ func TestHashStability(t *testing.T) {
 	}
 	if s1.Hash != h1 {
 		t.Error("Parse and Hash disagree on the same flow")
+	}
+}
+
+// TestHashCoversTheWireForm: everything WriteJSON serializes is part of
+// the identity — renaming a flow, moving one coordinate or flagging one
+// access idempotent makes a different flow — and nothing else is.
+func TestHashCoversTheWireForm(t *testing.T) {
+	base := func() *stf.Graph {
+		g := stf.NewGraph("h", 3)
+		g.Add(1, 2, 3, 4, stf.W(0), stf.R(1))
+		g.Add(0, 0, 0, 0, stf.RW(0))
+		return g
+	}
+	hash := func(g *stf.Graph) string {
+		h, err := Hash(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	want := hash(base())
+	if hash(base()) != want {
+		t.Fatal("equal flows hash differently")
+	}
+	for name, edit := range map[string]func(*stf.Graph){
+		"name":       func(g *stf.Graph) { g.Name = "h2" },
+		"num_data":   func(g *stf.Graph) { g.NumData = 4 },
+		"kernel":     func(g *stf.Graph) { g.Tasks[0].Kernel = 2 },
+		"i":          func(g *stf.Graph) { g.Tasks[0].I = 0 },
+		"j":          func(g *stf.Graph) { g.Tasks[1].J = 1 },
+		"k":          func(g *stf.Graph) { g.Tasks[1].K = -1 },
+		"data":       func(g *stf.Graph) { g.Tasks[0].Accesses[1].Data = 2 },
+		"mode":       func(g *stf.Graph) { g.Tasks[0].Accesses[1].Mode = stf.Reduction },
+		"idempotent": func(g *stf.Graph) { g.Tasks[0].Accesses[0].Idempotent = true },
+		"task split": func(g *stf.Graph) { g.Tasks[0].Accesses = g.Tasks[0].Accesses[:1]; g.Add(0, 0, 0, 0, stf.R(1)) },
+		"task added": func(g *stf.Graph) { g.Add(0, 0, 0, 0) },
+	} {
+		g := base()
+		edit(g)
+		if hash(g) == want {
+			t.Errorf("changing %s does not change the flow's identity", name)
+		}
+	}
+	if h, _ := Hash(base(), &MappingSpec{Spec: "block"}); h == want {
+		t.Error("the mapping does not change the flow's identity")
+	}
+}
+
+// TestParseDecodesOnce is the white-box check that a submission body is
+// read and decoded once: Parse of a serve-cold-sized flow (1 500 tasks in
+// 30 layers of 50, each reading two data of the previous layer and
+// updating its own) may allocate at most 3 bytes per body byte. A second
+// decode, a copy of the body or a re-serialization each cost more than
+// that on their own (17.5 bytes per byte before they were removed).
+func TestParseDecodesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector pads allocations; the budget is for a plain build")
+	}
+	const layers, width = 30, 50
+	g := stf.NewGraph("layered", 2*width)
+	for l := 0; l < layers; l++ {
+		own, other := (l%2)*width, ((l+1)%2)*width
+		for j := 0; j < width; j++ {
+			d := stf.DataID(own + j)
+			if l == 0 {
+				g.Add(0, l, j, 1, stf.W(d))
+				continue
+			}
+			g.Add(0, l, j, 1, stf.R(stf.DataID(other+j)), stf.R(stf.DataID(other+(j+7)%width)), stf.RW(d))
+		}
+	}
+	body := wire(t, g)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Parse(bytes.NewReader(body), 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if perByte := float64(res.AllocedBytesPerOp()) / float64(len(body)); perByte > 3 {
+		t.Errorf("Parse allocates %.1f bytes per body byte (%d B for a %d B body), want at most 3: is the body decoded more than once?",
+			perByte, res.AllocedBytesPerOp(), len(body))
+	} else {
+		t.Logf("Parse: %.2f bytes allocated per body byte, %d allocs, %d B body", perByte, res.AllocsPerOp(), len(body))
 	}
 }
 

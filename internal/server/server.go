@@ -1,21 +1,23 @@
 // Package server is the rio-serve service: a long-running multi-tenant
-// HTTP front end over the caching rio.Engine. Clients POST task flows in
+// HTTP front end over rio.Compile and rio.Engine. Clients POST task flows in
 // the JSON graph wire format (the form rio-vet -emit json writes and
 // rio-vet vets), the server preflights them through internal/analyze, compiles
-// each distinct (graph, mapping) once — certifying the streams when
-// Config.Verify is set — and serves repeated executions from the
-// compiled-program cache. This is the paper's compile-once/replay-many
-// design turned into a serving workload: graph setup is amortized across
-// every request that replays it.
+// each distinct (graph, mapping) once under the submitted mapping —
+// certifying the streams when Config.Verify is set — and serves repeated
+// executions from the tenant's flow table, which holds the compiled
+// programs. This is the paper's compile-once/replay-many design turned
+// into a serving workload: graph setup is amortized across every request
+// that replays it.
 //
 // Layering (DESIGN.md §11): api (this package's handlers) → ingest
 // (internal/server/ingest, the submission path shared with the CLI
-// tools) → engine (one caching rio.Engine per tenant).
+// tools) → flow table (one per tenant: content hash → compiled program)
+// → engine (one rio.Engine per tenant, which only runs programs).
 //
 // Admission control: each tenant owns a bounded worker pool (its
 // engine's Config.Workers threads), a bounded submission queue, and one
-// executor goroutine that serializes runs on the engine (the engine's
-// cache surface is concurrent-safe; runs are not). A full queue answers
+// executor goroutine that serializes runs on the engine (an Engine
+// executes one flow at a time). A full queue answers
 // 429 with a Retry-After hint instead of queueing unboundedly; each
 // execution is bounded by Config.Timeout (rio.Options.Timeout on the
 // tenant engine); Drain stops admission with 503 and lets in-flight and
@@ -23,7 +25,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,8 +54,9 @@ type Config struct {
 	// get 503 (default 16).
 	MaxTenants int
 	// MaxFlows bounds the flows a tenant may keep registered; beyond it,
-	// new submissions get 507 until the tenant's flows are deleted
-	// (default 128).
+	// new submissions get 507. Nothing deletes or evicts a flow, so a
+	// tenant at the bound stays there until the server restarts
+	// (resubmitting a registered flow still answers 200; default 128).
 	MaxFlows int
 	// Timeout bounds each execution (rio.Options.Timeout on the tenant
 	// engines): a run exceeding it is canceled and the request answers
@@ -67,10 +69,11 @@ type Config struct {
 	// 422 and the analysis report as the body (default
 	// access+mapping — the deterministic, cheap passes).
 	Preflight analyze.Passes
-	// Verify certifies compiled streams against their graph on every
-	// cache miss (translation validation, rio.Options.Verify).
+	// Verify certifies compiled streams against their graph and mapping
+	// on every compile (translation validation, rio.Verify); a rejected
+	// certificate answers 422 with the report, like a preflight finding.
 	Verify bool
-	// Prune applies §3.5 task pruning when compiling (rio.Options.Prune).
+	// Prune applies §3.5 task pruning when compiling (rio.Compile's prune).
 	Prune bool
 	// Kernels adds named kernels to (or overrides) the built-in registry
 	// (noop, spin, sleep) that run requests select from.
@@ -264,50 +267,67 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes)
-	f, cached, err := s.submit(r.Context(), t, body)
+	f, sub, err := s.submit(w, r, t)
 	if err != nil {
 		writeSubmitErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.flowInfo(f, cached))
+	writeJSON(w, http.StatusOK, s.flowInfo(f, f.sub != sub))
 }
 
-// submit runs the shared submission path: ingest.Parse, flow-level
-// deduplication by content hash, and — for the first submitter of a new
-// hash — preflight plus one compile (and certification) through the
-// tenant engine's own singleflight. Concurrent submitters of the same
-// bytes converge on one canonical flow and therefore on one *rio.Graph,
-// which is what lets the engine's pointer-keyed cache record exactly one
-// miss however many clients raced the first submission.
-func (s *Server) submit(ctx context.Context, t *tenant, body io.Reader) (*flow, bool, error) {
-	sub, err := ingest.Parse(body, s.cfg.Workers)
+// submit runs the shared submission path on the request body: one
+// ingest.Parse, flow-level deduplication by content hash, and — for the
+// first submitter of a new hash — preflight and one compile. The flow's
+// ready gate is the singleflight: concurrent submitters of the same flow
+// wait for the winner's program instead of compiling their own. It
+// returns the flow and this request's own submission, which is the
+// flow's (f.sub == sub) exactly when this request registered it.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flow, *ingest.Submission, error) {
+	sub, err := ingest.Parse(http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes), s.cfg.Workers)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	f, winner, err := t.register(sub)
+	f, err := t.register(sub)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	if winner {
+	if f.sub == sub {
 		f.report, f.err = ingest.Preflight(sub, s.cfg.Preflight)
 		if f.err == nil {
-			_, f.err = t.eng.Precompile(sub.Graph)
+			f.cp, f.err = s.compile(sub)
 		}
 		if f.err != nil {
 			t.unregister(f)
+		} else {
+			t.misses.Add(1)
 		}
 		close(f.ready)
 	}
 	select {
 	case <-f.ready:
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
+	case <-r.Context().Done():
+		return nil, nil, r.Context().Err()
 	}
 	if f.err != nil {
-		return nil, false, f.err
+		return nil, nil, f.err
 	}
-	return f, !winner, nil
+	return f, sub, nil
+}
+
+// compile lowers sub's graph under sub's mapping — the one the client
+// submitted and preflight vetted — and certifies the result when
+// Config.Verify is set.
+func (s *Server) compile(sub *ingest.Submission) (*rio.CompiledProgram, error) {
+	cp, err := rio.Compile(sub.Graph, s.cfg.Workers, sub.Mapping, s.cfg.Prune)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.Verify {
+		if report := rio.Verify(sub.Graph, cp, sub.Mapping, nil); report.Reject() {
+			return nil, &analyze.PreflightError{Report: report}
+		}
+	}
+	return cp, nil
 }
 
 // handleListFlows is GET /v1/flows.
@@ -338,8 +358,7 @@ func (s *Server) handleFlowInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.flowInfo(f, true))
 }
 
-// runRequest is the optional body of POST /v1/flows/{id}/run and the
-// kernel half of POST /v1/run.
+// runRequest is the optional body of POST /v1/flows/{id}/run.
 type runRequest struct {
 	// Kernel names the task body to replay the flow with: one of the
 	// built-in kernels (noop, spin, sleep) or a Config.Kernels entry.
@@ -374,7 +393,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown flow %q", r.PathValue("id"))
 		return
 	}
-	s.execute(w, r, t, f, r.Body)
+	var rr runRequest // an empty body means the defaults
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunRequestBytes)).Decode(&rr)
+	if err != nil && !errors.Is(err, io.EOF) {
+		writeSubmitErr(w, fmt.Errorf("decoding run request: %w", err)) // 413 when oversized, else 400
+		return
+	}
+	s.execute(w, r, t, f, rr.Kernel)
 }
 
 // handleSubmitRun is POST /v1/run: submit and execute in one request
@@ -387,40 +412,30 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	f, _, err := s.submit(r.Context(), t, bytes.NewReader(body))
+	f, sub, err := s.submit(w, r, t)
 	if err != nil {
 		writeSubmitErr(w, err)
 		return
 	}
-	s.execute(w, r, t, f, bytes.NewReader(body))
+	s.execute(w, r, t, f, sub.Kernel)
 }
 
 // execute resolves the kernel, admits the request into the tenant's
 // bounded queue (or answers 429), waits for the executor and writes the
 // result.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *flow, body io.Reader) {
-	var rr runRequest
-	if err := decodeOptionalJSON(body, &rr); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding run request: %v", err)
-		return
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *flow, kernel string) {
+	if kernel == "" {
+		kernel = "noop"
 	}
-	if rr.Kernel == "" {
-		rr.Kernel = "noop"
-	}
-	k, ok := s.kernels[rr.Kernel]
+	k, ok := s.kernels[kernel]
 	if !ok {
-		writeErr(w, http.StatusBadRequest, "unknown kernel %q", rr.Kernel)
+		writeErr(w, http.StatusBadRequest, "unknown kernel %q", kernel)
 		return
 	}
 	req := &execReq{
 		flow:   f,
 		kernel: k,
-		name:   rr.Kernel,
+		name:   kernel,
 		ctx:    r.Context(),
 		queued: time.Now(),
 		done:   make(chan execResult, 1),
@@ -452,7 +467,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 		}
 		writeJSON(w, http.StatusOK, runResult{
 			Flow:     f.id,
-			Kernel:   rr.Kernel,
+			Kernel:   kernel,
 			Executed: res.executed,
 			WallNS:   int64(res.wall),
 			QueueNS:  int64(res.queueWait),
@@ -464,7 +479,9 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 }
 
 // progressInfo is the JSON response of GET /v1/progress: the engine's
-// always-on counters plus the admission and cache state that frames them.
+// always-on counters plus the admission and flow-table state that frames
+// them. Cache is the flow table as a program cache: one miss per compile,
+// one hit per execution started, one entry per registered flow.
 type progressInfo struct {
 	Tenant   string `json:"tenant"`
 	Draining bool   `json:"draining"`
@@ -493,7 +510,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		Flows:    len(t.snapshot()),
 		Progress: t.eng.Progress(),
 	}
-	info.Cache.Hits, info.Cache.Misses, info.Cache.Entries = t.eng.CacheStats()
+	info.Cache.Hits, info.Cache.Misses, info.Cache.Entries = t.hits.Load(), t.misses.Load(), info.Flows
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -560,19 +577,9 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
-// decodeOptionalJSON decodes one JSON value into v, accepting an empty
-// body as the zero value and ignoring unknown fields (the one-shot run
-// body doubles as the submit envelope).
-func decodeOptionalJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return err
-	}
-	return nil
-}
+// maxRunRequestBytes bounds the body of POST /v1/flows/{id}/run, which is
+// at most {"kernel": "<name>"}.
+const maxRunRequestBytes = 4 << 10
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

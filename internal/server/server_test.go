@@ -11,18 +11,23 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"context"
 
+	"rio"
+	"rio/internal/analyze"
 	"rio/internal/graphs"
+	"rio/internal/server/ingest"
 	"rio/internal/stf"
 )
 
@@ -418,6 +423,12 @@ func TestRunErrors(t *testing.T) {
 	if resp := do(t, "GET", hs.URL+"/metrics", "ghost", nil, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("metrics of unknown tenant: status %d, want 404", resp.StatusCode)
 	}
+	// The run body is {"kernel": "<name>"}: a kernel name that never ends
+	// must be cut off at the body bound, not buffered.
+	endless := append([]byte(`{"kernel":"`), bytes.Repeat([]byte("a"), 4*maxRunRequestBytes)...)
+	if resp := do(t, "POST", hs.URL+"/v1/flows/"+info.ID+"/run", "", endless, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized run body: status %d, want 413", resp.StatusCode)
+	}
 }
 
 func TestOneShotRunWithMapping(t *testing.T) {
@@ -457,6 +468,86 @@ func TestOneShotRunWithMapping(t *testing.T) {
 	p := progressOf(t, hs.URL, "")
 	if p.Flows != 2 || p.Cache.Misses != 2 {
 		t.Errorf("flows/misses = %d/%d, want 2/2 (one compile per distinct mapping)", p.Flows, p.Cache.Misses)
+	}
+}
+
+// TestSubmittedMappingGoverns is the regression test of the serving
+// layer's mapping bug: a flow is vetted, hashed and listed under the
+// mapping it was submitted with, so it must also run under it. The kernel
+// records the worker each task executes on.
+func TestSubmittedMappingGoverns(t *testing.T) {
+	const tasks = 16
+	var ranOn [tasks]atomic.Int32
+	_, hs := newTestServer(t, Config{Workers: 2, Kernels: map[string]rio.Kernel{
+		"whereami": func(tk *rio.Task, w rio.WorkerID) { ranOn[tk.ID].Store(int32(w)) },
+	}})
+	chain := string(graphJSON(t, graphs.Chain(tasks)))
+	assign := make([]int, tasks) // the first twelve tasks on worker 0, the rest on worker 1
+	for i := 12; i < tasks; i++ {
+		assign[i] = 1
+	}
+	assignJSON, _ := json.Marshal(assign)
+
+	flows := map[string]bool{}
+	for _, c := range []struct {
+		name, body, canonical string
+		owner                 func(i int) int
+	}{
+		{"single:1", `{"kernel":"whereami","mapping":"single:1","graph":` + chain + `}`, "single:1",
+			func(int) int { return 1 }},
+		{"assign", `{"kernel":"whereami","mapping":{"assign":` + string(assignJSON) + `},"graph":` + chain + `}`,
+			(&ingest.MappingSpec{Assign: assign}).Canonical(), func(i int) int { return assign[i] }},
+		{"default", `{"kernel":"whereami","graph":` + chain + `}`, "cyclic",
+			func(i int) int { return i % 2 }},
+	} {
+		for i := range ranOn {
+			ranOn[i].Store(-1)
+		}
+		var res runResult
+		if resp := do(t, "POST", hs.URL+"/v1/run", "", []byte(c.body), &res); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", c.name, resp.StatusCode)
+		}
+		for i := range ranOn {
+			if got := int(ranOn[i].Load()); got != c.owner(i) {
+				t.Errorf("%s: task %d ran on worker %d, its mapping names worker %d", c.name, i, got, c.owner(i))
+			}
+		}
+		var info flowInfo
+		do(t, "GET", hs.URL+"/v1/flows/"+res.Flow, "", nil, &info)
+		if info.Mapping != c.canonical {
+			t.Errorf("%s: flow lists mapping %q, want %q", c.name, info.Mapping, c.canonical)
+		}
+		flows[res.Flow] = true
+	}
+	if len(flows) != 3 {
+		t.Errorf("one graph under three mappings registered %d flows, want 3", len(flows))
+	}
+}
+
+// TestRejectedCertificateIs422: with Config.Verify a program that does not
+// certify against the submitted mapping is refused like a preflight
+// finding — 422 with the report. No honest compile produces one, so the
+// mapping here changes its answer after the compiler has asked once per
+// task: the certifier then sees every task on the wrong worker.
+func TestRejectedCertificateIs422(t *testing.T) {
+	s := New(Config{Workers: 2, Verify: true})
+	g := graphs.Chain(8)
+	var asked atomic.Int64
+	sub := &ingest.Submission{Graph: g, Workers: 2, Mapping: func(stf.TaskID) stf.WorkerID {
+		if asked.Add(1) <= int64(len(g.Tasks)) {
+			return 0
+		}
+		return 1
+	}}
+	_, err := s.compile(sub)
+	var pf *analyze.PreflightError
+	if !errors.As(err, &pf) {
+		t.Fatalf("compile = %v, want a *analyze.PreflightError", err)
+	}
+	rec := httptest.NewRecorder()
+	writeSubmitErr(rec, err)
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "RIO-V") {
+		t.Errorf("status %d body %q, want 422 carrying the certificate's RIO-V findings", rec.Code, rec.Body.String())
 	}
 }
 

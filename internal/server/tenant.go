@@ -1,13 +1,13 @@
 package server
 
-// The tenant layer: one caching rio.Engine, one bounded submission
-// queue and one executor goroutine per tenant. The executor is the only
-// goroutine that calls RunCompiledContext on the tenant's engine — the
-// engine's cache surface (Precompile, CacheStats, Progress) is safe for
-// concurrent use, but runs are not, so serialization through the queue
-// is what makes the whole service safe. Admission is the try-send on
-// the bounded queue: a full queue rejects instead of blocking, which is
-// the 429 backpressure path.
+// The tenant layer: one flow table (content hash → compiled program),
+// one rio.Engine, one bounded submission queue and one executor goroutine
+// per tenant. Submitters compile into the flow table concurrently and
+// never touch the engine; the executor is the only goroutine that runs
+// programs on it (an Engine executes one flow at a time), so
+// serialization through the queue is what makes the whole service safe.
+// Admission is the try-send on the bounded queue: a full queue rejects
+// instead of blocking, which is the 429 backpressure path.
 
 import (
 	"context"
@@ -24,17 +24,18 @@ import (
 )
 
 // flow is one registered (graph, mapping) pair: the parsed submission,
-// its preflight report, and the singleflight gate the first submitter
-// closes once preflight + compile finished. The compiled program itself
-// lives in the tenant engine's cache, keyed by the canonical *Graph.
+// its preflight report, its program compiled under the submitted mapping,
+// and the singleflight gate the first submitter closes once preflight +
+// compile finished.
 type flow struct {
 	id  string // ingest content hash
 	sub *ingest.Submission
 
-	// ready is closed by the registering submitter once report/err are
-	// set; concurrent submitters of the same hash wait on it.
+	// ready is closed by the registering submitter once report/cp/err
+	// are set; concurrent submitters of the same hash wait on it.
 	ready  chan struct{}
 	report *analyze.Report
+	cp     *rio.CompiledProgram
 	err    error
 
 	runs atomic.Int64
@@ -76,26 +77,30 @@ type tenant struct {
 
 	mu    sync.Mutex
 	flows map[string]*flow
+	// hits counts executions started on a registered flow, misses the
+	// compiles that registered one (GET /v1/progress's cache block).
+	hits, misses atomic.Int64
 
 	queue chan *execReq
 }
 
 // register inserts sub's flow into the tenant's table, or returns the
-// already-registered flow for its hash. winner reports whether the
-// caller registered it and therefore owns preflight + compile (and must
-// close f.ready, unregistering on failure).
-func (t *tenant) register(sub *ingest.Submission) (f *flow, winner bool, err error) {
+// already-registered flow for its hash. The caller registered it — and
+// therefore owns preflight + compile, and must close f.ready,
+// unregistering on failure — exactly when the returned flow's sub is its
+// own.
+func (t *tenant) register(sub *ingest.Submission) (*flow, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if f, ok := t.flows[sub.Hash]; ok {
-		return f, false, nil
+		return f, nil
 	}
 	if len(t.flows) >= t.reg.cfg.MaxFlows {
-		return nil, false, &flowTableFullError{tenant: t.name, limit: t.reg.cfg.MaxFlows}
+		return nil, &flowTableFullError{tenant: t.name, limit: t.reg.cfg.MaxFlows}
 	}
-	f = &flow{id: sub.Hash, sub: sub, ready: make(chan struct{})}
+	f := &flow{id: sub.Hash, sub: sub, ready: make(chan struct{})}
 	t.flows[sub.Hash] = f
-	return f, true, nil
+	return f, nil
 }
 
 // unregister removes a flow whose preflight or compile failed, so a
@@ -207,10 +212,11 @@ func (t *tenant) execute(req *execReq) {
 	defer stop()
 	defer cancel()
 
+	t.hits.Add(1)
 	var err error
 	start := time.Now()
 	pprof.Do(runCtx, pprof.Labels("rio_tenant", t.name, "rio_flow", req.flow.id, "rio_kernel", req.name), func(ctx context.Context) {
-		err = t.eng.RunGraphContext(ctx, req.flow.sub.Graph, req.kernel)
+		err = t.eng.RunCompiledContext(ctx, req.flow.cp, req.kernel)
 	})
 	wall := time.Since(start)
 	res := execResult{err: err, wall: wall, queueWait: queueWait}
@@ -267,12 +273,7 @@ func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 	if len(r.tenants) >= cfg.MaxTenants {
 		return nil, fmt.Errorf("tenant table is full (%d tenants); tenant %q not admitted", cfg.MaxTenants, name)
 	}
-	eng, err := rio.NewEngine(rio.Options{
-		Workers: cfg.Workers,
-		Timeout: cfg.Timeout,
-		Verify:  cfg.Verify,
-		Prune:   cfg.Prune,
-	})
+	eng, err := rio.NewEngine(rio.Options{Workers: cfg.Workers, Timeout: cfg.Timeout})
 	if err != nil {
 		return nil, fmt.Errorf("creating engine for tenant %q: %w", name, err)
 	}

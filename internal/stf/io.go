@@ -10,22 +10,27 @@ import (
 	"io"
 )
 
-// jsonGraph is the serialized form of a Graph.
-type jsonGraph struct {
+// GraphJSON is the serialized form of a Graph: the one wire struct
+// WriteJSON encodes, ReadJSON decodes and the submission envelope of
+// internal/server/ingest embeds, so a flow has one JSON schema and is
+// decoded once wherever it arrives.
+type GraphJSON struct {
 	Name    string     `json:"name"`
 	NumData int        `json:"num_data"`
-	Tasks   []jsonTask `json:"tasks"`
+	Tasks   []TaskJSON `json:"tasks"`
 }
 
-type jsonTask struct {
+// TaskJSON is the serialized form of a Task.
+type TaskJSON struct {
 	Kernel   int          `json:"kernel"`
 	I        int          `json:"i,omitempty"`
 	J        int          `json:"j,omitempty"`
 	K        int          `json:"k,omitempty"`
-	Accesses []jsonAccess `json:"accesses,omitempty"`
+	Accesses []AccessJSON `json:"accesses,omitempty"`
 }
 
-type jsonAccess struct {
+// AccessJSON is the serialized form of an Access.
+type AccessJSON struct {
 	Data       DataID `json:"data"`
 	Mode       string `json:"mode"`
 	Idempotent bool   `json:"idempotent,omitempty"`
@@ -33,12 +38,12 @@ type jsonAccess struct {
 
 // WriteJSON serializes g.
 func (g *Graph) WriteJSON(w io.Writer) error {
-	jg := jsonGraph{Name: g.Name, NumData: g.NumData, Tasks: make([]jsonTask, len(g.Tasks))}
+	jg := GraphJSON{Name: g.Name, NumData: g.NumData, Tasks: make([]TaskJSON, len(g.Tasks))}
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		jt := jsonTask{Kernel: t.Kernel, I: t.I, J: t.J, K: t.K}
+		jt := TaskJSON{Kernel: t.Kernel, I: t.I, J: t.J, K: t.K}
 		for _, a := range t.Accesses {
-			jt.Accesses = append(jt.Accesses, jsonAccess{Data: a.Data, Mode: a.Mode.String(), Idempotent: a.Idempotent})
+			jt.Accesses = append(jt.Accesses, AccessJSON{Data: a.Data, Mode: a.Mode.String(), Idempotent: a.Idempotent})
 		}
 		jg.Tasks[i] = jt
 	}
@@ -49,28 +54,37 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 
 // ReadJSON deserializes a graph written by WriteJSON and validates it.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	var jg jsonGraph
+	var jg GraphJSON
 	if err := json.NewDecoder(r).Decode(&jg); err != nil {
 		return nil, fmt.Errorf("stf: decoding graph: %w", err)
 	}
+	return jg.Build()
+}
+
+// Build turns the decoded form into a Graph and validates it.
+func (jg *GraphJSON) Build() (*Graph, error) {
 	g := NewGraph(jg.Name, jg.NumData)
-	for i, jt := range jg.Tasks {
+	if len(jg.Tasks) > 0 { // an empty flow keeps nil Tasks, like one built in process
+		g.Tasks = make([]Task, len(jg.Tasks))
+	}
+	for i := range jg.Tasks {
+		jt := &jg.Tasks[i]
 		// Allocate only for non-empty access lists: WriteJSON omits empty
 		// ones (omitempty), so a non-nil empty slice here would make
 		// parse→serialize→parse not a fixed point — a wire-protocol
 		// asymmetry the round-trip fuzz test pins down.
 		var accesses []Access
 		if len(jt.Accesses) > 0 {
-			accesses = make([]Access, 0, len(jt.Accesses))
+			accesses = make([]Access, len(jt.Accesses))
 		}
-		for _, ja := range jt.Accesses {
+		for ai, ja := range jt.Accesses {
 			mode, err := parseMode(ja.Mode)
 			if err != nil {
 				return nil, fmt.Errorf("stf: task %d: %w", i, err)
 			}
-			accesses = append(accesses, Access{Data: ja.Data, Mode: mode, Idempotent: ja.Idempotent})
+			accesses[ai] = Access{Data: ja.Data, Mode: mode, Idempotent: ja.Idempotent}
 		}
-		g.Add(jt.Kernel, jt.I, jt.J, jt.K, accesses...)
+		g.Tasks[i] = Task{ID: TaskID(i), Kernel: jt.Kernel, I: jt.I, J: jt.J, K: jt.K, Accesses: accesses}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -204,26 +204,57 @@ func (g *Graph) Add(kernel, i, j, k int, accesses ...Access) TaskID {
 }
 
 // Validate checks structural well-formedness: sequential IDs, data IDs in
-// range, no None modes, and no data accessed twice by the same task.
+// range, only the four declared modes, and no data accessed twice by the
+// same task.
 func (g *Graph) Validate() error {
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		if t.ID != TaskID(i) {
 			return fmt.Errorf("stf: task at position %d has ID %d", i, t.ID)
 		}
-		seen := make(map[DataID]bool, len(t.Accesses))
-		for _, a := range t.Accesses {
-			if a.Data < 0 || int(a.Data) >= g.NumData {
-				return fmt.Errorf("stf: task %d accesses data %d, out of range [0,%d)", i, a.Data, g.NumData)
-			}
-			if a.Mode == None {
-				return fmt.Errorf("stf: task %d declares a None access on data %d", i, a.Data)
-			}
-			if seen[a.Data] {
-				return fmt.Errorf("stf: task %d accesses data %d twice", i, a.Data)
-			}
-			seen[a.Data] = true
+		if err := checkAccesses(t.Accesses, g.NumData); err != nil {
+			return fmt.Errorf("stf: task %d %w", i, err)
 		}
+	}
+	return nil
+}
+
+// dupScanMax is the longest access list whose duplicates are found by
+// scanning the prefix; real tasks declare a handful of accesses.
+const dupScanMax = 32
+
+// checkAccesses is the one structural check of a task's access list, shared
+// by Graph.Validate and Window.Add: every datum in [0, numData), a declared
+// mode, no datum twice. A list longer than dupScanMax (only a hostile wire
+// flow has them) is checked through a set, so the cost stays linear in what
+// the client sent; any other allocates nothing.
+func checkAccesses(accesses []Access, numData int) error {
+	short := len(accesses) <= dupScanMax
+	for ai, a := range accesses {
+		if a.Data < 0 || int(a.Data) >= numData {
+			return fmt.Errorf("accesses data %d, out of range (outside [0,%d))", a.Data, numData)
+		}
+		if a.Mode == None || a.Mode > Reduction {
+			return fmt.Errorf("declares invalid access mode %d on data %d", a.Mode, a.Data)
+		}
+		if !short {
+			continue // duplicates of a long list are found through the set below
+		}
+		for _, prev := range accesses[:ai] {
+			if prev.Data == a.Data {
+				return fmt.Errorf("accesses data %d more than once", a.Data)
+			}
+		}
+	}
+	if short {
+		return nil
+	}
+	seen := make(map[DataID]struct{}, len(accesses))
+	for _, a := range accesses {
+		if _, dup := seen[a.Data]; dup {
+			return fmt.Errorf("accesses data %d more than once", a.Data)
+		}
+		seen[a.Data] = struct{}{}
 	}
 	return nil
 }

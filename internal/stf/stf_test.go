@@ -75,7 +75,9 @@ func TestGraphValidateRejects(t *testing.T) {
 		{"out-of-range data", &Graph{NumData: 1, Tasks: []Task{{ID: 0, Accesses: []Access{R(1)}}}}},
 		{"negative data", &Graph{NumData: 1, Tasks: []Task{{ID: 0, Accesses: []Access{R(-1)}}}}},
 		{"none mode", &Graph{NumData: 1, Tasks: []Task{{ID: 0, Accesses: []Access{{Data: 0, Mode: None}}}}}},
+		{"mode past Reduction", &Graph{NumData: 1, Tasks: []Task{{ID: 0, Accesses: []Access{{Data: 0, Mode: Reduction + 1}}}}}},
 		{"duplicate data", &Graph{NumData: 1, Tasks: []Task{{ID: 0, Accesses: []Access{R(0), W(0)}}}}},
+		{"duplicate data in a long list", &Graph{NumData: 2 * dupScanMax, Tasks: []Task{{ID: 0, Accesses: longAccessList(2*dupScanMax, 5)}}}},
 		{"bad id", &Graph{NumData: 1, Tasks: []Task{{ID: 7}}}},
 	}
 	for _, c := range cases {
@@ -83,6 +85,18 @@ func TestGraphValidateRejects(t *testing.T) {
 			t.Errorf("%s: Validate accepted an invalid graph", c.name)
 		}
 	}
+}
+
+// longAccessList reads data 0..n-1 in order, except that position n-1
+// repeats datum dup: one duplicate at the far end of a list long enough to
+// take checkAccesses' set path.
+func longAccessList(n int, dup DataID) []Access {
+	accesses := make([]Access, n)
+	for i := range accesses {
+		accesses[i] = R(DataID(i))
+	}
+	accesses[n-1] = R(dup)
+	return accesses
 }
 
 func TestDependenciesReadAfterWrite(t *testing.T) {

@@ -77,20 +77,11 @@ func (w *Window) Add(body TaskFunc, kernel, i, j, k int, accesses []Access) (Tas
 	if int(id) < len(w.accs) {
 		acc = w.accs[id][:0]
 	}
-	for ai := range accesses {
-		a := accesses[ai]
-		if a.Data < 0 || int(a.Data) >= w.numData {
-			return NoTask, fmt.Errorf("stf: window task %d accesses data %d, outside [0,%d)", id, a.Data, w.numData)
-		}
-		if a.Mode == None || a.Mode > Reduction {
-			return NoTask, fmt.Errorf("stf: window task %d declares invalid access mode %d on data %d", id, a.Mode, a.Data)
-		}
-		for _, prev := range accesses[:ai] {
-			if prev.Data == a.Data {
-				return NoTask, fmt.Errorf("stf: window task %d accesses data %d more than once", id, a.Data)
-			}
-		}
-		acc = append(acc, a)
+	if err := checkAccesses(accesses, w.numData); err != nil {
+		return NoTask, fmt.Errorf("stf: window task %d %w", id, err)
+	}
+	acc = append(acc, accesses...)
+	for _, a := range accesses {
 		if w.stamp[a.Data] != w.gen {
 			w.stamp[a.Data] = w.gen
 			w.touched = append(w.touched, a.Data)
