@@ -582,7 +582,8 @@ func BenchmarkRetryOverhead(b *testing.B) {
 
 // BenchmarkStealOverhead bounds the hot-path tax of the work-stealing
 // machinery when nobody steals. "nil-policy" is what every pre-existing
-// caller pays after the hybrid model landed: one pointer test per task
+// caller pays after the hybrid model landed: one flag test per compiled
+// micro-op, in the interpreter loop armed replays share
 // (the CI perf-regression gate holds it to the historical baseline).
 // "steal-armed-compiled" installs a policy on a *balanced* cyclic mapping,
 // so no worker ever finds a victim worth robbing: it prices the owner's

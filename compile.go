@@ -75,18 +75,18 @@ func compile(g *Graph, workers int, m Mapping, prune, canonical bool) (*Compiled
 // graphs were validated structurally at compile time.
 //
 // Concurrency: an Engine has one caller. Run, RunGraph, RunCompiled,
-// Precompile, SetMapping and Invalidate must not overlap one another: an
-// Engine executes one task flow at a time, and a cache miss compiles on
-// the calling goroutine. Progress and CacheStats may be called from any
-// goroutine at any time. Callers wanting concurrent compilation compile
-// outside the engine with Compile (and Verify) and hand the programs to
-// RunCompiled from the one goroutine that runs — internal/server is that
+// Precompile, Stream, SetMapping and Invalidate must not overlap one
+// another: an Engine executes one task flow at a time, and a cache miss
+// compiles on the calling goroutine. Progress and CacheStats may be called
+// from any goroutine at any time. Callers wanting concurrent compilation
+// compile outside the engine with Compile (and Verify) and hand the programs
+// to RunCompiled from the one goroutine that runs — internal/server is that
 // pattern: submitters compile into a per-tenant flow table, one executor
 // runs.
 type Engine struct {
 	core    *core.Engine
 	opts    Options
-	mapping Mapping
+	mapping Mapping // the one caller's, like opts: not guarded by mu
 
 	mu           sync.Mutex // guards cache and the counters against CacheStats
 	cache        map[*Graph]*CompiledProgram

@@ -42,23 +42,7 @@ func (e *Engine) RunCompiledContext(ctx context.Context, cp *stf.CompiledProgram
 		// completed tasks' micro-ops are dropped from every stream.
 		cp = stf.PruneCompleted(cp, e.resume)
 	}
-	// Steal metadata is derived from the (possibly pruned) program actually
-	// run, so resumed tasks are never stealable — consistently with every
-	// worker's stream having dropped them. An armed run interprets the
-	// metadata's canonical program: a thief proves readiness against the
-	// shared cells, which streams with elided data do not keep current.
-	var meta *stf.StealMeta
-	if e.steal != nil {
-		meta = e.stealMetaFor(cp)
-		cp = meta.Program
-	}
-	return e.run(ctx, cp.NumData, false, len(cp.Tasks), func(s *submitter) {
-		if meta != nil {
-			s.steal = newStealState(e.steal, s.worker, e.workers)
-			s.steal.reset(meta, cp.Tasks, k)
-		}
-		s.runStreamTasks(cp, cp.Tasks, k)
-	})
+	return e.run(ctx, cp.NumData, e.compiledFlow(cp, cp.Tasks, k))
 }
 
 // recordCompiled is the front half of an armed engine's closure Run: it
@@ -134,17 +118,44 @@ func (r *flowRecorder) NumWorkers() int      { return r.workers }
 // coordinates and closure bodies vary window to window. len(tasks) must
 // equal len(cp.Tasks); the session enforces this via the shape fingerprint
 // before publishing a window.
+//
+// On an armed replay (s.steal != nil) an owned task is claimed at its first
+// micro-op — before the gets, which is load-bearing: a stolen-and-executed
+// task's terminates have already advanced the shared counters past the
+// values the owner's gets would wait for, so the owner must decide *before*
+// waiting. On a lost claim the owner skips the task's gets and exec and
+// turns its terminates into the local declares it would have performed for
+// any foreign task. An unarmed replay pays one register test per micro-op
+// for this and never touches the claim table.
 func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k stf.Kernel) {
-	if s.steal != nil {
-		// The steal-aware interpreter lives in its own loop so the
-		// nil-policy walk below keeps its single-pointer-test cost.
-		s.runStreamTasksSteal(cp, tasks, k)
-		return
-	}
 	stream := cp.Streams[s.worker]
+	armed := s.steal != nil
+	cur := int32(-1) // owned task the claim verdict below applies to
+	lost := false    // cur was stolen
 	for i := range stream {
 		in := &stream[i]
-		switch in.Op {
+		op := in.Op
+		if armed && op >= stf.OpGetRead && op <= stf.OpTermRed {
+			// A micro-op of an owned task (access-free tasks open with their
+			// exec).
+			if in.Task != cur {
+				cur, lost = in.Task, !s.claims.tryClaim(int64(in.Task))
+				if lost {
+					// A stolen own task is accounted like a foreign one; the
+					// compile-time Declared charge below never includes own
+					// tasks.
+					s.ws.Declared++
+					s.prog.StoreDeclared(s.ws.Declared)
+				}
+			}
+			if lost {
+				if op < stf.OpTermRead {
+					continue // the stolen task's gets and exec
+				}
+				op -= stf.OpTermRead - stf.OpDeclareRead // terminate_x → declare_x
+			}
+		}
+		switch op {
 		case stf.OpDeclareRead:
 			s.local[in.Data].declareRead()
 		case stf.OpDeclareWrite:
@@ -192,111 +203,6 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 	// Executed is counted live, Declared is unavailable). Resume-pruned
 	// owned tasks are charged the same way. The counts accumulate so a
 	// streaming session's windows add up; one-shot runs start from zero.
-	s.ws.Declared += cp.Stats[s.worker].Declared
-	s.prog.StoreDeclared(s.ws.Declared)
-	if sk := cp.Stats[s.worker].Skipped; sk > 0 {
-		s.ws.Skipped += sk
-		s.prog.StoreSkipped(s.ws.Skipped)
-	}
-}
-
-// runStreamTasksSteal is the steal-enabled twin of the interpreter loop.
-// Owned tasks are claimed at their first micro-op — before the gets, which
-// is load-bearing: a stolen-and-executed task's terminates have already
-// advanced the shared counters past the values the owner's gets would wait
-// for, so the owner must decide *before* waiting. On a lost claim the
-// owner skips the task's gets and exec and converts its terminates into
-// the local declares it would have performed for any foreign task.
-func (s *submitter) runStreamTasksSteal(cp *stf.CompiledProgram, tasks []stf.Task, k stf.Kernel) {
-	stream := cp.Streams[s.worker]
-	cur := int32(-1) // owned task the current claim verdict applies to
-	lost := false    // cur was stolen
-	boundary := func(task int32) {
-		if task == cur {
-			return
-		}
-		cur = task
-		lost = !s.claims.tryClaim(int64(task))
-		if lost {
-			// A stolen own task is accounted like a foreign one; the
-			// compile-time Declared charge below never includes own tasks.
-			s.ws.Declared++
-			s.prog.StoreDeclared(s.ws.Declared)
-		}
-	}
-	for i := range stream {
-		in := &stream[i]
-		switch in.Op {
-		case stf.OpDeclareRead:
-			s.local[in.Data].declareRead()
-		case stf.OpDeclareWrite:
-			s.local[in.Data].declareWrite(int64(in.Task))
-		case stf.OpDeclareRed:
-			s.local[in.Data].declareRed()
-		case stf.OpGetRead:
-			boundary(in.Task)
-			if lost {
-				continue
-			}
-			s.getRead(stf.TaskID(in.Task), stf.Access{Data: in.Data, Mode: in.Mode})
-			if s.err != nil {
-				return // aborted while waiting
-			}
-		case stf.OpGetWrite:
-			boundary(in.Task)
-			if lost {
-				continue
-			}
-			s.getWrite(stf.TaskID(in.Task), stf.Access{Data: in.Data, Mode: in.Mode})
-			if s.err != nil {
-				return
-			}
-		case stf.OpGetRed:
-			boundary(in.Task)
-			if lost {
-				continue
-			}
-			s.getRed(stf.TaskID(in.Task), stf.Access{Data: in.Data, Mode: in.Mode})
-			if s.err != nil {
-				return
-			}
-		case stf.OpExec:
-			boundary(in.Task) // access-free tasks open with their exec
-			if lost {
-				continue
-			}
-			if s.abort.raised() {
-				s.fail(errAborted)
-				return
-			}
-			if t := &tasks[in.Task]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}) {
-				return // task failed terminally (retries exhausted)
-			}
-		case stf.OpTermRead:
-			if lost && in.Task == cur {
-				s.local[in.Data].declareRead()
-				continue
-			}
-			s.local[in.Data].terminateRead(&s.shared[in.Data])
-		case stf.OpTermWrite:
-			if lost && in.Task == cur {
-				s.local[in.Data].declareWrite(int64(in.Task))
-				continue
-			}
-			s.local[in.Data].terminateWrite(&s.shared[in.Data], int64(in.Task))
-		case stf.OpTermRed:
-			if lost && in.Task == cur {
-				s.local[in.Data].declareRed()
-				continue
-			}
-			s.local[in.Data].terminateRed(&s.shared[in.Data])
-		default:
-			err := fmt.Errorf("core: corrupt compiled stream: op %d at %d", in.Op, i)
-			s.fail(err)
-			s.abort.raise(err, false)
-			return
-		}
-	}
 	s.ws.Declared += cp.Stats[s.worker].Declared
 	s.prog.StoreDeclared(s.ws.Declared)
 	if sk := cp.Stats[s.worker].Skipped; sk > 0 {

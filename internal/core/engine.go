@@ -79,11 +79,15 @@ type Options struct {
 	// its own replay) may claim and execute a victim's next in-order task
 	// when the shared counter state proves all of its accesses available
 	// (see stf.StealPolicy and internal/core/steal.go). Steal readiness comes
-	// from a compiled program's stf.BuildStealMeta tables, so an armed
-	// engine records and compiles a closure program before running it (see
-	// RunContext), and runs every compiled program in canonical form — no
-	// access elided, since any task may execute on a thief. Nil (the default) keeps the paper's pure static model at
-	// one pointer test per task.
+	// from tables that ride on the compiled program (built at its first
+	// armed run, shared by every engine and session running it, gone with
+	// it: stf.CompiledProgram.StealMeta), so an armed engine records and
+	// compiles a closure program before running it (see RunContext), and
+	// runs every compiled program in canonical form — no access elided,
+	// since any task may execute on a thief.
+	//
+	// Nil (the default) keeps the paper's pure static model: a replay tests
+	// one flag per micro-op and touches no claim or steal table.
 	Steal *stf.StealPolicy
 }
 
@@ -107,13 +111,8 @@ type Engine struct {
 	resume       *stf.Checkpoint
 	checkpoint   bool
 	steal        *stf.StealPolicy
-	// stealMetaCache memoizes the steal metadata of the last compiled
-	// program run with stealing enabled (steady-state serving replays the
-	// same program, so one entry suffices; sessions keep their own
-	// per-shape map).
-	stealMetaCache atomic.Pointer[stealMetaEntry]
-	stats          trace.Stats
-	progress       atomic.Pointer[trace.ProgressTable]
+	stats        trace.Stats
+	progress     atomic.Pointer[trace.ProgressTable]
 	// sessionActive latches while a streaming Session (OpenSession) owns the
 	// engine's workers; Run and a second OpenSession are rejected until the
 	// session is closed.
@@ -173,25 +172,6 @@ func New(o Options) (*Engine, error) {
 	return e, nil
 }
 
-// stealMetaEntry is the engine's one-entry compiled steal-metadata cache.
-type stealMetaEntry struct {
-	cp   *stf.CompiledProgram
-	meta *stf.StealMeta
-}
-
-// stealMetaFor returns (building and memoizing if needed) the steal
-// metadata of cp, which carries the canonical program an armed run must
-// interpret in cp's place. Engine runs are serialized, but the pointer is atomic so
-// a concurrent Progress reader can never observe a torn cache.
-func (e *Engine) stealMetaFor(cp *stf.CompiledProgram) *stf.StealMeta {
-	if c := e.stealMetaCache.Load(); c != nil && c.cp == cp {
-		return c.meta
-	}
-	m := stf.BuildStealMeta(cp)
-	e.stealMetaCache.Store(&stealMetaEntry{cp: cp, meta: m})
-	return m
-}
-
 // Name identifies the execution model in reports.
 func (e *Engine) Name() string { return "rio" }
 
@@ -235,32 +215,25 @@ func (e *Engine) Run(numData int, prog stf.Program) error {
 // With Options.Steal set the program is recorded once on the caller's
 // goroutine (bodies kept, none executed), compiled under the engine's
 // mapping and run through RunCompiledContext: steal readiness lives in the
-// compiled program's metadata, and one recording replayed by every worker
-// cannot diverge. A program that does not record as one dense flow under a
-// total mapping (SharedWorker tasks, §3.5-pruned submissions) takes plain
-// closure replay instead, without stealing.
+// compiled program's metadata (which dies with the single-use recording),
+// and one recording replayed by every worker cannot diverge. A program that
+// does not record as one dense flow under a total mapping (SharedWorker
+// tasks, §3.5-pruned submissions) takes plain closure replay instead,
+// without stealing.
 func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) error {
 	if e.steal != nil {
 		if cp, k := e.recordCompiled(numData, prog); cp != nil {
-			// The recording is single-use: its steal metadata must not
-			// stay cached (and keep the task table alive) after the run.
-			defer e.stealMetaCache.Store(nil)
 			return e.RunCompiledContext(ctx, cp, k)
 		}
 	}
-	return e.run(ctx, numData, e.guard, -1, func(s *submitter) { prog(s) })
+	return e.run(ctx, numData, flow{prog: prog})
 }
 
 // run is the scaffolding shared by the closure-replay and compiled-replay
 // paths: allocate the synchronization state, spawn one goroutine per
-// worker executing body against its submitter, supervise the run
-// (cancellation, stall watchdog) and assemble the error verdict. guard
-// enables the replay-divergence guard; the compiled path passes false
-// because all its streams derive from one graph and cannot diverge.
-// flowLen is the known task-flow length (compiled replay), or -1 to derive
-// it from the workers' replay positions (closure replay) — used only for
-// the PartialResult of a failed fault-tolerant run.
-func (e *Engine) run(ctx context.Context, numData int, guard bool, flowLen int, body func(*submitter)) error {
+// worker replaying f against its submitter, supervise the run
+// (cancellation, stall watchdog) and assemble the error verdict.
+func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: run not started: %w", context.Cause(ctx))
 	}
@@ -284,7 +257,7 @@ func (e *Engine) run(ctx context.Context, numData int, guard bool, flowLen int, 
 	if h := e.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(e.workers, numData)
 	}
-	err := e.execute(ctx, numData, guard, rp, seed, flowLen, body)
+	err := e.execute(ctx, numData, rp, seed, &f)
 	rp.Finish()
 	if h := e.hooks; h != nil && h.OnRunEnd != nil {
 		h.OnRunEnd(err)
@@ -293,10 +266,10 @@ func (e *Engine) run(ctx context.Context, numData int, guard bool, flowLen int, 
 }
 
 // newSubmitters allocates what every replay starts from — idle shared
-// cells, the workers' local state and one submitter per worker — for a
-// one-shot run (execute adds the per-run latch, claims, checkpoint and
-// watchdog plumbing) or a streaming session (runWindow installs the
-// per-window plumbing).
+// cells, the workers' local state, one submitter per worker and, on an
+// armed engine, each worker's steal state — for a one-shot run (execute
+// adds the per-run latch, claims, checkpoint and watchdog plumbing) or a
+// streaming session (runWindow installs the per-window plumbing).
 func (e *Engine) newSubmitters(numData int, rp *trace.ProgressTable, spinBudget int) ([]sharedState, []*submitter) {
 	shared := make([]sharedState, numData)
 	for i := range shared {
@@ -323,13 +296,16 @@ func (e *Engine) newSubmitters(numData int, rp *trace.ProgressTable, spinBudget 
 			snaps:      e.snaps,
 			spinBudget: spinBudget,
 		}
+		if e.steal != nil {
+			subs[w].thief = newStealState(e.steal, stf.WorkerID(w), e.workers)
+		}
 	}
 	return shared, subs
 }
 
 // execute is run's engine room, split out so run can bracket it with the
 // progress table's lifecycle and the OnRunStart/OnRunEnd hooks.
-func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace.ProgressTable, spinSeed int, flowLen int, body func(*submitter)) error {
+func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f *flow) error {
 	shared, subs := e.newSubmitters(numData, rp, spinSeed)
 	claims := newClaimTable()
 	abort := newAbortState(shared)
@@ -342,7 +318,9 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 		if health != nil {
 			s.health = &health[w]
 		}
-		if guard {
+		if e.guard && f.prog != nil {
+			// Only a closure program can diverge between workers: compiled
+			// streams all derive from one graph.
 			s.guard = &guardState{}
 		}
 	}
@@ -354,27 +332,13 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 		go func(s *submitter) {
 			defer wg.Done()
 			t0 := time.Now()
-			// A panicking task (or replay closure) must not leave the
-			// other workers blocked on its unfinished dependencies:
-			// record the panic, raise the abort flag (dependency waits
-			// and submissions poll it) and unwind this worker.
 			defer func() {
-				if r := recover(); r != nil {
-					err := fmt.Errorf("core: panic during replay: %v", r)
-					s.fail(err)
-					abort.raise(err, false)
-				}
 				if s.health != nil {
 					s.health.setDone()
 				}
 				s.ws.Wall = time.Since(t0)
 			}()
-			body(s)
-			if s.steal != nil && s.err == nil {
-				// Replay done: keep eating other workers' backlogs until
-				// every stealable task has an executor.
-				s.stealDrain()
-			}
+			s.replay(f)
 		}(s)
 	}
 
@@ -434,7 +398,7 @@ func (e *Engine) execute(ctx context.Context, numData int, guard bool, rp *trace
 		}
 	}
 	if err != nil && e.checkpoint {
-		return &stf.PartialError{Cause: err, Result: e.partialResult(subs, flowLen)}
+		return &stf.PartialError{Cause: err, Result: e.partialResult(subs, len(f.tasks))}
 	}
 	return err
 }
@@ -476,7 +440,8 @@ func verdict(subs []*submitter, abort *abortState) error {
 // completed when its body finished (its effects are published in data
 // memory); the set is dependency-closed because a body only ever started
 // after its get_* waits observed every predecessor's completion. flowLen
-// < 0 (closure replay) derives the flow length from the replay positions.
+// is the task table's length; closure replay has none (0) and derives the
+// flow length from the replay positions.
 func (e *Engine) partialResult(subs []*submitter, flowLen int) *stf.PartialResult {
 	var completed, failed []stf.TaskID
 	for _, s := range subs {
@@ -518,7 +483,8 @@ type submitter struct {
 	snaps   stf.Snapshotter     // write-set capture for retry rollback
 	resume  *stf.Checkpoint     // completed tasks of a previous run to skip
 	track   bool                // log completed tasks for checkpoints
-	steal   *stealState         // nil unless this replay carries steal metadata
+	thief   *stealState         // this worker's steal state; nil unless the engine is armed
+	steal   *stealState         // thief while the flow being replayed is armed, else nil
 	done    []stf.TaskID        // tasks this worker completed (track only)
 	ws      trace.WorkerStats
 	err     error
@@ -529,6 +495,71 @@ type submitter struct {
 	// parkTimer is the reusable failsafe timer of parked waits, allocated
 	// by the first park.
 	parkTimer *time.Timer
+}
+
+// flow is what one worker replays, the unit a one-shot run and a stream
+// window have in common. Exactly one form is set: prog, a closure program
+// unrolled against the submitter (Run); cp, compiled streams interpreted
+// against tasks (RunCompiled, a compiled window); or tasks alone, submitted
+// through the closure protocol path (a window under a partial mapping,
+// whose SharedWorker tasks are claimed as they are reached).
+type flow struct {
+	prog   stf.Program
+	cp     *stf.CompiledProgram
+	tasks  []stf.Task
+	kernel stf.Kernel
+	meta   *stf.StealMeta // non-nil iff the replay is armed; cp is then meta.Program
+}
+
+// compiledFlow is the one place a replay gets armed: on an engine with a
+// steal policy a compiled flow (cp != nil: closure windows never steal)
+// runs the canonical program of its steal metadata in cp's place — a thief
+// proves readiness against the shared cells, which streams with elided data
+// do not keep current. The metadata describes the program actually run, so
+// the tasks a resume pruned out of every stream are never stealable.
+func (e *Engine) compiledFlow(cp *stf.CompiledProgram, tasks []stf.Task, k stf.Kernel) flow {
+	f := flow{cp: cp, tasks: tasks, kernel: k}
+	if e.steal != nil && cp != nil {
+		f.meta = cp.StealMeta()
+		f.cp = f.meta.Program
+	}
+	return f
+}
+
+// replay walks f on this worker: what a run's goroutine and a session's
+// worker both do with a flow. A panicking task (or replay closure) must not
+// leave the other workers blocked on its unfinished dependencies: the panic
+// is recorded, the abort flag raised (dependency waits and submissions poll
+// it) and this worker unwinds. An armed replay ends with the steal drain,
+// so for a window the drain precedes the barrier arrival.
+func (s *submitter) replay(f *flow) {
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("core: panic during replay: %v", r)
+			s.fail(err)
+			s.abort.raise(err, false)
+		}
+	}()
+	s.steal = nil
+	if f.meta != nil {
+		s.steal = s.thief
+		s.steal.flow = f
+		clear(s.steal.cursors)
+	}
+	switch {
+	case f.prog != nil:
+		f.prog(s)
+	case f.cp != nil:
+		s.runStreamTasks(f.cp, f.tasks, f.kernel)
+	default:
+		for i := range f.tasks {
+			t := &f.tasks[i]
+			s.submit(t.ID, t.Accesses, body{t: t, k: f.kernel})
+		}
+	}
+	if s.steal != nil && s.err == nil {
+		s.stealDrain()
+	}
 }
 
 // errAborted marks workers stopped because the run aborted on another

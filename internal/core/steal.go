@@ -6,12 +6,13 @@ package core
 // per-task atomic claim arbitrates the executor; the thief publishes the
 // canonical terminate effects), and DESIGN.md §13 for the full proof.
 //
-// Candidates come from compiled steal metadata: stf.BuildStealMeta
-// precomputed every task's owner and registered values, and a per-victim
-// cursor walks each victim's owned tasks in flow order, always pointing at
-// the victim's next unclaimed task. A replay without a compiled program
-// (closure replay under a partial mapping, closure stream windows) carries
-// no metadata and no steal state: its SharedWorker tasks already float.
+// Candidates come from the compiled program's steal metadata
+// (stf.CompiledProgram.StealMeta): every task's owner and registered values
+// are precomputed, and a per-victim cursor walks each victim's owned tasks
+// in flow order, always pointing at the victim's next unclaimed task. A
+// replay without a compiled program (closure replay under a partial
+// mapping, closure stream windows) carries no metadata and is not armed:
+// its SharedWorker tasks already float.
 //
 // Steal attempts fire from two places: the slow phase of a dependency wait
 // (the worker is provably not runnable locally) and the end-of-replay drain
@@ -25,9 +26,10 @@ import (
 	"rio/internal/stf"
 )
 
-// stealState is one worker's stealing machinery, allocated only for
-// replays that carry steal metadata — a nil-policy run pays a single
-// pointer test per task and allocates nothing.
+// stealState is one worker's stealing machinery, allocated with the
+// submitters of an armed engine only (newSubmitters) — a nil-policy engine
+// allocates nothing. The worker's own part is cursors; the tables they
+// point into belong to the flow's program.
 type stealState struct {
 	scanBound int
 	// victims is the resolved scan order: the policy's ranked list (self
@@ -35,12 +37,11 @@ type stealState struct {
 	// starting after the thief.
 	victims []stf.WorkerID
 
-	// tasks and kernel are the current run's (or window's) task table and
-	// dispatcher; cursors is per-victim (parallel to victims) and points
-	// into meta.ByOwner.
-	meta    *stf.StealMeta
-	tasks   []stf.Task
-	kernel  stf.Kernel
+	// flow is the armed flow being replayed (steal metadata, task table,
+	// kernel); cursors, parallel to victims, point into flow.meta.ByOwner.
+	// submitter.replay rearms both per flow and drains before returning:
+	// no steal state survives a run or, for a window, its barrier arrival.
+	flow    *flow
 	cursors []int
 }
 
@@ -61,18 +62,22 @@ func newStealState(p *stf.StealPolicy, self stf.WorkerID, workers int) *stealSta
 			st.victims = append(st.victims, stf.WorkerID((int(self)+i)%workers))
 		}
 	}
-	st.cursors = make([]int, len(st.victims))
+	// A cache line of its own: a worker rewrites its cursors at every probe,
+	// and the workers' states are allocated back to back.
+	st.cursors = make([]int, len(st.victims), max(len(st.victims), cacheLine/8))
 	return st
 }
 
-// reset rearms the state for a new run or stream window. Steal state never
-// survives an epoch boundary — the session resets it before each window
-// and drains it before the window's barrier.
-func (st *stealState) reset(meta *stf.StealMeta, tasks []stf.Task, kernel stf.Kernel) {
-	st.meta, st.tasks, st.kernel = meta, tasks, kernel
-	for i := range st.cursors {
-		st.cursors[i] = 0
+// nextCandidate advances victim vi's cursor over list, the victim's owned
+// tasks in flow order, to its next unclaimed task (len(list) when there is
+// none) and returns the cursor.
+func (s *submitter) nextCandidate(vi int, list []int32) int {
+	cur := s.steal.cursors[vi]
+	for cur < len(list) && s.claims.claimed(int64(list[cur])) {
+		cur++
 	}
+	s.steal.cursors[vi] = cur
+	return cur
 }
 
 // trySteal makes one bounded steal attempt and reports whether a task was
@@ -81,33 +86,29 @@ func (st *stealState) reset(meta *stf.StealMeta, tasks []stf.Task, kernel stf.Ke
 // probes each victim's next unclaimed owned task (per-victim cursors over
 // the compiled steal metadata), bounded by scanBound probes.
 func (s *submitter) trySteal() bool {
-	st := s.steal
+	st, meta := s.steal, s.steal.flow.meta
 	probed := 0
 	for vi, v := range st.victims {
 		if probed >= st.scanBound {
 			return false
 		}
-		list := st.meta.ByOwner[v]
-		cur := st.cursors[vi]
-		for cur < len(list) && s.claims.claimed(int64(list[cur])) {
-			cur++
-		}
-		st.cursors[vi] = cur
+		list := meta.ByOwner[v]
+		cur := s.nextCandidate(vi, list)
 		if cur >= len(list) {
 			continue
 		}
 		probed++
 		idx := list[cur]
-		if !s.stealReady(st.meta.Reqs[idx]) {
+		if !s.stealReady(meta.Reqs[idx]) {
 			continue
 		}
+		st.cursors[vi] = cur + 1 // claimed below, by this worker or another
 		if !s.claims.tryClaim(int64(idx)) {
-			st.cursors[vi] = cur + 1
-			s.noteStealFailed()
+			s.ws.StealFailed++
+			s.prog.StoreStealFailed(s.ws.StealFailed)
 			continue
 		}
-		st.cursors[vi] = cur + 1
-		s.stealExec(v, &st.tasks[idx])
+		s.stealExec(v, &st.flow.tasks[idx])
 		return true
 	}
 	return false
@@ -140,7 +141,7 @@ func (s *submitter) stealExec(owner stf.WorkerID, t *stf.Task) {
 	if h := s.hooks; h != nil && h.OnTaskSteal != nil {
 		h.OnTaskSteal(s.worker, owner, t.ID)
 	}
-	if !s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.kernel}) {
+	if !s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.flow.kernel}) {
 		return
 	}
 	s.releaseStolen(t.Accesses, int64(t.ID))
@@ -170,11 +171,6 @@ func (s *submitter) releaseStolen(accesses []stf.Access, id int64) {
 			sh.wake()
 		}
 	}
-}
-
-func (s *submitter) noteStealFailed() {
-	s.ws.StealFailed++
-	s.prog.StoreStealFailed(s.ws.StealFailed)
 }
 
 // stealDrain keeps stealing after this worker's replay finished, until
@@ -209,15 +205,8 @@ func (s *submitter) stealDrain() {
 // stealDrained reports whether no stealable work remains in this worker's
 // view: every victim cursor is past its victim's last unclaimed task.
 func (s *submitter) stealDrained() bool {
-	st := s.steal
-	for vi, v := range st.victims {
-		list := st.meta.ByOwner[v]
-		cur := st.cursors[vi]
-		for cur < len(list) && s.claims.claimed(int64(list[cur])) {
-			cur++
-		}
-		st.cursors[vi] = cur
-		if cur < len(list) {
+	for vi, v := range s.steal.victims {
+		if list := s.steal.flow.meta.ByOwner[v]; s.nextCandidate(vi, list) < len(list) {
 			return false
 		}
 	}

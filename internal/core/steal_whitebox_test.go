@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +27,57 @@ func TestStealStateVictimResolution(t *testing.T) {
 	solo := newStealState(&stf.StealPolicy{}, 0, 1)
 	if len(solo.victims) != 0 {
 		t.Errorf("single-worker engine has victims %v", solo.victims)
+	}
+}
+
+// TestStealMetaSharedByEngines: the steal tables ride on the compiled
+// program, so however many engines arm flows of one program at once — the
+// first requests race — they all steal by the same metadata, built once,
+// and run its canonical program in place of the elided one they were given.
+// An unarmed engine's flow carries no metadata and the program as given.
+func TestStealMetaSharedByEngines(t *testing.T) {
+	single := func(stf.TaskID) stf.WorkerID { return 0 }
+	g := stf.NewGraph("private-chain", 1)
+	for i := 0; i < 32; i++ {
+		g.Add(0, i, 0, 0, stf.RW(0))
+	}
+	cp, err := stf.Compile(g, single, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Elided == nil {
+		t.Fatal("an all-private flow compiled with nothing elided")
+	}
+	kern := func(*stf.Task, stf.WorkerID) {}
+	flows := make([]flow, 8)
+	var wg sync.WaitGroup
+	for i := range flows {
+		e, err := New(Options{Workers: 2, Mapping: single, Steal: &stf.StealPolicy{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			flows[i] = e.compiledFlow(cp, cp.Tasks, kern)
+		}()
+	}
+	wg.Wait()
+	meta := cp.StealMeta()
+	if meta.Program == cp || meta.Program.Elided != nil {
+		t.Fatal("the metadata's program is not a canonical re-lowering of the elided one")
+	}
+	for i, f := range flows {
+		if f.meta != meta || f.cp != meta.Program {
+			t.Errorf("engine %d armed its flow with metadata %p over program %p, want the program's one %p over %p", i, f.meta, f.cp, meta, meta.Program)
+		}
+	}
+	unarmed, err := New(Options{Workers: 2, Mapping: single})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := unarmed.compiledFlow(cp, cp.Tasks, kern); f.meta != nil || f.cp != cp {
+		t.Error("an unarmed engine armed a flow")
 	}
 }
 

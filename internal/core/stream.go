@@ -48,27 +48,28 @@ type WindowRun struct {
 	// workers replay Tasks through the closure protocol path (which resolves
 	// SharedWorker ownership dynamically; such windows do not steal). On an
 	// engine with stealing armed the window runs the program's canonical
-	// form (stf.BuildStealMeta), whatever was elided from the one given.
+	// form, whatever was elided from the one given, and steals by the
+	// program's own tables (Engine.compiledFlow) — a session holds nothing
+	// per shape, so the caller's shape cache alone decides what stays alive.
 	Compiled *stf.CompiledProgram
 	// Touched lists the data objects the window accesses; exactly their
 	// state is recycled at the window's epoch boundary.
 	Touched []stf.DataID
 }
 
-// windowSpec is the published form of a window: the run plus the per-epoch
-// machinery (abort latch, claim table for SharedWorker tasks, timeout
-// timer). A spec with closed set is the shutdown marker, not a window.
+// windowSpec is the published form of a window: the flow every worker
+// replays plus the per-epoch machinery (the touched set to recycle, abort
+// latch, claim table for SharedWorker and stolen tasks, timeout timer).
+// Read-only once published. A spec with closed set is the shutdown marker,
+// not a window.
 type windowSpec struct {
-	WindowRun
-	epoch  uint64
-	abort  *abortState
-	claims *claimTable
-	timer  *time.Timer
-	closed bool
-	// stealMeta carries the compiled window shape's steal metadata when the
-	// session's engine has stealing enabled (nil for closure windows, which
-	// do not steal). Published with the spec, read-only after.
-	stealMeta *stf.StealMeta
+	flow    flow
+	touched []stf.DataID
+	epoch   uint64
+	abort   *abortState
+	claims  *claimTable
+	timer   *time.Timer
+	closed  bool
 }
 
 var errSessionClosed = errors.New("core: session is closed")
@@ -85,22 +86,13 @@ type Session struct {
 	timeout time.Duration
 	shared  []sharedState
 	subs    []*submitter
-	// steals holds each worker's steal state (nil when the engine has no
-	// steal policy), attached to its submitter for the windows that carry
-	// steal metadata.
-	steals []*stealState
-	prog   *trace.ProgressTable
+	prog    *trace.ProgressTable
 
 	pub  epochGate // windows published to the workers
 	done epochGate // windows fully executed (barrier passed)
 
 	spec      *windowSpec // current window; owned by the flusher between barriers
 	published uint64
-
-	// stealMetas caches steal metadata per compiled window shape (producer
-	// side only; bounded by the caller's shape cache, which reuses
-	// *CompiledProgram values for recurring shapes).
-	stealMetas map[*stf.CompiledProgram]*stf.StealMeta
 
 	arrivals atomic.Int32
 	wg       sync.WaitGroup
@@ -138,11 +130,6 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 		shared:  shared,
 		subs:    subs,
 		prog:    rp,
-	}
-	if e.steal != nil {
-		for w := range subs {
-			ss.steals = append(ss.steals, newStealState(e.steal, stf.WorkerID(w), e.workers))
-		}
 	}
 	ss.wg.Add(e.workers)
 	for w := 0; w < e.workers; w++ {
@@ -187,28 +174,17 @@ func (ss *Session) Flush(wr WindowRun) error {
 	}
 	ss.published++
 	spec := &windowSpec{
-		WindowRun: wr,
-		epoch:     ss.published,
-		abort:     newAbortState(ss.shared),
-		claims:    newClaimTable(),
+		flow:    ss.eng.compiledFlow(wr.Compiled, wr.Tasks, wr.Kernel),
+		touched: wr.Touched,
+		epoch:   ss.published,
+		abort:   newAbortState(ss.shared),
+		claims:  newClaimTable(),
 	}
 	if ss.timeout > 0 {
 		ab, d := spec.abort, ss.timeout
 		spec.timer = time.AfterFunc(d, func() {
 			ab.raise(fmt.Errorf("core: stream window exceeded its %v timeout", d), true)
 		})
-	}
-	if ss.eng.steal != nil && wr.Compiled != nil {
-		if ss.stealMetas == nil {
-			ss.stealMetas = make(map[*stf.CompiledProgram]*stf.StealMeta)
-		}
-		meta := ss.stealMetas[wr.Compiled]
-		if meta == nil {
-			meta = stf.BuildStealMeta(wr.Compiled)
-			ss.stealMetas[wr.Compiled] = meta
-		}
-		spec.stealMeta = meta
-		spec.Compiled = meta.Program // canonical: what thieves may read
 	}
 	if h := ss.eng.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(ss.eng.workers, ss.numData)
@@ -286,43 +262,17 @@ func (ss *Session) worker(w int) {
 
 // runWindow replays one window on one worker: reset the worker's replay
 // cursor and per-window plumbing, recycle its private state for the data
-// this window touches, then walk the window — compiled micro-ops when the
-// spec carries a program, the closure protocol path otherwise.
+// this window touches, then replay the window's flow (which drains its
+// steals before returning, hence before the barrier arrival).
 func (ss *Session) runWindow(s *submitter, spec *windowSpec) {
 	s.next = 0
 	s.err = nil
 	s.abort = spec.abort
 	s.claims = spec.claims
-	s.steal = nil
-	for _, d := range spec.Touched {
+	for _, d := range spec.touched {
 		s.local[d].recycle()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("core: panic during replay: %v", r)
-			s.fail(err)
-			spec.abort.raise(err, false)
-		}
-	}()
-	if spec.stealMeta != nil {
-		s.steal = ss.steals[s.worker]
-		s.steal.reset(spec.stealMeta, spec.Tasks, spec.Kernel)
-	}
-	if cp := spec.Compiled; cp != nil {
-		s.runStreamTasks(cp, spec.Tasks, spec.Kernel)
-	} else {
-		for i := range spec.Tasks {
-			t := &spec.Tasks[i]
-			s.submit(t.ID, t.Accesses, body{t: t, k: spec.Kernel})
-		}
-	}
-	if s.steal != nil && s.err == nil {
-		// Drain before arriving: every candidate of this window gets an
-		// executor inside this epoch, so no steal crosses the barrier
-		// (the cursors are also reset above — window-local by
-		// construction).
-		s.stealDrain()
-	}
+	s.replay(&spec.flow)
 }
 
 // arrive is the epoch barrier. The last worker to arrive owns the epoch's
@@ -346,7 +296,7 @@ func (ss *Session) arrive(spec *windowSpec) {
 		// window's data and parked-waiter registration is zero (a successful
 		// window leaves no waiter behind). Skipped on failure — the session
 		// is poisoned and the state is never read again.
-		for _, d := range spec.Touched {
+		for _, d := range spec.touched {
 			ss.shared[d].recycle()
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rio"
@@ -118,14 +120,20 @@ func streamFlow(eng *rio.Engine, g *stf.Graph, k stf.Kernel) error {
 // first task of a chain (its requirement is the pristine cell) while the
 // owner's next task on that chain, holding no get_write, runs beside it. An
 // armed engine must therefore never interpret elided streams as given —
-// BuildStealMeta hands it the canonical program — both for a one-shot
-// RunCompiled and for a session window. Under -race the fold kernel turns
-// any such overlap into a report, and into wrong values.
+// the program's steal metadata hands it the canonical program — both for a
+// one-shot RunCompiled and for a session window. Under -race the fold kernel
+// turns any such overlap into a report, and into wrong values.
+//
+// The metadata is memoised on the program and shared by whoever runs it, so
+// the one program is run on two armed engines and windowed through a third
+// engine's session at the same time: the first requests race, and every
+// replay must still match the sequential oracle.
 func TestElidedProgramOnArmedEngine(t *testing.T) {
 	const (
 		workers = 3
 		chains  = 4
 		tasks   = 400
+		reps    = 10
 	)
 	g := stf.NewGraph("single-owner-chains", chains)
 	for i := 0; i < tasks; i++ {
@@ -147,44 +155,62 @@ func TestElidedProgramOnArmedEngine(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	eng, err := core.New(core.Options{Workers: workers, Steal: &stf.StealPolicy{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stolen int64
-	for rep := 0; rep < 10; rep++ {
-		got := make([]uint64, chains)
-		if err := eng.RunCompiled(cp, yielding(got)); err != nil {
+	armed := func() *core.Engine {
+		eng, err := core.New(core.Options{Workers: workers, Steal: &stf.StealPolicy{}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("run %d: final data %x, sequential %x", rep, got, want)
-		}
-		p := eng.Progress()
-		if n := p.Executed(); n != tasks {
-			t.Fatalf("run %d: executed %d tasks, want %d", rep, n, tasks)
-		}
-		stolen += p.Stolen()
+		return eng
+	}
+	var stolen atomic.Int64
+	var wg sync.WaitGroup
+	for e := 0; e < 2; e++ {
+		eng := armed()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < reps; rep++ {
+				got := make([]uint64, chains)
+				if err := eng.RunCompiled(cp, yielding(got)); err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("run %d: final data %x, sequential %x", rep, got, want)
+				}
+				p := eng.Progress()
+				if n := p.Executed(); n != tasks {
+					t.Errorf("run %d: executed %d tasks, want %d", rep, n, tasks)
+				}
+				stolen.Add(p.Stolen())
+			}
+		}()
 	}
 
+	eng := armed()
 	ss, err := eng.OpenSession(chains, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]uint64, chains)
 	touched := []stf.DataID{0, 1, 2, 3}
-	if err := ss.Flush(core.WindowRun{Tasks: g.Tasks, Kernel: yielding(got), Compiled: cp, Touched: touched}); err != nil {
-		t.Fatal(err)
+	for rep := 0; rep < reps; rep++ {
+		got := make([]uint64, chains)
+		if err := ss.Flush(core.WindowRun{Tasks: g.Tasks, Kernel: yielding(got), Compiled: cp, Touched: touched}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("session window %d: final data %x, sequential %x", rep, got, want)
+		}
 	}
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("session window: final data %x, sequential %x", got, want)
-	}
+	wg.Wait()
 	p := eng.Progress()
-	stolen += p.Stolen()
-	if stolen == 0 {
-		t.Error("no task was stolen in 11 armed replays: the test did not exercise the thieves")
+	if stolen.Add(p.Stolen()) == 0 {
+		t.Errorf("no task was stolen in %d armed replays: the test did not exercise the thieves", 3*reps)
 	}
 }

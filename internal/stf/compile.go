@@ -1,6 +1,9 @@
 package stf
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Compiled replay: a recorded Graph, a static mapping and a worker count
 // are statically known before a run, yet closure replay re-derives all
@@ -42,6 +45,8 @@ const (
 	// OpExec runs the task body (kernel dispatch on Tasks[Instr.Task]).
 	OpExec
 	// OpTermRead … OpTermRed are the terminate_* completion publications.
+	// The groups list their modes in one order: the engine maps a stolen
+	// task's terminate to the declare of its mode by subtraction.
 	OpTermRead
 	OpTermWrite
 	OpTermRed
@@ -108,8 +113,9 @@ type StreamStats struct {
 
 // CompiledProgram is a recorded Graph lowered for one (mapping, workers)
 // pair: one flat instruction stream per worker. It is immutable after
-// Compile and safe to run concurrently on different engines (each run owns
-// its synchronization state; the program is read-only).
+// Compile, bar the steal metadata it memoises once, and safe to run
+// concurrently on different engines (each run owns its synchronization
+// state; the program is read-only).
 //
 // Tasks aliases the source graph's task slice — the graph must not be
 // mutated while compiled programs over it are in use.
@@ -134,6 +140,11 @@ type CompiledProgram struct {
 	// Such streams are sound only for the executors the mapping assigned:
 	// stealing needs Canonical.
 	Elided []bool
+
+	// stealMeta memoises StealMeta; programs travel by pointer only, so the
+	// Once is never copied.
+	stealOnce sync.Once
+	stealMeta *StealMeta
 }
 
 // Ops returns the total micro-op count across all streams — the compiled

@@ -25,8 +25,9 @@ package stf
 //     protocol, so downstream wakeups and the divergence guard observe the
 //     canonical order.
 //
-// A nil policy keeps the paper's pure static model at the cost of a single
-// pointer test per task (see BenchmarkStealOverhead).
+// A nil policy keeps the paper's pure static model: a compiled replay tests
+// one flag per micro-op and touches no claim or steal table (see
+// BenchmarkStealOverhead).
 
 // DefaultStealScan bounds how many steal candidates one attempt inspects
 // when StealPolicy.MaxScan is zero.
@@ -93,7 +94,8 @@ func (r *StealReq) Ready(lastWrite, reads, reds int64) bool {
 // StealMeta is the per-task claim/ownership metadata of a compiled
 // program: for every task its owner, its readiness requirements, and a
 // per-owner index of tasks in flow order. It is immutable after
-// BuildStealMeta and shared read-only by every thief.
+// BuildStealMeta and shared read-only by every thief of every engine that
+// runs the program (see CompiledProgram.StealMeta).
 type StealMeta struct {
 	// Program is the program the metadata describes and the only one it may
 	// be stolen from: the canonical form of what BuildStealMeta was given. A
@@ -110,6 +112,17 @@ type StealMeta struct {
 	// ByOwner lists each worker's owned surviving tasks in flow order —
 	// the victim queues thieves scan.
 	ByOwner [][]int32
+}
+
+// StealMeta returns cp's steal metadata, built by the first request and
+// shared by every later one; engines and sessions may ask concurrently.
+// The tables ride on the program: whoever caches cp (a graph cache, a
+// stream's shape cache, a server's flow table) caches them with it, and a
+// program that is evicted or was made for one run (a recorded closure
+// flow, a resume-pruned copy) takes them along.
+func (cp *CompiledProgram) StealMeta() *StealMeta {
+	cp.stealOnce.Do(func() { cp.stealMeta = BuildStealMeta(cp) })
+	return cp.stealMeta
 }
 
 // BuildStealMeta derives steal metadata from a compiled program, first

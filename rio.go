@@ -336,7 +336,7 @@ type Options struct {
 	// recording one, as under Centralized); programs under a partial
 	// (SharedWorker) mapping keep plain closure replay, where those tasks
 	// already float. nil (the default) disables stealing and costs the hot
-	// path one pointer test per task. Other models ignore it
+	// path one flag test per compiled micro-op. Other models ignore it
 	// (CentralizedWS has its own queue stealing).
 	Steal *StealPolicy
 	// Tuning groups the wait-tuning knobs: WaitPolicy, SpinLimit and

@@ -122,9 +122,7 @@ func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
 	s.mapping = e.mapping
-	e.mu.Unlock()
 	s.eng = e
 	s.sess = sess
 	s.shapes = make(map[[32]byte]*stf.CompiledProgram)

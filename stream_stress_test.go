@@ -2,6 +2,7 @@ package rio_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -215,5 +216,87 @@ func TestStreamFallbackOracleStress(t *testing.T) {
 				t.Errorf("v1 = %d, want %d", v1, want1)
 			}
 		})
+	}
+}
+
+// TestStealStreamRetainsNoEvictedShape: an armed session must hold nothing
+// per window shape — the steal tables ride on the compiled program, so a
+// shape the stream's cache evicts is garbage, tables and cloned task table
+// included. Every window here is a shape never seen before (64 tasks whose
+// data are picked by the window number's bits), far more of them than
+// MaxShapes; the heap, read after the collector has run twice, must stay
+// flat once the stream is warm. A session-side cache keyed by program
+// pointer (the parent's) grows by ≈14.5 KB per shape, ≈29 MB over this run.
+// Every window is also checked against the sequential oracle.
+func TestStealStreamRetainsNoEvictedShape(t *testing.T) {
+	const (
+		tasks   = 64
+		numData = 2 * tasks
+		warm    = 200
+		shapes  = 2200
+		slack   = 2 << 20
+	)
+	vals := make([]uint64, numData)
+	kern := func(tk *rio.Task, _ rio.WorkerID) {
+		v := vals[tk.Accesses[0].Data]*31 + uint64(tk.I) + 1
+		if len(tk.Accesses) > 1 {
+			v += vals[tk.Accesses[1].Data]
+		}
+		vals[tk.Accesses[0].Data] = v
+	}
+	eng, err := rio.NewEngine(rio.Options{Workers: 2, Steal: &rio.StealPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.Stream(numData, rio.StreamOptions{MaxShapes: 4, MaxWindow: -1, Kernel: kern})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	oracle := make([]uint64, numData)
+	var base uint64
+	for w := 0; w < shapes; w++ {
+		if w == warm {
+			base = heap()
+		}
+		// Task i updates one of its two data, chosen by a bit of w, from the
+		// datum its predecessor updated: a chain across both workers whose
+		// access structure differs in every window.
+		prev := rio.DataID(-1)
+		for i := 0; i < tasks; i++ {
+			d := rio.DataID(2*i + w>>(i%12)&1)
+			v := oracle[d]*31 + uint64(i) + 1
+			if prev < 0 {
+				s.Task(0, i, 0, 0, rio.RW(d))
+			} else {
+				s.Task(0, i, 0, 0, rio.RW(d), rio.Read(prev))
+				v += oracle[prev]
+			}
+			oracle[d], prev = v, d
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		for d := range vals {
+			if vals[d] != oracle[d] {
+				t.Fatalf("window %d: data %d = %x, sequential %x", w, d, vals[d], oracle[d])
+			}
+		}
+	}
+	if grown := int64(heap()) - int64(base); grown > slack {
+		t.Errorf("heap grew by %d bytes over %d never-repeated shapes: an armed session retains evicted shapes", grown, shapes-warm)
+	}
+	if _, misses, entries := s.CacheStats(); entries > 4 || misses != shapes {
+		t.Errorf("shape cache: %d entries (max 4), %d misses (want %d distinct shapes)", entries, misses, shapes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
