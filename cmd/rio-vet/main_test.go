@@ -231,6 +231,12 @@ func TestVetUsageErrors(t *testing.T) {
 // through err: scripts rely on exit 2 meaning "the tool could not run",
 // not "the tool found something".
 func TestVetExitCodeContract(t *testing.T) {
+	// A graph document must be the whole file, as a submission must be the
+	// whole body: rio-serve rejects these bytes, so rio-vet does too.
+	trailing := filepath.Join(t.TempDir(), "trailing.json")
+	if err := os.WriteFile(trailing, []byte(`{"name":"x","num_data":0,"tasks":[]} garbage`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		args   []string
@@ -244,6 +250,7 @@ func TestVetExitCodeContract(t *testing.T) {
 		{"bad flag", []string{"-no-such-flag"}, false, true},
 		{"bad mapping spec", []string{"-mapping", "nope"}, false, true},
 		{"missing graph file", []string{"-graph", "/does/not/exist.json"}, false, true},
+		{"bytes after the graph", []string{"-graph", trailing}, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,7 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"slices"
+	"strconv"
 
 	"rio/internal/analyze"
 	"rio/internal/stf"
@@ -86,15 +87,14 @@ func (ms *MappingSpec) Canonical() string {
 		return "cyclic"
 	}
 	if len(ms.Assign) > 0 {
-		var b strings.Builder
-		b.WriteString("assign:")
+		b := append(make([]byte, 0, len("assign:")+2*len(ms.Assign)), "assign:"...)
 		for i, w := range ms.Assign {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", w)
+			b = strconv.AppendInt(b, int64(w), 10)
 		}
-		return b.String()
+		return string(b)
 	}
 	return ms.Spec
 }
@@ -166,24 +166,21 @@ type Submission struct {
 	Kernel string
 }
 
-// envelope is the submit-body wire form, decoded in one pass: either a
-// bare graph (exactly the rio-vet -emit json output — the embedded struct
-// takes its fields) or {"graph": …, "mapping": …}. Either form may carry
-// a kernel name for POST /v1/run.
-type envelope struct {
-	stf.GraphJSON
-	Graph   *stf.GraphJSON `json:"graph"`
-	Mapping *MappingSpec   `json:"mapping"`
-	Kernel  string         `json:"kernel"`
-}
+// envelopeKeys are the keys of a submission body: either a bare graph
+// (exactly the rio-vet -emit json output — the graph's own keys come
+// first, numbered as stf.GraphReader.Field takes them) or {"graph": …,
+// "mapping": …}. Either form may carry a kernel name for POST /v1/run.
+var envelopeKeys = append(slices.Clip(stf.GraphKeys), "graph", "mapping", "kernel")
 
 // Parse reads one submission — a bare graph JSON document or an
 // envelope adding a mapping — validates the (graph, workers, mapping)
 // instance through the same analyze entry points the CLI tools use, and
-// computes its content hash. The body is read once and decoded once.
+// computes its content hash. The body is read once and decoded once, by
+// the scanner stf.ReadJSON uses (see internal/stf/scan.go for the
+// language it accepts).
 func Parse(r io.Reader, workers int) (*Submission, error) {
 	var body bytes.Buffer
-	if sized, ok := r.(interface{ Len() int }); ok { // an in-memory reader: one exact buffer
+	if sized, ok := r.(interface{ Len() int }); ok { // the length is known: one exact buffer
 		body.Grow(min(sized.Len(), MaxBodyBytes) + bytes.MinRead)
 	}
 	if _, err := body.ReadFrom(io.LimitReader(r, MaxBodyBytes+1)); err != nil {
@@ -192,26 +189,57 @@ func Parse(r io.Reader, workers int) (*Submission, error) {
 	if body.Len() > MaxBodyBytes {
 		return nil, fmt.Errorf("ingest: submission exceeds %d bytes", MaxBodyBytes)
 	}
-	var env envelope
-	if err := json.Unmarshal(body.Bytes(), &env); err != nil {
+	var (
+		s           = stf.NewScanner(body.Bytes())
+		bare, graph stf.GraphReader // the top-level graph keys, and the "graph" object
+		hasGraph    bool
+		ms          *MappingSpec
+		kernel      string
+	)
+	err := s.Object(envelopeKeys, func(k int) (err error) {
+		switch envelopeKeys[k] {
+		default:
+			return bare.Field(s, k)
+		case "kernel":
+			kernel, err = s.String()
+		case "graph":
+			if hasGraph = !s.Null(); hasGraph {
+				err = graph.Read(s)
+			}
+		case "mapping":
+			if !s.Null() {
+				ms = new(MappingSpec)
+				if err = s.Unmarshal(ms); err != nil {
+					err = fmt.Errorf("mapping: %w", err)
+				}
+			}
+		}
+		return err
+	})
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ingest: decoding submission: %w", err)
 	}
-	jg := env.Graph
-	if jg == nil {
-		if env.Tasks == nil {
+	// "graph" wins over stray top-level graph keys, which had to be
+	// well-typed and nothing more.
+	doc := &graph
+	if !hasGraph {
+		if !bare.HasTasks {
 			return nil, errors.New(`ingest: submission has neither "graph" nor "tasks"; POST a graph document or {"graph": …, "mapping": …}`)
 		}
-		jg = &env.GraphJSON // bare graph body
+		doc = &bare
 	}
-	g, err := jg.Build()
+	g, err := doc.Graph()
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
-	sub, err := NewSubmission(g, env.Mapping, workers)
+	sub, err := NewSubmission(g, ms, workers)
 	if err != nil {
 		return nil, err
 	}
-	sub.Kernel = env.Kernel
+	sub.Kernel = kernel
 	return sub, nil
 }
 

@@ -283,7 +283,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // returns the flow and this request's own submission, which is the
 // flow's (f.sub == sub) exactly when this request registered it.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flow, *ingest.Submission, error) {
-	sub, err := ingest.Parse(http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes), s.cfg.Workers)
+	var body io.Reader = http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes)
+	if r.ContentLength > 0 { // declared, not chunked: Parse reads into one buffer of that size
+		body = sizedBody{body, int(min(r.ContentLength, ingest.MaxBodyBytes))}
+	}
+	sub, err := ingest.Parse(body, s.cfg.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -313,6 +317,16 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flo
 	}
 	return f, sub, nil
 }
+
+// sizedBody is a request body that reports its declared Content-Length
+// the way in-memory readers report what they hold. It is a capacity hint
+// and nothing else: what limits the body is the MaxBytesReader inside.
+type sizedBody struct {
+	io.Reader
+	n int
+}
+
+func (b sizedBody) Len() int { return b.n }
 
 // compile lowers sub's graph under sub's mapping — the one the client
 // submitted and preflight vetted — and certifies the result when

@@ -377,6 +377,17 @@ func TestSubmitErrors(t *testing.T) {
 		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
 	}
 
+	// A repeated key is malformed too — encoding/json ran this body as one
+	// task {kernel 1, i 5} — and the answer says which key and where.
+	var malformed struct {
+		Error string `json:"error"`
+	}
+	dup := []byte(`{"name":"x","num_data":1,"tasks":[{"kernel":0,"i":5}],"tasks":[{"kernel":1}],"kernel":"noop"}`)
+	if resp := do(t, "POST", hs.URL+"/v1/run", "", dup, &malformed); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(malformed.Error, `repeated key "tasks" (offset 54)`) {
+		t.Errorf("repeated key: status %d, error %q, want 400 naming the key and its offset", resp.StatusCode, malformed.Error)
+	}
+
 	// Uninitialized read (a read before the flow's first write of the
 	// data): the access lint reports a Warning, which rejects with 422
 	// and the analysis report as the body — the same report rio-vet

@@ -10,10 +10,8 @@ import (
 	"io"
 )
 
-// GraphJSON is the serialized form of a Graph: the one wire struct
-// WriteJSON encodes, ReadJSON decodes and the submission envelope of
-// internal/server/ingest embeds, so a flow has one JSON schema and is
-// decoded once wherever it arrives.
+// GraphJSON is the serialized form of a Graph, as WriteJSON encodes it.
+// Reading goes through the Scanner (scan.go), which knows the same keys.
 type GraphJSON struct {
 	Name    string     `json:"name"`
 	NumData int        `json:"num_data"`
@@ -53,57 +51,22 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON deserializes a graph written by WriteJSON and validates it.
+// The document must be the whole input: anything but white space after
+// it is an error, as it is for a submission.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	var jg GraphJSON
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
+	doc, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("stf: reading graph: %w", err)
+	}
+	s := NewScanner(doc)
+	var gr GraphReader
+	if err = gr.Read(s); err == nil {
+		err = s.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("stf: decoding graph: %w", err)
 	}
-	return jg.Build()
-}
-
-// Build turns the decoded form into a Graph and validates it.
-func (jg *GraphJSON) Build() (*Graph, error) {
-	g := NewGraph(jg.Name, jg.NumData)
-	if len(jg.Tasks) > 0 { // an empty flow keeps nil Tasks, like one built in process
-		g.Tasks = make([]Task, len(jg.Tasks))
-	}
-	for i := range jg.Tasks {
-		jt := &jg.Tasks[i]
-		// Allocate only for non-empty access lists: WriteJSON omits empty
-		// ones (omitempty), so a non-nil empty slice here would make
-		// parse→serialize→parse not a fixed point — a wire-protocol
-		// asymmetry the round-trip fuzz test pins down.
-		var accesses []Access
-		if len(jt.Accesses) > 0 {
-			accesses = make([]Access, len(jt.Accesses))
-		}
-		for ai, ja := range jt.Accesses {
-			mode, err := parseMode(ja.Mode)
-			if err != nil {
-				return nil, fmt.Errorf("stf: task %d: %w", i, err)
-			}
-			accesses[ai] = Access{Data: ja.Data, Mode: mode, Idempotent: ja.Idempotent}
-		}
-		g.Tasks[i] = Task{ID: TaskID(i), Kernel: jt.Kernel, I: jt.I, J: jt.J, K: jt.K, Accesses: accesses}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func parseMode(s string) (AccessMode, error) {
-	switch s {
-	case "R":
-		return ReadOnly, nil
-	case "W":
-		return WriteOnly, nil
-	case "RW":
-		return ReadWrite, nil
-	case "Red":
-		return Reduction, nil
-	}
-	return None, fmt.Errorf("unknown access mode %q", s)
+	return gr.Graph()
 }
 
 // WriteDOT renders the derived dependency DAG in Graphviz format: one node

@@ -71,6 +71,14 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := stf.ReadJSON(strings.NewReader(`{"name":"x","num_data":1,"tasks":[{"accesses":[{"data":9,"mode":"R"}]}]}`)); err == nil {
 		t.Error("out-of-range data accepted (validation skipped)")
 	}
+	// The document is the whole input, as it is for a submission: what
+	// rio-vet -graph reads clean, rio-serve accepts byte for byte.
+	if _, err := stf.ReadJSON(strings.NewReader(`{"name":"x","num_data":0,"tasks":[]} garbage`)); err == nil {
+		t.Error("bytes after the document accepted")
+	}
+	if _, err := stf.ReadJSON(strings.NewReader(`{"name":"x","num_data":0,"tasks":[],"tasks":[]}`)); err == nil {
+		t.Error("repeated key accepted")
+	}
 }
 
 func TestWriteDOT(t *testing.T) {
