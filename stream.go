@@ -12,7 +12,7 @@ import (
 // streaming sessions. The in-order *Engine implements it natively: one set
 // of worker goroutines and one per-data state arena persist across the
 // whole stream, windows replay between epoch barriers, and repeated window
-// shapes hit a compiled-program cache keyed by the window's content hash.
+// shapes hit a compiled-program cache keyed by the window's shape hash.
 // New attaches a fallback implementation to every other model (each window
 // runs as one ordinary engine run), so OpenStream works on any Runtime —
 // which is exactly what the pipeline ablation compares.
@@ -34,7 +34,7 @@ type StreamOptions struct {
 	// MaxShapes bounds the in-order session's compiled-shape cache
 	// (0 = DefaultMaxShapes, negative = unbounded). On overflow an
 	// arbitrary cached shape is evicted — the cache is a performance
-	// device keyed by content hash, so eviction only costs a recompile.
+	// device keyed by shape hash, so eviction only costs a recompile.
 	MaxShapes int
 }
 
@@ -69,10 +69,11 @@ type Stream struct {
 	eng     *Engine
 	sess    *core.Session
 	mapping Mapping // snapshot at open; the cached shapes bake it in
-	// shapes caches one compiled program per window shape. A nil program is
-	// a negative entry: the shape cannot compile under the session's mapping
-	// (SharedWorker tasks), so its windows take closure replay.
-	shapes                 map[[32]byte]*stf.CompiledProgram
+	// shapes caches one compiled program per window shape, keyed by
+	// Window.Fingerprint. A nil program is a negative entry: the shape cannot
+	// compile under the session's mapping (SharedWorker tasks), so its
+	// windows take closure replay.
+	shapes                 map[[2]uint64]*stf.CompiledProgram
 	shapeHits, shapeMisses int64
 
 	// Fallback backend: every window is one synchronous call of run.
@@ -125,7 +126,7 @@ func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 	s.mapping = e.mapping
 	s.eng = e
 	s.sess = sess
-	s.shapes = make(map[[32]byte]*stf.CompiledProgram)
+	s.shapes = make(map[[2]uint64]*stf.CompiledProgram)
 	return s, nil
 }
 
@@ -257,13 +258,20 @@ func (s *Stream) flushWindow(w *stf.Window) error {
 	return nil
 }
 
-// shapeFor resolves the window's compiled shape through the content-hash
-// cache: windows whose access structure repeats — the steady state of a
-// periodic pipeline — compile once and replay the cached micro-op streams
-// against each window's own task table.
+// shapeFor resolves the window's compiled shape through the shape cache:
+// windows whose access structure repeats — the steady state of a periodic
+// pipeline — compile once and replay the cached micro-op streams against
+// each window's own task table.
+//
+// The key is a fast 128-bit mix, not a collision-resistant digest, so a
+// positive hit is confirmed against the cached program's own task table
+// before its streams replay this window; a mismatch is a miss whose compile
+// replaces the entry. A negative entry needs no confirmation: closure replay
+// is correct for every window.
 func (s *Stream) shapeFor(w *stf.Window) (*stf.CompiledProgram, error) {
 	fp := w.Fingerprint()
-	if cp, ok := s.shapes[fp]; ok {
+	cp, cached := s.shapes[fp]
+	if cached && (cp == nil || w.SameShape(cp.Tasks)) {
 		s.shapeHits++
 		return cp, nil
 	}
@@ -272,7 +280,7 @@ func (s *Stream) shapeFor(w *stf.Window) (*stf.CompiledProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.maxShapes > 0 && len(s.shapes) >= s.maxShapes {
+	if !cached && s.maxShapes > 0 && len(s.shapes) >= s.maxShapes {
 		for k := range s.shapes {
 			delete(s.shapes, k)
 			break
