@@ -13,7 +13,6 @@
 package ingest
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -177,15 +176,14 @@ var envelopeKeys = append(slices.Clip(stf.GraphKeys), "graph", "mapping", "kerne
 // instance through the same analyze entry points the CLI tools use, and
 // computes its content hash. The body is read once and decoded once, by
 // the scanner stf.ReadJSON uses (see internal/stf/scan.go for the
-// language it accepts).
+// language it accepts), out of a pooled buffer: the Submission holds none
+// of the body's bytes.
 func Parse(r io.Reader, workers int) (*Submission, error) {
-	var body bytes.Buffer
-	if sized, ok := r.(interface{ Len() int }); ok { // the length is known: one exact buffer
-		body.Grow(min(sized.Len(), MaxBodyBytes) + bytes.MinRead)
-	}
-	if _, err := body.ReadFrom(io.LimitReader(r, MaxBodyBytes+1)); err != nil {
+	body, err := stf.ReadDocument(r, MaxBodyBytes+1)
+	if err != nil {
 		return nil, fmt.Errorf("ingest: reading submission: %w", err)
 	}
+	defer stf.ReleaseDocument(body)
 	if body.Len() > MaxBodyBytes {
 		return nil, fmt.Errorf("ingest: submission exceeds %d bytes", MaxBodyBytes)
 	}
@@ -196,7 +194,7 @@ func Parse(r io.Reader, workers int) (*Submission, error) {
 		ms          *MappingSpec
 		kernel      string
 	)
-	err := s.Object(envelopeKeys, func(k int) (err error) {
+	err = s.Object(envelopeKeys, func(k int) (err error) {
 		switch envelopeKeys[k] {
 		default:
 			return bare.Field(s, k)

@@ -148,14 +148,13 @@ func repeatsKey(doc []byte, sc *schema) bool {
 	return walk(sc)
 }
 
-// wireSeeds are documents at the edges of the accepted language.
+// wireSeeds are documents at the edges of the accepted language, and at
+// the edges of the scanner's fast paths (fastPathRows).
 func wireSeeds() [][]byte {
 	deep := func(n int) string {
 		return `{"name":"deep","num_data":0,"tasks":[],"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`
 	}
-	one := func(access string) string {
-		return `{"name":"x","num_data":3,"tasks":[{"kernel":1,"accesses":[` + access + `]}]}`
-	}
+	one := func(accesses string) string { return task(`"kernel":1,"accesses":[` + accesses + `]`) }
 	seeds := []string{
 		// The two parent defects: a repeated key merged into one task, and
 		// bytes after the document (ReadJSON let them pass).
@@ -226,6 +225,9 @@ func wireSeeds() [][]byte {
 		deep(9999), deep(10000),
 		`{"tasks":[],"x":{"a":[1,{"b":"\u00e9"}],"c":tru}}`,
 	}
+	for _, row := range fastPathRows() {
+		seeds = append(seeds, row.body)
+	}
 	out := make([][]byte, len(seeds))
 	for i, s := range seeds {
 		out[i] = []byte(s)
@@ -247,36 +249,40 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		f.Add([]byte(`{"kernel":"spin","mapping":{"spec":"block"},"graph":` + string(wire(f, g)) + `}`))
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Parse(bytes.NewReader(data), fuzzWorkers)
-		want, refErr := referenceParse(data, fuzzWorkers)
-		switch repeats := refErr == nil && repeatsKey(data, envelopeSchema); {
-		case repeats && err == nil:
-			t.Fatalf("Parse accepted a submission that repeats a key:\n%s", data)
-		case repeats:
-		case err == nil && refErr != nil:
-			t.Fatalf("Parse accepted what the reference rejects (%v):\n%s", refErr, data)
-		case err != nil && refErr == nil:
-			t.Fatalf("Parse rejected what the reference accepts (%v):\n%s", err, data)
-		case err == nil:
-			if err := sameSubmission(want, got); err != nil {
-				t.Fatalf("Parse and the reference read different submissions: %v\n%s", err, data)
-			}
-			if got.Kernel != want.Kernel {
-				t.Fatalf("kernel %q, reference %q\n%s", got.Kernel, want.Kernel, data)
-			}
-		}
+	f.Fuzz(matchReference)
+}
 
-		g, err := stf.ReadJSON(bytes.NewReader(data))
-		wantG, refErr := referenceReadJSON(data)
-		switch repeats := refErr == nil && repeatsKey(data, graphSchema); {
-		case repeats && err == nil:
-			t.Fatalf("ReadJSON accepted a graph that repeats a key:\n%s", data)
-		case repeats:
-		case (err == nil) != (refErr == nil):
-			t.Fatalf("ReadJSON: %v, reference: %v\n%s", err, refErr, data)
-		case err == nil && !reflect.DeepEqual(g, wantG):
-			t.Fatalf("ReadJSON and the reference read different graphs:\n%+v\n%+v\n%s", g, wantG, data)
+// matchReference checks Parse and stf.ReadJSON of data against their
+// references.
+func matchReference(t *testing.T, data []byte) {
+	got, err := Parse(bytes.NewReader(data), fuzzWorkers)
+	want, refErr := referenceParse(data, fuzzWorkers)
+	switch repeats := refErr == nil && repeatsKey(data, envelopeSchema); {
+	case repeats && err == nil:
+		t.Fatalf("Parse accepted a submission that repeats a key:\n%s", data)
+	case repeats:
+	case err == nil && refErr != nil:
+		t.Fatalf("Parse accepted what the reference rejects (%v):\n%s", refErr, data)
+	case err != nil && refErr == nil:
+		t.Fatalf("Parse rejected what the reference accepts (%v):\n%s", err, data)
+	case err == nil:
+		if err := sameSubmission(want, got); err != nil {
+			t.Fatalf("Parse and the reference read different submissions: %v\n%s", err, data)
 		}
-	})
+		if got.Kernel != want.Kernel {
+			t.Fatalf("kernel %q, reference %q\n%s", got.Kernel, want.Kernel, data)
+		}
+	}
+
+	g, err := stf.ReadJSON(bytes.NewReader(data))
+	wantG, refErr := referenceReadJSON(data)
+	switch repeats := refErr == nil && repeatsKey(data, graphSchema); {
+	case repeats && err == nil:
+		t.Fatalf("ReadJSON accepted a graph that repeats a key:\n%s", data)
+	case repeats:
+	case (err == nil) != (refErr == nil):
+		t.Fatalf("ReadJSON: %v, reference: %v\n%s", err, refErr, data)
+	case err == nil && !reflect.DeepEqual(g, wantG):
+		t.Fatalf("ReadJSON and the reference read different graphs:\n%+v\n%+v\n%s", g, wantG, data)
+	}
 }

@@ -284,7 +284,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // flow's (f.sub == sub) exactly when this request registered it.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flow, *ingest.Submission, error) {
 	var body io.Reader = http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes)
-	if r.ContentLength > 0 { // declared, not chunked: Parse reads into one buffer of that size
+	if r.ContentLength > 0 { // declared, not chunked: Parse sizes its buffer by it, up to what it pools
 		body = sizedBody{body, int(min(r.ContentLength, ingest.MaxBodyBytes))}
 	}
 	sub, err := ingest.Parse(body, s.cfg.Workers)
@@ -320,7 +320,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flo
 
 // sizedBody is a request body that reports its declared Content-Length
 // the way in-memory readers report what they hold. It is a capacity hint
-// and nothing else: what limits the body is the MaxBytesReader inside.
+// and nothing else: what limits the body is the MaxBytesReader inside,
+// and a client may declare what it never sends, so ingest.Parse takes the
+// hint for no more than stf.MaxPooledBytes up front.
 type sizedBody struct {
 	io.Reader
 	n int

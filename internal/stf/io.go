@@ -5,9 +5,11 @@ package stf
 // written by rio-vet -emit.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // GraphJSON is the serialized form of a Graph, as WriteJSON encodes it.
@@ -50,15 +52,59 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return enc.Encode(jg)
 }
 
+// MaxPooledBytes bounds what a pool of transient buffers keeps (documents
+// here, the scanner's scratch in scan.go): a buffer that had to grow past
+// it is left to the collector, so one huge submission cannot pin its size
+// in a pool — the fmt and encoding/json convention.
+const MaxPooledBytes = 1 << 20
+
+// documents pools the buffers wire-format documents are read into. What a
+// scanner makes of a document holds none of its bytes (every string is
+// copied out), so the buffer can go back as soon as it has been scanned.
+var documents = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// ReadDocument reads r to its end, or up to limit bytes of it if limit is
+// positive, into a pooled buffer, which the caller hands to
+// ReleaseDocument once scanned. A reader that reports a length — one over
+// memory, or a request body declaring its Content-Length — has the buffer
+// sized by it up front, as far as a pooled buffer goes: a declaration is
+// not trusted with more before the bytes arrive, and ReadFrom grows past
+// it when they do.
+func ReadDocument(r io.Reader, limit int64) (*bytes.Buffer, error) {
+	doc := documents.Get().(*bytes.Buffer)
+	if sized, ok := r.(interface{ Len() int }); ok {
+		if need := min(sized.Len(), MaxPooledBytes-bytes.MinRead) + bytes.MinRead; need > doc.Cap() {
+			doc = bytes.NewBuffer(make([]byte, 0, need)) // exactly: Grow would double the pooled one
+		}
+	}
+	if limit > 0 {
+		r = io.LimitReader(r, limit)
+	}
+	if _, err := doc.ReadFrom(r); err != nil {
+		ReleaseDocument(doc)
+		return nil, err
+	}
+	return doc, nil
+}
+
+// ReleaseDocument returns doc to the pool, unless it outgrew it.
+func ReleaseDocument(doc *bytes.Buffer) {
+	if doc.Cap() <= MaxPooledBytes {
+		doc.Reset()
+		documents.Put(doc)
+	}
+}
+
 // ReadJSON deserializes a graph written by WriteJSON and validates it.
 // The document must be the whole input: anything but white space after
 // it is an error, as it is for a submission.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	doc, err := io.ReadAll(r)
+	doc, err := ReadDocument(r, 0)
 	if err != nil {
 		return nil, fmt.Errorf("stf: reading graph: %w", err)
 	}
-	s := NewScanner(doc)
+	defer ReleaseDocument(doc)
+	s := NewScanner(doc.Bytes())
 	var gr GraphReader
 	if err = gr.Read(s); err == nil {
 		err = s.End()

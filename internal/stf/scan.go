@@ -3,9 +3,10 @@ package stf
 // The reader of the JSON wire format: one left-to-right pass over a
 // document held in memory that appends straight into []Task and one
 // []Access slab — no intermediate structs, no reflection, nothing
-// allocated per key or per task. It is the only read path: ReadJSON
-// walks a graph object with it and internal/server/ingest drives the
-// same Scanner over the submission envelope.
+// allocated per key or per task, no call-back per member. It is the only
+// read path: ReadJSON walks a graph object with it and
+// internal/server/ingest drives the same Scanner over the submission
+// envelope.
 //
 // The language accepted is the one encoding/json accepted for this
 // schema, with the same meaning: keys match exactly or else case-folded
@@ -16,19 +17,35 @@ package stf
 // once in its object. encoding/json merged a repeated key into the
 // previous value, so {"tasks":[{"kernel":0,"i":5}],"tasks":[{"kernel":1}]}
 // ran as one task {kernel 1, i 5} — a flow neither list describes.
+//
+// Reading a flow is what a cold submission mostly costs, so the spellings
+// WriteJSON emits have fast paths: a key is compared in place with the
+// names of its object (member), a short plain integer is accumulated
+// where it stands (integer), indentation is skipped eight bytes at a time
+// (skipSpace). None of them decides anything: each sits in front of the
+// general reader — key, number + ParseInt, the byte loop — takes only the
+// input on which that reader's answer is known, and leaves the scanner
+// untouched on anything else, which then falls through to it. So the fast
+// paths cannot change the language, an error message or an offset; the
+// fuzz against the encoding/json reference (internal/server/ingest) holds
+// them to that.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
+	"unsafe"
 )
 
 // maxDepth is how deep objects and arrays may nest, as in encoding/json.
 const maxDepth = 10000
 
 // Scanner reads one JSON document. Its readers expect the next unread
-// byte to start a value, which is where NewScanner, Object and array
+// byte to start a value, which is where NewScanner, member and next
 // leave it, and take null for an absent value, as encoding/json did.
 type Scanner struct {
 	b     []byte
@@ -70,12 +87,30 @@ func (s *Scanner) unexpected(want string) error {
 // isSpace marks JSON's white space.
 var isSpace = [256]bool{' ': true, '\n': true, '\t': true, '\r': true}
 
-// space skips white space. An indented document is half white space, so
-// the loop runs on locals.
+// space skips white space. It is small enough to be inlined: where none
+// stands, as everywhere in the compact spelling, it costs one compare.
 func (s *Scanner) space() {
+	if s.i < len(s.b) && s.b[s.i] <= ' ' {
+		s.skipSpace()
+	}
+}
+
+// skipSpace is space's loop, kept out of line so that space stays small.
+// An indented document is half white space, nearly all of it a newline and
+// the run of spaces after it: after any white space byte, spaces go eight
+// at a time.
+//
+//go:noinline
+func (s *Scanner) skipSpace() {
+	const spaces = 0x2020202020202020
 	b, i := s.b, s.i
-	for i < len(b) && isSpace[b[i]] {
-		i++
+	for i < len(b) && b[i] <= ' ' && isSpace[b[i]] {
+		for i++; i+8 <= len(b); i += 8 {
+			if x := binary.LittleEndian.Uint64(b[i:]) ^ spaces; x != 0 {
+				i += bits.TrailingZeros64(x) / 8 // the first byte that is not a space
+				break
+			}
+		}
 	}
 	s.i = i
 }
@@ -151,47 +186,57 @@ func (s *Scanner) Object(keys []string, field func(k int) error) error {
 	}
 	more, err := s.open('{', '}', "an object")
 	for seen := uint(0); more && err == nil; {
-		if err = s.member(keys, &seen, field); err == nil {
+		var k int
+		if k, err = s.member(keys, &seen); err == nil && k >= 0 {
+			err = field(k)
+		}
+		if err == nil {
 			more, err = s.next('}')
 		}
 	}
 	return err
 }
 
-// member reads one member of an object; seen has a bit per key matched.
-func (s *Scanner) member(keys []string, seen *uint, field func(k int) error) error {
-	off := s.i
-	k, err := s.key(keys)
-	if err != nil {
-		return err
+// member reads one member of an object up to its value: the key, the
+// colon and the white space around it. If the key matches keys[k] — a
+// second match of the same k is an error; seen has a bit per key matched —
+// it returns k with the scanner at the value, which the caller must
+// consume. The value of any other key is validated and skipped here, and
+// k is -1.
+func (s *Scanner) member(keys []string, seen *uint) (k int, err error) {
+	b, off := s.b, s.i
+	k = -1
+	if off < len(b) && b[off] == '"' {
+		// The spelling WriteJSON uses, compared where it stands: a name of
+		// keys and the closing quote. What key would answer is known.
+		name := b[off+1:]
+		for j, key := range keys {
+			if len(name) > len(key) && name[len(key)] == '"' && name[0] == key[0] && string(name[:len(key)]) == key {
+				k, s.i = j, off+len(key)+2
+				break
+			}
+		}
 	}
-	if s.space(); !s.word(":") {
-		return s.unexpected("':'")
+	if k < 0 {
+		if k, err = s.key(keys); err != nil {
+			return -1, err
+		}
+	}
+	if s.space(); s.peek() != ':' {
+		return -1, s.unexpected("':'")
+	}
+	if s.i++; s.peek() == ' ' { // the one space WriteJSON puts here: no call
+		s.i++
 	}
 	s.space()
 	if k < 0 {
-		return s.skip()
+		return -1, s.skip()
 	}
 	if *seen&(1<<k) != 0 {
-		return s.errorf(off, "repeated key %q", keys[k])
+		return -1, s.errorf(off, "repeated key %q", keys[k])
 	}
 	*seen |= 1 << k
-	return field(k)
-}
-
-// array walks an array, calling elem with the scanner at each element,
-// which elem must consume.
-func (s *Scanner) array(elem func() error) error {
-	if s.Null() {
-		return nil
-	}
-	more, err := s.open('[', ']', "an array")
-	for more && err == nil {
-		if err = elem(); err == nil {
-			more, err = s.next(']')
-		}
-	}
-	return err
+	return k, nil
 }
 
 // maxFold is the longest key worth folding: longer than any spelling of
@@ -306,9 +351,28 @@ func (s *Scanner) number() error {
 	return nil
 }
 
-// integer reads an integer value of the given bit size: a number with no
-// fraction and no exponent, in range.
-func (s *Scanner) integer(bits int) (int, error) {
+// integer reads an integer value of the given bit size (32 or more): a
+// number with no fraction and no exponent, in range.
+func (s *Scanner) integer(size int) (int, error) {
+	// At most nine digits, no leading zero, nothing after them that a
+	// number goes on with: the value is the digits, and it fits 32 bits.
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	n, from := 0, i
+	for i < len(b) && i-from < 9 && b[i]-'0' <= 9 {
+		n = n*10 + int(b[i]-'0')
+		i++
+	}
+	if i > from && (b[from] != '0' || i-from == 1) && (i == len(b) || !numberGoesOn[b[i]]) {
+		if s.i = i; neg {
+			n = -n
+		}
+		return n, nil
+	}
+
 	if s.Null() {
 		return 0, nil
 	}
@@ -319,12 +383,17 @@ func (s *Scanner) integer(bits int) (int, error) {
 	if err := s.number(); err != nil {
 		return 0, err
 	}
-	n, err := strconv.ParseInt(string(s.b[off:s.i]), 10, bits)
+	n64, err := strconv.ParseInt(string(s.b[off:s.i]), 10, size)
 	if err != nil {
-		return 0, s.errorf(off, "%s is not a %d-bit integer", s.b[off:s.i], bits)
+		return 0, s.errorf(off, "%s is not a %d-bit integer", s.b[off:s.i], size)
 	}
-	return int(n), nil
+	return int(n64), nil
 }
+
+// numberGoesOn marks the bytes that continue a number literal after its
+// integer digits: a digit, a fraction, an exponent.
+var numberGoesOn = [256]bool{'0': true, '1': true, '2': true, '3': true, '4': true, '5': true,
+	'6': true, '7': true, '8': true, '9': true, '.': true, 'e': true, 'E': true}
 
 // boolean reads a true or false value.
 func (s *Scanner) boolean() (bool, error) {
@@ -343,7 +412,13 @@ func (s *Scanner) skip() (err error) {
 	case c == '{':
 		return s.Object(nil, nil)
 	case c == '[':
-		return s.array(s.skip)
+		more, err := s.open('[', ']', "an array")
+		for more && err == nil {
+			if err = s.skip(); err == nil {
+				more, err = s.next(']')
+			}
+		}
+		return err
 	case c == '"':
 		_, _, err = s.literal()
 	case c == '-' || '0' <= c && c <= '9':
@@ -410,83 +485,149 @@ func (r *GraphReader) Field(s *Scanner, k int) (err error) {
 	return err
 }
 
-// tasks reads the task array. Tasks and accesses are appended to two
-// growing slices and then copied to exact size: what Graph returns is
-// retained for as long as the flow is (by rio-serve's flow table), so it
-// must not carry append's slack.
-func (r *GraphReader) tasks(s *Scanner) error {
-	var (
-		tasks []Task
-		slab  []Access // every task's accesses, back to back
-	)
-	err := s.array(func() error {
-		s.task = len(tasks)
-		t := Task{ID: TaskID(len(tasks))}
-		ints := [...]*int{&t.Kernel, &t.I, &t.J, &t.K} // as taskKeys numbers them
-		from := len(slab)
-		err := s.Object(taskKeys, func(k int) (err error) {
-			if k < len(ints) {
-				*ints[k], err = s.integer(strconv.IntSize)
-				return err
-			}
-			err = s.array(func() error {
-				s.access = len(slab) - from
-				a, err := r.access(s)
-				slab = append(slab, a)
-				return err
-			})
-			s.access = -1
-			return err
-		})
-		t.Accesses = slab[from:] // only its length survives the copy below
-		tasks = append(tasks, t)
-		return err
-	})
-	s.task = -1
-	if err != nil || len(tasks) == 0 { // an empty flow keeps nil Tasks, like one built in process
-		return err
+// scratch is where a task array is collected before its length is known.
+// Pooled ones hold no pointers: the tasks are cleared on the way in.
+type scratch struct {
+	tasks []Task
+	slab  []Access // every task's accesses, back to back
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns sc, with the buffers it ended up with, to the pool.
+func (sc *scratch) release(tasks []Task, slab []Access) {
+	if cap(tasks)*int(unsafe.Sizeof(Task{})) > MaxPooledBytes || cap(slab)*int(unsafe.Sizeof(Access{})) > MaxPooledBytes {
+		return
 	}
-	r.g.Tasks = append(make([]Task, 0, len(tasks)), tasks...)
+	clear(tasks)
+	sc.tasks, sc.slab = tasks[:0], slab[:0]
+	scratchPool.Put(sc)
+}
+
+// tasks reads the task array. Tasks and accesses are appended to two
+// growing slices, pooled scratch, and then copied to exact size: what
+// Graph returns is retained for as long as the flow is (by rio-serve's
+// flow table), so it must not carry append's slack.
+func (r *GraphReader) tasks(s *Scanner) error {
+	sc := scratchPool.Get().(*scratch)
+	tasks, slab := sc.tasks, sc.slab
+	more, err := s.open('[', ']', "an array")
+	for more && err == nil {
+		s.task = len(tasks)
+		tasks = append(tasks, Task{ID: TaskID(len(tasks))})
+		t, from := &tasks[len(tasks)-1], len(slab)
+		slab, err = r.task(s, t, slab)
+		t.Accesses = slab[from:] // only its length survives the copy below
+		if err == nil {
+			more, err = s.next(']')
+		}
+	}
+	s.task = -1
+	if err == nil && len(tasks) > 0 { // an empty flow keeps nil Tasks, like one built in process
+		r.g.Tasks = exactCopy(tasks, slab)
+	}
+	sc.release(tasks, slab)
+	return err
+}
+
+// exactCopy returns tasks and their accesses, which lie back to back in
+// slab, in two allocations of exactly their size.
+func exactCopy(tasks []Task, slab []Access) []Task {
+	tasks = append(make([]Task, 0, len(tasks)), tasks...)
 	slab = append(make([]Access, 0, len(slab)), slab...)
-	for i := range r.g.Tasks {
+	for i := range tasks {
 		// A task without accesses gets nil, with or without an empty list
 		// on the wire: WriteJSON omits empty lists, and parse→serialize→
 		// parse must be a fixed point (the round-trip fuzz pins it down).
-		t := &r.g.Tasks[i]
+		t := &tasks[i]
 		n := len(t.Accesses)
 		t.Accesses = nil
 		if n > 0 {
 			t.Accesses, slab = slab[:n:n], slab[n:]
 		}
 	}
-	return nil
+	return tasks
+}
+
+// task reads one task object into t, appending its accesses to slab.
+func (r *GraphReader) task(s *Scanner, t *Task, slab []Access) ([]Access, error) {
+	if s.Null() {
+		return slab, nil
+	}
+	ints := [...]*int{&t.Kernel, &t.I, &t.J, &t.K} // as taskKeys numbers them
+	more, err := s.open('{', '}', "an object")
+	for seen := uint(0); more && err == nil; {
+		var k int
+		switch k, err = s.member(taskKeys, &seen); {
+		case err != nil || k < 0: // reported below, or skipped by member
+		case k < len(ints):
+			*ints[k], err = s.integer(strconv.IntSize)
+		case !s.Null():
+			slab, err = r.accesses(s, slab)
+		}
+		if err == nil {
+			more, err = s.next('}')
+		}
+	}
+	return slab, err
+}
+
+// accesses reads one task's access array onto the end of slab.
+func (r *GraphReader) accesses(s *Scanner, slab []Access) ([]Access, error) {
+	from := len(slab)
+	more, err := s.open('[', ']', "an array")
+	for more && err == nil {
+		s.access = len(slab) - from
+		var a Access
+		a, err = r.access(s)
+		if slab = append(slab, a); err == nil {
+			more, err = s.next(']')
+		}
+	}
+	s.access = -1
+	return slab, err
 }
 
 // access reads one access object. A missing or unknown mode stays None
 // and is remembered in r.badMode.
 func (r *GraphReader) access(s *Scanner) (a Access, err error) {
-	var mode []byte
-	off := s.i // of the mode, once there is one
-	err = s.Object(accessKeys, func(k int) (err error) {
-		switch k {
-		case 0:
+	var (
+		mode []byte
+		off  = s.i // of the mode, once there is one
+		more bool
+	)
+	if !s.Null() {
+		more, err = s.open('{', '}', "an object")
+	}
+	for seen := uint(0); more && err == nil; {
+		var k int
+		switch k, err = s.member(accessKeys, &seen); {
+		case err != nil || k < 0: // reported below, or skipped by member
+		case k == 0:
 			var d int
 			d, err = s.integer(32)
 			a.Data = DataID(d)
-		case 1:
+		case k == 1:
 			if off = s.i; !s.Null() {
 				mode, err = s.text()
 			}
-			for m := ReadOnly; m <= Reduction; m++ {
-				if string(mode) == m.String() { // the names WriteJSON writes
-					a.Mode = m
-				}
+			switch string(mode) { // the names WriteJSON writes, AccessMode.String's
+			case "R":
+				a.Mode = ReadOnly
+			case "W":
+				a.Mode = WriteOnly
+			case "RW":
+				a.Mode = ReadWrite
+			case "Red":
+				a.Mode = Reduction
 			}
-		case 2:
+		default:
 			a.Idempotent, err = s.boolean()
 		}
-		return err
-	})
+		if err == nil {
+			more, err = s.next('}')
+		}
+	}
 	if err == nil && a.Mode == None && r.badMode == nil {
 		r.badMode = s.errorf(off, "unknown access mode %q", mode)
 	}

@@ -169,9 +169,9 @@ const cacheLine = 64
 
 // progressCounters is the payload of a ProgressCell.
 type progressCounters struct {
-	executed atomic.Int64
-	declared atomic.Int64
-	claimed  atomic.Int64
+	executed    atomic.Int64
+	declared    atomic.Int64
+	claimed     atomic.Int64
 	retried     atomic.Int64
 	skipped     atomic.Int64
 	stolen      atomic.Int64
