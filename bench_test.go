@@ -350,6 +350,44 @@ func BenchmarkGuardOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkAccountingOverhead prices the stopwatch: what Options.NoAccounting
+// takes off a run — two monotonic clock reads around every task body and
+// around every dependency wait, behind Stats' time decomposition and
+// Progress's wait histogram. The flow is the one rio-serve's warm path
+// replays (a 12×12-tile Cholesky, 364 tasks, compiled once and run the way
+// the service runs it) with empty bodies on two workers, so the clock reads
+// are not hidden behind any work: a body's reads sit on the hand-off chain
+// between the workers, a wait's overlap the wait. This is the worst case,
+// and the number behind internal/server's one-run-in-16 sampling.
+func BenchmarkAccountingOverhead(b *testing.B) {
+	const workers = 2
+	g := graphs.Cholesky(12)
+	noop := func(*stf.Task, stf.WorkerID) {}
+	cp, err := rio.Compile(g, workers, rio.CyclicMapping(workers), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name   string
+		noAcct bool
+	}{{"accounted", false}, {"unaccounted", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			e, err := rio.NewEngine(rio.Options{Workers: workers, NoAccounting: v.noAcct})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.RunCompiled(cp, noop); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
+		})
+	}
+}
+
 // BenchmarkCompiledReplay — the replay term n·t_r of cost model (2), paid
 // per run under closure replay and hoisted to compile time by the
 // compiled fast path. The Fig 7 weak-scaling workload (independent tasks,
@@ -365,9 +403,9 @@ func BenchmarkCompiledReplay(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
 	}
 
-	// NoAccounting everywhere: two time.Now calls per executed task would
+	// NoAccounting everywhere: the two clock reads per executed task would
 	// otherwise floor every variant at the clock cost (that is what the
-	// option is for — overhead micro-measurements).
+	// option is for; BenchmarkAccountingOverhead prices it).
 	b.Run("closure", func(b *testing.B) {
 		rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: benchWorkers, Mapping: m, NoAccounting: true})
 		if err != nil {

@@ -602,9 +602,9 @@ func runTimed(t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration) {
 		t.run(w)
 		return
 	}
-	tt := time.Now()
+	tt := trace.Stamp()
 	t.run(w)
-	*taskTime += time.Since(tt)
+	*taskTime += trace.Stamp() - tt
 }
 
 // recordError stores the first asynchronous (worker-side) error.

@@ -20,9 +20,15 @@ type Options struct {
 	// deterministic and must return values in [0, Workers). If nil, a
 	// cyclic mapping (id mod Workers) is used.
 	Mapping stf.Mapping
-	// NoAccounting disables per-task and per-wait time-stamping. Wall
-	// time and task counters are still collected. Use for overhead
-	// micro-measurements where two time.Now calls per task would matter.
+	// NoAccounting disables per-task and per-wait time-stamping: no clock
+	// is read inside a run, Stats carries only Wall and the task counters,
+	// and the progress table's wait histogram stays empty (every other
+	// Progress counter is published either way; the adaptive spin seed of
+	// the next run then falls back to SpinLimit). Accounting costs two
+	// monotonic clock reads (trace.Stamp) per executed task and two per
+	// dependency wait: a third of a run of empty tasks, nothing
+	// measurable on bodies of a microsecond (BenchmarkAccountingOverhead;
+	// DESIGN.md §9, "What accounting costs").
 	NoAccounting bool
 	// WaitPolicy selects how dependency waits behave once the busy-poll
 	// phase has not resolved them (see stf.WaitPolicy). The zero value is
@@ -749,9 +755,9 @@ func (s *submitter) runTimed(b body) {
 		b.run(s.worker)
 		return
 	}
-	t0 := time.Now()
+	t0 := trace.Stamp()
 	b.run(s.worker)
-	s.ws.Task += time.Since(t0)
+	s.ws.Task += trace.Stamp() - t0
 }
 
 func (s *submitter) fail(err error) {

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"rio/internal/stf"
+	"rio/internal/trace"
 )
 
 // Run hardening: the paper's protocol trusts the program — a
@@ -105,13 +106,13 @@ type healthWords struct {
 	mode     atomic.Int32
 	task     atomic.Int64
 	data     atomic.Int64
-	since    atomic.Int64 // UnixNano of the last phase change to exec/wait
+	since    atomic.Int64 // trace.Stamp of the last phase change to exec/wait
 	executed atomic.Int64 // tasks completed by this worker
 }
 
 func (h *workerHealth) setExec(id int64) {
 	h.task.Store(id)
-	h.since.Store(time.Now().UnixNano())
+	h.stampPhase()
 	h.phase.Store(phaseExec)
 }
 
@@ -124,8 +125,22 @@ func (h *workerHealth) setWait(id stf.TaskID, a stf.Access) {
 	h.task.Store(int64(id))
 	h.data.Store(int64(a.Data))
 	h.mode.Store(int32(a.Mode))
-	h.since.Store(time.Now().UnixNano())
+	h.stampPhase()
 	h.phase.Store(phaseWait)
+}
+
+// stampPhase dates the exec or wait phase the worker is entering. The date
+// is a monotonic stamp, not a wall-clock time: a step of the system clock
+// must neither hide a wedged body from the watchdog nor make a body that
+// has just started look stuck.
+func (h *workerHealth) stampPhase() { h.since.Store(int64(trace.Stamp())) }
+
+// phaseAge is how long ago the worker entered its exec or wait phase. The
+// clock is read after the date is loaded, so the age is never negative,
+// even when the worker re-stamps while the monitor looks.
+func (h *workerHealth) phaseAge() time.Duration {
+	since := time.Duration(h.since.Load())
+	return trace.Stamp() - since
 }
 
 func (h *workerHealth) setReplay() { h.phase.Store(phaseReplay) }
@@ -337,7 +352,7 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 	defer ticker.Stop()
 
 	lastSum := int64(-1)
-	lastProgress := time.Now()
+	lastProgress := trace.Stamp()
 	for {
 		select {
 		case <-done:
@@ -359,14 +374,13 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 		}
 		if sum != lastSum {
 			lastSum = sum
-			lastProgress = time.Now()
+			lastProgress = trace.Stamp()
 			continue
 		}
-		if time.Since(lastProgress) < threshold {
+		if trace.Stamp()-lastProgress < threshold {
 			continue
 		}
 
-		now := time.Now()
 		st := &stf.StallError{Threshold: threshold}
 		allBlockedOrDone := true
 		longBusy := false
@@ -381,11 +395,11 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 					Task:   stf.TaskID(h.task.Load()),
 					Data:   stf.DataID(h.data.Load()),
 					Mode:   stf.AccessMode(h.mode.Load()),
-					For:    now.Sub(time.Unix(0, h.since.Load())),
+					For:    h.phaseAge(),
 				})
 			case phaseExec:
 				allBlockedOrDone = false
-				busyFor := now.Sub(time.Unix(0, h.since.Load()))
+				busyFor := h.phaseAge()
 				if busyFor >= threshold {
 					longBusy = true
 				}

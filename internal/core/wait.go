@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rio/internal/stf"
+	"rio/internal/trace"
 )
 
 // Wait tuning defaults (Options.SpinLimit / YieldLimit). The escalation
@@ -76,9 +77,9 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 	if h := s.hooks; h != nil && h.OnWaitStart != nil {
 		h.OnWaitStart(s.worker, id, a)
 	}
-	var t0 time.Time
+	var t0 time.Duration
 	if !s.eng.noAcct {
-		t0 = time.Now()
+		t0 = trace.Stamp()
 	}
 
 	policy := s.eng.policy
@@ -150,7 +151,7 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 	}
 	var waited time.Duration
 	if !s.eng.noAcct {
-		waited = time.Since(t0)
+		waited = trace.Stamp() - t0
 		s.ws.Idle += waited
 		s.prog.AddWait(waited)
 	}

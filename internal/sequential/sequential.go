@@ -266,7 +266,7 @@ func (s *submitter) timed(f func()) {
 		f()
 		return
 	}
-	t0 := time.Now()
+	t0 := trace.Stamp()
 	f()
-	s.ws.Task += time.Since(t0)
+	s.ws.Task += trace.Stamp() - t0
 }

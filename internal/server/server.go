@@ -12,12 +12,13 @@
 // Layering (DESIGN.md §11): api (this package's handlers) → ingest
 // (internal/server/ingest, the submission path shared with the CLI
 // tools) → flow table (one per tenant: content hash → compiled program)
-// → engine (one rio.Engine per tenant, which only runs programs).
+// → engines (two rio.Engines per tenant, one accounted and one not, which
+// only run programs; tenant.execute decides per run which one).
 //
 // Admission control: each tenant owns a bounded worker pool (its
-// engine's Config.Workers threads), a bounded submission queue, and one
-// executor goroutine that serializes runs on the engine (an Engine
-// executes one flow at a time). A full queue answers
+// engines' Config.Workers threads), a bounded submission queue, and one
+// executor goroutine that serializes runs on the engines (one flow at a
+// time on one or the other). A full queue answers
 // 429 with a Retry-After hint instead of queueing unboundedly; each
 // execution is bounded by Config.Timeout (rio.Options.Timeout on the
 // tenant engine); Drain stops admission with 503 and lets in-flight and
@@ -494,10 +495,13 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 	}
 }
 
-// progressInfo is the JSON response of GET /v1/progress: the engine's
-// always-on counters plus the admission and flow-table state that frames
-// them. Cache is the flow table as a program cache: one miss per compile,
-// one hit per execution started, one entry per registered flow.
+// progressInfo is the JSON response of GET /v1/progress: the tenant's run
+// counters (tenant.progress) plus the admission and flow-table state that
+// frames them. Cache is the flow table as a program cache: one miss per
+// compile, one hit per execution started, one entry per registered flow.
+// Runs says how many executions started and how many of them were
+// accounted — the weight of Progress's wait histogram, which only those
+// runs refresh.
 type progressInfo struct {
 	Tenant   string `json:"tenant"`
 	Draining bool   `json:"draining"`
@@ -509,6 +513,10 @@ type progressInfo struct {
 		Misses  int64 `json:"misses"`
 		Entries int   `json:"entries"`
 	} `json:"cache"`
+	Runs struct {
+		Total     int64 `json:"total"`
+		Accounted int64 `json:"accounted"`
+	} `json:"runs"`
 	Progress rio.Progress `json:"progress"`
 }
 
@@ -524,20 +532,22 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		QueueLen: len(t.queue),
 		QueueCap: cap(t.queue),
 		Flows:    len(t.snapshot()),
-		Progress: t.eng.Progress(),
+		Progress: t.progress(),
 	}
+	info.Runs.Accounted = t.accounted.Load() // read before the total, which it must never exceed
 	info.Cache.Hits, info.Cache.Misses, info.Cache.Entries = t.hits.Load(), t.misses.Load(), info.Flows
+	info.Runs.Total = info.Cache.Hits
 	writeJSON(w, http.StatusOK, info)
 }
 
-// handleMetrics is GET /metrics: the tenant engine's Prometheus text
-// exposition (rio.MetricsHandler's format and error contract).
+// handleMetrics is GET /metrics: the Prometheus text exposition of the
+// tenant's run counters (rio.MetricsHandler's format and error contract).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	t := s.lookupTenant(w, r)
 	if t == nil {
 		return
 	}
-	rio.MetricsHandler(t.eng).ServeHTTP(w, r)
+	rio.MetricsHandler(tenantRuntime{t.timed, t}).ServeHTTP(w, r)
 }
 
 // handleHealth is GET /healthz: 200 while serving, 503 once draining

@@ -332,41 +332,57 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 // TestDrain exercises graceful shutdown: once Drain is called, new work
-// is 503 and health flips, but the in-flight run finishes.
+// is 503 and health flips, but the in-flight run finishes — whichever of
+// the tenant's two engines it is on (the first run of a tenant takes the
+// accounted one, the second the other).
 func TestDrain(t *testing.T) {
-	s, hs := newTestServer(t, Config{Workers: 2})
-	g := graphs.Chain(200) // ~200ms under the sleep kernel
-	info := submitFlow(t, hs.URL, "", g)
+	for _, c := range []struct {
+		name      string
+		earlier   int // runs completed before the one the drain finds in flight
+		accounted bool
+	}{{"accounted", 0, true}, {"unaccounted", 1, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, hs := newTestServer(t, Config{Workers: 2})
+			g := graphs.Chain(200) // ~200ms under the sleep kernel
+			info := submitFlow(t, hs.URL, "", g)
+			for i := 0; i < c.earlier; i++ {
+				runFlow(t, hs.URL, "", info.ID, "noop")
+			}
 
-	done := make(chan runResult, 1)
-	go func() { done <- runFlow(t, hs.URL, "", info.ID, "sleep") }()
-	deadline := time.Now().Add(10 * time.Second)
-	for !progressOf(t, hs.URL, "").Progress.Running {
-		if time.Now().After(deadline) {
-			t.Fatal("run never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+			done := make(chan runResult, 1)
+			go func() { done <- runFlow(t, hs.URL, "", info.ID, "sleep") }()
+			deadline := time.Now().Add(10 * time.Second)
+			for !progressOf(t, hs.URL, "").Progress.Running {
+				if time.Now().After(deadline) {
+					t.Fatal("run never started")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if tn := s.reg.lookup(DefaultTenant); (tn.last.Load() == tn.timed) != c.accounted {
+				t.Fatalf("the in-flight run is not on the %s engine", c.name)
+			}
 
-	drained := make(chan error, 1)
-	go func() { drained <- s.Drain(context.Background()) }()
-	for !s.Draining() {
-		time.Sleep(time.Millisecond)
-	}
+			drained := make(chan error, 1)
+			go func() { drained <- s.Drain(context.Background()) }()
+			for !s.Draining() {
+				time.Sleep(time.Millisecond)
+			}
 
-	if resp := do(t, "POST", hs.URL+"/v1/flows", "", graphJSON(t, graphs.Chain(4)), nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("submit while draining: status %d, want 503", resp.StatusCode)
-	}
-	if resp := do(t, "GET", hs.URL+"/healthz", "", nil, nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz while draining: status %d, want 503", resp.StatusCode)
-	}
+			if resp := do(t, "POST", hs.URL+"/v1/flows", "", graphJSON(t, graphs.Chain(4)), nil); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("submit while draining: status %d, want 503", resp.StatusCode)
+			}
+			if resp := do(t, "GET", hs.URL+"/healthz", "", nil, nil); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("healthz while draining: status %d, want 503", resp.StatusCode)
+			}
 
-	res := <-done
-	if res.Executed != int64(len(g.Tasks)) {
-		t.Errorf("in-flight run executed %d tasks, want %d (drain must not cancel it)", res.Executed, len(g.Tasks))
-	}
-	if err := <-drained; err != nil {
-		t.Errorf("drain: %v", err)
+			res := <-done
+			if res.Executed != int64(len(g.Tasks)) {
+				t.Errorf("in-flight run executed %d tasks, want %d (drain must not cancel it)", res.Executed, len(g.Tasks))
+			}
+			if err := <-drained; err != nil {
+				t.Errorf("drain: %v", err)
+			}
+		})
 	}
 }
 
@@ -601,5 +617,184 @@ func TestTenantTableBound(t *testing.T) {
 	submitFlow(t, hs.URL, "solo", graphs.Chain(2))
 	if code := do(t, "POST", hs.URL+"/v1/flows", "intruder", graphJSON(t, graphs.Chain(2)), nil).StatusCode; code != http.StatusServiceUnavailable {
 		t.Errorf("second tenant: status %d, want 503 at MaxTenants", code)
+	}
+}
+
+// waitingFlow returns a flow of n >= 2 tasks on one datum that is certain
+// to wait on two workers under the cyclic mapping and the "head-sleeps"
+// kernel: task 0 (worker 0) writes the datum and sleeps a millisecond
+// doing it, task 1 (worker 1) reads it and so waits that long, the rest
+// read it too. A no-op Cholesky usually waits; this one always does.
+func waitingFlow(n int) *stf.Graph {
+	g := stf.NewGraph(fmt.Sprintf("waiting-%d", n), 1)
+	g.Add(0, 0, 0, 0, stf.W(0))
+	for i := 1; i < n; i++ {
+		g.Add(0, i, 0, 0, stf.R(0))
+	}
+	return g
+}
+
+var headSleeps = map[string]rio.Kernel{"head-sleeps": func(t *rio.Task, _ rio.WorkerID) {
+	if t.ID == 0 {
+		time.Sleep(time.Millisecond)
+	}
+}}
+
+// metricsOf scrapes GET /metrics and returns the executed-task total and
+// the completed-wait count summed over workers.
+func metricsOf(t *testing.T, base, tenant string) (executed, waits int64) {
+	t.Helper()
+	resp := do(t, "GET", base+"/metrics", tenant, nil, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d", resp.StatusCode)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(raw), "\n") {
+		var n int64
+		name, value, _ := strings.Cut(line, " ")
+		fmt.Sscan(value, &n) // comment lines scan nothing and match no prefix
+		switch {
+		case strings.HasPrefix(name, "rio_tasks_executed_total{"):
+			executed += n
+		case strings.HasPrefix(name, "rio_wait_duration_seconds_count{"):
+			waits += n
+		}
+	}
+	return executed, waits
+}
+
+// waitsIn counts the completed waits in p's histogram.
+func waitsIn(p rio.Progress) (n int64) {
+	for _, b := range p.WaitHist() {
+		n += b
+	}
+	return n
+}
+
+// TestAccountingSampledPerRun pins the service's sampling of the stopwatch:
+// of a tenant's runs exactly the 1st, 17th, 33rd, … take the accounted
+// engine, and nothing a client reads can tell which engine ran — the
+// response's executed count, /v1/progress and /metrics report the run that
+// just finished (two flows of different sizes alternate, so a stale table
+// from the other engine would show) with the wait histogram of the last
+// accounted run, never an empty one.
+func TestAccountingSampledPerRun(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 2, Kernels: headSleeps})
+	flows := []*stf.Graph{waitingFlow(2), waitingFlow(3)}
+	ids := []string{submitFlow(t, hs.URL, "", flows[0]).ID, submitFlow(t, hs.URL, "", flows[1]).ID}
+	tn := s.reg.lookup(DefaultTenant)
+
+	var accounted int64
+	for run := 1; run <= 33; run++ {
+		tasks := int64(len(flows[run%2].Tasks))
+		if res := runFlow(t, hs.URL, "", ids[run%2], "head-sleeps"); res.Executed != tasks {
+			t.Fatalf("run %d: response says %d tasks executed, want %d", run, res.Executed, tasks)
+		}
+
+		want := run == 1 || run == 17 || run == 33
+		if want {
+			accounted++
+		}
+		if got := tn.last.Load().Stats().Accounted; got != want {
+			t.Fatalf("run %d: ran accounted = %v, want %v", run, got, want)
+		}
+		if !tn.timed.Stats().Accounted || tn.plain.Stats().Accounted {
+			t.Fatalf("run %d: the tenant's engines are not one accounted and one not", run)
+		}
+
+		p := progressOf(t, hs.URL, "")
+		if p.Runs.Total != int64(run) || p.Runs.Accounted != accounted {
+			t.Errorf("run %d: progress says runs %+v, want total %d accounted %d", run, p.Runs, run, accounted)
+		}
+		if p.Progress.Running || p.Progress.Executed() != tasks {
+			t.Errorf("run %d: progress says running %v, %d executed, want the finished run's %d", run, p.Progress.Running, p.Progress.Executed(), tasks)
+		}
+		if waitsIn(p.Progress) == 0 {
+			t.Errorf("run %d: progress shows an empty wait histogram", run)
+		}
+		if executed, waits := metricsOf(t, hs.URL, ""); executed != tasks || waits == 0 {
+			t.Errorf("run %d: metrics say %d executed, %d waits, want %d and at least one", run, executed, waits, tasks)
+		}
+	}
+}
+
+// TestAccountingSampledPerTenant: the sample counts a tenant's own runs, so
+// every tenant's first run is accounted, wherever it falls among the
+// server's.
+func TestAccountingSampledPerTenant(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2, Kernels: headSleeps})
+	g := waitingFlow(2)
+	a, b := submitFlow(t, hs.URL, "a", g), submitFlow(t, hs.URL, "b", g)
+	runFlow(t, hs.URL, "a", a.ID, "head-sleeps")
+	runFlow(t, hs.URL, "a", a.ID, "head-sleeps")
+	runFlow(t, hs.URL, "b", b.ID, "head-sleeps")
+	for tenant, total := range map[string]int64{"a": 2, "b": 1} {
+		p := progressOf(t, hs.URL, tenant)
+		if p.Runs.Total != total || p.Runs.Accounted != 1 {
+			t.Errorf("tenant %s: runs %+v, want total %d accounted 1", tenant, p.Runs, total)
+		}
+		if waitsIn(p.Progress) == 0 {
+			t.Errorf("tenant %s: empty wait histogram after its first run", tenant)
+		}
+	}
+}
+
+// TestProgressScrapedAcrossEngines reads /v1/progress and /metrics from four
+// goroutines while 200 runs alternate between the tenant's engines: every
+// scrape must answer a coherent snapshot (meaningful under -race, which is
+// how the serve-integration CI job runs it).
+func TestProgressScrapedAcrossEngines(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2})
+	g := graphs.LU(4)
+	info := submitFlow(t, hs.URL, "", g)
+	runFlow(t, hs.URL, "", info.ID, "noop") // the tenant and its counters exist from here on
+
+	stop := make(chan struct{})
+	var scrapers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		path := []string{"/v1/progress", "/metrics"}[i%2]
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(hs.URL + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				raw, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %d, %v", path, resp.StatusCode, err)
+					return
+				}
+				if path != "/v1/progress" {
+					continue
+				}
+				var p progressInfo
+				if err := json.Unmarshal(raw, &p); err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				if n := p.Progress.Executed(); n > int64(len(g.Tasks)) || p.Runs.Accounted > p.Runs.Total {
+					t.Errorf("progress shows %d executed of %d tasks, runs %+v", n, len(g.Tasks), p.Runs)
+				}
+			}
+		}()
+	}
+	for run := 0; run < 200; run++ {
+		if res := runFlow(t, hs.URL, "", info.ID, "noop"); res.Executed != int64(len(g.Tasks)) {
+			t.Errorf("run %d executed %d tasks, want %d", run, res.Executed, len(g.Tasks))
+		}
+	}
+	close(stop)
+	scrapers.Wait()
+	if p := progressOf(t, hs.URL, ""); p.Runs.Total != 201 || p.Runs.Accounted != 13 {
+		t.Errorf("runs %+v, want total 201 accounted 13", p.Runs)
 	}
 }

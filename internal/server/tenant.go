@@ -1,11 +1,15 @@
 package server
 
 // The tenant layer: one flow table (content hash → compiled program),
-// one rio.Engine, one bounded submission queue and one executor goroutine
-// per tenant. Submitters compile into the flow table concurrently and
-// never touch the engine; the executor is the only goroutine that runs
-// programs on it (an Engine executes one flow at a time), so
+// two rio.Engines that differ only in NoAccounting, one bounded submission
+// queue and one executor goroutine per tenant. Submitters compile into the
+// flow table concurrently and never touch the engines; the executor is the
+// only goroutine that runs programs on them, one flow at a time on one or
+// the other (a compiled program may run on different engines), so
 // serialization through the queue is what makes the whole service safe.
+// Which engine a run takes is decided per run (accountEvery): the accounted
+// one times every task and every wait, the other reads no clock inside a
+// run. Every reader of a tenant's counters goes through tenant.progress.
 // Admission is the try-send on the bounded queue: a full queue rejects
 // instead of blocking, which is the 429 backpressure path.
 
@@ -72,17 +76,68 @@ type execResult struct {
 
 type tenant struct {
 	name string
-	eng  *rio.Engine
-	reg  *registry
+	// timed and plain are the tenant's engines, alike but for NoAccounting:
+	// execute picks one per run. last is the one that ran, or is running,
+	// last (nil before the first run).
+	timed, plain *rio.Engine
+	last         atomic.Pointer[rio.Engine]
+	reg          *registry
 
 	mu    sync.Mutex
 	flows map[string]*flow
-	// hits counts executions started on a registered flow, misses the
-	// compiles that registered one (GET /v1/progress's cache block).
-	hits, misses atomic.Int64
+	// hits counts executions started on a registered flow — the cache
+	// block's hits and the runs block's total of GET /v1/progress —
+	// accounted those of them that ran on the timed engine, misses the
+	// compiles that registered a flow.
+	hits, accounted, misses atomic.Int64
 
 	queue chan *execReq
 }
+
+// accountEvery is the sampling period of the stopwatch: run n of a tenant
+// takes the timed engine when n mod accountEvery == 1 and the plain one
+// otherwise. Accounting is two clock reads per task and per wait, at most
+// ≈45 % of a run whose bodies do nothing and less of any other (DESIGN.md
+// §9, "What accounting costs"), so one run in 16 keeps its cost to the
+// service under 3 %, while a tenant at capacity — thousands of runs a
+// second — still refreshes Stats and the wait histogram hundreds of times
+// a second. The remainder is 1, not 0, so that a tenant's first run is
+// accounted: a one-request session sees the histogram it saw when every
+// run was. The sample is per run, never per task: timing one body in N
+// would charge a heavy body hidden among empty ones at the empty price.
+const accountEvery = 16
+
+// progress is the one reading of the tenant's run counters, behind
+// GET /v1/progress, GET /metrics, expvar and a run response's executed
+// count: the live counters of the engine that ran (or is running) last,
+// with the wait histogram of the last accounted run — an unaccounted run
+// buckets no waits, and a scrape that lands on one must not read that as
+// "nothing waited". Safe from any goroutine, like Engine.Progress.
+func (t *tenant) progress() rio.Progress {
+	eng := t.last.Load()
+	if eng == nil {
+		return t.timed.Progress() // no run yet: the zero Progress
+	}
+	p := eng.Progress()
+	if eng == t.plain {
+		// Either table is missing when that engine's first run was canceled
+		// before it started.
+		acc := t.timed.Progress()
+		for w := range min(len(p.Workers), len(acc.Workers)) {
+			p.Workers[w].WaitHist = acc.Workers[w].WaitHist
+		}
+	}
+	return p
+}
+
+// tenantRuntime is the tenant as rio.MetricsHandler and rio.PublishExpvar
+// take it: the accounted engine, read through tenant.progress.
+type tenantRuntime struct {
+	*rio.Engine
+	t *tenant
+}
+
+func (r tenantRuntime) Progress() rio.Progress { return r.t.progress() }
 
 // register inserts sub's flow into the tenant's table, or returns the
 // already-registered flow for its hash. The caller registered it — and
@@ -195,12 +250,13 @@ func (t *tenant) executor() {
 	}
 }
 
-// execute runs one admitted request on the tenant engine. The run
-// context is the client's request context; the registry's abort context
-// (armed when a Drain deadline expires) cancels it too, and the engine
-// adds Config.Timeout on top (rio.Options.Timeout). Execution runs
-// under pprof labels naming the tenant and flow, so CPU profiles of the
-// serving process split by tenant.
+// execute runs one admitted request on one of the tenant's engines: the
+// timed one every accountEvery-th run, starting with the first, the plain
+// one otherwise. The run context is the client's request context; the
+// registry's abort context (armed when a Drain deadline expires) cancels it
+// too, and the engine adds Config.Timeout on top (rio.Options.Timeout).
+// Execution runs under pprof labels naming the tenant and flow, so CPU
+// profiles of the serving process split by tenant.
 func (t *tenant) execute(req *execReq) {
 	queueWait := time.Since(req.queued)
 	if req.ctx.Err() != nil {
@@ -212,17 +268,22 @@ func (t *tenant) execute(req *execReq) {
 	defer stop()
 	defer cancel()
 
-	t.hits.Add(1)
+	eng := t.plain
+	if t.hits.Add(1)%accountEvery == 1 {
+		eng = t.timed
+		t.accounted.Add(1)
+	}
+	t.last.Store(eng)
 	var err error
 	start := time.Now()
 	pprof.Do(runCtx, pprof.Labels("rio_tenant", t.name, "rio_flow", req.flow.id, "rio_kernel", req.name), func(ctx context.Context) {
-		err = t.eng.RunCompiledContext(ctx, req.flow.cp, req.kernel)
+		err = eng.RunCompiledContext(ctx, req.flow.cp, req.kernel)
 	})
 	wall := time.Since(start)
 	res := execResult{err: err, wall: wall, queueWait: queueWait}
 	if err == nil {
 		req.flow.runs.Add(1)
-		p := t.eng.Progress()
+		p := t.progress()
 		res.executed = p.Executed()
 	}
 	req.done <- res
@@ -262,7 +323,7 @@ func newRegistry(cfg Config) *registry {
 	}
 }
 
-// tenant returns the named tenant, lazily creating its engine, queue
+// tenant returns the named tenant, lazily creating its engines, queue
 // and executor, bounded by Config.MaxTenants.
 func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 	r.mu.Lock()
@@ -273,19 +334,26 @@ func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 	if len(r.tenants) >= cfg.MaxTenants {
 		return nil, fmt.Errorf("tenant table is full (%d tenants); tenant %q not admitted", cfg.MaxTenants, name)
 	}
-	eng, err := rio.NewEngine(rio.Options{Workers: cfg.Workers, Timeout: cfg.Timeout})
+	opts := rio.Options{Workers: cfg.Workers, Timeout: cfg.Timeout}
+	timed, err := rio.NewEngine(opts)
+	if err != nil {
+		return nil, fmt.Errorf("creating engine for tenant %q: %w", name, err)
+	}
+	opts.NoAccounting = true
+	plain, err := rio.NewEngine(opts)
 	if err != nil {
 		return nil, fmt.Errorf("creating engine for tenant %q: %w", name, err)
 	}
 	t := &tenant{
 		name:  name,
-		eng:   eng,
+		timed: timed,
+		plain: plain,
 		reg:   r,
 		flows: make(map[string]*flow),
 		queue: make(chan *execReq, cfg.QueueDepth),
 	}
 	if cfg.PublishExpvar {
-		rio.PublishExpvar("rio."+name, eng)
+		rio.PublishExpvar("rio."+name, tenantRuntime{timed, t})
 	}
 	r.tenants[name] = t
 	r.executors.Add(1)

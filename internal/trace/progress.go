@@ -155,7 +155,10 @@ func (p *Progress) WaitHist() [NumWaitBuckets]int64 {
 // ProgressTable. Each cell is cache-line padded and owned by exactly one
 // worker, which publishes with uncontended atomic stores of its private
 // tallies — no read-modify-write on shared lines, so the always-on cost is
-// one atomic store per declare and three per execution.
+// one atomic store per declare and three per execution. The wait histogram
+// is the one field that is not always on: a wait has to be timed to be
+// bucketed, so only accounted runs call AddWait and a NoAccounting run
+// leaves it empty.
 type ProgressCell struct {
 	progressCounters
 	// Pad to a cache-line multiple to keep neighboring workers off this

@@ -80,7 +80,9 @@ type (
 	// Progress is a mid-run snapshot of a run's always-on counters
 	// (Runtime.Progress): per-worker executed/declared/claimed tallies,
 	// the task each worker is executing right now, and a wait-time
-	// histogram. Safe to take from any goroutine while a run is in flight.
+	// histogram (the one field that needs accounting: empty under
+	// Options.NoAccounting). Safe to take from any goroutine while a run is
+	// in flight.
 	Progress = trace.Progress
 	// WorkerProgress is one worker's slice of a Progress snapshot.
 	WorkerProgress = trace.WorkerProgress
@@ -345,8 +347,14 @@ type Options struct {
 	// Fault groups the fault-tolerance knobs: Retry, Snapshots, Resume and
 	// Checkpoint.
 	Fault FaultOptions
-	// NoAccounting disables fine-grained time-stamping (wall time and
-	// task counts remain available).
+	// NoAccounting disables fine-grained time-stamping: no clock is read
+	// inside a run, so Stats carries only the wall time and the task
+	// counts (Stats.Accounted is false) and Progress's wait histogram
+	// stays empty; every other Progress counter is published either way.
+	// Accounting costs two monotonic clock reads per executed task and two
+	// per dependency wait, which is most of what there is to save on tasks
+	// that do next to nothing (BenchmarkAccountingOverhead) and invisible
+	// on tasks of a microsecond or more.
 	NoAccounting bool
 	// Timeout, when positive, bounds every Run/RunContext call: the run
 	// is canceled when the deadline expires, as if the caller had passed
