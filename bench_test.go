@@ -376,6 +376,7 @@ func BenchmarkAccountingOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := e.RunCompiled(cp, noop); err != nil {

@@ -31,6 +31,8 @@ import (
 // length need not be known in advance. Pages are allocated on demand; the
 // page index is guarded by a mutex but cached read-side with an atomic
 // pointer, so the steady-state cost of a claim check is two atomic loads.
+// The zero value is an empty table; a run's table is pooled with its state
+// and reset keeps the pages.
 type claimTable struct {
 	mu    sync.Mutex
 	pages atomic.Pointer[[]*claimPage]
@@ -42,11 +44,20 @@ type claimPage struct {
 	bits [1 << (claimPageBits - 6)]atomic.Uint64
 }
 
-func newClaimTable() *claimTable {
-	t := &claimTable{}
-	empty := make([]*claimPage, 0)
-	t.pages.Store(&empty)
-	return t
+// loaded returns the page index (nil before the first page).
+func (t *claimTable) loaded() []*claimPage {
+	if ps := t.pages.Load(); ps != nil {
+		return *ps
+	}
+	return nil
+}
+
+// reset unclaims every task, keeping the pages. Callers must guarantee that
+// no worker of the run that used the table is still running.
+func (t *claimTable) reset() {
+	for _, p := range t.loaded() {
+		clear(p.bits[:])
+	}
 }
 
 // tryClaim atomically claims task id; it returns true for exactly one
@@ -64,7 +75,7 @@ func (t *claimTable) tryClaim(id int64) bool {
 // without allocating pages: an id beyond the allocated pages is unclaimed by
 // definition. Steal scans use it to skip resolved candidates cheaply.
 func (t *claimTable) claimed(id int64) bool {
-	ps := *t.pages.Load()
+	ps := t.loaded()
 	idx := int(id >> claimPageBits)
 	if idx >= len(ps) {
 		return false
@@ -77,12 +88,12 @@ func (t *claimTable) claimed(id int64) bool {
 // if needed.
 func (t *claimTable) page(id int64) *claimPage {
 	idx := int(id >> claimPageBits)
-	if ps := *t.pages.Load(); idx < len(ps) {
+	if ps := t.loaded(); idx < len(ps) {
 		return ps[idx]
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ps := *t.pages.Load()
+	ps := t.loaded()
 	for idx >= len(ps) {
 		grown := make([]*claimPage, len(ps)+1)
 		copy(grown, ps)

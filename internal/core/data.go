@@ -22,8 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"rio/internal/stf"
 )
 
 // cacheLine is the coherence granularity the state layout is padded to.
@@ -40,8 +38,10 @@ const cacheLine = 64
 // itself), so lastExecutedWrite is only ever advanced by a single writer;
 // readers and reducers increment their counters concurrently.
 type sharedCell struct {
-	// lastExecutedWrite is the TaskID of the last write performed on the
-	// data (stf.NoTask before any write).
+	// lastExecutedWrite is id+1 for the TaskID id of the last write
+	// performed on the data, 0 before any write: the +1 makes idle the zero
+	// value, so a cleared cell is a fresh one (see localState for the
+	// matching encoding; stealReady decodes it).
 	lastExecutedWrite atomic.Int64
 	// nbReadsSinceWrite counts the reads performed since the last write.
 	nbReadsSinceWrite atomic.Int64
@@ -116,15 +116,16 @@ func (s *sharedCell) wake() {
 	s.parkMu.Unlock()
 }
 
-// recycle resets the shared protocol counters to their pre-flow state for a
-// new epoch. Callers must guarantee quiescence: no worker is between a get
-// and a terminate on this data, and no waiter is parked on the gate (the
-// streaming session calls it from the epoch barrier's last arriver, after
-// every worker has finished the window). The reduction mutex and park gate
-// need no reset — an unlocked mutex and a nil gate channel *are* their idle
-// states, and the no-lost-wakeup protocol re-derives the gate per epoch.
+// recycle returns the shared protocol counters to idle — zero — for a new
+// epoch. Callers must guarantee quiescence: no worker is between a get and a
+// terminate on this data, and no waiter is parked on the gate (the streaming
+// session calls it from the epoch barrier's last arriver, after every worker
+// has finished the window). The reduction mutex and park gate need no reset
+// — an unlocked mutex and a nil gate channel *are* their idle states, and
+// the no-lost-wakeup protocol re-derives the gate per epoch. A whole run's
+// cells are not recycled one by one: Engine.borrow clears them in one go.
 func (s *sharedCell) recycle() {
-	s.lastExecutedWrite.Store(int64(stf.NoTask))
+	s.lastExecutedWrite.Store(0)
 	s.nbReadsSinceWrite.Store(0)
 	s.nbRedsSinceWrite.Store(0)
 }
@@ -136,7 +137,9 @@ func (s *sharedCell) recycle() {
 // foreign task nearly free (one or two private writes per dependency,
 // §3.3).
 type localState struct {
-	// lastRegisteredWrite is the TaskID of the last write encountered.
+	// lastRegisteredWrite is id+1 for the TaskID id of the last write
+	// encountered, 0 before any: the encoding of sharedCell.lastExecutedWrite,
+	// so the get_* conditions compare the two as they are.
 	lastRegisteredWrite int64
 	// nbReadsSinceWrite counts the reads encountered since that write.
 	nbReadsSinceWrite int64
@@ -157,9 +160,11 @@ type localState struct {
 // neighboring workers' segments, so no two workers' local states can share
 // a line regardless of how the allocator aligned the backing array —
 // declares are private-memory writes in the coherence sense, not just the
-// ownership sense.
+// ownership sense. An arena outlives its run in the engine's pool: reset
+// lays it out again for any numData up to the one it was allocated for.
 type localArena struct {
 	backing []localState
+	workers int
 	stride  int
 	numData int
 }
@@ -169,21 +174,34 @@ type localArena struct {
 // relationship the white-box layout test pins.
 const localStatesPerLine = cacheLine / int(unsafe.Sizeof(localState{}))
 
-func newLocalArena(workers, numData int) *localArena {
+// arenaStride is the per-worker stride for numData data objects: numData
+// rounded up to a whole line, plus a full guard line.
+func arenaStride(numData int) int {
 	stride := numData
 	if r := stride % localStatesPerLine; r != 0 {
 		stride += localStatesPerLine - r
 	}
-	stride += localStatesPerLine // full guard line between workers
-	a := &localArena{
+	return stride + localStatesPerLine
+}
+
+// newLocalArena returns an idle arena (all zero) for numData data objects.
+func newLocalArena(workers, numData int) localArena {
+	stride := arenaStride(numData)
+	return localArena{
 		backing: make([]localState, workers*stride),
+		workers: workers,
 		stride:  stride,
 		numData: numData,
 	}
-	for i := range a.backing {
-		a.backing[i].recycle()
-	}
-	return a
+}
+
+// reset lays a used arena out for numData data objects — at most the
+// numData it was allocated for — and returns the span that layout covers to
+// idle with one clear.
+func (a *localArena) reset(numData int) {
+	a.stride = arenaStride(numData)
+	a.numData = numData
+	clear(a.backing[:a.workers*a.stride])
 }
 
 // worker returns worker w's localState segment.
@@ -191,11 +209,11 @@ func (a *localArena) worker(w int) []localState {
 	return a.backing[w*a.stride : w*a.stride+a.numData : w*a.stride+a.numData]
 }
 
-// recycle resets a worker's private view of one data object for a new
-// epoch. Each worker calls it for the data its next window touches before
+// recycle returns a worker's private view of one data object to idle for a
+// new epoch. Each worker calls it for the data its next window touches before
 // replaying the window — private memory, so no synchronization is involved.
 func (l *localState) recycle() {
-	*l = localState{lastRegisteredWrite: int64(stf.NoTask)}
+	*l = localState{}
 }
 
 // declareRead implements declare_read: the worker encountered a read it
@@ -205,11 +223,11 @@ func (l *localState) declareRead() {
 	l.nbRedsBeforeRun = l.nbRedsSinceWrite
 }
 
-// declareWrite implements declare_write(task_id). A write resets all
-// since-write counters.
+// declareWrite implements declare_write(task_id), registering the write as
+// id+1 (see lastRegisteredWrite). A write resets all since-write counters.
 func (l *localState) declareWrite(id int64) {
 	l.nbReadsSinceWrite = 0
-	l.lastRegisteredWrite = id
+	l.lastRegisteredWrite = id + 1
 	l.nbRedsSinceWrite = 0
 	l.nbRedsBeforeRun = 0
 }
@@ -254,16 +272,16 @@ func (l *localState) terminateRead(s *sharedState) {
 	l.declareRead()
 }
 
-// terminateWrite implements terminate_write(task_id). The counters are
-// reset *before* the write ID is published so that a waiter observing the
-// new write ID can never pair it with the previous epoch's counts
-// (single-writer-at-a-time is guaranteed by the protocol itself). The wake
-// follows every store, so a woken waiter's re-check sees the whole
+// terminateWrite implements terminate_write(task_id), publishing id+1. The
+// counters are reset *before* the write ID is published so that a waiter
+// observing the new write ID can never pair it with the previous epoch's
+// counts (single-writer-at-a-time is guaranteed by the protocol itself). The
+// wake follows every store, so a woken waiter's re-check sees the whole
 // publication.
 func (l *localState) terminateWrite(s *sharedState, id int64) {
 	s.nbReadsSinceWrite.Store(0)
 	s.nbRedsSinceWrite.Store(0)
-	s.lastExecutedWrite.Store(id)
+	s.lastExecutedWrite.Store(id + 1)
 	s.wake()
 	l.declareWrite(id)
 }

@@ -14,8 +14,6 @@ package core
 import (
 	"testing"
 	"unsafe"
-
-	"rio/internal/stf"
 )
 
 func TestSharedStateIsCacheLineMultiple(t *testing.T) {
@@ -35,45 +33,60 @@ func TestSharedStateIsCacheLineMultiple(t *testing.T) {
 		t.Fatalf("sizeof(sharedState) = %d, want %d (cell %d rounded up to a line)", size, want, cell)
 	}
 	// Adjacent elements of a []sharedState must start on distinct lines.
-	s := make([]sharedState, 2)
+	var s [2]sharedState
 	d := uintptr(unsafe.Pointer(&s[1])) - uintptr(unsafe.Pointer(&s[0]))
 	if d < cacheLine {
 		t.Fatalf("adjacent sharedState elements %d bytes apart, want >= %d", d, cacheLine)
 	}
 }
 
+// TestLocalArenaSeparatesWorkers: every worker's segment starts idle — the
+// zero value — and at least a full line from its neighbors, both when the
+// arena is fresh and when a used one is laid out again (reset) for the same
+// or a smaller numData, as a pooled run state is.
 func TestLocalArenaSeparatesWorkers(t *testing.T) {
 	if cacheLine%unsafe.Sizeof(localState{}) != 0 {
 		t.Fatalf("sizeof(localState) = %d no longer divides the cache line; the arena's guard-gap arithmetic needs revisiting", unsafe.Sizeof(localState{}))
+	}
+	check := func(a *localArena, workers, numData int, how string) {
+		t.Helper()
+		for w := 0; w < workers; w++ {
+			seg := a.worker(w)
+			if len(seg) != numData {
+				t.Fatalf("%s workers=%d numData=%d: worker %d segment length %d", how, workers, numData, w, len(seg))
+			}
+			for d := range seg {
+				if seg[d] != (localState{}) {
+					t.Fatalf("%s workers=%d numData=%d: worker %d data %d = %+v, want idle (zero)", how, workers, numData, w, d, seg[d])
+				}
+			}
+		}
+		if numData == 0 {
+			return
+		}
+		// The end of worker w's segment and the start of worker w+1's must
+		// be at least one full line apart, so no line holds state of two
+		// workers no matter how the backing array is aligned.
+		for w := 0; w+1 < workers; w++ {
+			lastEnd := uintptr(unsafe.Pointer(&a.worker(w)[numData-1])) + unsafe.Sizeof(localState{})
+			nextStart := uintptr(unsafe.Pointer(&a.worker(w + 1)[0]))
+			if gap := nextStart - lastEnd; gap < cacheLine {
+				t.Fatalf("%s workers=%d numData=%d: gap between worker %d and %d segments is %d bytes, want >= %d",
+					how, workers, numData, w, w+1, gap, cacheLine)
+			}
+		}
 	}
 	for _, tc := range []struct{ workers, numData int }{
 		{1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 7}, {4, 64}, {8, 129},
 	} {
 		a := newLocalArena(tc.workers, tc.numData)
-		for w := 0; w < tc.workers; w++ {
-			seg := a.worker(w)
-			if len(seg) != tc.numData {
-				t.Fatalf("workers=%d numData=%d: worker %d segment length %d", tc.workers, tc.numData, w, len(seg))
+		check(&a, tc.workers, tc.numData, "fresh")
+		for _, n := range []int{tc.numData, tc.numData / 2, 0} {
+			for i := range a.backing {
+				a.backing[i] = localState{lastRegisteredWrite: 9, nbReadsSinceWrite: 3, nbRedsSinceWrite: 2, nbRedsBeforeRun: 1}
 			}
-			for d := range seg {
-				if seg[d].lastRegisteredWrite != int64(stf.NoTask) {
-					t.Fatalf("worker %d data %d: lastRegisteredWrite = %d, want NoTask", w, d, seg[d].lastRegisteredWrite)
-				}
-			}
-		}
-		if tc.numData == 0 {
-			continue
-		}
-		// The end of worker w's segment and the start of worker w+1's must
-		// be at least one full line apart, so no line holds state of two
-		// workers no matter how the backing array is aligned.
-		for w := 0; w+1 < tc.workers; w++ {
-			lastEnd := uintptr(unsafe.Pointer(&a.worker(w)[tc.numData-1])) + unsafe.Sizeof(localState{})
-			nextStart := uintptr(unsafe.Pointer(&a.worker(w + 1)[0]))
-			if gap := nextStart - lastEnd; gap < cacheLine {
-				t.Fatalf("workers=%d numData=%d: gap between worker %d and %d segments is %d bytes, want >= %d",
-					tc.workers, tc.numData, w, w+1, gap, cacheLine)
-			}
+			a.reset(n)
+			check(&a, tc.workers, n, "reused")
 		}
 	}
 }

@@ -98,7 +98,15 @@ type Options struct {
 }
 
 // Engine is a decentralized in-order STF execution engine. An Engine is
-// reusable (Run may be called repeatedly) but not concurrently.
+// reusable (Run may be called repeatedly) but not concurrently. Reuse
+// carries pooled state: a run borrows the per-data cells, local arenas and
+// submitters an earlier run gave back instead of allocating them, so a busy
+// engine holds one such state in flight and an idle one holds it only until
+// the garbage collector empties the pool. The pool hands a state to one run
+// (or session) at a time, and a run gives it back only once nothing of it
+// can still be running, so state is exclusive to a run. The state of a run
+// the stall watchdog abandons is never given back: it leaks with the wedged
+// goroutine, and the next run starts from a fresh one.
 type Engine struct {
 	workers int
 	// mapping is published atomically: should a SetMapping race a run's
@@ -123,6 +131,11 @@ type Engine struct {
 	// engine's workers; Run and a second OpenSession are rejected until the
 	// session is closed.
 	sessionActive atomic.Bool
+	// states pools the *runState runs and sessions borrow (borrow, giveBack).
+	states sync.Pool
+	// borrowed, when set (white-box tests only), observes every state
+	// borrow hands out, after its reset.
+	borrowed func(st *runState, numData int)
 }
 
 // New returns a RIO engine for the given options.
@@ -236,9 +249,9 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 }
 
 // run is the scaffolding shared by the closure-replay and compiled-replay
-// paths: allocate the synchronization state, spawn one goroutine per
-// worker replaying f against its submitter, supervise the run
-// (cancellation, stall watchdog) and assemble the error verdict.
+// paths: borrow the synchronization state, spawn one goroutine per worker
+// replaying f against its submitter, supervise the run (cancellation, stall
+// watchdog) and assemble the error verdict.
 func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: run not started: %w", context.Cause(ctx))
@@ -250,12 +263,12 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 		return errors.New("core: engine has an open streaming session; close it before Run")
 	}
 	// Seed the adaptive spin budgets from the previous run's wait
-	// histogram (if any) before the new progress table replaces it.
+	// histogram (if any), read in place before the new progress table
+	// replaces it.
 	seed := e.spinLimit
 	if e.policy == stf.WaitAdaptive {
 		if prev := e.progress.Load(); prev != nil {
-			p := prev.Snapshot()
-			seed = adaptiveSeed(p.WaitHist(), e.spinLimit)
+			seed = adaptiveSeed(prev.WaitHist(), e.spinLimit)
 		}
 	}
 	rp := trace.NewProgressTable(e.workers)
@@ -263,7 +276,7 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 	if h := e.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(e.workers, numData)
 	}
-	err := e.execute(ctx, numData, rp, seed, &f)
+	err := e.execute(ctx, numData, rp, seed, f)
 	rp.Finish()
 	if h := e.hooks; h != nil && h.OnRunEnd != nil {
 		h.OnRunEnd(err)
@@ -271,58 +284,16 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 	return err
 }
 
-// newSubmitters allocates what every replay starts from — idle shared
-// cells, the workers' local state, one submitter per worker and, on an
-// armed engine, each worker's steal state — for a one-shot run (execute
-// adds the per-run latch, claims, checkpoint and watchdog plumbing) or a
-// streaming session (runWindow installs the per-window plumbing).
-func (e *Engine) newSubmitters(numData int, rp *trace.ProgressTable, spinBudget int) ([]sharedState, []*submitter) {
-	shared := make([]sharedState, numData)
-	for i := range shared {
-		shared[i].recycle()
-	}
-	// One flat arena backs every worker's local protocol state: segments
-	// indexed directly by data ID, separated by guard cache lines (see
-	// localArena).
-	arena := newLocalArena(e.workers, numData)
-	// One mapping snapshot for the whole run or session: every worker must
-	// resolve ownership identically even if SetMapping races the start.
-	mapping := *e.mapping.Load()
-	subs := make([]*submitter, e.workers)
-	for w := range subs {
-		subs[w] = &submitter{
-			eng:        e,
-			worker:     stf.WorkerID(w),
-			mapping:    mapping,
-			shared:     shared,
-			local:      arena.worker(w),
-			prog:       rp.Worker(w),
-			hooks:      e.hooks,
-			retry:      e.retry,
-			snaps:      e.snaps,
-			spinBudget: spinBudget,
-		}
-		if e.steal != nil {
-			subs[w].thief = newStealState(e.steal, stf.WorkerID(w), e.workers)
-		}
-	}
-	return shared, subs
-}
-
 // execute is run's engine room, split out so run can bracket it with the
-// progress table's lifecycle and the OnRunStart/OnRunEnd hooks.
-func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f *flow) error {
-	shared, subs := e.newSubmitters(numData, rp, spinSeed)
-	claims := newClaimTable()
-	abort := newAbortState(shared)
-	var health []workerHealth
-	if e.stallTimeout > 0 {
-		health = make([]workerHealth, e.workers)
-	}
-	for w, s := range subs {
-		s.claims, s.abort, s.resume, s.track = claims, abort, e.resume, e.checkpoint
-		if health != nil {
-			s.health = &health[w]
+// progress table's lifecycle and the OnRunStart/OnRunEnd hooks. It starts
+// exactly the p workers and, when the watchdog is armed, its monitor.
+func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f flow) error {
+	st := e.borrow(numData, rp, spinSeed)
+	st.flow = f
+	for w, s := range st.subs {
+		s.resume, s.track = e.resume, e.checkpoint
+		if st.health != nil {
+			s.health = &st.health[w]
 		}
 		if e.guard && f.prog != nil {
 			// Only a closure program can diverge between workers: compiled
@@ -330,65 +301,68 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 			s.guard = &guardState{}
 		}
 	}
+	done := make(chan struct{})
+	st.done = done
+	st.live.Store(int32(e.workers))
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(e.workers)
-	for _, s := range subs {
-		go func(s *submitter) {
-			defer wg.Done()
-			t0 := time.Now()
-			defer func() {
-				if s.health != nil {
-					s.health.setDone()
-				}
-				s.ws.Wall = time.Since(t0)
-			}()
-			s.replay(f)
-		}(s)
+	for _, s := range st.subs {
+		go st.work(s)
 	}
-
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
+	var stopCancel func() bool
+	var canceled chan struct{}
 	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				abort.raise(fmt.Errorf("core: run canceled: %w", context.Cause(ctx)), true)
-			case <-done:
-			}
-		}()
+		canceled = make(chan struct{})
+		stopCancel = context.AfterFunc(ctx, func() {
+			defer close(canceled)
+			st.abort.raise(fmt.Errorf("core: run canceled: %w", context.Cause(ctx)), true)
+		})
 	}
 	var stalled chan *stf.StallError
 	if e.stallTimeout > 0 {
 		stalled = make(chan *stf.StallError, 1)
-		go e.monitor(subs, abort, done, stalled)
+		go e.monitor(st.subs, &st.abort, done, stalled)
 	}
 
 	select {
 	case <-done:
-	case st := <-stalled:
-		// The watchdog aborted the run; give the workers the grace window
-		// to unwind through the abort flag. Only a worker wedged inside a
-		// task body can miss it — then the run is abandoned: the wedged
-		// goroutine leaks and per-worker stats are unavailable (reading
-		// them would race with the leaked goroutine).
-		grace := time.NewTimer(stallGrace)
-		select {
-		case <-done:
-			grace.Stop()
-		case <-grace.C:
-			e.stats = trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: time.Since(start)}
-			return fmt.Errorf("core: run abandoned (a worker is wedged inside a task body and cannot be stopped; do not reuse this engine): %w", st)
+	case stall := <-stalled:
+		// nil: the monitor left without a verdict, the run is failing for
+		// another reason and the workers unwind through the abort flag.
+		if stall != nil {
+			// The watchdog aborted the run; give the workers the grace
+			// window to unwind through the abort flag. Only a worker wedged
+			// inside a task body can miss it — then the run is abandoned:
+			// the wedged goroutine leaks, and with it the run's state, which
+			// is never given back; per-worker stats are unavailable (reading
+			// them would race with the leaked goroutine).
+			grace := time.NewTimer(stallGrace)
+			select {
+			case <-done:
+				grace.Stop()
+			case <-grace.C:
+				if stopCancel != nil {
+					stopCancel()
+				}
+				e.stats = trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: time.Since(start)}
+				return fmt.Errorf("core: run abandoned (a worker is wedged inside a task body and cannot be stopped; do not reuse this engine): %w", stall)
+			}
 		}
+		<-done
 	}
 	wall := time.Since(start)
+	// Join the monitor, which closes stalled on its way out, and the cancel
+	// callback, which stop no longer prevents once it has started.
+	if stalled != nil {
+		for range stalled {
+		}
+	}
+	if stopCancel != nil && !stopCancel() {
+		<-canceled
+	}
 
 	e.stats = trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: wall, Accounted: !e.noAcct}
-	for w, s := range subs {
+	for w, s := range st.subs {
 		ws := s.ws
 		if !e.noAcct {
 			if r := ws.Wall - ws.Task - ws.Idle; r > 0 {
@@ -397,15 +371,18 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		}
 		e.stats.Workers[w] = ws
 	}
-	err := verdict(subs, abort)
+	err := verdict(st.subs, &st.abort)
 	if err == nil {
-		if err = guardVerdict(subs); err != nil {
+		if err = guardVerdict(st.subs); err != nil {
 			err = fmt.Errorf("core: %w", err)
 		}
 	}
 	if err != nil && e.checkpoint {
-		return &stf.PartialError{Cause: err, Result: e.partialResult(subs, len(f.tasks))}
+		err = &stf.PartialError{Cause: err, Result: e.partialResult(st.subs, len(f.tasks))}
 	}
+	// The workers, the monitor and the cancel callback are joined above and
+	// nothing returned references the state: it goes back to the pool.
+	e.giveBack(st)
 	return err
 }
 

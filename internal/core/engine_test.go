@@ -430,7 +430,7 @@ func fanOut(n int) *stf.Graph {
 // it: every worker finished cleanly, so every task ran and the flow met its
 // deadline (the rule stream windows always had). The last task of a chain
 // runs after every other task; its body waits until the other workers have
-// replayed past it, cancels, and leaves the context watcher time to raise
+// replayed past it, cancels, and leaves the cancel callback time to raise
 // the abort while the run is still in flight. Mid-run cancellation keeps
 // returning the wrapped cause (TestCompiledCancellation,
 // TestFaultCancelMidRun).
@@ -476,5 +476,44 @@ func TestCancelAfterLastTaskIsClean(t *testing.T) {
 		if err != nil {
 			t.Errorf("compiled=%v: run that completed before its cancellation was observed failed: %v", compiled, err)
 		}
+	}
+}
+
+// A cancellation that arrives late — mid-run, at the end, or after the run
+// returned — belongs to its own run only. Runs of one engine share pooled
+// state, so a late cancel must not reach the next run: after each canceled
+// run, an uncancelable one must succeed and execute every task.
+func TestLateCancelCannotReachLaterRun(t *testing.T) {
+	const p, iters = 2, 2000
+	g := graphs.LU(3)
+	cp, err := stf.Compile(g, sched.Cyclic(p), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, core.Options{Workers: p})
+	kern := func(*stf.Task, stf.WorkerID) {}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < iters; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		returned, fired := make(chan struct{}), make(chan struct{})
+		afterReturn, delay := rng.Intn(3) == 0, time.Duration(rng.Intn(100))*time.Microsecond
+		go func() {
+			defer close(fired)
+			if afterReturn {
+				<-returned
+			} else {
+				time.Sleep(delay)
+			}
+			cancel()
+		}()
+		_ = e.RunCompiledContext(ctx, cp, kern) // canceled or not: either is fine
+		close(returned)
+		if err := e.RunCompiled(cp, kern); err != nil {
+			t.Fatalf("iteration %d: the run after a canceled one failed: %v", i, err)
+		}
+		if n := e.Stats().Executed(); n != int64(len(g.Tasks)) {
+			t.Fatalf("iteration %d: the run after a canceled one executed %d of %d tasks", i, n, len(g.Tasks))
+		}
+		<-fired
 	}
 }

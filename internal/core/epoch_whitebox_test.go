@@ -123,34 +123,51 @@ func TestEpochGateHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSharedCellRecycle: recycle returns the protocol counters to their
-// pre-flow state without touching the park gate's idle invariants.
+// TestSharedCellRecycle: idle is the zero value — a zero cell is a fresh
+// one, and recycle returns a used cell to it without touching the park
+// gate's idle invariants.
 func TestSharedCellRecycle(t *testing.T) {
 	var c sharedCell
-	c.recycle()
-	if got := c.lastExecutedWrite.Load(); got != -1 {
-		t.Errorf("lastExecutedWrite = %d, want -1 (NoTask)", got)
+	if c.lastExecutedWrite.Load() != 0 || c.nbReadsSinceWrite.Load() != 0 || c.nbRedsSinceWrite.Load() != 0 {
+		t.Fatal("a zero cell is not idle")
 	}
 	c.lastExecutedWrite.Store(7)
 	c.nbReadsSinceWrite.Store(3)
 	c.nbRedsSinceWrite.Store(2)
 	c.recycle()
-	if c.lastExecutedWrite.Load() != -1 || c.nbReadsSinceWrite.Load() != 0 || c.nbRedsSinceWrite.Load() != 0 {
-		t.Error("recycle did not reset the protocol counters")
+	if c.lastExecutedWrite.Load() != 0 || c.nbReadsSinceWrite.Load() != 0 || c.nbRedsSinceWrite.Load() != 0 {
+		t.Error("recycle did not return the protocol counters to zero")
+	}
+	if c.waiters.Load() != 0 || c.parkCh != nil {
+		t.Error("recycle disturbed the idle park gate")
 	}
 }
 
-// TestLocalStateRecycle: the private half resets to the pre-flow view.
+// TestLocalStateRecycle: the private half resets to the zero value, and the
+// id+1 encoding of a write round-trips between the halves: a worker that
+// declares the write another worker terminated is ready for the next write,
+// while a mirror that has not declared it — task 0's included — is not.
 func TestLocalStateRecycle(t *testing.T) {
 	l := localState{}
-	l.recycle()
-	if l.lastRegisteredWrite != -1 {
-		t.Errorf("lastRegisteredWrite = %d, want -1", l.lastRegisteredWrite)
-	}
 	l.declareWrite(4)
 	l.declareRead()
 	l.recycle()
-	if l.lastRegisteredWrite != -1 || l.nbReadsSinceWrite != 0 || l.nbRedsSinceWrite != 0 {
-		t.Error("recycle did not reset the private counters")
+	if l != (localState{}) {
+		t.Errorf("recycle left %+v, want the zero value", l)
+	}
+	for _, id := range []int64{0, 5} {
+		var sh sharedState
+		var owner, other localState
+		if !other.writeReady(&sh) {
+			t.Fatalf("task %d: a fresh mirror is not ready on a fresh cell", id)
+		}
+		owner.terminateWrite(&sh, id)
+		if other.writeReady(&sh) {
+			t.Errorf("task %d: a mirror that never declared the write takes the written cell for idle", id)
+		}
+		other.declareWrite(id)
+		if !other.writeReady(&sh) {
+			t.Errorf("task %d: terminateWrite then declareWrite of the same task left writeReady false", id)
+		}
 	}
 }

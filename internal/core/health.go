@@ -41,21 +41,11 @@ type abortState struct {
 	// cancellation, watchdog) and must therefore be reported separately.
 	cause    error
 	external bool
-	// onRaise, when set, runs after the flag is raised (newAbortState wires
-	// it to wake every data event gate). Set at construction, never
-	// concurrently with raise; must be idempotent, as every raise invokes it.
-	onRaise func()
-}
-
-// newAbortState returns the abort latch of one run or stream window over
-// shared. An abort must reach waiters parked on data event gates, not only
-// polling ones, so every raise wakes every gate.
-func newAbortState(shared []sharedState) *abortState {
-	return &abortState{onRaise: func() {
-		for i := range shared {
-			shared[i].wake()
-		}
-	}}
+	// shared are the data the run or window synchronizes on. An abort must
+	// reach waiters parked on their event gates, not only polling ones, so
+	// every raise wakes every gate. Set at construction, never concurrently
+	// with raise.
+	shared []sharedState
 }
 
 // raised reports whether the run is aborting.
@@ -71,8 +61,8 @@ func (a *abortState) raise(err error, external bool) {
 	}
 	a.mu.Unlock()
 	a.flag.Store(true)
-	if a.onRaise != nil {
-		a.onRaise()
+	for i := range a.shared {
+		a.shared[i].wake()
 	}
 }
 
@@ -338,8 +328,10 @@ const stallGrace = 500 * time.Millisecond
 // completion count; when no task completes for the configured threshold it
 // inspects the published worker states and, if they prove a deadlock or a
 // stuck task (rather than mere imbalance or a long replay), aborts the run
-// with a StallError and delivers the diagnosis on stalled.
+// with a StallError and delivers the diagnosis on stalled. It closes stalled
+// on its way out, verdict or not, which is how execute joins it.
 func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struct{}, stalled chan<- *stf.StallError) {
+	defer close(stalled)
 	threshold := e.stallTimeout
 	tick := threshold / 8
 	if tick < time.Millisecond {

@@ -28,12 +28,13 @@ func settleGoroutines(baseline int) int {
 }
 
 // TestWatchdogNoGoroutineLeak audits the stall watchdog's supervision
-// machinery (monitor goroutine + ticker, the ctx watcher, the wg-closer):
-// N runs that complete far below the stall threshold, and N runs canceled
-// mid-dependency-wait, must leave the goroutine count where it started.
-// (Audited: the monitor exits via the run's done channel with its ticker
-// stopped by defer, and its final send cannot block because the stalled
-// channel is buffered — this test pins that no future change regresses it.)
+// machinery (monitor goroutine + ticker, the context.AfterFunc cancel
+// callback): N runs that complete far below the stall threshold, and N runs
+// canceled mid-dependency-wait, must leave the goroutine count where it
+// started. (Audited: the monitor exits via the run's done channel with its
+// ticker stopped by defer, its final send cannot block because the stalled
+// channel is buffered, and the run joins both before it returns — this
+// test pins that no future change regresses it.)
 func TestWatchdogNoGoroutineLeak(t *testing.T) {
 	g := graphs.LU(4)
 	kern := func(*stf.Task, stf.WorkerID) {}
@@ -56,7 +57,7 @@ func TestWatchdogNoGoroutineLeak(t *testing.T) {
 	}
 
 	// Cancellation mid-wait: workers blocked in dependency waits unwind
-	// through the abort flag; monitor and ctx watcher must follow.
+	// through the abort flag; monitor and cancel callback must follow.
 	chain := graphs.Chain(200)
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithCancel(context.Background())

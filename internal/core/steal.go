@@ -26,10 +26,10 @@ import (
 	"rio/internal/stf"
 )
 
-// stealState is one worker's stealing machinery, allocated with the
-// submitters of an armed engine only (newSubmitters) — a nil-policy engine
-// allocates nothing. The worker's own part is cursors; the tables they
-// point into belong to the flow's program.
+// stealState is one worker's stealing machinery, allocated with the run
+// state of an armed engine only (newRunState) and pooled with it — a
+// nil-policy engine allocates nothing. The worker's own part is cursors; the
+// tables they point into belong to the flow's program.
 type stealState struct {
 	scanBound int
 	// victims is the resolved scan order: the policy's ranked list (self
@@ -118,12 +118,14 @@ func (s *submitter) trySteal() bool {
 // cells — the same readiness predicate its owner's get_* calls would
 // evaluate, valid from any worker because the values describe the flow, not
 // the evaluator. Once true it stays true (see internal/stf/steal.go), so a
-// subsequent claim cannot outrun the proof.
+// subsequent claim cannot outrun the proof. The requirements speak task IDs
+// (stf.NoTask for "no write"), the cells id+1: this is the one place that
+// decodes.
 func (s *submitter) stealReady(reqs []stf.StealReq) bool {
 	for i := range reqs {
 		r := &reqs[i]
 		sh := &s.shared[r.Data]
-		if !r.Ready(sh.lastExecutedWrite.Load(), sh.nbReadsSinceWrite.Load(), sh.nbRedsSinceWrite.Load()) {
+		if !r.Ready(sh.lastExecutedWrite.Load()-1, sh.nbReadsSinceWrite.Load(), sh.nbRedsSinceWrite.Load()) {
 			return false
 		}
 	}
@@ -152,8 +154,9 @@ func (s *submitter) stealExec(owner stf.WorkerID, t *stf.Task) {
 // releaseStolen publishes a stolen task's completion to the shared cells:
 // the terminate_* protocol minus the local declare (see stealExec). The
 // published values are the task's own — terminate_write stores the task's
-// ID — so downstream waiters observe exactly what the owner would have
-// published: the canonical order is preserved regardless of the executor.
+// ID, as id+1 — so downstream waiters observe exactly what the owner would
+// have published: the canonical order is preserved regardless of the
+// executor.
 func (s *submitter) releaseStolen(accesses []stf.Access, id int64) {
 	for _, a := range accesses {
 		sh := &s.shared[a.Data]
@@ -161,7 +164,7 @@ func (s *submitter) releaseStolen(accesses []stf.Access, id int64) {
 		case a.Mode.Writes():
 			sh.nbReadsSinceWrite.Store(0)
 			sh.nbRedsSinceWrite.Store(0)
-			sh.lastExecutedWrite.Store(id)
+			sh.lastExecutedWrite.Store(id + 1)
 			sh.wake()
 		case a.Mode.Commutes():
 			sh.nbRedsSinceWrite.Add(1)

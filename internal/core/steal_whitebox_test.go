@@ -128,7 +128,7 @@ func TestStealEpochQuiescence(t *testing.T) {
 		// The barrier has passed: every worker finished its replay AND its
 		// steal drain. Any candidate still unclaimed here could be claimed
 		// against recycled counters in the next epoch.
-		for wk, sub := range ss.subs {
+		for wk, sub := range ss.st.subs {
 			if sub.steal == nil {
 				t.Fatalf("worker %d has no steal state", wk)
 			}
@@ -137,7 +137,7 @@ func TestStealEpochQuiescence(t *testing.T) {
 			}
 		}
 	}
-	for _, sub := range ss.subs {
+	for _, sub := range ss.st.subs {
 		stolen += sub.ws.Stolen
 	}
 	if stolen == 0 {

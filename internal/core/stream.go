@@ -13,12 +13,14 @@
 // everything in window k+1).
 //
 // The barrier is also where per-data synchronization state is recycled:
-// the last arriver resets the shared counters of the data the window
-// touched (quiescent by definition — nobody is between a get and a
-// terminate), and each worker resets its private counters for the next
-// window's touched set before replaying it. State cost is O(numData) for
-// the session plus O(touched) work per window — independent of how many
-// tasks have flowed through, which is the whole point.
+// the last arriver returns the shared counters of the data the window
+// touched to idle — zero stores, quiescent by definition: nobody is between
+// a get and a terminate — and each worker zeroes its private counters for
+// the next window's touched set before replaying it. The state itself is a
+// one-shot run's: borrowed from the engine's pool at open and given back at
+// Close. State cost is O(numData) for the session plus O(touched) work per
+// window — independent of how many tasks have flowed through, which is the
+// whole point.
 package core
 
 import (
@@ -59,9 +61,9 @@ type WindowRun struct {
 
 // windowSpec is the published form of a window: the flow every worker
 // replays plus the per-epoch machinery (the touched set to recycle, abort
-// latch, claim table for SharedWorker and stolen tasks, timeout timer).
-// Read-only once published. A spec with closed set is the shutdown marker,
-// not a window.
+// latch, claim table for SharedWorker and stolen tasks, timeout timer and
+// the channel its callback closes once it has run). Read-only once
+// published. A spec with closed set is the shutdown marker, not a window.
 type windowSpec struct {
 	flow    flow
 	touched []stf.DataID
@@ -69,23 +71,23 @@ type windowSpec struct {
 	abort   *abortState
 	claims  *claimTable
 	timer   *time.Timer
+	fired   chan struct{}
 	closed  bool
 }
 
 var errSessionClosed = errors.New("core: session is closed")
 
 // Session executes an unbounded flow of windows over one engine's workers.
-// The worker goroutines, the per-data shared state and the per-worker local
-// arenas persist for the session's lifetime; windows borrow them between
-// epoch barriers. Flush/Drain/Close must be called from a single producer
-// goroutine. A failed window poisons the session: the error is sticky and
-// no further windows run.
+// The worker goroutines and the run state — per-data shared cells,
+// per-worker local arenas, submitters — persist for the session's lifetime;
+// windows borrow them between epoch barriers. Flush/Drain/Close must be
+// called from a single producer goroutine. A failed window poisons the
+// session: the error is sticky and no further windows run.
 type Session struct {
 	eng     *Engine
 	numData int
 	timeout time.Duration
-	shared  []sharedState
-	subs    []*submitter
+	st      *runState
 	prog    *trace.ProgressTable
 
 	pub  epochGate // windows published to the workers
@@ -122,13 +124,11 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 	}
 	rp := trace.NewProgressTable(e.workers)
 	e.progress.Store(rp)
-	shared, subs := e.newSubmitters(numData, rp, e.spinLimit)
 	ss := &Session{
 		eng:     e,
 		numData: numData,
 		timeout: timeout,
-		shared:  shared,
-		subs:    subs,
+		st:      e.borrow(numData, rp, e.spinLimit),
 		prog:    rp,
 	}
 	ss.wg.Add(e.workers)
@@ -177,12 +177,14 @@ func (ss *Session) Flush(wr WindowRun) error {
 		flow:    ss.eng.compiledFlow(wr.Compiled, wr.Tasks, wr.Kernel),
 		touched: wr.Touched,
 		epoch:   ss.published,
-		abort:   newAbortState(ss.shared),
-		claims:  newClaimTable(),
+		abort:   &abortState{shared: ss.st.shared[:ss.numData]},
+		claims:  &claimTable{},
 	}
 	if ss.timeout > 0 {
-		ab, d := spec.abort, ss.timeout
+		ab, d, fired := spec.abort, ss.timeout, make(chan struct{})
+		spec.fired = fired
 		spec.timer = time.AfterFunc(d, func() {
+			defer close(fired)
 			ab.raise(fmt.Errorf("core: stream window exceeded its %v timeout", d), true)
 		})
 	}
@@ -221,6 +223,9 @@ func (ss *Session) Close() error {
 	ss.pub.Close()
 	ss.done.Close()
 	ss.prog.Finish()
+	// The workers are joined and every window's timer callback was joined
+	// at its barrier (arrive): the state goes back to the pool.
+	ss.eng.giveBack(ss.st)
 	ss.eng.sessionActive.Store(false)
 	return ss.Err()
 }
@@ -246,7 +251,7 @@ func (ss *Session) fail(err error) {
 // torn-down gate) is observed.
 func (ss *Session) worker(w int) {
 	defer ss.wg.Done()
-	s := ss.subs[w]
+	s := ss.st.subs[w]
 	for next := uint64(1); ; next++ {
 		if !ss.pub.Wait(next) {
 			return // gate closed under us: session torn down
@@ -276,7 +281,9 @@ func (ss *Session) runWindow(s *submitter, spec *windowSpec) {
 }
 
 // arrive is the epoch barrier. The last worker to arrive owns the epoch's
-// epilogue: assemble the window verdict from every worker's state (their
+// epilogue: join the window's timeout callback if it fired (it wakes the
+// session's data gates, so it must be gone before the state can go back to
+// the pool), assemble the window verdict from every worker's state (their
 // writes happen-before their arrival increments, all observed by the last
 // arriver), recycle the touched shared state on success, and advance the
 // done gate — which both unblocks the flusher and carries the epilogue's
@@ -286,18 +293,18 @@ func (ss *Session) arrive(spec *windowSpec) {
 		return
 	}
 	ss.arrivals.Store(0)
-	if spec.timer != nil {
-		spec.timer.Stop()
+	if spec.timer != nil && !spec.timer.Stop() {
+		<-spec.fired
 	}
-	if err := verdict(ss.subs, spec.abort); err != nil {
+	if err := verdict(ss.st.subs, spec.abort); err != nil {
 		ss.fail(fmt.Errorf("core: stream window %d: %w", spec.epoch, err))
 	} else {
 		// Quiescent recycle: every worker is past its last terminate on this
 		// window's data and parked-waiter registration is zero (a successful
 		// window leaves no waiter behind). Skipped on failure — the session
-		// is poisoned and the state is never read again.
+		// is poisoned, and whoever borrows the state after it clears it.
 		for _, d := range spec.touched {
-			ss.shared[d].recycle()
+			ss.st.shared[d].recycle()
 		}
 	}
 	if h := ss.eng.hooks; h != nil && h.OnRunEnd != nil {

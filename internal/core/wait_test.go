@@ -132,7 +132,7 @@ func TestChainLatency(t *testing.T) {
 }
 
 // TestRunWithDifferentNumData reuses one engine across runs with different
-// data counts (state must be re-allocated per run).
+// data counts (a pooled state too small for a run must not be borrowed).
 func TestRunWithDifferentNumData(t *testing.T) {
 	e := newEngine(t, core.Options{Workers: 2, Mapping: sched.Cyclic(2)})
 	for _, g := range []*stf.Graph{

@@ -239,6 +239,19 @@ func (t *ProgressTable) Worker(w int) *ProgressCell { return &t.workers[w] }
 // Finish clears the running flag (the counters stay readable).
 func (t *ProgressTable) Finish() { t.running.Store(false) }
 
+// WaitHist returns the wait-duration histogram summed across workers, read
+// in place: what Snapshot().WaitHist() returns, without assembling the
+// snapshot.
+func (t *ProgressTable) WaitHist() [NumWaitBuckets]int64 {
+	var h [NumWaitBuckets]int64
+	for w := range t.workers {
+		for b := range h {
+			h[b] += t.workers[w].waitHist[b].Load()
+		}
+	}
+	return h
+}
+
 // Snapshot assembles a Progress view of the table. Safe to call from any
 // goroutine while workers are publishing.
 func (t *ProgressTable) Snapshot() Progress {
