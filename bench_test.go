@@ -743,8 +743,9 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 // BenchmarkStreamPipeline — the streaming steady state as a CI
 // perf-regression gate: one window of a fixed shape (chains of RW tasks,
 // chain-affine mapping) flushed per iteration through a long-lived
-// session, so ns/task is the per-window protocol cost — epoch barrier,
-// state recycle and replay — with the shape compiled once before the
+// session, so ns/task is the per-window protocol cost — joining the
+// previous window, recycling its state, launching this window's workers and
+// the replay itself — with the shape compiled once before the
 // timer starts. The variants mirror `rio-bench pipeline`: the compiled
 // shape-cache hit path, the closure window path (the same shape with the
 // last task of every chain SharedWorker, which is what selects it), and the

@@ -6,10 +6,10 @@
 // is unbounded and anything proportional to its length (the task table,
 // per-data dependency counters, the workers' progress cursors) would grow
 // without limit. The Stream API bounds all of it by the *window*: tasks
-// are recorded into the current window, Flush publishes it behind an
-// epoch barrier, and the per-data synchronization state is recycled by
-// generation counters at each boundary, so a million-task flow costs no
-// more memory than a thousand-task one.
+// are recorded into the current window, Flush joins the previous window and
+// runs this one as one run over the session's per-data state, and the state
+// the previous window touched is recycled at that join, so a million-task
+// flow costs no more memory than a thousand-task one.
 //
 // This example pushes >10^5 small tasks through >100 windows of a fixed
 // shape (the steady state of a periodic pipeline: the window compiles

@@ -9,9 +9,10 @@ package bench
 // centralized engine pays its master a dispatch per task of every window
 // (eq. 1's n·t_s term, plus a full unroll and worker fan-out per window),
 // while the in-order session pays a handful of private-memory writes per
-// task and one epoch barrier per window — the paper predicts RIO wins
-// decisively once tasks are small, and the streaming layers (windowed
-// recording, epoch-recycled state, per-shape compiled replay) must
+// task and one launch and join of its workers per window — the paper
+// predicts RIO wins decisively once tasks are small, and the streaming
+// layers (windowed recording, state recycled between windows, per-shape
+// compiled replay) must
 // preserve that edge for flows that never end. The rio-shared variant maps
 // the last task of every chain to SharedWorker, which sends its windows down
 // the closure window path: it isolates what the per-shape compiled cache

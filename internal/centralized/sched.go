@@ -175,8 +175,9 @@ func (q *fifoQueue) close() {
 // stealScheduler implements per-worker deques with work stealing. A worker
 // pops from the front of its own deque (preserving submission order for
 // hinted tasks) and steals from the back of a victim's deque. Parking uses
-// a shared condition variable with a version counter so that a push between
-// the failed scan and the wait cannot be lost.
+// a shared condition variable with a version counter, read before the scan
+// and re-checked under the lock, so that a push landing anywhere between
+// the start of the failed scan and the wait cannot be lost.
 type stealScheduler struct {
 	wt     waitTuning
 	deques []workerDeque
@@ -184,7 +185,7 @@ type stealScheduler struct {
 
 	mu      sync.Mutex
 	wake    *sync.Cond
-	version uint64
+	version atomic.Uint64 // advanced under mu, read lock-free before a scan
 	closed  bool
 
 	rr atomic.Uint64 // round-robin cursor for unhinted tasks
@@ -225,7 +226,7 @@ func (s *stealScheduler) push(t *task) {
 	d.mu.Unlock()
 
 	s.mu.Lock()
-	s.version++
+	s.version.Add(1)
 	s.mu.Unlock()
 	s.wake.Broadcast()
 }
@@ -281,6 +282,9 @@ func (s *stealScheduler) scan(w int) *task {
 func (s *stealScheduler) pop(w int) (*task, time.Duration) {
 	var idle time.Duration
 	for {
+		// A push after this read changes the version, whether or not the
+		// scans below see its task; one before it is in a deque they scan.
+		v := s.version.Load()
 		if t := s.scan(w); t != nil {
 			return t, idle
 		}
@@ -300,15 +304,14 @@ func (s *stealScheduler) pop(w int) (*task, time.Duration) {
 			}
 			idle += time.Since(t0)
 		}
-		// Nothing found: park until a push or close changes the world.
+		// Nothing found: park until a push since v or close changes the world.
 		s.mu.Lock()
-		v := s.version
 		if s.closed {
 			s.mu.Unlock()
 			return nil, idle
 		}
 		t0 := time.Now()
-		for s.version == v && !s.closed {
+		for s.version.Load() == v && !s.closed {
 			s.wake.Wait()
 		}
 		idle += time.Since(t0)

@@ -116,14 +116,14 @@ func (s *sharedCell) wake() {
 	s.parkMu.Unlock()
 }
 
-// recycle returns the shared protocol counters to idle — zero — for a new
-// epoch. Callers must guarantee quiescence: no worker is between a get and a
-// terminate on this data, and no waiter is parked on the gate (the streaming
-// session calls it from the epoch barrier's last arriver, after every worker
-// has finished the window). The reduction mutex and park gate need no reset
-// — an unlocked mutex and a nil gate channel *are* their idle states, and
-// the no-lost-wakeup protocol re-derives the gate per epoch. A whole run's
-// cells are not recycled one by one: Engine.borrow clears them in one go.
+// recycle returns the shared protocol counters to idle — zero — for the next
+// stream window. Callers must guarantee quiescence: no worker is between a
+// get and a terminate on this data, and no waiter is parked on the gate (the
+// streaming session calls it on the producer once it has joined the window,
+// when none of the window's workers exists any more). The reduction mutex
+// and park gate need no reset — an unlocked mutex and a nil gate channel
+// *are* their idle states. A whole run's cells are not recycled one by one:
+// Engine.borrow clears them in one go.
 func (s *sharedCell) recycle() {
 	s.lastExecutedWrite.Store(0)
 	s.nbReadsSinceWrite.Store(0)
@@ -209,9 +209,10 @@ func (a *localArena) worker(w int) []localState {
 	return a.backing[w*a.stride : w*a.stride+a.numData : w*a.stride+a.numData]
 }
 
-// recycle returns a worker's private view of one data object to idle for a
-// new epoch. Each worker calls it for the data its next window touches before
-// replaying the window — private memory, so no synchronization is involved.
+// recycle returns a worker's private view of one data object to idle for
+// the next stream window. The session's producer calls it for every worker
+// and every datum the window touches before launching the window's workers,
+// whose start the go statement orders after it.
 func (l *localState) recycle() {
 	*l = localState{}
 }

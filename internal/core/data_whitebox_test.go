@@ -9,7 +9,9 @@ package core
 //   - the local-state arena must keep a full guard line between neighboring
 //     workers' segments regardless of allocator alignment;
 //   - the event gate must not allocate until someone parks, and a wake must
-//     reach both present and about-to-park waiters.
+//     reach both present and about-to-park waiters;
+//   - recycling between stream windows must return both halves of a data
+//     object's state to idle, the zero value.
 
 import (
 	"testing"
@@ -119,4 +121,53 @@ func TestParkGateLazyAndWakeable(t *testing.T) {
 		t.Fatal("gate channel reused across epochs")
 	}
 	sh.waiters.Add(-1)
+}
+
+// TestSharedCellRecycle: idle is the zero value — a zero cell is a fresh
+// one, and recycle returns a used cell to it without touching the park
+// gate's idle invariants.
+func TestSharedCellRecycle(t *testing.T) {
+	var c sharedCell
+	if c.lastExecutedWrite.Load() != 0 || c.nbReadsSinceWrite.Load() != 0 || c.nbRedsSinceWrite.Load() != 0 {
+		t.Fatal("a zero cell is not idle")
+	}
+	c.lastExecutedWrite.Store(7)
+	c.nbReadsSinceWrite.Store(3)
+	c.nbRedsSinceWrite.Store(2)
+	c.recycle()
+	if c.lastExecutedWrite.Load() != 0 || c.nbReadsSinceWrite.Load() != 0 || c.nbRedsSinceWrite.Load() != 0 {
+		t.Error("recycle did not return the protocol counters to zero")
+	}
+	if c.waiters.Load() != 0 || c.parkCh != nil {
+		t.Error("recycle disturbed the idle park gate")
+	}
+}
+
+// TestLocalStateRecycle: the private half resets to the zero value, and the
+// id+1 encoding of a write round-trips between the halves: a worker that
+// declares the write another worker terminated is ready for the next write,
+// while a mirror that has not declared it — task 0's included — is not.
+func TestLocalStateRecycle(t *testing.T) {
+	l := localState{}
+	l.declareWrite(4)
+	l.declareRead()
+	l.recycle()
+	if l != (localState{}) {
+		t.Errorf("recycle left %+v, want the zero value", l)
+	}
+	for _, id := range []int64{0, 5} {
+		var sh sharedState
+		var owner, other localState
+		if !other.writeReady(&sh) {
+			t.Fatalf("task %d: a fresh mirror is not ready on a fresh cell", id)
+		}
+		owner.terminateWrite(&sh, id)
+		if other.writeReady(&sh) {
+			t.Errorf("task %d: a mirror that never declared the write takes the written cell for idle", id)
+		}
+		other.declareWrite(id)
+		if !other.writeReady(&sh) {
+			t.Errorf("task %d: terminateWrite then declareWrite of the same task left writeReady false", id)
+		}
+	}
 }

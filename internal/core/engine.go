@@ -127,8 +127,8 @@ type Engine struct {
 	steal        *stf.StealPolicy
 	stats        trace.Stats
 	progress     atomic.Pointer[trace.ProgressTable]
-	// sessionActive latches while a streaming Session (OpenSession) owns the
-	// engine's workers; Run and a second OpenSession are rejected until the
+	// sessionActive latches while a streaming Session (OpenSession) holds the
+	// engine's run state; Run and a second OpenSession are rejected until the
 	// session is closed.
 	sessionActive atomic.Bool
 	// states pools the *runState runs and sessions borrow (borrow, giveBack).
@@ -289,7 +289,6 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 // exactly the p workers and, when the watchdog is armed, its monitor.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f flow) error {
 	st := e.borrow(numData, rp, spinSeed)
-	st.flow = f
 	for w, s := range st.subs {
 		s.resume, s.track = e.resume, e.checkpoint
 		if st.health != nil {
@@ -301,14 +300,9 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 			s.guard = &guardState{}
 		}
 	}
-	done := make(chan struct{})
-	st.done = done
-	st.live.Store(int32(e.workers))
-
 	start := time.Now()
-	for _, s := range st.subs {
-		go st.work(s)
-	}
+	st.launch(f)
+	done := st.done
 	var stopCancel func() bool
 	var canceled chan struct{}
 	if ctx.Done() != nil {
@@ -387,7 +381,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 }
 
 // verdict assembles the error of a run (execute) or a stream window
-// (Session.arrive) from its workers' error slots, read after every worker
+// (Session.join) from its workers' error slots, read after every worker
 // has finished. The originating failure comes first when it came from
 // outside the workers (cancellation, a timeout, the watchdog) — it is in no
 // worker's slot — then the workers' own errors, then the secondary
@@ -509,12 +503,12 @@ func (e *Engine) compiledFlow(cp *stf.CompiledProgram, tasks []stf.Task, k stf.K
 	return f
 }
 
-// replay walks f on this worker: what a run's goroutine and a session's
-// worker both do with a flow. A panicking task (or replay closure) must not
-// leave the other workers blocked on its unfinished dependencies: the panic
-// is recorded, the abort flag raised (dependency waits and submissions poll
-// it) and this worker unwinds. An armed replay ends with the steal drain,
-// so for a window the drain precedes the barrier arrival.
+// replay walks f on this worker, for a run and a stream window alike. A
+// panicking task (or replay closure) must not leave the other workers
+// blocked on its unfinished dependencies: the panic is recorded, the abort
+// flag raised (dependency waits and submissions poll it) and this worker
+// unwinds. An armed replay ends with the steal drain, so the drain precedes
+// the worker's exit, and no steal outlives its run or window.
 func (s *submitter) replay(f *flow) {
 	defer func() {
 		if r := recover(); r != nil {

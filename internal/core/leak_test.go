@@ -3,10 +3,13 @@ package core_test
 import (
 	"context"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"rio/internal/core"
+	"rio/internal/enginetest"
 	"rio/internal/graphs"
 	"rio/internal/sched"
 	"rio/internal/stf"
@@ -86,4 +89,118 @@ func TestWatchdogNoGoroutineLeak(t *testing.T) {
 	if after > before+2 {
 		t.Errorf("goroutines grew from %d to %d across %d watchdog-armed runs (monitor/timer leak)", before, after, 41)
 	}
+}
+
+// streamOracle streams g through one session of e, size tasks a window
+// (closure windows, window-local IDs), and compares the final data with
+// the sequential fold of the whole flow.
+func streamOracle(t *testing.T, e *core.Engine, g *stf.Graph, size int) {
+	t.Helper()
+	got, want := make([]uint64, g.NumData), make([]uint64, g.NumData)
+	ss, err := e.OpenSession(g.NumData, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(g.Tasks); lo += size {
+		win := slices.Clone(g.Tasks[lo:min(lo+size, len(g.Tasks))])
+		var touched []stf.DataID
+		for i := range win {
+			win[i].ID, win[i].I = stf.TaskID(i), lo+i
+			enginetest.Fold(want)(&win[i], 0)
+			for _, a := range win[i].Accesses {
+				if !slices.Contains(touched, a.Data) {
+					touched = append(touched, a.Data)
+				}
+			}
+		}
+		if err := ss.Flush(core.WindowRun{Tasks: win, Kernel: enginetest.Fold(got), Touched: touched}); err != nil {
+			t.Fatalf("window at task %d: %v", lo, err)
+		}
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("streamed data %x, sequential %x", got, want)
+	}
+}
+
+// TestSessionLeavesNoGoroutine: a stream window is a run — its workers live
+// from the Flush that launches it to the join that receives their done — so
+// an open session between windows, and a closed one, leaves the goroutine
+// count where it was before OpenSession: after one window and Drain, after
+// 200 windows and Close, after a window that times out and after one whose
+// body panics. The engine's next session still matches the oracle.
+func TestSessionLeavesNoGoroutine(t *testing.T) {
+	const p = 4
+	e := newEngine(t, core.Options{Workers: p})
+	streamOracle(t, e, graphs.LU(4), 16) // prime the runtime before baselining
+	settleGoroutines(0)
+	before := runtime.NumGoroutine()
+	check := func(what string) {
+		t.Helper()
+		if after := settleGoroutines(before); after > before {
+			t.Errorf("%s: %d goroutines, %d before OpenSession", what, after, before)
+		}
+	}
+	open := func(timeout time.Duration) *core.Session {
+		t.Helper()
+		ss, err := e.OpenSession(1, timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	// Task 1 (worker 1) waits on task 0 (worker 0), whose body k runs.
+	window := func(k stf.Kernel) core.WindowRun {
+		return core.WindowRun{
+			Tasks:   []stf.Task{{ID: 0, Accesses: []stf.Access{stf.W(0)}}, {ID: 1, Accesses: []stf.Access{stf.RW(0)}}},
+			Kernel:  k,
+			Touched: []stf.DataID{0},
+		}
+	}
+	noop := func(*stf.Task, stf.WorkerID) {}
+
+	ss := open(0)
+	if err := ss.Flush(window(noop)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	check("an open session after Flush and Drain")
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ss = open(0)
+	for i := 0; i < 200; i++ {
+		if err := ss.Flush(window(noop)); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("200 windows and Close")
+
+	ss = open(5 * time.Millisecond)
+	if err := ss.Flush(window(func(*stf.Task, stf.WorkerID) { time.Sleep(50 * time.Millisecond) })); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Close(); err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("timed-out window: Close returned %v", err)
+	}
+	check("a timed-out window and Close")
+
+	ss = open(0)
+	if err := ss.Flush(window(func(*stf.Task, stf.WorkerID) { panic("boom") })); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Close(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking window: Close returned %v", err)
+	}
+	check("a panicking window and Close")
+
+	streamOracle(t, e, graphs.RandomDeps(300, 24, 3, 1, 7), 32)
 }

@@ -27,9 +27,9 @@ type runState struct {
 	abort  abortState
 	health []workerHealth // nil unless the stall watchdog is armed
 
-	// The one-shot run's own plumbing (execute); a session leaves it unset.
-	// flow is what every worker replays; live counts the workers still
-	// replaying, and the last one out closes done.
+	// The plumbing of the run or stream window in flight (launch): flow is
+	// what every worker replays; live counts the workers still replaying,
+	// and the last one out closes done.
 	flow flow
 	live atomic.Int32
 	done chan struct{}
@@ -60,8 +60,7 @@ func (e *Engine) newRunState(numData int) *runState {
 // else a fresh one. The submitters come wired to the state, the engine's
 // policies and one snapshot of its mapping (every worker must resolve
 // ownership identically even if SetMapping races the start); execute adds
-// the per-run checkpoint, guard and watchdog wiring, a session its
-// per-window plumbing.
+// the per-run checkpoint, guard and watchdog wiring.
 func (e *Engine) borrow(numData int, rp *trace.ProgressTable, spinBudget int) *runState {
 	st, _ := e.states.Get().(*runState)
 	if st == nil || len(st.shared) < numData {
@@ -107,7 +106,7 @@ func (e *Engine) borrow(numData int, rp *trace.ProgressTable, spinBudget int) *r
 // timers. The pool then hands st to one run at a time. A state that cannot
 // be proven unreachable — an abandoned run's — is never given back.
 func (e *Engine) giveBack(st *runState) {
-	st.flow = flow{}
+	st.flow, st.done = flow{}, nil
 	for _, s := range st.subs {
 		*s = submitter{thief: s.thief, parkTimer: s.parkTimer}
 		if s.thief != nil {
@@ -117,9 +116,21 @@ func (e *Engine) giveBack(st *runState) {
 	e.states.Put(st)
 }
 
-// work is one worker goroutine of a one-shot run: replay the run's flow
-// (replay recovers a panicking body), publish the worker's wall time and
-// leave; the last worker out closes done.
+// launch starts the p worker goroutines of a one-shot run (execute) or a
+// stream window (Session.Flush) — the only place they start: each replays
+// f against its submitter, and the caller joins them all on <-st.done.
+func (st *runState) launch(f flow) {
+	st.flow = f
+	st.done = make(chan struct{})
+	st.live.Store(int32(len(st.subs)))
+	for _, s := range st.subs {
+		go st.work(s)
+	}
+}
+
+// work is one worker goroutine: replay the flow (replay recovers a
+// panicking body), publish the worker's wall time and leave; the last
+// worker out closes done.
 func (st *runState) work(s *submitter) {
 	t0 := time.Now()
 	s.replay(&st.flow)

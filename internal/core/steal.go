@@ -40,7 +40,7 @@ type stealState struct {
 	// flow is the armed flow being replayed (steal metadata, task table,
 	// kernel); cursors, parallel to victims, point into flow.meta.ByOwner.
 	// submitter.replay rearms both per flow and drains before returning:
-	// no steal state survives a run or, for a window, its barrier arrival.
+	// no steal state survives the run or window it was armed for.
 	flow    *flow
 	cursors []int
 }
@@ -181,8 +181,8 @@ func (s *submitter) releaseStolen(accesses []stf.Access, id int64) {
 // claimant, whose own replay or drain has not finished) or the run aborts.
 // This is what lets a skewed mapping approach max(critical path, n/p): the
 // owners of nothing sit in drain and eat the hot worker's backlog. The
-// drain precedes a stream window's barrier arrival, so no steal ever
-// crosses an epoch boundary.
+// drain precedes the worker's exit, so no steal of a stream window outlives
+// the window.
 func (s *submitter) stealDrain() {
 	idle := 0
 	for s.err == nil {

@@ -356,8 +356,8 @@ func TestStealHooksAndCounters(t *testing.T) {
 // Streaming sessions with stealing: windows alternate a steal-heavy shape
 // (independent slow writes, fully skewed) and a fully serialized chain
 // whose values thread through the whole window — sequential consistency
-// within each window, epoch recycling between them, and steals confined to
-// their window must all hold across many epochs. Both window replay paths:
+// within each window, state recycling between them, and steals confined to
+// their window must all hold across many windows. Both window replay paths:
 // compiled windows carry steal metadata and must steal; closure windows
 // (no compiled shape) carry none and simply replay statically.
 func TestStealStreamSession(t *testing.T) {

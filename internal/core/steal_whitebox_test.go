@@ -81,12 +81,12 @@ func TestStealMetaSharedByEngines(t *testing.T) {
 	}
 }
 
-// TestStealEpochQuiescence: steal state never survives an epoch boundary.
-// After a streaming session drains, every worker's victim cursors must be
-// past every claimed task — the end-of-window drain runs before the barrier
-// arrival, so a candidate of window k can never be claimed or executed once
-// window k's epoch has been recycled. The windows here are fully skewed
-// with slow tasks, so the cursors are heavily exercised.
+// TestStealEpochQuiescence: steal state never survives its window. After a
+// streaming session drains, every worker's victim cursors must be past
+// every claimed task — the end-of-window drain runs before the worker
+// exits, so a candidate of window k can never be claimed or executed once
+// window k has been joined and its state recycled. The windows here are
+// fully skewed with slow tasks, so the cursors are heavily exercised.
 func TestStealEpochQuiescence(t *testing.T) {
 	const (
 		numData = 8
@@ -125,15 +125,15 @@ func TestStealEpochQuiescence(t *testing.T) {
 		if err := ss.Drain(); err != nil {
 			t.Fatalf("drain after window %d: %v", w, err)
 		}
-		// The barrier has passed: every worker finished its replay AND its
+		// The window is joined: every worker finished its replay AND its
 		// steal drain. Any candidate still unclaimed here could be claimed
-		// against recycled counters in the next epoch.
+		// against recycled counters in the next window.
 		for wk, sub := range ss.st.subs {
 			if sub.steal == nil {
 				t.Fatalf("worker %d has no steal state", wk)
 			}
 			if !sub.stealDrained() {
-				t.Errorf("window %d: worker %d still sees stealable tasks at the epoch boundary", w, wk)
+				t.Errorf("window %d: worker %d still sees stealable tasks after the join", w, wk)
 			}
 		}
 	}

@@ -3,31 +3,31 @@
 // The paper's model assumes a finite flow that every worker unrolls in
 // full; a session removes that assumption while keeping the decentralized
 // protocol intact. The producer records a bounded window of tasks with
-// window-local IDs, publishes it, and all workers replay exactly that
-// window — record-once-replay-everywhere, so replay divergence between
-// workers is impossible by construction within a window, compiled or not,
-// and no divergence guard is armed. An epoch barrier
-// separates consecutive windows: window k+1 is only published after every
-// worker arrived at the end of window k, which makes the concatenation of
-// windows sequentially consistent (everything in window k happens-before
-// everything in window k+1).
+// window-local IDs, and the window runs as one run over the session's
+// borrowed state: every worker replays exactly that window —
+// record-once-replay-everywhere, so replay divergence between workers is
+// impossible by construction within a window, compiled or not, and no
+// divergence guard is armed. A window's workers are launched by the Flush
+// that publishes it and joined by the next Flush (or Drain, or Close): the
+// last worker out closes the window's done channel, the producer receives,
+// and only then launches window k+1's workers. That chain is what makes the
+// concatenation of windows sequentially consistent (everything in window k
+// happens-before everything in window k+1).
 //
-// The barrier is also where per-data synchronization state is recycled:
-// the last arriver returns the shared counters of the data the window
-// touched to idle — zero stores, quiescent by definition: nobody is between
-// a get and a terminate — and each worker zeroes its private counters for
-// the next window's touched set before replaying it. The state itself is a
-// one-shot run's: borrowed from the engine's pool at open and given back at
-// Close. State cost is O(numData) for the session plus O(touched) work per
-// window — independent of how many tasks have flowed through, which is the
-// whole point.
+// The join is also where per-data synchronization state is recycled: the
+// producer returns the shared counters of the data the window touched to
+// idle — zero stores, quiescent by definition: no worker of the window
+// exists any more — and zeroes every worker's private counters for the next
+// window's touched set before launching it. The state itself is a one-shot
+// run's: borrowed from the engine's pool at open and given back at Close.
+// State cost is O(numData) for the session plus O(touched) work per window —
+// independent of how many tasks have flowed through, which is the whole
+// point.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rio/internal/stf"
@@ -37,9 +37,9 @@ import (
 // WindowRun describes one window handed to a session's workers.
 type WindowRun struct {
 	// Tasks is the window's task table, IDs window-local (0..len-1). The
-	// slice may alias a reusable recording buffer: the session guarantees it
-	// is not read after the window's epoch barrier, so the producer may
-	// reset the buffer as soon as the *next* Flush returns.
+	// slice may alias a reusable recording buffer: the session does not read
+	// it once the window is joined, so the producer may reset the buffer as
+	// soon as the *next* Flush returns.
 	Tasks []stf.Task
 	// Kernel dispatches every task of the window (closure tasks are wrapped
 	// into a kernel by the public layer). Required.
@@ -55,34 +55,19 @@ type WindowRun struct {
 	// per shape, so the caller's shape cache alone decides what stays alive.
 	Compiled *stf.CompiledProgram
 	// Touched lists the data objects the window accesses; exactly their
-	// state is recycled at the window's epoch boundary.
+	// state is recycled around the window.
 	Touched []stf.DataID
-}
-
-// windowSpec is the published form of a window: the flow every worker
-// replays plus the per-epoch machinery (the touched set to recycle, abort
-// latch, claim table for SharedWorker and stolen tasks, timeout timer and
-// the channel its callback closes once it has run). Read-only once
-// published. A spec with closed set is the shutdown marker, not a window.
-type windowSpec struct {
-	flow    flow
-	touched []stf.DataID
-	epoch   uint64
-	abort   *abortState
-	claims  *claimTable
-	timer   *time.Timer
-	fired   chan struct{}
-	closed  bool
 }
 
 var errSessionClosed = errors.New("core: session is closed")
 
-// Session executes an unbounded flow of windows over one engine's workers.
-// The worker goroutines and the run state — per-data shared cells,
-// per-worker local arenas, submitters — persist for the session's lifetime;
-// windows borrow them between epoch barriers. Flush/Drain/Close must be
-// called from a single producer goroutine. A failed window poisons the
-// session: the error is sticky and no further windows run.
+// Session executes an unbounded flow of windows over one engine. The run
+// state — per-data shared cells, per-worker local arenas, submitters — is
+// borrowed for the session's lifetime; each window is one run over it, with
+// its own worker goroutines, and between windows no goroutine of the
+// session exists. Flush, Drain, Close and Err must be called from a single
+// producer goroutine. A failed window poisons the session: the error is
+// sticky and no further windows run.
 type Session struct {
 	eng     *Engine
 	numData int
@@ -90,26 +75,24 @@ type Session struct {
 	st      *runState
 	prog    *trace.ProgressTable
 
-	pub  epochGate // windows published to the workers
-	done epochGate // windows fully executed (barrier passed)
+	// The window in flight (st.done non-nil until join): its number, the
+	// data it touches, and its timeout timer with the channel the timer's
+	// callback closes once it has run.
+	window  uint64
+	touched []stf.DataID
+	timer   *time.Timer
+	fired   chan struct{}
 
-	spec      *windowSpec // current window; owned by the flusher between barriers
-	published uint64
-
-	arrivals atomic.Int32
-	wg       sync.WaitGroup
-
-	mu     sync.Mutex
 	err    error
 	closed bool
 }
 
-// OpenSession starts a streaming session over numData data objects. The
-// engine's workers are spawned immediately and owned by the session until
-// Close; Run and further OpenSession calls are rejected while it is open.
-// timeout > 0 bounds each window's execution (a window exceeding it is
-// aborted and poisons the session). The mapping is snapshotted at open:
-// SetMapping during a session does not affect it.
+// OpenSession opens a streaming session over numData data objects: it
+// borrows the engine's run state until Close and starts no goroutine; Run
+// and further OpenSession calls are rejected while it is open. timeout > 0
+// bounds each window's execution (a window exceeding it is aborted and
+// poisons the session). The mapping is snapshotted at open: SetMapping
+// during a session does not affect it.
 //
 // Sessions do not arm the stall watchdog (a window with no traffic is
 // indistinguishable from a stall at this layer — use timeout for bounded
@@ -124,36 +107,28 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 	}
 	rp := trace.NewProgressTable(e.workers)
 	e.progress.Store(rp)
-	ss := &Session{
+	return &Session{
 		eng:     e,
 		numData: numData,
 		timeout: timeout,
 		st:      e.borrow(numData, rp, e.spinLimit),
 		prog:    rp,
-	}
-	ss.wg.Add(e.workers)
-	for w := 0; w < e.workers; w++ {
-		go ss.worker(w)
-	}
-	return ss, nil
+	}, nil
 }
 
-// Flush publishes one window. It blocks until the previous window has fully
-// completed (the epoch barrier), then hands the new window to the workers
-// and returns immediately — the window executes while the producer records
-// the next one, so recording and execution pipeline with exactly one
-// window in flight. An empty window is a no-op. On a poisoned session the
-// sticky error is returned and the window is dropped.
+// Flush publishes one window. It first joins the previous window, then
+// launches the new window's workers and returns immediately — the window
+// executes while the producer records the next one, so recording and
+// execution pipeline with exactly one window in flight. An empty window is a
+// no-op. On a poisoned session the sticky error is returned and the window
+// is dropped.
 func (ss *Session) Flush(wr WindowRun) error {
-	ss.mu.Lock()
-	closed := ss.closed
-	ss.mu.Unlock()
-	if closed {
+	if ss.closed {
 		return errSessionClosed
 	}
-	ss.done.Wait(ss.published)
-	if err := ss.Err(); err != nil {
-		return err
+	ss.join()
+	if ss.err != nil {
+		return ss.err
 	}
 	if len(wr.Tasks) == 0 {
 		return nil
@@ -172,143 +147,89 @@ func (ss *Session) Flush(wr WindowRun) error {
 			return fmt.Errorf("core: window shape compiled over %d data, session has %d", cp.NumData, ss.numData)
 		}
 	}
-	ss.published++
-	spec := &windowSpec{
-		flow:    ss.eng.compiledFlow(wr.Compiled, wr.Tasks, wr.Kernel),
-		touched: wr.Touched,
-		epoch:   ss.published,
-		abort:   &abortState{shared: ss.st.shared[:ss.numData]},
-		claims:  &claimTable{},
+	// Reset the per-window plumbing in place: no goroutine of the previous
+	// window exists, and the launch below orders these writes before the
+	// new workers start.
+	st := ss.st
+	st.abort = abortState{shared: st.shared[:ss.numData]}
+	st.claims.reset()
+	for _, s := range st.subs {
+		s.next, s.err = 0, nil
+		for _, d := range wr.Touched {
+			s.local[d].recycle()
+		}
+	}
+	ss.window++
+	ss.touched = wr.Touched
+	if h := ss.eng.hooks; h != nil && h.OnRunStart != nil {
+		h.OnRunStart(ss.eng.workers, ss.numData)
 	}
 	if ss.timeout > 0 {
-		ab, d, fired := spec.abort, ss.timeout, make(chan struct{})
-		spec.fired = fired
-		spec.timer = time.AfterFunc(d, func() {
+		ab, d, fired := &st.abort, ss.timeout, make(chan struct{})
+		ss.fired = fired
+		ss.timer = time.AfterFunc(d, func() {
 			defer close(fired)
 			ab.raise(fmt.Errorf("core: stream window exceeded its %v timeout", d), true)
 		})
 	}
-	if h := ss.eng.hooks; h != nil && h.OnRunStart != nil {
-		h.OnRunStart(ss.eng.workers, ss.numData)
-	}
-	ss.spec = spec
-	ss.pub.Advance()
+	st.launch(ss.eng.compiledFlow(wr.Compiled, wr.Tasks, wr.Kernel))
 	return nil
 }
 
 // Drain blocks until every published window has completed, then reports the
 // session's sticky error (nil if all windows succeeded so far).
 func (ss *Session) Drain() error {
-	ss.done.Wait(ss.published)
-	return ss.Err()
-}
-
-// Close drains the session, stops the worker goroutines and releases the
-// engine. Idempotent; returns the session's sticky error.
-func (ss *Session) Close() error {
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
-		return ss.err
-	}
-	ss.closed = true
-	ss.mu.Unlock()
-	// Windows always reach their barrier (even failed ones), so this wait
-	// terminates unless a task body is truly wedged — the same contract as
-	// Run without the watchdog.
-	ss.done.Wait(ss.published)
-	ss.spec = &windowSpec{epoch: ss.published + 1, closed: true}
-	ss.pub.Advance()
-	ss.wg.Wait()
-	ss.pub.Close()
-	ss.done.Close()
-	ss.prog.Finish()
-	// The workers are joined and every window's timer callback was joined
-	// at its barrier (arrive): the state goes back to the pool.
-	ss.eng.giveBack(ss.st)
-	ss.eng.sessionActive.Store(false)
-	return ss.Err()
-}
-
-// Err returns the session's sticky error: the verdict of the first failed
-// window, wrapped with its epoch number.
-func (ss *Session) Err() error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
+	ss.join()
 	return ss.err
 }
 
-func (ss *Session) fail(err error) {
-	ss.mu.Lock()
-	if ss.err == nil {
-		ss.err = err
+// Close joins the window in flight, gives the run state back and releases
+// the engine. Idempotent; returns the session's sticky error. Windows always
+// end (even failed ones), so Close returns unless a task body is truly
+// wedged — the same contract as Run without the watchdog.
+func (ss *Session) Close() error {
+	if ss.closed {
+		return ss.err
 	}
-	ss.mu.Unlock()
+	ss.closed = true
+	ss.join()
+	ss.prog.Finish()
+	ss.eng.giveBack(ss.st)
+	ss.eng.sessionActive.Store(false)
+	return ss.err
 }
 
-// worker is one session worker goroutine: wait for the next epoch's window,
-// replay it, arrive at the barrier, repeat until the shutdown spec (or a
-// torn-down gate) is observed.
-func (ss *Session) worker(w int) {
-	defer ss.wg.Done()
-	s := ss.st.subs[w]
-	for next := uint64(1); ; next++ {
-		if !ss.pub.Wait(next) {
-			return // gate closed under us: session torn down
-		}
-		spec := ss.spec
-		if spec.closed {
-			return
-		}
-		ss.runWindow(s, spec)
-		ss.arrive(spec)
-	}
-}
+// Err returns the session's sticky error: the verdict of the first failed
+// window, wrapped with its window number. Like Flush, it is a producer-side
+// call.
+func (ss *Session) Err() error { return ss.err }
 
-// runWindow replays one window on one worker: reset the worker's replay
-// cursor and per-window plumbing, recycle its private state for the data
-// this window touches, then replay the window's flow (which drains its
-// steals before returning, hence before the barrier arrival).
-func (ss *Session) runWindow(s *submitter, spec *windowSpec) {
-	s.next = 0
-	s.err = nil
-	s.abort = spec.abort
-	s.claims = spec.claims
-	for _, d := range spec.touched {
-		s.local[d].recycle()
-	}
-	s.replay(&spec.flow)
-}
-
-// arrive is the epoch barrier. The last worker to arrive owns the epoch's
-// epilogue: join the window's timeout callback if it fired (it wakes the
-// session's data gates, so it must be gone before the state can go back to
-// the pool), assemble the window verdict from every worker's state (their
-// writes happen-before their arrival increments, all observed by the last
-// arriver), recycle the touched shared state on success, and advance the
-// done gate — which both unblocks the flusher and carries the epilogue's
-// writes to whichever worker starts the next window first.
-func (ss *Session) arrive(spec *windowSpec) {
-	if int(ss.arrivals.Add(1)) < ss.eng.workers {
+// join waits for the window in flight, if any, and runs its epilogue on the
+// producer: join the timeout callback if it fired (it wakes the session's
+// data gates, so it must be gone before the state is reused), assemble the
+// window verdict from every worker's state, recycle the touched shared
+// cells on success and fire OnRunEnd.
+func (ss *Session) join() {
+	st := ss.st
+	if st.done == nil {
 		return
 	}
-	ss.arrivals.Store(0)
-	if spec.timer != nil && !spec.timer.Stop() {
-		<-spec.fired
+	<-st.done
+	st.done = nil
+	if ss.timer != nil && !ss.timer.Stop() {
+		<-ss.fired
 	}
-	if err := verdict(ss.st.subs, spec.abort); err != nil {
-		ss.fail(fmt.Errorf("core: stream window %d: %w", spec.epoch, err))
+	ss.timer = nil
+	if err := verdict(st.subs, &st.abort); err != nil {
+		ss.err = fmt.Errorf("core: stream window %d: %w", ss.window, err)
 	} else {
-		// Quiescent recycle: every worker is past its last terminate on this
-		// window's data and parked-waiter registration is zero (a successful
-		// window leaves no waiter behind). Skipped on failure — the session
-		// is poisoned, and whoever borrows the state after it clears it.
-		for _, d := range spec.touched {
-			ss.st.shared[d].recycle()
+		// Skipped on failure — the session is poisoned, and whoever borrows
+		// the state after it clears it.
+		for _, d := range ss.touched {
+			st.shared[d].recycle()
 		}
 	}
 	if h := ss.eng.hooks; h != nil && h.OnRunEnd != nil {
-		h.OnRunEnd(ss.Err())
+		h.OnRunEnd(ss.err)
 	}
-	ss.done.Advance()
 }

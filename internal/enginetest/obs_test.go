@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"rio"
 	"rio/internal/centralized"
 	"rio/internal/core"
 	"rio/internal/enginetest"
@@ -22,12 +23,16 @@ import (
 
 // hookLog is a concurrency-safe hook recorder that checks the firing
 // contract as it goes: run brackets around everything, task start/end
-// paired and non-overlapping per worker, wait start/end paired.
+// paired and non-overlapping per worker, wait start/end paired. A stream
+// fires one bracket per window, so the log keeps, per closed bracket, the
+// task starts it nested and the error OnRunEnd reported.
 type hookLog struct {
 	mu         sync.Mutex
 	runStarts  int
 	runEnds    int
-	runEndErr  error
+	inRun      bool
+	runTasks   []int   // task starts nested in each closed bracket
+	runErrs    []error // OnRunEnd's error for each closed bracket
 	taskStarts map[stf.TaskID]int
 	taskEnds   map[stf.TaskID]int
 	waitStarts int
@@ -56,15 +61,21 @@ func (l *hookLog) hooks() *stf.Hooks {
 			l.mu.Lock()
 			defer l.mu.Unlock()
 			l.runStarts++
-			if len(l.taskStarts) > 0 {
-				l.violatef("OnRunStart after a task already started")
+			if l.inRun {
+				l.violatef("OnRunStart inside an open run")
 			}
+			l.inRun = true
+			l.runTasks = append(l.runTasks, 0)
 		},
 		OnRunEnd: func(err error) {
 			l.mu.Lock()
 			defer l.mu.Unlock()
 			l.runEnds++
-			l.runEndErr = err
+			if !l.inRun {
+				l.violatef("OnRunEnd without an open run")
+			}
+			l.inRun = false
+			l.runErrs = append(l.runErrs, err)
 			for w, id := range l.open {
 				l.violatef("OnRunEnd with task %d still open on worker %d", id, w)
 			}
@@ -72,11 +83,10 @@ func (l *hookLog) hooks() *stf.Hooks {
 		OnTaskStart: func(w stf.WorkerID, id stf.TaskID) {
 			l.mu.Lock()
 			defer l.mu.Unlock()
-			if l.runStarts == 0 {
-				l.violatef("OnTaskStart(%d) before OnRunStart", id)
-			}
-			if l.runEnds > 0 {
-				l.violatef("OnTaskStart(%d) after OnRunEnd", id)
+			if !l.inRun {
+				l.violatef("OnTaskStart(%d) outside OnRunStart/OnRunEnd", id)
+			} else {
+				l.runTasks[len(l.runTasks)-1]++
 			}
 			if prev, ok := l.open[w]; ok {
 				l.violatef("worker %d started task %d while task %d is open", w, id, prev)
@@ -106,26 +116,34 @@ func (l *hookLog) hooks() *stf.Hooks {
 	}
 }
 
-// check asserts the universal post-run invariants against g.
-func (l *hookLog) check(t *testing.T, g *stf.Graph) {
+// check asserts the universal post-run invariants of runs clean runs of g:
+// one bracket per run, each nesting the task hooks of all of g's tasks.
+func (l *hookLog) check(t *testing.T, g *stf.Graph, runs int) {
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, v := range l.violations {
 		t.Errorf("hook contract: %s", v)
 	}
-	if l.runStarts != 1 || l.runEnds != 1 {
-		t.Errorf("run hooks fired %d/%d times, want 1/1", l.runStarts, l.runEnds)
+	if l.runStarts != runs || l.runEnds != runs {
+		t.Errorf("run hooks fired %d/%d times, want %d/%d", l.runStarts, l.runEnds, runs, runs)
 	}
-	if l.runEndErr != nil {
-		t.Errorf("OnRunEnd reported error: %v", l.runEndErr)
+	for r, n := range l.runTasks {
+		if n != len(g.Tasks) {
+			t.Errorf("run %d: %d OnTaskStart calls inside its bracket, want %d", r, n, len(g.Tasks))
+		}
+	}
+	for r, err := range l.runErrs {
+		if err != nil {
+			t.Errorf("run %d: OnRunEnd reported error: %v", r, err)
+		}
 	}
 	for id := range g.Tasks {
-		if n := l.taskStarts[stf.TaskID(id)]; n != 1 {
-			t.Errorf("task %d: %d OnTaskStart calls, want 1", id, n)
+		if n := l.taskStarts[stf.TaskID(id)]; n != runs {
+			t.Errorf("task %d: %d OnTaskStart calls, want %d", id, n, runs)
 		}
-		if n := l.taskEnds[stf.TaskID(id)]; n != 1 {
-			t.Errorf("task %d: %d OnTaskEnd calls, want 1", id, n)
+		if n := l.taskEnds[stf.TaskID(id)]; n != runs {
+			t.Errorf("task %d: %d OnTaskEnd calls, want %d", id, n, runs)
 		}
 	}
 	if len(l.taskStarts) != len(g.Tasks) {
@@ -149,7 +167,7 @@ func TestHookContractAllEngines(t *testing.T) {
 		if err := enginetest.Check(e, g); err != nil {
 			t.Fatal(err)
 		}
-		l.check(t, g)
+		l.check(t, g, 1)
 	})
 
 	t.Run("rio-compiled", func(t *testing.T) {
@@ -166,7 +184,7 @@ func TestHookContractAllEngines(t *testing.T) {
 		if err := enginetest.CheckCompiled(e, g, cp); err != nil {
 			t.Fatal(err)
 		}
-		l.check(t, g)
+		l.check(t, g, 1)
 	})
 
 	t.Run("centralized", func(t *testing.T) {
@@ -178,7 +196,7 @@ func TestHookContractAllEngines(t *testing.T) {
 		if err := enginetest.Check(e, g); err != nil {
 			t.Fatal(err)
 		}
-		l.check(t, g)
+		l.check(t, g, 1)
 	})
 
 	t.Run("sequential", func(t *testing.T) {
@@ -187,7 +205,71 @@ func TestHookContractAllEngines(t *testing.T) {
 		if err := enginetest.Check(e, g); err != nil {
 			t.Fatal(err)
 		}
-		l.check(t, g)
+		l.check(t, g, 1)
+	})
+
+	// A native stream is a sequence of runs: every window gets exactly one
+	// OnRunStart/OnRunEnd pair, and that pair nests all of the window's task
+	// hooks.
+	t.Run("rio-stream", func(t *testing.T) {
+		const windows = 5
+		l := newHookLog()
+		eng, err := rio.NewEngine(rio.Options{Workers: p, Hooks: l.hooks()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]uint64, g.NumData)
+		s, err := eng.Stream(g.NumData, rio.StreamOptions{MaxWindow: -1, Kernel: enginetest.Fold(got)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < windows; w++ {
+			for i := range g.Tasks {
+				tk := &g.Tasks[i]
+				s.Task(tk.Kernel, i, tk.J, tk.K, tk.Accesses...)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatalf("window %d: %v", w, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l.check(t, g, windows)
+	})
+
+	// The bracket of a window whose body panics reports the failure (the
+	// panicking task's OnTaskEnd is skipped, so only the errors are checked).
+	t.Run("rio-stream-panic", func(t *testing.T) {
+		l := newHookLog()
+		eng, err := rio.NewEngine(rio.Options{Workers: p, Hooks: l.hooks()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern := func(tk *stf.Task, _ stf.WorkerID) {
+			if tk.I == 1 {
+				panic("boom")
+			}
+		}
+		s, err := eng.Stream(1, rio.StreamOptions{MaxWindow: -1, Kernel: kern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			s.Task(0, i, 0, 0, stf.RW(0))
+			s.Flush()
+		}
+		if err := s.Close(); err == nil {
+			t.Fatal("a stream with a panicking window closed cleanly")
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if len(l.runErrs) != 2 || l.runStarts != 2 {
+			t.Fatalf("run hooks fired %d/%d times over 2 windows, want 2/2", l.runStarts, len(l.runErrs))
+		}
+		if l.runErrs[0] != nil || l.runErrs[1] == nil {
+			t.Errorf("OnRunEnd errors %v, want nil for the clean window and non-nil for the panicking one", l.runErrs)
+		}
 	})
 }
 

@@ -7,9 +7,9 @@ import (
 
 // Window records one bounded slice of an unbounded task flow. Task IDs are
 // window-local (0..Len()-1): a streaming session replays one window at a
-// time between epoch barriers, so identity only has to be unique within the
-// window, and the per-data synchronization state recycled at the barrier is
-// sized by the window, not the flow.
+// time, joining each before the next starts, so identity only has to be
+// unique within the window, and the per-data synchronization state recycled
+// between windows is sized by the window, not the flow.
 //
 // A Window is a recording buffer, not a graph: Reset keeps every backing
 // allocation (task slice, access slab, touched set) so a steady-state
@@ -99,7 +99,7 @@ func (w *Window) Bodies() []TaskFunc { return w.bodies }
 
 // Touched lists the data objects accessed by at least one task recorded
 // since the last Reset, in first-touch order. This is exactly the set whose
-// per-data state must be recycled at the window's epoch boundary — O(touched)
+// per-data state must be recycled around the window — O(touched)
 // per window, independent of flow length.
 func (w *Window) Touched() []DataID { return w.touched }
 
@@ -144,7 +144,7 @@ func (w *Window) Add(body TaskFunc, kernel, i, j, k int, accesses []Access) (Tas
 	return TaskID(n), nil
 }
 
-// Reset clears the window for the next epoch, keeping all capacity. The
+// Reset clears the window for the next one, keeping all capacity. The
 // touched set is cleared by bumping the generation stamp, not by rewriting
 // the per-data stamp array; only on the (rare) uint32 wraparound is the
 // stamp array rewritten.

@@ -200,8 +200,8 @@ func TestWindowFingerprintNeighbours(t *testing.T) {
 	}
 }
 
-// TestWindowCloneGraphOwnsStorage: a cloned graph survives the window's
-// next epoch — Reset and re-record must not alter it — and shares no memory
+// TestWindowCloneGraphOwnsStorage: a cloned graph survives the buffer's
+// next window — Reset and re-record must not alter it — and shares no memory
 // with the window or between its own tasks' access lists.
 func TestWindowCloneGraphOwnsStorage(t *testing.T) {
 	w := NewWindow(3)

@@ -9,10 +9,11 @@ import (
 )
 
 // Streamer is implemented by runtimes that execute unbounded task flows as
-// streaming sessions. The in-order *Engine implements it natively: one set
-// of worker goroutines and one per-data state arena persist across the
-// whole stream, windows replay between epoch barriers, and repeated window
-// shapes hit a compiled-program cache keyed by the window's shape hash.
+// streaming sessions. The in-order *Engine implements it natively: one
+// per-data state arena persists across the whole stream, each window runs
+// as one run over it (its workers launched by the Flush that publishes it
+// and joined before the next window starts), and repeated window shapes hit
+// a compiled-program cache keyed by the window's shape hash.
 // New attaches a fallback implementation to every other model (each window
 // runs as one ordinary engine run), so OpenStream works on any Runtime —
 // which is exactly what the pipeline ablation compares.
@@ -49,11 +50,10 @@ var errStreamClosed = errors.New("rio: stream is closed")
 
 // Stream is a streaming session: an unbounded task flow submitted window
 // by window. Submit and Task record tasks into the current window; Flush
-// publishes it (an epoch barrier separates consecutive windows, so
-// everything in window k happens-before everything in window k+1, and the
-// flow as a whole stays sequentially consistent); Drain waits for every
-// published window; Close drains, stops the session's workers and releases
-// the engine.
+// publishes it (window k is joined before window k+1 starts, so everything
+// in window k happens-before everything in window k+1, and the flow as a
+// whole stays sequentially consistent); Drain waits for every published
+// window; Close drains and releases the engine.
 //
 // Errors are sticky, bufio.Writer-style: the first failed window poisons
 // the stream, later Submits are dropped, and the error surfaces from every
@@ -103,8 +103,8 @@ func newStream(numData int, o StreamOptions) (*Stream, error) {
 	return s, nil
 }
 
-// Stream implements Streamer natively: the session owns the engine's
-// workers and per-data state for its whole lifetime, and repeated window
+// Stream implements Streamer natively: the session holds the engine's
+// per-data state for its whole lifetime, and repeated window
 // shapes replay through cached compiled programs. Options.Timeout bounds
 // each window; the engine's mapping is snapshotted at open (SetMapping
 // during a session does not affect it). While the stream is open, Run and
@@ -132,7 +132,7 @@ func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 
 // newRuntimeStream opens a fallback stream over any engine's run function:
 // each window executes as one ordinary synchronous run. This keeps the
-// Stream semantics (windowed submission, epoch barriers, sticky errors)
+// Stream semantics (windowed submission, one window at a time, sticky errors)
 // identical across models, with the per-window cost profile of the
 // underlying engine — the centralized baseline of the pipeline ablation
 // pays a full unroll, dependency derivation and goroutine fan-out per
@@ -208,11 +208,11 @@ func (s *Stream) maybeAutoFlush() {
 }
 
 // Flush closes the current window and publishes it for execution. On the
-// native backend this is the epoch hand-off: Flush waits until the
-// *previous* window completed (the epoch barrier), hands the new window to
-// the session's workers and returns while it executes — recording and
-// execution pipeline with one window in flight. On the fallback backend
-// the window runs synchronously. Flushing an empty window is a no-op.
+// native backend Flush joins the *previous* window (waits until it
+// completed), launches the new window's workers and returns while it
+// executes — recording and execution pipeline with one window in flight.
+// On the fallback backend the window runs synchronously. Flushing an empty
+// window is a no-op.
 func (s *Stream) Flush() error {
 	if s.closed {
 		return errStreamClosed
@@ -227,7 +227,7 @@ func (s *Stream) Flush() error {
 	}
 	s.windows++
 	// Swap the double buffer: the other buffer's window has completed (the
-	// barrier inside this Flush proved it), so its storage is free to reuse.
+	// join inside this Flush proved it), so its storage is free to reuse.
 	s.cur ^= 1
 	s.win[s.cur].Reset()
 	return nil
@@ -340,10 +340,10 @@ func (s *Stream) Drain() error {
 	return s.err
 }
 
-// Close drains the stream, stops the session's workers (native backend)
-// and releases the engine for ordinary runs. Idempotent; returns the
-// stream's sticky error. A Stream must be Closed — an un-Closed native
-// stream keeps the engine's worker goroutines parked forever.
+// Close drains the stream and releases the engine for ordinary runs.
+// Idempotent; returns the stream's sticky error. A Stream must be Closed —
+// an un-Closed native stream keeps the engine's run state, so the engine
+// rejects every Run and Stream after it.
 func (s *Stream) Close() error {
 	if s.closed {
 		return s.err

@@ -11,18 +11,18 @@ import (
 
 // TestStreamEpochRecycleStress pushes thousands of tiny windows through one
 // native streaming session under WaitPark, so dependency waits park on the
-// per-data waiter registry in nearly every window and the epoch barrier
-// recycles the registry's state (counters and park-channel epochs) right
-// behind them. What it proves, under -race:
+// per-data waiter registry in nearly every window and the join between
+// windows recycles the registry's state right behind them. What it proves,
+// under -race:
 //
-//   - generation-counter recycling never resurrects a stale wakeup: a task
-//     that ran on a wakeup left over from a previous epoch would read its
-//     data before the predecessor in the *current* epoch wrote it, and the
-//     in-task oracle check below would trip;
+//   - recycling never resurrects a stale wakeup: a task that ran on a
+//     wakeup left over from a previous window would read its data before
+//     the predecessor in the *current* window wrote it, and the in-task
+//     oracle check below would trip;
 //   - per-window results match the sequential oracle window by window — the
 //     first task of window k+1 on each datum validates the final value
-//     window k left there, so a single corrupted epoch is pinned to its
-//     window instead of surfacing as a garbled final sum.
+//     window k left there, so a single corrupted window is pinned to its
+//     place instead of surfacing as a garbled final sum.
 //
 // The chains alternate owners (cyclic mapping, consecutive tasks on the
 // same datum), so every hand-off is a cross-worker dependency — the
@@ -125,7 +125,7 @@ func TestStreamEpochRecycleStress(t *testing.T) {
 
 // TestStreamShapeChurnStress alternates window shapes (different data
 // subsets and dependency structures) across a long stream, so the shape
-// cache recompiles, evicts and replays while epochs recycle state under
+// cache recompiles, evicts and replays while windows recycle state under
 // it. Final values are checked against the oracle.
 func TestStreamShapeChurnStress(t *testing.T) {
 	const numData = 8

@@ -40,11 +40,11 @@ func (f *fallbackRuntime) runBounded(ctx context.Context, numData int, prog Prog
 	return f.Runtime.RunContext(ctx, numData, prog)
 }
 
-// Stream opens a fallback streaming session: windowed submission, epoch
-// barriers and sticky errors exactly like the native path, with each
+// Stream opens a fallback streaming session: windowed submission, one
+// window at a time and sticky errors exactly like the native path, with each
 // window executing as one run of the underlying engine (full unroll,
 // dependency derivation and worker fan-out per window — the cost profile
-// the pipeline ablation measures against RIO's persistent session). Each
+// the pipeline ablation measures against RIO's native session). Each
 // window is bounded by Options.Timeout but bypasses preflight: a window
 // routinely reads data written by an earlier window, which single-window
 // analysis would misdiagnose as a read of never-written data.
