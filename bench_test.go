@@ -450,31 +450,47 @@ func BenchmarkCompiledReplay(b *testing.B) {
 	// access costs. chain-private gives every task one: 65536 RW tasks over
 	// 256 chains, each chain on one worker under the cyclic mapping — the
 	// uncontended-data case, which the compiler lowers to bare execs.
-	b.Run("chain-private", func(b *testing.B) {
-		chains := stf.NewGraph("chain-private", 256)
-		for i := 0; i < 65536; i++ {
-			chains.Add(0, i, 0, 0, stf.RW(stf.DataID(i%256)))
-		}
-		e, err := rio.NewEngine(rio.Options{Workers: benchWorkers, Mapping: m, NoAccounting: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.RunGraph(chains, noop); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := e.RunGraph(chains, noop); err != nil {
+	// chain-canonical replays the same flow lowered without elision (get,
+	// exec, terminate per task, the shared-cell atomics of Algorithm 2), as
+	// an engine with stealing armed runs it: the two rows price elision.
+	chains := stf.NewGraph("chain-private", 256)
+	for i := 0; i < 65536; i++ {
+		chains.Add(0, i, 0, 0, stf.RW(stf.DataID(i%256)))
+	}
+	canonical, err := stf.CompileCanonical(chains, m, benchWorkers, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name string
+		cp   *rio.CompiledProgram // nil: RunGraph's own (elided) lowering
+	}{{"chain-private", nil}, {"chain-canonical", canonical}} {
+		b.Run(v.name, func(b *testing.B) {
+			e, err := rio.NewEngine(rio.Options{Workers: benchWorkers, Mapping: m, NoAccounting: true})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(chains.Tasks)), "ns/task")
-	})
+			run := func() error { return e.RunGraph(chains, noop) }
+			if v.cp != nil {
+				run = func() error { return e.RunCompiled(v.cp, noop) }
+			}
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(chains.Tasks)), "ns/task")
+		})
+	}
 }
 
 // BenchmarkSyncContention — the synchronization ablation's contended shape
-// as a testing.B target (and CI perf-regression gate): rounds of one writer
+// as a testing.B target: rounds of one writer
 // followed by benchWorkers parallel readers of a single data object, so
 // every task blocks on a hand-off through one shared cell and ns/task is
 // almost entirely the phase-3 wait path. Sub-benchmarks sweep the wait
@@ -575,12 +591,11 @@ func BenchmarkHookOverhead(b *testing.B) {
 // BenchmarkRetryOverhead bounds the hot-path tax of the fault-tolerance
 // machinery. "nil-policy" is what every pre-existing caller pays after
 // this feature landed: one pointer test per task (it must stay
-// indistinguishable from the historical per-task overhead — the CI
-// perf-regression gate holds it to the baseline). "retry-armed" installs
-// a policy plus snapshotter on a fault-free run, pricing the always-taken
-// snapshot/bookkeeping path; "checkpoint" prices completed-task tracking
-// alone. Independent empty-body tasks with NoAccounting make per-task
-// engine overhead the entire signal.
+// indistinguishable from the historical per-task overhead). "retry-armed"
+// installs a policy plus snapshotter on a fault-free run, pricing the
+// always-taken snapshot/bookkeeping path; "checkpoint" prices completed-task
+// tracking alone. Independent empty-body tasks with NoAccounting make
+// per-task engine overhead the entire signal.
 func BenchmarkRetryOverhead(b *testing.B) {
 	g := graphs.Independent(32768)
 	noop := func(*stf.Task, stf.WorkerID) {}
@@ -622,15 +637,15 @@ func BenchmarkRetryOverhead(b *testing.B) {
 // BenchmarkStealOverhead bounds the hot-path tax of the work-stealing
 // machinery when nobody steals. "nil-policy" is what every pre-existing
 // caller pays after the hybrid model landed: one flag test per compiled
-// micro-op, in the interpreter loop armed replays share
-// (the CI perf-regression gate holds it to the historical baseline).
+// micro-op, in the interpreter loop armed replays share.
 // "steal-armed-compiled" installs a policy on a *balanced* cyclic mapping,
 // so no worker ever finds a victim worth robbing: it prices the owner's
 // per-task claim plus the idle-probe path (the steal metadata is built
-// once, outside the timed region). There is no armed closure row: an armed
-// engine compiles a closure program before running it, so its steady state
-// is this one. Independent empty-body tasks with NoAccounting make
-// per-task engine overhead the entire signal.
+// once, outside the timed region). "steal-armed" is a closure Run on the
+// same armed engine: every run records the program, compiles it
+// canonically and builds its steal tables before replaying it, so the gap
+// to steal-armed-compiled is that per-run lowering. Independent empty-body
+// tasks with NoAccounting make per-task engine overhead the entire signal.
 func BenchmarkStealOverhead(b *testing.B) {
 	g := graphs.Independent(32768)
 	noop := func(*stf.Task, stf.WorkerID) {}
@@ -643,6 +658,7 @@ func BenchmarkStealOverhead(b *testing.B) {
 	}{
 		{"nil-policy", false, nil},
 		{"nil-policy-compiled", true, nil},
+		{"steal-armed", false, pol},
 		{"steal-armed-compiled", true, pol},
 	} {
 		b.Run(v.name, func(b *testing.B) {
@@ -740,13 +756,12 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamPipeline — the streaming steady state as a CI
-// perf-regression gate: one window of a fixed shape (chains of RW tasks,
-// chain-affine mapping) flushed per iteration through a long-lived
-// session, so ns/task is the per-window protocol cost — joining the
-// previous window, recycling its state, launching this window's workers and
-// the replay itself — with the shape compiled once before the
-// timer starts. The variants mirror `rio-bench pipeline`: the compiled
+// BenchmarkStreamPipeline — the streaming steady state: one window of a
+// fixed shape (chains of RW tasks, chain-affine mapping) flushed per
+// iteration through a long-lived session, so ns/task is the per-window
+// protocol cost — joining the previous window, recycling its state,
+// launching this window's workers and the replay itself — with the shape
+// compiled once before the timer starts. The variants: the compiled
 // shape-cache hit path, the closure window path (the same shape with the
 // last task of every chain SharedWorker, which is what selects it), and the
 // centralized baseline's per-window fallback run.

@@ -13,33 +13,25 @@
 //	rio-bench costmodel  fit & validate cost models, eq. (1)/(2)
 //	rio-bench ablation   design-choice ablations (scheduler, window, spin,
 //	                     mapping quality, sparse trees, trace overhead)
-//	rio-bench replay     replay-path ablation on the fig7 workload: closure
-//	                     replay vs compiled per-worker instruction streams
-//	                     (plus guard-off and compile-time-pruned variants)
 //	rio-bench sync       synchronization ablation: wait policies (adaptive,
 //	                     spin, park) on contended readers-writer and
 //	                     reduction rounds plus the uncontended fig7 replay,
 //	                     reporting wall, ns/task and process CPU time
-//	rio-bench steal      work-stealing ablation: balanced vs skewed mapping ×
-//	                     steal off/on on both replay paths, with sleeping
-//	                     (I/O-like) task bodies — the hybrid model's headline
-//	                     matrix, reporting wall, ns/task and process CPU time
-//	rio-bench pipeline   streaming ablation: an unbounded flow of small-task
-//	                     windows through the Stream API — native in-order
-//	                     session (compiled shapes; closure replay of SharedWorker
-//	                     shapes) vs the
-//	                     centralized per-window fallback
 //	rio-bench all        fig2..fig8 + costmodel (run sim/sim7/hpl/ablation
 //	                     separately; they have their own time budgets)
 //
 // Flags scale the workloads; defaults are laptop-sized versions of the
-// paper's parameters. Use -csv or -json to emit machine-readable output
-// (-json writes the BENCH_*.json perf-trajectory schema CI archives).
+// paper's parameters. -csv or -json replaces the text table of rows with
+// machine-readable output (-json writes the BENCH_*.json perf-trajectory
+// schema CI archives) and leaves out every line that is not a row: `all`
+// then prints no cost-model report, and `costmodel`, which has no rows,
+// rejects both flags.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -49,13 +41,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rio-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rio-bench", flag.ContinueOnError)
 	var (
 		workers    = fs.Int("workers", 4, "thread count p for parallel engines")
@@ -78,17 +70,10 @@ func run(args []string) error {
 		syncSpin   = fs.Int("sync-spin", 0, "sync only: SpinLimit override (0 = engine default)")
 		syncYield  = fs.Int("sync-yield", 0, "sync only: YieldLimit override (0 = engine default); small values force contended waits into the policies' slow phases")
 		simWorkers = fs.Int("sim-workers", 24, "simulated thread count for the sim subcommand (paper: 24)")
-		windows    = fs.Int("windows", 200, "pipeline only: windows per measured stream")
-		winSizes   = fs.String("window-sizes", "64,256,1024", "pipeline only: comma-separated tasks per window")
-		chainLen   = fs.Int("chain-len", 8, "pipeline only: dependency-chain depth within each window")
-		pipeSizes  = fs.String("pipeline-task-sizes", "0,100,1000", "pipeline only: counter task sizes (small: the streaming overhead regime)")
-		stealTasks = fs.Int("steal-tasks", 256, "steal only: independent task count n")
-		stealDur   = fs.Duration("steal-dur", 200*time.Microsecond, "steal only: sleeping task body duration")
 		exp        = fs.Int("experiment", 0, "fig8 only: restrict to one experiment 1..4 (0 = all)")
-		chromeOut  = fs.String("chrome", "", "replay only: also write a Chrome trace of one traced run to this file")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rio-bench [flags] {fig2|fig3|fig4|fig6|fig7|fig8|sim|sim7|hpl|costmodel|ablation|replay|sync|steal|pipeline|all}")
+		fmt.Fprintln(os.Stderr, "usage: rio-bench [flags] {fig2|fig3|fig4|fig6|fig7|fig8|sim|sim7|hpl|costmodel|ablation|sync|all}")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -99,6 +84,7 @@ func run(args []string) error {
 		return fmt.Errorf("exactly one subcommand required")
 	}
 	cmd := fs.Arg(0)
+	text := !*jsonOut && !*csvOut
 
 	taskSizes, err := parseUints(*sizes)
 	if err != nil {
@@ -156,9 +142,11 @@ func run(args []string) error {
 		if serr != nil {
 			return serr
 		}
-		fmt.Printf("fitted: rio declare=%v acquire=%v release=%v; centralized dispatch=%v complete=%v; %.3f ns/op\n",
-			costs.RIO.DeclareCost, costs.RIO.AcquireCost, costs.RIO.ReleaseCost,
-			costs.Centralized.DispatchCost, costs.Centralized.CompleteCost, costs.NsPerOp)
+		if text {
+			fmt.Fprintf(stdout, "fitted: rio declare=%v acquire=%v release=%v; centralized dispatch=%v complete=%v; %.3f ns/op\n",
+				costs.RIO.DeclareCost, costs.RIO.AcquireCost, costs.RIO.ReleaseCost,
+				costs.Centralized.DispatchCost, costs.Centralized.CompleteCost, costs.NsPerOp)
+		}
 		rows = append(rows, simRows...)
 	case "sim7":
 		simRows, costs, serr := bench.SimFig7(bench.SimConfig{
@@ -168,8 +156,10 @@ func run(args []string) error {
 		if serr != nil {
 			return serr
 		}
-		fmt.Printf("fitted: rio declare=%v acquire=%v release=%v; %.3f ns/op\n",
-			costs.RIO.DeclareCost, costs.RIO.AcquireCost, costs.RIO.ReleaseCost, costs.NsPerOp)
+		if text {
+			fmt.Fprintf(stdout, "fitted: rio declare=%v acquire=%v release=%v; %.3f ns/op\n",
+				costs.RIO.DeclareCost, costs.RIO.AcquireCost, costs.RIO.ReleaseCost, costs.NsPerOp)
+		}
 		rows = append(rows, simRows...)
 	case "hpl":
 		err = addRows(bench.HPL(bench.HPLConfig{
@@ -181,21 +171,6 @@ func run(args []string) error {
 			Workers: *workers, Warmup: *warmup, Reps: *reps,
 			TaskSize: 200, Tasks: *tasks,
 		}))
-	case "replay":
-		rcfg := bench.ReplayConfig{
-			Workers: *workers, TasksPerWorker: *perW, TaskSize: *f7size,
-			Warmup: *warmup, Reps: *reps,
-		}
-		err = addRows(bench.ReplayAblation(rcfg))
-		if err == nil && *chromeOut != "" {
-			var f *os.File
-			if f, err = os.Create(*chromeOut); err == nil {
-				err = bench.WriteReplayChromeTrace(f, rcfg)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-		}
 	case "sync":
 		r := *readers
 		if r == 0 {
@@ -207,31 +182,16 @@ func run(args []string) error {
 			SpinLimit: *syncSpin, YieldLimit: *syncYield,
 			Warmup: *warmup, Reps: *reps,
 		}))
-	case "steal":
-		err = addRows(bench.StealAblation(bench.StealConfig{
-			Workers: *workers, Tasks: *stealTasks, TaskDur: *stealDur,
-			Warmup: *warmup, Reps: *reps,
-		}))
-	case "pipeline":
-		var wsz []int
-		if wsz, err = parseInts(*winSizes); err != nil {
-			return fmt.Errorf("-window-sizes: %w", err)
-		}
-		var psz []uint64
-		if psz, err = parseUints(*pipeSizes); err != nil {
-			return fmt.Errorf("-pipeline-task-sizes: %w", err)
-		}
-		err = addRows(bench.PipelineAblation(bench.PipelineConfig{
-			Workers: *workers, Windows: *windows, WindowSizes: wsz,
-			ChainLen: *chainLen, TaskSizes: psz,
-			Warmup: *warmup, Reps: *reps,
-		}))
 	case "costmodel":
+		if !text {
+			fs.Usage()
+			return fmt.Errorf("costmodel prints a report, not rows: -json and -csv do not apply")
+		}
 		rep, cerr := bench.CostModel(ccfg)
 		if cerr != nil {
 			return cerr
 		}
-		return bench.RenderCostModel(os.Stdout, rep)
+		return bench.RenderCostModel(stdout, rep)
 	case "all":
 		for _, f := range []func() ([]bench.Row, error){
 			func() ([]bench.Row, error) { return bench.Fig2(gcfg) },
@@ -245,12 +205,12 @@ func run(args []string) error {
 				break
 			}
 		}
-		if err == nil {
+		if err == nil && text {
 			rep, cerr := bench.CostModel(ccfg)
 			if cerr != nil {
 				return cerr
 			}
-			defer bench.RenderCostModel(os.Stdout, rep)
+			defer bench.RenderCostModel(stdout, rep)
 		}
 	default:
 		fs.Usage()
@@ -261,11 +221,11 @@ func run(args []string) error {
 	}
 	switch {
 	case *jsonOut:
-		return bench.WriteJSON(os.Stdout, rows)
+		return bench.WriteJSON(stdout, rows)
 	case *csvOut:
-		return bench.WriteCSV(os.Stdout, rows)
+		return bench.WriteCSV(stdout, rows)
 	}
-	return bench.RenderRows(os.Stdout, rows)
+	return bench.RenderRows(stdout, rows)
 }
 
 // hplWidths reuses the -tile-sizes flag as panel widths, dropping values

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"testing"
+)
 
 // The CLI is a thin shell over internal/bench; these tests exercise flag
 // parsing, subcommand dispatch and the helpers with tiny workloads.
@@ -13,31 +18,16 @@ func TestRunSubcommands(t *testing.T) {
 		"-max-workers", "2", "-tasks-per-worker", "32", "-fig7-task-size", "16",
 	}
 	for _, cmd := range []string{"fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "costmodel", "hpl"} {
-		if err := run(append(append([]string{}, base...), cmd)); err != nil {
+		if err := run(append(append([]string{}, base...), cmd), io.Discard); err != nil {
 			t.Errorf("%s: %v", cmd, err)
 		}
-	}
-}
-
-func TestRunPipeline(t *testing.T) {
-	args := []string{"-workers", "2", "-reps", "1", "-warmup", "0",
-		"-windows", "8", "-window-sizes", "16", "-chain-len", "4",
-		"-pipeline-task-sizes", "0", "-json", "pipeline"}
-	if err := run(args); err != nil {
-		t.Error(err)
-	}
-	if err := run([]string{"-window-sizes", "x", "pipeline"}); err == nil {
-		t.Error("bad window sizes accepted")
-	}
-	if err := run([]string{"-window-sizes", "2", "-chain-len", "4", "pipeline"}); err == nil {
-		t.Error("window size below chain length accepted")
 	}
 }
 
 func TestRunFig8SingleExperiment(t *testing.T) {
 	args := []string{"-workers", "3", "-tasks", "64", "-task-sizes", "50",
 		"-reps", "1", "-warmup", "0", "-experiment", "2", "fig8"}
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Error(err)
 	}
 }
@@ -45,7 +35,7 @@ func TestRunFig8SingleExperiment(t *testing.T) {
 func TestRunSim(t *testing.T) {
 	args := []string{"-workers", "3", "-tasks", "64", "-task-sizes", "50,5000",
 		"-reps", "1", "-warmup", "0", "-sim-workers", "8", "sim"}
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Error(err)
 	}
 }
@@ -53,23 +43,48 @@ func TestRunSim(t *testing.T) {
 func TestRunCSVOutput(t *testing.T) {
 	args := []string{"-workers", "3", "-tasks", "32", "-task-sizes", "50",
 		"-reps", "1", "-warmup", "0", "-csv", "fig6"}
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Error(err)
 	}
 }
 
+// -json prints rows and nothing else: `all` at tiny sizes must be one JSON
+// array, without the cost-model report it prints as text.
+func TestRunJSONAllIsOneArray(t *testing.T) {
+	args := []string{"-workers", "2", "-tasks", "32", "-task-sizes", "50",
+		"-reps", "1", "-warmup", "0", "-n", "16", "-tile-sizes", "8,16",
+		"-max-workers", "2", "-tasks-per-worker", "16", "-fig7-task-size", "16",
+		"-json", "all"}
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rows []map[string]any
+	if err := json.Unmarshal(out.Bytes(), &rows); err != nil {
+		t.Fatalf("not one JSON array: %v\n%s", err, out.Bytes())
+	}
+	if len(rows) == 0 {
+		t.Error("no rows")
+	}
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
-	if err := run([]string{}); err == nil {
+	if err := run([]string{}, io.Discard); err == nil {
 		t.Error("missing subcommand accepted")
 	}
-	if err := run([]string{"nope"}); err == nil {
+	if err := run([]string{"nope"}, io.Discard); err == nil {
 		t.Error("unknown subcommand accepted")
 	}
-	if err := run([]string{"-task-sizes", "abc", "fig6"}); err == nil {
+	if err := run([]string{"-task-sizes", "abc", "fig6"}, io.Discard); err == nil {
 		t.Error("bad task sizes accepted")
 	}
-	if err := run([]string{"-tile-sizes", "x", "fig3"}); err == nil {
+	if err := run([]string{"-tile-sizes", "x", "fig3"}, io.Discard); err == nil {
 		t.Error("bad tile sizes accepted")
+	}
+	for _, flag := range []string{"-json", "-csv"} {
+		if err := run([]string{flag, "costmodel"}, io.Discard); err == nil {
+			t.Errorf("costmodel accepted %s, which applies to rows only", flag)
+		}
 	}
 }
 

@@ -78,21 +78,16 @@ func k(x EngineKind) int { return int(x) }
 // Measure runs prog on e warmup+reps times and returns the median wall time
 // together with the stats of the median run.
 func Measure(e Engine, numData int, prog stf.Program, warmup, reps int) (time.Duration, *trace.Stats, error) {
-	return MeasureRun(func() error { return e.Run(numData, prog) }, e.Stats, warmup, reps)
-}
-
-// MeasureRun is Measure over an arbitrary run thunk (closure replay,
-// compiled replay, …): warmup+reps runs, median wall time, stats of the
-// median run as reported by stats() after each run.
-func MeasureRun(run func() error, stats func() *trace.Stats, warmup, reps int) (time.Duration, *trace.Stats, error) {
-	wall, _, st, err := MeasureRunCPU(run, stats, warmup, reps)
+	wall, _, st, err := MeasureRunCPU(func() error { return e.Run(numData, prog) }, e.Stats, warmup, reps)
 	return wall, st, err
 }
 
-// MeasureRunCPU is MeasureRun plus process-CPU accounting: it additionally
-// returns the mean CPU time (user+system, whole process) per measured run,
-// taken as a getrusage delta around the timed repetitions. Zero on
-// platforms without rusage.
+// MeasureRunCPU is Measure over an arbitrary run thunk (closure replay,
+// compiled replay, …) plus process-CPU accounting: warmup+reps runs, median
+// wall time, stats of the median run as reported by stats() after each run,
+// and the mean CPU time (user+system, whole process) per measured run, taken
+// as a getrusage delta around the timed repetitions. Zero on platforms
+// without rusage.
 func MeasureRunCPU(run func() error, stats func() *trace.Stats, warmup, reps int) (time.Duration, time.Duration, *trace.Stats, error) {
 	if reps < 1 {
 		reps = 1

@@ -35,35 +35,6 @@ func (m *Model) rioTerminated(s rioState) uint64 {
 	return started &^ activeBits
 }
 
-// rioSuccessors appends every successor of s to buf. Unlike STF, an idle
-// worker has at most one candidate: the *first* unexecuted task of its own
-// list (in-order execution). The optional transitions (Retry rollback,
-// Steal) are enumerated inline by CheckRIO and SampleRIO.
-func (m *Model) rioSuccessors(s rioState, buf []rioState) []rioState {
-	terminated := m.rioTerminated(s)
-	for w := 0; w < m.workers; w++ {
-		if s.active[w] != idle {
-			n := s
-			n.active[w] = idle
-			buf = append(buf, n)
-			continue
-		}
-		p := int(s.pos[w])
-		if p >= len(m.owned[w]) {
-			continue
-		}
-		t := int(m.owned[w][p])
-		if !m.taskReady(t, terminated) {
-			continue
-		}
-		n := s
-		n.pos[w] = uint8(p + 1)
-		n.active[w] = int8(t)
-		buf = append(buf, n)
-	}
-	return buf
-}
-
 // project maps a RIO state onto the corresponding STF state (pending = not
 // yet started, same active registers).
 func (m *Model) project(s rioState) stfState {
@@ -113,6 +84,111 @@ type RIOOptions struct {
 	UnsafeSteal bool
 }
 
+// rioNext is the Run-In-Order next-state relation under one RIOOptions:
+// the one CheckRIO explores and SampleRIO walks.
+type rioNext struct {
+	m *Model
+	// blockers decides an in-order step, stealBlockers a stolen one; the
+	// mutations of RIOOptions swap in unsoundBlockers.
+	blockers, stealBlockers []uint64
+	retry, steal            bool
+}
+
+func (m *Model) rioNext(opts RIOOptions) *rioNext {
+	r := &rioNext{m: m, blockers: m.blockers, retry: opts.Retry, steal: opts.Steal || opts.UnsafeSteal}
+	if opts.SkipReadBlockers {
+		r.blockers = m.unsoundBlockers()
+	}
+	r.stealBlockers = r.blockers
+	if opts.UnsafeSteal {
+		r.stealBlockers = m.unsoundBlockers()
+	}
+	return r
+}
+
+// successors appends every successor of s, whose terminated set is given,
+// to buf. A busy worker finishes its task or, with Retry, rolls it back; an
+// idle worker has at most one in-order candidate, the *first* unexecuted
+// task of its own list, and with Steal may take any other worker's next
+// one. Every step is checked against the STF readiness predicate — the step
+// part of refinement — and a step the relation allows but STF does not is
+// recorded in res under the checker's name.
+func (r *rioNext) successors(s rioState, terminated uint64, buf []rioState, res *Result, checker string) []rioState {
+	m := r.m
+	for w := 0; w < m.workers; w++ {
+		if s.active[w] != idle {
+			n := s
+			n.active[w] = idle
+			buf = append(buf, n)
+			if r.retry {
+				// Rollback: the attempt fails, the write-set is
+				// restored, and the worker stands before the same task
+				// again. The restored state must be (and is) a previously
+				// reachable one — the model has no memory of the failed
+				// attempt, which is exactly the write-set-rollback
+				// guarantee. Only a task from the worker's own queue rolls
+				// back to a queue position; a *stolen* task is retried in
+				// place by the thief (write-set restore, same executor),
+				// which is a model stutter — no transition.
+				if p := int(s.pos[w]); p > 0 && m.owned[w][p-1] == s.active[w] {
+					n.pos[w]--
+					buf = append(buf, n)
+				}
+			}
+			continue
+		}
+		p := int(s.pos[w])
+		if p >= len(m.owned[w]) {
+			continue
+		}
+		t := int(m.owned[w][p])
+		if r.blockers[t]&^terminated != 0 {
+			continue
+		}
+		if !m.taskReady(t, terminated) {
+			res.violate("%s: step executes task %d not ready under STF semantics", checker, t)
+		}
+		n := s
+		n.pos[w] = uint8(p + 1)
+		n.active[w] = int8(t)
+		buf = append(buf, n)
+	}
+	if !r.steal {
+		return buf
+	}
+	// Steal transitions: an idle thief takes any victim's next unexecuted
+	// task if it is ready. The victim's position advances (the owner will
+	// skip the claimed slot, declaring as if it had run the task) while the
+	// task executes in the thief's register — so the race and refinement
+	// invariants inspect exactly the states the hybrid engine can reach.
+	for w := 0; w < m.workers; w++ {
+		if s.active[w] != idle {
+			continue
+		}
+		for v := 0; v < m.workers; v++ {
+			if v == w {
+				continue
+			}
+			p := int(s.pos[v])
+			if p >= len(m.owned[v]) {
+				continue
+			}
+			t := int(m.owned[v][p])
+			if r.stealBlockers[t]&^terminated != 0 {
+				continue
+			}
+			if !m.taskReady(t, terminated) {
+				res.violate("%s: steal executes task %d not ready under STF semantics", checker, t)
+			}
+			n := s
+			n.pos[v] = uint8(p + 1)
+			n.active[w] = int8(t)
+			buf = append(buf, n)
+		}
+	}
+	return buf
+}
+
 // CheckRIO exhaustively explores the Run-In-Order model, verifying
 // data-race freedom, deadlock-freedom (hence, with fairness, termination)
 // and refinement of the STF specification.
@@ -123,19 +199,7 @@ func (m *Model) CheckRIO(opts RIOOptions) *Result {
 		return res
 	}
 	res := &Result{}
-
-	blockers := m.blockers
-	if opts.SkipReadBlockers {
-		blockers = m.unsoundBlockers()
-	}
-	ready := func(t int, terminated uint64) bool {
-		return blockers[t]&^terminated == 0
-	}
-	stealing := opts.Steal || opts.UnsafeSteal
-	stealBlockers := blockers
-	if opts.UnsafeSteal {
-		stealBlockers = m.unsoundBlockers()
-	}
+	rel := m.rioNext(opts)
 
 	var stfStates map[stfState]struct{}
 	if !opts.SkipRefinement {
@@ -166,88 +230,7 @@ func (m *Model) CheckRIO(opts RIOOptions) *Result {
 				terminatedReachable = true
 				continue
 			}
-			// Successors under the (possibly mutated) readiness rule.
-			buf = buf[:0]
-			for w := 0; w < m.workers; w++ {
-				if s.active[w] != idle {
-					n := s
-					n.active[w] = idle
-					buf = append(buf, n)
-					if opts.Retry {
-						// Rollback: the attempt fails, the write-set is
-						// restored, and the worker stands before the same
-						// task again. The restored state must be (and is)
-						// a previously reachable one — the model has no
-						// memory of the failed attempt, which is exactly
-						// the write-set-rollback guarantee. Only a task
-						// from the worker's own queue rolls back to a
-						// queue position; a *stolen* task is retried in
-						// place by the thief (write-set restore, same
-						// executor), which is a model stutter — no
-						// transition.
-						if p := int(s.pos[w]); p > 0 && m.owned[w][p-1] == s.active[w] {
-							r := s
-							r.active[w] = idle
-							r.pos[w]--
-							buf = append(buf, r)
-						}
-					}
-					continue
-				}
-				p := int(s.pos[w])
-				if p >= len(m.owned[w]) {
-					continue
-				}
-				t := int(m.owned[w][p])
-				if !ready(t, terminated) {
-					continue
-				}
-				// Refinement, step part: the executed task must be
-				// ready under the *STF* rules too.
-				if !m.taskReady(t, terminated) {
-					res.violate("RIO: step executes task %d not ready under STF semantics", t)
-				}
-				n := s
-				n.pos[w] = uint8(p + 1)
-				n.active[w] = int8(t)
-				buf = append(buf, n)
-			}
-			if stealing {
-				// Steal transitions: an idle thief takes any victim's
-				// next unexecuted task if it is ready. The victim's
-				// position advances (the owner will skip the claimed
-				// slot, declaring as if it had run the task) while the
-				// task executes in the thief's register — so the race
-				// and refinement invariants above inspect exactly the
-				// states the hybrid engine can reach.
-				for w := 0; w < m.workers; w++ {
-					if s.active[w] != idle {
-						continue
-					}
-					for v := 0; v < m.workers; v++ {
-						if v == w {
-							continue
-						}
-						p := int(s.pos[v])
-						if p >= len(m.owned[v]) {
-							continue
-						}
-						t := int(m.owned[v][p])
-						if stealBlockers[t]&^terminated != 0 {
-							continue
-						}
-						// Refinement, step part: a stolen execution must
-						// be ready under the *STF* rules like any other.
-						if !m.taskReady(t, terminated) {
-							res.violate("RIO: steal executes task %d not ready under STF semantics", t)
-						}
-						n := s
-						n.pos[v] = uint8(p + 1)
-						n.active[w] = int8(t)
-						buf = append(buf, n)
-					}
-				}
-			}
+			buf = rel.successors(s, terminated, buf[:0], res, "RIO")
 			res.Generated += int64(len(buf))
 			if len(buf) == 0 {
 				res.violate("RIO: deadlock in state pos=%v active=%v", s.pos, s.active)

@@ -57,17 +57,10 @@ func (m *Model) SampleRIO(runs int, seed int64, opts RIOOptions) *Result {
 		res.violate("RIO(sample): model has no mapping")
 		return res
 	}
-	blockers := m.blockers
-	if opts.SkipReadBlockers {
-		blockers = m.unsoundBlockers()
-	}
-	stealing := opts.Steal || opts.UnsafeSteal
-	stealBlockers := blockers
-	if opts.UnsafeSteal {
-		stealBlockers = m.unsoundBlockers()
-	}
+	rel := m.rioNext(opts)
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[rioState]struct{})
+	var buf []rioState
 	for r := 0; r < runs; r++ {
 		s := m.rioInit()
 		steps := 0
@@ -83,66 +76,12 @@ func (m *Model) SampleRIO(runs int, seed int64, opts RIOOptions) *Result {
 			if activeBits == 0 && terminated == m.all {
 				break
 			}
-			// Enumerate enabled transitions under the (possibly
-			// mutated) readiness rule.
-			var next []rioState
-			for w := 0; w < m.workers; w++ {
-				if s.active[w] != idle {
-					n := s
-					n.active[w] = idle
-					next = append(next, n)
-					continue
-				}
-				p := int(s.pos[w])
-				if p >= len(m.owned[w]) {
-					continue
-				}
-				t := int(m.owned[w][p])
-				if blockers[t]&^terminated != 0 {
-					continue
-				}
-				if !m.taskReady(t, terminated) {
-					res.violate("RIO(sample): step executes task %d not ready under STF semantics", t)
-				}
-				n := s
-				n.pos[w] = uint8(p + 1)
-				n.active[w] = int8(t)
-				next = append(next, n)
-			}
-			if stealing {
-				// Steal transitions, as in CheckRIO: an idle thief may
-				// take a victim's next unexecuted ready task.
-				for w := 0; w < m.workers; w++ {
-					if s.active[w] != idle {
-						continue
-					}
-					for v := 0; v < m.workers; v++ {
-						if v == w {
-							continue
-						}
-						p := int(s.pos[v])
-						if p >= len(m.owned[v]) {
-							continue
-						}
-						t := int(m.owned[v][p])
-						if stealBlockers[t]&^terminated != 0 {
-							continue
-						}
-						if !m.taskReady(t, terminated) {
-							res.violate("RIO(sample): steal executes task %d not ready under STF semantics", t)
-						}
-						n := s
-						n.pos[v] = uint8(p + 1)
-						n.active[w] = int8(t)
-						next = append(next, n)
-					}
-				}
-			}
-			if len(next) == 0 {
+			buf = rel.successors(s, terminated, buf[:0], res, "RIO(sample)")
+			if len(buf) == 0 {
 				res.violate("RIO(sample): deadlock in state pos=%v active=%v", s.pos, s.active)
 				break
 			}
-			s = next[rng.Intn(len(next))]
+			s = buf[rng.Intn(len(buf))]
 			steps++
 			res.Generated++
 		}

@@ -70,9 +70,25 @@ func TestSampleCatchesUnsoundMutation(t *testing.T) {
 	if res := m.SampleRIO(100, 5, spec.RIOOptions{}); !res.OK() {
 		t.Fatalf("sound model failed: %v", res.Violations)
 	}
-	res := m.SampleRIO(100, 5, spec.RIOOptions{SkipReadBlockers: true})
-	if res.OK() {
-		t.Error("sampling missed the unsound mutation on 100 runs of a 2-task flow")
+	for _, opts := range []spec.RIOOptions{{SkipReadBlockers: true}, {Retry: true, SkipReadBlockers: true}} {
+		if res := m.SampleRIO(100, 5, opts); res.OK() {
+			t.Errorf("%+v: sampling missed the unsound mutation on 100 runs of a 2-task flow", opts)
+		}
+	}
+}
+
+// A sampled check with Retry walks the rollback transition too: the same
+// seed takes more transitions than without it, and every walk still
+// terminates with every invariant intact.
+func TestSampleRIORetry(t *testing.T) {
+	m := mustModel(t, graphs.LURect(2, 2), 2, sched.Cyclic(2))
+	base := m.SampleRIO(200, 1, spec.RIOOptions{})
+	retry := m.SampleRIO(200, 1, spec.RIOOptions{Retry: true})
+	if !retry.OK() {
+		t.Fatalf("violations: %v", retry.Violations)
+	}
+	if retry.Generated <= base.Generated {
+		t.Errorf("retry took %d transitions, without it %d: rollback not sampled", retry.Generated, base.Generated)
 	}
 }
 
