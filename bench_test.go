@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rio"
 	"rio/internal/graphs"
@@ -358,7 +359,10 @@ func BenchmarkGuardOverhead(b *testing.B) {
 // the service runs it) with empty bodies on two workers, so the clock reads
 // are not hidden behind any work: a body's reads sit on the hand-off chain
 // between the workers, a wait's overlap the wait. This is the worst case,
-// and the number behind internal/server's one-run-in-16 sampling.
+// and the number behind internal/server's one-run-in-16 sampling. The
+// watchdog case is unaccounted with the stall watchdog armed: what arming
+// it adds to a run (its monitor goroutine and ticker, and whatever the
+// workers publish for it).
 func BenchmarkAccountingOverhead(b *testing.B) {
 	const workers = 2
 	g := graphs.Cholesky(12)
@@ -370,9 +374,10 @@ func BenchmarkAccountingOverhead(b *testing.B) {
 	for _, v := range []struct {
 		name   string
 		noAcct bool
-	}{{"accounted", false}, {"unaccounted", true}} {
+		stall  time.Duration
+	}{{"accounted", false, 0}, {"unaccounted", true, 0}, {"watchdog", true, time.Minute}} {
 		b.Run(v.name, func(b *testing.B) {
-			e, err := rio.NewEngine(rio.Options{Workers: workers, NoAccounting: v.noAcct})
+			e, err := rio.NewEngine(rio.Options{Workers: workers, NoAccounting: v.noAcct, StallTimeout: v.stall})
 			if err != nil {
 				b.Fatal(err)
 			}

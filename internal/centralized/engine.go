@@ -30,7 +30,9 @@ type Options struct {
 	// decentralized engine's Mapping, it is not binding). Hinted worker
 	// IDs refer to executors, numbered 0..Workers-2.
 	Hint stf.Mapping
-	// NoAccounting disables per-task and per-wait time-stamping.
+	// NoAccounting disables per-task and per-wait time-stamping: no clock
+	// is read between the run's start and end stamps, and Stats carries
+	// only the wall times and the task counters.
 	NoAccounting bool
 	// WaitPolicy selects how executors wait for ready tasks (see
 	// waitTuning for how the policies map onto queue pops). The zero
@@ -70,8 +72,7 @@ type Engine struct {
 	kind       SchedulerKind
 	window     int
 	hint       stf.Mapping
-	noAcct     bool
-	wt         waitTuning
+	wt         waitTuning // wait tuning and the accounting switch
 	hooks      *stf.Hooks
 	retry      *stf.RetryPolicy
 	snaps      stf.Snapshotter
@@ -96,10 +97,10 @@ func New(o Options) (*Engine, error) {
 	if sl <= 0 {
 		sl = DefaultSpinLimit
 	}
-	wt := waitTuning{policy: o.WaitPolicy, spin: sl}
+	wt := waitTuning{policy: o.WaitPolicy, spin: sl, noAcct: o.NoAccounting}
 	return &Engine{
 		workers: o.Workers, kind: o.Scheduler, window: o.Window, hint: o.Hint,
-		noAcct: o.NoAccounting, wt: wt, hooks: o.Hooks,
+		wt: wt, hooks: o.Hooks,
 		retry: o.Retry, snaps: o.Snapshots, resume: o.Resume,
 		checkpoint: o.Checkpoint || o.Retry != nil,
 	}, nil
@@ -181,14 +182,6 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		}()
 	}
 
-	type execStats struct {
-		task, idle time.Duration
-		wall       time.Duration
-		executed   int64
-		retried    int64
-	}
-	stats := make([]execStats, nexec)
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(nexec)
@@ -197,6 +190,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 			defer wg.Done()
 			cell := rp.Worker(w + 1)
 			hooks := e.hooks
+			var task, idle time.Duration
 			t0 := time.Now()
 			for {
 				// A queue pop is this engine's dependency wait: there is no
@@ -205,10 +199,10 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 				if hooks != nil && hooks.OnWaitStart != nil {
 					hooks.OnWaitStart(stf.WorkerID(w), stf.NoTask, stf.Access{})
 				}
-				t, idle := sched.pop(w)
-				stats[w].idle += idle
-				if !e.noAcct && idle > 0 {
-					cell.AddWait(idle)
+				t, waited := sched.pop(w)
+				if waited > 0 { // zero without accounting
+					idle += waited
+					cell.AddWait(waited)
 				}
 				if hooks != nil && hooks.OnWaitEnd != nil {
 					hooks.OnWaitEnd(stf.WorkerID(w), stf.NoTask, stf.Access{})
@@ -219,7 +213,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 					break
 				}
 				cell.SetCurrent(t.id)
-				outcome := execTask(m, t, stf.WorkerID(w), e.noAcct, &stats[w].task, &stats[w].retried, cell)
+				outcome := execTask(m, t, stf.WorkerID(w), &task, cell)
 				cell.SetCurrent(stf.NoTask)
 				if outcome == taskFailed {
 					// Terminal failure under a retry policy: successors are
@@ -235,14 +229,13 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 					// completed nor failed terminally.
 					break
 				}
-				stats[w].executed++
-				cell.StoreExecuted(stats[w].executed)
+				cell.CountExecuted()
 				// Without a retry policy, completion is propagated even
 				// after a panic so the master's drain and the successors'
 				// counts terminate; the recorded error fails the run.
 				m.onComplete(t, outcome == taskDone)
 			}
-			stats[w].wall = time.Since(t0)
+			cell.Exit(task, idle, time.Since(t0))
 		}(w)
 	}
 
@@ -251,37 +244,11 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	prog(m)
 	m.drain()
 	sched.close()
-	masterWall := time.Since(mt0)
+	// The master executes no task: its non-idle activity is all runtime
+	// management.
+	m.prog.Exit(0, m.idle, time.Since(mt0))
 	wg.Wait()
-	wall := time.Since(start)
-
-	// Assemble the per-thread decomposition: index 0 is the master, whose
-	// non-idle activity is all runtime management.
-	st := trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: wall, Accounted: !e.noAcct}
-	mw := trace.WorkerStats{Wall: masterWall, Idle: m.idle}
-	if !e.noAcct {
-		if r := masterWall - m.idle; r > 0 {
-			mw.Runtime = r
-		}
-	}
-	mw.Skipped = m.skipped
-	st.Workers[0] = mw
-	for w := 0; w < nexec; w++ {
-		ws := trace.WorkerStats{
-			Task:     stats[w].task,
-			Idle:     stats[w].idle,
-			Wall:     stats[w].wall,
-			Executed: stats[w].executed,
-			Retried:  stats[w].retried,
-		}
-		if !e.noAcct {
-			if r := ws.Wall - ws.Task - ws.Idle; r > 0 {
-				ws.Runtime = r
-			}
-		}
-		st.Workers[w+1] = ws
-	}
-	e.stats = st
+	e.stats = rp.Stats(time.Since(start), !e.wt.noAcct)
 	err := m.err
 	if err == nil {
 		m.mu.Lock()
@@ -344,8 +311,7 @@ type master struct {
 	doneIDs   []stf.TaskID
 	failedIDs []stf.TaskID
 
-	idle    time.Duration // master time blocked on window or final drain
-	skipped int64         // resume-skipped tasks (master-only)
+	idle time.Duration // accounted master time blocked on window or final drain
 }
 
 // cancel aborts the run: the master's window wait and drain are woken and
@@ -408,20 +374,13 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 		// data memory, so no dependency state is registered on its behalf —
 		// successors see it as never having existed, which is exactly an
 		// already-satisfied dependency.
-		m.skipped++
-		m.prog.StoreSkipped(m.skipped)
+		m.prog.CountSkipped(1)
 		return
 	}
 	m.mu.Lock()
 	if m.eng.window > 0 {
 		for m.inflight >= m.eng.window && m.cancelErr == nil && !m.failed {
-			t0 := time.Now()
-			m.progress.Wait()
-			waited := time.Since(t0)
-			m.idle += waited
-			if !m.eng.noAcct {
-				m.prog.AddWait(waited)
-			}
+			m.await()
 		}
 	}
 	if m.cancelErr != nil {
@@ -440,7 +399,7 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 	}
 	m.inflight++
 	m.submitted++
-	m.prog.StoreDeclared(m.submitted)
+	m.prog.CountDeclared(1)
 	m.mu.Unlock()
 
 	if m.eng.retry != nil {
@@ -537,7 +496,7 @@ const (
 // is recorded as a *stf.TaskFailure. The task hooks bracket the body here
 // so that a failing body skips OnTaskEnd, matching the in-order engine's
 // contract.
-func execTask(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration, retried *int64, cell *trace.ProgressCell) int {
+func execTask(m *master, t *task, w stf.WorkerID, taskTime *time.Duration, cell *trace.ProgressCell) int {
 	for _, d := range t.reds {
 		m.redMu[d].Lock()
 		defer m.redMu[d].Unlock()
@@ -545,18 +504,21 @@ func execTask(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 	h := m.eng.hooks
 	p := m.eng.retry
 	if p == nil {
-		return execOnce(m, t, w, noAcct, taskTime)
+		return execOnce(m, t, w, taskTime)
 	}
 
 	if h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(w, t.id)
 	}
 	tf, ok := p.RunAttempts(m.eng.snaps, t.id, t.accs,
-		func() { runTimed(t, w, noAcct, taskTime) },
+		func() {
+			cell.SetCurrent(t.id)
+			runTimed(m, t, w, taskTime)
+		},
 		func() bool { return m.canceled.Load() },
 		func(attempt int, cause any) {
-			*retried++
-			cell.StoreRetried(*retried)
+			cell.SetCurrent(stf.NoTask) // a backoff executes nothing
+			cell.CountRetried()
 			if h != nil && h.OnTaskRetry != nil {
 				h.OnTaskRetry(w, t.id, attempt, cause)
 			}
@@ -576,7 +538,7 @@ func execTask(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 
 // execOnce is the legacy nil-policy path of execTask: one attempt, panic
 // recovered into a recorded run error.
-func execOnce(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration) (outcome int) {
+func execOnce(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) (outcome int) {
 	outcome = taskDone
 	defer func() {
 		if r := recover(); r != nil {
@@ -588,23 +550,19 @@ func execOnce(m *master, t *task, w stf.WorkerID, noAcct bool, taskTime *time.Du
 	if h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(w, t.id)
 	}
-	runTimed(t, w, noAcct, taskTime)
+	runTimed(m, t, w, taskTime)
 	if h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(w, t.id)
 	}
 	return outcome
 }
 
-// runTimed runs the body once, charging its duration to *taskTime unless
-// accounting is off.
-func runTimed(t *task, w stf.WorkerID, noAcct bool, taskTime *time.Duration) {
-	if noAcct {
-		t.run(w)
-		return
-	}
-	tt := trace.Stamp()
+// runTimed runs the body once, charging its duration to *taskTime (nothing
+// without accounting).
+func runTimed(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) {
+	t0 := m.eng.wt.stamp()
 	t.run(w)
-	*taskTime += trace.Stamp() - tt
+	*taskTime += m.eng.wt.stamp() - t0
 }
 
 // recordError stores the first asynchronous (worker-side) error.
@@ -635,12 +593,19 @@ func (m *master) drain() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.completed < m.submitted && m.cancelErr == nil && !m.failed {
-		t0 := time.Now()
-		m.progress.Wait()
-		waited := time.Since(t0)
+		m.await()
+	}
+}
+
+// await is one round of a master wait on the progress condition (m.mu
+// held), charged to the master's idle time and wait histogram when the run
+// is accounted.
+func (m *master) await() {
+	t0 := m.eng.wt.stamp()
+	m.progress.Wait()
+	if !m.eng.wt.noAcct {
+		waited := trace.Stamp() - t0
 		m.idle += waited
-		if !m.eng.noAcct {
-			m.prog.AddWait(waited)
-		}
+		m.prog.AddWait(waited)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rio/internal/centralized"
 	"rio/internal/enginetest"
@@ -201,6 +202,42 @@ func TestStatsDecompositionSane(t *testing.T) {
 	}
 	if st.Workers[0].Task != 0 {
 		t.Errorf("master has task time %v", st.Workers[0].Task)
+	}
+}
+
+// TestNoAccountingReadsNoClock: under NoAccounting no wait is timed — not
+// an executor's queue pop on any scheduler, not the master's window or
+// drain wait — so every worker reports zero task, idle and runtime and the
+// wait histogram stays empty. The accounted control proves the flow waits.
+func TestNoAccountingReadsNoClock(t *testing.T) {
+	g := graphs.Chain(24)
+	kern := func(*stf.Task, stf.WorkerID) { time.Sleep(200 * time.Microsecond) }
+	for _, kind := range []centralized.SchedulerKind{centralized.FIFO, centralized.WorkStealing, centralized.Priority} {
+		for _, noAcct := range []bool{false, true} {
+			e := newEngine(t, centralized.Options{Workers: 3, Scheduler: kind, Window: 2, NoAccounting: noAcct})
+			if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
+				t.Fatal(err)
+			}
+			st, pr := e.Stats(), e.Progress()
+			var waits int64
+			for _, n := range pr.WaitHist() {
+				waits += n
+			}
+			if !noAcct {
+				if _, idle, _ := st.Cumulative(); st.Workers[0].Idle == 0 || idle == 0 || waits == 0 {
+					t.Fatalf("%s accounted: master idle %v, idle %v, %d waits: the flow does not wait", e.Name(), st.Workers[0].Idle, idle, waits)
+				}
+				continue
+			}
+			for w, ws := range st.Workers {
+				if ws.Task != 0 || ws.Idle != 0 || ws.Runtime != 0 {
+					t.Errorf("%s: worker %d task %v idle %v runtime %v under NoAccounting, want 0", e.Name(), w, ws.Task, ws.Idle, ws.Runtime)
+				}
+			}
+			if waits != 0 {
+				t.Errorf("%s: %d waits bucketed under NoAccounting, want 0", e.Name(), waits)
+			}
+		}
 	}
 }
 

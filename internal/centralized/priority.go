@@ -64,9 +64,9 @@ func (s *prioScheduler) pop(int) (*task, time.Duration) {
 		}
 		s.mu.Lock()
 		for s.heap.Len() == 0 && !s.closed {
-			t0 := time.Now()
+			t0 := s.wt.stamp()
 			s.nonEmpty.Wait()
-			idle += time.Since(t0)
+			idle += s.wt.stamp() - t0
 		}
 		s.mu.Unlock()
 	}

@@ -8,12 +8,14 @@ import (
 	"unsafe"
 
 	"rio/internal/stf"
+	"rio/internal/trace"
 )
 
 // scheduler moves ready tasks from the master to the executing workers.
 // push never blocks; pop blocks until a task is available or the scheduler
 // is closed (then it returns nil). pop additionally returns the time the
-// worker spent blocked, which the engine accounts as idle time.
+// worker spent blocked, which the engine accounts as idle time (zero
+// without accounting: waitTuning.stamp).
 type scheduler interface {
 	push(t *task)
 	pop(w int) (*task, time.Duration)
@@ -31,6 +33,17 @@ type scheduler interface {
 type waitTuning struct {
 	policy stf.WaitPolicy
 	spin   int
+	noAcct bool // the engine's NoAccounting: pops time their idle with stamp
+}
+
+// stamp is the clock the centralized engine times with: trace.Stamp, or
+// zero without accounting, so that an unaccounted timed section reads no
+// clock and measures nothing.
+func (wt waitTuning) stamp() time.Duration {
+	if wt.noAcct {
+		return 0
+	}
+	return trace.Stamp()
 }
 
 // budget returns the number of spin-phase probes before parking, or -1 for
@@ -56,14 +69,14 @@ func (wt waitTuning) spinPop(readyOrClosed func() bool) (hit bool, idle time.Dur
 	if n == 0 {
 		return false, 0
 	}
-	t0 := time.Now()
+	t0 := wt.stamp()
 	for i := 0; n < 0 || i < n; i++ {
 		if readyOrClosed() {
-			return true, time.Since(t0)
+			return true, wt.stamp() - t0
 		}
 		runtime.Gosched()
 	}
-	return false, time.Since(t0)
+	return false, wt.stamp() - t0
 }
 
 // SchedulerKind selects the dispatch strategy of the centralized engine.
@@ -156,9 +169,9 @@ func (q *fifoQueue) pop(int) (*task, time.Duration) {
 		}
 		q.mu.Lock()
 		for q.head == len(q.items) && !q.closed {
-			t0 := time.Now()
+			t0 := q.wt.stamp()
 			q.nonEmpty.Wait()
-			idle += time.Since(t0)
+			idle += q.wt.stamp() - t0
 		}
 		q.mu.Unlock()
 	}
@@ -292,17 +305,17 @@ func (s *stealScheduler) pop(w int) (*task, time.Duration) {
 		// probe here — deque locks are sharded, so probing them does not
 		// serialize the pushers) before parking.
 		if n := s.wt.budget(); n != 0 {
-			t0 := time.Now()
+			t0 := s.wt.stamp()
 			for i := 0; n < 0 || i < n; i++ {
 				runtime.Gosched()
 				if t := s.scan(w); t != nil {
-					return t, idle + time.Since(t0)
+					return t, idle + s.wt.stamp() - t0
 				}
 				if s.done.Load() {
 					break
 				}
 			}
-			idle += time.Since(t0)
+			idle += s.wt.stamp() - t0
 		}
 		// Nothing found: park until a push since v or close changes the world.
 		s.mu.Lock()
@@ -310,11 +323,11 @@ func (s *stealScheduler) pop(w int) (*task, time.Duration) {
 			s.mu.Unlock()
 			return nil, idle
 		}
-		t0 := time.Now()
+		t0 := s.wt.stamp()
 		for s.version.Load() == v && !s.closed {
 			s.wake.Wait()
 		}
-		idle += time.Since(t0)
+		idle += s.wt.stamp() - t0
 		s.mu.Unlock()
 	}
 }

@@ -144,8 +144,7 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 					// A stolen own task is accounted like a foreign one; the
 					// compile-time Declared charge below never includes own
 					// tasks.
-					s.ws.Declared++
-					s.prog.StoreDeclared(s.ws.Declared)
+					s.prog.CountDeclared(1)
 				}
 			}
 			if lost {
@@ -203,10 +202,8 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 	// Executed is counted live, Declared is unavailable). Resume-pruned
 	// owned tasks are charged the same way. The counts accumulate so a
 	// streaming session's windows add up; one-shot runs start from zero.
-	s.ws.Declared += cp.Stats[s.worker].Declared
-	s.prog.StoreDeclared(s.ws.Declared)
+	s.prog.CountDeclared(cp.Stats[s.worker].Declared)
 	if sk := cp.Stats[s.worker].Skipped; sk > 0 {
-		s.ws.Skipped += sk
-		s.prog.StoreSkipped(s.ws.Skipped)
+		s.prog.CountSkipped(sk)
 	}
 }

@@ -289,11 +289,8 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 // exactly the p workers and, when the watchdog is armed, its monitor.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f flow) error {
 	st := e.borrow(numData, rp, spinSeed)
-	for w, s := range st.subs {
-		s.resume, s.track = e.resume, e.checkpoint
-		if st.health != nil {
-			s.health = &st.health[w]
-		}
+	for _, s := range st.subs {
+		s.resume, s.track, s.watched = e.resume, e.checkpoint, e.stallTimeout > 0
 		if e.guard && f.prog != nil {
 			// Only a closure program can diverge between workers: compiled
 			// streams all derive from one graph.
@@ -355,16 +352,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		<-canceled
 	}
 
-	e.stats = trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: wall, Accounted: !e.noAcct}
-	for w, s := range st.subs {
-		ws := s.ws
-		if !e.noAcct {
-			if r := ws.Wall - ws.Task - ws.Idle; r > 0 {
-				ws.Runtime = r
-			}
-		}
-		e.stats.Workers[w] = ws
-	}
+	e.stats = rp.Stats(wall, !e.noAcct)
 	err := verdict(st.subs, &st.abort)
 	if err == nil {
 		if err = guardVerdict(st.subs); err != nil {
@@ -452,9 +440,9 @@ type submitter struct {
 	local   []localState
 	claims  *claimTable
 	abort   *abortState
-	health  *workerHealth       // nil unless the stall watchdog is armed
+	watched bool                // the stall watchdog reads this worker's slow waits
 	guard   *guardState         // nil when the divergence guard is disabled
-	prog    *trace.ProgressCell // always-on published counters (Progress)
+	prog    *trace.ProgressCell // the worker's run record (Progress, Stats, watchdog)
 	hooks   *stf.Hooks          // nil when no lifecycle hooks are installed
 	retry   *stf.RetryPolicy    // nil disables task retry
 	snaps   stf.Snapshotter     // write-set capture for retry rollback
@@ -463,8 +451,10 @@ type submitter struct {
 	thief   *stealState         // this worker's steal state; nil unless the engine is armed
 	steal   *stealState         // thief while the flow being replayed is armed, else nil
 	done    []stf.TaskID        // tasks this worker completed (track only)
-	ws      trace.WorkerStats
 	err     error
+	// task and idle are the accounted body and wait time, stored in the
+	// cell when the worker exits.
+	task, idle time.Duration
 	// spinBudget is the busy-poll budget of the next dependency wait under
 	// WaitAdaptive (ignored by the other policies): seeded from the
 	// previous run's wait histogram, then fed back per completed wait.
@@ -554,8 +544,7 @@ func (s *submitter) owns(id stf.TaskID) (execute, ok bool) {
 		return true, true
 	case owner == stf.SharedWorker:
 		if s.claims.tryClaim(int64(id)) {
-			s.ws.Claimed++
-			s.prog.StoreClaimed(s.ws.Claimed)
+			s.prog.CountClaimed()
 			return true, true
 		}
 		return false, true
@@ -646,8 +635,7 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 	}
 	if !execute {
 		s.declare(accesses, int64(id))
-		s.ws.Declared++
-		s.prog.StoreDeclared(s.ws.Declared)
+		s.prog.CountDeclared(1)
 		return
 	}
 	s.acquire(id, accesses)
@@ -668,16 +656,15 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 func (s *submitter) skipCompleted(id stf.TaskID) {
 	s.next = id + 1
 	if o := s.mapping(id); o == s.worker || (o == stf.SharedWorker && s.worker == 0) {
-		s.ws.Skipped++
-		s.prog.StoreSkipped(s.ws.Skipped)
+		s.prog.CountSkipped(1)
 	}
 }
 
 // exec is the task-execution lifecycle, shared by every way a task reaches
 // its executor (closure replay, a compiled stream's OpExec, a steal): run
-// the body between its reduction locks, under the watchdog's exec stamp,
-// the lifecycle hooks and — when installed — the retry policy, and count
-// it. It reports whether the body completed; the caller then publishes
+// the body between its reduction locks, published as the worker's current
+// task, under the lifecycle hooks and — when installed — the retry policy,
+// and count it. It reports whether the body completed; the caller then publishes
 // completion its own way (release, releaseStolen, or the stream's
 // terminate micro-ops). The reduction mutexes are therefore released before
 // the counters publish, which is safe: the mutex only serializes bodies of
@@ -690,10 +677,6 @@ func (s *submitter) skipCompleted(id stf.TaskID) {
 func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body) bool {
 	if s.lockReductions(accesses) {
 		defer s.unlockReductions(accesses)
-	}
-	if h := s.health; h != nil {
-		h.setExec(int64(id))
-		defer h.endExec()
 	}
 	s.prog.SetCurrent(id)
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
@@ -711,8 +694,7 @@ func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body) bool {
 		h.OnTaskEnd(s.worker, id)
 	}
 	s.prog.SetCurrent(stf.NoTask)
-	s.ws.Executed++
-	s.prog.StoreExecuted(s.ws.Executed)
+	s.prog.CountExecuted()
 	if s.track {
 		s.done = append(s.done, id)
 	}
@@ -728,7 +710,7 @@ func (s *submitter) runTimed(b body) {
 	}
 	t0 := trace.Stamp()
 	b.run(s.worker)
-	s.ws.Task += trace.Stamp() - t0
+	s.task += trace.Stamp() - t0
 }
 
 func (s *submitter) fail(err error) {

@@ -100,34 +100,38 @@ func TestWaitSpinBudgetIsPerWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &workerHealth{}
+	cell := trace.NewProgressTable(1).Worker(0)
 	sh := &sharedState{}
-	s := &submitter{eng: e, abort: &abortState{}, health: h, prog: &trace.ProgressCell{}}
+	s := &submitter{eng: e, abort: &abortState{}, watched: true, prog: cell}
 	const waits = 50
 	for i := 0; i < waits; i++ {
 		polls := 0
 		s.wait(3, stf.R(0), sh, func() bool {
 			polls++
+			if cell.State().Waiting != stf.NoTask {
+				t.Fatalf("wait %d escalated to the slow phase: spin budget not per-wait", i)
+			}
 			// Resolve well inside one wait's busy budget, but so that the
 			// cumulative polls across waits far exceed SpinLimit: a budget
 			// leaked across waits escalates by the third iteration.
 			return polls > 40
 		})
-		if h.phase.Load() == phaseWait {
-			t.Fatalf("wait %d escalated to the slow phase: spin budget not per-wait", i)
-		}
 	}
-	// Control: a single wait exceeding the budget must escalate and then
-	// return the worker to the replay phase.
+	// Control: a single wait exceeding the budget must escalate, publishing
+	// what it waits on while it is slow, and clear it on its way out.
 	polls := 0
+	var slow trace.WorkerState
 	s.wait(4, stf.W(0), sh, func() bool {
 		polls++
+		if st := cell.State(); st.Waiting != stf.NoTask {
+			slow = st
+		}
 		return polls > 1000+3 // past the busy phase: a few park rounds
 	})
-	if got := h.phase.Load(); got != phaseReplay {
-		t.Fatalf("after a slow wait, phase = %d, want %d (replay)", got, phaseReplay)
+	if slow.Waiting != 4 || slow.WaitOn != stf.W(0) {
+		t.Fatalf("slow wait published task %d access %+v, want 4/%+v", slow.Waiting, slow.WaitOn, stf.W(0))
 	}
-	if h.task.Load() != 4 || h.data.Load() != 0 {
-		t.Fatalf("slow wait published task %d data %d, want 4/0", h.task.Load(), h.data.Load())
+	if st := cell.State(); st.Waiting != stf.NoTask {
+		t.Fatalf("after a slow wait, the cell still shows a wait on task %d", st.Waiting)
 	}
 }

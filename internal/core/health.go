@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"rio/internal/stf"
 	"rio/internal/trace"
@@ -19,13 +18,13 @@ import (
 //   - abortState: a shared run-abort latch with a recorded first cause,
 //     raised by panics, protocol violations, context cancellation and the
 //     watchdog; dependency waits poll it in their sleep phase and unwind.
-//   - workerHealth: per-worker published execution state (waiting on which
-//     task/data, executing which task, done) plus a completion counter,
-//     maintained only when the watchdog is armed.
-//   - the stall watchdog: a monitor goroutine that distinguishes global
-//     deadlock (all live workers blocked, nothing completing) from mere
-//     imbalance (completions still happening), and from a stuck task
-//     (a body overrunning the threshold), and aborts with a StallError.
+//   - the stall watchdog: a monitor goroutine that reads every worker's
+//     progress cell (its completions, the task it executes, the slow wait
+//     it is blocked in — published only when the watchdog is armed — and
+//     whether it has exited) and distinguishes global deadlock (all live
+//     workers blocked, nothing completing) from mere imbalance (completions
+//     still happening), and from a stuck task (a body overrunning the
+//     threshold), and aborts with a StallError.
 //   - guardState: the replay-divergence guard — each worker folds its
 //     observed (taskID, accesses) stream into a running hash with periodic
 //     checkpoints, so diverging replays are reported as a DivergenceError
@@ -72,69 +71,6 @@ func (a *abortState) state() (cause error, external bool) {
 	defer a.mu.Unlock()
 	return a.cause, a.external
 }
-
-// Worker phases published for the watchdog.
-const (
-	phaseReplay int32 = iota // unrolling the flow (submitting / declaring)
-	phaseExec                // inside a task body
-	phaseWait                // blocked in a dependency wait (slow phase)
-	phaseDone                // replay finished, worker returned
-)
-
-// workerHealth is one worker's published execution state, read by the
-// watchdog monitor. All fields are atomics because the owning worker
-// writes them while the monitor reads them; the trailing pad keeps
-// adjacent workers' health words on separate cache lines.
-type workerHealth struct {
-	healthWords
-	_ [(cacheLine - unsafe.Sizeof(healthWords{})%cacheLine) % cacheLine]byte
-}
-
-// healthWords is the payload of a workerHealth cell.
-type healthWords struct {
-	phase    atomic.Int32
-	mode     atomic.Int32
-	task     atomic.Int64
-	data     atomic.Int64
-	since    atomic.Int64 // trace.Stamp of the last phase change to exec/wait
-	executed atomic.Int64 // tasks completed by this worker
-}
-
-func (h *workerHealth) setExec(id int64) {
-	h.task.Store(id)
-	h.stampPhase()
-	h.phase.Store(phaseExec)
-}
-
-func (h *workerHealth) endExec() {
-	h.executed.Add(1)
-	h.phase.Store(phaseReplay)
-}
-
-func (h *workerHealth) setWait(id stf.TaskID, a stf.Access) {
-	h.task.Store(int64(id))
-	h.data.Store(int64(a.Data))
-	h.mode.Store(int32(a.Mode))
-	h.stampPhase()
-	h.phase.Store(phaseWait)
-}
-
-// stampPhase dates the exec or wait phase the worker is entering. The date
-// is a monotonic stamp, not a wall-clock time: a step of the system clock
-// must neither hide a wedged body from the watchdog nor make a body that
-// has just started look stuck.
-func (h *workerHealth) stampPhase() { h.since.Store(int64(trace.Stamp())) }
-
-// phaseAge is how long ago the worker entered its exec or wait phase. The
-// clock is read after the date is loaded, so the age is never negative,
-// even when the worker re-stamps while the monitor looks.
-func (h *workerHealth) phaseAge() time.Duration {
-	since := time.Duration(h.since.Load())
-	return trace.Stamp() - since
-}
-
-func (h *workerHealth) setReplay() { h.phase.Store(phaseReplay) }
-func (h *workerHealth) setDone()   { h.phase.Store(phaseDone) }
 
 // guardStride is the checkpoint period of the divergence guard: every
 // stride tasks, a worker commits its running stream hash to a shared
@@ -324,25 +260,29 @@ func guardVerdict(subs []*submitter) error {
 // this is generous; only a worker wedged inside a task body can miss it.
 const stallGrace = 500 * time.Millisecond
 
-// monitor is the stall watchdog goroutine. It watches the global
-// completion count; when no task completes for the configured threshold it
-// inspects the published worker states and, if they prove a deadlock or a
-// stuck task (rather than mere imbalance or a long replay), aborts the run
+// monitor is the stall watchdog goroutine. Every tick it reads the
+// workers' progress cells; when no task completes for the configured
+// threshold it inspects the states it read and, if they prove a deadlock or
+// a stuck task (rather than mere imbalance or a long replay), aborts the run
 // with a StallError and delivers the diagnosis on stalled. It closes stalled
 // on its way out, verdict or not, which is how execute joins it.
+//
+// No worker reads a clock for it: the monitor dates each worker's state
+// itself, by the first tick that read it, so a state's age is measured at
+// tick resolution and never exceeds its true age. A task in retry backoff
+// has cleared its Current and each failed attempt counts a retry, so a long
+// backoff never reads as one stuck body.
 func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struct{}, stalled chan<- *stf.StallError) {
 	defer close(stalled)
 	threshold := e.stallTimeout
-	tick := threshold / 8
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(min(max(threshold/8, time.Millisecond), time.Second))
 	defer ticker.Stop()
 
+	// Per worker, the state the last tick read and the tick that first read it.
+	seen := make([]struct {
+		trace.WorkerState
+		since time.Duration
+	}, len(subs))
 	lastSum := int64(-1)
 	lastProgress := trace.Stamp()
 	for {
@@ -356,53 +296,46 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 			// unwind through the same flag the watchdog would have raised.
 			return
 		}
+		now := trace.Stamp()
 		var sum int64
-		for _, s := range subs {
-			sum += s.health.executed.Load()
+		for w, s := range subs {
+			if ws := s.prog.State(); ws != seen[w].WorkerState {
+				seen[w].WorkerState, seen[w].since = ws, now
+			}
+			sum += seen[w].Executed
 			// A worker finishing its replay is progress too.
-			if s.health.phase.Load() == phaseDone {
+			if seen[w].Exited {
 				sum++
 			}
 		}
 		if sum != lastSum {
-			lastSum = sum
-			lastProgress = trace.Stamp()
+			lastSum, lastProgress = sum, now
 			continue
 		}
-		if trace.Stamp()-lastProgress < threshold {
+		if now-lastProgress < threshold {
 			continue
 		}
 
 		st := &stf.StallError{Threshold: threshold}
 		allBlockedOrDone := true
 		longBusy := false
-		for w, s := range subs {
-			h := s.health
-			switch h.phase.Load() {
-			case phaseDone:
-				st.Done = append(st.Done, stf.WorkerID(w))
-			case phaseWait:
-				st.Stalled = append(st.Stalled, stf.StalledWorker{
-					Worker: stf.WorkerID(w),
-					Task:   stf.TaskID(h.task.Load()),
-					Data:   stf.DataID(h.data.Load()),
-					Mode:   stf.AccessMode(h.mode.Load()),
-					For:    h.phaseAge(),
-				})
-			case phaseExec:
+		for i, ws := range seen {
+			w, age := stf.WorkerID(i), now-ws.since
+			switch {
+			case ws.Exited:
+				st.Done = append(st.Done, w)
+			case ws.Current != stf.NoTask:
+				// Executing, possibly a task stolen inside a slow wait.
 				allBlockedOrDone = false
-				busyFor := h.phaseAge()
-				if busyFor >= threshold {
-					longBusy = true
-				}
-				st.Busy = append(st.Busy, stf.BusyWorker{
-					Worker: stf.WorkerID(w),
-					Task:   stf.TaskID(h.task.Load()),
-					For:    busyFor,
+				longBusy = longBusy || age >= threshold
+				st.Busy = append(st.Busy, stf.BusyWorker{Worker: w, Task: ws.Current, For: age})
+			case ws.Waiting != stf.NoTask:
+				st.Stalled = append(st.Stalled, stf.StalledWorker{
+					Worker: w, Task: ws.Waiting, Data: ws.WaitOn.Data, Mode: ws.WaitOn.Mode, For: age,
 				})
 			default:
-				// Actively unrolling the flow: not conclusive, keep
-				// watching.
+				// Actively unrolling the flow or backing off a retry: not
+				// conclusive, keep watching.
 				allBlockedOrDone = false
 			}
 		}

@@ -4,14 +4,13 @@ import (
 	"rio/internal/trace"
 )
 
-// Always-on run counters. Unlike workerHealth (maintained only when the
-// stall watchdog is armed) and the Stats decomposition (assembled after the
-// run), these counters are published on every run so that any goroutine can
-// snapshot the run's progress mid-flight via Engine.Progress — the
-// "is the flow moving, who is the straggler" question the watchdog only
-// answers once it has already given up. The table itself (padded per-worker
-// cells, atomic publication) lives in trace.ProgressTable and is shared by
-// all engines.
+// Always-on run counters. Every worker keeps its run record in its cell of
+// the run's trace.ProgressTable (padded per-worker cells, atomic
+// publication, shared by all engines): the counters are published on every
+// run so that any goroutine can snapshot the run's progress mid-flight via
+// Engine.Progress — the "is the flow moving, who is the straggler" question
+// the watchdog only answers once it has already given up — and the same
+// cells give the stall watchdog its readings and Stats its decomposition.
 
 // Progress snapshots the current (or, between runs, the most recent) run's
 // always-on counters. Safe to call from any goroutine at any time,

@@ -11,19 +11,16 @@ import "rio/internal/stf"
 // (graceful: other workers drain their in-flight bodies).
 func (s *submitter) runAttempts(id stf.TaskID, accesses []stf.Access, b body) bool {
 	tf, ok := s.retry.RunAttempts(s.snaps, id, accesses,
-		func() { s.runTimed(b) },
-		func() bool {
-			if h := s.health; h != nil {
-				// Re-stamp the heartbeat: a task in backoff is live, not
-				// stuck — to the watchdog it has been "busy" only since the
-				// last backoff slice, never across the whole schedule.
-				h.setExec(int64(id))
-			}
-			return s.abort.raised()
+		func() {
+			s.prog.SetCurrent(id)
+			s.runTimed(b)
 		},
+		func() bool { return s.abort.raised() },
 		func(attempt int, cause any) {
-			s.ws.Retried++
-			s.prog.StoreRetried(s.ws.Retried)
+			// A task in backoff executes nothing: to the watchdog it is
+			// live, not stuck, and each attempt is a state of its own.
+			s.prog.SetCurrent(stf.NoTask)
+			s.prog.CountRetried()
 			if h := s.hooks; h != nil && h.OnTaskRetry != nil {
 				h.OnTaskRetry(s.worker, id, attempt, cause)
 			}

@@ -11,12 +11,12 @@ import (
 // runState is the scaffold a one-shot run or a streaming session replays
 // on: the §3.4 per-data shared cells, every worker's local mirrors, one
 // submitter per worker with its park timer and, on an armed engine, its
-// steal state, the run's claim table and abort latch and, with the watchdog
-// armed, the workers' health cells. The paper sets this state up once; an
-// engine does too, in the sense that matters: a run borrows it from the
-// engine's pool (Engine.borrow) and gives it back when it is provably
-// unreachable (Engine.giveBack). Idle is the zero value throughout, so a
-// borrowed state resets by clearing the prefix the run uses.
+// steal state, and the run's claim table and abort latch. The paper sets
+// this state up once; an engine does too, in the sense that matters: a run
+// borrows it from the engine's pool (Engine.borrow) and gives it back when
+// it is provably unreachable (Engine.giveBack). Idle is the zero value
+// throughout, so a borrowed state resets by clearing the prefix the run
+// uses.
 type runState struct {
 	// shared holds the data capacity of the state; a run over numData data
 	// uses shared[:numData].
@@ -25,7 +25,6 @@ type runState struct {
 	subs   []*submitter
 	claims claimTable
 	abort  abortState
-	health []workerHealth // nil unless the stall watchdog is armed
 
 	// The plumbing of the run or stream window in flight (launch): flow is
 	// what every worker replays; live counts the workers still replaying,
@@ -41,9 +40,6 @@ func (e *Engine) newRunState(numData int) *runState {
 		shared: make([]sharedState, numData),
 		arena:  newLocalArena(e.workers, numData),
 		subs:   make([]*submitter, e.workers),
-	}
-	if e.stallTimeout > 0 {
-		st.health = make([]workerHealth, e.workers)
 	}
 	for w := range st.subs {
 		st.subs[w] = &submitter{}
@@ -69,7 +65,6 @@ func (e *Engine) borrow(numData int, rp *trace.ProgressTable, spinBudget int) *r
 		clear(st.shared[:numData])
 		st.arena.reset(numData)
 		st.claims.reset()
-		clear(st.health)
 	}
 	shared := st.shared[:numData]
 	st.abort = abortState{shared: shared}
@@ -129,15 +124,12 @@ func (st *runState) launch(f flow) {
 }
 
 // work is one worker goroutine: replay the flow (replay recovers a
-// panicking body), publish the worker's wall time and leave; the last
+// panicking body), store the worker's times in its cell and leave; the last
 // worker out closes done.
 func (st *runState) work(s *submitter) {
 	t0 := time.Now()
 	s.replay(&st.flow)
-	if s.health != nil {
-		s.health.setDone()
-	}
-	s.ws.Wall = time.Since(t0)
+	s.prog.Exit(s.task, s.idle, time.Since(t0))
 	if st.live.Add(-1) == 0 {
 		close(st.done)
 	}

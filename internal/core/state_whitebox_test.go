@@ -17,7 +17,6 @@ import (
 	"rio/internal/graphs"
 	"rio/internal/sched"
 	"rio/internal/stf"
-	"rio/internal/trace"
 )
 
 // assertIdle fails t unless every word a run over numData data can reach is
@@ -47,7 +46,7 @@ func assertIdle(t *testing.T, st *runState, numData int) {
 		if len(s.local) != numData || len(s.shared) != numData {
 			t.Fatalf("worker %d: views of %d local and %d shared cells, want %d", w, len(s.local), len(s.shared), numData)
 		}
-		if s.next != 0 || s.err != nil || s.ws != (trace.WorkerStats{}) || s.done != nil || s.guard != nil || s.health != nil {
+		if s.next != 0 || s.err != nil || s.task != 0 || s.idle != 0 || s.done != nil || s.guard != nil || s.watched || s.prog != s.eng.progress.Load().Worker(w) {
 			t.Fatalf("worker %d: submitter carries an earlier run's replay state", w)
 		}
 	}
@@ -60,11 +59,6 @@ func assertIdle(t *testing.T, st *runState, numData int) {
 	}
 	if cause, _ := st.abort.state(); st.abort.raised() || cause != nil {
 		t.Fatal("abort latch still raised")
-	}
-	for w := range st.health {
-		if st.health[w].phase.Load() != phaseReplay || st.health[w].executed.Load() != 0 {
-			t.Fatalf("worker %d: health cell not idle", w)
-		}
 	}
 }
 

@@ -104,8 +104,7 @@ func (s *submitter) trySteal() bool {
 		}
 		st.cursors[vi] = cur + 1 // claimed below, by this worker or another
 		if !s.claims.tryClaim(int64(idx)) {
-			s.ws.StealFailed++
-			s.prog.StoreStealFailed(s.ws.StealFailed)
+			s.prog.CountStealFailed()
 			continue
 		}
 		s.stealExec(v, &st.flow.tasks[idx])
@@ -147,8 +146,7 @@ func (s *submitter) stealExec(owner stf.WorkerID, t *stf.Task) {
 		return
 	}
 	s.releaseStolen(t.Accesses, int64(t.ID))
-	s.ws.Stolen++
-	s.prog.StoreStolen(s.ws.Stolen)
+	s.prog.CountStolen()
 }
 
 // releaseStolen publishes a stolen task's completion to the shared cells:

@@ -117,7 +117,6 @@ func TestStealEpochQuiescence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var stolen int64
 	for w := 0; w < windows; w++ {
 		if err := ss.Flush(WindowRun{Tasks: tasks, Kernel: kern, Compiled: shape, Touched: touched}); err != nil {
 			t.Fatalf("window %d: %v", w, err)
@@ -137,10 +136,7 @@ func TestStealEpochQuiescence(t *testing.T) {
 			}
 		}
 	}
-	for _, sub := range ss.st.subs {
-		stolen += sub.ws.Stolen
-	}
-	if stolen == 0 {
+	if p := ss.prog.Snapshot(); p.Stolen() == 0 {
 		t.Error("quiescence test exercised no steals")
 	}
 	if err := ss.Close(); err != nil {

@@ -57,14 +57,14 @@ const (
 //     producing goroutine run when goroutines are multiplexed on fewer
 //     hardware threads. WaitPark skips this phase; WaitSpin stays in it
 //     forever.
-//  3. the policy's slow phase. On entry the worker publishes what it is
-//     stuck on (watchdog armed runs only), and the phase polls the
-//     run-abort flag so that a dependency held by a failed worker cannot
-//     block forever. WaitAdaptive and WaitPark park on sh's event gate
-//     (woken by the terminate that publishes the dependency, or by the
-//     abort latch's wake-all), one round per iteration, so this loop's
-//     re-check of cond, the abort flag and the steal attempt run between
-//     rounds; WaitSpin keeps yielding.
+//  3. the policy's slow phase. On entry the worker publishes in its
+//     progress cell what it is stuck on (watchdog armed runs only), and
+//     the phase polls the run-abort flag so that a dependency held by a
+//     failed worker cannot block forever. WaitAdaptive and WaitPark park
+//     on sh's event gate (woken by the terminate that publishes the
+//     dependency, or by the abort latch's wake-all), one round per
+//     iteration, so this loop's re-check of cond, the abort flag and the
+//     steal attempt run between rounds; WaitSpin keeps yielding.
 //
 // Every phase keeps the wait's obligations: one OnWaitEnd per OnWaitStart,
 // stall-watchdog publication, abort responsiveness, idle-time accounting.
@@ -103,12 +103,12 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 		case spin < yieldCap:
 			runtime.Gosched()
 		default:
-			if !published && s.health != nil {
+			if !published && s.watched {
 				// The wait is officially slow: publish which task and
 				// which access this worker is stuck on, and commit the
 				// guard head so a deadlock diagnosis can compare the
 				// stalled workers' replay positions.
-				s.health.setWait(id, a)
+				s.prog.SetWaiting(id, a)
 				if s.guard != nil {
 					s.guard.commitHead()
 				}
@@ -129,11 +129,6 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 				if s.err != nil {
 					break // terminal stolen-task failure: unwind below
 				}
-				if published {
-					// The steal published exec health; restore the wait
-					// diagnosis for the watchdog.
-					s.health.setWait(id, a)
-				}
 				continue
 			}
 			if policy == stf.WaitSpin {
@@ -147,12 +142,11 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 		}
 	}
 	if published {
-		s.health.setReplay()
+		s.prog.SetWaiting(stf.NoTask, stf.Access{})
 	}
-	var waited time.Duration
 	if !s.eng.noAcct {
-		waited = trace.Stamp() - t0
-		s.ws.Idle += waited
+		waited := trace.Stamp() - t0
+		s.idle += waited
 		s.prog.AddWait(waited)
 	}
 	if policy == stf.WaitAdaptive {

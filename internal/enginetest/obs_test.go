@@ -2,13 +2,16 @@ package enginetest_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"rio"
 	"rio/internal/centralized"
 	"rio/internal/core"
 	"rio/internal/enginetest"
+	"rio/internal/faultinject"
 	"rio/internal/graphs"
 	"rio/internal/sequential"
 	"rio/internal/stf"
@@ -304,11 +307,53 @@ func TestHooksPanicSkipsTaskEnd(t *testing.T) {
 	}
 }
 
-// Progress must agree with Stats once a run is over — including under
-// NoAccounting, where time decomposition stops but task counting does not.
+// Stats and Progress read the same run record, so once a run is over they
+// agree on every counter of every worker — including under NoAccounting,
+// where time decomposition stops but task counting does not. The rows make
+// each counter nonzero somewhere: Declared (every in-order row, and the
+// centralized master's submissions), Stolen and StealFailed (a skewed armed
+// run), Retried, Skipped (a resume), Executed everywhere.
 func TestProgressMatchesStats(t *testing.T) {
 	g := graphs.Wavefront(8, 8)
 	const p = 4
+	type observed interface {
+		Stats() *trace.Stats
+		Progress() trace.Progress
+	}
+	check := func(t *testing.T, e observed) (*trace.Stats, trace.Progress) {
+		t.Helper()
+		st, pr := e.Stats(), e.Progress()
+		if pr.Running {
+			t.Error("Progress.Running true after the run returned")
+		}
+		if len(pr.Workers) != len(st.Workers) {
+			t.Fatalf("Progress has %d workers, Stats %d", len(pr.Workers), len(st.Workers))
+		}
+		for w := range pr.Workers {
+			wp, ws := pr.Workers[w], st.Workers[w]
+			got := [...]int64{wp.Executed, wp.Declared, wp.Claimed, wp.Retried, wp.Skipped, wp.Stolen, wp.StealFailed}
+			want := [...]int64{ws.Executed, ws.Declared, ws.Claimed, ws.Retried, ws.Skipped, ws.Stolen, ws.StealFailed}
+			if got != want {
+				t.Errorf("worker %d: Progress counts %v, Stats %v (executed, declared, claimed, retried, skipped, stolen, steal-failed)", w, got, want)
+			}
+			if wp.Current != stf.NoTask {
+				t.Errorf("worker %d: Current=%d after the run, want NoTask", w, wp.Current)
+			}
+		}
+		if n := st.Executed() + st.Skipped(); n != int64(len(g.Tasks)) {
+			t.Errorf("executed + skipped = %d, want the flow's %d tasks", n, len(g.Tasks))
+		}
+		return st, pr
+	}
+	run := func(t *testing.T, opts rio.Options, k stf.Kernel) (*trace.Stats, trace.Progress) {
+		t.Helper()
+		rt := mustEngine(t, opts)
+		if err := rt.Run(g.NumData, stf.Replay(g, k)); err != nil {
+			t.Fatal(err)
+		}
+		return check(t, rt)
+	}
+
 	for _, noAcct := range []bool{false, true} {
 		name := "accounting"
 		if noAcct {
@@ -322,30 +367,9 @@ func TestProgressMatchesStats(t *testing.T) {
 			if err := enginetest.Check(e, g); err != nil {
 				t.Fatal(err)
 			}
-			st, pr := e.Stats(), e.Progress()
-			if pr.Running {
-				t.Error("Progress.Running true after the run returned")
-			}
-			if len(pr.Workers) != len(st.Workers) {
-				t.Fatalf("Progress has %d workers, Stats %d", len(pr.Workers), len(st.Workers))
-			}
-			for w := range pr.Workers {
-				if pr.Workers[w].Executed != st.Workers[w].Executed {
-					t.Errorf("worker %d: Progress.Executed=%d, Stats.Executed=%d", w, pr.Workers[w].Executed, st.Workers[w].Executed)
-				}
-				if pr.Workers[w].Declared != st.Workers[w].Declared {
-					t.Errorf("worker %d: Progress.Declared=%d, Stats.Declared=%d", w, pr.Workers[w].Declared, st.Workers[w].Declared)
-				}
-				if pr.Workers[w].Claimed != st.Workers[w].Claimed {
-					t.Errorf("worker %d: Progress.Claimed=%d, Stats.Claimed=%d", w, pr.Workers[w].Claimed, st.Workers[w].Claimed)
-				}
-				if pr.Workers[w].Current != stf.NoTask {
-					t.Errorf("worker %d: Current=%d after the run, want NoTask", w, pr.Workers[w].Current)
-				}
-			}
-			hist := pr.WaitHist()
+			_, pr := check(t, e)
 			var waits int64
-			for _, n := range hist {
+			for _, n := range pr.WaitHist() {
 				waits += n
 			}
 			if noAcct && waits != 0 {
@@ -354,23 +378,71 @@ func TestProgressMatchesStats(t *testing.T) {
 		})
 	}
 
-	t.Run("centralized", func(t *testing.T) {
-		e, err := centralized.New(centralized.Options{Workers: p})
+	t.Run("rio-compiled", func(t *testing.T) {
+		e, err := core.New(core.Options{Workers: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enginetest.Check(e, g); err != nil {
+		cp, err := stf.Compile(g, func(id stf.TaskID) stf.WorkerID { return stf.WorkerID(id % p) }, p, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		st, pr := e.Stats(), e.Progress()
-		if len(pr.Workers) != len(st.Workers) {
-			t.Fatalf("Progress has %d workers, Stats %d", len(pr.Workers), len(st.Workers))
+		if err := enginetest.CheckCompiled(e, g, cp); err != nil {
+			t.Fatal(err)
 		}
-		if pr.Executed() != st.Executed() {
-			t.Errorf("Progress.Executed=%d, Stats.Executed=%d", pr.Executed(), st.Executed())
+		check(t, e)
+	})
+
+	t.Run("rio-steal", func(t *testing.T) {
+		st, _ := run(t, rio.Options{
+			Model: rio.InOrder, Workers: p, Steal: &rio.StealPolicy{},
+			Mapping: func(stf.TaskID) stf.WorkerID { return 0 },
+		}, sleepKernel(50*time.Microsecond))
+		if st.Stolen() == 0 {
+			t.Error("a skewed armed run stole nothing")
 		}
-		if got, want := pr.Workers[0].Declared, int64(len(g.Tasks)); got != want {
-			t.Errorf("master Declared=%d, want %d (all tasks submitted)", got, want)
+	})
+
+	t.Run("rio-retry", func(t *testing.T) {
+		noSnap := stf.SnapshotFuncs{Save: func(stf.DataID) func() { return func() {} }}
+		st, _ := run(t, rio.Options{
+			Model: rio.InOrder, Workers: p,
+			Fault: rio.FaultOptions{Retry: &rio.RetryPolicy{MaxAttempts: 3}, Snapshots: noSnap},
+		}, faultinject.FailNTimes(noop, 9, 2))
+		if st.Retried() != 2 {
+			t.Errorf("Retried = %d, want 2", st.Retried())
+		}
+	})
+
+	t.Run("rio-resume", func(t *testing.T) {
+		// A flow prefix is dependency-closed: a valid checkpoint.
+		done := make([]stf.TaskID, 16)
+		for i := range done {
+			done[i] = stf.TaskID(i)
+		}
+		st, _ := run(t, rio.Options{
+			Model: rio.InOrder, Workers: p,
+			Fault: rio.FaultOptions{Resume: &stf.Checkpoint{Tasks: len(g.Tasks), Completed: done}},
+		}, noop)
+		if st.Skipped() != int64(len(done)) {
+			t.Errorf("Skipped = %d, want %d", st.Skipped(), len(done))
+		}
+	})
+
+	t.Run("centralized", func(t *testing.T) {
+		for _, kind := range []centralized.SchedulerKind{centralized.FIFO, centralized.WorkStealing, centralized.Priority} {
+			t.Run(kind.String(), func(t *testing.T) {
+				e, err := centralized.New(centralized.Options{Workers: p, Scheduler: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := enginetest.Check(e, g); err != nil {
+					t.Fatal(err)
+				}
+				if st, _ := check(t, e); st.Workers[0].Declared != int64(len(g.Tasks)) {
+					t.Errorf("master Declared=%d, want %d (all tasks submitted)", st.Workers[0].Declared, len(g.Tasks))
+				}
+			})
 		}
 	})
 
@@ -379,14 +451,58 @@ func TestProgressMatchesStats(t *testing.T) {
 		if err := enginetest.Check(e, g); err != nil {
 			t.Fatal(err)
 		}
-		pr := e.Progress()
-		if got, want := pr.Executed(), int64(len(g.Tasks)); got != want {
-			t.Errorf("Progress.Executed=%d, want %d", got, want)
-		}
-		if h := pr.WaitHist(); h != ([trace.NumWaitBuckets]int64{}) {
-			t.Errorf("sequential run bucketed waits: %v", h)
+		if _, pr := check(t, e); pr.WaitHist() != ([trace.NumWaitBuckets]int64{}) {
+			t.Errorf("sequential run bucketed waits: %v", pr.WaitHist())
 		}
 	})
+}
+
+// A task in retry backoff executes nothing: between its attempts no
+// worker's Current names it, on every engine. The stall watchdog reads the
+// same word, so this is also what keeps a long backoff from reading as one
+// stuck body.
+func TestCurrentClearedInRetryBackoff(t *testing.T) {
+	g := graphs.Chain(8)
+	const failID = 3
+	for _, spec := range faultEngines() {
+		t.Run(spec.name, func(t *testing.T) {
+			opts := spec.opts
+			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 2, Backoff: 200 * time.Millisecond}
+			opts.Fault.Snapshots = stf.SnapshotFuncs{Save: func(stf.DataID) func() { return func() {} }}
+			rt := mustEngine(t, opts)
+			failed := make(chan struct{})
+			var once sync.Once
+			kern := func(tk *stf.Task, _ stf.WorkerID) {
+				first := false
+				if tk.ID == failID {
+					once.Do(func() { first = true; close(failed) })
+				}
+				if first {
+					panic("transient")
+				}
+			}
+			errc := make(chan error, 1)
+			go func() { errc <- rt.Run(g.NumData, stf.Replay(g, kern)) }()
+			<-failed
+			// The retry is counted once the backoff is entered; the snapshot
+			// reads Current after Retried, well inside the 200 ms backoff.
+			pr := rt.Progress()
+			for deadline := time.Now().Add(5 * time.Second); pr.Retried() == 0 && time.Now().Before(deadline); pr = rt.Progress() {
+				runtime.Gosched()
+			}
+			if pr.Retried() != 1 {
+				t.Errorf("Retried = %d after the first failure, want 1", pr.Retried())
+			}
+			for w, wp := range pr.Workers {
+				if wp.Current == failID {
+					t.Errorf("worker %d shows task %d as current during its backoff", w, failID)
+				}
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // Progress must be callable from any goroutine while a run is in flight

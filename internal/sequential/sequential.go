@@ -98,13 +98,8 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	t0 := time.Now()
 	prog(s)
 	wall := time.Since(t0)
-	s.ws.Wall = wall
-	if !e.noAcct {
-		if r := wall - s.ws.Task; r > 0 {
-			s.ws.Runtime = r
-		}
-	}
-	e.stats = trace.Stats{Workers: []trace.WorkerStats{s.ws}, Wall: wall, Accounted: !e.noAcct}
+	s.prog.Exit(s.task, 0, wall)
+	e.stats = rp.Stats(wall, !e.noAcct)
 	rp.Finish()
 	err := s.err
 	if err != nil && e.checkpoint {
@@ -136,13 +131,13 @@ type submitter struct {
 	noAcct bool
 	ctx    context.Context // non-nil only for cancelable runs
 	hooks  *stf.Hooks
-	retry  *stf.RetryPolicy // nil disables task retry
-	snaps  stf.Snapshotter  // write-set capture for retry rollback
-	resume *stf.Checkpoint  // completed tasks of a previous run to skip
-	track  bool             // log completed tasks for checkpoints
-	done   []stf.TaskID     // completed tasks (track only)
-	prog   *trace.ProgressCell
-	ws     trace.WorkerStats
+	retry  *stf.RetryPolicy    // nil disables task retry
+	snaps  stf.Snapshotter     // write-set capture for retry rollback
+	resume *stf.Checkpoint     // completed tasks of a previous run to skip
+	track  bool                // log completed tasks for checkpoints
+	done   []stf.TaskID        // completed tasks (track only)
+	prog   *trace.ProgressCell // the run record (Progress, Stats)
+	task   time.Duration       // accounted body time, stored in the cell at the end
 	err    error
 }
 
@@ -197,8 +192,7 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 	id := s.next - 1
 	if s.resume != nil && s.resume.Contains(id) {
 		// Completed in a previous run; its effects are already in memory.
-		s.ws.Skipped++
-		s.prog.StoreSkipped(s.ws.Skipped)
+		s.prog.CountSkipped(1)
 		return
 	}
 	s.prog.SetCurrent(id)
@@ -217,8 +211,7 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 		h.OnTaskEnd(stf.MasterWorker, id)
 	}
 	s.prog.SetCurrent(stf.NoTask)
-	s.ws.Executed++
-	s.prog.StoreExecuted(s.ws.Executed)
+	s.prog.CountExecuted()
 	if s.track {
 		s.done = append(s.done, id)
 	}
@@ -241,11 +234,14 @@ func (s *submitter) attempt(id stf.TaskID, accesses []stf.Access, f func()) (err
 		return nil
 	}
 	tf, ok := s.retry.RunAttempts(s.snaps, id, accesses,
-		func() { s.timed(f) },
+		func() {
+			s.prog.SetCurrent(id)
+			s.timed(f)
+		},
 		func() bool { return s.ctx != nil && s.ctx.Err() != nil },
 		func(attempt int, cause any) {
-			s.ws.Retried++
-			s.prog.StoreRetried(s.ws.Retried)
+			s.prog.SetCurrent(stf.NoTask) // a backoff executes nothing
+			s.prog.CountRetried()
 			if h := s.hooks; h != nil && h.OnTaskRetry != nil {
 				h.OnTaskRetry(stf.MasterWorker, id, attempt, cause)
 			}
@@ -268,5 +264,5 @@ func (s *submitter) timed(f func()) {
 	}
 	t0 := trace.Stamp()
 	f()
-	s.ws.Task += trace.Stamp() - t0
+	s.task += trace.Stamp() - t0
 }

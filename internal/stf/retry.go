@@ -89,9 +89,9 @@ const backoffSlice = 10 * time.Millisecond
 // The engine supplies its side through three callbacks: attempt runs the
 // body once (a panic is the failure signal); aborted reports whether the
 // run is shutting down — it is polled after every failed attempt and at
-// least every backoffSlice during a backoff, so an engine may also use it
-// as a liveness heartbeat; retried is told of each failed attempt that will
-// be retried, before its backoff.
+// least every backoffSlice during a backoff; retried is told of each failed
+// attempt that will be retried, before its backoff (the engines clear the
+// worker's current task there: a backoff executes nothing).
 //
 // It returns completed when an attempt succeeded. Otherwise failure is the
 // task's terminal *TaskFailure (write-set rolled back where a snapshot

@@ -40,9 +40,9 @@ func WaitBucket(d time.Duration) int {
 // WorkerProgress is one worker's slice of a Progress snapshot.
 type WorkerProgress struct {
 	// Executed, Declared and Claimed count this worker's tasks so far,
-	// with the semantics of the WorkerStats fields of the same names.
-	// One addition: in the centralized engine the master's Declared counts
-	// the tasks it has submitted so far (its mid-run unrolling position).
+	// with the semantics of the WorkerStats fields of the same names (in
+	// the centralized engine the master's Declared counts the tasks it has
+	// submitted so far: its mid-run unrolling position).
 	Executed int64 `json:"executed"`
 	Declared int64 `json:"declared"`
 	Claimed  int64 `json:"claimed"`
@@ -57,7 +57,7 @@ type WorkerProgress struct {
 	StealFailed int64 `json:"steal_failed"`
 	// Current is the ID of the task this worker is executing right now,
 	// or stf.NoTask (-1) when it is between tasks (replaying, waiting or
-	// done).
+	// done) or sleeping in a retry backoff.
 	Current stf.TaskID `json:"current"`
 	// WaitHist is the histogram of completed dependency-wait durations
 	// (bucket bounds in WaitBucketBounds). Populated only when accounting
@@ -68,7 +68,8 @@ type WorkerProgress struct {
 // Progress is a mid-run snapshot of a run's always-on counters, readable
 // from any goroutine while the run is in flight (engines publish the
 // counters with atomic stores on per-worker cache lines). After a run
-// finishes the last run's final counters stay readable.
+// finishes the last run's final counters stay readable; they are the
+// counters of its Stats, read from the same table.
 type Progress struct {
 	// Running reports whether a run is currently in flight.
 	Running bool `json:"running"`
@@ -151,14 +152,16 @@ func (p *Progress) WaitHist() [NumWaitBuckets]int64 {
 	return h
 }
 
-// ProgressCell is one worker's published counter block inside a
-// ProgressTable. Each cell is cache-line padded and owned by exactly one
-// worker, which publishes with uncontended atomic stores of its private
-// tallies — no read-modify-write on shared lines, so the always-on cost is
-// one atomic store per declare and three per execution. The wait histogram
-// is the one field that is not always on: a wait has to be timed to be
-// bucketed, so only accounted runs call AddWait and a NoAccounting run
-// leaves it empty.
+// ProgressCell is one worker's run record inside a ProgressTable: its task
+// counters, the task it is executing, its wait histogram and — read only by
+// the stall watchdog — the slow wait it is blocked in, all published as it
+// goes, plus its task, idle and wall times, stored once when it exits. Each
+// cell is cache-line padded and written by exactly one worker, so a counter
+// counts in place with a load and a store — no read-modify-write on a shared
+// line: the always-on cost is one store per declare and three per
+// execution. The wait histogram is the one field that is not always on: a
+// wait has to be timed to be bucketed, so only accounted runs call AddWait
+// and a NoAccounting run leaves it empty.
 type ProgressCell struct {
 	progressCounters
 	// Pad to a cache-line multiple to keep neighboring workers off this
@@ -181,53 +184,102 @@ type progressCounters struct {
 	stealFailed atomic.Int64
 	current     atomic.Int64 // task ID being executed, or stf.NoTask
 	waitHist    [NumWaitBuckets]atomic.Int64
+	// The slow wait the worker is blocked in (stf.NoTask when none) and its
+	// access, packed data<<8|mode; published on watchdog-armed runs only.
+	waitTask   atomic.Int64
+	waitAccess atomic.Int64
+	exited     atomic.Bool
+	// Written once by Exit, read by Stats once the run is joined.
+	task, idle, wall time.Duration
 }
 
-// StoreExecuted publishes the worker's executed-task tally.
-func (c *ProgressCell) StoreExecuted(n int64) { c.executed.Store(n) }
+// CountExecuted counts one executed task.
+func (c *ProgressCell) CountExecuted() { c.executed.Store(c.executed.Load() + 1) }
 
-// StoreDeclared publishes the worker's declare-only tally.
-func (c *ProgressCell) StoreDeclared(n int64) { c.declared.Store(n) }
+// CountDeclared counts n declare-only task visits.
+func (c *ProgressCell) CountDeclared(n int64) { c.declared.Store(c.declared.Load() + n) }
 
-// StoreClaimed publishes the worker's dynamically-claimed tally.
-func (c *ProgressCell) StoreClaimed(n int64) { c.claimed.Store(n) }
+// CountClaimed counts one dynamically claimed execution.
+func (c *ProgressCell) CountClaimed() { c.claimed.Store(c.claimed.Load() + 1) }
 
-// StoreRetried publishes the worker's retried-attempt tally.
-func (c *ProgressCell) StoreRetried(n int64) { c.retried.Store(n) }
+// CountRetried counts one rolled-back-and-retried attempt.
+func (c *ProgressCell) CountRetried() { c.retried.Store(c.retried.Load() + 1) }
 
-// StoreSkipped publishes the worker's resume-skipped tally.
-func (c *ProgressCell) StoreSkipped(n int64) { c.skipped.Store(n) }
+// CountSkipped counts n resume-skipped tasks.
+func (c *ProgressCell) CountSkipped(n int64) { c.skipped.Store(c.skipped.Load() + n) }
 
-// StoreStolen publishes the worker's stolen-execution tally.
-func (c *ProgressCell) StoreStolen(n int64) { c.stolen.Store(n) }
+// CountStolen counts one stolen execution.
+func (c *ProgressCell) CountStolen() { c.stolen.Store(c.stolen.Load() + 1) }
 
-// StoreStealFailed publishes the worker's lost-steal-race tally.
-func (c *ProgressCell) StoreStealFailed(n int64) { c.stealFailed.Store(n) }
+// CountStealFailed counts one lost steal race.
+func (c *ProgressCell) CountStealFailed() { c.stealFailed.Store(c.stealFailed.Load() + 1) }
 
 // SetCurrent publishes the task the worker is executing (stf.NoTask to
 // clear).
 func (c *ProgressCell) SetCurrent(id stf.TaskID) { c.current.Store(int64(id)) }
+
+// SetWaiting publishes the slow wait the worker enters: task id blocked on
+// access a (stf.NoTask to clear).
+func (c *ProgressCell) SetWaiting(id stf.TaskID, a stf.Access) {
+	c.waitAccess.Store(int64(a.Data)<<8 | int64(a.Mode))
+	c.waitTask.Store(int64(id))
+}
 
 // AddWait buckets one completed dependency wait of duration d.
 func (c *ProgressCell) AddWait(d time.Duration) {
 	c.waitHist[WaitBucket(d)].Add(1)
 }
 
-// ProgressTable is the always-on counter table of one run, shared by the
-// engines: one padded cell per worker plus a running flag. Engines publish
-// a fresh table at run start through an atomic pointer, so snapshots never
-// race with run setup or teardown.
+// Exit stores the worker's task, idle and wall times and marks it exited:
+// the worker's last write to its cell (in a stream session, a window's).
+func (c *ProgressCell) Exit(task, idle, wall time.Duration) {
+	c.task, c.idle, c.wall = task, idle, wall
+	c.exited.Store(true)
+}
+
+// WorkerState is what a stall monitor reads of a worker's cell. It is
+// comparable: a monitor dates a worker's state by the first reading that
+// differs from the one before.
+type WorkerState struct {
+	Executed, Retried int64
+	// Current is the task being executed (stf.NoTask between tasks and
+	// during a retry backoff); Waiting and WaitOn the slow wait the worker
+	// is blocked in (Waiting is stf.NoTask when none).
+	Current, Waiting stf.TaskID
+	WaitOn           stf.Access
+	Exited           bool
+}
+
+// State reads the cell for a stall monitor.
+func (c *ProgressCell) State() WorkerState {
+	acc := c.waitAccess.Load()
+	return WorkerState{
+		Executed: c.executed.Load(),
+		Retried:  c.retried.Load(),
+		Current:  stf.TaskID(c.current.Load()),
+		Waiting:  stf.TaskID(c.waitTask.Load()),
+		WaitOn:   stf.Access{Data: stf.DataID(acc >> 8), Mode: stf.AccessMode(acc)},
+		Exited:   c.exited.Load(),
+	}
+}
+
+// ProgressTable is the run record of one run, shared by the engines: one
+// padded cell per worker plus a running flag. Engines publish a fresh table
+// at run start through an atomic pointer, so snapshots never race with run
+// setup or teardown.
 type ProgressTable struct {
 	running atomic.Bool
 	workers []ProgressCell
 }
 
 // NewProgressTable returns a table for the given worker count with every
-// current-task slot initialized to stf.NoTask and the running flag set.
+// current-task and waiting-task slot initialized to stf.NoTask and the
+// running flag set.
 func NewProgressTable(workers int) *ProgressTable {
 	t := &ProgressTable{workers: make([]ProgressCell, workers)}
 	for w := range t.workers {
 		t.workers[w].current.Store(int64(stf.NoTask))
+		t.workers[w].waitTask.Store(int64(stf.NoTask))
 	}
 	t.running.Store(true)
 	return t
@@ -275,4 +327,32 @@ func (t *ProgressTable) Snapshot() Progress {
 		}
 	}
 	return p
+}
+
+// Stats is the §2.3 decomposition of a run whose workers have all exited
+// (read it only then: the times are plain words), with wall the run's end
+// to end time: every cell's counters and stored times, and each worker's
+// runtime as the residual Wall − Task − Idle when the run was accounted.
+func (t *ProgressTable) Stats(wall time.Duration, accounted bool) Stats {
+	s := Stats{Workers: make([]WorkerStats, len(t.workers)), Wall: wall, Accounted: accounted}
+	for w := range t.workers {
+		cell := &t.workers[w]
+		ws := WorkerStats{
+			Task:        cell.task,
+			Idle:        cell.idle,
+			Wall:        cell.wall,
+			Executed:    cell.executed.Load(),
+			Declared:    cell.declared.Load(),
+			Claimed:     cell.claimed.Load(),
+			Retried:     cell.retried.Load(),
+			Skipped:     cell.skipped.Load(),
+			Stolen:      cell.stolen.Load(),
+			StealFailed: cell.stealFailed.Load(),
+		}
+		if r := ws.Wall - ws.Task - ws.Idle; accounted && r > 0 {
+			ws.Runtime = r
+		}
+		s.Workers[w] = ws
+	}
+	return s
 }

@@ -14,9 +14,10 @@ import (
 	"time"
 )
 
-// WorkerStats accumulates the per-worker time decomposition. Engines record
-// task and idle time inline; runtime time is the residual of the worker's
-// wall-clock activity.
+// WorkerStats is the per-worker time decomposition, read from the worker's
+// ProgressCell after the run (ProgressTable.Stats). Engines record task and
+// idle time inline; runtime time is the residual of the worker's wall-clock
+// activity.
 type WorkerStats struct {
 	// Task is the cumulative time spent executing task bodies.
 	Task time.Duration
@@ -34,7 +35,8 @@ type WorkerStats struct {
 	Executed int64
 	// Declared counts tasks this worker skipped over (decentralized
 	// engine: tasks mapped to other workers, for which only the local
-	// declare_* bookkeeping ran).
+	// declare_* bookkeeping ran; centralized engine: the tasks the master
+	// submitted).
 	Declared int64
 	// Claimed counts executed tasks that had no static owner and were
 	// won dynamically (partial mappings); Claimed <= Executed.

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"rio/internal/stf"
 )
 
 func TestCumulativeSumsWorkers(t *testing.T) {
@@ -22,6 +24,45 @@ func TestCumulativeSumsWorkers(t *testing.T) {
 	}
 	if s.TotalCumulative() != 30 {
 		t.Errorf("TotalCumulative = %v, want 30", s.TotalCumulative())
+	}
+}
+
+// A table is the run's whole record: what its cells counted in place and
+// stored on exit is what Stats reports, with the runtime residual computed
+// here (clamped at zero, and only for an accounted run).
+func TestProgressTableStats(t *testing.T) {
+	tb := NewProgressTable(2)
+	c := tb.Worker(0)
+	c.CountExecuted()
+	c.CountExecuted()
+	c.CountDeclared(5)
+	c.CountClaimed()
+	c.CountRetried()
+	c.CountSkipped(3)
+	c.CountStolen()
+	c.CountStealFailed()
+	c.Exit(10, 4, 20)
+	tb.Worker(1).Exit(10, 4, 12) // residual below zero: clamped
+	for _, accounted := range []bool{true, false} {
+		s := tb.Stats(30, accounted)
+		want := WorkerStats{Task: 10, Idle: 4, Wall: 20, Executed: 2, Declared: 5, Claimed: 1, Retried: 1, Skipped: 3, Stolen: 1, StealFailed: 1}
+		if accounted {
+			want.Runtime = 6
+		}
+		if s.Workers[0] != want || s.Workers[1].Runtime != 0 || s.Wall != 30 || s.Accounted != accounted {
+			t.Errorf("Stats(accounted=%v) = %+v, want worker 0 %+v and a clamped worker 1", accounted, s, want)
+		}
+	}
+	p := tb.Snapshot()
+	if w := p.Workers[0]; w.Executed != 2 || w.Declared != 5 || w.Skipped != 3 || w.Current != stf.NoTask {
+		t.Errorf("Snapshot worker 0 = %+v", w)
+	}
+	if st := c.State(); !st.Exited || st.Executed != 2 || st.Retried != 1 || st.Waiting != stf.NoTask {
+		t.Errorf("State = %+v", st)
+	}
+	c.SetWaiting(7, stf.RW(300))
+	if st := c.State(); st.Waiting != 7 || st.WaitOn != stf.RW(300) {
+		t.Errorf("State after SetWaiting(7, RW(300)) = %+v", st)
 	}
 }
 
