@@ -78,8 +78,10 @@ type Engine struct {
 	snaps      stf.Snapshotter
 	resume     *stf.Checkpoint
 	checkpoint bool
-	stats      trace.Stats
-	progress   atomic.Pointer[trace.ProgressTable]
+	// LastRun holds the run record Stats and Progress read. Its layout
+	// mirrors the threads: cell 0 is the master (whose Declared counts the
+	// tasks it has submitted), executor w publishes to cell w+1.
+	trace.LastRun
 }
 
 // New returns a centralized engine for the given options.
@@ -133,13 +135,11 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	if numData < 0 {
 		return errors.New("centralized: negative numData")
 	}
-	rp := trace.NewProgressTable(e.workers)
-	e.progress.Store(rp)
+	rp := e.Begin(e.workers)
 	if h := e.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(e.workers, numData)
 	}
 	err := e.execute(ctx, numData, rp, prog)
-	rp.Finish()
 	if h := e.hooks; h != nil && h.OnRunEnd != nil {
 		h.OnRunEnd(err)
 	}
@@ -147,9 +147,7 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 }
 
 // execute is RunContext's engine room, split out so the entry point can
-// bracket it with the progress table's lifecycle and the OnRunStart /
-// OnRunEnd hooks. Progress cells mirror the Stats layout: cell 0 is the
-// master, executor w publishes to cell w+1.
+// bracket it with the OnRunStart / OnRunEnd hooks; it ends the run record.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, prog stf.Program) error {
 	nexec := e.workers - 1
 	var sched scheduler
@@ -248,7 +246,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	// management.
 	m.prog.Exit(0, m.idle, time.Since(mt0))
 	wg.Wait()
-	e.stats = rp.Stats(time.Since(start), !e.wt.noAcct)
+	e.End(time.Since(start), !e.wt.noAcct)
 	err := m.err
 	if err == nil {
 		m.mu.Lock()
@@ -259,22 +257,6 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		return &stf.PartialError{Cause: err, Result: m.partialResult()}
 	}
 	return err
-}
-
-// Stats returns the time decomposition of the last Run.
-func (e *Engine) Stats() *trace.Stats { return &e.stats }
-
-// Progress snapshots the current (or, between runs, the most recent) run's
-// always-on counters. Safe to call from any goroutine at any time,
-// including while a run is in flight; before the first run it returns a
-// zero Progress. The layout mirrors Stats: index 0 is the master (whose
-// Declared counts the tasks it has submitted), executors follow at w+1.
-func (e *Engine) Progress() trace.Progress {
-	t := e.progress.Load()
-	if t == nil {
-		return trace.Progress{}
-	}
-	return t.Snapshot()
 }
 
 // master is the stf.Submitter driven by the control thread.

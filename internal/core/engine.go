@@ -125,8 +125,8 @@ type Engine struct {
 	resume       *stf.Checkpoint
 	checkpoint   bool
 	steal        *stf.StealPolicy
-	stats        trace.Stats
-	progress     atomic.Pointer[trace.ProgressTable]
+	// LastRun holds the run record Stats and Progress read.
+	trace.LastRun
 	// sessionActive latches while a streaming Session (OpenSession) holds the
 	// engine's run state; Run and a second OpenSession are rejected until the
 	// session is closed.
@@ -267,17 +267,15 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 	// replaces it.
 	seed := e.spinLimit
 	if e.policy == stf.WaitAdaptive {
-		if prev := e.progress.Load(); prev != nil {
+		if prev := e.Table(); prev != nil {
 			seed = adaptiveSeed(prev.WaitHist(), e.spinLimit)
 		}
 	}
-	rp := trace.NewProgressTable(e.workers)
-	e.progress.Store(rp)
+	rp := e.Begin(e.workers)
 	if h := e.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(e.workers, numData)
 	}
 	err := e.execute(ctx, numData, rp, seed, f)
-	rp.Finish()
 	if h := e.hooks; h != nil && h.OnRunEnd != nil {
 		h.OnRunEnd(err)
 	}
@@ -285,8 +283,8 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 }
 
 // execute is run's engine room, split out so run can bracket it with the
-// progress table's lifecycle and the OnRunStart/OnRunEnd hooks. It starts
-// exactly the p workers and, when the watchdog is armed, its monitor.
+// OnRunStart/OnRunEnd hooks. It starts exactly the p workers and, when the
+// watchdog is armed, its monitor, and it ends the run's record.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f flow) error {
 	st := e.borrow(numData, rp, spinSeed)
 	for _, s := range st.subs {
@@ -335,7 +333,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 				if stopCancel != nil {
 					stopCancel()
 				}
-				e.stats = trace.Stats{Workers: make([]trace.WorkerStats, e.workers), Wall: time.Since(start)}
+				e.Abandon(time.Since(start))
 				return fmt.Errorf("core: run abandoned (a worker is wedged inside a task body and cannot be stopped; do not reuse this engine): %w", stall)
 			}
 		}
@@ -352,7 +350,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		<-canceled
 	}
 
-	e.stats = rp.Stats(wall, !e.noAcct)
+	e.End(wall, !e.noAcct)
 	err := verdict(st.subs, &st.abort)
 	if err == nil {
 		if err = guardVerdict(st.subs); err != nil {
@@ -421,9 +419,6 @@ func (e *Engine) partialResult(subs []*submitter, flowLen int) *stf.PartialResul
 	}
 	return stf.NewPartialResult(flowLen, e.resume, completed, failed)
 }
-
-// Stats returns the time decomposition of the last Run.
-func (e *Engine) Stats() *trace.Stats { return &e.stats }
 
 // submitter is the per-worker view of the task flow (Algorithm 1). Each
 // worker replays the program against its own submitter.

@@ -8,21 +8,10 @@ import (
 // the run's trace.ProgressTable (padded per-worker cells, atomic
 // publication, shared by all engines): the counters are published on every
 // run so that any goroutine can snapshot the run's progress mid-flight via
-// Engine.Progress — the "is the flow moving, who is the straggler" question
-// the watchdog only answers once it has already given up — and the same
-// cells give the stall watchdog its readings and Stats its decomposition.
-
-// Progress snapshots the current (or, between runs, the most recent) run's
-// always-on counters. Safe to call from any goroutine at any time,
-// including while a run is in flight; before the first run it returns a
-// zero Progress.
-func (e *Engine) Progress() trace.Progress {
-	t := e.progress.Load()
-	if t == nil {
-		return trace.Progress{}
-	}
-	return t.Snapshot()
-}
+// Engine.Progress (trace.LastRun) — the "is the flow moving, who is the
+// straggler" question the watchdog only answers once it has already given
+// up — and the same cells give the stall watchdog its readings and Stats
+// its decomposition.
 
 // adaptiveSeed derives the starting per-worker spin budget of a WaitAdaptive
 // run from the previous run's wait histogram (the same feedback signal the

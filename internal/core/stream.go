@@ -105,8 +105,7 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 	if !e.sessionActive.CompareAndSwap(false, true) {
 		return nil, errors.New("core: engine already has an open streaming session")
 	}
-	rp := trace.NewProgressTable(e.workers)
-	e.progress.Store(rp)
+	rp := e.Begin(e.workers)
 	return &Session{
 		eng:     e,
 		numData: numData,

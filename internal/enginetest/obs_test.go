@@ -331,13 +331,11 @@ func TestProgressMatchesStats(t *testing.T) {
 		}
 		for w := range pr.Workers {
 			wp, ws := pr.Workers[w], st.Workers[w]
-			got := [...]int64{wp.Executed, wp.Declared, wp.Claimed, wp.Retried, wp.Skipped, wp.Stolen, wp.StealFailed}
-			want := [...]int64{ws.Executed, ws.Declared, ws.Claimed, ws.Retried, ws.Skipped, ws.Stolen, ws.StealFailed}
-			if got != want {
-				t.Errorf("worker %d: Progress counts %v, Stats %v (executed, declared, claimed, retried, skipped, stolen, steal-failed)", w, got, want)
+			if wp.Counters != ws.Counters || wp.WaitHist != ws.WaitHist {
+				t.Errorf("worker %d: Progress reads %+v %v, Stats %+v %v", w, wp.Counters, wp.WaitHist, ws.Counters, ws.WaitHist)
 			}
-			if wp.Current != stf.NoTask {
-				t.Errorf("worker %d: Current=%d after the run, want NoTask", w, wp.Current)
+			if wp.Current != stf.NoTask || ws.Current != stf.NoTask {
+				t.Errorf("worker %d: Current=%d (Stats %d) after the run, want NoTask", w, wp.Current, ws.Current)
 			}
 		}
 		if n := st.Executed() + st.Skipped(); n != int64(len(g.Tasks)) {

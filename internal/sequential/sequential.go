@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"rio/internal/stf"
@@ -26,8 +25,10 @@ type Engine struct {
 	snaps      stf.Snapshotter
 	resume     *stf.Checkpoint
 	checkpoint bool
-	stats      trace.Stats
-	progress   atomic.Pointer[trace.ProgressTable]
+	// LastRun holds the run record Stats and Progress read: a single
+	// worker cell whose wait histogram is always empty (the sequential
+	// engine never blocks on a dependency).
+	trace.LastRun
 }
 
 // Options configures a sequential engine.
@@ -83,8 +84,7 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	if numData < 0 {
 		return errors.New("sequential: negative numData")
 	}
-	rp := trace.NewProgressTable(1)
-	e.progress.Store(rp)
+	rp := e.Begin(1)
 	if h := e.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(1, numData)
 	}
@@ -99,8 +99,7 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	prog(s)
 	wall := time.Since(t0)
 	s.prog.Exit(s.task, 0, wall)
-	e.stats = rp.Stats(wall, !e.noAcct)
-	rp.Finish()
+	e.End(wall, !e.noAcct)
 	err := s.err
 	if err != nil && e.checkpoint {
 		err = &stf.PartialError{Cause: err, Result: s.partialResult(e.resume)}
@@ -110,21 +109,6 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	}
 	return err
 }
-
-// Progress snapshots the current (or, between runs, the most recent) run's
-// always-on counters: a single worker cell whose wait histogram is always
-// empty (the sequential engine never blocks on a dependency). Safe to call
-// from any goroutine; before the first run it returns a zero Progress.
-func (e *Engine) Progress() trace.Progress {
-	t := e.progress.Load()
-	if t == nil {
-		return trace.Progress{}
-	}
-	return t.Snapshot()
-}
-
-// Stats returns the time decomposition of the last Run.
-func (e *Engine) Stats() *trace.Stats { return &e.stats }
 
 type submitter struct {
 	next   stf.TaskID

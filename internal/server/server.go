@@ -79,8 +79,8 @@ type Config struct {
 	// Kernels adds named kernels to (or overrides) the built-in registry
 	// (noop, spin, sleep) that run requests select from.
 	Kernels map[string]rio.Kernel
-	// PublishExpvar publishes each tenant engine under the expvar name
-	// "rio.<tenant>" (/debug/vars). Off by default: expvar names are
+	// PublishExpvar publishes each tenant's run counters under the expvar
+	// name "rio.<tenant>" (/debug/vars). Off by default: expvar names are
 	// process-global and publishing twice panics, so only one Server per
 	// process may enable it.
 	PublishExpvar bool
@@ -496,7 +496,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 }
 
 // progressInfo is the JSON response of GET /v1/progress: the tenant's run
-// counters (tenant.progress) plus the admission and flow-table state that
+// counters (tenant.Progress) plus the admission and flow-table state that
 // frames them. Cache is the flow table as a program cache: one miss per
 // compile, one hit per execution started, one entry per registered flow.
 // Runs says how many executions started and how many of them were
@@ -532,7 +532,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		QueueLen: len(t.queue),
 		QueueCap: cap(t.queue),
 		Flows:    len(t.snapshot()),
-		Progress: t.progress(),
+		Progress: t.Progress(),
 	}
 	info.Runs.Accounted = t.accounted.Load() // read before the total, which it must never exceed
 	info.Cache.Hits, info.Cache.Misses, info.Cache.Entries = t.hits.Load(), t.misses.Load(), info.Flows
@@ -547,7 +547,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	rio.MetricsHandler(tenantRuntime{t.timed, t}).ServeHTTP(w, r)
+	rio.MetricsHandler(t).ServeHTTP(w, r)
 }
 
 // handleHealth is GET /healthz: 200 while serving, 503 once draining

@@ -9,7 +9,7 @@ package server
 // serialization through the queue is what makes the whole service safe.
 // Which engine a run takes is decided per run (accountEvery): the accounted
 // one times every task and every wait, the other reads no clock inside a
-// run. Every reader of a tenant's counters goes through tenant.progress.
+// run. Every reader of a tenant's counters goes through tenant.Progress.
 // Admission is the try-send on the bounded queue: a full queue rejects
 // instead of blocking, which is the 429 backpressure path.
 
@@ -107,13 +107,14 @@ type tenant struct {
 // would charge a heavy body hidden among empty ones at the empty price.
 const accountEvery = 16
 
-// progress is the one reading of the tenant's run counters, behind
+// Progress is the one reading of the tenant's run counters, behind
 // GET /v1/progress, GET /metrics, expvar and a run response's executed
 // count: the live counters of the engine that ran (or is running) last,
 // with the wait histogram of the last accounted run — an unaccounted run
 // buckets no waits, and a scrape that lands on one must not read that as
-// "nothing waited". Safe from any goroutine, like Engine.Progress.
-func (t *tenant) progress() rio.Progress {
+// "nothing waited". Safe from any goroutine, like Engine.Progress; it is
+// what rio.MetricsHandler and rio.PublishExpvar read of a tenant.
+func (t *tenant) Progress() rio.Progress {
 	eng := t.last.Load()
 	if eng == nil {
 		return t.timed.Progress() // no run yet: the zero Progress
@@ -129,15 +130,6 @@ func (t *tenant) progress() rio.Progress {
 	}
 	return p
 }
-
-// tenantRuntime is the tenant as rio.MetricsHandler and rio.PublishExpvar
-// take it: the accounted engine, read through tenant.progress.
-type tenantRuntime struct {
-	*rio.Engine
-	t *tenant
-}
-
-func (r tenantRuntime) Progress() rio.Progress { return r.t.progress() }
 
 // register inserts sub's flow into the tenant's table, or returns the
 // already-registered flow for its hash. The caller registered it — and
@@ -283,8 +275,7 @@ func (t *tenant) execute(req *execReq) {
 	res := execResult{err: err, wall: wall, queueWait: queueWait}
 	if err == nil {
 		req.flow.runs.Add(1)
-		p := t.progress()
-		res.executed = p.Executed()
+		res.executed = t.Progress().Executed()
 	}
 	req.done <- res
 }
@@ -353,7 +344,7 @@ func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 		queue: make(chan *execReq, cfg.QueueDepth),
 	}
 	if cfg.PublishExpvar {
-		rio.PublishExpvar("rio."+name, tenantRuntime{timed, t})
+		rio.PublishExpvar("rio."+name, t)
 	}
 	r.tenants[name] = t
 	r.executors.Add(1)

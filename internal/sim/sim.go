@@ -141,7 +141,7 @@ func SimulateRIO(w Workload, workers int, m stf.Mapping, c Costs) (*Result, erro
 		}
 	}
 	res.Stats = trace.Stats{Wall: res.Makespan, Accounted: true,
-		Workers: make([]trace.WorkerStats, workers)}
+		Workers: make([]trace.Worker, workers)}
 	for v := 0; v < workers; v++ {
 		taskTime := time.Duration(0)
 		for i := range g.Tasks {
@@ -149,7 +149,7 @@ func SimulateRIO(w Workload, workers int, m stf.Mapping, c Costs) (*Result, erro
 				taskTime += w.Duration(stf.TaskID(i))
 			}
 		}
-		res.Stats.Workers[v] = trace.WorkerStats{
+		res.Stats.Workers[v] = trace.Worker{
 			Task:    taskTime,
 			Idle:    idleAcc[v],
 			Runtime: busy[v] - taskTime,
@@ -272,13 +272,13 @@ func SimulateCentralized(w Workload, workers int, c Costs) (*Result, error) {
 		res.Makespan = masterWall
 	}
 	res.Stats = trace.Stats{Wall: res.Makespan, Accounted: true,
-		Workers: make([]trace.WorkerStats, workers)}
+		Workers: make([]trace.Worker, workers)}
 	// The master thread is dedicated to task management for the whole run
 	// (as in StarPU), which is what caps the centralized runtime
 	// efficiency at (p-1)/p (paper §5.2).
-	res.Stats.Workers[0] = trace.WorkerStats{Runtime: res.Makespan, Wall: res.Makespan}
+	res.Stats.Workers[0] = trace.Worker{Runtime: res.Makespan, Wall: res.Makespan}
 	for v := 0; v < nexec; v++ {
-		res.Stats.Workers[v+1] = trace.WorkerStats{
+		res.Stats.Workers[v+1] = trace.Worker{
 			Task:    taskTime[v],
 			Idle:    idleAcc[v],
 			Runtime: overTime[v],

@@ -25,40 +25,12 @@ func WriteMetrics(w io.Writer, p Progress) error {
 	ew.printf("# TYPE rio_run_running gauge\n")
 	ew.printf("rio_run_running %d\n", running)
 
-	ew.printf("# HELP rio_tasks_executed_total Tasks executed so far, per worker.\n")
-	ew.printf("# TYPE rio_tasks_executed_total counter\n")
-	for i := range p.Workers {
-		ew.printf("rio_tasks_executed_total{worker=\"%d\"} %d\n", i, p.Workers[i].Executed)
-	}
-	ew.printf("# HELP rio_tasks_declared_total Declare-only task visits so far, per worker.\n")
-	ew.printf("# TYPE rio_tasks_declared_total counter\n")
-	for i := range p.Workers {
-		ew.printf("rio_tasks_declared_total{worker=\"%d\"} %d\n", i, p.Workers[i].Declared)
-	}
-	ew.printf("# HELP rio_tasks_claimed_total Dynamically claimed executions so far, per worker.\n")
-	ew.printf("# TYPE rio_tasks_claimed_total counter\n")
-	for i := range p.Workers {
-		ew.printf("rio_tasks_claimed_total{worker=\"%d\"} %d\n", i, p.Workers[i].Claimed)
-	}
-	ew.printf("# HELP rio_tasks_retried_total Rolled-back-and-retried task attempts so far, per worker.\n")
-	ew.printf("# TYPE rio_tasks_retried_total counter\n")
-	for i := range p.Workers {
-		ew.printf("rio_tasks_retried_total{worker=\"%d\"} %d\n", i, p.Workers[i].Retried)
-	}
-	ew.printf("# HELP rio_tasks_skipped_total Resume-skipped completed tasks so far, per worker.\n")
-	ew.printf("# TYPE rio_tasks_skipped_total counter\n")
-	for i := range p.Workers {
-		ew.printf("rio_tasks_skipped_total{worker=\"%d\"} %d\n", i, p.Workers[i].Skipped)
-	}
-	ew.printf("# HELP rio_tasks_stolen_total Stolen task executions so far, per worker (thief side).\n")
-	ew.printf("# TYPE rio_tasks_stolen_total counter\n")
-	for i := range p.Workers {
-		ew.printf("rio_tasks_stolen_total{worker=\"%d\"} %d\n", i, p.Workers[i].Stolen)
-	}
-	ew.printf("# HELP rio_steal_failed_total Steal attempts that lost the claim race so far, per worker.\n")
-	ew.printf("# TYPE rio_steal_failed_total counter\n")
-	for i := range p.Workers {
-		ew.printf("rio_steal_failed_total{worker=\"%d\"} %d\n", i, p.Workers[i].StealFailed)
+	for _, s := range counterSeries {
+		ew.printf("# HELP %s %s\n", s.name, s.help)
+		ew.printf("# TYPE %s counter\n", s.name)
+		for i := range p.Workers {
+			ew.printf("%s{worker=\"%d\"} %d\n", s.name, i, s.value(&p.Workers[i].Counters))
+		}
 	}
 	ew.printf("# HELP rio_worker_current_task Task ID the worker is executing, -1 when idle.\n")
 	ew.printf("# TYPE rio_worker_current_task gauge\n")
@@ -81,6 +53,21 @@ func WriteMetrics(w io.Writer, p Progress) error {
 		ew.printf("rio_wait_duration_seconds_count{worker=\"%d\"} %d\n", i, cum)
 	}
 	return ew.err
+}
+
+// counterSeries are the Prometheus counters of the seven Counters, in
+// exposition order, one sample per worker each.
+var counterSeries = [...]struct {
+	name, help string
+	value      func(*Counters) int64
+}{
+	{"rio_tasks_executed_total", "Tasks executed so far, per worker.", func(c *Counters) int64 { return c.Executed }},
+	{"rio_tasks_declared_total", "Declare-only task visits so far, per worker.", func(c *Counters) int64 { return c.Declared }},
+	{"rio_tasks_claimed_total", "Dynamically claimed executions so far, per worker.", func(c *Counters) int64 { return c.Claimed }},
+	{"rio_tasks_retried_total", "Rolled-back-and-retried task attempts so far, per worker.", func(c *Counters) int64 { return c.Retried }},
+	{"rio_tasks_skipped_total", "Resume-skipped completed tasks so far, per worker.", func(c *Counters) int64 { return c.Skipped }},
+	{"rio_tasks_stolen_total", "Stolen task executions so far, per worker (thief side).", func(c *Counters) int64 { return c.Stolen }},
+	{"rio_steal_failed_total", "Steal attempts that lost the claim race so far, per worker.", func(c *Counters) int64 { return c.StealFailed }},
 }
 
 // errWriter latches the first write error so the exposition code above

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -13,9 +14,9 @@ import (
 func TestWriteMetricsExposition(t *testing.T) {
 	p := trace.Progress{
 		Running: true,
-		Workers: []trace.WorkerProgress{
-			{Executed: 5, Declared: 7, Claimed: 1, Current: 12},
-			{Executed: 3, Declared: 9, Current: stf.NoTask},
+		Workers: trace.Workers{
+			{Counters: trace.Counters{Executed: 5, Declared: 7, Claimed: 1, Retried: 2, Stolen: 4}, Current: 12},
+			{Counters: trace.Counters{Executed: 3, Declared: 9, Skipped: 6, StealFailed: 8}, Current: stf.NoTask},
 		},
 	}
 	p.Workers[0].WaitHist[0] = 2 // < 1µs
@@ -31,6 +32,11 @@ func TestWriteMetricsExposition(t *testing.T) {
 		`rio_tasks_executed_total{worker="1"} 3`,
 		`rio_tasks_declared_total{worker="1"} 9`,
 		`rio_tasks_claimed_total{worker="0"} 1`,
+		`rio_tasks_retried_total{worker="0"} 2`,
+		`rio_tasks_skipped_total{worker="1"} 6`,
+		`rio_tasks_stolen_total{worker="0"} 4`,
+		`rio_steal_failed_total{worker="1"} 8`,
+		"# HELP rio_steal_failed_total Steal attempts that lost the claim race so far, per worker.\n# TYPE rio_steal_failed_total counter\n",
 		`rio_worker_current_task{worker="0"} 12`,
 		`rio_worker_current_task{worker="1"} -1`,
 		// Histogram buckets are cumulative: the 1ms bucket includes the
@@ -44,6 +50,24 @@ func TestWriteMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
+	}
+}
+
+// A Progress snapshot's JSON is a wire format (rio-serve's GET
+// /v1/progress, expvar): the counters' names and order are pinned, and the
+// times a Stats reading adds never show.
+func TestProgressJSONWireFormat(t *testing.T) {
+	p := trace.Progress{Running: true, Workers: trace.Workers{{
+		Counters: trace.Counters{Executed: 1, Declared: 2, Claimed: 3, Retried: 4, Skipped: 5, Stolen: 6, StealFailed: 7},
+		Current:  stf.NoTask, WaitHist: [trace.NumWaitBuckets]int64{8}, Task: 9, Wall: 10,
+	}}}
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"running":true,"workers":[{"executed":1,"declared":2,"claimed":3,"retried":4,"skipped":5,"stolen":6,"steal_failed":7,"current":-1,"wait_hist":[8,0,0,0,0,0,0,0]}]}`
+	if string(b) != want {
+		t.Errorf("Progress JSON =\n%s\nwant\n%s", b, want)
 	}
 }
 

@@ -37,119 +37,116 @@ func WaitBucket(d time.Duration) int {
 	return NumWaitBuckets - 1
 }
 
-// WorkerProgress is one worker's slice of a Progress snapshot.
-type WorkerProgress struct {
-	// Executed, Declared and Claimed count this worker's tasks so far,
-	// with the semantics of the WorkerStats fields of the same names (in
-	// the centralized engine the master's Declared counts the tasks it has
-	// submitted so far: its mid-run unrolling position).
+// Counters are a worker's seven task counters: the always-on part of its
+// run record, counted in place in its ProgressCell.
+type Counters struct {
+	// Executed counts tasks this worker ran.
 	Executed int64 `json:"executed"`
+	// Declared counts tasks this worker skipped over (in-order engine:
+	// tasks mapped to other workers, for which only the local declare_*
+	// bookkeeping ran; centralized engine: the tasks the master submitted,
+	// mid-run its unrolling position).
 	Declared int64 `json:"declared"`
-	Claimed  int64 `json:"claimed"`
-	// Retried counts rolled-back-and-retried task attempts, Skipped the
-	// tasks a Resume checkpoint let this worker skip (fault tolerance).
+	// Claimed counts executed tasks that had no static owner and were won
+	// dynamically (partial mappings); Claimed <= Executed.
+	Claimed int64 `json:"claimed"`
+	// Retried counts failed task attempts that were rolled back and
+	// re-executed under a retry policy; a task succeeding on its third
+	// attempt contributes 2.
 	Retried int64 `json:"retried"`
+	// Skipped counts tasks a Resume checkpoint marked completed, charged
+	// to the worker that would have executed them.
 	Skipped int64 `json:"skipped"`
-	// Stolen counts executed tasks taken from other workers' static
-	// assignments under a steal policy; StealFailed counts steal attempts
-	// that lost the claim race after proving a task ready.
-	Stolen      int64 `json:"stolen"`
+	// Stolen counts executed tasks this worker took from another worker's
+	// static assignment under a steal policy; Stolen <= Executed.
+	Stolen int64 `json:"stolen"`
+	// StealFailed counts steal attempts that proved a task ready but lost
+	// the claim race at the last moment (to the owner or another thief).
 	StealFailed int64 `json:"steal_failed"`
-	// Current is the ID of the task this worker is executing right now,
-	// or stf.NoTask (-1) when it is between tasks (replaying, waiting or
-	// done) or sleeping in a retry backoff.
+}
+
+// Worker is one worker's run record, read from its ProgressCell: live in a
+// Progress snapshot, final in a run's Stats, where the times stored when
+// the worker exited are filled in too.
+type Worker struct {
+	Counters
+	// Current is the ID of the task this worker is executing, or
+	// stf.NoTask (-1) when it is between tasks (replaying, waiting or done)
+	// or sleeping in a retry backoff.
 	Current stf.TaskID `json:"current"`
 	// WaitHist is the histogram of completed dependency-wait durations
 	// (bucket bounds in WaitBucketBounds). Populated only when accounting
 	// is enabled: under NoAccounting waits are not timed.
 	WaitHist [NumWaitBuckets]int64 `json:"wait_hist"`
+	// Task is the cumulative time spent executing task bodies, Idle the
+	// time blocked on dependency waits or empty queues, Runtime the time
+	// spent in runtime management (unrolling, dependency bookkeeping,
+	// scheduling, dispatch) computed as Wall − Task − Idle, and Wall the
+	// time this worker was active. Stats only: a Progress snapshot leaves
+	// them zero, and without accounting only Wall is set.
+	Task    time.Duration `json:"-"`
+	Idle    time.Duration `json:"-"`
+	Runtime time.Duration `json:"-"`
+	Wall    time.Duration `json:"-"`
 }
 
-// Progress is a mid-run snapshot of a run's always-on counters, readable
-// from any goroutine while the run is in flight (engines publish the
-// counters with atomic stores on per-worker cache lines). After a run
-// finishes the last run's final counters stay readable; they are the
-// counters of its Stats, read from the same table.
+// Workers is a run's record, one Worker per engine thread; its methods sum
+// a counter across workers. Stats and Progress embed it.
+type Workers []Worker
+
+func (ws Workers) sum(counter func(*Counters) int64) int64 {
+	var n int64
+	for i := range ws {
+		n += counter(&ws[i].Counters)
+	}
+	return n
+}
+
+// Executed returns the total number of tasks executed.
+func (ws Workers) Executed() int64 { return ws.sum(func(c *Counters) int64 { return c.Executed }) }
+
+// Declared returns the total number of declare-only task visits.
+func (ws Workers) Declared() int64 { return ws.sum(func(c *Counters) int64 { return c.Declared }) }
+
+// Claimed returns the total number of dynamically claimed executions.
+func (ws Workers) Claimed() int64 { return ws.sum(func(c *Counters) int64 { return c.Claimed }) }
+
+// Retried returns the total number of retried task attempts.
+func (ws Workers) Retried() int64 { return ws.sum(func(c *Counters) int64 { return c.Retried }) }
+
+// Skipped returns the total number of resume-skipped tasks.
+func (ws Workers) Skipped() int64 { return ws.sum(func(c *Counters) int64 { return c.Skipped }) }
+
+// Stolen returns the total number of stolen task executions.
+func (ws Workers) Stolen() int64 { return ws.sum(func(c *Counters) int64 { return c.Stolen }) }
+
+// StealFailed returns the total number of lost steal races.
+func (ws Workers) StealFailed() int64 {
+	return ws.sum(func(c *Counters) int64 { return c.StealFailed })
+}
+
+// WaitHist returns the wait-duration histogram summed across workers.
+func (ws Workers) WaitHist() [NumWaitBuckets]int64 {
+	var h [NumWaitBuckets]int64
+	for i := range ws {
+		for b, n := range ws[i].WaitHist {
+			h[b] += n
+		}
+	}
+	return h
+}
+
+// Progress is a mid-run snapshot of a run's record, readable from any
+// goroutine while the run is in flight (engines publish the counters with
+// atomic stores on per-worker cache lines). After a run finishes the last
+// run's final counters stay readable; they are the counters of its Stats,
+// read from the same table.
 type Progress struct {
 	// Running reports whether a run is currently in flight.
 	Running bool `json:"running"`
 	// Workers holds one entry per engine thread, aligned with
 	// Stats.Workers (for the centralized engine index 0 is the master).
-	Workers []WorkerProgress `json:"workers"`
-}
-
-// Executed returns the total tasks executed so far across workers.
-func (p *Progress) Executed() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Executed
-	}
-	return n
-}
-
-// Declared returns the total declare-only task visits so far.
-func (p *Progress) Declared() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Declared
-	}
-	return n
-}
-
-// Claimed returns the total dynamically claimed executions so far.
-func (p *Progress) Claimed() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Claimed
-	}
-	return n
-}
-
-// Retried returns the total retried task attempts so far.
-func (p *Progress) Retried() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Retried
-	}
-	return n
-}
-
-// Skipped returns the total resume-skipped tasks so far.
-func (p *Progress) Skipped() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Skipped
-	}
-	return n
-}
-
-// Stolen returns the total stolen task executions so far.
-func (p *Progress) Stolen() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].Stolen
-	}
-	return n
-}
-
-// StealFailed returns the total lost steal claim races so far.
-func (p *Progress) StealFailed() int64 {
-	var n int64
-	for i := range p.Workers {
-		n += p.Workers[i].StealFailed
-	}
-	return n
-}
-
-// WaitHist returns the wait-duration histogram summed across workers.
-func (p *Progress) WaitHist() [NumWaitBuckets]int64 {
-	var h [NumWaitBuckets]int64
-	for i := range p.Workers {
-		for b, n := range p.Workers[i].WaitHist {
-			h[b] += n
-		}
-	}
-	return h
+	Workers `json:"workers"`
 }
 
 // ProgressCell is one worker's run record inside a ProgressTable: its task
@@ -237,6 +234,27 @@ func (c *ProgressCell) Exit(task, idle, wall time.Duration) {
 	c.exited.Store(true)
 }
 
+// read is the live reading of the cell, every published word but the
+// watchdog's: what a Progress snapshot reports, and Stats before the times.
+func (c *ProgressCell) read() Worker {
+	w := Worker{
+		Counters: Counters{
+			Executed:    c.executed.Load(),
+			Declared:    c.declared.Load(),
+			Claimed:     c.claimed.Load(),
+			Retried:     c.retried.Load(),
+			Skipped:     c.skipped.Load(),
+			Stolen:      c.stolen.Load(),
+			StealFailed: c.stealFailed.Load(),
+		},
+		Current: stf.TaskID(c.current.Load()),
+	}
+	for b := range c.waitHist {
+		w.WaitHist[b] = c.waitHist[b].Load()
+	}
+	return w
+}
+
 // WorkerState is what a stall monitor reads of a worker's cell. It is
 // comparable: a monitor dates a worker's state by the first reading that
 // differs from the one before.
@@ -265,8 +283,8 @@ func (c *ProgressCell) State() WorkerState {
 
 // ProgressTable is the run record of one run, shared by the engines: one
 // padded cell per worker plus a running flag. Engines publish a fresh table
-// at run start through an atomic pointer, so snapshots never race with run
-// setup or teardown.
+// at run start through an atomic pointer (LastRun), so snapshots never race
+// with run setup or teardown.
 type ProgressTable struct {
 	running atomic.Bool
 	workers []ProgressCell
@@ -307,52 +325,87 @@ func (t *ProgressTable) WaitHist() [NumWaitBuckets]int64 {
 // Snapshot assembles a Progress view of the table. Safe to call from any
 // goroutine while workers are publishing.
 func (t *ProgressTable) Snapshot() Progress {
-	p := Progress{
-		Running: t.running.Load(),
-		Workers: make([]WorkerProgress, len(t.workers)),
-	}
+	p := Progress{Running: t.running.Load(), Workers: make(Workers, len(t.workers))}
 	for w := range t.workers {
-		cell := &t.workers[w]
-		out := &p.Workers[w]
-		out.Executed = cell.executed.Load()
-		out.Declared = cell.declared.Load()
-		out.Claimed = cell.claimed.Load()
-		out.Retried = cell.retried.Load()
-		out.Skipped = cell.skipped.Load()
-		out.Stolen = cell.stolen.Load()
-		out.StealFailed = cell.stealFailed.Load()
-		out.Current = stf.TaskID(cell.current.Load())
-		for b := range cell.waitHist {
-			out.WaitHist[b] = cell.waitHist[b].Load()
-		}
+		p.Workers[w] = t.workers[w].read()
 	}
 	return p
 }
 
-// Stats is the §2.3 decomposition of a run whose workers have all exited
+// stats is the §2.3 decomposition of a run whose workers have all exited
 // (read it only then: the times are plain words), with wall the run's end
-// to end time: every cell's counters and stored times, and each worker's
+// to end time: every cell's reading and stored times, and each worker's
 // runtime as the residual Wall − Task − Idle when the run was accounted.
-func (t *ProgressTable) Stats(wall time.Duration, accounted bool) Stats {
-	s := Stats{Workers: make([]WorkerStats, len(t.workers)), Wall: wall, Accounted: accounted}
+func (t *ProgressTable) stats(wall time.Duration, accounted bool) Stats {
+	s := Stats{Workers: make(Workers, len(t.workers)), Wall: wall, Accounted: accounted}
 	for w := range t.workers {
-		cell := &t.workers[w]
-		ws := WorkerStats{
-			Task:        cell.task,
-			Idle:        cell.idle,
-			Wall:        cell.wall,
-			Executed:    cell.executed.Load(),
-			Declared:    cell.declared.Load(),
-			Claimed:     cell.claimed.Load(),
-			Retried:     cell.retried.Load(),
-			Skipped:     cell.skipped.Load(),
-			Stolen:      cell.stolen.Load(),
-			StealFailed: cell.stealFailed.Load(),
-		}
+		cell, ws := &t.workers[w], &s.Workers[w]
+		*ws = cell.read()
+		ws.Task, ws.Idle, ws.Wall = cell.task, cell.idle, cell.wall
 		if r := ws.Wall - ws.Task - ws.Idle; accounted && r > 0 {
 			ws.Runtime = r
 		}
-		s.Workers[w] = ws
 	}
 	return s
+}
+
+// LastRun is the one Stats and Progress implementation behind every
+// engine: the progress table of its current or most recent run, and the
+// Stats of its most recent finished run. Engines embed it. Progress is safe
+// from any goroutine; Begin, End, Abandon and Stats belong to the goroutine
+// that runs the engine.
+type LastRun struct {
+	table atomic.Pointer[ProgressTable]
+	// ended is the table of the most recent finished run until the first
+	// Stats call reads it into stats: a run nobody asks about assembles no
+	// Stats.
+	ended *ProgressTable
+	stats Stats
+}
+
+// Begin publishes a fresh table for a run of the given worker count and
+// returns it.
+func (l *LastRun) Begin(workers int) *ProgressTable {
+	t := NewProgressTable(workers)
+	l.table.Store(t)
+	return t
+}
+
+// End ends the run Begin last published, once all of its workers have
+// exited: its table becomes the one Stats reads, and its running flag
+// clears.
+func (l *LastRun) End(wall time.Duration, accounted bool) {
+	t := l.table.Load()
+	l.ended, l.stats = t, Stats{Wall: wall, Accounted: accounted}
+	t.Finish()
+}
+
+// Abandon ends a run some of whose workers could not be joined: their
+// cells may still be written, so its Stats keep only the wall time.
+func (l *LastRun) Abandon(wall time.Duration) {
+	t := l.table.Load()
+	l.ended, l.stats = nil, Stats{Workers: make(Workers, len(t.workers)), Wall: wall}
+	t.Finish()
+}
+
+// Table returns the table of the current or most recent run, nil before
+// the first.
+func (l *LastRun) Table() *ProgressTable { return l.table.Load() }
+
+// Progress snapshots the current (or, between runs, the most recent) run's
+// record. Safe to call from any goroutine at any time, including while a
+// run is in flight; before the first run it returns a zero Progress.
+func (l *LastRun) Progress() Progress {
+	if t := l.table.Load(); t != nil {
+		return t.Snapshot()
+	}
+	return Progress{}
+}
+
+// Stats returns the time decomposition of the last finished run.
+func (l *LastRun) Stats() *Stats {
+	if t := l.ended; t != nil {
+		l.ended, l.stats = nil, t.stats(l.stats.Wall, l.stats.Accounted)
+	}
+	return &l.stats
 }

@@ -14,54 +14,14 @@ import (
 	"time"
 )
 
-// WorkerStats is the per-worker time decomposition, read from the worker's
-// ProgressCell after the run (ProgressTable.Stats). Engines record task and
-// idle time inline; runtime time is the residual of the worker's wall-clock
-// activity.
-type WorkerStats struct {
-	// Task is the cumulative time spent executing task bodies.
-	Task time.Duration
-	// Idle is the cumulative time spent blocked on dependency waits or
-	// empty queues.
-	Idle time.Duration
-	// Runtime is the cumulative time spent in runtime management: task
-	// flow unrolling, dependency bookkeeping, scheduling, dispatch. It is
-	// computed as Wall - Task - Idle.
-	Runtime time.Duration
-	// Wall is the total time this worker was active (from engine start to
-	// its own completion of the task flow).
-	Wall time.Duration
-	// Executed counts tasks this worker ran.
-	Executed int64
-	// Declared counts tasks this worker skipped over (decentralized
-	// engine: tasks mapped to other workers, for which only the local
-	// declare_* bookkeeping ran; centralized engine: the tasks the master
-	// submitted).
-	Declared int64
-	// Claimed counts executed tasks that had no static owner and were
-	// won dynamically (partial mappings); Claimed <= Executed.
-	Claimed int64
-	// Retried counts failed task attempts that were rolled back and
-	// re-executed under a retry policy (fault tolerance); each retried
-	// attempt counts once, so a task succeeding on its third attempt
-	// contributes 2.
-	Retried int64
-	// Skipped counts tasks a Resume checkpoint marked completed, charged
-	// to the worker that would have executed them.
-	Skipped int64
-	// Stolen counts executed tasks this worker took from another worker's
-	// static assignment under a steal policy; Stolen <= Executed.
-	Stolen int64
-	// StealFailed counts steal attempts that proved a task ready but lost
-	// the claim race at the last moment (to the owner or another thief).
-	StealFailed int64
-}
-
-// Stats aggregates a run: one entry per worker plus the run's wall time.
+// Stats is the final reading of a run's record: every worker's record once
+// it has exited (LastRun.Stats), plus the run's wall time. Its counter
+// sums (Executed, Declared, …) are those of Workers.
 type Stats struct {
-	// Workers holds per-worker decompositions. For the centralized engine
-	// index 0 is the master thread (which executes no tasks).
-	Workers []WorkerStats
+	// Workers holds one record per worker, times included. For the
+	// centralized engine index 0 is the master thread (which executes no
+	// tasks).
+	Workers
 	// Wall is the end-to-end run time t_p.
 	Wall time.Duration
 	// Accounted reports whether fine-grained time accounting was enabled;
@@ -93,73 +53,6 @@ func (s *Stats) Cumulative() (task, idle, runtime time.Duration) {
 // TotalCumulative returns τ_p = p · t_p.
 func (s *Stats) TotalCumulative() time.Duration {
 	return time.Duration(len(s.Workers)) * s.Wall
-}
-
-// Executed returns the total number of tasks executed across workers.
-func (s *Stats) Executed() int64 {
-	var n int64
-	for _, w := range s.Workers {
-		n += w.Executed
-	}
-	return n
-}
-
-// Declared returns the total number of task declarations (decentralized
-// skip-over bookkeeping operations) across workers.
-func (s *Stats) Declared() int64 {
-	var n int64
-	for _, w := range s.Workers {
-		n += w.Declared
-	}
-	return n
-}
-
-// Claimed returns the total number of dynamically claimed task executions
-// (partial mappings) across workers.
-func (s *Stats) Claimed() int64 {
-	var n int64
-	for _, w := range s.Workers {
-		n += w.Claimed
-	}
-	return n
-}
-
-// Retried returns the total number of rolled-back-and-retried task
-// attempts across workers.
-func (s *Stats) Retried() int64 {
-	var n int64
-	for _, w := range s.Workers {
-		n += w.Retried
-	}
-	return n
-}
-
-// Skipped returns the total number of resume-skipped tasks across workers.
-func (s *Stats) Skipped() int64 {
-	var n int64
-	for _, w := range s.Workers {
-		n += w.Skipped
-	}
-	return n
-}
-
-// Stolen returns the total number of stolen task executions across workers.
-func (s *Stats) Stolen() int64 {
-	var n int64
-	for _, w := range s.Workers {
-		n += w.Stolen
-	}
-	return n
-}
-
-// StealFailed returns the total number of lost steal claim races across
-// workers.
-func (s *Stats) StealFailed() int64 {
-	var n int64
-	for _, w := range s.Workers {
-		n += w.StealFailed
-	}
-	return n
 }
 
 // Efficiency is the decomposition e = e_g · e_l · e_p · e_r of §2.3.

@@ -12,7 +12,7 @@ import (
 
 func TestCumulativeSumsWorkers(t *testing.T) {
 	s := &Stats{
-		Workers: []WorkerStats{
+		Workers: []Worker{
 			{Task: 10, Idle: 2, Runtime: 3, Wall: 15},
 			{Task: 8, Idle: 4, Runtime: 3, Wall: 15},
 		},
@@ -44,8 +44,11 @@ func TestProgressTableStats(t *testing.T) {
 	c.Exit(10, 4, 20)
 	tb.Worker(1).Exit(10, 4, 12) // residual below zero: clamped
 	for _, accounted := range []bool{true, false} {
-		s := tb.Stats(30, accounted)
-		want := WorkerStats{Task: 10, Idle: 4, Wall: 20, Executed: 2, Declared: 5, Claimed: 1, Retried: 1, Skipped: 3, Stolen: 1, StealFailed: 1}
+		s := tb.stats(30, accounted)
+		want := Worker{
+			Counters: Counters{Executed: 2, Declared: 5, Claimed: 1, Retried: 1, Skipped: 3, Stolen: 1, StealFailed: 1},
+			Current:  stf.NoTask, Task: 10, Idle: 4, Wall: 20,
+		}
 		if accounted {
 			want.Runtime = 6
 		}
@@ -53,9 +56,10 @@ func TestProgressTableStats(t *testing.T) {
 			t.Errorf("Stats(accounted=%v) = %+v, want worker 0 %+v and a clamped worker 1", accounted, s, want)
 		}
 	}
-	p := tb.Snapshot()
-	if w := p.Workers[0]; w.Executed != 2 || w.Declared != 5 || w.Skipped != 3 || w.Current != stf.NoTask {
-		t.Errorf("Snapshot worker 0 = %+v", w)
+	// The live reading is the same record without the times.
+	p, s := tb.Snapshot(), tb.stats(30, true)
+	if w := s.Workers[0]; p.Workers[0] != (Worker{Counters: w.Counters, Current: w.Current, WaitHist: w.WaitHist}) {
+		t.Errorf("Snapshot worker 0 = %+v, want Stats' %+v without times", p.Workers[0], w)
 	}
 	if st := c.State(); !st.Exited || st.Executed != 2 || st.Retried != 1 || st.Waiting != stf.NoTask {
 		t.Errorf("State = %+v", st)
@@ -66,11 +70,42 @@ func TestProgressTableStats(t *testing.T) {
 	}
 }
 
+// LastRun's lifecycle: Progress follows the table Begin published, Stats the
+// last run that ended — read on demand, so a later run's Begin does not
+// disturb it — and an abandoned run keeps only its wall time.
+func TestLastRun(t *testing.T) {
+	var l LastRun
+	if p, s := l.Progress(), l.Stats(); p.Running || p.Workers != nil || s.Workers != nil {
+		t.Fatalf("before the first run: Progress %+v, Stats %+v", p, s)
+	}
+	tb := l.Begin(2)
+	tb.Worker(1).CountExecuted()
+	if p := l.Progress(); !p.Running || p.Executed() != 1 {
+		t.Errorf("mid-run Progress = %+v", p)
+	}
+	tb.Worker(0).Exit(1, 2, 5)
+	tb.Worker(1).Exit(3, 0, 4)
+	l.End(6, true)
+	next := l.Begin(3)
+	next.Worker(2).CountExecuted()
+	s := l.Stats()
+	if s.Wall != 6 || !s.Accounted || len(s.Workers) != 2 || s.Executed() != 1 || s.Workers[0].Runtime != 2 {
+		t.Errorf("Stats of the ended run = %+v", s)
+	}
+	if p := l.Progress(); !p.Running || len(p.Workers) != 3 {
+		t.Errorf("Progress after the next Begin = %+v", p)
+	}
+	l.Abandon(9)
+	if s := l.Stats(); s.Wall != 9 || len(s.Workers) != 3 || s.Executed() != 0 || l.Progress().Running {
+		t.Errorf("Stats of an abandoned run = %+v", s)
+	}
+}
+
 func TestCumulativeAddsTailAsIdle(t *testing.T) {
 	// A worker that finished at 10 while the run lasted 15 contributes 5
 	// units of tail idle time.
 	s := &Stats{
-		Workers: []WorkerStats{{Task: 10, Wall: 10}},
+		Workers: []Worker{{Task: 10, Wall: 10}},
 		Wall:    15,
 	}
 	_, idle, _ := s.Cumulative()
@@ -79,16 +114,19 @@ func TestCumulativeAddsTailAsIdle(t *testing.T) {
 	}
 }
 
+// Stats and Progress share their sums: each is Workers', over one counter.
 func TestCounters(t *testing.T) {
-	s := &Stats{Workers: []WorkerStats{
-		{Executed: 3, Declared: 7},
-		{Executed: 4, Declared: 6},
-	}}
-	if s.Executed() != 7 {
-		t.Errorf("Executed = %d", s.Executed())
+	ws := Workers{
+		{Counters: Counters{Executed: 3, Declared: 7, Claimed: 1, Retried: 2, Skipped: 5, Stolen: 1, StealFailed: 4}, WaitHist: [NumWaitBuckets]int64{1, 2}},
+		{Counters: Counters{Executed: 4, Declared: 6, Claimed: 2, Retried: 1, Skipped: 1, Stolen: 2, StealFailed: 1}, WaitHist: [NumWaitBuckets]int64{0, 3}},
 	}
-	if s.Declared() != 13 {
-		t.Errorf("Declared = %d", s.Declared())
+	s, p := &Stats{Workers: ws}, Progress{Workers: ws}
+	got := [...]int64{s.Executed(), s.Declared(), s.Claimed(), s.Retried(), s.Skipped(), s.Stolen(), s.StealFailed()}
+	if want := [...]int64{7, 13, 3, 3, 6, 3, 5}; got != want {
+		t.Errorf("sums (executed, declared, claimed, retried, skipped, stolen, steal-failed) = %v, want %v", got, want)
+	}
+	if p.Executed() != s.Executed() || p.WaitHist() != s.WaitHist() || p.WaitHist() != [NumWaitBuckets]int64{1, 5} {
+		t.Errorf("Progress sums %d %v, Stats %d %v", p.Executed(), p.WaitHist(), s.Executed(), s.WaitHist())
 	}
 	if s.NumWorkers() != 2 {
 		t.Errorf("NumWorkers = %d", s.NumWorkers())
@@ -100,7 +138,7 @@ func TestDecomposeSyntheticKernelCase(t *testing.T) {
 	// Build a run where the numbers are exact: p=2, wall=10; worker time
 	// fully accounted.
 	s := &Stats{
-		Workers: []WorkerStats{
+		Workers: []Worker{
 			{Task: 6, Idle: 2, Runtime: 2, Wall: 10},
 			{Task: 6, Idle: 2, Runtime: 2, Wall: 10},
 		},
@@ -132,11 +170,11 @@ func TestDecomposePropertyProductIdentity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := 1 + rng.Intn(8)
 		wall := time.Duration(1+rng.Intn(1_000_000)) * time.Nanosecond
-		s := &Stats{Wall: wall, Workers: make([]WorkerStats, p)}
+		s := &Stats{Wall: wall, Workers: make([]Worker, p)}
 		for w := range s.Workers {
 			task := time.Duration(rng.Int63n(int64(wall)))
 			idle := time.Duration(rng.Int63n(int64(wall - task + 1)))
-			s.Workers[w] = WorkerStats{Task: task, Idle: idle, Runtime: wall - task - idle, Wall: wall}
+			s.Workers[w] = Worker{Task: task, Idle: idle, Runtime: wall - task - idle, Wall: wall}
 		}
 		tBest := time.Duration(1 + rng.Int63n(int64(wall)))
 		tSeq := time.Duration(1 + rng.Int63n(int64(wall)))
@@ -153,7 +191,7 @@ func TestDecomposePropertyProductIdentity(t *testing.T) {
 }
 
 func TestDecomposeZeroSafe(t *testing.T) {
-	e := Decompose(0, 0, &Stats{Workers: make([]WorkerStats, 2)})
+	e := Decompose(0, 0, &Stats{Workers: make([]Worker, 2)})
 	for _, v := range []float64{e.Granularity, e.Locality, e.Pipelining, e.Runtime, e.Parallel} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("degenerate decomposition produced %v", e)

@@ -39,7 +39,7 @@ func WriteMetrics(w io.Writer, p Progress) error {
 // instead of an empty 200 the scraper would record as "no samples");
 // an error after the first byte — the status line is already on the
 // wire — is logged, so a half-written exposition never passes silently.
-func MetricsHandler(rt Runtime) http.Handler {
+func MetricsHandler(rt interface{ Progress() Progress }) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		cw := &countingWriter{w: w}
@@ -77,7 +77,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // PublishExpvar publishes rt's Progress under the given expvar name (the
 // /debug/vars JSON surface). It must be called once per name per process
 // — expvar.Publish panics on duplicates, mirroring expvar's own contract.
-func PublishExpvar(name string, rt Runtime) {
+func PublishExpvar(name string, rt interface{ Progress() Progress }) {
 	expvar.Publish(name, expvar.Func(func() any { return rt.Progress() }))
 }
 

@@ -77,15 +77,14 @@ type (
 	// Hooks pointer — the default — costs the hot path one pointer test
 	// per site; see the field docs for the exact firing contract.
 	Hooks = stf.Hooks
-	// Progress is a mid-run snapshot of a run's always-on counters
-	// (Runtime.Progress): per-worker executed/declared/claimed tallies,
-	// the task each worker is executing right now, and a wait-time
-	// histogram (the one field that needs accounting: empty under
-	// Options.NoAccounting). Safe to take from any goroutine while a run is
-	// in flight.
+	// Progress is a mid-run snapshot of a run's record (Runtime.Progress):
+	// each worker's counters, the task it is executing and its wait-time
+	// histogram (empty under Options.NoAccounting). Safe to take from any
+	// goroutine while a run is in flight.
 	Progress = trace.Progress
-	// WorkerProgress is one worker's slice of a Progress snapshot.
-	WorkerProgress = trace.WorkerProgress
+	// WorkerProgress is one worker's record: an entry of Progress.Workers,
+	// live, and of Stats.Workers, final.
+	WorkerProgress = trace.Worker
 	// WaitPolicy selects how waits behave once busy-polling has not
 	// resolved them (Options.Tuning.WaitPolicy): see WaitAdaptive,
 	// WaitSpin, WaitPark.
