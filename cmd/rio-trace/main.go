@@ -119,7 +119,8 @@ func run(args []string, out io.Writer) error {
 			k, s.Count, s.Mean().Round(time.Nanosecond), s.Max.Round(time.Nanosecond), s.Total.Round(time.Microsecond))
 	}
 
-	critical, work := rec.CriticalPath(g)
+	durs := rec.TaskDurations(len(g.Tasks))
+	critical, work := stf.CriticalPath(g, func(id stf.TaskID) time.Duration { return durs[id] })
 	fmt.Fprintf(out, "\nwork %v, critical path %v", work.Round(time.Microsecond), critical.Round(time.Microsecond))
 	if critical > 0 {
 		fmt.Fprintf(out, " → graph parallelism %.2f; makespan vs bound: %.2fx\n",

@@ -31,6 +31,7 @@ import (
 	"rio/internal/graphs"
 	"rio/internal/sched"
 	"rio/internal/sim"
+	"rio/internal/stf"
 )
 
 func main() {
@@ -111,7 +112,7 @@ func main() {
 	w := sim.Workload{Graph: g, Duration: func(id rio.TaskID) time.Duration {
 		return time.Duration(g.Tasks[id].K) * 10 * time.Microsecond
 	}}
-	critical, work8 := sim.CriticalPath(w)
+	critical, work8 := stf.CriticalPath(g, w.Duration)
 	fmt.Printf("\nsimulated on %d ideal workers (critical path %v, work %v):\n",
 		simWorkers, critical.Round(time.Microsecond), work8.Round(time.Microsecond))
 	simMappings := []struct {

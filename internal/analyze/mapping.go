@@ -93,86 +93,25 @@ func mappingPass(rep *Report, g *stf.Graph, cfg Config) {
 	}
 }
 
-// reach is the longest path ending at a task, or the maximum of it over a
-// group of tasks: dep counts dependency edges only, inOrder the ownership
-// chains too. Every task's is at least 1, so the zero value is an empty
-// group.
-type reach struct{ dep, inOrder int }
-
-// after extends r to come after every task of group g.
-func (r *reach) after(g reach) {
-	r.dep, r.inOrder = max(r.dep, g.dep+1), max(r.inOrder, g.inOrder+1)
-}
-
-// include adds a task (or group) to the group r.
-func (r *reach) include(t reach) {
-	r.dep, r.inOrder = max(r.dep, t.dep), max(r.inOrder, t.inOrder)
-}
-
 // criticalPaths computes, in one forward pass over the flow (task IDs are
 // a topological order for both edge families), the dependency critical
 // path cp and the in-order makespan lower bound span of the mapping,
-// counting every task as one unit of work. No DAG is built: a task's
-// direct predecessors on a datum are, as stf.Graph.Dependencies lists
-// them, whole groups of earlier tasks — the last writer, the readers
-// since, the open or the last closed reduction run — and of a group only
-// the maxima matter.
+// counting every task as one unit of work. No DAG is built: two
+// stf.Frontier walks share the loop, dep over the dependency edges alone
+// and inOrder over the ownership chains too.
 func criticalPaths(g *stf.Graph, owners []stf.WorkerID, p int) (cp, span int) {
-	type datum struct{ writer, readers, openRun, closedRun reach }
-	data := make([]datum, g.NumData)
-	lastOwned := make([]int, p) // in-order reach of the worker's last task so far
+	dep, inOrder := stf.NewFrontier[int](g.NumData), stf.NewFrontier[int](g.NumData)
+	lastOwned := make([]int, p) // in-order finish of the worker's last task so far
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		r := reach{1, 1} // the task alone
-		for _, a := range t.Accesses {
-			d := &data[a.Data]
-			switch {
-			case a.Mode.Writes():
-				if d.readers.dep+d.openRun.dep > 0 {
-					r.after(d.readers)
-					r.after(d.openRun)
-				} else {
-					r.after(d.writer)
-				}
-			case a.Mode.Commutes():
-				// A reduction waits for the readers since the last write
-				// (which transitively cover earlier runs), or the writer.
-				if d.readers.dep > 0 {
-					r.after(d.readers)
-				} else {
-					r.after(d.writer)
-				}
-			default: // read
-				switch {
-				case d.openRun.dep > 0:
-					r.after(d.openRun)
-				case d.closedRun.dep > 0:
-					r.after(d.closedRun)
-				default:
-					r.after(d.writer)
-				}
-			}
-		}
+		d, o := dep.Ready(t)+1, inOrder.Ready(t)+1
 		if w := owners[i]; w != stf.SharedWorker {
-			r.inOrder = max(r.inOrder, lastOwned[w]+1)
-			lastOwned[w] = r.inOrder
+			o = max(o, lastOwned[w]+1)
+			lastOwned[w] = o
 		}
-		cp, span = max(cp, r.dep), max(span, r.inOrder)
-		// The per-data state moves on once the task's own reach is known.
-		for _, a := range t.Accesses {
-			d := &data[a.Data]
-			switch {
-			case a.Mode.Writes():
-				*d = datum{writer: r}
-			case a.Mode.Commutes():
-				d.openRun.include(r)
-			default: // a read closes any open run
-				if d.openRun.dep > 0 {
-					d.closedRun, d.openRun = d.openRun, reach{}
-				}
-				d.readers.include(r)
-			}
-		}
+		dep.Done(t, d)
+		inOrder.Done(t, o)
+		cp, span = max(cp, d), max(span, o)
 	}
 	return cp, span
 }

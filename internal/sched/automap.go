@@ -35,20 +35,14 @@ func AutoMap(g *stf.Graph, p int, cost func(*stf.Task) time.Duration) *AutoMapRe
 	if cost == nil {
 		cost = func(*stf.Task) time.Duration { return time.Microsecond }
 	}
-	deps := g.Dependencies()
+	frontier := stf.NewFrontier[time.Duration](g.NumData)
 	owners := make([]stf.WorkerID, len(g.Tasks))
-	finish := make([]time.Duration, len(g.Tasks))
 	clock := make([]time.Duration, p) // per-worker ready time
 	load := make([]time.Duration, p)
 
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		var ready time.Duration
-		for _, d := range deps[i] {
-			if finish[d] > ready {
-				ready = finish[d]
-			}
-		}
+		ready := frontier.Ready(t)
 		dur := cost(t)
 		// Earliest-finish-time worker; ties go to the least loaded.
 		best := 0
@@ -60,8 +54,8 @@ func AutoMap(g *stf.Graph, p int, cost func(*stf.Task) time.Duration) *AutoMapRe
 			}
 		}
 		owners[i] = stf.WorkerID(best)
-		finish[i] = bestStart + dur
-		clock[best] = finish[i]
+		clock[best] = bestStart + dur
+		frontier.Done(t, clock[best])
 		load[best] += dur
 	}
 

@@ -17,7 +17,8 @@
 //     AcquireCost + duration + ReleaseCost for owned ones, blocking until
 //     the task's dependencies have completed. Because each worker is
 //     strictly in-order, a single pass over the flow in task order
-//     computes the exact schedule.
+//     computes the exact schedule, reading each task's ready time from an
+//     stf.Frontier instead of a DAG.
 //
 //   - Centralized out-of-order: a master thread pays DispatchCost per
 //     task to unroll and wire it (eq. (1)'s n·t_r term); a task becomes
@@ -88,14 +89,14 @@ func (r *Result) Efficiency() trace.Efficiency {
 // Correctness of the single pass: workers execute their tasks in task-flow
 // order, so when task t is processed every earlier task's finish time is
 // already final; the owner's clock advances by waiting (idle) until the
-// dependencies' max finish time, and every other worker's clock advances by
-// DeclareCost.
+// dependencies' max finish time (the frontier's Ready), and every other
+// worker's clock advances by DeclareCost.
 func SimulateRIO(w Workload, workers int, m stf.Mapping, c Costs) (*Result, error) {
 	g := w.Graph
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: need at least 1 worker")
 	}
-	deps := g.Dependencies()
+	frontier := stf.NewFrontier[time.Duration](g.NumData)
 	n := len(g.Tasks)
 	res := &Result{
 		Start:  make([]time.Duration, n),
@@ -103,6 +104,7 @@ func SimulateRIO(w Workload, workers int, m stf.Mapping, c Costs) (*Result, erro
 	}
 	clock := make([]time.Duration, workers)
 	busy := make([]time.Duration, workers) // task+overhead time per worker
+	taskTime := make([]time.Duration, workers)
 	idleAcc := make([]time.Duration, workers)
 
 	for i := range g.Tasks {
@@ -111,12 +113,7 @@ func SimulateRIO(w Workload, workers int, m stf.Mapping, c Costs) (*Result, erro
 		if owner < 0 || int(owner) >= workers {
 			return nil, fmt.Errorf("sim: mapping(%d) = %d out of range", id, owner)
 		}
-		var ready time.Duration
-		for _, d := range deps[i] {
-			if res.Finish[d] > ready {
-				ready = res.Finish[d]
-			}
-		}
+		ready := frontier.Ready(&g.Tasks[i])
 		for v := 0; v < workers; v++ {
 			if stf.WorkerID(v) != owner {
 				clock[v] += c.DeclareCost
@@ -132,8 +129,10 @@ func SimulateRIO(w Workload, workers int, m stf.Mapping, c Costs) (*Result, erro
 			finish := start + dur + c.ReleaseCost
 			res.Start[i], res.Finish[i] = start, finish
 			busy[v] += c.AcquireCost + dur + c.ReleaseCost
+			taskTime[v] += dur
 			clock[v] = finish
 		}
+		frontier.Done(&g.Tasks[i], res.Finish[i])
 	}
 	for _, t := range clock {
 		if t > res.Makespan {
@@ -143,16 +142,10 @@ func SimulateRIO(w Workload, workers int, m stf.Mapping, c Costs) (*Result, erro
 	res.Stats = trace.Stats{Wall: res.Makespan, Accounted: true,
 		Workers: make([]trace.Worker, workers)}
 	for v := 0; v < workers; v++ {
-		taskTime := time.Duration(0)
-		for i := range g.Tasks {
-			if m(stf.TaskID(i)) == stf.WorkerID(v) {
-				taskTime += w.Duration(stf.TaskID(i))
-			}
-		}
 		res.Stats.Workers[v] = trace.Worker{
-			Task:    taskTime,
+			Task:    taskTime[v],
 			Idle:    idleAcc[v],
-			Runtime: busy[v] - taskTime,
+			Runtime: busy[v] - taskTime[v],
 			Wall:    clock[v],
 		}
 	}
@@ -286,26 +279,4 @@ func SimulateCentralized(w Workload, workers int, c Costs) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// CriticalPath returns the workload's dependency-path lower bound and
-// total work — no schedule can beat max(critical, work/p).
-func CriticalPath(w Workload) (critical, work time.Duration) {
-	deps := w.Graph.Dependencies()
-	finish := make([]time.Duration, len(w.Graph.Tasks))
-	for i := range w.Graph.Tasks {
-		var ready time.Duration
-		for _, d := range deps[i] {
-			if finish[d] > ready {
-				ready = finish[d]
-			}
-		}
-		dur := w.Duration(stf.TaskID(i))
-		finish[i] = ready + dur
-		if finish[i] > critical {
-			critical = finish[i]
-		}
-		work += dur
-	}
-	return critical, work
 }

@@ -210,7 +210,7 @@ func TestMakespanNeverBeatsLowerBounds(t *testing.T) {
 		}
 		w := sim.Workload{Graph: g, Duration: func(id stf.TaskID) time.Duration { return durs[id] }}
 		p := 1 + rng.Intn(6)
-		critical, work := sim.CriticalPath(w)
+		critical, work := stf.CriticalPath(g, w.Duration)
 		bound := critical
 		if perW := work / time.Duration(p); perW > bound {
 			bound = perW

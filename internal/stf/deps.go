@@ -1,12 +1,16 @@
 package stf
 
+import "time"
+
 // This file derives explicit dependency information from a recorded task
 // flow, following the STF rules (paper §2.1): each read access happens
 // after all previous writes to the same data, and each write access happens
 // after all previous reads and writes to the same data. Engines that need
-// an explicit DAG (the centralized baseline, the model checker, analysis
-// tools) use these routines; the decentralized RIO engine does not — its
-// whole point is that dependencies stay implicit in per-data counters.
+// an explicit DAG (the centralized baseline, the model checker, the Chrome
+// export) use Dependencies; what only needs each task's earliest start
+// (depths, critical paths, list schedules, simulated in-order runs) walks
+// a Frontier, which keeps the dependencies implicit in per-data state the
+// way the decentralized RIO engine keeps them in per-data counters.
 
 // Dependencies returns, for each task, the sorted list of direct
 // predecessor task IDs implied by STF semantics. Transitively implied
@@ -107,28 +111,95 @@ func (g *Graph) Successors() [][]TaskID {
 
 // Levels returns the dependency depth of each task (0 for tasks with no
 // predecessors) and the critical-path length in tasks (max level + 1, or 0
-// for an empty graph). Because the task flow is submitted in a valid
-// sequential order, a single forward pass suffices.
+// for an empty graph): a Frontier walk with unit durations.
 func (g *Graph) Levels() ([]int, int) {
-	deps := g.Dependencies()
+	f := NewFrontier[int](g.NumData)
 	levels := make([]int, len(g.Tasks))
 	depth := 0
-	for id := range g.Tasks {
-		lvl := 0
-		for _, d := range deps[id] {
-			if levels[d]+1 > lvl {
-				lvl = levels[d] + 1
-			}
-		}
-		levels[id] = lvl
-		if lvl+1 > depth {
-			depth = lvl + 1
-		}
-	}
-	if len(g.Tasks) == 0 {
-		depth = 0
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		levels[i] = f.Ready(t)
+		f.Done(t, levels[i]+1)
+		depth = max(depth, levels[i]+1)
 	}
 	return levels, depth
+}
+
+// CriticalPath returns the length of the longest dependency chain of g
+// under the task durations dur — no schedule can beat max(critical,
+// work/p) — and the total work.
+func CriticalPath(g *Graph, dur func(TaskID) time.Duration) (critical, work time.Duration) {
+	f := NewFrontier[time.Duration](g.NumData)
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		d := dur(TaskID(i))
+		finish := f.Ready(t) + d
+		f.Done(t, finish)
+		critical, work = max(critical, finish), work+d
+	}
+	return critical, work
+}
+
+// Frontier answers "when can task t start" in one forward walk over a
+// flow, without building its DAG: the submission order is a topological
+// order, so a task's predecessors on a datum are whole groups of earlier
+// tasks — the last writer, the readers since, the reductions since — and
+// of a group only the latest finish matters. Feed it tasks in flow order,
+// each Ready before its Done.
+//
+// The walk is exact (it returns the maximum finish over the task's
+// Dependencies) whenever finish times never decrease along a dependency
+// edge, which holds when durations are non-negative. Then a later group on
+// a datum always finishes no earlier than the groups it depends on: the
+// readers since a write cover the reduction runs they closed, so neither
+// the open/closed-run split of Dependencies nor its emptiness tests are
+// needed.
+type Frontier[T ~int | ~int64] struct {
+	data []frontierDatum[T]
+}
+
+// frontierDatum holds, for one datum, the latest finish of its last writer,
+// of the readers since that write and of the reductions since that write.
+type frontierDatum[T ~int | ~int64] struct{ writer, readers, reductions T }
+
+// NewFrontier returns the frontier of an empty flow over numData data.
+func NewFrontier[T ~int | ~int64](numData int) *Frontier[T] {
+	return &Frontier[T]{data: make([]frontierDatum[T], numData)}
+}
+
+// Ready returns the latest finish among t's predecessors (zero if none):
+// a read waits for the writer and the reductions, a reduction for the
+// writer and the readers, a write for all three.
+func (f *Frontier[T]) Ready(t *Task) T {
+	var ready T
+	for _, a := range t.Accesses {
+		d := &f.data[a.Data]
+		switch {
+		case a.Mode.Writes():
+			ready = max(ready, d.writer, d.readers, d.reductions)
+		case a.Mode.Commutes():
+			ready = max(ready, d.writer, d.readers)
+		default: // read
+			ready = max(ready, d.writer, d.reductions)
+		}
+	}
+	return ready
+}
+
+// Done records that t finishes at finish: a write starts a new group on
+// its data, a read or a reduction joins the current one.
+func (f *Frontier[T]) Done(t *Task, finish T) {
+	for _, a := range t.Accesses {
+		d := &f.data[a.Data]
+		switch {
+		case a.Mode.Writes():
+			*d = frontierDatum[T]{writer: finish}
+		case a.Mode.Commutes():
+			d.reductions = max(d.reductions, finish)
+		default: // read
+			d.readers = max(d.readers, finish)
+		}
+	}
 }
 
 // CheckOrder verifies that order (a permutation of all task IDs, in

@@ -236,36 +236,18 @@ func (r *Recorder) Gantt(w io.Writer, width int) error {
 	return err
 }
 
-// CriticalPath computes, from the recorded durations and the graph's
-// dependencies, the length of the longest dependency chain (a lower bound
-// on any schedule's makespan with these task durations) and the total work.
-// The ratio work / (p · critical-path) bounds the achievable pipelining
-// efficiency of the task graph itself, independent of any runtime.
-func (r *Recorder) CriticalPath(g *stf.Graph) (critical, work time.Duration) {
-	durs := make([]time.Duration, len(g.Tasks))
-	for _, lane := range r.lanes {
-		for _, s := range lane {
-			if int(s.Task) < len(durs) {
-				durs[s.Task] = s.End - s.Start
-			}
+// TaskDurations returns the recorded duration of each of n tasks (zero
+// for a task with no span; a task recorded twice keeps its later span).
+// Spans whose task ID is outside [0, n), such as one recorded with
+// stf.NoTask, belong to none of the n tasks and are skipped.
+func (r *Recorder) TaskDurations(n int) []time.Duration {
+	durs := make([]time.Duration, n)
+	for _, s := range r.OrderedSpans() {
+		if s.Task >= 0 && int(s.Task) < n {
+			durs[s.Task] = s.End - s.Start
 		}
 	}
-	deps := g.Dependencies()
-	finish := make([]time.Duration, len(g.Tasks))
-	for id := range g.Tasks {
-		var ready time.Duration
-		for _, d := range deps[id] {
-			if finish[d] > ready {
-				ready = finish[d]
-			}
-		}
-		finish[id] = ready + durs[id]
-		if finish[id] > critical {
-			critical = finish[id]
-		}
-		work += durs[id]
-	}
-	return critical, work
+	return durs
 }
 
 // OrderedSpans returns all spans sorted by start time (for exporting).

@@ -123,25 +123,47 @@ func TestGanttEmpty(t *testing.T) {
 	}
 }
 
+// criticalPath is rio-trace's bound: the critical path and work of g
+// under the durations rec recorded.
+func criticalPath(rec *trace.Recorder, g *stf.Graph) (critical, work time.Duration) {
+	durs := rec.TaskDurations(len(g.Tasks))
+	return stf.CriticalPath(g, func(id stf.TaskID) time.Duration { return durs[id] })
+}
+
 func TestCriticalPath(t *testing.T) {
-	// Chain of 3 tasks (10µs each) plus 1 independent task (5µs):
-	// critical = 30µs, work = 35µs.
-	g := stf.NewGraph("cp", 2)
-	g.Add(0, 0, 0, 0, stf.RW(0))
-	g.Add(0, 1, 0, 0, stf.RW(0))
-	g.Add(0, 2, 0, 0, stf.RW(0))
-	g.Add(0, 3, 0, 0, stf.RW(1))
-	rec := trace.NewRecorder(1)
-	for i := 0; i < 3; i++ {
-		rec.Record(0, trace.Span{Task: stf.TaskID(i), Start: time.Duration(i*10) * time.Microsecond, End: time.Duration(i*10+10) * time.Microsecond})
-	}
-	rec.Record(0, trace.Span{Task: 3, Start: 30 * time.Microsecond, End: 35 * time.Microsecond})
-	critical, work := rec.CriticalPath(g)
-	if critical != 30*time.Microsecond {
-		t.Errorf("critical = %v, want 30µs", critical)
-	}
-	if work != 35*time.Microsecond {
-		t.Errorf("work = %v, want 35µs", work)
+	const us = time.Microsecond
+	for _, tc := range []struct {
+		name  string
+		extra []trace.Span // recorded on the master lane after the graph's spans
+	}{
+		{"graph spans only", nil},
+		{"spans outside the graph skipped", []trace.Span{
+			{Task: stf.NoTask, Start: 0, End: 50 * us},
+			{Task: 4, Start: 0, End: 70 * us},
+		}},
+	} {
+		// Chain of 3 tasks (10µs each) plus 1 independent task (5µs):
+		// critical = 30µs, work = 35µs.
+		g := stf.NewGraph("cp", 2)
+		g.Add(0, 0, 0, 0, stf.RW(0))
+		g.Add(0, 1, 0, 0, stf.RW(0))
+		g.Add(0, 2, 0, 0, stf.RW(0))
+		g.Add(0, 3, 0, 0, stf.RW(1))
+		rec := trace.NewRecorder(1)
+		for i := 0; i < 3; i++ {
+			rec.Record(0, trace.Span{Task: stf.TaskID(i), Start: time.Duration(i*10) * us, End: time.Duration(i*10+10) * us})
+		}
+		rec.Record(0, trace.Span{Task: 3, Start: 30 * us, End: 35 * us})
+		for _, s := range tc.extra {
+			rec.Record(stf.MasterWorker, s)
+		}
+		critical, work := criticalPath(rec, g)
+		if critical != 30*us {
+			t.Errorf("%s: critical = %v, want 30µs", tc.name, critical)
+		}
+		if work != 35*us {
+			t.Errorf("%s: work = %v, want 35µs", tc.name, work)
+		}
 	}
 }
 
@@ -170,7 +192,7 @@ func TestCriticalPathOnRealRun(t *testing.T) {
 	if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
 		t.Fatal(err)
 	}
-	critical, work := rec.CriticalPath(g)
+	critical, work := criticalPath(rec, g)
 	if critical <= 0 || work < critical {
 		t.Fatalf("critical=%v work=%v", critical, work)
 	}
