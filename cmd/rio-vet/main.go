@@ -257,7 +257,8 @@ func emitElision(out io.Writer, g *stf.Graph, m stf.Mapping, workers int) error 
 	fmt.Fprintf(out, "elision: %.1f%% of accesses (%d of %d) are to uncontended data (%d of %d accessed objects)\n",
 		share, private, accesses, privateData, data)
 	for w := range cp.Streams {
-		fmt.Fprintf(out, "  worker %d: %d micro-ops canonical, %d emitted\n", w, len(canon.Streams[w]), len(cp.Streams[w]))
+		fmt.Fprintf(out, "  worker %d: %d micro-ops canonical, %d emitted, %d bytes stored\n",
+			w, stf.StreamOps(canon.Streams[w]), stf.StreamOps(cp.Streams[w]), stf.StreamBytes(cp.Streams[w]))
 	}
 	return nil
 }

@@ -161,7 +161,7 @@ func TestVetEmit(t *testing.T) {
 			[]string{"workload   lu", "tasks", "depth", "flow id", "load histogram", "pruning", "elision:", "worker 3:"}},
 		// A chain on one worker: every access is private, the stream is execs.
 		{[]string{"-workload", "chain", "-size", "30", "-workers", "2", "-mapping", "single:0", "-emit", "stats"},
-			[]string{"elision: 100.0% of accesses (30 of 30)", "worker 0: 90 micro-ops canonical, 30 emitted", "worker 1: 30 micro-ops canonical, 0 emitted"}},
+			[]string{"elision: 100.0% of accesses (30 of 30)", "worker 0: 90 micro-ops canonical, 30 emitted, 120 bytes stored", "worker 1: 30 micro-ops canonical, 0 emitted, 0 bytes stored"}},
 		{[]string{"-workload", "gemm", "-size", "2", "-emit", "dot"}, []string{"digraph"}},
 		{[]string{"-workload", "lu", "-size", "2", "-emit", "json"}, []string{`"tasks"`}},
 	} {

@@ -4,6 +4,7 @@ package rio
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rio/internal/stf"
@@ -32,11 +33,11 @@ func TestLowerSelectsCanonicalWhenArmed(t *testing.T) {
 	for i := 0; i < tasks; i++ {
 		d, id := stf.DataID(i%chains), int32(i)
 		want[0] = append(want[0],
-			stf.Instr{Op: stf.OpGetWrite, Mode: stf.ReadWrite, Data: d, Task: id},
+			stf.Instr{Op: stf.OpGetWrite, Data: d, Task: id},
 			stf.Instr{Op: stf.OpExec, Task: id},
-			stf.Instr{Op: stf.OpTermWrite, Mode: stf.ReadWrite, Data: d, Task: id})
+			stf.Instr{Op: stf.OpTermWrite, Data: d, Task: id})
 		for w := 1; w < workers; w++ {
-			want[w] = append(want[w], stf.Instr{Op: stf.OpDeclareWrite, Mode: stf.ReadWrite, Data: d, Task: id})
+			want[w] = append(want[w], stf.Instr{Op: stf.OpDeclareWrite, Data: d, Task: id})
 		}
 	}
 
@@ -48,8 +49,12 @@ func TestLowerSelectsCanonicalWhenArmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Elided != nil || !reflect.DeepEqual(cp.Streams, want) {
-		t.Errorf("armed lowering is not canonical: Elided = %v, streams %v", cp.Elided, cp.Streams)
+	got := make([][]stf.Instr, workers)
+	for w, s := range cp.Streams {
+		got[w] = slices.Collect(stf.Decode(s))
+	}
+	if cp.Elided != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("armed lowering is not canonical: Elided = %v, streams %v", cp.Elided, got)
 	}
 
 	unarmed, err := NewEngine(Options{Workers: workers, Mapping: single})

@@ -105,11 +105,16 @@ func (r *flowRecorder) Worker() stf.WorkerID { return stf.MasterWorker }
 func (r *flowRecorder) NumWorkers() int      { return r.workers }
 
 // runStreamTasks is the compiled execution loop: a flat walk over this
-// worker's micro-op stream. Declares and terminates call the
-// localState/sharedState protocol primitives directly; gets reuse the same
-// escalating waits as closure replay (so the stall watchdog and abort latch
-// behave identically); OpExec polls the abort flag once per task, mirroring
-// the per-submission poll of the closure path.
+// worker's micro-op stream, decoded word by word (stf's microop.go). The
+// loop keeps the open group's task in a register — OpTask and OpExec set
+// it — and every data micro-op reads its task from there: the write ID of
+// a declare_write or terminate_write, a get's diagnostics, the armed
+// claim. Declares and terminates call the localState/sharedState protocol
+// primitives directly; gets reuse the same escalating waits as closure
+// replay (so the stall watchdog and abort latch behave identically), and
+// hand them no access mode: a wait that turns slow reads it from the task
+// table (declaredMode). OpExec polls the abort flag once per task,
+// mirroring the per-submission poll of the closure path.
 //
 // The stream is interpreted against an explicit task table. For a one-shot
 // run the table is cp.Tasks itself; streaming sessions pass the current
@@ -130,16 +135,26 @@ func (r *flowRecorder) NumWorkers() int      { return r.workers }
 func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k stf.Kernel) {
 	stream := cp.Streams[s.worker]
 	armed := s.steal != nil
-	cur := int32(-1) // owned task the claim verdict below applies to
-	lost := false    // cur was stolen
-	for i := range stream {
-		in := &stream[i]
-		op := in.Op
+	task := int32(-1)    // the task register
+	claimed := int32(-1) // owned task the claim verdict below applies to
+	lost := false        // claimed was stolen
+	for i := 0; i < len(stream); i++ {
+		w := stream[i]
+		if w.Op() == stf.OpTask && i+1 < len(stream) {
+			// A group's task word and its first micro-op in one step: one
+			// dispatch per micro-op, not per word.
+			task, i = w.Arg(), i+1
+			w = stream[i]
+		}
+		op, arg := w.Op(), w.Arg()
 		if armed && op >= stf.OpGetRead && op <= stf.OpTermRed {
 			// A micro-op of an owned task (access-free tasks open with their
 			// exec).
-			if in.Task != cur {
-				cur, lost = in.Task, !s.claims.tryClaim(int64(in.Task))
+			if op == stf.OpExec {
+				task = arg
+			}
+			if task != claimed {
+				claimed, lost = task, !s.claims.tryClaim(int64(task))
 				if lost {
 					// A stolen own task is accounted like a foreign one; the
 					// compile-time Declared charge below never includes own
@@ -155,43 +170,46 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 			}
 		}
 		switch op {
+		case stf.OpTask: // a stream's last word, or a task word repeated
+			task = arg
 		case stf.OpDeclareRead:
-			s.local[in.Data].declareRead()
+			s.local[arg].declareRead()
 		case stf.OpDeclareWrite:
-			s.local[in.Data].declareWrite(int64(in.Task))
+			s.local[arg].declareWrite(int64(task))
 		case stf.OpDeclareRed:
-			s.local[in.Data].declareRed()
+			s.local[arg].declareRed()
 		case stf.OpGetRead:
-			s.getRead(stf.TaskID(in.Task), stf.Access{Data: in.Data, Mode: in.Mode})
+			s.getRead(stf.TaskID(task), stf.Access{Data: stf.DataID(arg)})
 			if s.err != nil {
 				return // aborted while waiting
 			}
 		case stf.OpGetWrite:
-			s.getWrite(stf.TaskID(in.Task), stf.Access{Data: in.Data, Mode: in.Mode})
+			s.getWrite(stf.TaskID(task), stf.Access{Data: stf.DataID(arg)})
 			if s.err != nil {
 				return
 			}
 		case stf.OpGetRed:
-			s.getRed(stf.TaskID(in.Task), stf.Access{Data: in.Data, Mode: in.Mode})
+			s.getRed(stf.TaskID(task), stf.Access{Data: stf.DataID(arg)})
 			if s.err != nil {
 				return
 			}
 		case stf.OpExec:
+			task = arg
 			if s.abort.raised() {
 				s.fail(errAborted)
 				return
 			}
-			if t := &tasks[in.Task]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}) {
+			if t := &tasks[arg]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}) {
 				return // task failed terminally (retries exhausted)
 			}
 		case stf.OpTermRead:
-			s.local[in.Data].terminateRead(&s.shared[in.Data])
+			s.local[arg].terminateRead(&s.shared[arg])
 		case stf.OpTermWrite:
-			s.local[in.Data].terminateWrite(&s.shared[in.Data], int64(in.Task))
+			s.local[arg].terminateWrite(&s.shared[arg], int64(task))
 		case stf.OpTermRed:
-			s.local[in.Data].terminateRed(&s.shared[in.Data])
+			s.local[arg].terminateRed(&s.shared[arg])
 		default:
-			err := fmt.Errorf("core: corrupt compiled stream: op %d at %d", in.Op, i)
+			err := fmt.Errorf("core: corrupt compiled stream: op %d at %d", op, i)
 			s.fail(err)
 			s.abort.raise(err, false)
 			return
@@ -206,4 +224,20 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 	if sk := cp.Stats[s.worker].Skipped; sk > 0 {
 		s.prog.CountSkipped(sk)
 	}
+}
+
+// declaredMode is the access mode task id declared on datum d, read from
+// the task table of the flow being replayed: compiled streams carry no
+// modes, and a wait needs one only once it is slow, for the hooks and the
+// stall watchdog.
+func (s *submitter) declaredMode(id stf.TaskID, d stf.DataID) stf.AccessMode {
+	if s.flow == nil || id < 0 || int(id) >= len(s.flow.tasks) {
+		return stf.None
+	}
+	for _, a := range s.flow.tasks[id].Accesses {
+		if a.Data == d {
+			return a.Mode
+		}
+	}
+	return stf.None
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -164,7 +165,9 @@ func TestCompiledCancellation(t *testing.T) {
 func TestCompiledCorruptStream(t *testing.T) {
 	g := graphs.Independent(4)
 	cp := compile(t, g, sched.Cyclic(1), 1, nil)
-	cp.Streams[0][2].Op = stf.OpCode(99)
+	ins := slices.Collect(stf.Decode(cp.Streams[0]))
+	ins[2].Op = stf.OpCode(15) // no opcode: the last a word holds
+	cp.Streams[0] = stf.Encode(ins)
 	e := newEngine(t, core.Options{Workers: 1})
 	if err := e.RunCompiled(cp, func(*stf.Task, stf.WorkerID) {}); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("err = %v, want corrupt-stream error", err)

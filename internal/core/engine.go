@@ -436,15 +436,16 @@ type submitter struct {
 	claims  *claimTable
 	abort   *abortState
 	watched bool                // the stall watchdog reads this worker's slow waits
+	track   bool                // log completed tasks for checkpoints
 	guard   *guardState         // nil when the divergence guard is disabled
 	prog    *trace.ProgressCell // the worker's run record (Progress, Stats, watchdog)
 	hooks   *stf.Hooks          // nil when no lifecycle hooks are installed
 	retry   *stf.RetryPolicy    // nil disables task retry
 	snaps   stf.Snapshotter     // write-set capture for retry rollback
 	resume  *stf.Checkpoint     // completed tasks of a previous run to skip
-	track   bool                // log completed tasks for checkpoints
 	thief   *stealState         // this worker's steal state; nil unless the engine is armed
 	steal   *stealState         // thief while the flow being replayed is armed, else nil
+	flow    *flow               // the flow being replayed, nil between runs
 	done    []stf.TaskID        // tasks this worker completed (track only)
 	err     error
 	// task and idle are the accounted body and wait time, stored in the
@@ -496,13 +497,14 @@ func (e *Engine) compiledFlow(cp *stf.CompiledProgram, tasks []stf.Task, k stf.K
 // the worker's exit, and no steal outlives its run or window.
 func (s *submitter) replay(f *flow) {
 	defer func() {
+		s.flow = nil // the state is pooled: hold no flow between runs
 		if r := recover(); r != nil {
 			err := fmt.Errorf("core: panic during replay: %v", r)
 			s.fail(err)
 			s.abort.raise(err, false)
 		}
 	}()
-	s.steal = nil
+	s.flow, s.steal = f, nil
 	if f.meta != nil {
 		s.steal = s.thief
 		s.steal.flow = f

@@ -134,4 +134,18 @@ func TestWaitSpinBudgetIsPerWait(t *testing.T) {
 	if st := cell.State(); st.Waiting != stf.NoTask {
 		t.Fatalf("after a slow wait, the cell still shows a wait on task %d", st.Waiting)
 	}
+	// A compiled stream's get carries no mode: a slow one publishes the
+	// mode its task declared, read from the task table.
+	s.flow = &flow{tasks: []stf.Task{{ID: 0, Accesses: []stf.Access{stf.R(1), stf.RW(0)}}}}
+	polls = 0
+	s.wait(0, stf.Access{Data: 0}, sh, func() bool {
+		polls++
+		if st := cell.State(); st.Waiting != stf.NoTask {
+			slow = st
+		}
+		return polls > 1000+3
+	})
+	if slow.Waiting != 0 || slow.WaitOn != stf.RW(0) {
+		t.Fatalf("slow compiled wait published task %d access %+v, want 0/%+v", slow.Waiting, slow.WaitOn, stf.RW(0))
+	}
 }

@@ -74,6 +74,9 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 	if cond() {
 		return
 	}
+	if a.Mode == stf.None { // a compiled stream's get
+		a.Mode = s.declaredMode(id, a.Data)
+	}
 	if h := s.hooks; h != nil && h.OnWaitStart != nil {
 		h.OnWaitStart(s.worker, id, a)
 	}

@@ -3,6 +3,7 @@ package enginetest_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +41,7 @@ type hookLog struct {
 	taskEnds   map[stf.TaskID]int
 	waitStarts int
 	waitEnds   int
+	waitedOn   map[stf.TaskID][]stf.Access // OnWaitStart's accesses
 	open       map[stf.WorkerID]stf.TaskID
 	violations []string
 }
@@ -48,6 +50,7 @@ func newHookLog() *hookLog {
 	return &hookLog{
 		taskStarts: map[stf.TaskID]int{},
 		taskEnds:   map[stf.TaskID]int{},
+		waitedOn:   map[stf.TaskID][]stf.Access{},
 		open:       map[stf.WorkerID]stf.TaskID{},
 	}
 }
@@ -110,6 +113,7 @@ func (l *hookLog) hooks() *stf.Hooks {
 			l.mu.Lock()
 			defer l.mu.Unlock()
 			l.waitStarts++
+			l.waitedOn[id] = append(l.waitedOn[id], a)
 		},
 		OnWaitEnd: func(w stf.WorkerID, id stf.TaskID, a stf.Access) {
 			l.mu.Lock()
@@ -155,6 +159,19 @@ func (l *hookLog) check(t *testing.T, g *stf.Graph, runs int) {
 	if l.waitStarts != l.waitEnds {
 		t.Errorf("unpaired wait hooks: %d starts, %d ends", l.waitStarts, l.waitEnds)
 	}
+	// A task's wait names an access it declared, mode included — a compiled
+	// stream's too, which stores no modes. (The centralized master's waits
+	// are not a task's.)
+	for id, waits := range l.waitedOn {
+		if id < 0 {
+			continue
+		}
+		for _, a := range waits {
+			if !slices.Contains(g.Tasks[id].Accesses, a) {
+				t.Errorf("task %d waited on %+v, which it does not declare (%+v)", id, a, g.Tasks[id].Accesses)
+			}
+		}
+	}
 }
 
 func TestHookContractAllEngines(t *testing.T) {
@@ -188,6 +205,36 @@ func TestHookContractAllEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.check(t, g, 1)
+	})
+
+	// A wait that certainly happens on a compiled stream: worker 1's get on
+	// task 1 waits for task 0's slow body. Its hooks must name the declared
+	// ReadWrite, not the Write its opcode implies.
+	t.Run("rio-compiled-wait", func(t *testing.T) {
+		g := stf.NewGraph("handoff", 1)
+		g.Add(0, 0, 0, 0, stf.RW(0))
+		g.Add(0, 1, 0, 0, stf.RW(0))
+		l := newHookLog()
+		e, err := core.New(core.Options{Workers: 2, Hooks: l.hooks()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := stf.Compile(g, func(id stf.TaskID) stf.WorkerID { return stf.WorkerID(id) }, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e.RunCompiled(cp, func(tk *stf.Task, _ stf.WorkerID) {
+			if tk.ID == 0 {
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.check(t, g, 1)
+		if w := l.waitedOn[1]; len(w) != 1 || w[0] != stf.RW(0) {
+			t.Errorf("task 1 waited on %+v, want one wait on %+v", w, stf.RW(0))
+		}
 	})
 
 	t.Run("centralized", func(t *testing.T) {

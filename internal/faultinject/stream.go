@@ -1,6 +1,10 @@
 package faultinject
 
-import "rio/internal/stf"
+import (
+	"slices"
+
+	"rio/internal/stf"
+)
 
 // Compiled-stream mutators: deterministic corruptions of a
 // stf.CompiledProgram, one per defect class the internal/verify certifier
@@ -112,43 +116,64 @@ func CloneProgram(cp *stf.CompiledProgram) *stf.CompiledProgram {
 		NumData: cp.NumData,
 		Workers: cp.Workers,
 		Tasks:   cp.Tasks,
-		Streams: make([][]stf.Instr, len(cp.Streams)),
+		Streams: make([][]stf.Word, len(cp.Streams)),
 		Stats:   append([]stf.StreamStats(nil), cp.Stats...),
 		Pruned:  cp.Pruned,
 		Elided:  append([]bool(nil), cp.Elided...),
 	}
 	for w, s := range cp.Streams {
-		out.Streams[w] = append([]stf.Instr(nil), s...)
+		out.Streams[w] = append([]stf.Word(nil), s...)
 	}
 	return out
 }
 
-// corruptOpcode overwrites the site-th micro-op's opcode with a value no
-// interpreter recognizes.
+// decoded returns fresh copies of cp's streams in the decoded view the
+// mutators edit.
+func decoded(cp *stf.CompiledProgram) [][]stf.Instr {
+	out := make([][]stf.Instr, len(cp.Streams))
+	for w, s := range cp.Streams {
+		out[w] = slices.Collect(stf.Decode(s))
+	}
+	return out
+}
+
+// withStreams returns a deep copy of cp whose streams are the encoding of
+// streams.
+func withStreams(cp *stf.CompiledProgram, streams [][]stf.Instr) *stf.CompiledProgram {
+	out := CloneProgram(cp)
+	for w, s := range streams {
+		out.Streams[w] = stf.Encode(s)
+	}
+	return out
+}
+
+// corruptOpcode overwrites the site-th micro-op's opcode with one no
+// interpreter recognizes: the last of the sixteen a word can hold.
 func corruptOpcode(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool) {
+	ds := decoded(cp)
 	n := 0
-	for _, s := range cp.Streams {
+	for _, s := range ds {
 		n += len(s)
 	}
 	if n == 0 {
 		return nil, false
 	}
 	site %= n
-	out := CloneProgram(cp)
-	for w := range out.Streams {
-		if site < len(out.Streams[w]) {
-			out.Streams[w][site].Op = stf.OpCode(255)
-			return out, true
+	for w := range ds {
+		if site < len(ds[w]) {
+			ds[w][site].Op = stf.OpCode(15)
+			return withStreams(cp, ds), true
 		}
-		site -= len(out.Streams[w])
+		site -= len(ds[w])
 	}
 	return nil, false
 }
 
 // dropInstr removes the site-th micro-op satisfying pred.
 func dropInstr(cp *stf.CompiledProgram, site int, pred func(stf.Instr) bool) (*stf.CompiledProgram, bool) {
+	ds := decoded(cp)
 	n := 0
-	for _, s := range cp.Streams {
+	for _, s := range ds {
 		for _, in := range s {
 			if pred(in) {
 				n++
@@ -159,20 +184,40 @@ func dropInstr(cp *stf.CompiledProgram, site int, pred func(stf.Instr) bool) (*s
 		return nil, false
 	}
 	site %= n
-	out := CloneProgram(cp)
-	for w, s := range out.Streams {
+	for w, s := range ds {
 		for k, in := range s {
 			if !pred(in) {
 				continue
 			}
 			if site == 0 {
-				out.Streams[w] = append(s[:k:k], s[k+1:]...)
-				return out, true
+				ds[w] = slices.Delete(s, k, k+1)
+				return withStreams(cp, ds), true
 			}
 			site--
 		}
 	}
 	return nil, false
+}
+
+// group is one task's micro-ops s[start:end) in worker w's decoded stream.
+type group struct{ w, start, end int }
+
+// groups lists the task groups of decoded stream s (worker w) for which
+// keep holds.
+func groups(w int, s []stf.Instr, keep func(g group, hasExec bool) bool) []group {
+	var out []group
+	for i := 0; i < len(s); {
+		j, hasExec := i, false
+		for j < len(s) && s[j].Task == s[i].Task {
+			hasExec = hasExec || s[j].Op == stf.OpExec
+			j++
+		}
+		if g := (group{w, i, j}); keep(g, hasExec) {
+			out = append(out, g)
+		}
+		i = j
+	}
+	return out
 }
 
 // retargetExec moves the site-th exec group wholesale into the next
@@ -183,66 +228,44 @@ func retargetExec(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool
 	if cp.Workers < 2 {
 		return nil, false
 	}
-	type pos struct{ w, start, end int }
-	var groups []pos
-	for w, s := range cp.Streams {
-		for i := 0; i < len(s); {
-			id := s[i].Task
-			j, hasExec := i, false
-			for j < len(s) && s[j].Task == id {
-				hasExec = hasExec || s[j].Op == stf.OpExec
-				j++
-			}
-			if hasExec {
-				groups = append(groups, pos{w, i, j})
-			}
-			i = j
-		}
+	ds := decoded(cp)
+	var execs []group
+	for w, s := range ds {
+		execs = append(execs, groups(w, s, func(_ group, hasExec bool) bool { return hasExec })...)
 	}
-	if len(groups) == 0 {
+	if len(execs) == 0 {
 		return nil, false
 	}
-	g := groups[site%len(groups)]
-	out := CloneProgram(cp)
-	src := out.Streams[g.w]
-	moved := append([]stf.Instr(nil), src[g.start:g.end]...)
+	g := execs[site%len(execs)]
+	src := ds[g.w]
+	moved := slices.Clone(src[g.start:g.end])
 	id := moved[0].Task
-	out.Streams[g.w] = append(src[:g.start:g.start], src[g.end:]...)
+	ds[g.w] = slices.Delete(src, g.start, g.end)
 	dst := (g.w + 1) % cp.Workers
-	s := out.Streams[dst]
+	s := ds[dst]
 	// Find where the group belongs in the destination's task order, and
 	// whether a declare group for the task must give way.
 	ins, end := len(s), len(s)
-	for i := 0; i < len(s); {
-		tid := s[i].Task
-		j := i
-		for j < len(s) && s[j].Task == tid {
-			j++
-		}
-		if tid >= id {
-			ins = i
-			end = i
+	for _, h := range groups(dst, s, func(group, bool) bool { return true }) {
+		if tid := s[h.start].Task; tid >= id {
+			ins, end = h.start, h.start
 			if tid == id {
-				end = j
+				end = h.end
 			}
 			break
 		}
-		i = j
 	}
-	ns := make([]stf.Instr, 0, len(s)-(end-ins)+len(moved))
-	ns = append(ns, s[:ins]...)
-	ns = append(ns, moved...)
-	ns = append(ns, s[end:]...)
-	out.Streams[dst] = ns
-	return out, true
+	ds[dst] = slices.Concat(s[:ins], moved, s[end:])
+	return withStreams(cp, ds), true
 }
 
 // reorderGroups swaps two adjacent task groups in the site-th stream that
 // has at least two groups, breaking program order.
 func reorderGroups(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool) {
+	ds := decoded(cp)
 	var candidates []int
-	for w, s := range cp.Streams {
-		if groupCount(s) >= 2 {
+	for w, s := range ds {
+		if len(groups(w, s, func(group, bool) bool { return true })) >= 2 {
 			candidates = append(candidates, w)
 		}
 	}
@@ -250,35 +273,10 @@ func reorderGroups(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, boo
 		return nil, false
 	}
 	w := candidates[site%len(candidates)]
-	out := CloneProgram(cp)
-	s := out.Streams[w]
-	// Bounds of the first two groups.
-	firstEnd := 1
-	for firstEnd < len(s) && s[firstEnd].Task == s[0].Task {
-		firstEnd++
-	}
-	secondEnd := firstEnd + 1
-	for secondEnd < len(s) && s[secondEnd].Task == s[firstEnd].Task {
-		secondEnd++
-	}
-	ns := make([]stf.Instr, 0, len(s))
-	ns = append(ns, s[firstEnd:secondEnd]...)
-	ns = append(ns, s[:firstEnd]...)
-	ns = append(ns, s[secondEnd:]...)
-	out.Streams[w] = ns
-	return out, true
-}
-
-func groupCount(s []stf.Instr) int {
-	n := 0
-	for i := 0; i < len(s); {
-		id := s[i].Task
-		for i < len(s) && s[i].Task == id {
-			i++
-		}
-		n++
-	}
-	return n
+	gs := groups(w, ds[w], func(group, bool) bool { return true })
+	s, first, second := ds[w], gs[0], gs[1]
+	ds[w] = slices.Concat(s[second.start:second.end], s[first.start:first.end], s[second.end:])
+	return withStreams(cp, ds), true
 }
 
 // retargetData points the site-th non-exec micro-op at the next data
@@ -288,8 +286,9 @@ func retargetData(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool
 	if cp.NumData < 2 {
 		return nil, false
 	}
+	ds := decoded(cp)
 	n := 0
-	for _, s := range cp.Streams {
+	for _, s := range ds {
 		for _, in := range s {
 			if in.Op != stf.OpExec {
 				n++
@@ -300,15 +299,14 @@ func retargetData(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool
 		return nil, false
 	}
 	site %= n
-	out := CloneProgram(cp)
-	for w, s := range out.Streams {
+	for w, s := range ds {
 		for k := range s {
 			if s[k].Op == stf.OpExec {
 				continue
 			}
 			if site == 0 {
-				out.Streams[w][k].Data = (s[k].Data + 1) % stf.DataID(cp.NumData)
-				return out, true
+				ds[w][k].Data = (s[k].Data + 1) % stf.DataID(cp.NumData)
+				return withStreams(cp, ds), true
 			}
 			site--
 		}
@@ -323,30 +321,19 @@ func retargetData(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool
 // without that property (where elision might be dominated, hence legal)
 // are never picked; returns false when no unsound site exists.
 func elideDeclares(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool) {
-	type pos struct{ w, start, end int }
-	var sites []pos
-	for w, s := range cp.Streams {
-		for i := 0; i < len(s); {
-			id := s[i].Task
-			j, hasExec := i, false
-			for j < len(s) && s[j].Task == id {
-				hasExec = hasExec || s[j].Op == stf.OpExec
-				j++
-			}
-			if !hasExec && unsoundToElide(s, i, j) {
-				sites = append(sites, pos{w, i, j})
-			}
-			i = j
-		}
+	ds := decoded(cp)
+	var sites []group
+	for w, s := range ds {
+		sites = append(sites, groups(w, s, func(g group, hasExec bool) bool {
+			return !hasExec && unsoundToElide(s, g.start, g.end)
+		})...)
 	}
 	if len(sites) == 0 {
 		return nil, false
 	}
 	g := sites[site%len(sites)]
-	out := CloneProgram(cp)
-	s := out.Streams[g.w]
-	out.Streams[g.w] = append(s[:g.start:g.start], s[g.end:]...)
-	return out, true
+	ds[g.w] = slices.Delete(ds[g.w], g.start, g.end)
+	return withStreams(cp, ds), true
 }
 
 // unsoundToElide reports whether dropping the declare group s[start:end)
@@ -378,8 +365,9 @@ func unsoundToElide(s []stf.Instr, start, end int) bool {
 // read off the streams' execs). Returns false when there is none (a
 // single-worker program, or one whose written data are all private).
 func elideContended(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bool) {
+	ds := decoded(cp)
 	executor := make([]int, len(cp.Tasks))
-	for w, s := range cp.Streams {
+	for w, s := range ds {
 		for _, in := range s {
 			if in.Op == stf.OpExec {
 				executor[in.Task] = w + 1 // 0: no stream executes the task
@@ -414,20 +402,14 @@ func elideContended(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bo
 		return nil, false
 	}
 	d := sites[site%len(sites)]
-	out := CloneProgram(cp)
+	for w, s := range ds {
+		ds[w] = slices.DeleteFunc(s, func(in stf.Instr) bool { return in.Op != stf.OpExec && in.Data == d })
+	}
+	out := withStreams(cp, ds)
 	if out.Elided == nil {
 		out.Elided = make([]bool, cp.NumData)
 	}
 	out.Elided[d] = true
-	for w, s := range out.Streams {
-		ns := s[:0]
-		for _, in := range s {
-			if in.Op == stf.OpExec || in.Data != d {
-				ns = append(ns, in)
-			}
-		}
-		out.Streams[w] = ns
-	}
 	return out, true
 }
 
@@ -462,7 +444,7 @@ func SplitResume(cp *stf.CompiledProgram, c *stf.Checkpoint, site int) (*stf.Com
 	}
 	w := candidates[site%len(candidates)]
 	out := CloneProgram(cp)
-	out.Streams[w] = append([]stf.Instr(nil), pruned.Streams[w]...)
+	out.Streams[w] = append([]stf.Word(nil), pruned.Streams[w]...)
 	out.Stats[w] = pruned.Stats[w]
 	return out, true
 }

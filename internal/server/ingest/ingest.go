@@ -13,6 +13,7 @@
 package ingest
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -239,6 +240,37 @@ func Parse(r io.Reader, workers int) (*Submission, error) {
 	}
 	sub.Kernel = kernel
 	return sub, nil
+}
+
+// runKeys are the keys of a run body.
+var runKeys = []string{"kernel"}
+
+// ParseRun reads the body of POST /v1/flows/{id}/run, {"kernel": name},
+// by the rules of a submission: keys fold, null is absent, other members
+// are skipped, and nothing but white space may follow the object. An
+// empty body means the defaults. It returns the kernel name, empty when
+// none is given.
+func ParseRun(r io.Reader) (kernel string, err error) {
+	body, err := stf.ReadDocument(r, 0)
+	if err != nil {
+		return "", fmt.Errorf("ingest: reading run request: %w", err)
+	}
+	defer stf.ReleaseDocument(body)
+	if len(bytes.TrimLeft(body.Bytes(), " \t\r\n")) == 0 {
+		return "", nil
+	}
+	s := stf.NewScanner(body.Bytes())
+	err = s.Object(runKeys, func(int) (err error) {
+		kernel, err = s.String()
+		return err
+	})
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		return "", fmt.Errorf("ingest: decoding run request: %w", err)
+	}
+	return kernel, nil
 }
 
 // NewSubmission validates an already-parsed graph + mapping spec and

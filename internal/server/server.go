@@ -35,10 +35,12 @@ import (
 	"net/http"
 	"regexp"
 	"time"
+	"unsafe"
 
 	"rio"
 	"rio/internal/analyze"
 	"rio/internal/server/ingest"
+	"rio/internal/stf"
 )
 
 // Config parameterizes a Server. The zero value serves with the
@@ -230,6 +232,8 @@ type flowInfo struct {
 	Verified bool `json:"verified"`
 	// Runs counts completed executions of the flow.
 	Runs int64 `json:"runs"`
+	// ProgramBytes is what the flow holds for its program (programBytes).
+	ProgramBytes int64 `json:"program_bytes"`
 	// Findings tallies the preflight report (informational findings do
 	// not reject).
 	Findings struct {
@@ -241,14 +245,15 @@ type flowInfo struct {
 
 func (s *Server) flowInfo(f *flow, cached bool) flowInfo {
 	info := flowInfo{
-		ID:       f.id,
-		Name:     f.sub.Graph.Name,
-		Tasks:    len(f.sub.Graph.Tasks),
-		Data:     f.sub.Graph.NumData,
-		Mapping:  f.sub.MappingSpec.Canonical(),
-		Cached:   cached,
-		Verified: s.cfg.Verify,
-		Runs:     f.runs.Load(),
+		ID:           f.id,
+		Name:         f.sub.Graph.Name,
+		Tasks:        len(f.sub.Graph.Tasks),
+		Data:         f.sub.Graph.NumData,
+		Mapping:      f.sub.MappingSpec.Canonical(),
+		Cached:       cached,
+		Verified:     s.cfg.Verify,
+		Runs:         f.runs.Load(),
+		ProgramBytes: f.bytes,
 	}
 	if f.report != nil {
 		info.Findings.Errors = f.report.Errors
@@ -301,6 +306,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flo
 		if f.err == nil {
 			f.cp, f.err = s.compile(sub)
 		}
+		if f.err == nil {
+			f.bytes = programBytes(f.cp)
+		}
 		if f.err != nil {
 			t.unregister(f)
 		} else {
@@ -347,6 +355,20 @@ func (s *Server) compile(sub *ingest.Submission) (*rio.CompiledProgram, error) {
 	return cp, nil
 }
 
+// programBytes is what a registered flow holds for as long as it is
+// registered: the task table and its accesses, which kernels receive, and
+// the compiled streams.
+func programBytes(cp *rio.CompiledProgram) int64 {
+	n := len(cp.Tasks) * int(unsafe.Sizeof(stf.Task{}))
+	for i := range cp.Tasks {
+		n += len(cp.Tasks[i].Accesses) * int(unsafe.Sizeof(stf.Access{}))
+	}
+	for _, st := range cp.Streams {
+		n += stf.StreamBytes(st)
+	}
+	return int64(n)
+}
+
 // handleListFlows is GET /v1/flows.
 func (s *Server) handleListFlows(w http.ResponseWriter, r *http.Request) {
 	t := s.lookupTenant(w, r)
@@ -373,14 +395,6 @@ func (s *Server) handleFlowInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.flowInfo(f, true))
-}
-
-// runRequest is the optional body of POST /v1/flows/{id}/run.
-type runRequest struct {
-	// Kernel names the task body to replay the flow with: one of the
-	// built-in kernels (noop, spin, sleep) or a Config.Kernels entry.
-	// Empty means noop — the pure synchronization skeleton.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // runResult is the JSON response of an execution.
@@ -410,13 +424,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown flow %q", r.PathValue("id"))
 		return
 	}
-	var rr runRequest // an empty body means the defaults
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunRequestBytes)).Decode(&rr)
-	if err != nil && !errors.Is(err, io.EOF) {
-		writeSubmitErr(w, fmt.Errorf("decoding run request: %w", err)) // 413 when oversized, else 400
+	// The body is {"kernel": name}, optional: the task body to replay the
+	// flow with, one of the built-in kernels (noop, spin, sleep) or a
+	// Config.Kernels entry; none means noop, the synchronization skeleton.
+	kernel, err := ingest.ParseRun(http.MaxBytesReader(w, r.Body, maxRunRequestBytes))
+	if err != nil {
+		writeSubmitErr(w, err) // 413 when oversized, else 400
 		return
 	}
-	s.execute(w, r, t, f, rr.Kernel)
+	s.execute(w, r, t, f, kernel)
 }
 
 // handleSubmitRun is POST /v1/run: submit and execute in one request
@@ -498,7 +514,8 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 // progressInfo is the JSON response of GET /v1/progress: the tenant's run
 // counters (tenant.Progress) plus the admission and flow-table state that
 // frames them. Cache is the flow table as a program cache: one miss per
-// compile, one hit per execution started, one entry per registered flow.
+// compile, one hit per execution started, one entry per registered flow,
+// and the entries' program bytes.
 // Runs says how many executions started and how many of them were
 // accounted — the weight of Progress's wait histogram, which only those
 // runs refresh.
@@ -512,6 +529,7 @@ type progressInfo struct {
 		Hits    int64 `json:"hits"`
 		Misses  int64 `json:"misses"`
 		Entries int   `json:"entries"`
+		Bytes   int64 `json:"bytes"`
 	} `json:"cache"`
 	Runs struct {
 		Total     int64 `json:"total"`
@@ -526,13 +544,17 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
+	flows := t.snapshot()
 	info := progressInfo{
 		Tenant:   t.name,
 		Draining: s.Draining(),
 		QueueLen: len(t.queue),
 		QueueCap: cap(t.queue),
-		Flows:    len(t.snapshot()),
+		Flows:    len(flows),
 		Progress: t.Progress(),
+	}
+	for _, f := range flows {
+		info.Cache.Bytes += f.bytes
 	}
 	info.Runs.Accounted = t.accounted.Load() // read before the total, which it must never exceed
 	info.Cache.Hits, info.Cache.Misses, info.Cache.Entries = t.hits.Load(), t.misses.Load(), info.Flows

@@ -458,6 +458,86 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// The run body is read as strictly as a submission: by the same scanner,
+// with keys folded, null as absent, unknown members skipped and nothing
+// after the object. An empty body is the defaults.
+func TestRunBody(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2})
+	info := submitFlow(t, hs.URL, "", graphs.Chain(4))
+	for _, tc := range []struct {
+		body   string
+		status int
+		kernel string
+	}{
+		{"", http.StatusOK, "noop"},
+		{" \n\t", http.StatusOK, "noop"},
+		{"null", http.StatusOK, "noop"},
+		{`{}`, http.StatusOK, "noop"},
+		{`{"kernel":"spin"}`, http.StatusOK, "spin"},
+		{`{"Kernel":"spin"}`, http.StatusOK, "spin"},
+		{`{"kernel":null}`, http.StatusOK, "noop"},
+		{`{"budget":[1,{"x":2}],"kernel":"spin"} ` + "\n", http.StatusOK, "spin"},
+		// Trailing bytes: encoding/json's Decoder read one value and
+		// ignored the rest, so this ran spin.
+		{`{"kernel":"spin"}garbage`, http.StatusBadRequest, ""},
+		{`{"kernel":"spin"} {}`, http.StatusBadRequest, ""},
+		{`{"kernel":"spin","kernel":"noop"}`, http.StatusBadRequest, ""},
+		{`{"kernel":5}`, http.StatusBadRequest, ""},
+		{`["spin"]`, http.StatusBadRequest, ""},
+		{`{"kernel":"spin"`, http.StatusBadRequest, ""},
+	} {
+		var res runResult
+		resp := do(t, "POST", hs.URL+"/v1/flows/"+info.ID+"/run", "", []byte(tc.body), nil)
+		if resp.StatusCode != tc.status {
+			raw, _ := io.ReadAll(resp.Body)
+			t.Errorf("body %q: status %d, want %d: %s", tc.body, resp.StatusCode, tc.status, raw)
+			continue
+		}
+		if tc.status != http.StatusOK {
+			continue
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Kernel != tc.kernel || res.Executed != 4 {
+			t.Errorf("body %q: ran kernel %q over %d tasks, want %q over 4", tc.body, res.Kernel, res.Executed, tc.kernel)
+		}
+	}
+}
+
+// A registered flow reports what it holds for its program — task table,
+// accesses and stream words — and the progress cache block their sum.
+func TestProgramBytes(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2})
+	g := stf.NewGraph("pin", 1)
+	g.Add(0, 0, 0, 0, stf.W(0))
+	g.Add(0, 1, 0, 0, stf.R(0))
+	// 2 tasks × 64 B, 2 accesses × 8 B, and under the cyclic mapping 6
+	// words × 4 B a worker: worker 0 is task 0's task word, get, exec and
+	// terminate, then task 1's task word and declare; worker 1 the mirror.
+	const want = 2*64 + 2*8 + 2*6*4
+	info := submitFlow(t, hs.URL, "", g)
+	if info.ProgramBytes != want {
+		t.Errorf("submit: program_bytes = %d, want %d", info.ProgramBytes, want)
+	}
+	var got flowInfo
+	do(t, "GET", hs.URL+"/v1/flows/"+info.ID, "", nil, &got)
+	var list struct{ Flows []flowInfo }
+	do(t, "GET", hs.URL+"/v1/flows", "", nil, &list)
+	if got.ProgramBytes != want || len(list.Flows) != 1 || list.Flows[0].ProgramBytes != want {
+		t.Errorf("GET flow, list: program_bytes = %d, %+v, want %d", got.ProgramBytes, list.Flows, want)
+	}
+	submitFlow(t, hs.URL, "", graphs.Chain(3))
+	var sum int64
+	do(t, "GET", hs.URL+"/v1/flows", "", nil, &list)
+	for _, f := range list.Flows {
+		sum += f.ProgramBytes
+	}
+	if p := progressOf(t, hs.URL, ""); p.Cache.Bytes != sum || sum <= want {
+		t.Errorf("progress cache bytes = %d, want the flows' sum %d", p.Cache.Bytes, sum)
+	}
+}
+
 func TestOneShotRunWithMapping(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2})
 	g := graphs.LU(3)

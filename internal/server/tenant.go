@@ -41,6 +41,7 @@ type flow struct {
 	report *analyze.Report
 	cp     *rio.CompiledProgram
 	err    error
+	bytes  int64 // programBytes(cp)
 
 	runs atomic.Int64
 }

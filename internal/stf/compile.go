@@ -12,12 +12,13 @@ import (
 // folds the divergence guard, paying the full n·t_r replay term of the
 // paper's cost model (eq. 2) again and again. Compilation hoists that work
 // out of the run loop: the flow is lowered ONCE into flat per-worker
-// instruction streams of pre-resolved micro-ops, and the engine's compiled
-// execution loop just interprets them — no closure dispatch, no interface
-// values, no per-run mapping calls, no guard folding (all workers'
-// streams derive from the same graph, so replay divergence is impossible
-// by construction). Task pruning (§3.5) is applied at compile time by
-// simply omitting irrelevant tasks from a worker's stream.
+// streams of pre-resolved micro-ops, four bytes each (microop.go), and the
+// engine's compiled execution loop just interprets them — no closure
+// dispatch, no interface values, no per-run mapping calls, no guard
+// folding (all workers' streams derive from the same graph, so replay
+// divergence is impossible by construction). Task pruning (§3.5) is
+// applied at compile time by simply omitting irrelevant tasks from a
+// worker's stream.
 //
 // The synchronization protocol is untouched: the micro-ops invoke exactly
 // the declare/get/terminate operations of Algorithms 1 and 2, in the same
@@ -25,76 +26,6 @@ import (
 // must be ordered on. A datum no two workers conflict on (see uncontended)
 // gets no micro-ops at all: the protocol exists to order conflicting
 // accesses across workers, and there it has nothing to order.
-
-// OpCode identifies one compiled micro-op. The access mode is folded into
-// the opcode so the execution loop dispatches on a single byte; the
-// original declared mode is still carried in Instr.Mode for diagnostics
-// (the stall watchdog reports what a worker is blocked on).
-type OpCode uint8
-
-const (
-	// OpDeclareRead … OpDeclareRed are the declare_* calls of Algorithm 1:
-	// private-memory bookkeeping for a task owned by another worker.
-	OpDeclareRead OpCode = iota
-	OpDeclareWrite
-	OpDeclareRed
-	// OpGetRead … OpGetRed are the get_* dependency waits.
-	OpGetRead
-	OpGetWrite
-	OpGetRed
-	// OpExec runs the task body (kernel dispatch on Tasks[Instr.Task]).
-	OpExec
-	// OpTermRead … OpTermRed are the terminate_* completion publications.
-	// The groups list their modes in one order: the engine maps a stolen
-	// task's terminate to the declare of its mode by subtraction.
-	OpTermRead
-	OpTermWrite
-	OpTermRed
-)
-
-// String names the opcode for dumps and tests.
-func (op OpCode) String() string {
-	switch op {
-	case OpDeclareRead:
-		return "declare_read"
-	case OpDeclareWrite:
-		return "declare_write"
-	case OpDeclareRed:
-		return "declare_red"
-	case OpGetRead:
-		return "get_read"
-	case OpGetWrite:
-		return "get_write"
-	case OpGetRed:
-		return "get_red"
-	case OpExec:
-		return "exec"
-	case OpTermRead:
-		return "terminate_read"
-	case OpTermWrite:
-		return "terminate_write"
-	case OpTermRed:
-		return "terminate_red"
-	}
-	return fmt.Sprintf("OpCode(%d)", uint8(op))
-}
-
-// Instr is one pre-resolved micro-op of a compiled stream: which protocol
-// operation to perform, on which data object, on behalf of which task.
-// 12 bytes; streams are flat []Instr arrays walked linearly, so the
-// compiled execution loop is cache-friendly and allocation-free.
-type Instr struct {
-	// Op selects the protocol operation (mode pre-dispatched).
-	Op OpCode
-	// Mode is the originally declared access mode (diagnostics only; the
-	// execution loop dispatches on Op alone).
-	Mode AccessMode
-	// Data is the accessed data object (unused by OpExec).
-	Data DataID
-	// Task is the index into CompiledProgram.Tasks (equal to the TaskID,
-	// since recorded graphs have sequential IDs).
-	Task int32
-}
 
 // StreamStats counts, for one worker's stream, the tasks it executes and
 // the tasks it declares — known at compile time, so the engine charges
@@ -127,10 +58,11 @@ type CompiledProgram struct {
 	// Workers is the worker count the program was compiled for; a run
 	// must use exactly this many workers.
 	Workers int
-	// Tasks is the task table OpExec and OpDeclareWrite index into.
+	// Tasks is the task table OpExec and OpTask index into.
 	Tasks []Task
-	// Streams holds one micro-op stream per worker.
-	Streams [][]Instr
+	// Streams holds one micro-op stream per worker, in the word format of
+	// microop.go: read it with Decode, write it with Encode.
+	Streams [][]Word
 	// Stats gives each stream's compile-time execute/declare counts.
 	Stats []StreamStats
 	// Pruned records whether §3.5 pruning was applied.
@@ -149,11 +81,11 @@ type CompiledProgram struct {
 
 // Ops returns the total micro-op count across all streams — the compiled
 // measure of per-run replay work (the n·t_r term, now paid at compile
-// time).
+// time). OpTask words are not micro-ops and are not counted.
 func (cp *CompiledProgram) Ops() int {
 	n := 0
 	for _, s := range cp.Streams {
-		n += len(s)
+		n += StreamOps(s)
 	}
 	return n
 }
@@ -203,8 +135,8 @@ func compile(g *Graph, m Mapping, workers int, relevant [][]bool, elide bool) (*
 			}
 		}
 	}
-	if len(g.Tasks) > 1<<31-1 {
-		return nil, fmt.Errorf("stf: compile: graph has %d tasks, compiled task indices are 32-bit", len(g.Tasks))
+	if err := checkIndexable(g.NumData, len(g.Tasks)); err != nil {
+		return nil, err
 	}
 
 	// Resolve ownership once per task (not once per task per worker).
@@ -294,7 +226,10 @@ func uncontended(tasks []Task, owners []WorkerID, numData int) []bool {
 // accesses to cp.Elided data emit nothing. The counts are of tasks, so
 // they do not depend on how many micro-ops a task kept.
 func (cp *CompiledProgram) lower(owners []WorkerID, relevant [][]bool) {
-	// Size every stream exactly, so each is allocated once.
+	// Size every stream exactly, so each is allocated once: an owned task
+	// takes a group word (when it has live accesses), its gets, the exec and
+	// its terminates; a foreign one a group word and its declares, or
+	// nothing.
 	sizes := make([]int, cp.Workers)
 	for i := range cp.Tasks {
 		if owners[i] < 0 {
@@ -309,37 +244,41 @@ func (cp *CompiledProgram) lower(owners []WorkerID, relevant [][]bool) {
 				}
 			}
 		}
+		group := 0
+		if live > 0 {
+			group = 1
+		}
 		for w := range sizes {
 			switch {
 			case relevant != nil && !relevant[w][i]:
 			case owners[i] == WorkerID(w):
-				sizes[w] += 2*live + 1
+				sizes[w] += group + 2*live + 1
 			default:
-				sizes[w] += live
+				sizes[w] += group + live
 			}
 		}
 	}
-	cp.Streams = make([][]Instr, cp.Workers)
+	cp.Streams = make([][]Word, cp.Workers)
 	cp.Stats = make([]StreamStats, cp.Workers)
 	for w := range cp.Streams {
-		stream := make([]Instr, 0, sizes[w])
+		a := appender{words: make([]Word, 0, sizes[w])}
 		for i := range cp.Tasks {
 			if owners[i] < 0 || (relevant != nil && !relevant[w][i]) {
 				continue
 			}
 			t := &cp.Tasks[i]
 			if owners[i] == WorkerID(w) {
-				stream = appendOwned(stream, t, cp.Elided)
+				a.appendOwned(t, cp.Elided)
 				cp.Stats[w].Executed++
 			} else {
 				// A foreign task with no live access needs no bookkeeping at
 				// all — it synchronizes on nothing. Closure replay still
 				// pays a submission for it; the compiled stream is free.
-				stream = appendForeign(stream, t, cp.Elided)
+				a.appendForeign(t, cp.Elided)
 				cp.Stats[w].Declared++
 			}
 		}
-		cp.Streams[w] = stream
+		cp.Streams[w] = a.words
 	}
 }
 
@@ -352,9 +291,9 @@ func (cp *CompiledProgram) execOwners() []WorkerID {
 		owners[i] = -1
 	}
 	for w, stream := range cp.Streams {
-		for i := range stream {
-			if stream[i].Op == OpExec {
-				owners[stream[i].Task] = WorkerID(w)
+		for in := range Decode(stream) {
+			if in.Op == OpExec {
+				owners[in.Task] = WorkerID(w)
 			}
 		}
 	}
@@ -386,33 +325,42 @@ func (cp *CompiledProgram) Canonical() *CompiledProgram {
 // appendOwned emits the micro-ops of a task the worker executes: the
 // get_* waits in declared access order, the body, then the terminate_*
 // publications — exactly the sequence of Algorithm 1's execute path, minus
-// the accesses to elided data.
-func appendOwned(stream []Instr, t *Task, elided []bool) []Instr {
+// the accesses to elided data. The words are the ones append would write
+// for that sequence, without its per-op test: lower emits each task once
+// per stream, so the task's group is never open when it starts.
+func (ap *appender) appendOwned(t *Task, elided []bool) {
 	id := int32(t.ID)
+	open := false
 	for _, a := range t.Accesses {
 		if elided == nil || !elided[a.Data] {
-			stream = append(stream, Instr{Op: getOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+			if !open {
+				ap.words, open = append(ap.words, word(OpTask, id)), true
+			}
+			ap.words = append(ap.words, word(getOp(a.Mode), int32(a.Data)))
 		}
 	}
-	stream = append(stream, Instr{Op: OpExec, Task: id})
+	ap.words = append(ap.words, word(OpExec, id))
 	for _, a := range t.Accesses {
 		if elided == nil || !elided[a.Data] {
-			stream = append(stream, Instr{Op: termOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+			ap.words = append(ap.words, word(termOp(a.Mode), int32(a.Data)))
 		}
 	}
-	return stream
+	ap.task, ap.open = id, true
 }
 
 // appendForeign emits the declare_* bookkeeping of a task owned by another
-// worker.
-func appendForeign(stream []Instr, t *Task, elided []bool) []Instr {
+// worker, as appendOwned does its micro-ops.
+func (ap *appender) appendForeign(t *Task, elided []bool) {
 	id := int32(t.ID)
 	for _, a := range t.Accesses {
 		if elided == nil || !elided[a.Data] {
-			stream = append(stream, Instr{Op: declareOp(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+			if !ap.open || ap.task != id {
+				ap.words = append(ap.words, word(OpTask, id))
+				ap.task, ap.open = id, true
+			}
+			ap.words = append(ap.words, word(declareOp(a.Mode), int32(a.Data)))
 		}
 	}
-	return stream
 }
 
 func declareOp(m AccessMode) OpCode {

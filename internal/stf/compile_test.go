@@ -2,6 +2,7 @@ package stf_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,25 +46,26 @@ func TestCompileStreamStructure(t *testing.T) {
 
 	// Worker 0 owns tasks 0, 2, 4; declares 1 (and 3, for free).
 	want0 := []stf.Instr{
-		{Op: stf.OpGetWrite, Mode: stf.WriteOnly, Data: 0, Task: 0},
+		{Op: stf.OpGetWrite, Data: 0, Task: 0},
 		{Op: stf.OpExec, Task: 0},
-		{Op: stf.OpTermWrite, Mode: stf.WriteOnly, Data: 0, Task: 0},
-		{Op: stf.OpDeclareRead, Mode: stf.ReadOnly, Data: 0, Task: 1},
-		{Op: stf.OpDeclareWrite, Mode: stf.WriteOnly, Data: 1, Task: 1},
-		{Op: stf.OpGetRed, Mode: stf.Reduction, Data: 2, Task: 2},
+		{Op: stf.OpTermWrite, Data: 0, Task: 0},
+		{Op: stf.OpDeclareRead, Data: 0, Task: 1},
+		{Op: stf.OpDeclareWrite, Data: 1, Task: 1},
+		{Op: stf.OpGetRed, Data: 2, Task: 2},
 		{Op: stf.OpExec, Task: 2},
-		{Op: stf.OpTermRed, Mode: stf.Reduction, Data: 2, Task: 2},
+		{Op: stf.OpTermRed, Data: 2, Task: 2},
 		// task 3: owned by worker 1, no accesses — nothing to emit.
-		{Op: stf.OpGetWrite, Mode: stf.ReadWrite, Data: 1, Task: 4},
-		{Op: stf.OpGetRead, Mode: stf.ReadOnly, Data: 0, Task: 4},
+		{Op: stf.OpGetWrite, Data: 1, Task: 4},
+		{Op: stf.OpGetRead, Data: 0, Task: 4},
 		{Op: stf.OpExec, Task: 4},
-		{Op: stf.OpTermWrite, Mode: stf.ReadWrite, Data: 1, Task: 4},
-		{Op: stf.OpTermRead, Mode: stf.ReadOnly, Data: 0, Task: 4},
+		{Op: stf.OpTermWrite, Data: 1, Task: 4},
+		{Op: stf.OpTermRead, Data: 0, Task: 4},
 	}
-	if len(cp.Streams[0]) != len(want0) {
-		t.Fatalf("worker 0 stream has %d ops, want %d\n%v", len(cp.Streams[0]), len(want0), cp.Streams[0])
+	got0 := decode(cp.Streams[0])
+	if len(got0) != len(want0) {
+		t.Fatalf("worker 0 stream has %d ops, want %d\n%v", len(got0), len(want0), got0)
 	}
-	for i, in := range cp.Streams[0] {
+	for i, in := range got0 {
 		if in != want0[i] {
 			t.Errorf("worker 0 op %d = %+v, want %+v", i, in, want0[i])
 		}
@@ -71,21 +73,22 @@ func TestCompileStreamStructure(t *testing.T) {
 
 	// Worker 1 owns tasks 1, 3; declares 0, 2, 4.
 	want1 := []stf.Instr{
-		{Op: stf.OpDeclareWrite, Mode: stf.WriteOnly, Data: 0, Task: 0},
-		{Op: stf.OpGetRead, Mode: stf.ReadOnly, Data: 0, Task: 1},
-		{Op: stf.OpGetWrite, Mode: stf.WriteOnly, Data: 1, Task: 1},
+		{Op: stf.OpDeclareWrite, Data: 0, Task: 0},
+		{Op: stf.OpGetRead, Data: 0, Task: 1},
+		{Op: stf.OpGetWrite, Data: 1, Task: 1},
 		{Op: stf.OpExec, Task: 1},
-		{Op: stf.OpTermRead, Mode: stf.ReadOnly, Data: 0, Task: 1},
-		{Op: stf.OpTermWrite, Mode: stf.WriteOnly, Data: 1, Task: 1},
-		{Op: stf.OpDeclareRed, Mode: stf.Reduction, Data: 2, Task: 2},
+		{Op: stf.OpTermRead, Data: 0, Task: 1},
+		{Op: stf.OpTermWrite, Data: 1, Task: 1},
+		{Op: stf.OpDeclareRed, Data: 2, Task: 2},
 		{Op: stf.OpExec, Task: 3},
-		{Op: stf.OpDeclareWrite, Mode: stf.ReadWrite, Data: 1, Task: 4},
-		{Op: stf.OpDeclareRead, Mode: stf.ReadOnly, Data: 0, Task: 4},
+		{Op: stf.OpDeclareWrite, Data: 1, Task: 4},
+		{Op: stf.OpDeclareRead, Data: 0, Task: 4},
 	}
-	if len(cp.Streams[1]) != len(want1) {
-		t.Fatalf("worker 1 stream has %d ops, want %d\n%v", len(cp.Streams[1]), len(want1), cp.Streams[1])
+	got1 := decode(cp.Streams[1])
+	if len(got1) != len(want1) {
+		t.Fatalf("worker 1 stream has %d ops, want %d\n%v", len(got1), len(want1), got1)
 	}
-	for i, in := range cp.Streams[1] {
+	for i, in := range got1 {
 		if in != want1[i] {
 			t.Errorf("worker 1 op %d = %+v, want %+v", i, in, want1[i])
 		}
@@ -100,7 +103,14 @@ func TestCompileStreamStructure(t *testing.T) {
 	if cp.Ops() != len(want0)+len(want1) {
 		t.Errorf("Ops() = %d, want %d", cp.Ops(), len(want0)+len(want1))
 	}
+	// One task word per group that does not open with its exec: tasks 0,
+	// 1, 2, 4 on worker 0; 0, 1, 2, 4 on worker 1 (task 3 is its exec).
+	if n0, n1 := len(cp.Streams[0]), len(cp.Streams[1]); n0 != len(want0)+4 || n1 != len(want1)+4 {
+		t.Errorf("streams hold %d and %d words, want %d and %d", n0, n1, len(want0)+4, len(want1)+4)
+	}
 }
+
+func decode(s []stf.Word) []stf.Instr { return slices.Collect(stf.Decode(s)) }
 
 // TestCompileElidesUncontendedData: data 2 of compileGraph is touched by
 // one reduction only, so the default lowering drops its micro-ops from both
@@ -121,16 +131,16 @@ func TestCompileElidesUncontendedData(t *testing.T) {
 	}
 	for w := range canon.Streams {
 		var want []stf.Instr
-		for _, in := range canon.Streams[w] {
+		for in := range stf.Decode(canon.Streams[w]) {
 			if in.Op == stf.OpExec || in.Data != 2 {
 				want = append(want, in)
 			}
 		}
-		if !reflect.DeepEqual(cp.Streams[w], want) {
-			t.Errorf("worker %d stream = %v, want the canonical one minus data 2: %v", w, cp.Streams[w], want)
+		if got := decode(cp.Streams[w]); !reflect.DeepEqual(got, want) {
+			t.Errorf("worker %d stream = %v, want the canonical one minus data 2: %v", w, got, want)
 		}
 		if cap(cp.Streams[w]) != len(cp.Streams[w]) {
-			t.Errorf("worker %d stream holds %d micro-ops in room for %d: sized before elision", w, len(cp.Streams[w]), cap(cp.Streams[w]))
+			t.Errorf("worker %d stream holds %d words in room for %d: sized before elision", w, len(cp.Streams[w]), cap(cp.Streams[w]))
 		}
 	}
 	if !reflect.DeepEqual(cp.Stats, canon.Stats) {
@@ -204,7 +214,7 @@ func TestCompileAccessFreeForeignTasksAreFree(t *testing.T) {
 		if len(s) != 25 {
 			t.Errorf("worker %d: %d ops, want 25 (own execs only)", w, len(s))
 		}
-		for _, in := range s {
+		for in := range stf.Decode(s) {
 			if in.Op != stf.OpExec {
 				t.Errorf("worker %d: unexpected op %v", w, in.Op)
 			}
@@ -230,7 +240,7 @@ func TestCompilePruning(t *testing.T) {
 	if !cp.Pruned {
 		t.Error("Pruned not set")
 	}
-	for _, in := range cp.Streams[1] {
+	for in := range stf.Decode(cp.Streams[1]) {
 		if in.Task == 2 || in.Task == 4 {
 			t.Errorf("pruned task %d appears in worker 1 stream: %+v", in.Task, in)
 		}

@@ -44,20 +44,20 @@ func PruneCompleted(cp *CompiledProgram, c *Checkpoint) *CompiledProgram {
 		NumData: cp.NumData,
 		Workers: cp.Workers,
 		Tasks:   cp.Tasks,
-		Streams: make([][]Instr, cp.Workers),
+		Streams: make([][]Word, cp.Workers),
 		Stats:   append([]StreamStats(nil), cp.Stats...),
 		Pruned:  cp.Pruned,
 		Elided:  cp.Elided,
 	}
 	for w, old := range cp.Streams {
 		st := &out.Stats[w]
-		ns := make([]Instr, 0, len(old))
+		ns := appender{words: make([]Word, 0, len(old))}
 		// A task's instructions are contiguous in its stream (Compile emits
 		// task by task); group tracks the dropped group being skipped over.
 		group := int32(-1)
-		for _, in := range old {
+		for in := range Decode(old) {
 			if !done[in.Task] {
-				ns = append(ns, in)
+				ns.append(in)
 				continue
 			}
 			switch {
@@ -77,7 +77,7 @@ func PruneCompleted(cp *CompiledProgram, c *Checkpoint) *CompiledProgram {
 			}
 			group = in.Task
 		}
-		out.Streams[w] = ns
+		out.Streams[w] = ns.words
 	}
 	return out
 }

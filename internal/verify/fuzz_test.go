@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rio/internal/analyze"
@@ -17,7 +18,9 @@ import (
 // without checkpoint resume — must certify clean, and every faultinject
 // stream mutation of either must be rejected. The first half fuzzes the
 // compilers against the certifier; the second fuzzes the certifier against
-// known-broken streams.
+// known-broken streams. Every stream compiled or mutated must also
+// round-trip through the decoder: stf.Encode of what a stream
+// decodes to is the stream itself.
 func FuzzCompileVerify(f *testing.F) {
 	f.Add(int64(1), 12, 5, 2, 0, false)
 	f.Add(int64(2), 24, 3, 3, 7, true)
@@ -55,10 +58,13 @@ func FuzzCompileVerify(f *testing.F) {
 			if rep := Certify(g, cp, Config{Mapping: m}); len(rep.Findings) != 0 {
 				t.Fatalf("fresh compile did not certify: %s", rep.Findings[0])
 			}
+			roundTrips(t, "compiled", cp)
+			roundTrips(t, "canonical", cp.Canonical())
 
 			// Resume from a task-flow prefix (always dependency-closed).
 			c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: prefixIDs(site % (len(g.Tasks) + 1))}
 			resumed := stf.PruneCompleted(cp, c)
+			roundTrips(t, "resumed", resumed)
 			if rep := Certify(g, resumed, Config{Mapping: m, Resume: c}); len(rep.Findings) != 0 {
 				t.Fatalf("resumed program did not certify: %s", rep.Findings[0])
 			}
@@ -67,6 +73,7 @@ func FuzzCompileVerify(f *testing.F) {
 			for _, mut := range faultinject.StreamMutations() {
 				if mut == faultinject.MutSplitResume {
 					if mutated, ok := faultinject.SplitResume(cp, c, site); ok {
+						roundTrips(t, mut.String(), mutated)
 						if rep := Certify(g, mutated, Config{Mapping: m, Resume: c}); rep.Errors == 0 {
 							t.Fatalf("%s at site %d not rejected", mut, site)
 						}
@@ -77,6 +84,7 @@ func FuzzCompileVerify(f *testing.F) {
 				if !ok {
 					continue
 				}
+				roundTrips(t, mut.String(), mutated)
 				rep := Certify(g, mutated, Config{Mapping: m})
 				if rep.Errors == 0 {
 					t.Fatalf("%s at site %d not rejected", mut, site)
@@ -87,4 +95,21 @@ func FuzzCompileVerify(f *testing.F) {
 			}
 		}
 	})
+}
+
+// roundTrips fails the test unless every stream of cp is stf.Encode's
+// encoding of its own decoding, with Ops counting the micro-ops decoded.
+func roundTrips(t *testing.T, what string, cp *stf.CompiledProgram) {
+	t.Helper()
+	ops := 0
+	for w, s := range cp.Streams {
+		ins := slices.Collect(stf.Decode(s))
+		if !slices.Equal(stf.Encode(ins), s) {
+			t.Fatalf("%s: worker %d stream does not round-trip through the decoder", what, w)
+		}
+		ops += len(ins)
+	}
+	if cp.Ops() != ops {
+		t.Fatalf("%s: Ops() = %d, streams decode to %d micro-ops", what, cp.Ops(), ops)
+	}
 }

@@ -58,7 +58,7 @@ func (c *certifier) simulate(w int) {
 	// One finding per (worker, data): the first divergent wait on a data
 	// object makes every later wait on it divergent too.
 	flagged := make([]bool, c.g.NumData)
-	for _, in := range c.cp.Streams[w] {
+	for _, in := range c.streams[w] {
 		switch in.Op {
 		case stf.OpDeclareRead, stf.OpTermRead:
 			local[in.Data].declareRead()

@@ -49,6 +49,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"rio/internal/analyze"
 	"rio/internal/stf"
@@ -85,6 +86,10 @@ type certifier struct {
 	cp  *stf.CompiledProgram
 	cfg Config
 	rep *analyze.Report
+
+	// streams is cp's streams decoded (stf.Decode), the view every check
+	// after scanStructure reads.
+	streams [][]stf.Instr
 
 	owners    []stf.WorkerID
 	completed []bool
@@ -128,6 +133,7 @@ func Certify(g *stf.Graph, cp *stf.CompiledProgram, cfg Config) *analyze.Report 
 	c.checkElision()
 	c.buildReference()
 	structOK := true
+	c.streams = make([][]stf.Instr, len(cp.Streams))
 	for w := range cp.Streams {
 		if !c.scanStructure(w) {
 			structOK = false
@@ -270,12 +276,22 @@ func (c *certifier) validateResume() {
 	}
 }
 
-// scanStructure validates worker w's stream micro-op by micro-op:
-// recognized opcode, task and data IDs in range. It reports at most one
-// RIO-V001 per stream (a corrupt stream cascades) and returns whether the
-// stream is structurally sound.
+// scanStructure decodes worker w's stream into c.streams and validates it
+// micro-op by micro-op: recognized opcode, task and data IDs in range. The
+// words must also be the ones stf.Encode writes for what they decode to
+// (canonical), so no word the decoded view hides — a stray or repeated
+// task word — goes unchecked. It reports at most one RIO-V001 per stream
+// (a corrupt stream cascades) and returns whether the stream is
+// structurally sound.
 func (c *certifier) scanStructure(w int) bool {
-	for k, in := range c.cp.Streams[w] {
+	words := c.cp.Streams[w]
+	if !canonical(words) {
+		c.addf(analyze.CodeVerifyStructure, analyze.NoID, analyze.NoID, stf.WorkerID(w),
+			"worker %d stream is not in the encoding stf.Encode writes (a task word out of place)", w)
+		return false
+	}
+	c.streams[w] = slices.AppendSeq(make([]stf.Instr, 0, len(words)), stf.Decode(words))
+	for k, in := range c.streams[w] {
 		switch {
 		case in.Op > stf.OpTermRed:
 			c.addf(analyze.CodeVerifyStructure, analyze.NoID, analyze.NoID, stf.WorkerID(w),
@@ -294,12 +310,38 @@ func (c *certifier) scanStructure(w int) bool {
 	return true
 }
 
+// canonical reports whether words are exactly stf.Encode of what they
+// decode to, checked here on its own terms rather than by re-encoding: a
+// task word is followed by a data micro-op (not an exec, another task word
+// or the end) and names another task than the open group's, and a data
+// micro-op without one follows an open group.
+func canonical(words []stf.Word) bool {
+	open, opened := int32(0), false
+	for k, w := range words {
+		switch w.Op() {
+		case stf.OpExec:
+			open, opened = w.Arg(), true
+		case stf.OpTask:
+			if k+1 == len(words) || words[k+1].Op() == stf.OpExec || words[k+1].Op() == stf.OpTask ||
+				(opened && w.Arg() == open) {
+				return false
+			}
+			open, opened = w.Arg(), true
+		default:
+			if !opened {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // scanGroups certifies coverage, ownership, order and access-set
 // faithfulness of worker w's stream. A task's micro-ops are contiguous
 // (Compile emits task by task; PruneCompleted drops whole groups), so the
 // stream is parsed as a sequence of per-task groups.
 func (c *certifier) scanGroups(w int) {
-	stream := c.cp.Streams[w]
+	stream := c.streams[w]
 	wid := stf.WorkerID(w)
 	lastTask := int32(-1)
 	execSeq := int32(0)
@@ -357,7 +399,7 @@ func (c *certifier) scanGroups(w int) {
 // dictates: same micro-ops in a different order is an order violation
 // (RIO-V004), anything else is an access-set mismatch (RIO-V005).
 func (c *certifier) checkGroupShape(w stf.WorkerID, t *stf.Task, got, want []stf.Instr) {
-	if equalInstrs(got, want) {
+	if slices.Equal(got, want) {
 		return
 	}
 	if missing, extra, permuted := multisetDiff(got, want); permuted {
@@ -398,19 +440,6 @@ func (c *certifier) checkCoverage() {
 	}
 }
 
-// equalInstrs reports exact micro-op sequence equality.
-func equalInstrs(a, b []stf.Instr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // multisetDiff compares two micro-op sequences as multisets. It returns
 // the first micro-op present only in want (missing), the first present
 // only in got (extra), and whether the two are permutations of each other.
@@ -446,13 +475,13 @@ func (c *certifier) expectedOwned(t *stf.Task) []stf.Instr {
 	id := int32(t.ID)
 	for _, a := range t.Accesses {
 		if !c.elided(a.Data) {
-			out = append(out, stf.Instr{Op: wantGet(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+			out = append(out, stf.Instr{Op: wantGet(a.Mode), Data: a.Data, Task: id})
 		}
 	}
 	out = append(out, stf.Instr{Op: stf.OpExec, Task: id})
 	for _, a := range t.Accesses {
 		if !c.elided(a.Data) {
-			out = append(out, stf.Instr{Op: wantTerm(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+			out = append(out, stf.Instr{Op: wantTerm(a.Mode), Data: a.Data, Task: id})
 		}
 	}
 	return out
@@ -465,7 +494,7 @@ func (c *certifier) expectedForeign(t *stf.Task) []stf.Instr {
 	id := int32(t.ID)
 	for _, a := range t.Accesses {
 		if !c.elided(a.Data) {
-			out = append(out, stf.Instr{Op: wantDeclare(a.Mode), Mode: a.Mode, Data: a.Data, Task: id})
+			out = append(out, stf.Instr{Op: wantDeclare(a.Mode), Data: a.Data, Task: id})
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -208,7 +209,7 @@ func TestElisionClaimChecked(t *testing.T) {
 		t.Fatalf("Elided = %v, want %v", cp.Elided, want)
 	}
 	for _, s := range cp.Streams {
-		for _, in := range s {
+		for in := range stf.Decode(s) {
 			if in.Op != stf.OpExec && in.Data != 3 {
 				t.Fatalf("micro-op %v on an elided data object", in)
 			}
@@ -294,6 +295,14 @@ func TestCertifyRejectsBadInputs(t *testing.T) {
 	if rep := Certify(g, cp, Config{Mapping: bad}); !rep.Has(analyze.CodeVerifyStructure) {
 		t.Errorf("out-of-range mapping: want %s, got %v", analyze.CodeVerifyStructure, rep.Findings)
 	}
+	// A trailing task word decodes to nothing: the decoded view is the
+	// certified one, the words are not.
+	stray := faultinject.CloneProgram(cp)
+	taskWord := stf.Encode([]stf.Instr{{Op: stf.OpDeclareRead, Task: 0}})[0]
+	stray.Streams[1] = append(stray.Streams[1], taskWord)
+	if rep := Certify(g, stray, Config{Mapping: m}); !rep.Has(analyze.CodeVerifyStructure) {
+		t.Errorf("stray task word: want %s, got %v", analyze.CodeVerifyStructure, rep.Findings)
+	}
 
 	// A checkpoint that is not dependency-closed: task 1 reads what
 	// task 0 wrote, but only task 1 is marked completed.
@@ -313,18 +322,18 @@ func TestCertifyCrossStreamDuplicateExec(t *testing.T) {
 	// Graft t0's exec group onto worker 1's stream in place of its
 	// declare group (t0's group is first in both streams).
 	var ownedT0 []stf.Instr
-	for _, in := range cp.Streams[0] {
+	for in := range stf.Decode(cp.Streams[0]) {
 		if in.Task == 0 {
 			ownedT0 = append(ownedT0, in)
 		}
 	}
 	var rest []stf.Instr
-	for _, in := range cp.Streams[1] {
+	for in := range stf.Decode(cp.Streams[1]) {
 		if in.Task != 0 {
 			rest = append(rest, in)
 		}
 	}
-	mutated.Streams[1] = append(ownedT0, rest...)
+	mutated.Streams[1] = stf.Encode(append(ownedT0, rest...))
 	rep := Certify(g, mutated, Config{Mapping: m})
 	if !rep.Has(analyze.CodeVerifyCoverage) {
 		t.Errorf("duplicate exec: want %s, got %v", analyze.CodeVerifyCoverage, rep.Findings)
@@ -349,5 +358,28 @@ func TestCertifyDeterministic(t *testing.T) {
 		if a.Findings[i] != b.Findings[i] {
 			t.Fatalf("finding %d differs: %v vs %v", i, a.Findings[i], b.Findings[i])
 		}
+	}
+}
+
+// TestCanonicalIsEncodeOfDecode: the certifier's own reading of the
+// encoding agrees with stf's on any word sequence — canonical holds
+// exactly when stf.Encode of the decoded micro-ops gives the words back.
+func TestCanonicalIsEncodeOfDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	agree := map[bool]int{}
+	for trial := 0; trial < 20000; trial++ {
+		words := make([]stf.Word, rng.Intn(8))
+		for i := range words {
+			op := []stf.OpCode{stf.OpTask, stf.OpExec, stf.OpGetRead, stf.OpDeclareWrite, 15}[rng.Intn(5)]
+			words[i] = stf.Word(uint32(op)<<28 | uint32(rng.Intn(3)))
+		}
+		want := slices.Equal(stf.Encode(slices.Collect(stf.Decode(words))), words)
+		if got := canonical(words); got != want {
+			t.Fatalf("canonical(%x) = %v, Encode of Decode gives it back: %v", words, got, want)
+		}
+		agree[want]++
+	}
+	if agree[true] < 1000 || agree[false] < 1000 {
+		t.Errorf("sample too one-sided: %v", agree)
 	}
 }
