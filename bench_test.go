@@ -296,7 +296,7 @@ func BenchmarkHPL(b *testing.B) {
 func BenchmarkPerTaskOverhead(b *testing.B) {
 	g := graphs.Independent(4096)
 	noop := func(*stf.Task, stf.WorkerID) {}
-	for _, model := range []rio.Model{rio.InOrder, rio.Centralized, rio.CentralizedWS, rio.Sequential} {
+	for _, model := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
 		b.Run(model.String(), func(b *testing.B) {
 			workers := benchWorkers
 			if model == rio.Sequential {

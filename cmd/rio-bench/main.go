@@ -9,15 +9,16 @@
 //	rio-bench sim        Figure 8 at the paper's 24-thread scale on an ideal
 //	                     machine, with cost constants fitted from the real
 //	                     engines (discrete-event simulation)
+//	rio-bench sim7       Figure 7 at the paper's scale (weak scaling up to
+//	                     -sim-workers, with and without pruning), simulated
+//	                     the same way
 //	rio-bench hpl        pivoted-LU (HPL core): the paper's motivating app
 //	rio-bench costmodel  fit & validate cost models, eq. (1)/(2)
-//	rio-bench ablation   design-choice ablations (scheduler, window, spin,
-//	                     mapping quality, sparse trees, trace overhead)
 //	rio-bench sync       synchronization ablation: wait policies (adaptive,
 //	                     spin, park) on contended readers-writer and
 //	                     reduction rounds plus the uncontended fig7 replay,
 //	                     reporting wall, ns/task and process CPU time
-//	rio-bench all        fig2..fig8 + costmodel (run sim/sim7/hpl/ablation
+//	rio-bench all        fig2..fig8 + costmodel (run sim/sim7/hpl/sync
 //	                     separately; they have their own time budgets)
 //
 // Flags scale the workloads; defaults are laptop-sized versions of the
@@ -73,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 		exp        = fs.Int("experiment", 0, "fig8 only: restrict to one experiment 1..4 (0 = all)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rio-bench [flags] {fig2|fig3|fig4|fig6|fig7|fig8|sim|sim7|hpl|costmodel|ablation|sync|all}")
+		fmt.Fprintln(os.Stderr, "usage: rio-bench [flags] {fig2|fig3|fig4|fig6|fig7|fig8|sim|sim7|hpl|costmodel|sync|all}")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -165,11 +166,6 @@ func run(args []string, stdout io.Writer) error {
 		err = addRows(bench.HPL(bench.HPLConfig{
 			N: *n, PanelWidths: hplWidths(*n, tileSizes), Workers: *workers,
 			Warmup: *warmup, Reps: *reps,
-		}))
-	case "ablation":
-		err = addRows(bench.Ablations(bench.AblationConfig{
-			Workers: *workers, Warmup: *warmup, Reps: *reps,
-			TaskSize: 200, Tasks: *tasks,
 		}))
 	case "sync":
 		r := *readers

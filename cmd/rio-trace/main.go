@@ -2,9 +2,9 @@
 // recording and prints an ASCII Gantt timeline, the per-kernel duration
 // breakdown, and the task graph's critical-path bound next to the achieved
 // time — the analysis view behind the paper's efficiency-decomposition
-// numbers. (Recording costs ~40% per task at very fine granularity — see
-// `rio-bench ablation` — which is why the headline experiments use
-// aggregate accounting instead, as the paper does.)
+// numbers. (Recording cost +43% per task at 200-op granularity — see
+// EXPERIMENTS.md, "Design-choice ablations" — which is why the headline
+// experiments use aggregate accounting instead, as the paper does.)
 //
 //	rio-trace -workload lu -size 6 -workers 4 -engine rio -task-size 5000
 //	rio-trace -workload wavefront -size 8 -engine centralized
@@ -39,7 +39,7 @@ func run(args []string, out io.Writer) error {
 	workload := fs.String("workload", "lu", "independent | random | gemm | lu | cholesky | wavefront | tree | forkjoin")
 	size := fs.Int("size", 6, "workload size")
 	workers := fs.Int("workers", 4, "worker count")
-	engine := fs.String("engine", "rio", "rio | centralized | ws | prio | sequential")
+	engine := fs.String("engine", "rio", "rio | centralized | sequential")
 	taskSize := fs.Uint64("task-size", 5000, "synthetic task size (counter iterations)")
 	width := fs.Int("width", 100, "gantt width in columns")
 	chrome := fs.String("chrome", "", "write a Chrome trace (counter rows + dependency flow arrows) to this file; \"-\" for stdout")
@@ -187,10 +187,6 @@ func engineKind(s string) (bench.EngineKind, error) {
 		return bench.RIO, nil
 	case "centralized":
 		return bench.CentralizedFIFO, nil
-	case "ws":
-		return bench.CentralizedWS, nil
-	case "prio":
-		return bench.CentralizedPrio, nil
 	case "sequential":
 		return bench.Sequential, nil
 	}

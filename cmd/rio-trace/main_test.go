@@ -10,7 +10,7 @@ import (
 )
 
 func TestRunTraceEngines(t *testing.T) {
-	for _, eng := range []string{"rio", "centralized", "ws", "prio", "sequential"} {
+	for _, eng := range []string{"rio", "centralized", "sequential"} {
 		var buf bytes.Buffer
 		args := []string{"-workload", "lu", "-size", "3", "-workers", "2",
 			"-engine", eng, "-task-size", "200", "-width", "40"}
@@ -49,7 +49,7 @@ func TestRunTraceSteal(t *testing.T) {
 	if !strings.Contains(buf.String(), "tasks") {
 		t.Errorf("steal run output truncated:\n%s", buf.String())
 	}
-	if err := run([]string{"-engine", "ws", "-steal"}, &buf); err == nil {
+	if err := run([]string{"-engine", "centralized", "-steal"}, &buf); err == nil {
 		t.Error("-steal accepted for a non-rio engine")
 	}
 }
@@ -59,8 +59,12 @@ func TestRunTraceRejectsUnknown(t *testing.T) {
 	if err := run([]string{"-workload", "nope"}, &buf); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if err := run([]string{"-engine", "nope"}, &buf); err == nil {
-		t.Error("unknown engine accepted")
+	// ws and prio named the centralized engine's retired work-stealing
+	// and priority schedulers.
+	for _, eng := range []string{"nope", "ws", "prio"} {
+		if err := run([]string{"-engine", eng}, &buf); err == nil {
+			t.Errorf("unknown engine %q accepted", eng)
+		}
 	}
 }
 

@@ -32,8 +32,6 @@ type EngineKind int
 const (
 	RIO EngineKind = iota
 	CentralizedFIFO
-	CentralizedWS
-	CentralizedPrio
 	Sequential
 )
 
@@ -44,10 +42,6 @@ func (k EngineKind) String() string {
 		return "rio"
 	case CentralizedFIFO:
 		return "centralized-fifo"
-	case CentralizedWS:
-		return "centralized-ws"
-	case CentralizedPrio:
-		return "centralized-prio"
 	case Sequential:
 		return "sequential"
 	}
@@ -55,25 +49,18 @@ func (k EngineKind) String() string {
 }
 
 // NewEngine builds an engine of the given kind with p threads and an
-// optional static mapping (binding for RIO, locality hint for the
-// centralized work-stealing scheduler).
+// optional static mapping (binding for RIO, ignored by the others).
 func NewEngine(kind EngineKind, p int, mapping stf.Mapping) (Engine, error) {
 	switch kind {
 	case RIO:
 		return core.New(core.Options{Workers: p, Mapping: mapping})
 	case CentralizedFIFO:
 		return centralized.New(centralized.Options{Workers: p})
-	case CentralizedWS:
-		return centralized.New(centralized.Options{Workers: p, Scheduler: centralized.WorkStealing, Hint: mapping})
-	case CentralizedPrio:
-		return centralized.New(centralized.Options{Workers: p, Scheduler: centralized.Priority})
 	case Sequential:
 		return sequential.New(sequential.Options{}), nil
 	}
-	return nil, fmt.Errorf("bench: unknown engine kind %d", int(k(kind)))
+	return nil, fmt.Errorf("bench: unknown engine kind %d", int(kind))
 }
-
-func k(x EngineKind) int { return int(x) }
 
 // Measure runs prog on e warmup+reps times and returns the median wall time
 // together with the stats of the median run.

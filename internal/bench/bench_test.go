@@ -22,7 +22,7 @@ func quickCfg() bench.CounterConfig {
 }
 
 func TestNewEngineKinds(t *testing.T) {
-	for _, kind := range []bench.EngineKind{bench.RIO, bench.CentralizedFIFO, bench.CentralizedWS, bench.Sequential} {
+	for _, kind := range []bench.EngineKind{bench.RIO, bench.CentralizedFIFO, bench.Sequential} {
 		e, err := bench.NewEngine(kind, 3, sched.Cyclic(3))
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)

@@ -19,17 +19,10 @@ type Options struct {
 	// paper notes this caps the runtime efficiency at (p-1)/p. Must be
 	// >= 2 so at least one executor exists.
 	Workers int
-	// Scheduler selects the dispatch strategy (FIFO by default).
-	Scheduler SchedulerKind
 	// Window bounds the number of in-flight (submitted but not completed)
 	// tasks; the master blocks when it is reached, like StarPU's
 	// submission window. 0 means unbounded.
 	Window int
-	// Hint optionally maps tasks to preferred workers; only the
-	// WorkStealing scheduler uses it (as a locality hint — unlike the
-	// decentralized engine's Mapping, it is not binding). Hinted worker
-	// IDs refer to executors, numbered 0..Workers-2.
-	Hint stf.Mapping
 	// NoAccounting disables per-task and per-wait time-stamping: no clock
 	// is read between the run's start and end stamps, and Stats carries
 	// only the wall times and the task counters.
@@ -37,7 +30,7 @@ type Options struct {
 	// WaitPolicy selects how executors wait for ready tasks (see
 	// waitTuning for how the policies map onto queue pops). The zero
 	// value, WaitAdaptive, spins for SpinLimit probes before parking on
-	// the scheduler's condition variable.
+	// the ready queue's condition variable.
 	WaitPolicy stf.WaitPolicy
 	// SpinLimit is the number of ready-queue probes an executor makes
 	// before parking (WaitAdaptive only). 0 means DefaultSpinLimit.
@@ -69,9 +62,7 @@ const DefaultSpinLimit = 128
 // Engine is a centralized out-of-order STF execution engine.
 type Engine struct {
 	workers    int // total threads, master included
-	kind       SchedulerKind
 	window     int
-	hint       stf.Mapping
 	wt         waitTuning // wait tuning and the accounting switch
 	hooks      *stf.Hooks
 	retry      *stf.RetryPolicy
@@ -101,15 +92,14 @@ func New(o Options) (*Engine, error) {
 	}
 	wt := waitTuning{policy: o.WaitPolicy, spin: sl, noAcct: o.NoAccounting}
 	return &Engine{
-		workers: o.Workers, kind: o.Scheduler, window: o.Window, hint: o.Hint,
-		wt: wt, hooks: o.Hooks,
+		workers: o.Workers, window: o.Window, wt: wt, hooks: o.Hooks,
 		retry: o.Retry, snaps: o.Snapshots, resume: o.Resume,
 		checkpoint: o.Checkpoint || o.Retry != nil,
 	}, nil
 }
 
 // Name identifies the execution model in reports.
-func (e *Engine) Name() string { return "centralized-" + e.kind.String() }
+func (e *Engine) Name() string { return "centralized-fifo" }
 
 // NumWorkers returns p (master included).
 func (e *Engine) NumWorkers() int { return e.workers }
@@ -150,19 +140,9 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 // bracket it with the OnRunStart / OnRunEnd hooks; it ends the run record.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, prog stf.Program) error {
 	nexec := e.workers - 1
-	var sched scheduler
-	switch e.kind {
-	case WorkStealing:
-		sched = newStealScheduler(nexec, e.wt)
-	case Priority:
-		sched = newPrioScheduler(e.wt)
-	default:
-		sched = newFIFO(e.wt)
-	}
-
 	m := &master{
 		eng:    e,
-		sched:  sched,
+		ready:  newFIFO(e.wt),
 		states: make([]depState, numData),
 		redMu:  make([]sync.Mutex, numData),
 	}
@@ -197,7 +177,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 				if hooks != nil && hooks.OnWaitStart != nil {
 					hooks.OnWaitStart(stf.WorkerID(w), stf.NoTask, stf.Access{})
 				}
-				t, waited := sched.pop(w)
+				t, waited := m.ready.pop()
 				if waited > 0 { // zero without accounting
 					idle += waited
 					cell.AddWait(waited)
@@ -241,7 +221,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	mt0 := time.Now()
 	prog(m)
 	m.drain()
-	sched.close()
+	m.ready.close()
 	// The master executes no task: its non-idle activity is all runtime
 	// management.
 	m.prog.Exit(0, m.idle, time.Since(mt0))
@@ -262,7 +242,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 // master is the stf.Submitter driven by the control thread.
 type master struct {
 	eng    *Engine
-	sched  scheduler
+	ready  *fifoQueue
 	states []depState
 	redMu  []sync.Mutex
 	next   stf.TaskID
@@ -318,7 +298,7 @@ func (m *master) NumWorkers() int { return m.eng.workers }
 func (m *master) Submit(fn stf.TaskFunc, accesses ...stf.Access) stf.TaskID {
 	id := m.next
 	m.next++
-	t := &task{id: id, fn: fn, hint: m.hintFor(id)}
+	t := &task{id: id, fn: fn}
 	m.dispatch(t, accesses)
 	return id
 }
@@ -332,16 +312,9 @@ func (m *master) SubmitTask(rec *stf.Task, k stf.Kernel) stf.TaskID {
 		return rec.ID
 	}
 	m.next = rec.ID + 1
-	t := &task{id: rec.ID, rec: rec, kern: k, hint: m.hintFor(rec.ID)}
+	t := &task{id: rec.ID, rec: rec, kern: k}
 	m.dispatch(t, rec.Accesses)
 	return rec.ID
-}
-
-func (m *master) hintFor(id stf.TaskID) int {
-	if m.eng.hint == nil {
-		return -1
-	}
-	return int(m.eng.hint(id))
 }
 
 // dispatch performs the centralized per-task management work: respect the
@@ -400,7 +373,7 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 	t.pending.Store(1)
 	wire(m.states, t, accesses)
 	if t.pending.Add(-1) == 0 {
-		m.sched.push(t)
+		m.ready.push(t)
 	}
 }
 
@@ -412,7 +385,7 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 func (m *master) onComplete(t *task, bodyDone bool) {
 	for _, s := range t.complete() {
 		if s.pending.Add(-1) == 0 {
-			m.sched.push(s)
+			m.ready.push(s)
 		}
 	}
 	m.mu.Lock()
@@ -437,7 +410,7 @@ func (m *master) onFailed(t *task) {
 	}
 	m.mu.Unlock()
 	m.canceled.Store(true)
-	// Parked executors are woken by sched.close() once the master's drain
+	// Parked executors are woken by ready.close() once the master's drain
 	// observes the failure — same shutdown path as cancellation.
 	m.progress.Broadcast()
 }

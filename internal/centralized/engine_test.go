@@ -10,7 +10,6 @@ import (
 	"rio/internal/centralized"
 	"rio/internal/enginetest"
 	"rio/internal/graphs"
-	"rio/internal/sched"
 	"rio/internal/stf"
 )
 
@@ -37,10 +36,6 @@ func TestEngineMetadata(t *testing.T) {
 	if e.Name() != "centralized-fifo" {
 		t.Errorf("Name() = %q", e.Name())
 	}
-	ws := newEngine(t, centralized.Options{Workers: 4, Scheduler: centralized.WorkStealing})
-	if ws.Name() != "centralized-ws" {
-		t.Errorf("Name() = %q", ws.Name())
-	}
 	if e.NumWorkers() != 4 {
 		t.Errorf("NumWorkers() = %d", e.NumWorkers())
 	}
@@ -60,11 +55,9 @@ func TestSequentialConsistencyMatrix(t *testing.T) {
 	}
 	for _, wl := range workloads {
 		for _, p := range []int{2, 3, 5} {
-			for _, kind := range []centralized.SchedulerKind{centralized.FIFO, centralized.WorkStealing} {
-				e := newEngine(t, centralized.Options{Workers: p, Scheduler: kind})
-				if err := enginetest.Check(e, wl.g); err != nil {
-					t.Errorf("%s p=%d sched=%s: %v", wl.name, p, kind, err)
-				}
+			e := newEngine(t, centralized.Options{Workers: p})
+			if err := enginetest.Check(e, wl.g); err != nil {
+				t.Errorf("%s p=%d: %v", wl.name, p, err)
 			}
 		}
 	}
@@ -77,31 +70,6 @@ func TestSubmissionWindow(t *testing.T) {
 		if err := enginetest.Check(e, g); err != nil {
 			t.Errorf("window=%d: %v", window, err)
 		}
-	}
-}
-
-func TestWorkStealingWithHint(t *testing.T) {
-	g := graphs.LU(6)
-	p := 4
-	// Hint on executor IDs 0..p-2.
-	hint := func(id stf.TaskID) stf.WorkerID { return stf.WorkerID(id % stf.TaskID(p-1)) }
-	e := newEngine(t, centralized.Options{Workers: p, Scheduler: centralized.WorkStealing, Hint: hint})
-	if err := enginetest.Check(e, g); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHintOutOfRangeTolerated(t *testing.T) {
-	// Hints are non-binding locality advice: out-of-range values fall
-	// back to round-robin rather than failing the run.
-	g := graphs.Independent(50)
-	e := newEngine(t, centralized.Options{
-		Workers:   3,
-		Scheduler: centralized.WorkStealing,
-		Hint:      func(stf.TaskID) stf.WorkerID { return 99 },
-	})
-	if err := enginetest.Check(e, g); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -206,37 +174,35 @@ func TestStatsDecompositionSane(t *testing.T) {
 }
 
 // TestNoAccountingReadsNoClock: under NoAccounting no wait is timed — not
-// an executor's queue pop on any scheduler, not the master's window or
+// an executor's queue pop, not the master's window or
 // drain wait — so every worker reports zero task, idle and runtime and the
 // wait histogram stays empty. The accounted control proves the flow waits.
 func TestNoAccountingReadsNoClock(t *testing.T) {
 	g := graphs.Chain(24)
 	kern := func(*stf.Task, stf.WorkerID) { time.Sleep(200 * time.Microsecond) }
-	for _, kind := range []centralized.SchedulerKind{centralized.FIFO, centralized.WorkStealing, centralized.Priority} {
-		for _, noAcct := range []bool{false, true} {
-			e := newEngine(t, centralized.Options{Workers: 3, Scheduler: kind, Window: 2, NoAccounting: noAcct})
-			if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
-				t.Fatal(err)
+	for _, noAcct := range []bool{false, true} {
+		e := newEngine(t, centralized.Options{Workers: 3, Window: 2, NoAccounting: noAcct})
+		if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
+			t.Fatal(err)
+		}
+		st, pr := e.Stats(), e.Progress()
+		var waits int64
+		for _, n := range pr.WaitHist() {
+			waits += n
+		}
+		if !noAcct {
+			if _, idle, _ := st.Cumulative(); st.Workers[0].Idle == 0 || idle == 0 || waits == 0 {
+				t.Fatalf("accounted: master idle %v, idle %v, %d waits: the flow does not wait", st.Workers[0].Idle, idle, waits)
 			}
-			st, pr := e.Stats(), e.Progress()
-			var waits int64
-			for _, n := range pr.WaitHist() {
-				waits += n
+			continue
+		}
+		for w, ws := range st.Workers {
+			if ws.Task != 0 || ws.Idle != 0 || ws.Runtime != 0 {
+				t.Errorf("worker %d task %v idle %v runtime %v under NoAccounting, want 0", w, ws.Task, ws.Idle, ws.Runtime)
 			}
-			if !noAcct {
-				if _, idle, _ := st.Cumulative(); st.Workers[0].Idle == 0 || idle == 0 || waits == 0 {
-					t.Fatalf("%s accounted: master idle %v, idle %v, %d waits: the flow does not wait", e.Name(), st.Workers[0].Idle, idle, waits)
-				}
-				continue
-			}
-			for w, ws := range st.Workers {
-				if ws.Task != 0 || ws.Idle != 0 || ws.Runtime != 0 {
-					t.Errorf("%s: worker %d task %v idle %v runtime %v under NoAccounting, want 0", e.Name(), w, ws.Task, ws.Idle, ws.Runtime)
-				}
-			}
-			if waits != 0 {
-				t.Errorf("%s: %d waits bucketed under NoAccounting, want 0", e.Name(), waits)
-			}
+		}
+		if waits != 0 {
+			t.Errorf("%d waits bucketed under NoAccounting, want 0", waits)
 		}
 	}
 }
@@ -246,15 +212,11 @@ func TestPropertySequentialConsistency(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := enginetest.RandomGraph(rng, 60, 10)
 		p := 2 + rng.Intn(4)
-		kind := centralized.FIFO
-		if rng.Intn(2) == 1 {
-			kind = centralized.WorkStealing
-		}
 		window := 0
 		if rng.Intn(2) == 1 {
 			window = 1 + rng.Intn(16)
 		}
-		e, err := centralized.New(centralized.Options{Workers: p, Scheduler: kind, Window: window})
+		e, err := centralized.New(centralized.Options{Workers: p, Window: window})
 		if err != nil {
 			return false
 		}
@@ -322,19 +284,5 @@ func TestNoDoubleDispatchUnderWideFanIn(t *testing.T) {
 		if got := e.Stats().Executed(); got != int64(len(g.Tasks)) {
 			t.Fatalf("rep %d: stats report %d executions", rep, got)
 		}
-	}
-}
-
-func TestMappingHonoredAsHistogramHint(t *testing.T) {
-	// With work stealing disabled effects can't be asserted strictly, but
-	// hinted pushes must at least not lose tasks.
-	g := graphs.Independent(500)
-	hist := sched.Histogram(g, sched.Cyclic(3), 3)
-	if hist[0]+hist[1]+hist[2] != 500 {
-		t.Fatalf("histogram lost tasks: %v", hist)
-	}
-	e := newEngine(t, centralized.Options{Workers: 4, Scheduler: centralized.WorkStealing, Hint: sched.Cyclic(3)})
-	if err := enginetest.Check(e, g); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,7 +1,7 @@
 package centralized_test
 
-// Wait-policy coverage for the executors' ready-queue pops: every policy ×
-// scheduler combination must stay sequentially consistent and must shut
+// Wait-policy coverage for the executors' ready-queue pops: every policy
+// must stay sequentially consistent and must shut
 // down cleanly (a WaitSpin executor that missed the close would spin
 // forever and hang the run's join), including under GOMAXPROCS(1)
 // oversubscription where spin phases must yield to let the master run.
@@ -18,15 +18,13 @@ import (
 
 func TestWaitPolicySchedulerMatrix(t *testing.T) {
 	for _, pol := range []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark} {
-		for _, kind := range []centralized.SchedulerKind{centralized.FIFO, centralized.WorkStealing, centralized.Priority} {
-			e := newEngine(t, centralized.Options{Workers: 4, Scheduler: kind, WaitPolicy: pol, SpinLimit: 8})
-			for _, g := range []*stf.Graph{
-				graphs.ReadersWriter(20, 6),
-				graphs.RandomDeps(200, 16, 2, 1, 7),
-			} {
-				if err := enginetest.Check(e, g); err != nil {
-					t.Errorf("policy %v, %s, %s: %v", pol, kind, g.Name, err)
-				}
+		e := newEngine(t, centralized.Options{Workers: 4, WaitPolicy: pol, SpinLimit: 8})
+		for _, g := range []*stf.Graph{
+			graphs.ReadersWriter(20, 6),
+			graphs.RandomDeps(200, 16, 2, 1, 7),
+		} {
+			if err := enginetest.Check(e, g); err != nil {
+				t.Errorf("policy %v, %s: %v", pol, g.Name, err)
 			}
 		}
 	}

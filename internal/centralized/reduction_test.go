@@ -37,7 +37,7 @@ func TestReductionRunsAreConcurrentlyDispatchable(t *testing.T) {
 	const p = 4
 	var acc int64
 	var snaps []int64
-	e := newEngine(t, centralized.Options{Workers: p, Scheduler: centralized.WorkStealing})
+	e := newEngine(t, centralized.Options{Workers: p})
 	err := e.Run(1, func(s stf.Submitter) {
 		for block := 0; block < 8; block++ {
 			for i := 0; i < 9; i++ {
@@ -84,11 +84,7 @@ func TestPropertyReductionGraphsSequentialConsistency(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := enginetest.RandomGraphWithReductions(rng, 50, 8)
 		p := 2 + rng.Intn(3)
-		kind := centralized.FIFO
-		if rng.Intn(2) == 1 {
-			kind = centralized.WorkStealing
-		}
-		e, err := centralized.New(centralized.Options{Workers: p, Scheduler: kind})
+		e, err := centralized.New(centralized.Options{Workers: p})
 		if err != nil {
 			return false
 		}

@@ -2,9 +2,11 @@
 // compares against (§2.2): a *centralized, out-of-order* STF runtime in the
 // style of StarPU, OmpSs or OpenMP tasking. A master thread unrolls the
 // task flow, derives dependencies from access modes, and dispatches ready
-// tasks to a pool of workers through queues; workers may pick tasks in any
-// dependency-respecting order (out-of-order execution), optionally with
-// work stealing.
+// tasks to a pool of workers through one FIFO ready queue; workers may pick
+// tasks in any dependency-respecting order (out-of-order execution). The
+// dispatch policy is deliberately the simplest: eq. (1) prices the
+// execution-model class by the master's per-task cost, and no queue policy
+// appears in it.
 //
 // The structural costs of this model are the ones the paper attributes the
 // fine-granularity collapse to: one task object allocated and tracked per
@@ -31,9 +33,6 @@ type task struct {
 	rec  *stf.Task
 	kern stf.Kernel
 
-	// hint is the preferred worker queue (locality hint), or -1.
-	hint int
-
 	// reds lists the data objects this task accesses in Reduction mode,
 	// sorted ascending; the executing worker takes the corresponding
 	// per-data mutexes around the task body (commuting reductions run in
@@ -48,11 +47,6 @@ type task struct {
 	// pending counts unresolved predecessors plus one submission guard;
 	// the task becomes ready when it reaches zero.
 	pending atomic.Int32
-
-	// level is the task's dependency depth (0 for source tasks), set by
-	// the master during wiring; the priority scheduler dispatches deeper
-	// tasks first.
-	level int32
 
 	mu    sync.Mutex
 	done  bool
@@ -116,9 +110,6 @@ type depState struct {
 // could hit zero and the task would be dispatched twice.
 func wire(states []depState, t *task, accesses []stf.Access) {
 	dep := func(p *task) {
-		if p.level+1 > t.level {
-			t.level = p.level + 1
-		}
 		t.pending.Add(1)
 		if !p.addSuccessor(t) {
 			// The predecessor had already completed; the dependency

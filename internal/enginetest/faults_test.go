@@ -31,8 +31,6 @@ func faultEngines() []engineSpec {
 		{"rio-2w", rio.Options{Model: rio.InOrder, Workers: 2}},
 		{"rio-4w", rio.Options{Model: rio.InOrder, Workers: 4}},
 		{"centralized-fifo", rio.Options{Model: rio.Centralized, Workers: 3}},
-		{"centralized-ws", rio.Options{Model: rio.CentralizedWS, Workers: 3}},
-		{"centralized-prio", rio.Options{Model: rio.CentralizedPrio, Workers: 3}},
 		{"sequential", rio.Options{Model: rio.Sequential, Workers: 1}},
 	}
 }
@@ -236,17 +234,20 @@ func TestFaultOutOfRangeMapping(t *testing.T) {
 			t.Fatalf("error does not mention the range violation: %v", err)
 		}
 	})
-	t.Run("centralized-ws", func(t *testing.T) {
-		// The centralized engine only uses the mapping as a locality hint;
-		// an out-of-range hint falls back to round-robin and the run must
-		// still be sequentially consistent.
+	t.Run("centralized", func(t *testing.T) {
+		// The centralized engine ignores the mapping: its master hands
+		// every ready task to whichever executor is free, so an
+		// out-of-range mapping must not affect the run.
 		rt := mustEngine(t, rio.Options{
-			Model:   rio.CentralizedWS,
+			Model:   rio.Centralized,
 			Workers: 3,
 			Mapping: faultinject.OutOfRange(rio.CyclicMapping(2), 3),
 		})
 		if err := enginetest.Check(rt, g); err != nil {
-			t.Fatalf("out-of-range hint broke the centralized engine: %v", err)
+			t.Fatalf("out-of-range mapping broke the centralized engine: %v", err)
+		}
+		if got := rt.Progress().Executed(); got != int64(len(g.Tasks)) {
+			t.Fatalf("executed %d tasks, want %d", got, len(g.Tasks))
 		}
 	})
 }

@@ -475,20 +475,19 @@ func TestProgressMatchesStats(t *testing.T) {
 	})
 
 	t.Run("centralized", func(t *testing.T) {
-		for _, kind := range []centralized.SchedulerKind{centralized.FIFO, centralized.WorkStealing, centralized.Priority} {
-			t.Run(kind.String(), func(t *testing.T) {
-				e, err := centralized.New(centralized.Options{Workers: p, Scheduler: kind})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := enginetest.Check(e, g); err != nil {
-					t.Fatal(err)
-				}
-				if st, _ := check(t, e); st.Workers[0].Declared != int64(len(g.Tasks)) {
-					t.Errorf("master Declared=%d, want %d (all tasks submitted)", st.Workers[0].Declared, len(g.Tasks))
-				}
-			})
-		}
+		// The centralized engine's one ready queue is FIFO.
+		t.Run("fifo", func(t *testing.T) {
+			e, err := centralized.New(centralized.Options{Workers: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enginetest.Check(e, g); err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := check(t, e); st.Workers[0].Declared != int64(len(g.Tasks)) {
+				t.Errorf("master Declared=%d, want %d (all tasks submitted)", st.Workers[0].Declared, len(g.Tasks))
+			}
+		})
 	})
 
 	t.Run("sequential", func(t *testing.T) {

@@ -53,9 +53,8 @@ func Single(w stf.WorkerID) stf.Mapping {
 	return func(stf.TaskID) stf.WorkerID { return w }
 }
 
-// Table returns a mapping backed by a lookup table; tasks beyond the table
-// map cyclically over p = max(owners)+1 — callers should size the table to
-// the task flow.
+// Table returns a mapping backed by a lookup table; every task beyond the
+// table maps to worker 0 — callers should size the table to the task flow.
 func Table(owners []stf.WorkerID) stf.Mapping {
 	return func(id stf.TaskID) stf.WorkerID {
 		if int(id) < len(owners) {

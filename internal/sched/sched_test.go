@@ -64,12 +64,19 @@ func TestSingle(t *testing.T) {
 }
 
 func TestTableFallsBackBeyondLength(t *testing.T) {
-	m := sched.Table([]stf.WorkerID{1, 0})
-	if m(0) != 1 || m(1) != 0 {
-		t.Error("table lookup wrong")
-	}
-	if m(5) != 0 {
-		t.Error("out-of-table task should map to worker 0")
+	m := sched.Table([]stf.WorkerID{1, 2, 2})
+	for _, c := range []struct {
+		id   stf.TaskID
+		want stf.WorkerID
+	}{
+		{0, 1}, {1, 2}, {2, 2},
+		// Beyond the table every task maps to worker 0, not cyclically
+		// over max(owners)+1 = 3 (which would send task 4 to worker 1).
+		{3, 0}, {4, 0}, {5, 0}, {1000, 0},
+	} {
+		if got := m(c.id); got != c.want {
+			t.Errorf("Table(1, 2, 2)(%d) = %d, want %d", c.id, got, c.want)
+		}
 	}
 }
 

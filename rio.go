@@ -10,8 +10,8 @@
 //     is a handful of private-memory writes, making very fine-grained
 //     tasks profitable.
 //   - Centralized — the conventional baseline: a master thread unrolls the
-//     task flow, derives dependencies and dispatches ready tasks to worker
-//     queues (out-of-order execution, optional work stealing).
+//     task flow, derives dependencies and dispatches ready tasks through
+//     one FIFO queue to the other workers (out-of-order execution).
 //   - Sequential — tasks run inline in submission order; the semantic
 //     reference of the STF model.
 //
@@ -230,14 +230,9 @@ type Model int
 const (
 	// InOrder is the decentralized in-order model (the paper's RIO).
 	InOrder Model = iota
-	// Centralized is the master/worker out-of-order baseline.
+	// Centralized is the master/worker out-of-order baseline: one master
+	// thread derives dependencies and feeds a FIFO ready queue.
 	Centralized
-	// CentralizedWS is Centralized with per-worker queues and work
-	// stealing.
-	CentralizedWS
-	// CentralizedPrio is Centralized with deepest-level-first dispatch
-	// (an online critical-path heuristic).
-	CentralizedPrio
 	// Sequential runs tasks inline on the caller.
 	Sequential
 )
@@ -249,10 +244,6 @@ func (m Model) String() string {
 		return "rio"
 	case Centralized:
 		return "centralized-fifo"
-	case CentralizedWS:
-		return "centralized-ws"
-	case CentralizedPrio:
-		return "centralized-prio"
 	case Sequential:
 		return "sequential"
 	}
@@ -316,8 +307,8 @@ type Options struct {
 	Workers int
 	// Mapping assigns tasks to workers. Required semantics differ by
 	// model: InOrder treats it as the binding static mapping (defaults to
-	// cyclic); Centralized uses it as a locality hint for work-stealing
-	// queues; Sequential ignores it.
+	// cyclic); Centralized and Sequential ignore it (the centralized
+	// master dispatches every ready task to whichever executor is free).
 	Mapping Mapping
 	// Window bounds in-flight tasks in the centralized engine (0 =
 	// unbounded).
@@ -337,8 +328,7 @@ type Options struct {
 	// recording one, as under Centralized); programs under a partial
 	// (SharedWorker) mapping keep plain closure replay, where those tasks
 	// already float. nil (the default) disables stealing and costs the hot
-	// path one flag test per compiled micro-op. Other models ignore it
-	// (CentralizedWS has its own queue stealing).
+	// path one flag test per compiled micro-op. Other models ignore it.
 	Steal *StealPolicy
 	// Tuning groups the wait-tuning knobs: WaitPolicy, SpinLimit and
 	// YieldLimit.
@@ -496,19 +486,10 @@ func coreOptions(o Options) core.Options {
 // newEngine builds the non-in-order engines (New hands InOrder to NewEngine).
 func newEngine(o Options) (Runtime, error) {
 	switch o.Model {
-	case Centralized, CentralizedWS, CentralizedPrio:
-		kind := centralized.FIFO
-		switch o.Model {
-		case CentralizedWS:
-			kind = centralized.WorkStealing
-		case CentralizedPrio:
-			kind = centralized.Priority
-		}
+	case Centralized:
 		return centralized.New(centralized.Options{
 			Workers:      o.Workers,
-			Scheduler:    kind,
 			Window:       o.Window,
-			Hint:         o.Mapping,
 			NoAccounting: o.NoAccounting,
 			WaitPolicy:   o.Tuning.WaitPolicy,
 			SpinLimit:    o.Tuning.SpinLimit,

@@ -67,7 +67,7 @@ func TestEnginePreflightRejectsGraph(t *testing.T) {
 // model, including decorated runtimes (Timeout/Preflight wrappers).
 func TestProgressThroughPublicAPI(t *testing.T) {
 	g := graphs.Wavefront(4, 4)
-	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.CentralizedWS, rio.CentralizedPrio, rio.Sequential} {
+	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
 		rt, err := rio.New(rio.Options{Model: m, Workers: 2, Timeout: time.Minute, Preflight: rio.PreflightAccess})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)

@@ -15,7 +15,7 @@ import (
 )
 
 func TestNewAllModels(t *testing.T) {
-	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.CentralizedWS, rio.CentralizedPrio, rio.Sequential} {
+	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
 		rt, err := rio.New(rio.Options{Model: m, Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -31,11 +31,9 @@ func TestNewAllModels(t *testing.T) {
 
 func TestModelString(t *testing.T) {
 	cases := map[rio.Model]string{
-		rio.InOrder:         "rio",
-		rio.Centralized:     "centralized-fifo",
-		rio.CentralizedWS:   "centralized-ws",
-		rio.CentralizedPrio: "centralized-prio",
-		rio.Sequential:      "sequential",
+		rio.InOrder:     "rio",
+		rio.Centralized: "centralized-fifo",
+		rio.Sequential:  "sequential",
 	}
 	for m, want := range cases {
 		if got := m.String(); got != want {
@@ -59,7 +57,7 @@ func TestAccessHelpers(t *testing.T) {
 // The README/quickstart program, as an API-stability test: all engines
 // produce the same result for a closure-based STF program.
 func TestQuickstartProgramAllModels(t *testing.T) {
-	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.CentralizedWS, rio.Sequential} {
+	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
 		vals := make([]int64, 3)
 		prog := func(s rio.Submitter) {
 			s.Submit(func() { atomic.StoreInt64(&vals[0], 1) }, rio.Write(0))
@@ -93,7 +91,7 @@ func TestModelsAgreeOnRecordedGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.CentralizedWS, rio.CentralizedPrio} {
+		for _, m := range []rio.Model{rio.InOrder, rio.Centralized} {
 			rt, err := rio.New(rio.Options{Model: m, Workers: 3, Mapping: rio.CyclicMapping(3)})
 			if err != nil {
 				t.Fatal(err)

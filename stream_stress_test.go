@@ -189,7 +189,7 @@ func TestStreamFallbackOracleStress(t *testing.T) {
 	if testing.Short() {
 		windows = 40
 	}
-	for _, m := range []rio.Model{rio.Centralized, rio.CentralizedWS, rio.Sequential} {
+	for _, m := range []rio.Model{rio.Centralized, rio.Sequential} {
 		t.Run(fmt.Sprint(m), func(t *testing.T) {
 			rt, err := rio.New(rio.Options{Model: m, Workers: 3})
 			if err != nil {

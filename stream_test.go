@@ -12,7 +12,7 @@ import (
 
 // streamModels are the models the streaming tests sweep: the native
 // in-order session plus the per-window fallback backends.
-var streamModels = []rio.Model{rio.InOrder, rio.Centralized, rio.CentralizedWS, rio.Sequential}
+var streamModels = []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential}
 
 // TestStreamChainAllModels runs the same unbounded chained flow — every
 // window reads the accumulator the previous window wrote — through every

@@ -17,7 +17,7 @@ import (
 // implements Streamer for every model and option combination, and
 // GraphRunner for the in-order model.
 func TestNewReturnsStreamerForAllModels(t *testing.T) {
-	for _, m := range []Model{InOrder, Centralized, CentralizedWS, CentralizedPrio, Sequential} {
+	for _, m := range []Model{InOrder, Centralized, Sequential} {
 		for _, o := range []Options{
 			{Model: m, Workers: 2},
 			{Model: m, Workers: 2, Timeout: time.Minute},
