@@ -394,6 +394,49 @@ func BenchmarkAccountingOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkRunWidth is the run-width crossover behind rio-serve's width
+// choice: the warm path's flow (a 12×12-tile Cholesky, pruned, no
+// accounting) run on one engine of p = 2 workers by its 1-worker program
+// and by its 2-worker one, with empty bodies and with bodies of 200 and
+// 2 000 spin steps. At width 1 the compiled stream is bare exec words and
+// the caller is the only worker; at width 2 the run pays the spawn, the
+// join and every cross-worker hand-off, and wins only once the bodies are
+// dear enough to overlap (eq. (2): n·t_r + n·t_t/w, plus a fixed cost per
+// run that grows with w).
+func BenchmarkRunWidth(b *testing.B) {
+	const p = 2
+	g := graphs.Cholesky(12)
+	e, err := rio.NewEngine(rio.Options{Workers: p, NoAccounting: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, steps := range []uint64{0, 200, 2000} {
+		body := func(*stf.Task, stf.WorkerID) {}
+		name := "noop"
+		if steps > 0 {
+			name = fmt.Sprintf("spin%d", steps)
+			body = func(*stf.Task, stf.WorkerID) {
+				var cell uint64
+				kernels.Spin(&cell, steps)
+			}
+		}
+		for _, w := range []int{1, p} {
+			cp, err := rio.Compile(g, w, nil, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/w=%d", name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := e.RunCompiled(cp, body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkCompiledReplay — the replay term n·t_r of cost model (2), paid
 // per run under closure replay and hoisted to compile time by the
 // compiled fast path. The Fig 7 weak-scaling workload (independent tasks,

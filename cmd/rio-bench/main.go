@@ -135,11 +135,16 @@ func run(args []string, stdout io.Writer) error {
 			err = addRows(bench.Fig8All(ccfg))
 		}
 	case "sim":
-		simRows, costs, serr := bench.SimFig8(bench.SimConfig{
+		scfg := bench.SimConfig{
 			SimWorkers: *simWorkers, FitWorkers: *workers, FitTasks: 4096,
 			Tasks: *tasks, TaskSizes: taskSizes, Seed: *seed,
 			Warmup: *warmup, Reps: *reps,
-		})
+		}
+		costs, serr := bench.FitCosts(scfg)
+		if serr != nil {
+			return serr
+		}
+		simRows, serr := bench.SimFig8(scfg, costs)
 		if serr != nil {
 			return serr
 		}

@@ -17,6 +17,11 @@
 // drain gracefully: new work is rejected with 503 while queued and
 // in-flight executions finish, bounded by -drain-timeout.
 //
+// A run uses all -workers of its tenant's pool, or one: a flow submitted
+// without a mapping runs on one worker whenever its recent runs were
+// faster there, which is the case for flows of cheap tasks. Each run
+// response says which ("workers").
+//
 // The debug surfaces — /debug/pprof and /debug/vars — are served on
 // -debug-addr (empty disables them), kept off the client-facing
 // listener.

@@ -222,7 +222,11 @@ func Verify(g *Graph, cp *CompiledProgram, m Mapping, resume *Checkpoint) *Analy
 
 // RunCompiled executes an explicitly pre-compiled program (see Compile)
 // with kernel k, bypassing the cache. The program's baked-in mapping
-// governs, not the engine's.
+// governs, not the engine's, and so does its width: a program compiled
+// for fewer workers than the engine has runs on that many (the caller is
+// worker 0, so a 1-worker program starts no goroutine), and Stats and
+// Progress report those workers. An engine armed with Options.Steal runs
+// only programs compiled for its own worker count.
 func (e *Engine) RunCompiled(cp *CompiledProgram, k Kernel) error {
 	return e.RunCompiledContext(context.Background(), cp, k)
 }

@@ -104,22 +104,20 @@ func FitCosts(cfg SimConfig) (*FittedCosts, error) {
 }
 
 // SimFig8 regenerates Figure 8's four experiments on SimWorkers simulated
-// threads using fitted cost constants, reporting the same e_p/e_r
-// decomposition the paper plots.
-func SimFig8(cfg SimConfig) ([]Row, *FittedCosts, error) {
-	if cfg.SimWorkers < 2 || cfg.Tasks < 1 || len(cfg.TaskSizes) == 0 {
-		return nil, nil, fmt.Errorf("bench: bad sim config %+v", cfg)
-	}
-	costs, err := FitCosts(cfg)
-	if err != nil {
-		return nil, nil, err
+// threads under the given cost constants — FitCosts' measurement of this
+// machine, or any fixed set — reporting the same e_p/e_r decomposition the
+// paper plots. The simulation itself is deterministic: the same costs give
+// the same rows.
+func SimFig8(cfg SimConfig, costs *FittedCosts) ([]Row, error) {
+	if cfg.SimWorkers < 2 || cfg.Tasks < 1 || len(cfg.TaskSizes) == 0 || costs == nil {
+		return nil, fmt.Errorf("bench: bad sim config %+v", cfg)
 	}
 	var rows []Row
 	for _, exp := range []Fig8Experiment{Exp1Independent, Exp2RandomDeps, Exp3GEMM, Exp4LU} {
 		ccfg := CounterConfig{Workers: cfg.SimWorkers, Tasks: cfg.Tasks, TaskSizes: cfg.TaskSizes, Seed: cfg.Seed, Reps: 1}
 		g, mapping, err := fig8Workload(exp, ccfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, size := range cfg.TaskSizes {
 			dur := time.Duration(float64(size) * costs.NsPerOp)
@@ -127,18 +125,18 @@ func SimFig8(cfg SimConfig) ([]Row, *FittedCosts, error) {
 
 			r1, err := sim.SimulateRIO(w, cfg.SimWorkers, mapping, costs.RIO)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			rows = append(rows, simRow(exp, "sim-rio", cfg.SimWorkers, size, g, r1))
 
 			r2, err := sim.SimulateCentralized(w, cfg.SimWorkers, costs.Centralized)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			rows = append(rows, simRow(exp, "sim-centralized", cfg.SimWorkers, size, g, r2))
 		}
 	}
-	return rows, costs, nil
+	return rows, nil
 }
 
 // SimFig7 regenerates Figure 7 at the paper's scale (64 workers on the

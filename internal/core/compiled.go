@@ -20,9 +20,13 @@ func (e *Engine) RunCompiled(cp *stf.CompiledProgram, k stf.Kernel) error {
 }
 
 // RunCompiledContext is RunCompiled with cancellation, with the semantics
-// of RunContext. The program must have been compiled for exactly this
-// engine's worker count; the engine's own mapping is NOT consulted — the
-// ownership baked into the streams at compile time governs.
+// of RunContext. The engine's own mapping is NOT consulted — the ownership
+// baked into the streams at compile time governs, and so does the width:
+// a program compiled for w ≤ p workers runs on w of them, and Stats and
+// Progress then report w workers (run width, the parametric resource
+// allocation of the paper's §3). An engine armed with a steal policy takes
+// only programs of exactly its own width, because its steal tables are
+// sized by Workers.
 //
 // The replay-divergence guard never runs on this path: all workers'
 // streams derive from the same recorded graph, so replay divergence is
@@ -34,8 +38,11 @@ func (e *Engine) RunCompiledContext(ctx context.Context, cp *stf.CompiledProgram
 	if k == nil {
 		return errors.New("core: nil kernel")
 	}
-	if cp.Workers != e.workers {
+	switch {
+	case cp.Workers < 1 || cp.Workers > e.workers:
 		return fmt.Errorf("core: program compiled for %d workers run on an engine with %d", cp.Workers, e.workers)
+	case e.steal != nil && cp.Workers != e.workers:
+		return fmt.Errorf("core: program compiled for %d workers run on an engine with %d armed to steal, which runs only programs of its own width", cp.Workers, e.workers)
 	}
 	if e.resume != nil {
 		// Checkpoint resume is literal §3.5-style stream pruning: the

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -80,14 +81,25 @@ func TestCompiledStats(t *testing.T) {
 	}
 }
 
+// A program narrower than its engine is a valid run on that many workers
+// (run width): it must match the sequential oracle. A wider one, and a
+// narrow one on an engine armed to steal, are rejected.
 func TestCompiledValidation(t *testing.T) {
 	g := graphs.Independent(10)
 	cp := compile(t, g, sched.Cyclic(2), 2, nil)
 	noop := func(*stf.Task, stf.WorkerID) {}
 
 	e := newEngine(t, core.Options{Workers: 4})
-	if err := e.RunCompiled(cp, noop); err == nil || !strings.Contains(err.Error(), "compiled for 2 workers") {
-		t.Errorf("worker mismatch: %v", err)
+	if err := enginetest.CheckCompiled(e, g, cp); err != nil {
+		t.Errorf("2-worker program on a 4-worker engine: %v", err)
+	}
+	wide := compile(t, g, sched.Cyclic(8), 8, nil)
+	if err := e.RunCompiled(wide, noop); err == nil || !strings.Contains(err.Error(), "compiled for 8 workers") {
+		t.Errorf("wider than the engine: %v", err)
+	}
+	armed := newEngine(t, core.Options{Workers: 4, Steal: &stf.StealPolicy{}})
+	if err := armed.RunCompiled(cp, noop); err == nil || !strings.Contains(err.Error(), "armed to steal") {
+		t.Errorf("narrow program on an armed engine: %v", err)
 	}
 	e2 := newEngine(t, core.Options{Workers: 2})
 	if err := e2.RunCompiled(nil, noop); err == nil || !strings.Contains(err.Error(), "nil compiled program") {
@@ -186,5 +198,58 @@ func TestCompiledProgramReuse(t *testing.T) {
 		if err := enginetest.CheckCompiled(e, g, cp); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+	}
+}
+
+// goid is the calling goroutine's ID, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// A run's width is its program's: one engine alternates programs of width
+// 1, 2 and p over one flow, and every run matches the sequential oracle and
+// reports exactly its own workers. A width-1 run is the caller alone: every
+// body runs on the calling goroutine, and no goroutine starts.
+func TestNarrowRunWidth(t *testing.T) {
+	const p = 4
+	g := graphs.Cholesky(5)
+	e := newEngine(t, core.Options{Workers: p})
+	for round := 0; round < 3; round++ {
+		for _, w := range []int{1, p, 2} {
+			cp := compile(t, g, sched.Cyclic(w), w, sched.Relevant(g, sched.Cyclic(w), w))
+			if err := enginetest.CheckCompiled(e, g, cp); err != nil {
+				t.Fatalf("width %d: %v", w, err)
+			}
+			if n := len(e.Stats().Workers); n != w {
+				t.Errorf("width %d: Stats has %d workers", w, n)
+			}
+			if n := len(e.Progress().Workers); n != w {
+				t.Errorf("width %d: Progress has %d workers", w, n)
+			}
+			if got := e.Stats().Executed(); got != int64(len(g.Tasks)) {
+				t.Errorf("width %d: executed %d of %d", w, got, len(g.Tasks))
+			}
+		}
+	}
+
+	one := compile(t, g, sched.Cyclic(1), 1, nil)
+	caller, before := goid(), runtime.NumGoroutine()
+	var elsewhere, spawned int
+	err := e.RunCompiled(one, func(*stf.Task, stf.WorkerID) {
+		if goid() != caller {
+			elsewhere++
+		}
+		if runtime.NumGoroutine() > before {
+			spawned++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elsewhere != 0 || spawned != 0 {
+		t.Errorf("width-1 run: %d bodies off the calling goroutine, %d with more than the %d goroutines before the run", elsewhere, spawned, before)
 	}
 }

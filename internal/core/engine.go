@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"rio/internal/stf"
 	"rio/internal/trace"
@@ -131,8 +132,11 @@ type Engine struct {
 	// engine's run state; Run and a second OpenSession are rejected until the
 	// session is closed.
 	sessionActive atomic.Bool
-	// states pools the *runState runs and sessions borrow (borrow, giveBack).
-	states sync.Pool
+	// states pools the idle *runState runs and sessions borrow (borrow,
+	// giveBack), and lastIdle weakly names the one given back last
+	// (takeIdle).
+	states   sync.Pool
+	lastIdle atomic.Pointer[weak.Pointer[runState]]
 	// borrowed, when set (white-box tests only), observes every state
 	// borrow hands out, after its reset.
 	borrowed func(st *runState, numData int)
@@ -271,9 +275,15 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 			seed = adaptiveSeed(prev.WaitHist(), e.spinLimit)
 		}
 	}
-	rp := e.Begin(e.workers)
+	// The run's width: a compiled program's worker count, which may be
+	// narrower than the engine (RunCompiledContext), else the engine's.
+	w := e.workers
+	if f.cp != nil {
+		w = f.cp.Workers
+	}
+	rp := e.Begin(w)
 	if h := e.hooks; h != nil && h.OnRunStart != nil {
-		h.OnRunStart(e.workers, numData)
+		h.OnRunStart(w, numData)
 	}
 	err := e.execute(ctx, numData, rp, seed, f)
 	if h := e.hooks; h != nil && h.OnRunEnd != nil {
@@ -283,11 +293,21 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 }
 
 // execute is run's engine room, split out so run can bracket it with the
-// OnRunStart/OnRunEnd hooks. It starts exactly the p workers and, when the
-// watchdog is armed, its monitor, and it ends the run's record.
+// OnRunStart/OnRunEnd hooks. It starts the run's w workers (w is rp's
+// width) and, when the watchdog is armed, its monitor, and it ends the
+// run's record.
+//
+// The caller is worker 0 unless the watchdog is armed: launch replays worker
+// 0's stream on this goroutine and spawns only the other w−1, so a width-1
+// run starts no goroutine. The cancel callback is registered before the
+// launch, because the caller cannot watch ctx while it replays. A watched
+// run keeps the caller as a pure supervisor: only a free caller can abandon
+// a worker wedged inside a body.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f flow) error {
-	st := e.borrow(numData, rp, spinSeed)
-	for _, s := range st.subs {
+	w := rp.Workers()
+	st := e.borrow(numData, w, rp, spinSeed)
+	subs := st.subs[:w]
+	for _, s := range subs {
 		s.resume, s.track, s.watched = e.resume, e.checkpoint, e.stallTimeout > 0
 		if e.guard && f.prog != nil {
 			// Only a closure program can diverge between workers: compiled
@@ -295,9 +315,6 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 			s.guard = &guardState{}
 		}
 	}
-	start := time.Now()
-	st.launch(f)
-	done := st.done
 	var stopCancel func() bool
 	var canceled chan struct{}
 	if ctx.Done() != nil {
@@ -307,10 +324,14 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 			st.abort.raise(fmt.Errorf("core: run canceled: %w", context.Cause(ctx)), true)
 		})
 	}
+	watched := e.stallTimeout > 0
+	start := time.Now()
+	st.launch(f, w, !watched)
+	done := st.done
 	var stalled chan *stf.StallError
-	if e.stallTimeout > 0 {
+	if watched {
 		stalled = make(chan *stf.StallError, 1)
-		go e.monitor(st.subs, &st.abort, done, stalled)
+		go e.monitor(subs, &st.abort, done, stalled)
 	}
 
 	select {
@@ -351,14 +372,14 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	}
 
 	e.End(wall, !e.noAcct)
-	err := verdict(st.subs, &st.abort)
+	err := verdict(subs, &st.abort)
 	if err == nil {
-		if err = guardVerdict(st.subs); err != nil {
+		if err = guardVerdict(subs); err != nil {
 			err = fmt.Errorf("core: %w", err)
 		}
 	}
 	if err != nil && e.checkpoint {
-		err = &stf.PartialError{Cause: err, Result: e.partialResult(st.subs, len(f.tasks))}
+		err = &stf.PartialError{Cause: err, Result: e.partialResult(subs, len(f.tasks))}
 	}
 	// The workers, the monitor and the cancel callback are joined above and
 	// nothing returned references the state: it goes back to the pool.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"slices"
 	"strings"
@@ -203,4 +204,69 @@ func TestSessionLeavesNoGoroutine(t *testing.T) {
 	check("a panicking window and Close")
 
 	streamOracle(t, e, graphs.RandomDeps(300, 24, 3, 1, 7), 32)
+}
+
+// TestNarrowRunsLeaveNoGoroutine: the caller replays worker 0 of an
+// unwatched run, so a run's goroutines are its other w−1 workers and the
+// cancel callback. Runs alternating width 1 and width p — clean ones, ones
+// whose body panics on worker 0 (the caller's stack) and ones canceled
+// while the caller is inside a body — leave the goroutine count where it
+// was, and the engine's next run still matches the oracle.
+func TestNarrowRunsLeaveNoGoroutine(t *testing.T) {
+	const p = 3
+	chain := graphs.Chain(200) // task i writes data i, reads data i-1
+	e := newEngine(t, core.Options{Workers: p})
+	programs := []*stf.CompiledProgram{compile(t, chain, sched.Cyclic(1), 1, nil), compile(t, chain, sched.Cyclic(p), p, nil)}
+	noop := func(*stf.Task, stf.WorkerID) {}
+	for _, cp := range programs { // prime the runtime before baselining
+		if err := e.RunCompiled(cp, noop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settleGoroutines(0)
+	before := runtime.NumGoroutine()
+
+	for i := 0; i < 10; i++ {
+		for _, cp := range programs {
+			w := cp.Workers
+			if err := e.RunCompiled(cp, noop); err != nil {
+				t.Fatalf("width %d: %v", w, err)
+			}
+
+			// Task 3 is worker 0's at either width; at width p the other
+			// workers are blocked on its data when it panics.
+			err := e.RunCompiled(cp, func(tk *stf.Task, _ stf.WorkerID) {
+				if tk.ID == 3 {
+					panic("boom")
+				}
+			})
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("width %d, panicking body on worker 0: %v", w, err)
+			}
+
+			// Task 0 is worker 0's: the caller cancels from inside its body.
+			ctx, cancel := context.WithCancel(context.Background())
+			err = e.RunCompiledContext(ctx, cp, func(tk *stf.Task, _ stf.WorkerID) {
+				if tk.ID == 0 {
+					cancel()
+				}
+				time.Sleep(200 * time.Microsecond)
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("width %d, canceled from worker 0's body: %v", w, err)
+			}
+			if n := e.Progress().Executed(); n == int64(len(chain.Tasks)) {
+				t.Errorf("width %d: a run canceled at its first task executed all %d", w, n)
+			}
+		}
+	}
+	if after := settleGoroutines(before); after > before {
+		t.Errorf("goroutines grew from %d to %d across runs of width 1 and %d", before, after, p)
+	}
+	for _, cp := range programs {
+		if err := enginetest.CheckCompiled(e, chain, cp); err != nil {
+			t.Errorf("width %d after the failed runs: %v", cp.Workers, err)
+		}
+	}
 }

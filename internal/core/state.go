@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"rio/internal/stf"
 	"rio/internal/trace"
@@ -32,6 +33,12 @@ type runState struct {
 	flow flow
 	live atomic.Int32
 	done chan struct{}
+
+	// idle is set when the state is given back and won by the borrow that
+	// takes it (Engine.takeIdle); handle is the state's weak reference to
+	// itself, allocated once, which giveBack leaves in Engine.lastIdle.
+	idle   atomic.Bool
+	handle *weak.Pointer[runState]
 }
 
 // newRunState allocates an idle state for numData data objects.
@@ -41,6 +48,8 @@ func (e *Engine) newRunState(numData int) *runState {
 		arena:  newLocalArena(e.workers, numData),
 		subs:   make([]*submitter, e.workers),
 	}
+	st.handle = new(weak.Pointer[runState])
+	*st.handle = weak.Make(st)
 	for w := range st.subs {
 		st.subs[w] = &submitter{}
 		if e.steal != nil {
@@ -51,14 +60,16 @@ func (e *Engine) newRunState(numData int) *runState {
 }
 
 // borrow hands a one-shot run (execute) or a streaming session (OpenSession)
-// the state it replays on over numData data objects: a pooled one when its
-// capacity covers numData — every word the run can reach reset to idle —
-// else a fresh one. The submitters come wired to the state, the engine's
-// policies and one snapshot of its mapping (every worker must resolve
-// ownership identically even if SetMapping races the start); execute adds
-// the per-run checkpoint, guard and watchdog wiring.
-func (e *Engine) borrow(numData int, rp *trace.ProgressTable, spinBudget int) *runState {
-	st, _ := e.states.Get().(*runState)
+// the state it replays on over numData data objects: an idle one
+// (takeIdle) when its capacity covers numData — every word the run can reach reset
+// to idle — else a fresh one. The first width submitters, those of the run's workers,
+// come wired to the state, the engine's policies, their cells of rp and one
+// snapshot of its mapping (every worker must resolve ownership identically
+// even if SetMapping races the start); execute adds the per-run checkpoint,
+// guard and watchdog wiring. A narrow run (width < p) leaves the others
+// idle.
+func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget int) *runState {
+	st := e.takeIdle()
 	if st == nil || len(st.shared) < numData {
 		st = e.newRunState(numData)
 	} else {
@@ -69,7 +80,7 @@ func (e *Engine) borrow(numData int, rp *trace.ProgressTable, spinBudget int) *r
 	shared := st.shared[:numData]
 	st.abort = abortState{shared: shared}
 	mapping := *e.mapping.Load()
-	for w, s := range st.subs {
+	for w, s := range st.subs[:width] {
 		*s = submitter{
 			eng:        e,
 			worker:     stf.WorkerID(w),
@@ -98,7 +109,7 @@ func (e *Engine) borrow(numData int, rp *trace.ProgressTable, spinBudget int) *r
 // and the park timers — nothing of the caller's flow. The caller must have
 // joined every goroutine that can touch st: the workers and, for a run, the
 // watchdog monitor and the cancel callback; for a session, the window
-// timers. The pool then hands st to one run at a time. A state that cannot
+// timers. takeIdle then hands st to one run at a time. A state that cannot
 // be proven unreachable — an abandoned run's — is never given back.
 func (e *Engine) giveBack(st *runState) {
 	st.flow, st.done = flow{}, nil
@@ -108,24 +119,64 @@ func (e *Engine) giveBack(st *runState) {
 			s.thief.flow = nil
 		}
 	}
+	st.idle.Store(true)
+	e.lastIdle.Store(st.handle)
 	e.states.Put(st)
 }
 
-// launch starts the p worker goroutines of a one-shot run (execute) or a
+// takeIdle takes an idle state for borrow, or returns nil: a pooled one or,
+// when the pool has none for the caller's P, the one given back last if it
+// is still idle. A sync.Pool slot belongs to the P its Put ran on, and a
+// caller that replays worker 0 never parks, so it can be preempted onto
+// another P between one run's giveBack and the next run's borrow; the weak
+// reference still finds the state there, and keeps no idle engine's state
+// from the collector. The pool may thus still hold a state a borrow took
+// that way: winning idle is what makes a state the borrower's, and a pooled
+// reference to one that is not idle is dropped.
+func (e *Engine) takeIdle() *runState {
+	for {
+		st, _ := e.states.Get().(*runState)
+		if st == nil {
+			break
+		}
+		if st.idle.CompareAndSwap(true, false) {
+			return st
+		}
+	}
+	if h := e.lastIdle.Load(); h != nil {
+		if st := h.Value(); st != nil && st.idle.CompareAndSwap(true, false) {
+			return st
+		}
+	}
+	return nil
+}
+
+// launch starts the first w workers of a one-shot run (execute) or a
 // stream window (Session.Flush) — the only place they start: each replays
-// f against its submitter, and the caller joins them all on <-st.done.
-func (st *runState) launch(f flow) {
+// f against its submitter, and the caller joins them all on <-st.done. With
+// inline set the caller is worker 0: launch spawns the other w−1, replays
+// worker 0's share on the calling goroutine and returns once it has (the
+// others may still be running). Without it, every worker gets a goroutine
+// and launch returns at once.
+func (st *runState) launch(f flow, w int, inline bool) {
 	st.flow = f
 	st.done = make(chan struct{})
-	st.live.Store(int32(len(st.subs)))
-	for _, s := range st.subs {
+	st.live.Store(int32(w))
+	first := 0
+	if inline {
+		first = 1
+	}
+	for _, s := range st.subs[first:w] {
 		go st.work(s)
+	}
+	if inline {
+		st.work(st.subs[0])
 	}
 }
 
-// work is one worker goroutine: replay the flow (replay recovers a
-// panicking body), store the worker's times in its cell and leave; the last
-// worker out closes done.
+// work is one worker, on its own goroutine or on the caller's: replay the
+// flow (replay recovers a panicking body), store the worker's times in its
+// cell and leave; the last worker out closes done.
 func (st *runState) work(s *submitter) {
 	t0 := time.Now()
 	s.replay(&st.flow)

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,17 +197,18 @@ func TestAbandonedRunStateNotReused(t *testing.T) {
 // its data and only a handful of objects — the progress table, the stats,
 // the done channel and the workers' goroutines. Measured on the flow
 // rio-serve's warm path replays (a 12×12-tile Cholesky) over its own 144
-// data and over 10 000.
+// data and over 10 000, at the engine's width and at width 1, where the
+// caller is the only worker.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector pads allocations and drops pooled items at random; the budget is for a plain build")
 	}
 	const workers, runs = 2, 200
 	noop := func(*stf.Task, stf.WorkerID) {}
-	perRun := func(numData int) (allocs float64, bytes uint64) {
+	perRun := func(width, numData int) (allocs float64, bytes uint64) {
 		g := graphs.Cholesky(12)
 		g.NumData = numData
-		cp, err := stf.Compile(g, sched.Cyclic(workers), workers, nil)
+		cp, err := stf.Compile(g, sched.Cyclic(width), width, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,13 +234,69 @@ func TestRunAllocBudget(t *testing.T) {
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
 	own := graphs.Cholesky(12).NumData
-	allocs, bytes := perRun(own)
-	_, wideBytes := perRun(10_000)
-	t.Logf("a warm run: %.1f allocations, %d B over %d data, %d B over 10 000", allocs, bytes, own, wideBytes)
-	if allocs > 12 {
-		t.Errorf("a warm run makes %.1f allocations, want at most 12", allocs)
+	for _, width := range []int{workers, 1} {
+		allocs, bytes := perRun(width, own)
+		_, wideBytes := perRun(width, 10_000)
+		t.Logf("a warm run at width %d: %.1f allocations, %d B over %d data, %d B over 10 000", width, allocs, bytes, own, wideBytes)
+		if allocs > 12 {
+			t.Errorf("a warm run at width %d makes %.1f allocations, want at most 12", width, allocs)
+		}
+		if d := int64(wideBytes) - int64(bytes); d > 256 || d < -256 {
+			t.Errorf("a warm run at width %d allocates %d B over %d data and %d B over 10 000: the per-data state is not reused", width, bytes, own, wideBytes)
+		}
 	}
-	if d := int64(wideBytes) - int64(bytes); d > 256 || d < -256 {
-		t.Errorf("a warm run allocates %d B over %d data and %d B over 10 000: the per-data state is not reused", bytes, own, wideBytes)
+}
+
+// TestTakeIdleExclusive: a state a borrow found through Engine.lastIdle —
+// the fallback when the pool's slot for the borrower's P is empty — stays
+// in the pool as well, and the idle flag makes it the borrower's alone.
+// While it is held takeIdle hands it out to no one (the pool's reference
+// is dropped); once given back it is handed out once; and goroutines that
+// borrow and give back at once, moving between Ps as they go, never hold
+// one state together.
+func TestTakeIdleExclusive(t *testing.T) {
+	e, err := New(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	st := e.newRunState(8)
+	e.giveBack(st)
+	// What takeIdle's fallback does when the pool misses.
+	if held := e.lastIdle.Load().Value(); held != st || !held.idle.CompareAndSwap(true, false) {
+		t.Fatal("the state given back last is not found idle through lastIdle")
+	}
+	if got := e.takeIdle(); got != nil {
+		t.Fatalf("takeIdle handed out %p while it is held", got)
+	}
+	e.giveBack(st)
+	if got := e.takeIdle(); got != st {
+		t.Fatalf("takeIdle = %p after the give-back, want %p", got, st)
+	}
+	if got := e.takeIdle(); got != nil {
+		t.Fatalf("takeIdle handed out %p twice", got)
+	}
+
+	var holders sync.Map // *runState → *atomic.Int32
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2000 {
+				st := e.takeIdle()
+				if st == nil {
+					st = e.newRunState(8)
+				}
+				n, _ := holders.LoadOrStore(st, new(atomic.Int32))
+				if n.(*atomic.Int32).Add(1) != 1 {
+					t.Error("two borrowers hold one state")
+					return
+				}
+				runtime.Gosched()
+				n.(*atomic.Int32).Add(-1)
+				e.giveBack(st)
+			}
+		}()
+	}
+	wg.Wait()
 }

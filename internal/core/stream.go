@@ -110,7 +110,7 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 		eng:     e,
 		numData: numData,
 		timeout: timeout,
-		st:      e.borrow(numData, rp, e.spinLimit),
+		st:      e.borrow(numData, e.workers, rp, e.spinLimit),
 		prog:    rp,
 	}, nil
 }
@@ -171,7 +171,9 @@ func (ss *Session) Flush(wr WindowRun) error {
 			ab.raise(fmt.Errorf("core: stream window exceeded its %v timeout", d), true)
 		})
 	}
-	st.launch(ss.eng.compiledFlow(wr.Compiled, wr.Tasks, wr.Kernel))
+	// Every window spawns all p workers: the producer must stay free to
+	// record the next window while this one runs.
+	st.launch(ss.eng.compiledFlow(wr.Compiled, wr.Tasks, wr.Kernel), len(st.subs), false)
 	return nil
 }
 

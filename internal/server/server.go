@@ -232,8 +232,14 @@ type flowInfo struct {
 	Verified bool `json:"verified"`
 	// Runs counts completed executions of the flow.
 	Runs int64 `json:"runs"`
-	// ProgramBytes is what the flow holds for its program (programBytes).
+	// ProgramBytes is what the flow holds for its programs (programBytes),
+	// its 1-worker streams included once they exist.
 	ProgramBytes int64 `json:"program_bytes"`
+	// Widths reports, for each kernel the flow has run with since its
+	// 1-worker program exists, the run width it has settled on and the
+	// recent unaccounted walls it chose by (tenant.program); absent while
+	// the flow runs only at Config.Workers.
+	Widths map[string]widthInfo `json:"widths,omitempty"`
 	// Findings tallies the preflight report (informational findings do
 	// not reject).
 	Findings struct {
@@ -241,6 +247,15 @@ type flowInfo struct {
 		Warnings int `json:"warnings"`
 		Infos    int `json:"infos"`
 	} `json:"findings"`
+}
+
+// widthInfo is one kernel's entry of flowInfo.Widths: the width the flow
+// runs at with it between probes, and the recent wall time of an
+// unaccounted run at width 1 and at Config.Workers (0 until measured).
+type widthInfo struct {
+	Workers      int64 `json:"workers"`
+	NarrowWallNS int64 `json:"narrow_wall_ns"`
+	WideWallNS   int64 `json:"wide_wall_ns"`
 }
 
 func (s *Server) flowInfo(f *flow, cached bool) flowInfo {
@@ -253,7 +268,13 @@ func (s *Server) flowInfo(f *flow, cached bool) flowInfo {
 		Cached:       cached,
 		Verified:     s.cfg.Verify,
 		Runs:         f.runs.Load(),
-		ProgramBytes: f.bytes,
+		ProgramBytes: f.bytes.Load(),
+	}
+	if widths := f.widths.Load(); widths != nil {
+		info.Widths = make(map[string]widthInfo, len(*widths))
+		for k, c := range *widths {
+			info.Widths[k] = widthInfo{Workers: c.workers.Load(), NarrowWallNS: c.wall[0].Load(), WideWallNS: c.wall[1].Load()}
+		}
 	}
 	if f.report != nil {
 		info.Findings.Errors = f.report.Errors
@@ -304,10 +325,12 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flo
 	if f.sub == sub {
 		f.report, f.err = ingest.Preflight(sub, s.cfg.Preflight)
 		if f.err == nil {
-			f.cp, f.err = s.compile(sub)
+			start := time.Now()
+			f.cp, f.err = s.cfg.compile(sub.Graph, s.cfg.Workers, sub.Mapping)
+			f.compileWall = time.Since(start)
 		}
 		if f.err == nil {
-			f.bytes = programBytes(f.cp)
+			f.bytes.Store(programBytes(f.cp))
 		}
 		if f.err != nil {
 			t.unregister(f)
@@ -339,21 +362,26 @@ type sizedBody struct {
 
 func (b sizedBody) Len() int { return b.n }
 
-// compile lowers sub's graph under sub's mapping — the one the client
-// submitted and preflight vetted — and certifies the result when
-// Config.Verify is set.
-func (s *Server) compile(sub *ingest.Submission) (*rio.CompiledProgram, error) {
-	cp, err := rio.Compile(sub.Graph, s.cfg.Workers, sub.Mapping, s.cfg.Prune)
+// compile lowers g for workers under m (nil: the cyclic default), pruned
+// as Config.Prune says, and certifies the result when Config.Verify is
+// set. A submission compiles under its own mapping — the one the client
+// submitted and preflight vetted — at Config.Workers; the executor
+// compiles a flow's 1-worker program with it too (tenant.program).
+func (c *Config) compile(g *stf.Graph, workers int, m rio.Mapping) (*rio.CompiledProgram, error) {
+	cp, err := rio.Compile(g, workers, m, c.Prune)
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.Verify {
-		if report := rio.Verify(sub.Graph, cp, sub.Mapping, nil); report.Reject() {
+	if c.Verify {
+		if report := certify(g, cp, m, nil); report.Reject() {
 			return nil, &analyze.PreflightError{Report: report}
 		}
 	}
 	return cp, nil
 }
+
+// certify is the translation validator compile runs under Config.Verify.
+var certify = rio.Verify
 
 // programBytes is what a registered flow holds for as long as it is
 // registered: the task table and its accesses, which kernels receive, and
@@ -363,6 +391,14 @@ func programBytes(cp *rio.CompiledProgram) int64 {
 	for i := range cp.Tasks {
 		n += len(cp.Tasks[i].Accesses) * int(unsafe.Sizeof(stf.Access{}))
 	}
+	return int64(n) + streamBytes(cp)
+}
+
+// streamBytes is what cp's compiled streams hold: all a flow's 1-worker
+// program adds to its bytes, since every program of a graph shares the
+// graph's task table.
+func streamBytes(cp *rio.CompiledProgram) int64 {
+	n := 0
 	for _, st := range cp.Streams {
 		n += stf.StreamBytes(st)
 	}
@@ -403,6 +439,9 @@ type runResult struct {
 	Kernel string `json:"kernel"`
 	// Executed is the number of tasks the run executed.
 	Executed int64 `json:"executed"`
+	// Workers is the run's width: Config.Workers, or 1 when the flow's
+	// width choice ran it on one worker (tenant.program).
+	Workers int `json:"workers"`
 	// WallNS is the execution's wall time; QueueNS the time the request
 	// spent queued behind other executions.
 	WallNS  int64 `json:"wall_ns"`
@@ -502,6 +541,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 			Flow:     f.id,
 			Kernel:   kernel,
 			Executed: res.executed,
+			Workers:  res.workers,
 			WallNS:   int64(res.wall),
 			QueueNS:  int64(res.queueWait),
 		})
@@ -514,8 +554,9 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 // progressInfo is the JSON response of GET /v1/progress: the tenant's run
 // counters (tenant.Progress) plus the admission and flow-table state that
 // frames them. Cache is the flow table as a program cache: one miss per
-// compile, one hit per execution started, one entry per registered flow,
-// and the entries' program bytes.
+// registered flow (a flow's 1-worker compile is not a miss), one hit per
+// execution started, one entry per registered flow, and the entries'
+// program bytes.
 // Runs says how many executions started and how many of them were
 // accounted — the weight of Progress's wait histogram, which only those
 // runs refresh.
@@ -554,7 +595,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		Progress: t.Progress(),
 	}
 	for _, f := range flows {
-		info.Cache.Bytes += f.bytes
+		info.Cache.Bytes += f.bytes.Load()
 	}
 	info.Runs.Accounted = t.accounted.Load() // read before the total, which it must never exceed
 	info.Cache.Hits, info.Cache.Misses, info.Cache.Entries = t.hits.Load(), t.misses.Load(), info.Flows

@@ -646,7 +646,7 @@ func TestRejectedCertificateIs422(t *testing.T) {
 		}
 		return 1
 	}}
-	_, err := s.compile(sub)
+	_, err := s.cfg.compile(sub.Graph, sub.Workers, sub.Mapping)
 	var pf *analyze.PreflightError
 	if !errors.As(err, &pf) {
 		t.Fatalf("compile = %v, want a *analyze.PreflightError", err)
@@ -714,6 +714,19 @@ func waitingFlow(n int) *stf.Graph {
 	return g
 }
 
+// submitPinned submits g under the mapping "blockcyclic:1": the cyclic
+// assignment, but submitted, so it pins the run width at Config.Workers
+// (a 1-worker run of a waitingFlow has nothing to wait on).
+func submitPinned(t *testing.T, base, tenant string, g *stf.Graph) flowInfo {
+	t.Helper()
+	var info flowInfo
+	body := `{"mapping":"blockcyclic:1","graph":` + string(graphJSON(t, g)) + `}`
+	if resp := do(t, "POST", base+"/v1/flows", tenant, []byte(body), &info); resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	return info
+}
+
 var headSleeps = map[string]rio.Kernel{"head-sleeps": func(t *rio.Task, _ rio.WorkerID) {
 	if t.ID == 0 {
 		time.Sleep(time.Millisecond)
@@ -757,11 +770,12 @@ func waitsIn(p rio.Progress) (n int64) {
 // response's executed count, /v1/progress and /metrics report the run that
 // just finished (two flows of different sizes alternate, so a stale table
 // from the other engine would show) with the wait histogram of the last
-// accounted run, never an empty one.
+// accounted run, never an empty one. The flows are submitted under a
+// mapping, which pins every run at two workers, so every run waits.
 func TestAccountingSampledPerRun(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 2, Kernels: headSleeps})
 	flows := []*stf.Graph{waitingFlow(2), waitingFlow(3)}
-	ids := []string{submitFlow(t, hs.URL, "", flows[0]).ID, submitFlow(t, hs.URL, "", flows[1]).ID}
+	ids := []string{submitPinned(t, hs.URL, "", flows[0]).ID, submitPinned(t, hs.URL, "", flows[1]).ID}
 	tn := s.reg.lookup(DefaultTenant)
 
 	var accounted int64
@@ -819,10 +833,11 @@ func TestAccountingSampledPerTenant(t *testing.T) {
 	}
 }
 
-// TestProgressScrapedAcrossEngines reads /v1/progress and /metrics from four
-// goroutines while 200 runs alternate between the tenant's engines: every
-// scrape must answer a coherent snapshot (meaningful under -race, which is
-// how the serve-integration CI job runs it).
+// TestProgressScrapedAcrossEngines reads /v1/progress, /metrics and the
+// flow's GET /v1/flows/{id} (its width state) from six goroutines, two per
+// path, while 200 runs alternate between the tenant's engines and the
+// flow's widths: every scrape must answer a coherent snapshot (meaningful
+// under -race, which is how the serve-integration CI job runs it).
 func TestProgressScrapedAcrossEngines(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2})
 	g := graphs.LU(4)
@@ -831,8 +846,8 @@ func TestProgressScrapedAcrossEngines(t *testing.T) {
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		path := []string{"/v1/progress", "/metrics"}[i%2]
+	for i := 0; i < 6; i++ {
+		path := []string{"/v1/progress", "/metrics", "/v1/flows/" + info.ID}[i%3]
 		scrapers.Add(1)
 		go func() {
 			defer scrapers.Done()

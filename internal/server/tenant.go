@@ -16,7 +16,9 @@ package server
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,9 +43,102 @@ type flow struct {
 	report *analyze.Report
 	cp     *rio.CompiledProgram
 	err    error
-	bytes  int64 // programBytes(cp)
+	bytes  atomic.Int64 // programBytes of cp, and of narrow once it exists
+	// compileWall is how long compiling (and certifying) cp took.
+	compileWall time.Duration
 
 	runs atomic.Int64
+
+	// The run width (tenant.program): narrow is the flow's cyclic(1)
+	// program, compiled off the executor once the flow's runs have taken
+	// as long as compiling cp did (runWall; tenant.compileNarrow;
+	// narrowTried) — nil until it is published, and for good when the flow
+	// is pinned at p or the compile failed. widths holds one widthChoice
+	// per kernel the flow has run with since, replaced whole by the
+	// executor when a kernel is added, for GET /v1/flows/{id} to read.
+	// runWall and narrowTried are the executor's alone.
+	narrow      atomic.Pointer[rio.CompiledProgram]
+	runWall     time.Duration
+	narrowTried bool
+	widths      atomic.Pointer[map[string]*widthChoice]
+}
+
+// reprobeEvery is how often a (flow, kernel) pair that has settled on one
+// width runs at the other instead, so that a width that has become the
+// faster one — the kernel got dearer, the machine busier — is noticed: once
+// in reprobeEvery·⌈slow/fast⌉ runs, fast and slow the two widths' recent
+// walls. A probe costs slow − fast over a period of runs of fast each, so
+// stretching the period by the ratio keeps the probes under 1/reprobeEvery
+// of the pair's time whatever p is, and a probe much slower than the
+// settled run lands in the latency tail as rarely.
+const reprobeEvery = 64
+
+// recentRuns is how many of a width's latest measured runs its recent wall
+// is the least of, and settleAfter how many each width needs before the
+// pair settles. A run is slowed by a collection, a preemption or another
+// tenant, never sped up, so the least of a few is the estimate that one
+// unlucky run cannot move.
+const recentRuns, settleAfter = 4, 2
+
+// widthChoice is the run width of one (flow, kernel) pair, chosen between
+// the two candidates 1 and p by measurement. Eq. (2) prices a run at
+// n·t_r + n·t_t/w on top of a fixed cost per run that grows with w (spawn,
+// wake, join): at w = 1 the compiled stream is bare exec words (no get,
+// no terminate, no wait) and nothing is spawned, so a flow of cheap tasks
+// finishes sooner on one worker, and one of dear tasks on p. Rather than
+// predict the crossover, the executor times both widths and keeps the
+// faster. Only unaccounted runs probe and are timed: an accounted run reads
+// the clock per task and per wait, and is slower by construction.
+// Reporting eq. (2)'s prediction beside the measurement waits for a
+// per-run task share.
+type widthChoice struct {
+	// workers is the width the pair has settled on (what it runs at between
+	// probes); wall the recent wall time of an unaccounted run at width 1
+	// (wall[0]) and p (wall[1]), in ns, 0 until measured.
+	workers atomic.Int64
+	wall    [2]atomic.Int64
+
+	// Executor only: each width's latest measured walls (a ring) and how
+	// many it has had, and the unaccounted runs since the last probe.
+	samples  [2][recentRuns]int64
+	measured [2]int
+	runs     int
+}
+
+// next returns the width of the pair's next run: the less measured one
+// until each has settleAfter measurements, then the one of the lower
+// recent wall, and the other once a probe period (reprobeEvery) has passed.
+func (c *widthChoice) next(p int) int {
+	if min(c.measured[0], c.measured[1]) < settleAfter {
+		if c.measured[0] <= c.measured[1] {
+			return 1
+		}
+		return p
+	}
+	best, other := 1, p
+	fast, slow := c.wall[0].Load(), c.wall[1].Load()
+	if slow < fast {
+		best, other, fast, slow = p, 1, slow, fast
+	}
+	c.workers.Store(int64(best))
+	if c.runs++; c.runs >= reprobeEvery*int((slow+fast-1)/fast) {
+		c.runs = 0
+		return other
+	}
+	return best
+}
+
+// observe records that an unaccounted run at width w took wall, and
+// publishes the least of the width's recent walls.
+func (c *widthChoice) observe(w int, wall time.Duration) {
+	i := 1
+	if w == 1 {
+		i = 0
+	}
+	ring := &c.samples[i]
+	ring[c.measured[i]%recentRuns] = max(wall.Nanoseconds(), 1)
+	c.measured[i]++
+	c.wall[i].Store(slices.Min(ring[:min(c.measured[i], recentRuns)]))
 }
 
 // flowTableFullError rejects a submission when the tenant's flow table
@@ -71,6 +166,7 @@ type execReq struct {
 type execResult struct {
 	err       error
 	executed  int64
+	workers   int
 	wall      time.Duration
 	queueWait time.Duration
 }
@@ -113,8 +209,10 @@ const accountEvery = 16
 // count: the live counters of the engine that ran (or is running) last,
 // with the wait histogram of the last accounted run — an unaccounted run
 // buckets no waits, and a scrape that lands on one must not read that as
-// "nothing waited". Safe from any goroutine, like Engine.Progress; it is
-// what rio.MetricsHandler and rio.PublishExpvar read of a tenant.
+// "nothing waited". When the two runs differ in width, the workers the
+// last run did not have are listed with the accounted run's histograms and
+// no counters. Safe from any goroutine, like Engine.Progress; it is what
+// rio.MetricsHandler and rio.PublishExpvar read of a tenant.
 func (t *tenant) Progress() rio.Progress {
 	eng := t.last.Load()
 	if eng == nil {
@@ -122,10 +220,13 @@ func (t *tenant) Progress() rio.Progress {
 	}
 	p := eng.Progress()
 	if eng == t.plain {
-		// Either table is missing when that engine's first run was canceled
-		// before it started.
+		// The accounted table is missing when the timed engine's first run
+		// was canceled before it started.
 		acc := t.timed.Progress()
-		for w := range min(len(p.Workers), len(acc.Workers)) {
+		for w := range acc.Workers {
+			if w == len(p.Workers) {
+				p.Workers = append(p.Workers, rio.WorkerProgress{})
+			}
 			p.Workers[w].WaitHist = acc.Workers[w].WaitHist
 		}
 	}
@@ -267,18 +368,93 @@ func (t *tenant) execute(req *execReq) {
 		t.accounted.Add(1)
 	}
 	t.last.Store(eng)
+	cp, choice := t.program(req.flow, req.name, eng == t.timed)
 	var err error
 	start := time.Now()
 	pprof.Do(runCtx, pprof.Labels("rio_tenant", t.name, "rio_flow", req.flow.id, "rio_kernel", req.name), func(ctx context.Context) {
-		err = eng.RunCompiledContext(ctx, req.flow.cp, req.kernel)
+		err = eng.RunCompiledContext(ctx, cp, req.kernel)
 	})
 	wall := time.Since(start)
-	res := execResult{err: err, wall: wall, queueWait: queueWait}
+	res := execResult{err: err, workers: cp.Workers, wall: wall, queueWait: queueWait}
 	if err == nil {
 		req.flow.runs.Add(1)
+		req.flow.runWall += wall
 		res.executed = t.Progress().Executed()
+		if choice != nil {
+			choice.observe(cp.Workers, wall)
+		}
 	}
 	req.done <- res
+}
+
+// program picks the program a run of f with the named kernel takes, and
+// the width choice its wall time feeds (nil when the run does not feed
+// one). A flow runs at p on the program compiled at submit: on its first
+// run, for good when it was submitted with a mapping (that mapping is the one run: it pins
+// w = p) or p is 1, and otherwise until its cyclic(1) program is
+// published; from then on each (flow, kernel) pair runs at the width its
+// widthChoice picks. The first run whose flow's earlier runs took as long
+// in all as its submit compile did starts that compile (compileNarrow).
+// That is the rent-or-buy rule: a flow run only a few times, whose runs
+// cost less than a compile, never pays for a second one, and a flow that
+// keeps running buys the compile once it has spent as much on runs at p.
+// A timed (accounted) run takes the width the pair has settled on, and
+// neither probes nor feeds the choice. Executor only.
+func (t *tenant) program(f *flow, kernel string, timed bool) (*rio.CompiledProgram, *widthChoice) {
+	cfg := &t.reg.cfg
+	if f.runs.Load() == 0 || f.runWall < f.compileWall || cfg.Workers == 1 || !f.sub.MappingSpec.IsDefault() {
+		return f.cp, nil
+	}
+	if !f.narrowTried {
+		f.narrowTried = true
+		t.reg.executors.Add(1)
+		go t.compileNarrow(f)
+	}
+	narrow := f.narrow.Load()
+	if narrow == nil {
+		return f.cp, nil
+	}
+	var widths map[string]*widthChoice
+	if m := f.widths.Load(); m != nil {
+		widths = *m
+	}
+	c := widths[kernel]
+	if c == nil {
+		c = &widthChoice{}
+		c.workers.Store(int64(cfg.Workers))
+		grown := make(map[string]*widthChoice, len(widths)+1)
+		maps.Copy(grown, widths)
+		grown[kernel] = c
+		f.widths.Store(&grown)
+	}
+	w := int(c.workers.Load())
+	if timed {
+		c = nil
+	} else {
+		w = c.next(cfg.Workers)
+	}
+	if w == 1 {
+		return narrow, c
+	}
+	return f.cp, c
+}
+
+// compileNarrow compiles f's cyclic(1) program — pruned as Config.Prune
+// says, certified first under Config.Verify — and publishes it for
+// tenant.program, its streams added to the flow's bytes first. It runs on
+// its own goroutine, counted with the executors, so that no request queued
+// behind the flow's run waits for the compile. A program that fails to
+// compile or certify is logged, and the flow stays at p.
+func (t *tenant) compileNarrow(f *flow) {
+	defer t.reg.executors.Done()
+	cfg := &t.reg.cfg
+	narrow, err := cfg.compile(f.sub.Graph, 1, nil)
+	if err != nil {
+		cfg.Logf("rio-serve: flow %s stays at %d workers: its 1-worker program: %v", f.id, cfg.Workers, err)
+		return
+	}
+	f.bytes.Add(streamBytes(narrow))
+	f.narrow.Store(narrow)
 }
 
 // registry owns the tenant table and the drain protocol.
@@ -291,8 +467,8 @@ type registry struct {
 	draining atomic.Bool
 	// inflight counts admitted execution requests; drain waits on it.
 	inflight sync.WaitGroup
-	// executors counts executor goroutines; they exit when stopped
-	// closes.
+	// executors counts executor goroutines, which exit when stopped
+	// closes, and the narrow compiles they start (tenant.compileNarrow).
 	executors sync.WaitGroup
 	stopped   chan struct{}
 	// abortCtx is canceled when a Drain deadline expires: every running

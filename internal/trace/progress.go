@@ -306,6 +306,9 @@ func NewProgressTable(workers int) *ProgressTable {
 // Worker returns worker w's cell.
 func (t *ProgressTable) Worker(w int) *ProgressCell { return &t.workers[w] }
 
+// Workers returns the number of workers the table records: the run's width.
+func (t *ProgressTable) Workers() int { return len(t.workers) }
+
 // Finish clears the running flag (the counters stay readable).
 func (t *ProgressTable) Finish() { t.running.Store(false) }
 
