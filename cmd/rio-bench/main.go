@@ -18,15 +18,20 @@
 //	                     spin, park) on contended readers-writer and
 //	                     reduction rounds plus the uncontended fig7 replay,
 //	                     reporting wall, ns/task and process CPU time
-//	rio-bench all        fig2..fig8 + costmodel (run sim/sim7/hpl/sync
+//	rio-bench table1     Table 1: model checking of the STF and Run-In-Order
+//	                     models on tiled-LU -sizes (exhaustive, or -sample
+//	                     random executions per model); exits non-zero on
+//	                     any violation. The paper checks at -workers 2.
+//	rio-bench all        fig2..fig8 + costmodel (run sim/sim7/hpl/sync/table1
 //	                     separately; they have their own time budgets)
 //
-// Flags scale the workloads; defaults are laptop-sized versions of the
-// paper's parameters. -csv or -json replaces the text table of rows with
-// machine-readable output (-json writes the BENCH_*.json perf-trajectory
-// schema CI archives) and leaves out every line that is not a row: `all`
-// then prints no cost-model report, and `costmodel`, which has no rows,
-// rejects both flags.
+// Flags scale the workloads and may come before or after the subcommand;
+// defaults are laptop-sized versions of the paper's parameters. -csv or
+// -json replaces the text table of rows with machine-readable output
+// (-json writes the BENCH_*.json perf-trajectory schema CI archives) and
+// leaves out every line that is not a row: `all` then prints no
+// cost-model report, and `costmodel` and `table1`, which have no rows,
+// reject both flags.
 package main
 
 import (
@@ -36,9 +41,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"rio/internal/bench"
+	"rio/internal/spec"
 )
 
 func main() {
@@ -51,12 +58,12 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rio-bench", flag.ContinueOnError)
 	var (
-		workers    = fs.Int("workers", 4, "thread count p for parallel engines")
+		workers    = fs.Int("workers", 4, "thread count p for parallel engines (table1: of the checked models, at most 4)")
 		tasks      = fs.Int("tasks", 4096, "task count for fixed-size experiments")
 		sizes      = fs.String("task-sizes", "100,1000,10000,100000,1000000", "comma-separated counter task sizes (loop iterations)")
 		reps       = fs.Int("reps", 3, "repetitions (median reported)")
 		warmup     = fs.Int("warmup", 1, "warmup runs before measuring")
-		seed       = fs.Int64("seed", 42, "seed for the random-dependency workload")
+		seed       = fs.Int64("seed", 42, "seed for the random-dependency workload and table1's -sample")
 		n          = fs.Int("n", 256, "matrix dimension for the GEMM figures")
 		tiles      = fs.String("tile-sizes", "8,16,32,64,128,256", "comma-separated GEMM tile sizes (must divide n)")
 		maxW       = fs.Int("max-workers", 6, "maximum worker count for fig7")
@@ -72,19 +79,28 @@ func run(args []string, stdout io.Writer) error {
 		syncYield  = fs.Int("sync-yield", 0, "sync only: YieldLimit override (0 = engine default); small values force contended waits into the policies' slow phases")
 		simWorkers = fs.Int("sim-workers", 24, "simulated thread count for the sim subcommand (paper: 24)")
 		exp        = fs.Int("experiment", 0, "fig8 only: restrict to one experiment 1..4 (0 = all)")
+		luSizes    = fs.String("sizes", "2x2,3x2,3x3", "table1 only: comma-separated LU tile-grid sizes (RxC)")
+		samples    = fs.Int("sample", 0, "table1 only: if > 0, sample this many random executions per model (from -seed) instead of exploring every state")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rio-bench [flags] {fig2|fig3|fig4|fig6|fig7|fig8|sim|sim7|hpl|costmodel|sync|all}")
+		fmt.Fprintln(os.Stderr, "usage: rio-bench [flags] {fig2|fig3|fig4|fig6|fig7|fig8|sim|sim7|hpl|costmodel|sync|table1|all} [flags]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
+	if fs.NArg() == 0 {
 		fs.Usage()
 		return fmt.Errorf("exactly one subcommand required")
 	}
 	cmd := fs.Arg(0)
+	if err := fs.Parse(fs.Args()[1:]); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		fs.Usage()
+		return fmt.Errorf("exactly one subcommand required")
+	}
 	text := !*jsonOut && !*csvOut
 
 	taskSizes, err := parseUints(*sizes)
@@ -193,6 +209,20 @@ func run(args []string, stdout io.Writer) error {
 			return cerr
 		}
 		return bench.RenderCostModel(stdout, rep)
+	case "table1":
+		if !text {
+			fs.Usage()
+			return fmt.Errorf("table1 prints a report, not rows: -json and -csv do not apply")
+		}
+		sz, perr := parseSizes(*luSizes)
+		if perr != nil {
+			return fmt.Errorf("-sizes: %w", perr)
+		}
+		t1, terr := spec.Table1(sz, *workers, *samples, *seed)
+		if terr != nil {
+			return terr
+		}
+		return writeTable1(stdout, t1, *samples)
 	case "all":
 		for _, f := range []func() ([]bench.Row, error){
 			func() ([]bench.Row, error) { return bench.Fig2(gcfg) },
@@ -229,6 +259,44 @@ func run(args []string, stdout io.Writer) error {
 	return bench.RenderRows(stdout, rows)
 }
 
+// writeTable1 prints Table 1's rows, one line per model, and returns an
+// error when any property is violated, so the command exits non-zero.
+func writeTable1(w io.Writer, rows []spec.Table1Row, samples int) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "size\ttasks\tmodel\tgenerated\tdistinct\tdepth\ttime\tresult")
+	ok := true
+	for _, r := range rows {
+		for _, m := range []struct {
+			name string
+			res  *spec.Result
+			took time.Duration
+		}{{"STF", r.STF, r.STFTime}, {"Run-In-Order", r.RIO, r.RIOTime}} {
+			verdict := "ok"
+			if !m.res.OK() {
+				ok = false
+				verdict = fmt.Sprintf("FAILED (%d violations)", len(m.res.Violations))
+			}
+			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%d\t%d\t%s\t%s\n",
+				r.Size(), r.Tasks, m.name, m.res.Generated, m.res.Distinct, m.res.Depth, m.took, verdict)
+			for _, v := range m.res.Violations {
+				fmt.Fprintf(tw, "\t\t! %s\n", v)
+			}
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	switch {
+	case !ok:
+		return fmt.Errorf("table1: property violations found")
+	case samples > 0:
+		_, err := fmt.Fprintf(w, "no violations in %d sampled executions per model: data-race freedom, progress, per-step STF readiness\n", samples)
+		return err
+	}
+	_, err := fmt.Fprintln(w, "all properties verified: data-race freedom, termination, RIO refines STF")
+	return err
+}
+
 // hplWidths reuses the -tile-sizes flag as panel widths, dropping values
 // that do not divide n (a full-width panel degenerates to unblocked LU and
 // is kept).
@@ -254,6 +322,28 @@ func parseUints(s string) ([]uint64, error) {
 			return nil, err
 		}
 		out = append(out, v)
+	}
+	return out, nil
+}
+
+// parseSizes parses a comma-separated list of RxC tile-grid sizes
+// ("2x2,3x2").
+func parseSizes(s string) ([][2]int, error) {
+	var out [][2]int
+	for _, part := range strings.Split(s, ",") {
+		r, c, ok := strings.Cut(strings.TrimSpace(part), "x")
+		if !ok {
+			return nil, fmt.Errorf("bad size %q (want RxC)", part)
+		}
+		rows, err := strconv.Atoi(r)
+		if err != nil {
+			return nil, err
+		}
+		cols, err := strconv.Atoi(c)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, [2]int{rows, cols})
 	}
 	return out, nil
 }

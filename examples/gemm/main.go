@@ -37,15 +37,14 @@ func main() {
 	want := make([]float64, *n**n)
 	kernels.MatMulDense(want, a.ToDense(), bm.ToDense(), *n)
 
-	// Owner-computes mapping: worker grid pr×pc, C(i,j) owned by
-	// worker (i mod pr)·pc + (j mod pc). Task (i,j,k) has ID
-	// ((i·nt)+j)·nt + k, so ownership is derivable from the ID alone —
+	// Owner-computes mapping: C(i,j) is owned by the 2-D block-cyclic
+	// owner of tile (i,j) on the squarest worker grid. Task (i,j,k) has
+	// ID ((i·nt)+j)·nt + k, so ownership is derivable from the ID alone —
 	// a pure TaskID → WorkerID closure, as the paper specifies.
-	pr, pc := grid(*workers)
+	grid := rio.NewGrid2D(*workers)
 	mapping := func(id rio.TaskID) rio.WorkerID {
 		ij := int(id) / nt
-		i, j := ij/nt, ij%nt
-		return rio.WorkerID((i%pr)*pc + j%pc)
+		return grid.Owner(ij/nt, ij%nt)
 	}
 
 	for _, model := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
@@ -103,17 +102,6 @@ func operands(n, b int) (*kernels.Tiled, *kernels.Tiled, error) {
 	kernels.DiagDominant(a, 1)
 	kernels.DiagDominant(bm, 2)
 	return a, bm, nil
-}
-
-// grid factors p into the squarest pr×pc grid.
-func grid(p int) (pr, pc int) {
-	pr = 1
-	for d := 1; d*d <= p; d++ {
-		if p%d == 0 {
-			pr = d
-		}
-	}
-	return pr, p / pr
 }
 
 func aID(nt, i, k int) rio.DataID { return rio.DataID(i*nt + k) }

@@ -27,8 +27,7 @@ func main() {
 	flag.Parse()
 	nt := *n / *b
 
-	pr, pc := grid(*workers)
-	tileOwner := func(i, j int) rio.WorkerID { return rio.WorkerID((i%pr)*pc + j%pc) }
+	grid := rio.NewGrid2D(*workers)
 
 	for _, model := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
 		m, err := kernels.NewTiled(*n, *b)
@@ -44,7 +43,7 @@ func main() {
 		// loop nest once — the standard "parametric allocation" pattern.
 		var owners []rio.WorkerID
 		forEachTask(nt, func(kind string, i, j, k int) {
-			owners = append(owners, tileOwner(i, j))
+			owners = append(owners, grid.Owner(i, j))
 		})
 		mapping := func(id rio.TaskID) rio.WorkerID { return owners[id] }
 
@@ -109,14 +108,4 @@ func forEachTask(nt int, fn func(kind string, i, j, k int)) {
 			}
 		}
 	}
-}
-
-func grid(p int) (pr, pc int) {
-	pr = 1
-	for d := 1; d*d <= p; d++ {
-		if p%d == 0 {
-			pr = d
-		}
-	}
-	return pr, p / pr
 }

@@ -26,7 +26,9 @@
 //
 // The same pipeline backs three surfaces: rio.Options.Preflight (run
 // before every Run), the cmd/rio-vet CLI (human and JSON reports), and
-// the shared instance validation consumed by cmd/rio-check.
+// rio-serve's submit-time preflight; instance.go's workload, mapping and
+// validation plumbing is shared by rio-vet and rio-serve through the
+// server's ingest.
 package analyze
 
 import (

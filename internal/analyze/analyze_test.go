@@ -295,14 +295,6 @@ func TestWorkloadGraphAndParsers(t *testing.T) {
 		t.Fatal("non-positive size accepted")
 	}
 
-	sizes, err := analyze.ParseSizes("2x2, 3x2")
-	if err != nil || len(sizes) != 2 || sizes[1] != [2]int{3, 2} {
-		t.Fatalf("ParseSizes: %v %v", sizes, err)
-	}
-	if _, err := analyze.ParseSizes("3"); err == nil {
-		t.Fatal("bad size accepted")
-	}
-
 	g := graphs.Chain(6)
 	for _, spec := range []string{"cyclic", "block", "blockcyclic:2", "single:1", "owner2d"} {
 		m, err := analyze.ParseMapping(spec, g, 2)

@@ -54,7 +54,7 @@ func specPass(rep *Report, g *stf.Graph, cfg Config) {
 	if mapping == nil {
 		mapping = sched.Cyclic(workers)
 	}
-	row, err := spec.CheckPair(g, workers, mapping)
+	row, err := spec.CheckPair(g, workers, mapping, 0, 0)
 	if err != nil {
 		rep.addf(CodeSpecSkipped, Info, NoID, NoID, NoID, "model check skipped: %v", err)
 		return

@@ -11,10 +11,11 @@ import (
 	"rio/internal/stf"
 )
 
-// This file is the shared instance plumbing of the analysis tools:
-// building named workload graphs, parsing size and mapping specs, and
-// validating a (graph, workers, mapping) instance. cmd/rio-check and
-// cmd/rio-vet both consume it so the two tools cannot drift apart.
+// This file is the instance plumbing of the analysis tools: building
+// named workload graphs, parsing mapping specs, and validating a (graph,
+// workers, mapping) instance. The server's ingest consumes it, and
+// rio-vet and rio-serve go through ingest, so the two tools cannot drift
+// apart.
 
 // WorkloadGraph builds the task flow of one named workload. size is the
 // workload's scale (tile-grid side, chain length or task count); seed
@@ -40,29 +41,6 @@ func WorkloadGraph(workload string, size int, seed int64) (*stf.Graph, error) {
 		return graphs.RandomDeps(size, 4, 1, 1, seed), nil
 	}
 	return nil, fmt.Errorf("analyze: unknown workload %q (want lu|cholesky|gemm|wavefront|chain|independent|random)", workload)
-}
-
-// ParseSizes parses a comma-separated list of RxC tile-grid sizes
-// ("2x2,3x2").
-func ParseSizes(s string) ([][2]int, error) {
-	var out [][2]int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		rc := strings.Split(part, "x")
-		if len(rc) != 2 {
-			return nil, fmt.Errorf("analyze: bad size %q (want RxC)", part)
-		}
-		r, err := strconv.Atoi(rc[0])
-		if err != nil {
-			return nil, err
-		}
-		c, err := strconv.Atoi(rc[1])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, [2]int{r, c})
-	}
-	return out, nil
 }
 
 // ParseMapping builds a mapping from a spec string:

@@ -135,16 +135,6 @@ func (ms *MappingSpec) Build(g *stf.Graph, workers int) (stf.Mapping, error) {
 	return analyze.ParseMapping(spec, g, workers)
 }
 
-// ExplicitSpec samples m over the tasks of g into the explicit wire form,
-// so any programmatic mapping can be shipped to the server losslessly.
-func ExplicitSpec(g *stf.Graph, m stf.Mapping) *MappingSpec {
-	assign := make([]int, len(g.Tasks))
-	for i := range g.Tasks {
-		assign[i] = int(m(stf.TaskID(i)))
-	}
-	return &MappingSpec{Assign: assign}
-}
-
 // Submission is one parsed, validated flow ready for preflight and
 // compilation.
 type Submission struct {

@@ -460,29 +460,6 @@ func TestParseDoesNotTrustDeclaredLength(t *testing.T) {
 	}
 }
 
-func TestExplicitSpecRoundTrip(t *testing.T) {
-	g := graphs.LU(3)
-	const workers = 3
-	m, err := BuildMapping("owner2d", g, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := ExplicitSpec(g, m)
-	got, err := ms.Build(g, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.Tasks {
-		id := stf.TaskID(i)
-		if got(id) != m(id) {
-			t.Fatalf("task %d: explicit round-trip maps to %d, original to %d", i, got(id), m(id))
-		}
-	}
-	if !strings.HasPrefix(ms.Canonical(), "assign:") {
-		t.Errorf("canonical form = %q, want assign:…", ms.Canonical())
-	}
-}
-
 func TestNewSubmissionValidates(t *testing.T) {
 	g := graphs.LU(3)
 	if _, err := NewSubmission(g, nil, 0); err == nil {

@@ -386,7 +386,7 @@ func TestRIONoMappingRejected(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	rows, err := spec.Table1([][2]int{{2, 2}, {3, 2}}, 2)
+	rows, err := spec.Table1([][2]int{{2, 2}, {3, 2}}, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

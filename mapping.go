@@ -6,20 +6,12 @@ import (
 	"rio/internal/sched"
 )
 
-// This file re-exports the static-mapping and task-pruning library
-// (internal/sched) through the public API: the in-order execution model
-// requires the programmer to provide a TaskID → WorkerID mapping (§3.2),
-// and these are the standard ones from the static-scheduling literature.
-
-// BlockMapping splits nTasks tasks into p contiguous chunks.
-func BlockMapping(nTasks, p int) Mapping { return sched.Block(nTasks, p) }
-
-// BlockCyclicMapping distributes blocks of blockSize consecutive tasks
-// round-robin over p workers.
-func BlockCyclicMapping(p, blockSize int) Mapping { return sched.BlockCyclic(p, blockSize) }
-
-// TableMapping returns a mapping backed by a per-task owner table.
-func TableMapping(owners []WorkerID) Mapping { return sched.Table(owners) }
+// This file re-exports the parts of the static-mapping and task-pruning
+// library (internal/sched) that a Mapping closure alone cannot reach: the
+// in-order execution model requires the programmer to provide a TaskID →
+// WorkerID mapping (§3.2), which is a plain closure, so only the helpers
+// behind a feature (shared tasks, §3.5 pruning, steal victims, the 2-D
+// tile grid, automatic mappings) are public.
 
 // PartialMapping strips the static owner from the tasks selected by
 // shared; those tasks are claimed dynamically at run time (SharedWorker).
@@ -33,21 +25,6 @@ type Grid2D = sched.Grid2D
 
 // NewGrid2D factors p workers into the squarest possible grid.
 func NewGrid2D(p int) Grid2D { return sched.NewGrid2D(p) }
-
-// OwnerComputesMapping assigns each task of a recorded graph to the owner
-// of the tile it writes (tile coordinates are Task.I/Task.J).
-func OwnerComputesMapping(g *Graph, grid Grid2D) Mapping { return sched.OwnerComputes(g, grid) }
-
-// MappingFromTask precomputes a table mapping by inspecting each recorded
-// task.
-func MappingFromTask(g *Graph, f func(*Task) WorkerID) Mapping { return sched.FromTask(g, f) }
-
-// ValidateMapping checks that m maps every task of g into [0, p).
-func ValidateMapping(g *Graph, m Mapping, p int) error { return sched.Validate(g, m, p) }
-
-// MappingHistogram returns the per-worker task counts of a mapping — a
-// load-balance diagnostic.
-func MappingHistogram(g *Graph, m Mapping, p int) []int { return sched.Histogram(g, m, p) }
 
 // RankVictims ranks the workers of a mapping as steal victims for
 // StealPolicy.Victims: workers owning at least one task, by descending
@@ -68,10 +45,6 @@ func RelevantTasks(g *Graph, m Mapping, p int) [][]bool { return sched.Relevant(
 func PrunedReplay(g *Graph, k Kernel, relevant [][]bool) Program {
 	return sched.PrunedReplay(g, k, relevant)
 }
-
-// PruneRatio reports the fraction of per-worker bookkeeping eliminated by
-// pruning (0 = nothing, →1 = almost everything).
-func PruneRatio(relevant [][]bool) float64 { return sched.PruneRatio(relevant) }
 
 // AutoMapResult is a computed static schedule: mapping, predicted makespan
 // and per-worker loads.

@@ -1,29 +1,17 @@
 package rio
 
 import (
-	"context"
 	"expvar"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"runtime/pprof"
 
 	"rio/internal/trace"
 )
 
 // Observability helpers: exporting a Runtime's always-on Progress counters
-// to the standard monitoring surfaces (Prometheus text format, expvar) and
-// tagging task execution with pprof labels. All of them only *read* the
-// engine's counters; none of them changes what a run does.
-
-// WriteMetrics writes a Progress snapshot in the Prometheus text
-// exposition format. See MetricsHandler for serving an engine over HTTP;
-// use WriteMetrics directly to embed the samples in an existing handler
-// or a log.
-func WriteMetrics(w io.Writer, p Progress) error {
-	return trace.WriteMetrics(w, p)
-}
+// to the standard monitoring surfaces (Prometheus text format, expvar).
+// Both only *read* the engine's counters; neither changes what a run does.
 
 // MetricsHandler returns an http.Handler exposing rt's Progress counters
 // in the Prometheus text exposition format. Each request takes a fresh
@@ -79,25 +67,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // — expvar.Publish panics on duplicates, mirroring expvar's own contract.
 func PublishExpvar(name string, rt interface{ Progress() Progress }) {
 	expvar.Publish(name, expvar.Func(func() any { return rt.Progress() }))
-}
-
-// LabelKernels wraps k so every execution runs under pprof labels
-//
-//	rio_kernel=<kernelName(t.Kernel)>  rio_worker=<w>
-//
-// making CPU profiles of a run attributable per kernel and per worker
-// (`go tool pprof -tagfocus`). kernelName may be nil ("kernel <id>").
-// The labels cost two small allocations per task — wrap only when
-// profiling; the engines themselves never label.
-func LabelKernels(k Kernel, kernelName func(int) string) Kernel {
-	name := kernelName
-	if name == nil {
-		name = func(sel int) string { return fmt.Sprintf("kernel %d", sel) }
-	}
-	return func(t *Task, w WorkerID) {
-		labels := pprof.Labels("rio_kernel", name(t.Kernel), "rio_worker", fmt.Sprintf("%d", w))
-		pprof.Do(context.Background(), labels, func(context.Context) {
-			k(t, w)
-		})
-	}
 }

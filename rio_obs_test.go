@@ -138,22 +138,6 @@ func TestPublishExpvar(t *testing.T) {
 	}
 }
 
-func TestLabelKernelsPassesThrough(t *testing.T) {
-	g := graphs.Wavefront(4, 4)
-	rt, err := rio.New(rio.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int64
-	k := rio.LabelKernels(func(*rio.Task, rio.WorkerID) { ran.Add(1) }, func(int) string { return "wave" })
-	if err := rt.Run(g.NumData, rio.Replay(g, k)); err != nil {
-		t.Fatal(err)
-	}
-	if got := ran.Load(); got != int64(len(g.Tasks)) {
-		t.Errorf("labeled kernel ran %d times, want %d", got, len(g.Tasks))
-	}
-}
-
 // Hooks installed through the public Options must fire on every model.
 func TestHooksThroughPublicAPI(t *testing.T) {
 	g := graphs.Wavefront(4, 4)

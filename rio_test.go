@@ -345,22 +345,8 @@ func TestSpinLimitOptionThroughPublicAPI(t *testing.T) {
 func TestMappingHelpersThroughPublicAPI(t *testing.T) {
 	g := graphs.LU(6)
 	p := 4
-	m := rio.OwnerComputesMapping(g, rio.NewGrid2D(p))
-	if err := rio.ValidateMapping(g, m, p); err != nil {
-		t.Fatal(err)
-	}
-	h := rio.MappingHistogram(g, m, p)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != len(g.Tasks) {
-		t.Errorf("histogram total = %d, want %d", total, len(g.Tasks))
-	}
+	m := sched.OwnerComputes(g, sched.NewGrid2D(p))
 	rel := rio.RelevantTasks(g, m, p)
-	if r := rio.PruneRatio(rel); r < 0 || r >= 1 {
-		t.Errorf("prune ratio = %v", r)
-	}
 	rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: p, Mapping: m})
 	if err != nil {
 		t.Fatal(err)
@@ -377,18 +363,6 @@ func TestMappingHelpersThroughPublicAPI(t *testing.T) {
 	}
 	if err := enginetest.Compare(g, want, got); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBlockMappingsThroughPublicAPI(t *testing.T) {
-	if w := rio.BlockMapping(10, 2)(9); w != 1 {
-		t.Errorf("BlockMapping(10,2)(9) = %d", w)
-	}
-	if w := rio.BlockCyclicMapping(2, 3)(3); w != 1 {
-		t.Errorf("BlockCyclicMapping(2,3)(3) = %d", w)
-	}
-	if w := rio.TableMapping([]rio.WorkerID{2})(0); w != 2 {
-		t.Errorf("TableMapping(0) = %d", w)
 	}
 }
 

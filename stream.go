@@ -15,8 +15,10 @@ import (
 // and joined before the next window starts), and repeated window shapes hit
 // a compiled-program cache keyed by the window's shape hash.
 // New attaches a fallback implementation to every other model (each window
-// runs as one ordinary engine run), so OpenStream works on any Runtime —
-// which is exactly what the pipeline ablation compares.
+// runs as one ordinary engine run), so OpenStream works on any Runtime: the
+// stream-windows ledger workload checks its windows against a session over
+// rio.Sequential, and TestStreamFallbackOracleStress drives the fallback
+// on the centralized and sequential models.
 type Streamer interface {
 	// Stream opens a streaming session over numData data objects. The
 	// returned Stream must be Closed.
@@ -134,9 +136,9 @@ func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 // each window executes as one ordinary synchronous run. This keeps the
 // Stream semantics (windowed submission, one window at a time, sticky errors)
 // identical across models, with the per-window cost profile of the
-// underlying engine — the centralized baseline of the pipeline ablation
-// pays a full unroll, dependency derivation and goroutine fan-out per
-// window.
+// underlying engine (a centralized window pays a full unroll, dependency
+// derivation and goroutine fan-out). The stream-windows ledger workload's
+// sequential oracle and TestStreamFallbackOracleStress run on it.
 func newRuntimeStream(run func(numData int, prog Program) error, numData int, opts StreamOptions) (*Stream, error) {
 	s, err := newStream(numData, opts)
 	if err != nil {

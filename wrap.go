@@ -43,11 +43,12 @@ func (f *fallbackRuntime) runBounded(ctx context.Context, numData int, prog Prog
 // Stream opens a fallback streaming session: windowed submission, one
 // window at a time and sticky errors exactly like the native path, with each
 // window executing as one run of the underlying engine (full unroll,
-// dependency derivation and worker fan-out per window — the cost profile
-// the pipeline ablation measures against RIO's native session). Each
-// window is bounded by Options.Timeout but bypasses preflight: a window
-// routinely reads data written by an earlier window, which single-window
-// analysis would misdiagnose as a read of never-written data.
+// dependency derivation and worker fan-out per window). Its consumers are
+// the stream-windows ledger workload's oracle over rio.Sequential and
+// TestStreamFallbackOracleStress. Each window is bounded by
+// Options.Timeout but bypasses preflight: a window routinely reads data
+// written by an earlier window, which single-window analysis would
+// misdiagnose as a read of never-written data.
 func (f *fallbackRuntime) Stream(numData int, opts StreamOptions) (*Stream, error) {
 	return newRuntimeStream(func(numData int, prog Program) error {
 		return f.runBounded(context.Background(), numData, prog)
