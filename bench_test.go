@@ -1,10 +1,11 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// as testing.B targets. Each benchmark iteration executes one full run of
-// the corresponding workload; custom metrics expose the paper's quantities
-// (ns/task, efficiency factors, model-checking state counts).
+// Micro-benchmarks of the runtime's own costs, one layer at a time: per-task
+// overhead per model, the divergence guard, accounting, run width, compiled
+// replay, wait contention, declaration, hooks, retry, stealing, certification
+// and streaming. Each reports ns/task (or its own unit) next to the standard
+// columns; -benchmem adds what a run allocates.
 //
-// The workload sizes are laptop-scale; cmd/rio-bench exposes the same
-// experiments with tunable sizes and renders the full sweeps.
+// The paper's tables and figures are not here: cmd/rio-bench regenerates
+// each of them from one command (see EXPERIMENTS.md).
 package rio_test
 
 import (
@@ -15,10 +16,8 @@ import (
 
 	"rio"
 	"rio/internal/graphs"
-	"rio/internal/hpl"
 	"rio/internal/kernels"
 	"rio/internal/sched"
-	"rio/internal/spec"
 	"rio/internal/stf"
 )
 
@@ -31,263 +30,6 @@ func newRuntime(b *testing.B, model rio.Model, workers int, m rio.Mapping) rio.R
 		b.Fatal(err)
 	}
 	return rt
-}
-
-// runCounter benchmarks one engine executing g with the synthetic counter
-// kernel at the given task size, reporting ns/task.
-func runCounter(b *testing.B, model rio.Model, g *rio.Graph, m rio.Mapping, size uint64) {
-	rt := newRuntime(b, model, benchWorkers, m)
-	cells := kernels.NewCells(benchWorkers)
-	prog := rio.Replay(g, graphs.CounterKernel(cells, size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rt.Run(g.NumData, prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	perTask := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(g.Tasks))
-	b.ReportMetric(perTask, "ns/task")
-}
-
-// BenchmarkFig6 — Figure 6: fixed number of independent counter tasks,
-// centralized vs RIO, across task sizes. The centralized engine's ns/task
-// floors at its per-task management cost; RIO's keeps shrinking.
-func BenchmarkFig6(b *testing.B) {
-	g := graphs.Independent(2048)
-	for _, size := range []uint64{100, 1000, 10000} {
-		for _, model := range []rio.Model{rio.InOrder, rio.Centralized} {
-			b.Run(fmt.Sprintf("size=%d/%s", size, model), func(b *testing.B) {
-				runCounter(b, model, g, rio.CyclicMapping(benchWorkers), size)
-			})
-		}
-	}
-}
-
-// BenchmarkFig7 — Figure 7: weak scaling of the task-flow unrolling. Tasks
-// per worker fixed; the RIO total grows with p (every worker unrolls
-// everything) while the pruned variant stays flat.
-func BenchmarkFig7(b *testing.B) {
-	const perWorker = 2048
-	const size = 256
-	for _, p := range []int{1, 2, 4, 6} {
-		g := graphs.Independent(perWorker * p)
-		m := sched.Cyclic(p)
-		cells := kernels.NewCells(p)
-		kern := graphs.CounterKernel(cells, size)
-		variants := []struct {
-			name string
-			prog rio.Program
-		}{
-			{"full", rio.Replay(g, kern)},
-			{"pruned", sched.PrunedReplay(g, kern, sched.Relevant(g, m, p))},
-		}
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("p=%d/%s", p, v.name), func(b *testing.B) {
-				rt := newRuntime(b, rio.InOrder, p, m)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := rt.Run(g.NumData, v.prog); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// fig8Case builds one of the four §5.1 experiments at benchmark scale.
-func fig8Case(b *testing.B, exp int) (*rio.Graph, rio.Mapping) {
-	b.Helper()
-	switch exp {
-	case 1:
-		return graphs.Independent(2048), sched.Cyclic(benchWorkers)
-	case 2:
-		return graphs.RandomDeps(2048, 128, 2, 1, 42), sched.Cyclic(benchWorkers)
-	case 3:
-		g := graphs.GEMM(12) // 1728 tasks
-		return g, sched.OwnerComputes(g, sched.NewGrid2D(benchWorkers))
-	case 4:
-		g := graphs.LU(14) // 1911 tasks
-		return g, sched.OwnerComputes(g, sched.NewGrid2D(benchWorkers))
-	}
-	b.Fatalf("unknown experiment %d", exp)
-	return nil, nil
-}
-
-// BenchmarkFig8 — Figure 8: the four experiment task graphs under both
-// engines at two granularities; the reported e_p and e_r reproduce the
-// figure's efficiency decomposition (e_g = e_l = 1 by construction of the
-// synthetic kernel).
-func BenchmarkFig8(b *testing.B) {
-	for exp := 1; exp <= 4; exp++ {
-		g, m := fig8Case(b, exp)
-		for _, size := range []uint64{200, 5000} {
-			for _, model := range []rio.Model{rio.InOrder, rio.Centralized} {
-				name := fmt.Sprintf("exp%d/size=%d/%s", exp, size, model)
-				b.Run(name, func(b *testing.B) {
-					rt := newRuntime(b, model, benchWorkers, m)
-					cells := kernels.NewCells(benchWorkers)
-					prog := rio.Replay(g, graphs.CounterKernel(cells, size))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := rt.Run(g.NumData, prog); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					st := rt.Stats()
-					task, idle, _ := st.Cumulative()
-					total := st.TotalCumulative()
-					if task+idle > 0 && total > 0 {
-						b.ReportMetric(float64(task)/float64(task+idle), "e_p")
-						b.ReportMetric(float64(task+idle)/float64(total), "e_r")
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig3 — Figure 3: the sequential tile-kernel efficiency origin of
-// the granularity effect — pure kernel time per tile size, no runtime.
-func BenchmarkFig3(b *testing.B) {
-	const n = 128
-	for _, tile := range []int{8, 16, 32, 64, 128} {
-		b.Run(fmt.Sprintf("b=%d", tile), func(b *testing.B) {
-			a, _ := kernels.NewTiled(n, tile)
-			bm, _ := kernels.NewTiled(n, tile)
-			c, _ := kernels.NewTiled(n, tile)
-			kernels.DiagDominant(a, 1)
-			kernels.DiagDominant(bm, 2)
-			nt := n / tile
-			flops := 2.0 * float64(n) * float64(n) * float64(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for ii := 0; ii < nt; ii++ {
-					for jj := 0; jj < nt; jj++ {
-						for kk := 0; kk < nt; kk++ {
-							kernels.GemmTile(c.Tile(ii, jj), a.Tile(ii, kk), bm.Tile(kk, jj), tile)
-						}
-					}
-				}
-			}
-			b.StopTimer()
-			sec := b.Elapsed().Seconds() / float64(b.N)
-			if sec > 0 {
-				b.ReportMetric(flops/sec/1e9, "GFLOPS")
-			}
-		})
-	}
-}
-
-// BenchmarkFig2And4 — Figures 2 and 4: the tiled matrix product under the
-// parallel runtimes across tile sizes (wall time = Fig 2; the e_p/e_r
-// metrics = the runtime-side factors of Fig 4).
-func BenchmarkFig2And4(b *testing.B) {
-	const n = 128
-	for _, tile := range []int{8, 16, 32, 64} {
-		nt := n / tile
-		g := graphs.GEMM(nt)
-		m := sched.OwnerComputes(g, sched.NewGrid2D(benchWorkers))
-		for _, model := range []rio.Model{rio.InOrder, rio.Centralized} {
-			b.Run(fmt.Sprintf("b=%d/%s", tile, model), func(b *testing.B) {
-				a, _ := kernels.NewTiled(n, tile)
-				bm, _ := kernels.NewTiled(n, tile)
-				c, _ := kernels.NewTiled(n, tile)
-				kernels.DiagDominant(a, 1)
-				kernels.DiagDominant(bm, 2)
-				kern := graphs.GEMMKernel(a, bm, c)
-				rt := newRuntime(b, model, benchWorkers, m)
-				prog := rio.Replay(g, kern)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := rt.Run(g.NumData, prog); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := rt.Stats()
-				task, idle, _ := st.Cumulative()
-				if total := st.TotalCumulative(); total > 0 && task+idle > 0 {
-					b.ReportMetric(float64(task)/float64(task+idle), "e_p")
-					b.ReportMetric(float64(task+idle)/float64(total), "e_r")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable1 — Table 1: model-checking cost of the STF and
-// Run-In-Order specifications on tiled-LU instances; the state counts are
-// reported as metrics.
-func BenchmarkTable1(b *testing.B) {
-	for _, sz := range [][2]int{{2, 2}, {3, 2}, {3, 3}} {
-		g := graphs.LURect(sz[0], sz[1])
-		mod, err := spec.NewModel(g, 2, sched.Cyclic(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("%dx%d/STF", sz[0], sz[1]), func(b *testing.B) {
-			var res *spec.Result
-			for i := 0; i < b.N; i++ {
-				res = mod.CheckSTF()
-			}
-			if !res.OK() {
-				b.Fatalf("violations: %v", res.Violations)
-			}
-			b.ReportMetric(float64(res.Distinct), "states")
-			b.ReportMetric(float64(res.Generated), "generated")
-		})
-		b.Run(fmt.Sprintf("%dx%d/RIO", sz[0], sz[1]), func(b *testing.B) {
-			var res *spec.Result
-			for i := 0; i < b.N; i++ {
-				res = mod.CheckRIO(spec.RIOOptions{})
-			}
-			if !res.OK() {
-				b.Fatalf("violations: %v", res.Violations)
-			}
-			b.ReportMetric(float64(res.Distinct), "states")
-			b.ReportMetric(float64(res.Generated), "generated")
-		})
-	}
-}
-
-// BenchmarkHPL — the paper's motivating application (§1): blocked LU with
-// partial pivoting, whose panel work is inherently fine-grained. Narrower
-// panels raise the fine-grained share; RIO's advantage grows with it.
-func BenchmarkHPL(b *testing.B) {
-	const n = 96
-	for _, pw := range []int{8, 24} {
-		f, err := hpl.NewFlow(n, pw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, model := range []rio.Model{rio.InOrder, rio.Centralized} {
-			b.Run(fmt.Sprintf("b=%d/%s", pw, model), func(b *testing.B) {
-				var kerr error
-				kern := f.Kernel(func(e error) { kerr = e })
-				rt := newRuntime(b, model, benchWorkers, f.ColumnMapping(benchWorkers))
-				prog := rio.Replay(f.Graph, kern)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					f.A.FillRandom(uint64(i) + 1)
-					b.StartTimer()
-					if err := rt.Run(f.Graph.NumData, prog); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if kerr != nil {
-					b.Fatal(kerr)
-				}
-				b.ReportMetric(f.FLOPs()/(b.Elapsed().Seconds()/float64(b.N))/1e9, "GFLOPS")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(f.Graph.Tasks)), "ns/task")
-			})
-		}
-	}
 }
 
 // BenchmarkPerTaskOverhead isolates the runtime cost the whole paper is

@@ -18,14 +18,18 @@ import (
 	"sort"
 	"time"
 
-	"rio/internal/bench"
-	"rio/internal/core"
+	"rio"
 	"rio/internal/graphs"
 	"rio/internal/kernels"
 	"rio/internal/sched"
+	"rio/internal/server/ingest"
 	"rio/internal/stf"
 	"rio/internal/trace"
 )
+
+// workloadSeed seeds the random workload: rio-vet's default, so both tools
+// build the same flow from the same -workload and -size.
+const workloadSeed = 1
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -48,41 +52,37 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	g, err := buildGraph(*workload, *size)
+	g, err := ingest.Workload(*workload, *size, workloadSeed)
 	if err != nil {
 		return err
 	}
 	mapping := sched.OwnerComputes(g, sched.NewGrid2D(*workers))
-	kind, err := engineKind(*engine)
+	model, err := parseModel(*engine)
 	if err != nil {
 		return err
 	}
-	var e bench.Engine
+	var rt rio.Runtime
 	var exec func(stf.Kernel) error
 	if *steal {
-		if kind != bench.RIO {
+		if model != rio.InOrder {
 			return fmt.Errorf("-steal applies to the rio engine only (got %q)", *engine)
 		}
-		ce, err := core.New(core.Options{
+		// An armed engine lowers the graph canonically (any task may end
+		// up on a thief) and reads steal readiness from its tables.
+		e, err := rio.NewEngine(rio.Options{
 			Workers: *workers,
 			Mapping: mapping,
-			Steal:   &stf.StealPolicy{Victims: sched.RankVictims(g, mapping, *workers)},
+			Steal:   &rio.StealPolicy{Victims: rio.RankVictims(g, mapping, *workers)},
 		})
 		if err != nil {
 			return err
 		}
-		// Stealing reads a compiled program's tables; the graph is at hand.
-		// Canonical lowering: any task may end up on a thief.
-		cp, err := stf.CompileCanonical(g, mapping, *workers, nil)
-		if err != nil {
-			return err
-		}
-		e, exec = ce, func(k stf.Kernel) error { return ce.RunCompiled(cp, k) }
+		rt, exec = e, func(k stf.Kernel) error { return e.RunGraph(g, k) }
 	} else {
-		if e, err = bench.NewEngine(kind, *workers, mapping); err != nil {
+		if rt, err = rio.New(rio.Options{Model: model, Workers: *workers, Mapping: mapping}); err != nil {
 			return err
 		}
-		exec = func(k stf.Kernel) error { return e.Run(g.NumData, stf.Replay(g, k)) }
+		exec = func(k stf.Kernel) error { return rt.Run(g.NumData, rio.Replay(g, k)) }
 	}
 
 	rec := trace.NewRecorder(*workers)
@@ -101,7 +101,7 @@ func run(args []string, out io.Writer) error {
 	wall := time.Since(t0)
 
 	fmt.Fprintf(out, "%s on %s: %d tasks, %d workers, wall %v\n\n",
-		e.Name(), g.Name, rec.Count(), *workers, wall.Round(time.Microsecond))
+		rt.Name(), g.Name, rec.Count(), *workers, wall.Round(time.Microsecond))
 	if err := rec.Gantt(out, *width); err != nil {
 		return err
 	}
@@ -159,36 +159,14 @@ func writeChrome(path string, rec *trace.Recorder, g *stf.Graph, out io.Writer) 
 	return nil
 }
 
-func buildGraph(workload string, size int) (*stf.Graph, error) {
-	switch workload {
-	case "independent":
-		return graphs.Independent(size), nil
-	case "random":
-		return graphs.RandomDeps(size, 128, 2, 1, 42), nil
-	case "gemm":
-		return graphs.GEMM(size), nil
-	case "lu":
-		return graphs.LU(size), nil
-	case "cholesky":
-		return graphs.Cholesky(size), nil
-	case "wavefront":
-		return graphs.Wavefront(size, size), nil
-	case "tree":
-		return graphs.TreeReduce(size), nil
-	case "forkjoin":
-		return graphs.ForkJoin(size, size), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
-}
-
-func engineKind(s string) (bench.EngineKind, error) {
+func parseModel(s string) (rio.Model, error) {
 	switch s {
 	case "rio":
-		return bench.RIO, nil
+		return rio.InOrder, nil
 	case "centralized":
-		return bench.CentralizedFIFO, nil
+		return rio.Centralized, nil
 	case "sequential":
-		return bench.Sequential, nil
+		return rio.Sequential, nil
 	}
 	return 0, fmt.Errorf("unknown engine %q", s)
 }

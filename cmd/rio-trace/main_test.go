@@ -27,7 +27,7 @@ func TestRunTraceEngines(t *testing.T) {
 }
 
 func TestRunTraceWorkloads(t *testing.T) {
-	for _, wl := range []string{"independent", "random", "gemm", "lu", "cholesky", "wavefront", "tree", "forkjoin"} {
+	for _, wl := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random", "tree", "forkjoin"} {
 		var buf bytes.Buffer
 		args := []string{"-workload", wl, "-size", "4", "-workers", "2", "-task-size", "100", "-width", "30"}
 		if err := run(args, &buf); err != nil {

@@ -62,7 +62,7 @@ func main() {
 
 func run(args []string, out io.Writer) (reject bool, err error) {
 	fs := flag.NewFlagSet("rio-vet", flag.ContinueOnError)
-	workload := fs.String("workload", "lu", "task flow to vet: lu | cholesky | gemm | wavefront | chain | independent | random | nondet (a nondeterminism demo)")
+	workload := fs.String("workload", "lu", "task flow to vet: lu | cholesky | gemm | wavefront | chain | independent | random | tree | forkjoin | nondet (a nondeterminism demo)")
 	size := fs.Int("size", 3, "workload size (tiles / grid side / task count)")
 	seed := fs.Int64("seed", 1, "seed of the random workload")
 	graphFile := fs.String("graph", "", "vet a task flow from a JSON file (as written by -emit json) instead of a named workload")

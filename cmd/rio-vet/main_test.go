@@ -197,7 +197,7 @@ func TestVetEmit(t *testing.T) {
 }
 
 func TestVetEmitAllWorkloadsAndMappings(t *testing.T) {
-	for _, wl := range []string{"independent", "random", "gemm", "lu", "cholesky", "wavefront"} {
+	for _, wl := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random", "tree", "forkjoin"} {
 		for _, m := range []string{"cyclic", "block", "owner"} {
 			if _, err := run([]string{"-workload", wl, "-size", "4", "-mapping", m, "-emit", "stats"}, &bytes.Buffer{}); err != nil {
 				t.Errorf("%s/%s: %v", wl, m, err)

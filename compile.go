@@ -75,14 +75,13 @@ func compile(g *Graph, workers int, m Mapping, prune, canonical bool) (*Compiled
 // graphs were validated structurally at compile time.
 //
 // Concurrency: an Engine has one caller. Run, RunGraph, RunCompiled,
-// Precompile, Stream, SetMapping and Invalidate must not overlap one
-// another: an Engine executes one task flow at a time, and a cache miss
-// compiles on the calling goroutine. Progress and CacheStats may be called
-// from any goroutine at any time. Callers wanting concurrent compilation
-// compile outside the engine with Compile (and Verify) and hand the programs
-// to RunCompiled from the one goroutine that runs — internal/server is that
-// pattern: submitters compile into a per-tenant flow table, one executor
-// runs.
+// Stream and SetMapping must not overlap one another: an Engine executes
+// one task flow at a time, and a cache miss compiles on the calling
+// goroutine. Progress and CacheStats may be called from any goroutine at
+// any time. Callers wanting concurrent compilation compile outside the
+// engine with Compile (and Verify) and hand the programs to RunCompiled
+// from the one goroutine that runs — internal/server is that pattern:
+// submitters compile into a per-tenant flow table, one executor runs.
 type Engine struct {
 	core    *core.Engine
 	opts    Options
@@ -119,19 +118,18 @@ func (e *Engine) RunGraph(g *Graph, k Kernel) error {
 
 // RunGraphContext is RunGraph with cancellation.
 func (e *Engine) RunGraphContext(ctx context.Context, g *Graph, k Kernel) error {
-	cp, err := e.Precompile(g)
+	cp, err := e.precompile(g)
 	if err != nil {
 		return err
 	}
 	return e.RunCompiledContext(ctx, cp, k)
 }
 
-// Precompile returns the cached program for g, compiling on a miss — use
-// it to warm the cache before a run; like a run it belongs to the engine's
-// one caller. The miss path is also where Options.Preflight analyzes the
-// graph and Options.Verify certifies the streams: once per (engine, graph)
-// pair, not once per run.
-func (e *Engine) Precompile(g *Graph) (*CompiledProgram, error) {
+// precompile returns the cached program for g, compiling on a miss. The
+// miss path is also where Options.Preflight analyzes the graph and
+// Options.Verify certifies the streams: once per (engine, graph) pair, not
+// once per run.
+func (e *Engine) precompile(g *Graph) (*CompiledProgram, error) {
 	e.mu.Lock()
 	cp, ok := e.cache[g]
 	if ok {
@@ -264,7 +262,7 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog Program) erro
 // default) and flushes the compiled-program cache: cached streams bake
 // the old task→worker assignment in and would execute tasks on the wrong
 // workers. Programs compiled explicitly via Compile are unaffected. Must
-// not be called while a run or a Precompile is in flight.
+// not be called while a run is in flight.
 func (e *Engine) SetMapping(m Mapping) {
 	if m == nil {
 		m = CyclicMapping(e.core.NumWorkers())
@@ -274,15 +272,6 @@ func (e *Engine) SetMapping(m Mapping) {
 	e.cache = make(map[*Graph]*CompiledProgram)
 	e.mu.Unlock()
 	e.core.SetMapping(m)
-}
-
-// Invalidate drops g's cached compiled program (use after mutating a
-// graph in place; re-adding tasks to a cached graph would otherwise keep
-// replaying the stale streams).
-func (e *Engine) Invalidate(g *Graph) {
-	e.mu.Lock()
-	delete(e.cache, g)
-	e.mu.Unlock()
 }
 
 // CacheStats reports the compiled-program cache's hit/miss counters and

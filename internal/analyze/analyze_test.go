@@ -279,7 +279,7 @@ func TestSpecPassSkipsReductions(t *testing.T) {
 }
 
 func TestWorkloadGraphAndParsers(t *testing.T) {
-	for _, w := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "random"} {
+	for _, w := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random", "tree", "forkjoin"} {
 		g, err := analyze.WorkloadGraph(w, 3, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)

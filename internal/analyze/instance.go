@@ -18,8 +18,8 @@ import (
 // apart.
 
 // WorkloadGraph builds the task flow of one named workload. size is the
-// workload's scale (tile-grid side, chain length or task count); seed
-// only affects the random workload.
+// workload's scale (tile-grid side, chain length, task count, tree leaves,
+// or fork-join phases and width); seed only affects the random workload.
 func WorkloadGraph(workload string, size int, seed int64) (*stf.Graph, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("analyze: workload size must be positive (got %d)", size)
@@ -39,8 +39,12 @@ func WorkloadGraph(workload string, size int, seed int64) (*stf.Graph, error) {
 		return graphs.Independent(size), nil
 	case "random":
 		return graphs.RandomDeps(size, 4, 1, 1, seed), nil
+	case "tree":
+		return graphs.TreeReduce(size), nil
+	case "forkjoin":
+		return graphs.ForkJoin(size, size), nil
 	}
-	return nil, fmt.Errorf("analyze: unknown workload %q (want lu|cholesky|gemm|wavefront|chain|independent|random)", workload)
+	return nil, fmt.Errorf("analyze: unknown workload %q (want lu|cholesky|gemm|wavefront|chain|independent|random|tree|forkjoin)", workload)
 }
 
 // ParseMapping builds a mapping from a spec string:

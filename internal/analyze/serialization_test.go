@@ -103,7 +103,7 @@ func TestCriticalPathsMatchDependencies(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		flows = append(flows, enginetest.RandomGraph(rng, 40, 6), enginetest.RandomGraphWithReductions(rng, 40, 5))
 	}
-	for _, wl := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random"} {
+	for _, wl := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random", "tree", "forkjoin"} {
 		for _, size := range []int{1, 2, 5} {
 			g, err := WorkloadGraph(wl, size, 7)
 			if err != nil {

@@ -1,70 +1,23 @@
 // Package bench is the experiment harness regenerating every table and
 // figure of the paper's evaluation (§5 and §2.3): workload construction,
-// engine setup, repetition and median-taking, efficiency decomposition, and
-// text-table rendering. The cmd/rio-bench binary is a thin CLI over this
-// package; root-level testing.B benchmarks reuse the same runners.
+// repetition and median-taking, efficiency decomposition, and text-table
+// rendering. Engines come from the public API (rio.New, rio.NewEngine), so
+// the harness measures exactly what a caller of package rio runs. The
+// cmd/rio-bench binary is a thin CLI over this package.
 package bench
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
-	"rio/internal/centralized"
-	"rio/internal/core"
-	"rio/internal/sequential"
+	"rio"
 	"rio/internal/stf"
 	"rio/internal/trace"
 )
 
-// Engine is the runtime surface the harness drives.
-type Engine interface {
-	Run(numData int, prog stf.Program) error
-	Stats() *trace.Stats
-	Name() string
-	NumWorkers() int
-}
-
-// EngineKind selects an execution model in experiment configurations.
-type EngineKind int
-
-// Engine kinds compared across the paper's figures.
-const (
-	RIO EngineKind = iota
-	CentralizedFIFO
-	Sequential
-)
-
-// String names the kind as used in report rows.
-func (k EngineKind) String() string {
-	switch k {
-	case RIO:
-		return "rio"
-	case CentralizedFIFO:
-		return "centralized-fifo"
-	case Sequential:
-		return "sequential"
-	}
-	return fmt.Sprintf("EngineKind(%d)", int(k))
-}
-
-// NewEngine builds an engine of the given kind with p threads and an
-// optional static mapping (binding for RIO, ignored by the others).
-func NewEngine(kind EngineKind, p int, mapping stf.Mapping) (Engine, error) {
-	switch kind {
-	case RIO:
-		return core.New(core.Options{Workers: p, Mapping: mapping})
-	case CentralizedFIFO:
-		return centralized.New(centralized.Options{Workers: p})
-	case Sequential:
-		return sequential.New(sequential.Options{}), nil
-	}
-	return nil, fmt.Errorf("bench: unknown engine kind %d", int(kind))
-}
-
 // Measure runs prog on e warmup+reps times and returns the median wall time
 // together with the stats of the median run.
-func Measure(e Engine, numData int, prog stf.Program, warmup, reps int) (time.Duration, *trace.Stats, error) {
+func Measure(e rio.Runtime, numData int, prog stf.Program, warmup, reps int) (time.Duration, *trace.Stats, error) {
 	wall, _, st, err := MeasureRunCPU(func() error { return e.Run(numData, prog) }, e.Stats, warmup, reps)
 	return wall, st, err
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"rio"
 	"rio/internal/bench"
 	"rio/internal/graphs"
-	"rio/internal/sched"
 	"rio/internal/stf"
 	"rio/internal/trace"
 )
@@ -21,23 +21,8 @@ func quickCfg() bench.CounterConfig {
 	}
 }
 
-func TestNewEngineKinds(t *testing.T) {
-	for _, kind := range []bench.EngineKind{bench.RIO, bench.CentralizedFIFO, bench.Sequential} {
-		e, err := bench.NewEngine(kind, 3, sched.Cyclic(3))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if e.Name() == "" {
-			t.Errorf("%s: empty name", kind)
-		}
-	}
-	if _, err := bench.NewEngine(bench.EngineKind(99), 2, nil); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
 func TestMeasureMedianAndStats(t *testing.T) {
-	e, err := bench.NewEngine(bench.Sequential, 1, nil)
+	e, err := rio.New(rio.Options{Model: rio.Sequential})
 	if err != nil {
 		t.Fatal(err)
 	}

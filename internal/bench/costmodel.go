@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"rio"
 	"rio/internal/graphs"
 	"rio/internal/kernels"
 	"rio/internal/sched"
@@ -67,8 +68,8 @@ func CostModel(cfg CounterConfig) (*CostModelReport, error) {
 	wRIO := float64(min(cfg.Workers, hw))
 	wCent := float64(min(cfg.Workers-1, hw))
 
-	fit := func(kind EngineKind) (time.Duration, error) {
-		wall, _, err := counterRun(kind, cfg, g, sched.Cyclic(cfg.Workers), 1)
+	fit := func(model rio.Model) (time.Duration, error) {
+		wall, _, err := counterRun(model, cfg, g, sched.Cyclic(cfg.Workers), 1)
 		if err != nil {
 			return 0, err
 		}
@@ -76,18 +77,18 @@ func CostModel(cfg CounterConfig) (*CostModelReport, error) {
 	}
 	rep := &CostModelReport{NsPerOp: calib.NsPerOp}
 	var err error
-	if rep.TrCentralized, err = fit(CentralizedFIFO); err != nil {
+	if rep.TrCentralized, err = fit(rio.Centralized); err != nil {
 		return nil, fmt.Errorf("costmodel fit centralized: %w", err)
 	}
-	if rep.TrRIO, err = fit(RIO); err != nil {
+	if rep.TrRIO, err = fit(rio.InOrder); err != nil {
 		return nil, fmt.Errorf("costmodel fit rio: %w", err)
 	}
 	rep.CrossoverOps = uint64(wCent * float64(rep.TrCentralized.Nanoseconds()) / calib.NsPerOp)
 
-	predict := func(kind EngineKind, size uint64) time.Duration {
+	predict := func(model rio.Model, size uint64) time.Duration {
 		tt := calib.NsPerOp * float64(size) // ns per task body
-		switch kind {
-		case CentralizedFIFO:
+		switch model {
+		case rio.Centralized:
 			mgmt := n * float64(rep.TrCentralized.Nanoseconds())
 			comp := n * tt / wCent
 			return time.Duration(max(mgmt, comp))
@@ -95,19 +96,19 @@ func CostModel(cfg CounterConfig) (*CostModelReport, error) {
 			return time.Duration(n*float64(rep.TrRIO.Nanoseconds()) + n*tt/wRIO)
 		}
 	}
-	for _, kind := range []EngineKind{CentralizedFIFO, RIO} {
+	for _, model := range []rio.Model{rio.Centralized, rio.InOrder} {
 		for _, size := range cfg.TaskSizes {
-			wall, _, err := counterRun(kind, cfg, g, sched.Cyclic(cfg.Workers), size)
+			wall, _, err := counterRun(model, cfg, g, sched.Cyclic(cfg.Workers), size)
 			if err != nil {
 				return nil, err
 			}
-			pred := predict(kind, size)
+			pred := predict(model, size)
 			rel := 0.0
 			if wall > 0 {
 				rel = abs(float64(pred-wall)) / float64(wall)
 			}
 			rep.Rows = append(rep.Rows, CostModelRow{
-				Engine:    kind.String(),
+				Engine:    model.String(),
 				TaskSize:  size,
 				Measured:  wall,
 				Predicted: pred,

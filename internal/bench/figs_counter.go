@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"rio"
 	"rio/internal/graphs"
 	"rio/internal/kernels"
 	"rio/internal/sched"
@@ -38,10 +39,10 @@ func (c CounterConfig) check() error {
 	return nil
 }
 
-// counterRun measures one engine on one recorded graph with the counter
-// kernel of the given size.
-func counterRun(kind EngineKind, cfg CounterConfig, g *stf.Graph, mapping stf.Mapping, size uint64) (time.Duration, *trace.Stats, error) {
-	e, err := NewEngine(kind, cfg.Workers, mapping)
+// counterRun measures one execution model on one recorded graph with the
+// counter kernel of the given size.
+func counterRun(model rio.Model, cfg CounterConfig, g *stf.Graph, mapping stf.Mapping, size uint64) (time.Duration, *trace.Stats, error) {
+	e, err := rio.New(rio.Options{Model: model, Workers: cfg.Workers, Mapping: mapping})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -61,16 +62,16 @@ func Fig6(cfg CounterConfig) ([]Row, error) {
 	}
 	g := graphs.Independent(cfg.Tasks)
 	var rows []Row
-	for _, kind := range []EngineKind{RIO, CentralizedFIFO} {
+	for _, model := range []rio.Model{rio.InOrder, rio.Centralized} {
 		for _, size := range cfg.TaskSizes {
-			wall, st, err := counterRun(kind, cfg, g, sched.Cyclic(cfg.Workers), size)
+			wall, st, err := counterRun(model, cfg, g, sched.Cyclic(cfg.Workers), size)
 			if err != nil {
-				return nil, fmt.Errorf("fig6 %s size=%d: %w", kind, size, err)
+				return nil, fmt.Errorf("fig6 %s size=%d: %w", model, size, err)
 			}
 			rows = append(rows, Row{
 				Experiment: "fig6",
 				Workload:   g.Name,
-				Engine:     kind.String(),
+				Engine:     model.String(),
 				Workers:    cfg.Workers,
 				TaskSize:   size,
 				Tasks:      st.Executed(),
@@ -118,20 +119,20 @@ func Fig7(cfg Fig7Config) ([]Row, error) {
 		kern := graphs.CounterKernel(cells, cfg.TaskSize)
 
 		variants := []struct {
-			name string
-			kind EngineKind
-			prog stf.Program
-			skip bool
+			name  string
+			model rio.Model
+			prog  stf.Program
+			skip  bool
 		}{
-			{"rio", RIO, stf.Replay(g, kern), false},
-			{"rio-pruned", RIO, sched.PrunedReplay(g, kern, sched.Relevant(g, m, p)), !cfg.WithPruned},
-			{"centralized-fifo", CentralizedFIFO, stf.Replay(g, kern), !cfg.WithCentralized || p < 2},
+			{"rio", rio.InOrder, stf.Replay(g, kern), false},
+			{"rio-pruned", rio.InOrder, sched.PrunedReplay(g, kern, sched.Relevant(g, m, p)), !cfg.WithPruned},
+			{"centralized-fifo", rio.Centralized, stf.Replay(g, kern), !cfg.WithCentralized || p < 2},
 		}
 		for _, v := range variants {
 			if v.skip {
 				continue
 			}
-			e, err := NewEngine(v.kind, p, m)
+			e, err := rio.New(rio.Options{Model: v.model, Workers: p, Mapping: m})
 			if err != nil {
 				return nil, err
 			}
@@ -225,10 +226,10 @@ func Fig8(exp Fig8Experiment, cfg CounterConfig) ([]Row, error) {
 	}
 	var rows []Row
 	for _, size := range cfg.TaskSizes {
-		for _, kind := range []EngineKind{RIO, CentralizedFIFO} {
-			wall, st, err := counterRun(kind, cfg, g, mapping, size)
+		for _, model := range []rio.Model{rio.InOrder, rio.Centralized} {
+			wall, st, err := counterRun(model, cfg, g, mapping, size)
 			if err != nil {
-				return nil, fmt.Errorf("fig8 %s %s size=%d: %w", exp, kind, size, err)
+				return nil, fmt.Errorf("fig8 %s %s size=%d: %w", exp, model, size, err)
 			}
 			// With the synthetic counter kernel, t = t(g) = τ_{p,t} by
 			// construction (§5.1): e_g = e_l = 1 and e = e_p · e_r, the
@@ -238,7 +239,7 @@ func Fig8(exp Fig8Experiment, cfg CounterConfig) ([]Row, error) {
 			rows = append(rows, Row{
 				Experiment: "fig8-" + exp.String(),
 				Workload:   g.Name,
-				Engine:     kind.String(),
+				Engine:     model.String(),
 				Workers:    cfg.Workers,
 				TaskSize:   size,
 				Tasks:      st.Executed(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rio"
 	"rio/internal/graphs"
 	"rio/internal/kernels"
 	"rio/internal/sched"
@@ -162,24 +163,24 @@ func gemmParallel(cfg GEMMConfig, experiment string, decompose bool) ([]Row, err
 		nt := cfg.N / b
 		g := graphs.GEMM(nt)
 		mapping := sched.OwnerComputes(g, sched.NewGrid2D(cfg.Workers))
-		for _, kind := range []EngineKind{CentralizedFIFO, RIO} {
+		for _, model := range []rio.Model{rio.Centralized, rio.InOrder} {
 			a, bm, c, err := gemmOperands(cfg.N, b)
 			if err != nil {
 				return nil, err
 			}
 			kern := graphs.GEMMKernel(a, bm, c)
-			e, err := NewEngine(kind, cfg.Workers, mapping)
+			e, err := rio.New(rio.Options{Model: model, Workers: cfg.Workers, Mapping: mapping})
 			if err != nil {
 				return nil, err
 			}
 			wall, st, err := Measure(e, g.NumData, stf.Replay(g, kern), cfg.Warmup, cfg.Reps)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s b=%d: %w", experiment, kind, b, err)
+				return nil, fmt.Errorf("%s %s b=%d: %w", experiment, model, b, err)
 			}
 			row := Row{
 				Experiment: experiment,
 				Workload:   fmt.Sprintf("dgemm %d", cfg.N),
-				Engine:     kind.String(),
+				Engine:     model.String(),
 				Workers:    cfg.Workers,
 				TaskSize:   uint64(b),
 				Tasks:      st.Executed(),

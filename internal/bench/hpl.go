@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rio"
 	"rio/internal/hpl"
 	"rio/internal/stf"
 )
@@ -43,19 +44,19 @@ func HPL(cfg HPLConfig) ([]Row, error) {
 	}
 	var rows []Row
 	for _, b := range cfg.PanelWidths {
-		for _, kind := range []EngineKind{RIO, CentralizedFIFO, Sequential} {
-			wall, tasks, err := hplRun(cfg, b, kind)
+		for _, model := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
+			wall, tasks, err := hplRun(cfg, b, model)
 			if err != nil {
-				return nil, fmt.Errorf("hpl b=%d %s: %w", b, kind, err)
+				return nil, fmt.Errorf("hpl b=%d %s: %w", b, model, err)
 			}
 			p := cfg.Workers
-			if kind == Sequential {
+			if model == rio.Sequential {
 				p = 1
 			}
 			rows = append(rows, Row{
 				Experiment: "hpl",
 				Workload:   fmt.Sprintf("pivoted-lu %d", cfg.N),
-				Engine:     kind.String(),
+				Engine:     model.String(),
 				Workers:    p,
 				TaskSize:   uint64(b),
 				Tasks:      tasks,
@@ -67,7 +68,7 @@ func HPL(cfg HPLConfig) ([]Row, error) {
 	return rows, nil
 }
 
-func hplRun(cfg HPLConfig, b int, kind EngineKind) (time.Duration, int64, error) {
+func hplRun(cfg HPLConfig, b int, model rio.Model) (time.Duration, int64, error) {
 	f, err := hpl.NewFlow(cfg.N, b)
 	if err != nil {
 		return 0, 0, err
@@ -75,10 +76,10 @@ func hplRun(cfg HPLConfig, b int, kind EngineKind) (time.Duration, int64, error)
 	var kerr error
 	kern := f.Kernel(func(e error) { kerr = e })
 	workers := cfg.Workers
-	if kind == Sequential {
+	if model == rio.Sequential {
 		workers = 1
 	}
-	e, err := NewEngine(kind, workers, f.ColumnMapping(workers))
+	e, err := rio.New(rio.Options{Model: model, Workers: workers, Mapping: f.ColumnMapping(workers)})
 	if err != nil {
 		return 0, 0, err
 	}

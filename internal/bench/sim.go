@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rio"
 	"rio/internal/graphs"
 	"rio/internal/kernels"
 	"rio/internal/sched"
@@ -63,7 +64,7 @@ func FitCosts(cfg SimConfig) (*FittedCosts, error) {
 	n := float64(cfg.FitTasks)
 
 	// RIO micro-run: everything owned by worker 0.
-	e, err := NewEngine(RIO, 2, sched.Single(0))
+	e, err := rio.New(rio.Options{Workers: 2, Mapping: sched.Single(0)})
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +86,7 @@ func FitCosts(cfg SimConfig) (*FittedCosts, error) {
 	}
 
 	// Centralized micro-run: master-bound with near-empty bodies.
-	ce, err := NewEngine(CentralizedFIFO, cfg.FitWorkers, nil)
+	ce, err := rio.New(rio.Options{Model: rio.Centralized, Workers: cfg.FitWorkers})
 	if err != nil {
 		return nil, err
 	}

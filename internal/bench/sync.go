@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"rio/internal/core"
+	"rio"
 	"rio/internal/graphs"
 	"rio/internal/kernels"
 	"rio/internal/sched"
@@ -88,17 +88,16 @@ func SyncAblation(cfg SyncConfig) ([]Row, error) {
 		graphs.ReduceRounds(cfg.Rounds, cfg.Readers),
 	}
 	uncontended := graphs.Independent(cfg.TasksPerWorker * p)
-	compiled, err := stf.Compile(uncontended, m, p, nil)
+	compiled, err := rio.Compile(uncontended, p, m, false)
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []Row
-	measure := func(g *stf.Graph, engine string, pol stf.WaitPolicy, run func(*core.Engine) error) error {
-		e, err := core.New(core.Options{
-			Workers: p, Mapping: m, WaitPolicy: pol,
-			SpinLimit: cfg.SpinLimit, YieldLimit: cfg.YieldLimit,
-		})
+	measure := func(g *stf.Graph, engine string, pol stf.WaitPolicy, run func(*rio.Engine) error) error {
+		e, err := rio.NewEngine(rio.Options{Workers: p, Mapping: m, Tuning: rio.TuningOptions{
+			WaitPolicy: pol, SpinLimit: cfg.SpinLimit, YieldLimit: cfg.YieldLimit,
+		}})
 		if err != nil {
 			return err
 		}
@@ -128,7 +127,7 @@ func SyncAblation(cfg SyncConfig) ([]Row, error) {
 	for _, pol := range SyncPolicies {
 		for _, g := range contended {
 			g := g
-			err := measure(g, "rio", pol, func(e *core.Engine) error {
+			err := measure(g, "rio", pol, func(e *rio.Engine) error {
 				return e.Run(g.NumData, stf.Replay(g, kern))
 			})
 			if err != nil {
@@ -136,14 +135,14 @@ func SyncAblation(cfg SyncConfig) ([]Row, error) {
 			}
 		}
 		if cfg.BlockDur > 0 {
-			err := measure(blocking, "rio", pol, func(e *core.Engine) error {
+			err := measure(blocking, "rio", pol, func(e *rio.Engine) error {
 				return e.Run(blocking.NumData, stf.Replay(blocking, blockKern))
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
-		err := measure(uncontended, "rio-compiled", pol, func(e *core.Engine) error {
+		err := measure(uncontended, "rio-compiled", pol, func(e *rio.Engine) error {
 			return e.RunCompiled(compiled, kern)
 		})
 		if err != nil {

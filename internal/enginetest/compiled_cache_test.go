@@ -72,39 +72,6 @@ func TestCompiledCacheReuseAndInvalidation(t *testing.T) {
 	if h, m, n := e.CacheStats(); h != 1 || m != 2 || n != 1 {
 		t.Fatalf("after recompile: hits=%d misses=%d entries=%d, want 1/2/1", h, m, n)
 	}
-
-	// Invalidate drops a single graph; the next run is a miss again.
-	e.Invalidate(g)
-	tr = runGraph(t, e, g)
-	if err := enginetest.Compare(g, want, tr); err != nil {
-		t.Fatalf("post-Invalidate run: %v", err)
-	}
-	if h, m, n := e.CacheStats(); h != 1 || m != 3 || n != 1 {
-		t.Fatalf("after Invalidate: hits=%d misses=%d entries=%d, want 1/3/1", h, m, n)
-	}
-
-	// Precompile warms the cache ahead of a run: on a cached graph it is a
-	// hit returning the cached program, on a flushed one the miss the next
-	// run no longer pays.
-	cached, err := e.Precompile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Invalidate(g)
-	fresh, err := e.Precompile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == cached {
-		t.Error("Precompile after Invalidate returned the dropped program")
-	}
-	tr = runGraph(t, e, g)
-	if err := enginetest.Compare(g, want, tr); err != nil {
-		t.Fatalf("post-Precompile run: %v", err)
-	}
-	if h, m, n := e.CacheStats(); h != 3 || m != 4 || n != 1 {
-		t.Fatalf("after Precompile: hits=%d misses=%d entries=%d, want 3/4/1", h, m, n)
-	}
 }
 
 // The same checks with §3.5 pruning applied at compile time, plus the

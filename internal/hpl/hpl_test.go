@@ -4,15 +4,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rio/internal/bench"
+	"rio"
 	"rio/internal/hpl"
 	"rio/internal/sched"
 	"rio/internal/stf"
 )
 
-// factor runs the flow on the given engine kind and returns the residual
-// ‖L·U − P·A‖ / (n·‖A‖).
-func factor(t *testing.T, kind bench.EngineKind, n, b, workers int, seed uint64) float64 {
+// factor runs the flow under the given execution model and returns the
+// residual ‖L·U − P·A‖ / (n·‖A‖).
+func factor(t *testing.T, model rio.Model, n, b, workers int, seed uint64) float64 {
 	t.Helper()
 	f, err := hpl.NewFlow(n, b)
 	if err != nil {
@@ -24,7 +24,7 @@ func factor(t *testing.T, kind bench.EngineKind, n, b, workers int, seed uint64)
 	var kerr error
 	kern := f.Kernel(func(e error) { kerr = e })
 	mapping := f.ColumnMapping(max(1, workers))
-	e, err := bench.NewEngine(kind, workers, mapping)
+	e, err := rio.New(rio.Options{Model: model, Workers: workers, Mapping: mapping})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func factor(t *testing.T, kind bench.EngineKind, n, b, workers int, seed uint64)
 
 func TestSequentialFactorization(t *testing.T) {
 	for _, tc := range []struct{ n, b int }{{8, 4}, {16, 4}, {32, 8}, {64, 16}, {48, 48}} {
-		if r := factor(t, bench.Sequential, tc.n, tc.b, 1, 1); r > 1e-12 {
+		if r := factor(t, rio.Sequential, tc.n, tc.b, 1, 1); r > 1e-12 {
 			t.Errorf("n=%d b=%d: residual %g", tc.n, tc.b, r)
 		}
 	}
@@ -56,7 +56,7 @@ func TestPivotingActuallyPivots(t *testing.T) {
 	f.A.Set(0, 0, 0) // forces ipiv[0] != 0
 	orig := f.A.Clone()
 	var kerr error
-	e, _ := bench.NewEngine(bench.Sequential, 1, nil)
+	e, _ := rio.New(rio.Options{Model: rio.Sequential})
 	if err := e.Run(f.Graph.NumData, stf.Replay(f.Graph, f.Kernel(func(e error) { kerr = e }))); err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestPivotingActuallyPivots(t *testing.T) {
 }
 
 func TestParallelEnginesMatch(t *testing.T) {
-	for _, kind := range []bench.EngineKind{bench.RIO, bench.CentralizedFIFO} {
+	for _, model := range []rio.Model{rio.InOrder, rio.Centralized} {
 		for _, workers := range []int{2, 4} {
-			if r := factor(t, kind, 32, 8, workers, 7); r > 1e-12 {
-				t.Errorf("%s p=%d: residual %g", kind, workers, r)
+			if r := factor(t, model, 32, 8, workers, 7); r > 1e-12 {
+				t.Errorf("%s p=%d: residual %g", model, workers, r)
 			}
 		}
 	}
@@ -176,7 +176,7 @@ func TestPropertyFactorization(t *testing.T) {
 		fl.A.FillRandom(seed)
 		orig := fl.A.Clone()
 		var kerr error
-		e, err := bench.NewEngine(bench.RIO, workers, fl.ColumnMapping(workers))
+		e, err := rio.New(rio.Options{Workers: workers, Mapping: fl.ColumnMapping(workers)})
 		if err != nil {
 			return false
 		}

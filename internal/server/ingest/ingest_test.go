@@ -506,7 +506,7 @@ func TestPreflightRejectsWarning(t *testing.T) {
 func TestWorkloadGrammarShared(t *testing.T) {
 	// The grammar is analyze.WorkloadGraph's — every workload the CLI
 	// tools accept must come through here too.
-	for _, wl := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random"} {
+	for _, wl := range []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random", "tree", "forkjoin"} {
 		if _, err := Workload(wl, 3, 1); err != nil {
 			t.Errorf("workload %s: %v", wl, err)
 		}

@@ -9,50 +9,9 @@ import (
 	"rio/internal/stf"
 )
 
-// WriteChromeTrace exports the recorded spans in the Chrome trace-event
-// format (the JSON array form), loadable in chrome://tracing, Perfetto or
-// speedscope: one complete ("X") event per task span, one row per worker.
-// kernelName optionally labels kernels; nil falls back to "kernel <id>".
-func (r *Recorder) WriteChromeTrace(w io.Writer, kernelName func(int) string) error {
-	type event struct {
-		Name string `json:"name"`
-		Cat  string `json:"cat"`
-		Ph   string `json:"ph"`
-		TS   int64  `json:"ts"`  // microseconds
-		Dur  int64  `json:"dur"` // microseconds
-		PID  int    `json:"pid"`
-		TID  int    `json:"tid"`
-		Args struct {
-			Task int64 `json:"task"`
-		} `json:"args"`
-	}
-	name := kernelName
-	if name == nil {
-		name = func(k int) string { return fmt.Sprintf("kernel %d", k) }
-	}
-	events := make([]event, 0, r.Count())
-	for lane, spans := range r.lanes {
-		for _, s := range spans {
-			ev := event{
-				Name: name(s.Kernel),
-				Cat:  "task",
-				Ph:   "X",
-				TS:   s.Start.Microseconds(),
-				Dur:  (s.End - s.Start).Microseconds(),
-				PID:  1,
-				TID:  lane,
-			}
-			ev.Args.Task = int64(s.Task)
-			events = append(events, ev)
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
-// chromeEvent is the superset of trace-event fields the graph-aware export
-// uses: complete slices ("X"), thread metadata ("M"), counter rows ("C")
-// and flow arrows along dependency edges ("s"/"f").
+// chromeEvent is the superset of trace-event fields the export uses:
+// complete slices ("X"), thread metadata ("M"), counter rows ("C") and flow
+// arrows along dependency edges ("s"/"f").
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -66,8 +25,11 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTraceGraph is WriteChromeTrace upgraded with the recorded
-// graph's structure: in addition to one "X" slice per task span it emits
+// WriteChromeTraceGraph exports the recorded spans in the Chrome trace-event
+// format (the JSON array form), loadable in chrome://tracing, Perfetto or
+// speedscope, with the recorded graph's structure on top. It emits one
+// complete ("X") slice per task span, one row per worker, named by
+// kernelName (nil falls back to "kernel <id>"), and
 //
 //   - thread-name metadata ("M") labeling each worker lane (and the master
 //     lane, when anything ran on it);

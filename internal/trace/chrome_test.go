@@ -17,35 +17,43 @@ import (
 	"rio/internal/trace"
 )
 
+// The plain span export: two independent tasks on two lanes give one "X"
+// slice each, named "kernel <id>" by default or by the caller's namer.
 func TestWriteChromeTrace(t *testing.T) {
+	g := stf.NewGraph("pair", 2)
+	g.Add(0, 0, 0, 0, stf.W(0))
+	g.Add(0, 0, 0, 0, stf.W(1))
 	rec := trace.NewRecorder(2)
 	rec.Record(0, trace.Span{Task: 0, Kernel: 1, Start: 0, End: 10 * time.Microsecond})
 	rec.Record(1, trace.Span{Task: 1, Kernel: 2, Start: 5 * time.Microsecond, End: 8 * time.Microsecond})
 	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, nil); err != nil {
+	if err := rec.WriteChromeTraceGraph(&buf, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("events = %d", len(events))
-	}
+	slices := 0
+	names := map[any]bool{}
 	for _, ev := range events {
-		if ev["ph"] != "X" {
-			t.Errorf("phase = %v", ev["ph"])
+		if ev["ph"] == "X" {
+			slices++
+			names[ev["name"]] = true
 		}
 	}
-	if !strings.Contains(buf.String(), "kernel 1") {
-		t.Error("default kernel naming missing")
+	if slices != 2 {
+		t.Fatalf("task slices = %d, want 2", slices)
+	}
+	if len(names) != 2 || !names["kernel 1"] || !names["kernel 2"] {
+		t.Errorf("slice names = %v, want the defaults \"kernel 1\" and \"kernel 2\"", names)
 	}
 
 	buf.Reset()
-	if err := rec.WriteChromeTrace(&buf, func(k int) string { return "custom" }); err != nil {
+	if err := rec.WriteChromeTraceGraph(&buf, g, func(int) string { return "custom" }); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "custom") {
+	if !strings.Contains(buf.String(), `"name":"custom"`) {
 		t.Error("custom kernel naming ignored")
 	}
 }

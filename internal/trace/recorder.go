@@ -15,8 +15,9 @@ import (
 // reason its evaluation relies on the aggregate time decomposition
 // instead. The Recorder exists for the *analysis* use case: inspecting a
 // schedule on a moderate workload (Gantt timeline, per-kernel breakdown,
-// critical-path utilization), with its overhead measurable via the
-// BenchmarkTraceOverhead target.
+// critical-path utilization). Recording cost +43 % per task at 200-op
+// granularity when last measured (EXPERIMENTS.md, "Design-choice
+// ablations").
 //
 // Spans are appended to per-worker lanes; each lane is only touched by its
 // worker, so recording is synchronization-free (two time stamps and an

@@ -39,7 +39,7 @@ func assertClean(t *testing.T, rep *analyze.Report, what string) {
 // TestCertifyWorkloadsClean certifies every shipped workload generator,
 // pruned and unpruned, under several mappings and worker counts.
 func TestCertifyWorkloadsClean(t *testing.T) {
-	workloads := []string{"lu", "cholesky", "gemm", "wavefront", "chain", "random"}
+	workloads := []string{"lu", "cholesky", "gemm", "wavefront", "chain", "independent", "random", "tree", "forkjoin"}
 	mappings := []string{"cyclic", "block", "blockcyclic:2", "single:0"}
 	for _, wl := range workloads {
 		g, err := analyze.WorkloadGraph(wl, 4, 42)
