@@ -1,9 +1,11 @@
 // Command rio-serve is the multi-tenant graph-execution service: a
-// long-running HTTP front end over the caching rio.Engine. Clients POST
-// task flows in the JSON wire format rio-vet writes (-emit json) and vets;
-// the server preflights them, compiles each distinct (graph, mapping)
-// once — certifying the compiled streams when -verify is set — and
-// serves repeated executions from the compiled-program cache.
+// long-running HTTP front end over rio.Compile and rio.Engine. Clients
+// POST task flows in the JSON wire format rio-vet writes (-emit json) and
+// vets; the server preflights them, compiles each distinct (graph,
+// mapping) once with rio.Compile into the tenant's flow table —
+// certifying the compiled streams when -verify is set — and serves every
+// execution by replaying the flow's compiled program on the tenant's
+// engine (Engine.RunCompiledContext).
 //
 //	rio-serve -addr :8080 -workers 8 -verify
 //	rio-vet -workload lu -size 6 -emit json | curl -sd @- localhost:8080/v1/flows
@@ -12,8 +14,8 @@
 //	curl -s localhost:8080/metrics
 //
 // Tenancy is per X-Rio-Tenant header (default "default"): each tenant
-// gets its own bounded worker pool, bounded submission queue (full →
-// 429 with Retry-After) and compiled-program cache. SIGTERM/SIGINT
+// gets its own engine and bounded worker pool, bounded submission queue
+// (full → 429 with Retry-After) and flow table. SIGTERM/SIGINT
 // drain gracefully: new work is rejected with 503 while queued and
 // in-flight executions finish, bounded by -drain-timeout.
 //

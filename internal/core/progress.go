@@ -16,14 +16,14 @@ import (
 // adaptiveSeed derives the starting per-worker spin budget of a WaitAdaptive
 // run from the previous run's wait histogram (the same feedback signal the
 // per-wait adaptation uses, aggregated): a run whose waits overwhelmingly
-// resolved in busy-poll territory (< 10µs) starts the next run with a larger
+// resolved in busy-poll territory (≤ 10µs) starts the next run with a larger
 // budget; a run dominated by long waits starts small and parks early. With
 // no history (first run, or NoAccounting leaving the histogram empty) the
 // configured base is used unchanged.
 func adaptiveSeed(hist [trace.NumWaitBuckets]int64, base int) int {
 	var short, long int64
 	for b, n := range hist {
-		if b <= 1 { // < 10µs, see trace.WaitBucketBounds
+		if b <= 1 { // ≤ 10µs, see trace.WaitBucketBounds
 			short += n
 		} else {
 			long += n

@@ -27,16 +27,21 @@ import (
 
 // hookLog is a concurrency-safe hook recorder that checks the firing
 // contract as it goes: run brackets around everything, task start/end
-// paired and non-overlapping per worker, wait start/end paired. A stream
-// fires one bracket per window, so the log keeps, per closed bracket, the
-// task starts it nested and the error OnRunEnd reported.
+// paired and non-overlapping per worker, wait start/end paired, and every
+// task and wait hook naming a worker below the width OnRunStart reported
+// (a per-worker table sized by that width must hold it). A stream fires
+// one bracket per window, so the log keeps, per closed bracket, the task
+// starts it nested and the error OnRunEnd reported.
 type hookLog struct {
 	mu         sync.Mutex
 	runStarts  int
 	runEnds    int
 	inRun      bool
-	runTasks   []int   // task starts nested in each closed bracket
-	runErrs    []error // OnRunEnd's error for each closed bracket
+	width      int                   // the open bracket's OnRunStart worker count
+	runArgs    [][2]int              // OnRunStart's (workers, numData) for each bracket
+	runTasks   []int                 // task starts nested in each closed bracket
+	runErrs    []error               // OnRunEnd's error for each closed bracket
+	named      map[stf.WorkerID]bool // workers the task and wait hooks named
 	taskStarts map[stf.TaskID]int
 	taskEnds   map[stf.TaskID]int
 	waitStarts int
@@ -52,12 +57,22 @@ func newHookLog() *hookLog {
 		taskEnds:   map[stf.TaskID]int{},
 		waitedOn:   map[stf.TaskID][]stf.Access{},
 		open:       map[stf.WorkerID]stf.TaskID{},
+		named:      map[stf.WorkerID]bool{},
 	}
 }
 
 func (l *hookLog) violatef(format string, args ...any) {
 	if len(l.violations) < 10 {
 		l.violations = append(l.violations, fmt.Sprintf(format, args...))
+	}
+}
+
+// name records that hook named worker w, which must be below the run's
+// width (a sequential engine's stf.MasterWorker is).
+func (l *hookLog) name(hook string, w stf.WorkerID) {
+	l.named[w] = true
+	if int(w) >= l.width {
+		l.violatef("%s named worker %d in a run of %d workers", hook, w, l.width)
 	}
 }
 
@@ -71,6 +86,8 @@ func (l *hookLog) hooks() *stf.Hooks {
 				l.violatef("OnRunStart inside an open run")
 			}
 			l.inRun = true
+			l.width = workers
+			l.runArgs = append(l.runArgs, [2]int{workers, numData})
 			l.runTasks = append(l.runTasks, 0)
 		},
 		OnRunEnd: func(err error) {
@@ -94,6 +111,7 @@ func (l *hookLog) hooks() *stf.Hooks {
 			} else {
 				l.runTasks[len(l.runTasks)-1]++
 			}
+			l.name("OnTaskStart", w)
 			if prev, ok := l.open[w]; ok {
 				l.violatef("worker %d started task %d while task %d is open", w, id, prev)
 			}
@@ -103,6 +121,7 @@ func (l *hookLog) hooks() *stf.Hooks {
 		OnTaskEnd: func(w stf.WorkerID, id stf.TaskID) {
 			l.mu.Lock()
 			defer l.mu.Unlock()
+			l.name("OnTaskEnd", w)
 			if prev, ok := l.open[w]; !ok || prev != id {
 				l.violatef("worker %d ended task %d without a matching start", w, id)
 			}
@@ -112,12 +131,14 @@ func (l *hookLog) hooks() *stf.Hooks {
 		OnWaitStart: func(w stf.WorkerID, id stf.TaskID, a stf.Access) {
 			l.mu.Lock()
 			defer l.mu.Unlock()
+			l.name("OnWaitStart", w)
 			l.waitStarts++
 			l.waitedOn[id] = append(l.waitedOn[id], a)
 		},
 		OnWaitEnd: func(w stf.WorkerID, id stf.TaskID, a stf.Access) {
 			l.mu.Lock()
 			defer l.mu.Unlock()
+			l.name("OnWaitEnd", w)
 			l.waitEnds++
 		},
 	}
@@ -234,6 +255,33 @@ func TestHookContractAllEngines(t *testing.T) {
 		l.check(t, g, 1)
 		if w := l.waitedOn[1]; len(w) != 1 || w[0] != stf.RW(0) {
 			t.Errorf("task 1 waited on %+v, want one wait on %+v", w, stf.RW(0))
+		}
+	})
+
+	// A program compiled for fewer workers than the engine has runs at its
+	// own width: the bracket reports that width, and the hooks name only
+	// the workers the run has — here worker 0 alone.
+	t.Run("rio-compiled-narrow", func(t *testing.T) {
+		l := newHookLog()
+		e, err := core.New(core.Options{Workers: p, Hooks: l.hooks()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := stf.Compile(g, func(stf.TaskID) stf.WorkerID { return 0 }, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enginetest.CheckCompiled(e, g, cp); err != nil {
+			t.Fatal(err)
+		}
+		l.check(t, g, 1)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if want := [][2]int{{1, g.NumData}}; !slices.Equal(l.runArgs, want) {
+			t.Errorf("OnRunStart(workers, numData) fired with %v, want %v", l.runArgs, want)
+		}
+		if len(l.named) != 1 || !l.named[0] {
+			t.Errorf("hooks named workers %v, want worker 0 only", l.named)
 		}
 	})
 

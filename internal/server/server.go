@@ -12,13 +12,13 @@
 // Layering (DESIGN.md §11): api (this package's handlers) → ingest
 // (internal/server/ingest, the submission path shared with the CLI
 // tools) → flow table (one per tenant: content hash → compiled program)
-// → engines (two rio.Engines per tenant, one accounted and one not, which
-// only run programs; tenant.execute decides per run which one).
+// → engine (one rio.Engine per tenant, which only runs programs; its wait
+// hooks time the blocking waits /v1/progress and /metrics report).
 //
 // Admission control: each tenant owns a bounded worker pool (its
-// engines' Config.Workers threads), a bounded submission queue, and one
-// executor goroutine that serializes runs on the engines (one flow at a
-// time on one or the other). A full queue answers
+// engine's Config.Workers threads), a bounded submission queue, and one
+// executor goroutine that serializes runs on the engine (one flow at a
+// time). A full queue answers
 // 429 with a Retry-After hint instead of queueing unboundedly; each
 // execution is bounded by Config.Timeout (rio.Options.Timeout on the
 // tenant engine); Drain stops admission with 503 and lets in-flight and
@@ -62,7 +62,7 @@ type Config struct {
 	// (resubmitting a registered flow still answers 200; default 128).
 	MaxFlows int
 	// Timeout bounds each execution (rio.Options.Timeout on the tenant
-	// engines): a run exceeding it is canceled and the request answers
+	// engine): a run exceeding it is canceled and the request answers
 	// 504 (default 30s; negative disables).
 	Timeout time.Duration
 	// RetryAfter is the hint sent with 429 responses (default 1s).
@@ -237,7 +237,7 @@ type flowInfo struct {
 	ProgramBytes int64 `json:"program_bytes"`
 	// Widths reports, for each kernel the flow has run with since its
 	// 1-worker program exists, the run width it has settled on and the
-	// recent unaccounted walls it chose by (tenant.program); absent while
+	// recent walls it chose by (tenant.program); absent while
 	// the flow runs only at Config.Workers.
 	Widths map[string]widthInfo `json:"widths,omitempty"`
 	// Findings tallies the preflight report (informational findings do
@@ -250,8 +250,8 @@ type flowInfo struct {
 }
 
 // widthInfo is one kernel's entry of flowInfo.Widths: the width the flow
-// runs at with it between probes, and the recent wall time of an
-// unaccounted run at width 1 and at Config.Workers (0 until measured).
+// runs at with it between probes, and the recent wall time of a run at
+// width 1 and at Config.Workers (0 until measured).
 type widthInfo struct {
 	Workers      int64 `json:"workers"`
 	NarrowWallNS int64 `json:"narrow_wall_ns"`
@@ -556,10 +556,8 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 // frames them. Cache is the flow table as a program cache: one miss per
 // registered flow (a flow's 1-worker compile is not a miss), one hit per
 // execution started, one entry per registered flow, and the entries'
-// program bytes.
-// Runs says how many executions started and how many of them were
-// accounted — the weight of Progress's wait histogram, which only those
-// runs refresh.
+// program bytes. Runs says how many executions started; Progress is the
+// current or last of them, its wait histogram included.
 type progressInfo struct {
 	Tenant   string `json:"tenant"`
 	Draining bool   `json:"draining"`
@@ -573,8 +571,7 @@ type progressInfo struct {
 		Bytes   int64 `json:"bytes"`
 	} `json:"cache"`
 	Runs struct {
-		Total     int64 `json:"total"`
-		Accounted int64 `json:"accounted"`
+		Total int64 `json:"total"`
 	} `json:"runs"`
 	Progress rio.Progress `json:"progress"`
 }
@@ -597,7 +594,6 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	for _, f := range flows {
 		info.Cache.Bytes += f.bytes.Load()
 	}
-	info.Runs.Accounted = t.accounted.Load() // read before the total, which it must never exceed
 	info.Cache.Hits, info.Cache.Misses, info.Cache.Entries = t.hits.Load(), t.misses.Load(), info.Flows
 	info.Runs.Total = info.Cache.Hits
 	writeJSON(w, http.StatusOK, info)

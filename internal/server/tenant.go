@@ -1,15 +1,14 @@
 package server
 
-// The tenant layer: one flow table (content hash → compiled program),
-// two rio.Engines that differ only in NoAccounting, one bounded submission
-// queue and one executor goroutine per tenant. Submitters compile into the
-// flow table concurrently and never touch the engines; the executor is the
-// only goroutine that runs programs on them, one flow at a time on one or
-// the other (a compiled program may run on different engines), so
-// serialization through the queue is what makes the whole service safe.
-// Which engine a run takes is decided per run (accountEvery): the accounted
-// one times every task and every wait, the other reads no clock inside a
-// run. Every reader of a tenant's counters goes through tenant.Progress.
+// The tenant layer: one flow table (content hash → compiled program), one
+// rio.Engine, one bounded submission queue and one executor goroutine per
+// tenant. Submitters compile into the flow table concurrently and never
+// touch the engine; the executor is the only goroutine that runs programs
+// on it, one flow at a time, so serialization through the queue is what
+// makes the whole service safe. The engine keeps no stopwatch
+// (NoAccounting): its wait hooks time the blocking waits and nothing else
+// (waitSlot), and every reader of a tenant's counters goes through
+// tenant.Progress.
 // Admission is the try-send on the bounded queue: a full queue rejects
 // instead of blocking, which is the 429 backpressure path.
 
@@ -23,10 +22,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rio"
 	"rio/internal/analyze"
 	"rio/internal/server/ingest"
+	"rio/internal/trace"
 )
 
 // flow is one registered (graph, mapping) pair: the parsed submission,
@@ -87,19 +88,17 @@ const recentRuns, settleAfter = 4, 2
 // no terminate, no wait) and nothing is spawned, so a flow of cheap tasks
 // finishes sooner on one worker, and one of dear tasks on p. Rather than
 // predict the crossover, the executor times both widths and keeps the
-// faster. Only unaccounted runs probe and are timed: an accounted run reads
-// the clock per task and per wait, and is slower by construction.
-// Reporting eq. (2)'s prediction beside the measurement waits for a
-// per-run task share.
+// faster. Reporting eq. (2)'s prediction beside the measurement waits for
+// a per-run task share.
 type widthChoice struct {
 	// workers is the width the pair has settled on (what it runs at between
-	// probes); wall the recent wall time of an unaccounted run at width 1
+	// probes); wall the recent wall time of a run at width 1
 	// (wall[0]) and p (wall[1]), in ns, 0 until measured.
 	workers atomic.Int64
 	wall    [2]atomic.Int64
 
 	// Executor only: each width's latest measured walls (a ring) and how
-	// many it has had, and the unaccounted runs since the last probe.
+	// many it has had, and the runs since the last probe.
 	samples  [2][recentRuns]int64
 	measured [2]int
 	runs     int
@@ -128,7 +127,7 @@ func (c *widthChoice) next(p int) int {
 	return best
 }
 
-// observe records that an unaccounted run at width w took wall, and
+// observe records that a run at width w took wall, and
 // publishes the least of the width's recent walls.
 func (c *widthChoice) observe(w int, wall time.Duration) {
 	i := 1
@@ -173,61 +172,64 @@ type execResult struct {
 
 type tenant struct {
 	name string
-	// timed and plain are the tenant's engines, alike but for NoAccounting:
-	// execute picks one per run. last is the one that ran, or is running,
-	// last (nil before the first run).
-	timed, plain *rio.Engine
-	last         atomic.Pointer[rio.Engine]
-	reg          *registry
+	// eng is the tenant's one engine: NoAccounting, with the wait hooks
+	// that fill waits, one slot per worker of the widest run.
+	eng   *rio.Engine
+	waits []waitSlot
+	reg   *registry
 
 	mu    sync.Mutex
 	flows map[string]*flow
 	// hits counts executions started on a registered flow — the cache
 	// block's hits and the runs block's total of GET /v1/progress —
-	// accounted those of them that ran on the timed engine, misses the
-	// compiles that registered a flow.
-	hits, accounted, misses atomic.Int64
+	// misses the compiles that registered a flow.
+	hits, misses atomic.Int64
 
 	queue chan *execReq
 }
 
-// accountEvery is the sampling period of the stopwatch: run n of a tenant
-// takes the timed engine when n mod accountEvery == 1 and the plain one
-// otherwise. Accounting is two clock reads per task and per wait, at most
-// ≈45 % of a run whose bodies do nothing and less of any other (DESIGN.md
-// §9, "What accounting costs"), so one run in 16 keeps its cost to the
-// service under 3 %, while a tenant at capacity — thousands of runs a
-// second — still refreshes Stats and the wait histogram hundreds of times
-// a second. The remainder is 1, not 0, so that a tenant's first run is
-// accounted: a one-request session sees the histogram it saw when every
-// run was. The sample is per run, never per task: timing one body in N
-// would charge a heavy body hidden among empty ones at the empty price.
-const accountEvery = 16
+// waitSlot is one worker's part of the tenant's wait hooks: the trace.Stamp
+// at which its current blocking wait began, and the histogram of the waits
+// it completed in the current run, which the executor clears before each
+// run. The hooks fire on the worker, so each slot has one writer during a
+// run; the padding keeps the workers' slots off each other's cache lines.
+type waitSlot struct {
+	waitClock
+	_ [(64 - unsafe.Sizeof(waitClock{})%64) % 64]byte // to whole 64-byte cache lines
+}
+
+// waitClock is the payload of a waitSlot.
+type waitClock struct {
+	since time.Duration
+	hist  [trace.NumWaitBuckets]atomic.Int64
+}
+
+// waitHooks are the tenant engine's hooks: they bucket every blocking
+// dependency wait into the waiting worker's slot. They are the only clock
+// reads of a run — two per wait that blocks, none per task.
+func (t *tenant) waitHooks() *rio.Hooks {
+	return &rio.Hooks{
+		OnWaitStart: func(w rio.WorkerID, _ rio.TaskID, _ rio.Access) {
+			t.waits[w].since = trace.Stamp()
+		},
+		OnWaitEnd: func(w rio.WorkerID, _ rio.TaskID, _ rio.Access) {
+			s := &t.waits[w]
+			s.hist[trace.WaitBucket(trace.Stamp()-s.since)].Add(1)
+		},
+	}
+}
 
 // Progress is the one reading of the tenant's run counters, behind
 // GET /v1/progress, GET /metrics, expvar and a run response's executed
-// count: the live counters of the engine that ran (or is running) last,
-// with the wait histogram of the last accounted run — an unaccounted run
-// buckets no waits, and a scrape that lands on one must not read that as
-// "nothing waited". When the two runs differ in width, the workers the
-// last run did not have are listed with the accounted run's histograms and
-// no counters. Safe from any goroutine, like Engine.Progress; it is what
-// rio.MetricsHandler and rio.PublishExpvar read of a tenant.
+// count: the engine's live counters of the current (or, between runs, the
+// last) run with that run's wait histogram laid over them. Safe from any
+// goroutine, like Engine.Progress; it is what rio.MetricsHandler and
+// rio.PublishExpvar read of a tenant.
 func (t *tenant) Progress() rio.Progress {
-	eng := t.last.Load()
-	if eng == nil {
-		return t.timed.Progress() // no run yet: the zero Progress
-	}
-	p := eng.Progress()
-	if eng == t.plain {
-		// The accounted table is missing when the timed engine's first run
-		// was canceled before it started.
-		acc := t.timed.Progress()
-		for w := range acc.Workers {
-			if w == len(p.Workers) {
-				p.Workers = append(p.Workers, rio.WorkerProgress{})
-			}
-			p.Workers[w].WaitHist = acc.Workers[w].WaitHist
+	p := t.eng.Progress()
+	for w := range p.Workers {
+		for b := range p.Workers[w].WaitHist {
+			p.Workers[w].WaitHist[b] = t.waits[w].hist[b].Load()
 		}
 	}
 	return p
@@ -344,11 +346,11 @@ func (t *tenant) executor() {
 	}
 }
 
-// execute runs one admitted request on one of the tenant's engines: the
-// timed one every accountEvery-th run, starting with the first, the plain
-// one otherwise. The run context is the client's request context; the
-// registry's abort context (armed when a Drain deadline expires) cancels it
-// too, and the engine adds Config.Timeout on top (rio.Options.Timeout).
+// execute runs one admitted request on the tenant's engine, its wait
+// histogram cleared first so that Progress shows this run's. The run
+// context is the client's request context; the registry's abort context
+// (armed when a Drain deadline expires) cancels it too, and the engine adds
+// Config.Timeout on top (rio.Options.Timeout).
 // Execution runs under pprof labels naming the tenant and flow, so CPU
 // profiles of the serving process split by tenant.
 func (t *tenant) execute(req *execReq) {
@@ -362,17 +364,17 @@ func (t *tenant) execute(req *execReq) {
 	defer stop()
 	defer cancel()
 
-	eng := t.plain
-	if t.hits.Add(1)%accountEvery == 1 {
-		eng = t.timed
-		t.accounted.Add(1)
+	t.hits.Add(1)
+	cp, choice := t.program(req.flow, req.name)
+	for w := range t.waits {
+		for b := range t.waits[w].hist {
+			t.waits[w].hist[b].Store(0)
+		}
 	}
-	t.last.Store(eng)
-	cp, choice := t.program(req.flow, req.name, eng == t.timed)
 	var err error
 	start := time.Now()
 	pprof.Do(runCtx, pprof.Labels("rio_tenant", t.name, "rio_flow", req.flow.id, "rio_kernel", req.name), func(ctx context.Context) {
-		err = eng.RunCompiledContext(ctx, cp, req.kernel)
+		err = t.eng.RunCompiledContext(ctx, cp, req.kernel)
 	})
 	wall := time.Since(start)
 	res := execResult{err: err, workers: cp.Workers, wall: wall, queueWait: queueWait}
@@ -398,9 +400,8 @@ func (t *tenant) execute(req *execReq) {
 // That is the rent-or-buy rule: a flow run only a few times, whose runs
 // cost less than a compile, never pays for a second one, and a flow that
 // keeps running buys the compile once it has spent as much on runs at p.
-// A timed (accounted) run takes the width the pair has settled on, and
-// neither probes nor feeds the choice. Executor only.
-func (t *tenant) program(f *flow, kernel string, timed bool) (*rio.CompiledProgram, *widthChoice) {
+// Executor only.
+func (t *tenant) program(f *flow, kernel string) (*rio.CompiledProgram, *widthChoice) {
 	cfg := &t.reg.cfg
 	if f.runs.Load() == 0 || f.runWall < f.compileWall || cfg.Workers == 1 || !f.sub.MappingSpec.IsDefault() {
 		return f.cp, nil
@@ -427,13 +428,7 @@ func (t *tenant) program(f *flow, kernel string, timed bool) (*rio.CompiledProgr
 		grown[kernel] = c
 		f.widths.Store(&grown)
 	}
-	w := int(c.workers.Load())
-	if timed {
-		c = nil
-	} else {
-		w = c.next(cfg.Workers)
-	}
-	if w == 1 {
+	if c.next(cfg.Workers) == 1 {
 		return narrow, c
 	}
 	return f.cp, c
@@ -491,7 +486,7 @@ func newRegistry(cfg Config) *registry {
 	}
 }
 
-// tenant returns the named tenant, lazily creating its engines, queue
+// tenant returns the named tenant, lazily creating its engine, queue
 // and executor, bounded by Config.MaxTenants.
 func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 	r.mu.Lock()
@@ -502,24 +497,18 @@ func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 	if len(r.tenants) >= cfg.MaxTenants {
 		return nil, fmt.Errorf("tenant table is full (%d tenants); tenant %q not admitted", cfg.MaxTenants, name)
 	}
-	opts := rio.Options{Workers: cfg.Workers, Timeout: cfg.Timeout}
-	timed, err := rio.NewEngine(opts)
-	if err != nil {
-		return nil, fmt.Errorf("creating engine for tenant %q: %w", name, err)
-	}
-	opts.NoAccounting = true
-	plain, err := rio.NewEngine(opts)
-	if err != nil {
-		return nil, fmt.Errorf("creating engine for tenant %q: %w", name, err)
-	}
 	t := &tenant{
 		name:  name,
-		timed: timed,
-		plain: plain,
+		waits: make([]waitSlot, cfg.Workers),
 		reg:   r,
 		flows: make(map[string]*flow),
 		queue: make(chan *execReq, cfg.QueueDepth),
 	}
+	eng, err := rio.NewEngine(rio.Options{Workers: cfg.Workers, Timeout: cfg.Timeout, NoAccounting: true, Hooks: t.waitHooks()})
+	if err != nil {
+		return nil, fmt.Errorf("creating engine for tenant %q: %w", name, err)
+	}
+	t.eng = eng
 	if cfg.PublishExpvar {
 		rio.PublishExpvar("rio."+name, t)
 	}

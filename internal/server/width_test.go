@@ -4,7 +4,7 @@ package server
 // at Config.Workers until its 1-worker program is compiled — which starts
 // once its runs have taken as long as its submit compile did
 // (tenant.compileNarrow) — then at whichever of 1 and Config.Workers its
-// recent unaccounted runs found faster, per kernel.
+// recent runs found faster, per kernel.
 
 import (
 	"context"

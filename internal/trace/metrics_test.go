@@ -72,16 +72,21 @@ func TestProgressJSONWireFormat(t *testing.T) {
 }
 
 func TestWaitBucketBoundaries(t *testing.T) {
-	cases := []struct {
+	type bucketCase struct {
 		d    time.Duration
 		want int
-	}{
+	}
+	cases := []bucketCase{
 		{0, 0},
 		{999 * time.Nanosecond, 0},
-		{time.Microsecond, 1},
+		{time.Microsecond, 0}, // a bound is inclusive, like Prometheus' le
 		{999 * time.Microsecond, 3},
-		{time.Second, trace.NumWaitBuckets - 1},
 		{time.Hour, trace.NumWaitBuckets - 1},
+	}
+	// A wait of exactly a bound lands in that bound's bucket, one a
+	// nanosecond longer in the next (past the last bound: the overflow).
+	for i, b := range trace.WaitBucketBounds {
+		cases = append(cases, bucketCase{b, i}, bucketCase{b + 1, i + 1})
 	}
 	for _, c := range cases {
 		if got := trace.WaitBucket(c.d); got != c.want {

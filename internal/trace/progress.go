@@ -12,9 +12,9 @@ import (
 // histogram: seven bounded buckets plus one overflow bucket.
 const NumWaitBuckets = 8
 
-// WaitBucketBounds are the upper bounds of the first NumWaitBuckets-1
-// histogram buckets; the last bucket counts waits of at least the largest
-// bound. The exponential spacing spans the engine's wait escalation: the
+// WaitBucketBounds are the inclusive upper bounds of the first
+// NumWaitBuckets-1 histogram buckets, as in a Prometheus le bucket; the
+// last bucket counts waits longer than the largest bound. The exponential spacing spans the engine's wait escalation: the
 // sub-microsecond buckets are busy-poll territory, the middle ones cover
 // the Gosched and sleep phases, the top ones are stall territory.
 var WaitBucketBounds = [NumWaitBuckets - 1]time.Duration{
@@ -27,10 +27,11 @@ var WaitBucketBounds = [NumWaitBuckets - 1]time.Duration{
 	time.Second,
 }
 
-// WaitBucket returns the histogram bucket index for a wait of duration d.
+// WaitBucket returns the histogram bucket index for a wait of duration d:
+// the first bucket whose bound d does not exceed.
 func WaitBucket(d time.Duration) int {
 	for i, b := range WaitBucketBounds {
-		if d < b {
+		if d <= b {
 			return i
 		}
 	}
