@@ -2,12 +2,15 @@ package ingest
 
 // The fast paths of internal/stf/scan.go — a key compared in place, a
 // short integer accumulated where it stands, indentation skipped eight
-// bytes at a time, one space after a colon, modes by switch — each sit in
+// bytes at a time, one space after a colon, modes by switch, and a task
+// read by speculation on the layout of the tasks before it — each sit in
 // front of the general reader and must hand over to it without a trace.
 // These rows stand at the edges of each: the input a fast path takes, the
 // nearest input it must leave alone, and what the general reader then
-// says. The error texts are those of the scanner before it had fast paths
-// (PR 20), offsets included. The bodies are fuzz seeds too (wireSeeds).
+// says. The error texts are those of the scanner before it had fast
+// paths, offsets included, and those of the general reader alone for the
+// rows of several tasks (departureRows). The bodies are fuzz seeds too
+// (wireSeeds).
 
 import (
 	"fmt"
@@ -161,6 +164,7 @@ func fastPathRows() []fastPathRow {
 		{"mode null access", `{"name":"x","num_data":3,"tasks":[null,{"kernel":1,"accesses":[null,{"data":0,"mode":"W"}]}]}`,
 			`ingest: task 1: access 0: unknown access mode "" (offset 63)`},
 	}
+	rows = append(rows, departureRows()...)
 	// Runs of spaces around the eight the skipper moves at a time, between
 	// tokens and as indentation.
 	for _, n := range []int{7, 8, 9, 17} {
@@ -172,6 +176,155 @@ func fastPathRows() []fastPathRow {
 				spaced("{\n~\"name\": \"x\",\n~\"num_data\": 3,\n~\"tasks\": [\n~{\n~\"kernel\": 1\n~}\n~]\n~}"), ""})
 	}
 	return rows
+}
+
+// laidOut is a task as WriteJSON indents it in a flow, with every member
+// and two accesses, for v: kernel v, i v+1, j v+2, k v+3, data v and v+1
+// (mod 8).
+func laidOut(v int) string {
+	return fmt.Sprintf(`{
+      "kernel": %d,
+      "i": %d,
+      "j": %d,
+      "k": %d,
+      "accesses": [
+        {
+          "data": %d,
+          "mode": "R"
+        },
+        {
+          "data": %d,
+          "mode": "RW"
+        }
+      ]
+    }`, v, v+1, v+2, v+3, v%8, (v+1)%8)
+}
+
+// flow is a flow over eight data of the given tasks, in WriteJSON's
+// indentation.
+func flow(tasks ...string) string {
+	return "{\n  \"name\": \"layout\",\n  \"num_data\": 8,\n  \"tasks\": [\n    " +
+		strings.Join(tasks, ",\n    ") + "\n  ]\n}\n"
+}
+
+// departure is a flow whose first two tasks set a layout, whose third is
+// the one given, and whose fourth has the layout of the first two again.
+func departure(third string) string { return flow(laidOut(1), laidOut(2), third, laidOut(3)) }
+
+// nth replaces the n-th occurrence of old in s with new.
+func nth(s, old, new string, n int) string {
+	at := 0
+	for ; n > 0; n-- {
+		at += strings.Index(s[at:], old) + len(old)
+	}
+	at += strings.Index(s[at:], old)
+	return s[:at] + new + s[at+len(old):]
+}
+
+// departureRows are flows of several tasks in which a task departs from
+// the layout of the tasks before it: the speculative reader must give it
+// to the general reader, whose answer these rows are, and read the task
+// after it by the layout again. Every separator of a task is departed from
+// with white space more, less or other — at each newline, after each
+// colon, before each comma — and a task departs in each other way the
+// general reader reads differently: spelling, key order, members first
+// seen, members speculation does not read, values it does not read, and
+// errors.
+func departureRows() []fastPathRow {
+	var rows []fastPathRow
+	task := laidOut(5)
+	for n := range strings.Count(task, "\n") {
+		for _, m := range [][3]string{{"space more", "\n", "\n "}, {"space less", "\n ", "\n"}, {"tab", "\n", "\n\t"}, {"crlf", "\n", "\r\n"}} {
+			rows = append(rows, fastPathRow{fmt.Sprintf("layout %s at newline %d", m[0], n), departure(nth(task, m[1], m[2], n)), ""})
+		}
+	}
+	for n := range strings.Count(task, `": `) {
+		rows = append(rows,
+			fastPathRow{fmt.Sprintf("layout no space after colon %d", n), departure(nth(task, `": `, `":`, n)), ""},
+			fastPathRow{fmt.Sprintf("layout two spaces after colon %d", n), departure(nth(task, `": `, `":  `, n)), ""},
+			fastPathRow{fmt.Sprintf("layout space before colon %d", n), departure(nth(task, `": `, `" : `, n)), ""})
+	}
+	for n := range strings.Count(task, ",") {
+		rows = append(rows, fastPathRow{fmt.Sprintf("layout space before comma %d", n), departure(nth(task, ",", " ,", n)), ""})
+	}
+	noIJK := strings.NewReplacer("      \"i\": 2,\n", "", "      \"j\": 3,\n", "", "      \"k\": 4,\n", "").Replace(laidOut(1))
+	oneAccess := nth(laidOut(1), "},\n        {\n          \"data\": 2,\n          \"mode\": \"RW\"\n", "", 0)
+	head, _, _ := strings.Cut(task, "[")
+	doc := departure(task)
+	truncated := doc[:strings.Index(doc, `"kernel": 5`)+len(`"kernel": 5`)]
+	return append(rows,
+		fastPathRow{"layout kept", departure(task), ""},
+		fastPathRow{"layout compact task", departure(`{"kernel":5,"i":6,"j":7,"k":8,"accesses":[{"data":5,"mode":"R"},{"data":6,"mode":"RW"}]}`), ""},
+		fastPathRow{"layout compact tasks first", flow(`{"kernel":1,"i":2,"j":3,"k":4,"accesses":[{"data":1,"mode":"R"},{"data":2,"mode":"RW"}]}`, `{"kernel":2,"i":3,"j":4,"k":5,"accesses":[{"data":2,"mode":"R"},{"data":3,"mode":"RW"}]}`, task, `{"kernel":3,"accesses":[{"data":3,"mode":"W"}]}`), ""},
+		fastPathRow{"layout tasks alternating", flow(laidOut(1), `{"kernel":2,"i":3,"accesses":[{"data":2,"mode":"R"}]}`, laidOut(3), `{"kernel":4,"i":5,"accesses":[{"data":4,"mode":"Red"}]}`, laidOut(5)), ""},
+		fastPathRow{"layout keys reordered", departure(nth(nth(task, `"kernel": 5`, `"i": 6`, 0), `"i": 6`, `"kernel": 5`, 1)), ""},
+		fastPathRow{"layout accesses first", departure(`{"accesses": [{"data": 5, "mode": "R"}], "kernel": 5}`), ""},
+		fastPathRow{"layout mode first", departure(nth(nth(task, `"data": 5`, `"mode": "R"`, 0), `"mode": "R"`, `"data": 5`, 1)), ""},
+		fastPathRow{"layout i j k first seen", flow(noIJK, noIJK, task, laidOut(3)), ""},
+		fastPathRow{"layout second access first seen", flow(oneAccess, oneAccess, task, laidOut(3)), ""},
+		fastPathRow{"layout no accesses first seen", departure(`{
+      "kernel": 5,
+      "k": 8
+    }`), ""},
+		fastPathRow{"layout empty task", departure(`{}`), ""},
+		fastPathRow{"layout empty task twice", flow(`{}`, `{}`, `{ }`, `{}`), ""},
+		fastPathRow{"layout null task", departure(`null`), ""},
+		fastPathRow{"layout idempotent", departure(nth(task, `"mode": "RW"`, `"mode": "RW",
+          "idempotent": true`, 0)), ""},
+		fastPathRow{"layout accesses empty", departure(head + "[]\n    }"), ""},
+		fastPathRow{"layout accesses null", departure(`{
+      "kernel": 5,
+      "accesses": null
+    }`), ""},
+		fastPathRow{"layout access null", departure(nth(task, "{\n          \"data\": 6", "null,\n        {\n          \"data\": 6", 0)),
+			`ingest: task 2: access 1: unknown access mode "" (offset 671)`},
+		fastPathRow{"layout access empty", departure(nth(task, "{\n          \"data\": 6", "{},\n        {\n          \"data\": 6", 0)),
+			`ingest: task 2: access 1: unknown access mode "" (offset 671)`},
+		fastPathRow{"layout ten-digit kernel", departure(nth(task, `"kernel": 5`, `"kernel": 1234567890`, 0)), ""},
+		fastPathRow{"layout ten-digit data", departure(nth(task, `"data": 5`, `"data": 1234567890`, 0)),
+			`ingest: stf: task 2 accesses data 1234567890, out of range (outside [0,8))`},
+		fastPathRow{"layout leading zeros", departure(nth(task, `"i": 6`, `"i": 007`, 0)),
+			`ingest: decoding submission: task 2: unexpected '0', want ',' or '}' (offset 549)`},
+		fastPathRow{"layout negative", departure(nth(task, `"k": 8`, `"k": -8`, 0)), ""},
+		fastPathRow{"layout fraction", departure(nth(task, `"j": 7`, `"j": 7.0`, 0)),
+			`ingest: decoding submission: task 2: 7.0 is not a 64-bit integer (offset 562)`},
+		fastPathRow{"layout null value", departure(nth(task, `"j": 7`, `"j": null`, 0)), ""},
+		fastPathRow{"layout mode trailing space", departure(nth(task, `"RW"`, `"RW "`, 0)),
+			`ingest: task 2: access 1: unknown access mode "RW " (offset 712)`},
+		fastPathRow{"layout mode Re", departure(nth(task, `"RW"`, `"Re"`, 0)),
+			`ingest: task 2: access 1: unknown access mode "Re" (offset 712)`},
+		fastPathRow{"layout mode RWW", departure(nth(task, `"RW"`, `"RWW"`, 0)),
+			`ingest: task 2: access 1: unknown access mode "RWW" (offset 712)`},
+		fastPathRow{"layout mode escaped", departure(nth(task, `"RW"`, `"R\u0065d"`, 0)), ""},
+		fastPathRow{"layout mode lower case", departure(nth(task, `"R"`, `"r"`, 0)),
+			`ingest: task 2: access 0: unknown access mode "r" (offset 648)`},
+		fastPathRow{"layout mode missing", departure(nth(task, `,
+          "mode": "RW"`, ``, 0)),
+			`ingest: task 2: access 1: unknown access mode "" (offset 671)`},
+		fastPathRow{"layout data missing", departure(nth(task, `"data": 6,
+          `, ``, 0)), ""},
+		fastPathRow{"layout repeated key", departure(nth(task, `"k": 8`, `"k": 8,
+      "kernel": 5`, 0)),
+			`ingest: decoding submission: task 2: repeated key "kernel" (offset 585)`},
+		fastPathRow{"layout repeated access key", departure(nth(task, `"mode": "R"`, `"mode": "R",
+          "data": 5`, 0)),
+			`ingest: decoding submission: task 2: access 0: repeated key "data" (offset 663)`},
+		fastPathRow{"layout repeated accesses", departure(nth(task, "\n    }", `,
+      "accesses": []
+    }`, 0)),
+			`ingest: decoding submission: task 2: repeated key "accesses" (offset 742)`},
+		fastPathRow{"layout unknown key", departure(nth(task, `"j": 7`, `"jj": 7,
+      "j": 7`, 0)), ""},
+		fastPathRow{"layout unknown access key", departure(nth(task, `"mode": "R"`, `"mode": "R",
+          "note": {"data": 1, "mode": "W"}`, 0)), ""},
+		fastPathRow{"layout skipped member in a separator", flow(`{"kernel":1,"i":2,"accesses":[{"data":0,"mode":"R"}]}`, `{"kernel":1,"accesses":null,"i":2}`, `{"kernel":1,"accesses":null,"i":2,"accesses":[{"data":0,"mode":"R"}]}`),
+			`ingest: decoding submission: task 2: repeated key "accesses" (offset 189)`},
+		fastPathRow{"layout repeated key after keys reordered", flow(`{"i":1,"kernel":2,"accesses":[{"data":0,"mode":"R"}]}`, `{"kernel":1,"i":2,"accesses":[{"data":0,"mode":"R"}]}`, `{"kernel":1,"i":2,"kernel":3,"accesses":[{"data":0,"mode":"R"}]}`),
+			`ingest: decoding submission: task 2: repeated key "kernel" (offset 192)`},
+		fastPathRow{"layout key folded", departure(nth(task, `"kernel"`, `"Kernel"`, 0)), ""},
+		fastPathRow{"layout document ends in a task", truncated,
+			`ingest: decoding submission: task 2: unexpected end of document, want ',' or '}' (offset 535)`},
+	)
 }
 
 // TestFastPathsFallThrough: each row draws the error the scanner gave

@@ -326,14 +326,46 @@ func compact(t testing.TB, body []byte) []byte {
 	return out.Bytes()
 }
 
+// mixed is body with every other task spelled compact: two layouts in one
+// document.
+func mixed(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var g stf.GraphJSON
+	if err := json.Unmarshal(body, &g); err != nil {
+		t.Fatal(err)
+	}
+	out := fmt.Appendf(nil, "{\n  \"name\": %q,\n  \"num_data\": %d,\n  \"tasks\": [", g.Name, g.NumData)
+	for i, task := range g.Tasks {
+		spelled, err := json.MarshalIndent(task, "    ", "  ")
+		if i%2 == 1 {
+			spelled, err = json.Marshal(task)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(append(out, "\n    "...), spelled...)
+	}
+	return append(out, "\n  ]\n}\n"...)
+}
+
+// spellings is coldBody in WriteJSON's indented spelling, compact, and
+// mixed, one task of each in turn.
+func spellings(t testing.TB) (names []string, bodies [][]byte) {
+	indented := coldBody(t)
+	return []string{"indented", "compact", "mixed"}, [][]byte{indented, compact(t, indented), mixed(t, indented)}
+}
+
 // BenchmarkParse is Parse of coldBody: MB/s of the whole cold read path
 // (read, scan, validate, hash) and its allocations, in the indented
-// spelling WriteJSON emits and in the compact one, so that neither is
-// made faster at the other's cost.
+// spelling WriteJSON emits, in the compact one, and in both in turn, so
+// that no uniform spelling is made faster at another's cost.
 func BenchmarkParse(b *testing.B) {
-	indented := coldBody(b)
-	for i, body := range [][]byte{indented, compact(b, indented)} {
-		b.Run([]string{"indented", "compact"}[i], func(b *testing.B) {
+	names, bodies := spellings(b)
+	for i, body := range bodies {
+		b.Run(names[i], func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -347,35 +379,40 @@ func BenchmarkParse(b *testing.B) {
 
 // TestParseDecodesOnce is the white-box check that a submission body is
 // read once and scanned once, straight into the graph, and that what dies
-// with the request comes from a pool: in steady state Parse of coldBody
-// may allocate at most 1.0 byte per body byte — the exact-size tasks and
-// accesses the flow table retains (0.3), not the body, not the slices
-// they grew in — in fewer than 30 allocations. A body buffer per request
-// costs 1.0 on its own, a second decode or a re-serialization more (17.5
-// bytes per byte before they were removed), and a decoder that allocates
-// per task or per key cannot stay under the count (7 412 through
-// encoding/json).
+// with the request comes from a pool: in steady state Parse of coldBody,
+// in each spelling, may allocate at most 1.0 byte per body byte — the
+// exact-size tasks and accesses the flow table retains (0.3 of the
+// indented body, 0.8 of the compact one), not the body, not the slices
+// they grew in — in fewer than 30 allocations. A
+// body buffer per request costs 1.0 on its own, a second decode or a
+// re-serialization more (17.5 bytes per byte before they were removed),
+// and a decoder that allocates per task or per key cannot stay under the
+// count (7 412 through encoding/json).
 func TestParseDecodesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector pads allocations and drops pooled buffers at random; the budget is for a plain build")
 	}
-	body := coldBody(t)
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Parse(bytes.NewReader(body), 2); err != nil {
-				b.Fatal(err)
+	names, bodies := spellings(t)
+	for i, body := range bodies {
+		t.Run(names[i], func(t *testing.T) {
+			res := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := Parse(bytes.NewReader(body), 2); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			perByte := float64(res.AllocedBytesPerOp()) / float64(len(body))
+			if perByte > 1.0 {
+				t.Errorf("Parse allocates %.1f bytes per body byte (%d B for a %d B body), want at most 1.0: is the body, or the scratch, allocated per request?",
+					perByte, res.AllocedBytesPerOp(), len(body))
 			}
-		}
-	})
-	perByte := float64(res.AllocedBytesPerOp()) / float64(len(body))
-	if perByte > 1.0 {
-		t.Errorf("Parse allocates %.1f bytes per body byte (%d B for a %d B body), want at most 1.0: is the body, or the scratch, allocated per request?",
-			perByte, res.AllocedBytesPerOp(), len(body))
+			if res.AllocsPerOp() >= 30 {
+				t.Errorf("Parse makes %d allocations for %d tasks, want fewer than 30: does the decoder allocate per task?", res.AllocsPerOp(), 1500)
+			}
+			t.Logf("Parse: %.2f bytes allocated per body byte, %d allocs, %d B body", perByte, res.AllocsPerOp(), len(body))
+		})
 	}
-	if res.AllocsPerOp() >= 30 {
-		t.Errorf("Parse makes %d allocations for %d tasks, want fewer than 30: does the decoder allocate per task?", res.AllocsPerOp(), 1500)
-	}
-	t.Logf("Parse: %.2f bytes allocated per body byte, %d allocs, %d B body", perByte, res.AllocsPerOp(), len(body))
 }
 
 // TestParseRetainsNoBody: the body buffer is pooled, so a Submission may

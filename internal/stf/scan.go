@@ -29,6 +29,23 @@ package stf
 // paths cannot change the language, an error message or an offset; the
 // fuzz against the encoding/json reference (internal/server/ingest) holds
 // them to that.
+//
+// The largest of them reads a whole task by speculation (layout, at the
+// end of this file). What is learned: the separators between the values
+// of the tasks the general reader read — the white space, punctuation and
+// key from one value to the next — as offsets into the document, by the
+// pair of places they lead between, accumulating over the tasks read. A
+// later task is read by comparing each expected separator as one literal
+// and parsing only the values. When it falls back: at the first byte that
+// differs from every learned separator, or a value that is not a short
+// integer or a mode's name, the task is reset and read again from its
+// first byte by the general reader, which learns from it. Why that cannot
+// change the language, an error or an offset: speculation reports nothing
+// and takes only bytes the general reader would read the same way without
+// an error — a separator is learned only if it is exactly the tokens of
+// its pair, naming one key, and keys are taken in ascending order, so no
+// skipped member, null or repeated key can pass — and everything else is
+// the general reader's to read and to report.
 
 import (
 	"encoding/binary"
@@ -54,6 +71,7 @@ type Scanner struct {
 	// task and access say where in a flow the scanner stands, for error
 	// messages; -1 outside.
 	task, access int
+	speculated   int // tasks read by speculation
 }
 
 // NewScanner returns a scanner at the first value of doc.
@@ -354,25 +372,10 @@ func (s *Scanner) number() error {
 // integer reads an integer value of the given bit size (32 or more): a
 // number with no fraction and no exponent, in range.
 func (s *Scanner) integer(size int) (int, error) {
-	// At most nine digits, no leading zero, nothing after them that a
-	// number goes on with: the value is the digits, and it fits 32 bits.
-	b, i := s.b, s.i
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	n, from := 0, i
-	for i < len(b) && i-from < 9 && b[i]-'0' <= 9 {
-		n = n*10 + int(b[i]-'0')
-		i++
-	}
-	if i > from && (b[from] != '0' || i-from == 1) && (i == len(b) || !numberGoesOn[b[i]]) {
-		if s.i = i; neg {
-			n = -n
-		}
+	if n, end, ok := shortInt(s.b, s.i); ok {
+		s.i = end
 		return n, nil
 	}
-
 	if s.Null() {
 		return 0, nil
 	}
@@ -388,6 +391,29 @@ func (s *Scanner) integer(size int) (int, error) {
 		return 0, s.errorf(off, "%s is not a %d-bit integer", s.b[off:s.i], size)
 	}
 	return int(n64), nil
+}
+
+// shortInt reads the integer at b[i:] if it is spelled the one way whose
+// value is known where it stands: at most nine digits, no leading zero,
+// nothing after them that a number goes on with. The value is the digits,
+// and it fits 32 bits.
+func shortInt(b []byte, i int) (n, end int, ok bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	from := i
+	for i < len(b) && i-from < 9 && b[i]-'0' <= 9 {
+		n = n*10 + int(b[i]-'0')
+		i++
+	}
+	if i > from && (b[from] != '0' || i-from == 1) && (i == len(b) || !numberGoesOn[b[i]]) {
+		if neg {
+			n = -n
+		}
+		return n, i, true
+	}
+	return 0, 0, false
 }
 
 // numberGoesOn marks the bytes that continue a number literal after its
@@ -485,11 +511,13 @@ func (r *GraphReader) Field(s *Scanner, k int) (err error) {
 	return err
 }
 
-// scratch is where a task array is collected before its length is known.
-// Pooled ones hold no pointers: the tasks are cleared on the way in.
+// scratch is where a task array is collected before its length is known,
+// with the layout its tasks are read by. Pooled ones hold no pointers: the
+// tasks are cleared on the way in.
 type scratch struct {
 	tasks []Task
 	slab  []Access // every task's accesses, back to back
+	lay   layout
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -510,13 +538,24 @@ func (sc *scratch) release(tasks []Task, slab []Access) {
 // flow table), so it must not carry append's slack.
 func (r *GraphReader) tasks(s *Scanner) error {
 	sc := scratchPool.Get().(*scratch)
-	tasks, slab := sc.tasks, sc.slab
+	tasks, slab, l := sc.tasks, sc.slab, &sc.lay
+	*l = layout{} // its offsets are into another document
 	more, err := s.open('[', ']', "an array")
 	for more && err == nil {
 		s.task = len(tasks)
 		tasks = append(tasks, Task{ID: TaskID(len(tasks))})
 		t, from := &tasks[len(tasks)-1], len(slab)
-		slab, err = r.task(s, t, slab)
+		end, ok := 0, false
+		if s.depth+3 <= maxDepth { // a task, its accesses and one of them
+			end, slab, ok = l.speculate(s.b, s.i, t, slab)
+		}
+		if ok {
+			s.i = end
+			s.speculated++
+		} else {
+			*t, slab = Task{ID: t.ID}, slab[:from]
+			slab, err = r.task(s, l, t, slab)
+		}
 		t.Accesses = slab[from:] // only its length survives the copy below
 		if err == nil {
 			more, err = s.next(']')
@@ -549,11 +588,13 @@ func exactCopy(tasks []Task, slab []Access) []Task {
 	return tasks
 }
 
-// task reads one task object into t, appending its accesses to slab.
-func (r *GraphReader) task(s *Scanner, t *Task, slab []Access) ([]Access, error) {
+// task reads one task object into t, appending its accesses to slab, and
+// teaches l the separators between its values.
+func (r *GraphReader) task(s *Scanner, l *layout, t *Task, slab []Access) ([]Access, error) {
 	if s.Null() {
 		return slab, nil
 	}
+	l.from, l.end = fromOpen, s.i
 	ints := [...]*int{&t.Kernel, &t.I, &t.J, &t.K} // as taskKeys numbers them
 	more, err := s.open('{', '}', "an object")
 	for seen := uint(0); more && err == nil; {
@@ -561,25 +602,31 @@ func (r *GraphReader) task(s *Scanner, t *Task, slab []Access) ([]Access, error)
 		switch k, err = s.member(taskKeys, &seen); {
 		case err != nil || k < 0: // reported below, or skipped by member
 		case k < len(ints):
-			*ints[k], err = s.integer(strconv.IntSize)
+			at := s.i
+			if *ints[k], err = s.integer(strconv.IntSize); err == nil {
+				l.saw(s.b, k, at, s.i)
+			}
 		case !s.Null():
-			slab, err = r.accesses(s, slab)
+			slab, err = r.accesses(s, l, slab)
 		}
 		if err == nil {
 			more, err = s.next('}')
 		}
 	}
+	if err == nil {
+		l.saw(s.b, toClose, s.i, s.i)
+	}
 	return slab, err
 }
 
 // accesses reads one task's access array onto the end of slab.
-func (r *GraphReader) accesses(s *Scanner, slab []Access) ([]Access, error) {
+func (r *GraphReader) accesses(s *Scanner, l *layout, slab []Access) ([]Access, error) {
 	from := len(slab)
 	more, err := s.open('[', ']', "an array")
 	for more && err == nil {
 		s.access = len(slab) - from
 		var a Access
-		a, err = r.access(s)
+		a, err = r.access(s, l)
 		if slab = append(slab, a); err == nil {
 			more, err = s.next(']')
 		}
@@ -590,7 +637,7 @@ func (r *GraphReader) accesses(s *Scanner, slab []Access) ([]Access, error) {
 
 // access reads one access object. A missing or unknown mode stays None
 // and is remembered in r.badMode.
-func (r *GraphReader) access(s *Scanner) (a Access, err error) {
+func (r *GraphReader) access(s *Scanner, l *layout) (a Access, err error) {
 	var (
 		mode []byte
 		off  = s.i // of the mode, once there is one
@@ -605,11 +652,16 @@ func (r *GraphReader) access(s *Scanner) (a Access, err error) {
 		case err != nil || k < 0: // reported below, or skipped by member
 		case k == 0:
 			var d int
-			d, err = s.integer(32)
+			at := s.i
+			if d, err = s.integer(32); err == nil {
+				l.saw(s.b, toData, at, s.i)
+			}
 			a.Data = DataID(d)
 		case k == 1:
 			if off = s.i; !s.Null() {
-				mode, err = s.text()
+				if mode, err = s.text(); err == nil { // between the quotes
+					l.saw(s.b, toMode, off+1, s.i-1)
+				}
 			}
 			switch string(mode) { // the names WriteJSON writes, AccessMode.String's
 			case "R":
@@ -643,4 +695,224 @@ func (r *GraphReader) Graph() (*Graph, error) {
 		return nil, err
 	}
 	return &r.g, nil
+}
+
+// The speculative reader. The tasks of a document repeat one layout: the
+// bytes between their values — white space, punctuation, keys — are the
+// same from task to task, and only the values differ. A layout remembers
+// the separators the general reader met in the tasks it read, as offsets
+// into the document, and reads a later task by comparing each expected
+// separator as one literal and parsing only the values.
+
+// The places in a task a separator leads from: its opening brace, the
+// value of a task key (kernel, i, j, k), an access's data, and an
+// access's mode, whose separators hold its quotes.
+const (
+	fromOpen = iota
+	fromMember
+	fromData
+	fromMode
+	classes
+)
+
+// The values a separator leads to: toKernel…toK as taskKeys numbers them,
+// an access's data, its mode (after the opening quote), and the end of the
+// task (after its closing brace).
+const (
+	toK     = 3
+	toData  = 4
+	toMode  = 5
+	toClose = 6
+	targets = 7
+)
+
+// separators are the tokens a separator must consist of, by where it
+// leads from and to, "" where none leads. A space stands for any white
+// space, none for none: there is none between a quote or a brace and the
+// separator it starts, nor between a mode's opening quote and its name.
+// Each separator names one key, the key of the value it leads to (and
+// "accesses" before the first data), so a layout cannot carry a second
+// member into a task, or a skipped one.
+var separators = func() (f [classes][targets]string) {
+	for k, key := range taskKeys[:toK+1] {
+		f[fromOpen][k] = `{ "` + key + `" : `
+		f[fromMember][k] = ` , "` + key + `" : `
+	}
+	f[fromOpen][toData] = `{ "accesses" : [ { "data" : `
+	f[fromMember][toData] = ` , "accesses" : [ { "data" : `
+	f[fromOpen][toClose] = `{ }`
+	f[fromMember][toClose] = ` }`
+	f[fromData][toMode] = ` , "mode" : "`
+	f[fromMode][toData] = `" } , { "data" : `
+	f[fromMode][toClose] = `" } ] }`
+	return f
+}()
+
+// The places the speculative reader stands between two separators: the
+// task's opening brace, and after a value of each target but the end —
+// spot to+1 after a value of target to — which for a task key means that
+// only a later task key may follow.
+const (
+	atOpen = 0
+	spots  = toMode + 2
+)
+
+// class is the class of the separators that lead from each spot, and
+// follows the values they may lead to there, in the order they are tried:
+// the task keys after the spot's, the first access, the end of the task;
+// from an access's data its mode; from its mode the next access or the
+// end.
+var (
+	class   = [spots]int{fromOpen, fromMember, fromMember, fromMember, fromMember, fromData, fromMode}
+	follows = [spots][]int{
+		{0, 1, 2, toK, toData, toClose},
+		{1, 2, toK, toData, toClose},
+		{2, toK, toData, toClose},
+		{toK, toData, toClose},
+		{toData, toClose},
+		{toMode},
+		{toData, toClose},
+	}
+)
+
+// span is a separator: where in the document it stands, how long it is,
+// and the value it leads to.
+type span struct{ off, n, to int }
+
+// stands reports whether the separator w stands at b[i:].
+func (w span) stands(b []byte, i int) bool {
+	return w.n <= len(b)-i && string(b[i:i+w.n]) == string(b[w.off:w.off+w.n])
+}
+
+// A layout holds, for each separator, the last two spellings the general
+// reader met — two, so that a document alternating two spellings is read
+// by speculation too — and where the general reader stands in its task.
+// For the speculative reader it lists them again by spot, in the order
+// they are tried.
+type layout struct {
+	sep  [classes][targets][2]span // n == 0: none met
+	from int                       // where the last value read leaves the general reader
+	end  int                       // the offset after that value
+
+	next  [spots][2 * (targets - 1)]span
+	nexts [spots]int
+}
+
+// saw records that the general reader found a value of the given target
+// at b[start:end]: the bytes since the last value are a separator, learned
+// if they consist of the tokens it must.
+func (l *layout) saw(b []byte, to, start, end int) {
+	sep, ways := b[l.end:start], &l.sep[l.from][to]
+	if form := separators[l.from][to]; form != "" && !ways[0].is(b, sep) && !ways[1].is(b, sep) && shaped(sep, form) {
+		ways[0], ways[1] = span{l.end, len(sep), to}, ways[0]
+		l.list()
+	}
+	if to != toClose {
+		l.from, l.end = class[to+1], end
+	}
+}
+
+// is reports whether w is the separator sep.
+func (w span) is(b, sep []byte) bool {
+	return w.n == len(sep) && string(b[w.off:w.off+w.n]) == string(sep)
+}
+
+// list lists the separators again by the spot they lead from.
+func (l *layout) list() {
+	for at, tos := range follows {
+		n := 0
+		for _, to := range tos {
+			for _, w := range l.sep[class[at]][to] {
+				if w.n > 0 {
+					l.next[at][n] = w
+					n++
+				}
+			}
+		}
+		l.nexts[at] = n
+	}
+}
+
+// shaped reports whether sep consists of the tokens of form.
+func shaped(sep []byte, form string) bool {
+	i := 0
+	for rest, more := form, true; more; {
+		var tok string
+		tok, rest, more = strings.Cut(rest, " ")
+		if len(sep)-i < len(tok) || string(sep[i:i+len(tok)]) != tok {
+			return false
+		}
+		for i += len(tok); more && i < len(sep) && isSpace[sep[i]]; i++ {
+		}
+	}
+	return i == len(sep)
+}
+
+// speculate reads the task whose opening brace is at b[i] into t,
+// appending its accesses to slab, and returns the offset after its closing
+// brace. It accepts a task only if every separator is one the layout
+// holds, in the order the general reader allows — task keys ascending, the
+// access array last, each access data then mode — and every value a short
+// integer (shortInt) or a mode's name: bytes on which the general reader
+// reads the same task and finds no error. Anything else is not ok, and the
+// caller hands the task to the general reader: speculation never decides
+// what a task means or reports an error.
+func (l *layout) speculate(b []byte, i int, t *Task, slab []Access) (int, []Access, bool) {
+	ints := [...]*int{&t.Kernel, &t.I, &t.J, &t.K}
+	for at := atOpen; ; {
+		next, to := l.next[at][:l.nexts[at]], -1
+		for _, w := range next {
+			if w.stands(b, i) {
+				i, to = i+w.n, w.to
+				break
+			}
+		}
+		var n int
+		ok := to >= 0
+		switch {
+		case !ok:
+		case to == toClose:
+			return i, slab, true
+		case to == toMode:
+			m := &slab[len(slab)-1].Mode
+			*m, i = shortMode(b, i)
+			ok = *m != None
+		case i+2 < len(b) && b[i]-'0' <= 9 && !numberGoesOn[b[i+1]]:
+			// One or two digits, as most values are, in line; longer ones
+			// by shortInt.
+			n, i = int(b[i]-'0'), i+1
+		case i+2 < len(b) && b[i]-'1' <= 8 && b[i+1]-'0' <= 9 && !numberGoesOn[b[i+2]]:
+			n, i = int(b[i]-'0')*10+int(b[i+1]-'0'), i+2
+		default:
+			n, i, ok = shortInt(b, i)
+		}
+		if !ok {
+			return 0, slab, false
+		}
+		switch {
+		case to <= toK:
+			*ints[to] = n
+		case to == toData:
+			slab = append(slab, Access{Data: DataID(n)})
+		}
+		at = to + 1
+	}
+}
+
+// shortMode reads the name of a mode as AccessMode.String writes it at
+// b[i:]; the separator that must follow starts with the closing quote.
+func shortMode(b []byte, i int) (AccessMode, int) {
+	switch {
+	case i >= len(b):
+	case b[i] == 'W':
+		return WriteOnly, i + 1
+	case b[i] != 'R':
+	case i+1 < len(b) && b[i+1] == 'W':
+		return ReadWrite, i + 2
+	case i+2 < len(b) && b[i+1] == 'e' && b[i+2] == 'd':
+		return Reduction, i + 3
+	default:
+		return ReadOnly, i + 1
+	}
+	return None, i
 }
