@@ -279,36 +279,30 @@ func BenchmarkCompiledReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncContention — the synchronization ablation's contended shape
-// as a testing.B target: rounds of one writer
-// followed by benchWorkers parallel readers of a single data object, so
-// every task blocks on a hand-off through one shared cell and ns/task is
-// almost entirely the phase-3 wait path. Sub-benchmarks sweep the wait
-// policies; `rio-bench sync` runs the same shape with CPU-time columns.
+// BenchmarkSyncContention — `rio-bench sync`'s contended shape as a
+// testing.B target: rounds of one writer followed by benchWorkers parallel
+// readers of a single data object, so every task blocks on a hand-off
+// through one shared cell and ns/task is almost entirely the phase-3 wait
+// path. `rio-bench sync` runs the same shape with CPU-time columns.
 func BenchmarkSyncContention(b *testing.B) {
 	g := graphs.ReadersWriter(256, benchWorkers)
 	noop := func(*stf.Task, stf.WorkerID) {}
-	m := rio.CyclicMapping(benchWorkers)
-	for _, pol := range []rio.WaitPolicy{rio.WaitAdaptive, rio.WaitSpin, rio.WaitPark} {
-		b.Run(pol.String(), func(b *testing.B) {
-			rt, err := rio.New(rio.Options{
-				Model: rio.InOrder, Workers: benchWorkers, Mapping: m,
-				Tuning: rio.TuningOptions{WaitPolicy: pol}, NoAccounting: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog := rio.Replay(g, noop)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rt.Run(g.NumData, prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
-		})
+	rt, err := rio.New(rio.Options{
+		Model: rio.InOrder, Workers: benchWorkers, Mapping: rio.CyclicMapping(benchWorkers),
+		NoAccounting: true,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	prog := rio.Replay(g, noop)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rt.Run(g.NumData, prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
 }
 
 // BenchmarkDeclareOverhead measures the paper's headline micro-cost: the

@@ -14,9 +14,9 @@
 //	                     the same way
 //	rio-bench hpl        pivoted-LU (HPL core): the paper's motivating app
 //	rio-bench costmodel  fit & validate cost models, eq. (1)/(2)
-//	rio-bench sync       synchronization ablation: wait policies (adaptive,
-//	                     spin, park) on contended readers-writer and
-//	                     reduction rounds plus the uncontended fig7 replay,
+//	rio-bench sync       the dependency wait on contended readers-writer
+//	                     and reduction rounds (computing and sleeping
+//	                     bodies) plus the uncontended fig7 replay,
 //	                     reporting wall, ns/task and process CPU time
 //	rio-bench table1     Table 1: model checking of the STF and Run-In-Order
 //	                     models on tiled-LU -sizes (exhaustive, or -sample
@@ -75,8 +75,6 @@ func run(args []string, stdout io.Writer) error {
 		readers    = fs.Int("sync-readers", 0, "sync only: readers per round (0 = workers)")
 		syncSize   = fs.Uint64("sync-task-size", 2000, "sync only: counter task size; nonzero makes the contended waits outlast the spin phase")
 		syncBlock  = fs.Duration("sync-block", 200*time.Microsecond, "sync only: sleeping task body of the blocking workload (0 disables it)")
-		syncSpin   = fs.Int("sync-spin", 0, "sync only: SpinLimit override (0 = engine default)")
-		syncYield  = fs.Int("sync-yield", 0, "sync only: YieldLimit override (0 = engine default); small values force contended waits into the policies' slow phases")
 		simWorkers = fs.Int("sim-workers", 24, "simulated thread count for the sim subcommand (paper: 24)")
 		exp        = fs.Int("experiment", 0, "fig8 only: restrict to one experiment 1..4 (0 = all)")
 		luSizes    = fs.String("sizes", "2x2,3x2,3x3", "table1 only: comma-separated LU tile-grid sizes (RxC)")
@@ -196,7 +194,6 @@ func run(args []string, stdout io.Writer) error {
 		err = addRows(bench.SyncAblation(bench.SyncConfig{
 			Workers: *workers, Rounds: *rounds, Readers: r,
 			TasksPerWorker: *perW, TaskSize: *syncSize, BlockDur: *syncBlock,
-			SpinLimit: *syncSpin, YieldLimit: *syncYield,
 			Warmup: *warmup, Reps: *reps,
 		}))
 	case "costmodel":

@@ -72,17 +72,14 @@ type Row struct {
 	TaskSize uint64
 	// Tasks is the number of tasks executed.
 	Tasks int64
-	// Policy names the wait policy under test ("" outside the
-	// synchronization ablation, where every engine runs its default).
-	Policy string
 	// Wall is the median end-to-end time t_p.
 	Wall time.Duration
 	// PerTask is Wall·p/Tasks − an effective per-task cumulative cost.
 	PerTask time.Duration
 	// CPU is the process CPU time (user+system) consumed per run, averaged
-	// over the measured repetitions; zero when not measured. Spin-heavy
-	// policies can match on Wall while burning p× more CPU — this column is
-	// what separates them.
+	// over the measured repetitions; zero when not measured. A wait that
+	// spins longer can match on Wall while burning p× more CPU — this
+	// column is what shows it.
 	CPU time.Duration
 	// Eff is the efficiency decomposition (zero-valued when not
 	// applicable to the experiment).

@@ -258,14 +258,14 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "experiment,") {
 		t.Errorf("header = %q", lines[0])
 	}
-	if fields := strings.Split(lines[1], ","); len(fields) != 15 {
+	if fields := strings.Split(lines[1], ","); len(fields) != 14 {
 		t.Errorf("field count = %d", len(fields))
 	}
 }
 
 func TestWriteJSONTrajectorySchema(t *testing.T) {
 	rows := []bench.Row{
-		{Experiment: "sync", Workload: "readers-writer", Engine: "rio", Policy: "park",
+		{Experiment: "sync", Workload: "readers-writer", Engine: "rio",
 			Workers: 4, Tasks: 100, Wall: time.Millisecond,
 			PerTask: 40 * time.Microsecond, CPU: 3 * time.Millisecond},
 		{Experiment: "fig6", Workload: "independent", Engine: "rio",
@@ -282,7 +282,7 @@ func TestWriteJSONTrajectorySchema(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("records = %d, want 2", len(got))
 	}
-	if name := got[0]["name"]; name != "sync/readers-writer/rio/park" {
+	if name := got[0]["name"]; name != "sync/readers-writer/rio" {
 		t.Errorf("name = %v", name)
 	}
 	if ns := got[0]["ns_per_task"]; ns != float64(40000) {
@@ -291,17 +291,16 @@ func TestWriteJSONTrajectorySchema(t *testing.T) {
 	if cpu := got[0]["cpu_ns"]; cpu != float64(3_000_000) {
 		t.Errorf("cpu_ns = %v", cpu)
 	}
-	// Rows without a policy under test omit it and keep the short name.
 	if name := got[1]["name"]; name != "fig6/independent/rio" {
 		t.Errorf("name = %v", name)
 	}
-	if _, ok := got[1]["policy"]; ok {
-		t.Error("empty policy serialized")
+	// Rows without a CPU measurement omit it.
+	if _, ok := got[1]["cpu_ns"]; ok {
+		t.Error("zero cpu_ns serialized")
 	}
 }
 
-// The sync ablation must produce one row per policy × workload, every row
-// carrying its policy name and (on unix) a CPU measurement.
+// The sync measurement must produce one row per workload.
 func TestSyncAblationRows(t *testing.T) {
 	rows, err := bench.SyncAblation(bench.SyncConfig{
 		Workers: 2, Rounds: 6, Readers: 3, TasksPerWorker: 50, Reps: 1,
@@ -310,24 +309,20 @@ func TestSyncAblationRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(bench.SyncPolicies)*4 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(bench.SyncPolicies)*4)
-	}
-	seen := map[string]bool{}
+	seen := map[string]int{}
 	for _, r := range rows {
-		if r.Policy == "" {
-			t.Errorf("row %s/%s without policy", r.Workload, r.Engine)
-		}
 		if r.Wall <= 0 || r.Tasks <= 0 {
 			t.Errorf("bad row %+v", r)
 		}
-		seen[r.Workload+"/"+r.Policy] = true
+		seen[r.Workload]++
 	}
-	for _, w := range []string{"readers-writer", "reduce-rounds", "readers-writer+block", "independent"} {
-		for _, pol := range []string{"adaptive", "spin", "park"} {
-			if !seen[w+"/"+pol] {
-				t.Errorf("missing row %s/%s", w, pol)
-			}
+	workloads := []string{"readers-writer", "reduce-rounds", "readers-writer+block", "independent"}
+	if len(rows) != len(workloads) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(workloads))
+	}
+	for _, w := range workloads {
+		if seen[w] != 1 {
+			t.Errorf("%d rows for workload %s, want 1", seen[w], w)
 		}
 	}
 }

@@ -11,21 +11,16 @@ import (
 )
 
 // RenderRows writes rows as an aligned text table, the format the
-// cmd/rio-bench CLI prints. Efficiency, policy and CPU columns are shown
-// only when at least one row carries them.
+// cmd/rio-bench CLI prints. Efficiency and CPU columns are shown only when
+// at least one row carries them.
 func RenderRows(w io.Writer, rows []Row) error {
-	withEff, withPolicy, withCPU := false, false, false
+	withEff, withCPU := false, false
 	for _, r := range rows {
 		withEff = withEff || r.Eff != (effZero)
-		withPolicy = withPolicy || r.Policy != ""
 		withCPU = withCPU || r.CPU != 0
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	head := "experiment\tworkload\tengine"
-	if withPolicy {
-		head += "\tpolicy"
-	}
-	head += "\tp\ttask-size\ttasks\twall\tper-task"
+	head := "experiment\tworkload\tengine\tp\ttask-size\ttasks\twall\tper-task"
 	if withCPU {
 		head += "\tcpu"
 	}
@@ -34,11 +29,8 @@ func RenderRows(w io.Writer, rows []Row) error {
 	}
 	fmt.Fprintln(tw, head)
 	for _, r := range rows {
-		base := fmt.Sprintf("%s\t%s\t%s", r.Experiment, r.Workload, r.Engine)
-		if withPolicy {
-			base += "\t" + r.Policy
-		}
-		base += fmt.Sprintf("\t%d\t%d\t%d\t%s\t%s",
+		base := fmt.Sprintf("%s\t%s\t%s\t%d\t%d\t%d\t%s\t%s",
+			r.Experiment, r.Workload, r.Engine,
 			r.Workers, r.TaskSize, r.Tasks, fmtDur(r.Wall), fmtDur(r.PerTask))
 		if withCPU {
 			base += "\t" + fmtDur(r.CPU)
@@ -58,14 +50,14 @@ var effZero = Row{}.Eff
 // WriteCSV emits rows as CSV for external plotting.
 func WriteCSV(w io.Writer, rows []Row) error {
 	cw := csv.NewWriter(w)
-	header := []string{"experiment", "workload", "engine", "policy", "workers", "task_size", "tasks",
+	header := []string{"experiment", "workload", "engine", "workers", "task_size", "tasks",
 		"wall_ns", "per_task_ns", "cpu_ns", "e_g", "e_l", "e_p", "e_r", "e"}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
 	for _, r := range rows {
 		rec := []string{
-			r.Experiment, r.Workload, r.Engine, r.Policy,
+			r.Experiment, r.Workload, r.Engine,
 			strconv.Itoa(r.Workers),
 			strconv.FormatUint(r.TaskSize, 10),
 			strconv.FormatInt(r.Tasks, 10),
@@ -85,16 +77,17 @@ func WriteCSV(w io.Writer, rows []Row) error {
 
 // jsonRow is the machine-readable perf-trajectory record: one benchmark
 // point with its headline ns/task. BENCH_*.json artifacts (CI bench-smoke)
-// are arrays of these; keeping the schema flat and additive lets trajectory
-// tooling diff files from different commits.
+// are arrays of these; keeping the schema flat lets trajectory tooling diff
+// files from different commits. Fields are added, not renamed; the one
+// removed field is the wait policy, whose value also ended a sync row's
+// name ("/adaptive"), so older sync rows carry that suffix.
 type jsonRow struct {
-	// Name is the fully-qualified benchmark name
-	// (experiment/workload/engine, plus /policy when one is under test).
+	// Name is the fully-qualified benchmark name:
+	// experiment/workload/engine.
 	Name       string  `json:"name"`
 	Experiment string  `json:"experiment"`
 	Workload   string  `json:"workload"`
 	Engine     string  `json:"engine"`
-	Policy     string  `json:"policy,omitempty"`
 	Workers    int     `json:"workers"`
 	TaskSize   uint64  `json:"task_size"`
 	Tasks      int64   `json:"tasks"`
@@ -108,13 +101,10 @@ type jsonRow struct {
 func WriteJSON(w io.Writer, rows []Row) error {
 	out := make([]jsonRow, 0, len(rows))
 	for _, r := range rows {
-		name := r.Experiment + "/" + r.Workload + "/" + r.Engine
-		if r.Policy != "" {
-			name += "/" + r.Policy
-		}
 		out = append(out, jsonRow{
-			Name: name, Experiment: r.Experiment, Workload: r.Workload,
-			Engine: r.Engine, Policy: r.Policy, Workers: r.Workers,
+			Name:       r.Experiment + "/" + r.Workload + "/" + r.Engine,
+			Experiment: r.Experiment, Workload: r.Workload,
+			Engine: r.Engine, Workers: r.Workers,
 			TaskSize: r.TaskSize, Tasks: r.Tasks,
 			WallNs:    r.Wall.Nanoseconds(),
 			NsPerTask: float64(r.PerTask.Nanoseconds()),

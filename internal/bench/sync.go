@@ -11,10 +11,9 @@ import (
 	"rio/internal/stf"
 )
 
-// Synchronization ablation (the `rio-bench sync` subcommand): the wait
-// policies of RIO's phase-3 dependency waits — adaptive spin (default),
-// pure spin and event-gate parking — on workloads chosen to bracket the
-// design space:
+// Synchronization measurement (the `rio-bench sync` subcommand): RIO's
+// dependency wait — adaptive spin, yield, then event-gate park — on
+// workloads chosen to bracket the design space:
 //
 //   - readers-writer   — rounds of one writer followed by many parallel
 //     reads of a single data object: every task blocks on the previous
@@ -25,17 +24,16 @@ import (
 //   - readers-writer+block — the same contention shape with task bodies
 //     that sleep instead of compute (I/O-like tasks): the producer holds
 //     no core while it "works", so a spinning waiter burns CPU the
-//     compute-bound shape hides behind the producer's own occupancy. The
-//     shape that separates the policies even on a single hardware thread;
+//     compute-bound shape hides behind the producer's own occupancy;
 //   - independent      — the Fig 7 weak-scaling flow on the compiled
-//     replay path: no dependencies, so waits are rare and the ablation
-//     shows what each policy costs when there is nothing to wait for.
+//     replay path: no dependencies, so waits are rare and the row shows
+//     what the wait costs when there is nothing to wait for.
 //
 // Each row reports wall time, ns/task AND process CPU time: on the
-// contended workloads a spin policy can match parking on wall time while
-// burning p× the compute, and on oversubscribed machines it loses both.
+// contended workloads a wait that spins longer can hold wall time while
+// burning p× the compute, which only the CPU column shows.
 
-// SyncConfig parameterizes the synchronization ablation.
+// SyncConfig parameterizes the synchronization measurement.
 type SyncConfig struct {
 	// Workers is the thread count p.
 	Workers int
@@ -52,12 +50,6 @@ type SyncConfig struct {
 	// BlockDur is the sleeping task body of the readers-writer+block
 	// workload (0 disables that workload).
 	BlockDur time.Duration
-	// SpinLimit and YieldLimit override the engines' escalation thresholds
-	// (0 = engine defaults). The default yield phase is long enough to
-	// absorb most waits on few-core hosts, in which case the policies'
-	// slow phases — the thing this ablation compares — barely run; small
-	// limits push every contended wait into its policy's slow phase.
-	SpinLimit, YieldLimit int
 	// Warmup, Reps as elsewhere.
 	Warmup, Reps int
 }
@@ -69,11 +61,8 @@ func (c SyncConfig) check() error {
 	return nil
 }
 
-// SyncPolicies are the wait policies the ablation sweeps.
-var SyncPolicies = []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark}
-
-// SyncAblation measures every wait policy on the contended and uncontended
-// workloads.
+// SyncAblation measures the dependency wait on the contended and
+// uncontended workloads.
 func SyncAblation(cfg SyncConfig) ([]Row, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
@@ -94,22 +83,19 @@ func SyncAblation(cfg SyncConfig) ([]Row, error) {
 	}
 
 	var rows []Row
-	measure := func(g *stf.Graph, engine string, pol stf.WaitPolicy, run func(*rio.Engine) error) error {
-		e, err := rio.NewEngine(rio.Options{Workers: p, Mapping: m, Tuning: rio.TuningOptions{
-			WaitPolicy: pol, SpinLimit: cfg.SpinLimit, YieldLimit: cfg.YieldLimit,
-		}})
+	measure := func(g *stf.Graph, engine string, run func(*rio.Engine) error) error {
+		e, err := rio.NewEngine(rio.Options{Workers: p, Mapping: m})
 		if err != nil {
 			return err
 		}
 		wall, cpu, st, err := MeasureRunCPU(func() error { return run(e) }, e.Stats, cfg.Warmup, cfg.Reps)
 		if err != nil {
-			return fmt.Errorf("sync/%s/%s/%s: %w", g.Name, engine, pol, err)
+			return fmt.Errorf("sync/%s/%s: %w", g.Name, engine, err)
 		}
 		rows = append(rows, Row{
 			Experiment: "sync",
 			Workload:   g.Name,
 			Engine:     engine,
-			Policy:     pol.String(),
 			Workers:    p,
 			TaskSize:   cfg.TaskSize,
 			Tasks:      st.Executed(),
@@ -124,30 +110,28 @@ func SyncAblation(cfg SyncConfig) ([]Row, error) {
 	blocking.Name += "+block"
 	blockKern := func(*stf.Task, stf.WorkerID) { time.Sleep(cfg.BlockDur) }
 
-	for _, pol := range SyncPolicies {
-		for _, g := range contended {
-			g := g
-			err := measure(g, "rio", pol, func(e *rio.Engine) error {
-				return e.Run(g.NumData, stf.Replay(g, kern))
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if cfg.BlockDur > 0 {
-			err := measure(blocking, "rio", pol, func(e *rio.Engine) error {
-				return e.Run(blocking.NumData, stf.Replay(blocking, blockKern))
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		err := measure(uncontended, "rio-compiled", pol, func(e *rio.Engine) error {
-			return e.RunCompiled(compiled, kern)
+	for _, g := range contended {
+		g := g
+		err := measure(g, "rio", func(e *rio.Engine) error {
+			return e.Run(g.NumData, stf.Replay(g, kern))
 		})
 		if err != nil {
 			return nil, err
 		}
+	}
+	if cfg.BlockDur > 0 {
+		err := measure(blocking, "rio", func(e *rio.Engine) error {
+			return e.Run(blocking.NumData, stf.Replay(blocking, blockKern))
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	err = measure(uncontended, "rio-compiled", func(e *rio.Engine) error {
+		return e.RunCompiled(compiled, kern)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -27,14 +27,6 @@ type Options struct {
 	// is read between the run's start and end stamps, and Stats carries
 	// only the wall times and the task counters.
 	NoAccounting bool
-	// WaitPolicy selects how executors wait for ready tasks (see
-	// waitTuning for how the policies map onto queue pops). The zero
-	// value, WaitAdaptive, spins for SpinLimit probes before parking on
-	// the ready queue's condition variable.
-	WaitPolicy stf.WaitPolicy
-	// SpinLimit is the number of ready-queue probes an executor makes
-	// before parking (WaitAdaptive only). 0 means DefaultSpinLimit.
-	SpinLimit int
 	// Hooks optionally installs lifecycle callbacks (see stf.Hooks). Nil
 	// costs the hot path one pointer test per site.
 	Hooks *stf.Hooks
@@ -54,16 +46,11 @@ type Options struct {
 	Checkpoint bool
 }
 
-// DefaultSpinLimit is the default ready-queue spin budget of executor pops
-// under WaitAdaptive, mirroring the in-order engine's dependency-wait spin
-// budget.
-const DefaultSpinLimit = 128
-
 // Engine is a centralized out-of-order STF execution engine.
 type Engine struct {
 	workers    int // total threads, master included
 	window     int
-	wt         waitTuning // wait tuning and the accounting switch
+	clk        clock // the accounting switch
 	hooks      *stf.Hooks
 	retry      *stf.RetryPolicy
 	snaps      stf.Snapshotter
@@ -83,16 +70,8 @@ func New(o Options) (*Engine, error) {
 	if o.Window < 0 {
 		return nil, fmt.Errorf("centralized: negative Window %d", o.Window)
 	}
-	if !o.WaitPolicy.Valid() {
-		return nil, fmt.Errorf("centralized: unknown WaitPolicy %d", o.WaitPolicy)
-	}
-	sl := o.SpinLimit
-	if sl <= 0 {
-		sl = DefaultSpinLimit
-	}
-	wt := waitTuning{policy: o.WaitPolicy, spin: sl, noAcct: o.NoAccounting}
 	return &Engine{
-		workers: o.Workers, window: o.Window, wt: wt, hooks: o.Hooks,
+		workers: o.Workers, window: o.Window, clk: clock{o.NoAccounting}, hooks: o.Hooks,
 		retry: o.Retry, snaps: o.Snapshots, resume: o.Resume,
 		checkpoint: o.Checkpoint || o.Retry != nil,
 	}, nil
@@ -142,7 +121,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	nexec := e.workers - 1
 	m := &master{
 		eng:    e,
-		ready:  newFIFO(e.wt),
+		ready:  newFIFO(e.clk),
 		states: make([]depState, numData),
 		redMu:  make([]sync.Mutex, numData),
 	}
@@ -226,7 +205,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	// management.
 	m.prog.Exit(0, m.idle, time.Since(mt0))
 	wg.Wait()
-	e.End(time.Since(start), !e.wt.noAcct)
+	e.End(time.Since(start), !e.clk.noAcct)
 	err := m.err
 	if err == nil {
 		m.mu.Lock()
@@ -515,9 +494,9 @@ func execOnce(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) (outc
 // runTimed runs the body once, charging its duration to *taskTime (nothing
 // without accounting).
 func runTimed(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) {
-	t0 := m.eng.wt.stamp()
+	t0 := m.eng.clk.stamp()
 	t.run(w)
-	*taskTime += m.eng.wt.stamp() - t0
+	*taskTime += m.eng.clk.stamp() - t0
 }
 
 // recordError stores the first asynchronous (worker-side) error.
@@ -556,9 +535,9 @@ func (m *master) drain() {
 // held), charged to the master's idle time and wait histogram when the run
 // is accounted.
 func (m *master) await() {
-	t0 := m.eng.wt.stamp()
+	t0 := m.eng.clk.stamp()
 	m.progress.Wait()
-	if !m.eng.wt.noAcct {
+	if !m.eng.clk.noAcct {
 		waited := trace.Stamp() - t0
 		m.idle += waited
 		m.prog.AddWait(waited)

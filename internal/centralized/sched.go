@@ -6,44 +6,25 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rio/internal/stf"
 	"rio/internal/trace"
 )
 
-// waitTuning is the centralized counterpart of the in-order engine's
-// dependency-wait escalation, applied to the executors' ready-queue pops:
-// how long a pop busy-polls the ready state before parking on the
-// queue's condition variable. The policies map as follows — WaitSpin
-// never parks (Gosched-poll until a task or close), WaitAdaptive spins for
-// the budget then parks (no feedback loop here: queue pops have no per-data
-// histogram to feed from), WaitPark parks immediately (parking *is* the
-// legacy centralized behavior).
-type waitTuning struct {
-	policy stf.WaitPolicy
-	spin   int
-	noAcct bool // the engine's NoAccounting: pops time their idle with stamp
-}
+// popSpin is the number of ready-queue probes an executor's pop makes
+// before parking on the queue's condition variable: the centralized
+// counterpart of the in-order engine's dependency-wait spin seed, without
+// its feedback loop (queue pops have no per-data histogram to feed from).
+const popSpin = 128
 
-// stamp is the clock the centralized engine times with: trace.Stamp, or
-// zero without accounting, so that an unaccounted timed section reads no
-// clock and measures nothing.
-func (wt waitTuning) stamp() time.Duration {
-	if wt.noAcct {
+// clock is the clock the centralized engine times with: trace.Stamp, or
+// zero without accounting (noAcct, the engine's NoAccounting), so that an
+// unaccounted timed section reads no clock and measures nothing.
+type clock struct{ noAcct bool }
+
+func (c clock) stamp() time.Duration {
+	if c.noAcct {
 		return 0
 	}
 	return trace.Stamp()
-}
-
-// budget returns the number of spin-phase probes before parking, or -1 for
-// spin-forever.
-func (wt waitTuning) budget() int {
-	switch wt.policy {
-	case stf.WaitSpin:
-		return -1
-	case stf.WaitAdaptive:
-		return wt.spin
-	}
-	return 0 // WaitPark: park immediately
 }
 
 // fifoQueue is the master's ready queue: ready tasks are executed in the
@@ -51,9 +32,9 @@ func (wt waitTuning) budget() int {
 // dispatch, StarPU's historical default). The master (at submission) and
 // executors (releasing successors) push; executors pop. avail and done
 // shadow the mutex-guarded state with atomics so that spin-phase probes
-// (see waitTuning) need not touch the lock pushers hold.
+// (see spin) need not touch the lock pushers hold.
 type fifoQueue struct {
-	wt       waitTuning
+	clk      clock
 	avail    atomic.Int64
 	done     atomic.Bool
 	mu       sync.Mutex
@@ -63,8 +44,8 @@ type fifoQueue struct {
 	closed   bool
 }
 
-func newFIFO(wt waitTuning) *fifoQueue {
-	q := &fifoQueue{wt: wt}
+func newFIFO(clk clock) *fifoQueue {
+	q := &fifoQueue{clk: clk}
 	q.nonEmpty = sync.NewCond(&q.mu)
 	return q
 }
@@ -99,7 +80,7 @@ func (q *fifoQueue) take() (t *task, done bool) {
 // pop blocks until a task is available or the queue is closed and drained
 // (then it returns nil). It also returns the time the executor spent
 // blocked, which the engine accounts as idle time (zero without
-// accounting: waitTuning.stamp).
+// accounting: clock.stamp).
 func (q *fifoQueue) pop() (*task, time.Duration) {
 	var idle time.Duration
 	for {
@@ -113,33 +94,27 @@ func (q *fifoQueue) pop() (*task, time.Duration) {
 		}
 		q.mu.Lock()
 		for q.head == len(q.items) && !q.closed {
-			t0 := q.wt.stamp()
+			t0 := q.clk.stamp()
 			q.nonEmpty.Wait()
-			idle += q.wt.stamp() - t0
+			idle += q.clk.stamp() - t0
 		}
 		q.mu.Unlock()
 	}
 }
 
-// spin busy-polls the queue's atomic shadows (with Gosched between probes)
-// for the tuning's budget — or until they show a task or the close, under
-// WaitSpin. It reports whether they did during the spin phase and the time
-// spent spinning. The probe is possibly stale, so the caller re-checks
-// authoritatively under the lock; turning true on close is what keeps a
-// WaitSpin waiter live across shutdown.
+// spin polls the queue's atomic shadows (with Gosched between probes) for
+// popSpin probes, or until they show a task or the close. It reports
+// whether they did and the time spent spinning. The probe is possibly
+// stale, so the caller re-checks authoritatively under the lock.
 func (q *fifoQueue) spin() (hit bool, idle time.Duration) {
-	n := q.wt.budget()
-	if n == 0 {
-		return false, 0
-	}
-	t0 := q.wt.stamp()
-	for i := 0; n < 0 || i < n; i++ {
+	t0 := q.clk.stamp()
+	for i := 0; i < popSpin; i++ {
 		if q.avail.Load() > 0 || q.done.Load() {
-			return true, q.wt.stamp() - t0
+			return true, q.clk.stamp() - t0
 		}
 		runtime.Gosched()
 	}
-	return false, q.wt.stamp() - t0
+	return false, q.clk.stamp() - t0
 }
 
 func (q *fifoQueue) close() {

@@ -25,27 +25,12 @@ type Options struct {
 	// is read inside a run, Stats carries only Wall and the task counters,
 	// and the progress table's wait histogram stays empty (every other
 	// Progress counter is published either way; the adaptive spin seed of
-	// the next run then falls back to SpinLimit). Accounting costs two
+	// the next run then starts from spinSeed). Accounting costs two
 	// monotonic clock reads (trace.Stamp) per executed task and two per
 	// dependency wait: a third of a run of empty tasks, nothing
 	// measurable on bodies of a microsecond (BenchmarkAccountingOverhead;
 	// DESIGN.md §9, "What accounting costs").
 	NoAccounting bool
-	// WaitPolicy selects how dependency waits behave once the busy-poll
-	// phase has not resolved them (see stf.WaitPolicy). The zero value is
-	// WaitAdaptive: spin with a feedback-driven budget, yield, then park
-	// on the data object's event gate.
-	WaitPolicy stf.WaitPolicy
-	// SpinLimit is the number of busy-poll iterations before a waiting
-	// worker starts yielding to the Go scheduler (and eventually parking,
-	// per WaitPolicy). 0 means DefaultSpinLimit. Under
-	// WaitAdaptive this is the starting budget; the per-worker budget
-	// then floats between the adaptive bounds.
-	SpinLimit int
-	// YieldLimit is the number of runtime.Gosched-polling iterations
-	// after the spin phase before a wait enters its policy's slow phase.
-	// 0 means DefaultYieldLimit.
-	YieldLimit int
 	// StallTimeout arms the stall watchdog: when no task completes for
 	// this long and the workers are provably deadlocked (all blocked in
 	// dependency waits) or stuck inside one task body, the run aborts
@@ -115,9 +100,8 @@ type Engine struct {
 	// its workers — a racing swap affects the next run, never a running one.
 	mapping      atomic.Pointer[stf.Mapping]
 	noAcct       bool
-	policy       stf.WaitPolicy
-	spinLimit    int
-	yieldLimit   int
+	spinSeed     int // the wait's escalation lengths: the constants of the
+	yieldIters   int // same names, changed only by tests (SetWaitLimits)
 	stallTimeout time.Duration
 	guard        bool
 	hooks        *stf.Hooks
@@ -165,23 +149,11 @@ func New(o Options) (*Engine, error) {
 		p := o.Workers
 		m = func(id stf.TaskID) stf.WorkerID { return stf.WorkerID(id % stf.TaskID(p)) }
 	}
-	if !o.WaitPolicy.Valid() {
-		return nil, fmt.Errorf("core: unknown WaitPolicy %d", o.WaitPolicy)
-	}
-	sl := o.SpinLimit
-	if sl <= 0 {
-		sl = DefaultSpinLimit
-	}
-	yl := o.YieldLimit
-	if yl <= 0 {
-		yl = DefaultYieldLimit
-	}
 	e := &Engine{
 		workers:      o.Workers,
 		noAcct:       o.NoAccounting,
-		policy:       o.WaitPolicy,
-		spinLimit:    sl,
-		yieldLimit:   yl,
+		spinSeed:     spinSeed,
+		yieldIters:   yieldIters,
 		stallTimeout: o.StallTimeout,
 		guard:        !o.NoGuard,
 		hooks:        o.Hooks,
@@ -269,11 +241,9 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 	// Seed the adaptive spin budgets from the previous run's wait
 	// histogram (if any), read in place before the new progress table
 	// replaces it.
-	seed := e.spinLimit
-	if e.policy == stf.WaitAdaptive {
-		if prev := e.Table(); prev != nil {
-			seed = adaptiveSeed(prev.WaitHist(), e.spinLimit)
-		}
+	seed := e.spinSeed
+	if prev := e.Table(); prev != nil {
+		seed = adaptiveSeed(prev.WaitHist(), e.spinSeed)
 	}
 	// The run's width: a compiled program's worker count, which may be
 	// narrower than the engine (RunCompiledContext), else the engine's.
@@ -472,9 +442,9 @@ type submitter struct {
 	// task and idle are the accounted body and wait time, stored in the
 	// cell when the worker exits.
 	task, idle time.Duration
-	// spinBudget is the busy-poll budget of the next dependency wait under
-	// WaitAdaptive (ignored by the other policies): seeded from the
-	// previous run's wait histogram, then fed back per completed wait.
+	// spinBudget is the busy-poll budget of the next dependency wait:
+	// seeded from the previous run's wait histogram, then fed back per
+	// completed wait.
 	spinBudget int
 	// parkTimer is the reusable failsafe timer of parked waits, allocated
 	// by the first park.

@@ -94,17 +94,19 @@ func TestGuardFoldPackingHeadroom(t *testing.T) {
 // publish/park phase (audited: `spin` is a local of wait(), so the budget
 // resets — this test fails if it is ever hoisted into worker state).
 func TestWaitSpinBudgetIsPerWait(t *testing.T) {
-	// WaitPark pins the busy budget to the engine's SpinLimit (under
-	// WaitAdaptive the per-worker budget floats by design).
-	e, err := New(Options{Workers: 1, SpinLimit: 1000, StallTimeout: time.Minute, WaitPolicy: stf.WaitPark})
+	e, err := New(Options{Workers: 1, StallTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cell := trace.NewProgressTable(1).Worker(0)
 	sh := &sharedState{}
+	// The busy budget floats by design (each wait the busy-poll phase
+	// catches doubles it), so the test pins it before every wait.
+	const budget = 1000
 	s := &submitter{eng: e, abort: &abortState{}, watched: true, prog: cell}
-	const waits = 50
+	const waits = 100
 	for i := 0; i < waits; i++ {
+		s.spinBudget = budget
 		polls := 0
 		s.wait(3, stf.R(0), sh, func() bool {
 			polls++
@@ -112,13 +114,16 @@ func TestWaitSpinBudgetIsPerWait(t *testing.T) {
 				t.Fatalf("wait %d escalated to the slow phase: spin budget not per-wait", i)
 			}
 			// Resolve well inside one wait's busy budget, but so that the
-			// cumulative polls across waits far exceed SpinLimit: a budget
-			// leaked across waits escalates by the third iteration.
+			// cumulative polls across waits far exceed the budget and the
+			// yield phase: a count leaked across waits escalates within
+			// the first fifty.
 			return polls > 40
 		})
 	}
-	// Control: a single wait exceeding the budget must escalate, publishing
-	// what it waits on while it is slow, and clear it on its way out.
+	// Control: a single wait exceeding the budget and the yield phase must
+	// escalate, publishing what it waits on while it is slow, and clear it
+	// on its way out.
+	s.spinBudget = budget
 	polls := 0
 	var slow trace.WorkerState
 	s.wait(4, stf.W(0), sh, func() bool {
@@ -126,7 +131,7 @@ func TestWaitSpinBudgetIsPerWait(t *testing.T) {
 		if st := cell.State(); st.Waiting != stf.NoTask {
 			slow = st
 		}
-		return polls > 1000+3 // past the busy phase: a few park rounds
+		return polls > budget+yieldIters+3 // past the busy and yield phases: a few park rounds
 	})
 	if slow.Waiting != 4 || slow.WaitOn != stf.W(0) {
 		t.Fatalf("slow wait published task %d access %+v, want 4/%+v", slow.Waiting, slow.WaitOn, stf.W(0))
@@ -137,13 +142,14 @@ func TestWaitSpinBudgetIsPerWait(t *testing.T) {
 	// A compiled stream's get carries no mode: a slow one publishes the
 	// mode its task declared, read from the task table.
 	s.flow = &flow{tasks: []stf.Task{{ID: 0, Accesses: []stf.Access{stf.R(1), stf.RW(0)}}}}
+	s.spinBudget = budget
 	polls = 0
 	s.wait(0, stf.Access{Data: 0}, sh, func() bool {
 		polls++
 		if st := cell.State(); st.Waiting != stf.NoTask {
 			slow = st
 		}
-		return polls > 1000+3
+		return polls > budget+yieldIters+3
 	})
 	if slow.Waiting != 0 || slow.WaitOn != stf.RW(0) {
 		t.Fatalf("slow compiled wait published task %d access %+v, want 0/%+v", slow.Waiting, slow.WaitOn, stf.RW(0))

@@ -13,13 +13,13 @@ import (
 // up — and the same cells give the stall watchdog its readings and Stats
 // its decomposition.
 
-// adaptiveSeed derives the starting per-worker spin budget of a WaitAdaptive
-// run from the previous run's wait histogram (the same feedback signal the
-// per-wait adaptation uses, aggregated): a run whose waits overwhelmingly
-// resolved in busy-poll territory (≤ 10µs) starts the next run with a larger
-// budget; a run dominated by long waits starts small and parks early. With
-// no history (first run, or NoAccounting leaving the histogram empty) the
-// configured base is used unchanged.
+// adaptiveSeed derives the starting per-worker spin budget of a run from
+// the previous run's wait histogram (the same feedback signal the per-wait
+// adaptation uses, aggregated): a run whose waits overwhelmingly resolved in
+// busy-poll territory (≤ 10µs) starts the next run with a larger budget; a
+// run dominated by long waits starts small and parks early. With no history
+// (first run, or NoAccounting leaving the histogram empty) base is used
+// unchanged.
 func adaptiveSeed(hist [trace.NumWaitBuckets]int64, base int) int {
 	var short, long int64
 	for b, n := range hist {

@@ -83,8 +83,9 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestRunStateReuseIsInvisible(t *testing.T) {
 	const p = 2
 	m := sched.Cyclic(p)
-	// Park right after one poll, so a dependency wait reaches the gate.
-	e, err := New(Options{Workers: p, Mapping: m, WaitPolicy: stf.WaitPark, SpinLimit: 1})
+	// The default wait reaches the gate: the bodies below hold worker 1's
+	// dependency until it has spun, yielded and parked.
+	e, err := New(Options{Workers: p, Mapping: m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,10 +127,8 @@ func TestStealFromDependencyWait(t *testing.T) {
 	// A short spin/yield budget sends worker 1's waits into the slow phase
 	// (where steal attempts live) well before a 200µs dependency resolves;
 	// the default yield budget alone can eat that long.
-	e := newEngine(t, core.Options{
-		Workers: 2, Mapping: m, Steal: &stf.StealPolicy{MaxScan: 16},
-		SpinLimit: 16, YieldLimit: 16,
-	})
+	e := newEngine(t, core.Options{Workers: 2, Mapping: m, Steal: &stf.StealPolicy{MaxScan: 16}})
+	core.SetWaitLimits(e, 16, 16)
 	if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, erro
 		eng:     e,
 		numData: numData,
 		timeout: timeout,
-		st:      e.borrow(numData, e.workers, rp, e.spinLimit),
+		st:      e.borrow(numData, e.workers, rp, e.spinSeed),
 		prog:    rp,
 	}, nil
 }

@@ -1,17 +1,17 @@
 package core_test
 
-// Synchronization-scalability tests for the wait policies (adaptive spin,
-// pure spin, event-gate parking): sequential consistency under every
-// policy, lost-wakeup stress under oversubscription, abort responsiveness
-// while parked, and the agreement between idle-time accounting and the wait
-// histogram. The park tests run with and without a steal policy: the one
-// park serves both, differing only in the backstop cadence its wait loop
-// picks.
+// Synchronization-scalability tests for the dependency wait (adaptive spin,
+// yield, event-gate park): sequential consistency, lost-wakeup stress under
+// oversubscription, abort responsiveness while parked, and the agreement
+// between idle-time accounting and the wait histogram. The park tests run
+// with and without a steal policy: the one park serves both, differing only
+// in the backstop cadence its wait loop picks. Tests that must reach the
+// park phase on every wait shorten the escalation with core.SetWaitLimits.
 
 import (
-	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,54 +23,49 @@ import (
 	"rio/internal/trace"
 )
 
-var allPolicies = []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitSpin, stf.WaitPark}
-
 // stealModes are the two states of Options.Steal the park tests cover.
 var stealModes = []*stf.StealPolicy{nil, {}}
 
-// Every policy must preserve sequential consistency on dependency-dense
-// flows: a strict chain, the many-readers/one-writer-chain contention
-// shape, reduction rounds (the terminate_red wake path), and random DAGs.
+// The wait must preserve sequential consistency on dependency-dense flows:
+// a strict chain, the many-readers/one-writer-chain contention shape,
+// reduction rounds (the terminate_red wake path), and random DAGs.
 func TestWaitPolicyMatrixSequentialConsistency(t *testing.T) {
-	for _, pol := range allPolicies {
-		for _, g := range []*stf.Graph{
-			graphs.Chain(200),
-			graphs.ReadersWriter(30, 7),
-			graphs.ReduceRounds(20, 11),
-			graphs.RandomDeps(300, 16, 2, 1, 42),
-		} {
-			e := newEngine(t, core.Options{Workers: 4, Mapping: sched.Cyclic(4), WaitPolicy: pol})
-			if err := enginetest.Check(e, g); err != nil {
-				t.Errorf("policy %v, %s: %v", pol, g.Name, err)
-			}
+	for _, g := range []*stf.Graph{
+		graphs.Chain(200),
+		graphs.ReadersWriter(30, 7),
+		graphs.ReduceRounds(20, 11),
+		graphs.RandomDeps(300, 16, 2, 1, 42),
+	} {
+		e := newEngine(t, core.Options{Workers: 4, Mapping: sched.Cyclic(4)})
+		if err := enginetest.Check(e, g); err != nil {
+			t.Errorf("%s: %v", g.Name, err)
 		}
 	}
 }
 
-// The compiled replay path shares the wait/park helpers; check it under the
-// parking policies explicitly.
+// The compiled replay path shares the wait/park helpers; check it with
+// every wait parking right after its spin phase.
 func TestWaitPolicyCompiledReplay(t *testing.T) {
 	m := sched.Cyclic(4)
-	for _, pol := range []stf.WaitPolicy{stf.WaitAdaptive, stf.WaitPark} {
-		for _, g := range []*stf.Graph{
-			graphs.ReadersWriter(25, 6),
-			graphs.ReduceRounds(15, 9),
-		} {
-			cp, err := stf.Compile(g, m, 4, nil)
-			if err != nil {
-				t.Fatalf("compile %s: %v", g.Name, err)
-			}
-			e := newEngine(t, core.Options{Workers: 4, Mapping: m, WaitPolicy: pol, SpinLimit: 1})
-			if err := enginetest.CheckCompiled(e, g, cp); err != nil {
-				t.Errorf("policy %v, %s (compiled): %v", pol, g.Name, err)
-			}
+	for _, g := range []*stf.Graph{
+		graphs.ReadersWriter(25, 6),
+		graphs.ReduceRounds(15, 9),
+	} {
+		cp, err := stf.Compile(g, m, 4, nil)
+		if err != nil {
+			t.Fatalf("compile %s: %v", g.Name, err)
+		}
+		e := newEngine(t, core.Options{Workers: 4, Mapping: m})
+		core.SetWaitLimits(e, 1, 0)
+		if err := enginetest.CheckCompiled(e, g, cp); err != nil {
+			t.Errorf("%s (compiled): %v", g.Name, err)
 		}
 	}
 }
 
-// Lost-wakeup stress: GOMAXPROCS(1) oversubscription with a one-iteration
-// spin budget forces every dependency wait straight onto the park gate, and
-// the single hardware thread maximizes the window between a waiter's
+// Lost-wakeup stress: GOMAXPROCS(1) oversubscription with a short spin
+// phase and no yield phase sends every dependency wait onto the park gate,
+// and the single hardware thread maximizes the window between a waiter's
 // readiness check and its park — precisely where a lost wake would hang the
 // run. Terminate orderings vary across repetitions (different graphs/seeds
 // and scheduler interleavings); run with -race to also catch publication
@@ -82,18 +77,17 @@ func TestLostWakeupStressOversubscribed(t *testing.T) {
 		reps = 2
 	}
 	for _, steal := range stealModes {
-		for _, pol := range []stf.WaitPolicy{stf.WaitPark, stf.WaitAdaptive} {
-			for rep := 0; rep < reps; rep++ {
-				e := newEngine(t, core.Options{Workers: 16, Mapping: sched.Cyclic(16), WaitPolicy: pol, SpinLimit: 1, Steal: steal})
-				for _, g := range []*stf.Graph{
-					graphs.Chain(120),
-					graphs.ReadersWriter(12, 15),
-					graphs.ReduceRounds(8, 15),
-					graphs.RandomDeps(200, 8, 2, 1, int64(100+rep)),
-				} {
-					if err := enginetest.Check(e, g); err != nil {
-						t.Fatalf("policy %v steal %v rep %d, %s: %v", pol, steal != nil, rep, g.Name, err)
-					}
+		for rep := 0; rep < reps; rep++ {
+			e := newEngine(t, core.Options{Workers: 16, Mapping: sched.Cyclic(16), Steal: steal})
+			core.SetWaitLimits(e, 1, 0)
+			for _, g := range []*stf.Graph{
+				graphs.Chain(120),
+				graphs.ReadersWriter(12, 15),
+				graphs.ReduceRounds(8, 15),
+				graphs.RandomDeps(200, 8, 2, 1, int64(100+rep)),
+			} {
+				if err := enginetest.Check(e, g); err != nil {
+					t.Fatalf("steal %v rep %d, %s: %v", steal != nil, rep, g.Name, err)
 				}
 			}
 		}
@@ -101,10 +95,11 @@ func TestLostWakeupStressOversubscribed(t *testing.T) {
 }
 
 // Reduction contention on the wake path: rounds of one writer followed by
-// many reducers on a single datum, with a one-probe spin budget so every
-// dependency wait parks. Each round's reducers park on terminate_write's
-// wake, and the next round's writer parks until the last terminateRed
-// publishes its wake — the exact transitions the waiter registry added.
+// many reducers on a single datum, with a short spin phase and no yield
+// phase so every dependency wait parks. Each round's reducers park on
+// terminate_write's wake, and the next round's writer parks until the last
+// terminateRed publishes its wake — the exact transitions the waiter
+// registry added.
 // Real closures (not the synthetic trace kernel) check the values: red
 // bodies commute but must not overlap (redMu), and the writer must observe
 // every prior round fully drained.
@@ -115,44 +110,53 @@ func TestReductionContentionWake(t *testing.T) {
 		reducers = 23 // not a multiple of workers: reds of one run span all workers unevenly
 	)
 	for _, steal := range stealModes {
-		for _, pol := range []stf.WaitPolicy{stf.WaitPark, stf.WaitAdaptive} {
-			e := newEngine(t, core.Options{Workers: workers, Mapping: sched.Cyclic(workers), WaitPolicy: pol, SpinLimit: 1, Steal: steal})
-			var sum int64
-			var snaps [rounds]int64
-			err := e.Run(1, func(s stf.Submitter) {
-				for r := 0; r < rounds; r++ {
-					r := r
-					s.Submit(func() { snaps[r] = sum; sum++ }, stf.RW(0))
-					for j := 0; j < reducers; j++ {
-						s.Submit(func() { sum++ }, stf.Red(0))
-					}
-				}
-			})
-			if err != nil {
-				t.Fatalf("policy %v steal %v: %v", pol, steal != nil, err)
-			}
+		e := newEngine(t, core.Options{Workers: workers, Mapping: sched.Cyclic(workers), Steal: steal})
+		core.SetWaitLimits(e, 1, 0)
+		var sum int64
+		var snaps [rounds]int64
+		err := e.Run(1, func(s stf.Submitter) {
 			for r := 0; r < rounds; r++ {
-				if want := int64(r) * (reducers + 1); snaps[r] != want {
-					t.Errorf("policy %v: round %d writer saw sum %d, want %d (a reduction of an earlier run had not terminated)",
-						pol, r, snaps[r], want)
+				r := r
+				s.Submit(func() { snaps[r] = sum; sum++ }, stf.RW(0))
+				for j := 0; j < reducers; j++ {
+					s.Submit(func() { sum++ }, stf.Red(0))
 				}
 			}
-			if want := int64(rounds) * (reducers + 1); sum != want {
-				t.Errorf("policy %v: final sum %d, want %d (overlapping reduction bodies lost updates)", pol, sum, want)
+		})
+		if err != nil {
+			t.Fatalf("steal %v: %v", steal != nil, err)
+		}
+		for r := 0; r < rounds; r++ {
+			if want := int64(r) * (reducers + 1); snaps[r] != want {
+				t.Errorf("steal %v: round %d writer saw sum %d, want %d (a reduction of an earlier run had not terminated)",
+					steal != nil, r, snaps[r], want)
 			}
+		}
+		if want := int64(rounds) * (reducers + 1); sum != want {
+			t.Errorf("steal %v: final sum %d, want %d (overlapping reduction bodies lost updates)", steal != nil, sum, want)
 		}
 	}
 }
 
 // A panic on one worker must wake and unwind waiters parked on its
 // unpublished dependencies: the abort latch's wake-all covers the event
-// gates, not only the polling phases.
+// gates, not only the polling phases. The producer panics only after the
+// waiter's wait has begun, and a millisecond later: with no yield phase
+// the waiter is parked by then.
 func TestAbortWakesParkedWaiters(t *testing.T) {
 	for _, steal := range stealModes {
-		e := newEngine(t, core.Options{Workers: 2, Mapping: sched.Cyclic(2), WaitPolicy: stf.WaitPark, SpinLimit: 1, Steal: steal})
+		waiting := make(chan struct{})
+		var once sync.Once
+		hooks := &stf.Hooks{OnWaitStart: func(stf.WorkerID, stf.TaskID, stf.Access) { once.Do(func() { close(waiting) }) }}
+		e := newEngine(t, core.Options{Workers: 2, Mapping: sched.Cyclic(2), Steal: steal, Hooks: hooks})
+		core.SetWaitLimits(e, 1, 0)
 		err := e.Run(1, func(s stf.Submitter) {
-			s.Submit(func() { panic("boom") }, stf.W(0)) // worker 0
-			s.Submit(func() {}, stf.RW(0))               // worker 1: parks on data 0
+			s.Submit(func() { // worker 0
+				<-waiting
+				time.Sleep(time.Millisecond)
+				panic("boom")
+			}, stf.W(0))
+			s.Submit(func() {}, stf.RW(0)) // worker 1: parks on data 0
 		})
 		if err == nil {
 			t.Fatalf("steal %v: run with a panicking producer returned nil", steal != nil)
@@ -163,18 +167,15 @@ func TestAbortWakesParkedWaiters(t *testing.T) {
 	}
 }
 
-// Idle-time accounting and the wait histogram must agree under every
-// policy: a forced multi-millisecond dependency wait shows up in both (and
-// lands in a millisecond-scale bucket), and under NoAccounting both stay
-// empty — no half-updated state.
+// Idle-time accounting and the wait histogram must agree: a forced
+// multi-millisecond dependency wait shows up in both (and lands in a
+// millisecond-scale bucket), and under NoAccounting both stay empty — no
+// half-updated state.
 func TestIdleAccountingMatchesWaitHistogram(t *testing.T) {
 	const delay = 4 * time.Millisecond
-	run := func(t *testing.T, pol stf.WaitPolicy, noAcct bool) (*trace.Stats, trace.Progress) {
+	run := func(t *testing.T, noAcct bool) (*trace.Stats, trace.Progress) {
 		t.Helper()
-		e := newEngine(t, core.Options{
-			Workers: 2, Mapping: sched.Cyclic(2),
-			WaitPolicy: pol, SpinLimit: 16, NoAccounting: noAcct,
-		})
+		e := newEngine(t, core.Options{Workers: 2, Mapping: sched.Cyclic(2), NoAccounting: noAcct})
 		err := e.Run(1, func(s stf.Submitter) {
 			s.Submit(func() { time.Sleep(delay) }, stf.W(0))
 			s.Submit(func() {}, stf.RW(0))
@@ -184,35 +185,33 @@ func TestIdleAccountingMatchesWaitHistogram(t *testing.T) {
 		}
 		return e.Stats(), e.Progress()
 	}
-	for _, pol := range allPolicies {
-		st, pr := run(t, pol, false)
-		idle := st.Workers[1].Idle
-		if idle < delay/2 {
-			t.Errorf("policy %v: worker 1 idle = %v, want >= %v", pol, idle, delay/2)
+	st, pr := run(t, false)
+	idle := st.Workers[1].Idle
+	if idle < delay/2 {
+		t.Errorf("worker 1 idle = %v, want >= %v", idle, delay/2)
+	}
+	hist := pr.WaitHist()
+	var total, slow int64
+	for b, n := range hist {
+		total += n
+		if b >= 2 { // >= 10µs: where a multi-millisecond wait must land
+			slow += n
 		}
-		hist := pr.WaitHist()
-		var total, slow int64
-		for b, n := range hist {
-			total += n
-			if b >= 2 { // >= 10µs: where a multi-millisecond wait must land
-				slow += n
-			}
-		}
-		if total == 0 {
-			t.Errorf("policy %v: idle accounted (%v) but wait histogram empty", pol, idle)
-		}
-		if slow == 0 {
-			t.Errorf("policy %v: no wait landed in a >=10µs bucket despite a %v dependency delay (hist %v)", pol, delay, hist)
-		}
+	}
+	if total == 0 {
+		t.Errorf("idle accounted (%v) but wait histogram empty", idle)
+	}
+	if slow == 0 {
+		t.Errorf("no wait landed in a >=10µs bucket despite a %v dependency delay (hist %v)", delay, hist)
+	}
 
-		st, pr = run(t, pol, true)
-		if got := st.Workers[1].Idle; got != 0 {
-			t.Errorf("policy %v NoAccounting: idle = %v, want 0", pol, got)
-		}
-		for b, n := range pr.WaitHist() {
-			if n != 0 {
-				t.Errorf("policy %v NoAccounting: wait histogram bucket %d = %d, want empty", pol, b, n)
-			}
+	st, pr = run(t, true)
+	if got := st.Workers[1].Idle; got != 0 {
+		t.Errorf("NoAccounting: idle = %v, want 0", got)
+	}
+	for b, n := range pr.WaitHist() {
+		if n != 0 {
+			t.Errorf("NoAccounting: wait histogram bucket %d = %d, want empty", b, n)
 		}
 	}
 }
@@ -221,7 +220,7 @@ func TestIdleAccountingMatchesWaitHistogram(t *testing.T) {
 // previous run's histogram without perturbing correctness (the seed path
 // reads the previous progress table just before it is replaced).
 func TestAdaptiveReuseAcrossRuns(t *testing.T) {
-	e := newEngine(t, core.Options{Workers: 4, Mapping: sched.Cyclic(4), WaitPolicy: stf.WaitAdaptive})
+	e := newEngine(t, core.Options{Workers: 4, Mapping: sched.Cyclic(4)})
 	for rep := 0; rep < 3; rep++ {
 		if err := enginetest.Check(e, graphs.ReadersWriter(20, 7)); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
@@ -229,18 +228,5 @@ func TestAdaptiveReuseAcrossRuns(t *testing.T) {
 		if err := enginetest.Check(e, graphs.Independent(100)); err != nil {
 			t.Fatalf("rep %d (independent): %v", rep, err)
 		}
-	}
-}
-
-// An invalid policy must be rejected at construction, not misbehave at run
-// time.
-func TestInvalidWaitPolicyRejected(t *testing.T) {
-	_, err := core.New(core.Options{Workers: 1, WaitPolicy: stf.WaitPolicy(99)})
-	if err == nil {
-		t.Fatal("New accepted WaitPolicy(99)")
-	}
-	var ignored *stf.StallError
-	if errors.As(err, &ignored) {
-		t.Fatal("wrong error kind")
 	}
 }

@@ -8,22 +8,21 @@ import (
 	"rio/internal/trace"
 )
 
-// Wait tuning defaults (Options.SpinLimit / YieldLimit). The escalation
-// keeps the engine live even when goroutines outnumber hardware threads
-// (GOMAXPROCS oversubscription).
+// The wait's escalation lengths. The yield phase keeps the engine live even
+// when goroutines outnumber hardware threads (GOMAXPROCS oversubscription).
 const (
-	// DefaultSpinLimit is the busy-poll budget of dependency waits before
-	// the waiter escalates to runtime.Gosched and then to its policy's
-	// slow phase.
-	DefaultSpinLimit = 128
-	// DefaultYieldLimit is the number of Gosched-polling iterations after
-	// the spin phase before the slow phase (park).
-	DefaultYieldLimit = 1024
+	// spinSeed is the busy-poll budget a worker's first wait of a run
+	// starts from (see adaptiveSeed); the budget then floats between the
+	// adaptive bounds below.
+	spinSeed = 128
+	// yieldIters is the number of Gosched-polling iterations after the
+	// spin phase before the wait parks.
+	yieldIters = 1024
 )
 
-// Adaptive spin-budget bounds (WaitAdaptive). The budget moves by powers of
-// two between these bounds, fed back from each completed wait: a wait the
-// busy-poll phase caught grows it, a wait that had to escalate shrinks it.
+// Adaptive spin-budget bounds. The budget moves by powers of two between
+// these bounds, fed back from each completed wait: a wait the busy-poll
+// phase caught grows it, a wait that had to escalate shrinks it.
 const (
 	minSpinBudget = 16
 	maxSpinBudget = 4096
@@ -49,22 +48,20 @@ const (
 //
 // The wait escalates in three phases, trading latency for CPU use:
 //
-//  1. busy-poll for the spin budget — a dependency produced by a worker
-//     running on another core typically resolves within nanoseconds. Under
-//     WaitAdaptive the budget is per-worker and fed back from completed
-//     waits; otherwise it is the engine's SpinLimit.
-//  2. poll with runtime.Gosched() for YieldLimit iterations — lets the
+//  1. busy-poll for the worker's spin budget — a dependency produced by a
+//     worker running on another core typically resolves within
+//     nanoseconds. The budget is per-worker and fed back from completed
+//     waits.
+//  2. poll with runtime.Gosched() for yieldIters iterations — lets the
 //     producing goroutine run when goroutines are multiplexed on fewer
-//     hardware threads. WaitPark skips this phase; WaitSpin stays in it
-//     forever.
-//  3. the policy's slow phase. On entry the worker publishes in its
-//     progress cell what it is stuck on (watchdog armed runs only), and
-//     the phase polls the run-abort flag so that a dependency held by a
-//     failed worker cannot block forever. WaitAdaptive and WaitPark park
-//     on sh's event gate (woken by the terminate that publishes the
-//     dependency, or by the abort latch's wake-all), one round per
-//     iteration, so this loop's re-check of cond, the abort flag and the
-//     steal attempt run between rounds; WaitSpin keeps yielding.
+//     hardware threads.
+//  3. park. On entry the worker publishes in its progress cell what it is
+//     stuck on (watchdog armed runs only), and the phase polls the
+//     run-abort flag so that a dependency held by a failed worker cannot
+//     block forever. It parks on sh's event gate (woken by the terminate
+//     that publishes the dependency, or by the abort latch's wake-all),
+//     one round per iteration, so this loop's re-check of cond, the abort
+//     flag and the steal attempt run between rounds.
 //
 // Every phase keeps the wait's obligations: one OnWaitEnd per OnWaitStart,
 // stall-watchdog publication, abort responsiveness, idle-time accounting.
@@ -85,15 +82,8 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 		t0 = trace.Stamp()
 	}
 
-	policy := s.eng.policy
-	spinCap := s.eng.spinLimit
-	if policy == stf.WaitAdaptive {
-		spinCap = s.spinBudget
-	}
-	yieldCap := spinCap + s.eng.yieldLimit
-	if policy == stf.WaitPark {
-		yieldCap = spinCap // park right after the spin phase
-	}
+	spinCap := s.spinBudget
+	yieldCap := spinCap + s.eng.yieldIters
 
 	spin := 0
 	published := false
@@ -134,9 +124,7 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 				}
 				continue
 			}
-			if policy == stf.WaitSpin {
-				runtime.Gosched()
-			} else if s.park(sh, cond, backstop) && s.steal == nil && backstop < parkBackstopMax {
+			if s.park(sh, cond, backstop) && s.steal == nil && backstop < parkBackstopMax {
 				backstop *= 2 // failsafe expiry: back off (see parkBackstop)
 			}
 		}
@@ -152,21 +140,19 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 		s.idle += waited
 		s.prog.AddWait(waited)
 	}
-	if policy == stf.WaitAdaptive {
-		// Feed the outcome back into the worker's spin budget by which
-		// escalation phase resolved the wait. Only a wait the busy-poll
-		// phase itself caught justifies more spinning; a wait that resolved
-		// after yielding (or parking) means the producer needed the core —
-		// on dedicated cores growing would not have changed the latency,
-		// and oversubscribed it would have delayed the producer — so the
-		// budget shrinks. Duration is deliberately not the signal: at
-		// GOMAXPROCS=1 every hand-off is "fast" by the histogram yet every
-		// busy-polled iteration is pure critical-path delay.
-		if spin < spinCap {
-			s.spinBudget = min(s.spinBudget*2, maxSpinBudget)
-		} else {
-			s.spinBudget = max(s.spinBudget/2, minSpinBudget)
-		}
+	// Feed the outcome back into the worker's spin budget by which
+	// escalation phase resolved the wait. Only a wait the busy-poll phase
+	// itself caught justifies more spinning; a wait that resolved after
+	// yielding (or parking) means the producer needed the core — on
+	// dedicated cores growing would not have changed the latency, and
+	// oversubscribed it would have delayed the producer — so the budget
+	// shrinks. Duration is deliberately not the signal: at GOMAXPROCS=1
+	// every hand-off is "fast" by the histogram yet every busy-polled
+	// iteration is pure critical-path delay.
+	if spin < spinCap {
+		s.spinBudget = min(s.spinBudget*2, maxSpinBudget)
+	} else {
+		s.spinBudget = max(s.spinBudget/2, minSpinBudget)
 	}
 	if h := s.hooks; h != nil && h.OnWaitEnd != nil {
 		h.OnWaitEnd(s.worker, id, a)

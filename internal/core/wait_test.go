@@ -13,16 +13,12 @@ import (
 	"rio/internal/stf"
 )
 
-// TestWaitEscalatesThroughSleepPhase forces the full spin → yield → sleep
-// escalation: a tiny spin budget and a producer that holds the dependency
-// for several milliseconds.
+// TestWaitEscalatesThroughSleepPhase drives the full spin → yield → park
+// escalation: a producer that holds the dependency for several
+// milliseconds, far longer than the spin and yield phases last.
 func TestWaitEscalatesThroughSleepPhase(t *testing.T) {
 	const delay = 5 * time.Millisecond
-	e := newEngine(t, core.Options{
-		Workers:   2,
-		Mapping:   sched.Cyclic(2),
-		SpinLimit: 1,
-	})
+	e := newEngine(t, core.Options{Workers: 2, Mapping: sched.Cyclic(2)})
 	var got int
 	err := e.Run(1, func(s stf.Submitter) {
 		s.Submit(func() {
@@ -49,7 +45,7 @@ func TestWaitEscalatesThroughSleepPhase(t *testing.T) {
 // escalation must keep the engine live on dependency-heavy graphs. The
 // test previously relied on the host happening to be single-core —
 // GOMAXPROCS is now pinned to 1 so the oversubscription is real
-// everywhere: without the Gosched/sleep escalation phases, 16 goroutines
+// everywhere: without the Gosched/park escalation phases, 16 goroutines
 // busy-polling one thread would livelock (a pure busy-poll never yields,
 // so the producing goroutine could never be scheduled).
 func TestHeavyOversubscription(t *testing.T) {
@@ -66,13 +62,14 @@ func TestHeavyOversubscription(t *testing.T) {
 	}
 }
 
-// TestOversubscribedTinySpinLimit is the same pressure with a one-iteration
-// spin budget: every wait escalates immediately, exercising the yield and
-// sleep phases under contention (and proving the budget is not required
-// for correctness, only latency).
+// TestOversubscribedTinySpinLimit is the same pressure on a strict chain:
+// on one hardware thread a busy poll never sees its producer run, so every
+// wait escalates and each worker's adaptive spin budget falls to its floor
+// within its first waits. The yield and park phases then carry the run
+// (proving the budget is not required for correctness, only latency).
 func TestOversubscribedTinySpinLimit(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	e := newEngine(t, core.Options{Workers: 8, Mapping: sched.Cyclic(8), SpinLimit: 1})
+	e := newEngine(t, core.Options{Workers: 8, Mapping: sched.Cyclic(8)})
 	if err := enginetest.Check(e, graphs.Chain(300)); err != nil {
 		t.Fatal(err)
 	}

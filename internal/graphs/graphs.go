@@ -228,7 +228,7 @@ func Chain(n int) *stf.Graph {
 }
 
 // ReadersWriter returns the high-contention synchronization microbenchmark
-// (the `rio-bench sync` ablation): rounds of one writer followed by readers
+// (the `rio-bench sync` measurement): rounds of one writer followed by readers
 // parallel reads, all on a single data object. Every reader of a round
 // blocks on the round's write and every write blocks on the previous
 // round's reads, so the whole flow is dependency hand-offs through one

@@ -1,6 +1,6 @@
 package rio_test
 
-// Tests for the grouped Options layout (Options.Tuning, Options.Fault).
+// Tests for the grouped Options layout (Options.Fault).
 
 import (
 	"errors"
@@ -10,19 +10,12 @@ import (
 	"rio"
 )
 
-// TestOptionsGroupedTuningRuns: an engine configured purely through the
-// grouped Tuning fields runs correctly under every model.
+// TestOptionsGroupedTuningRuns: every model runs a dependent pair of tasks
+// on options that set nothing but the model and the worker count — the
+// engines' one wait needs no tuning.
 func TestOptionsGroupedTuningRuns(t *testing.T) {
 	for _, m := range []rio.Model{rio.InOrder, rio.Centralized, rio.Sequential} {
-		rt, err := rio.New(rio.Options{
-			Model:   m,
-			Workers: 2,
-			Tuning: rio.TuningOptions{
-				WaitPolicy: rio.WaitPark,
-				SpinLimit:  128,
-				YieldLimit: 16,
-			},
-		})
+		rt, err := rio.New(rio.Options{Model: m, Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -36,33 +29,6 @@ func TestOptionsGroupedTuningRuns(t *testing.T) {
 		}
 		if atomic.LoadInt64(&got) != 42 {
 			t.Errorf("%v: got %d, want 42", m, got)
-		}
-	}
-}
-
-// TestOptionsRejectUnknownWaitPolicy: both engines that take a wait policy
-// reject values outside the three policies with an error — 3 was the
-// sleep-ladder policy until it was removed, and must not silently select
-// another policy.
-func TestOptionsRejectUnknownWaitPolicy(t *testing.T) {
-	for _, tc := range []struct {
-		model  rio.Model
-		policy rio.WaitPolicy
-		ok     bool
-	}{
-		{rio.InOrder, rio.WaitPark, true},
-		{rio.Centralized, rio.WaitPark, true},
-		{rio.InOrder, 3, false},
-		{rio.Centralized, 3, false},
-		{rio.InOrder, -1, false},
-		{rio.Centralized, -1, false},
-	} {
-		_, err := rio.New(rio.Options{
-			Model: tc.model, Workers: 2,
-			Tuning: rio.TuningOptions{WaitPolicy: tc.policy},
-		})
-		if (err == nil) != tc.ok {
-			t.Errorf("%v, WaitPolicy %d: err = %v, want accepted = %v", tc.model, tc.policy, err, tc.ok)
 		}
 	}
 }

@@ -85,10 +85,6 @@ type (
 	// WorkerProgress is one worker's record: an entry of Progress.Workers,
 	// live, and of Stats.Workers, final.
 	WorkerProgress = trace.Worker
-	// WaitPolicy selects how waits behave once busy-polling has not
-	// resolved them (Options.Tuning.WaitPolicy): see WaitAdaptive,
-	// WaitSpin, WaitPark.
-	WaitPolicy = stf.WaitPolicy
 	// StealPolicy enables bounded, dependency-safe work stealing in the
 	// in-order engine (Options.Steal): an idle worker executes a victim's
 	// next in-order task when the per-data counter state proves all of its
@@ -195,23 +191,6 @@ const (
 	Reduction = stf.Reduction
 )
 
-// Wait policies (Options.Tuning.WaitPolicy). They apply to the in-order engine's
-// dependency waits and to the centralized engine's ready-queue pops; the
-// sequential engine never waits.
-const (
-	// WaitAdaptive (the default) busy-polls with a feedback-driven spin
-	// budget, yields, then parks on an event gate until the dependency is
-	// published. The all-round choice.
-	WaitAdaptive = stf.WaitAdaptive
-	// WaitSpin never blocks: lowest wake-up latency, burns a hardware
-	// thread per waiter. For workers pinned 1:1 to otherwise idle cores.
-	WaitSpin = stf.WaitSpin
-	// WaitPark parks right after the spin budget: lowest CPU use, one
-	// wake per dependency hand-off. For heavy contention or
-	// oversubscription.
-	WaitPark = stf.WaitPark
-)
-
 // Read declares a read-only access to d.
 func Read(d DataID) Access { return stf.R(d) }
 
@@ -250,26 +229,6 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
-// TuningOptions groups the wait-tuning knobs (Options.Tuning). They
-// control how the engines behave once busy-polling has not resolved a wait;
-// see the README's "Tuning" section for guidance. The zero value means
-// engine defaults throughout.
-type TuningOptions struct {
-	// WaitPolicy selects how the engines wait — the in-order engine for
-	// unresolved dependencies, the centralized engine for ready tasks:
-	// WaitAdaptive (the default), WaitSpin or WaitPark. The sequential
-	// engine ignores it.
-	WaitPolicy WaitPolicy
-	// SpinLimit is the busy-poll budget before a wait escalates per
-	// WaitPolicy (0 = default). Under WaitAdaptive it seeds the in-order
-	// engine's per-worker adaptive budget.
-	SpinLimit int
-	// YieldLimit is the number of runtime.Gosched-polling iterations
-	// between the spin phase and the policy's slow phase (0 = default).
-	// In-order engine only.
-	YieldLimit int
-}
-
 // FaultOptions groups the fault-tolerance knobs (Options.Fault): retry
 // with write-set rollback, checkpointing and resume. The zero value
 // disables all of it.
@@ -296,8 +255,8 @@ type FaultOptions struct {
 	Checkpoint bool
 }
 
-// Options configures an engine. The wait-tuning and fault-tolerance knobs
-// live in the Tuning and Fault sub-structs.
+// Options configures an engine. The fault-tolerance knobs live in the Fault
+// sub-struct.
 type Options struct {
 	// Model selects the execution model (InOrder by default).
 	Model Model
@@ -330,9 +289,6 @@ type Options struct {
 	// already float. nil (the default) disables stealing and costs the hot
 	// path one flag test per compiled micro-op. Other models ignore it.
 	Steal *StealPolicy
-	// Tuning groups the wait-tuning knobs: WaitPolicy, SpinLimit and
-	// YieldLimit.
-	Tuning TuningOptions
 	// Fault groups the fault-tolerance knobs: Retry, Snapshots, Resume and
 	// Checkpoint.
 	Fault FaultOptions
@@ -470,9 +426,6 @@ func coreOptions(o Options) core.Options {
 		Mapping:      o.Mapping,
 		Steal:        o.Steal,
 		NoAccounting: o.NoAccounting,
-		WaitPolicy:   o.Tuning.WaitPolicy,
-		SpinLimit:    o.Tuning.SpinLimit,
-		YieldLimit:   o.Tuning.YieldLimit,
 		StallTimeout: o.StallTimeout,
 		NoGuard:      o.NoGuard,
 		Hooks:        o.Hooks,
@@ -491,8 +444,6 @@ func newEngine(o Options) (Runtime, error) {
 			Workers:      o.Workers,
 			Window:       o.Window,
 			NoAccounting: o.NoAccounting,
-			WaitPolicy:   o.Tuning.WaitPolicy,
-			SpinLimit:    o.Tuning.SpinLimit,
 			Hooks:        o.Hooks,
 			Retry:        o.Fault.Retry,
 			Snapshots:    o.Fault.Snapshots,

@@ -332,16 +332,6 @@ func TestStealOptionValidatedThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestSpinLimitOptionThroughPublicAPI(t *testing.T) {
-	rt, err := rio.New(rio.Options{Model: rio.InOrder, Workers: 2, Mapping: rio.CyclicMapping(2), Tuning: rio.TuningOptions{SpinLimit: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enginetest.Check(rt, graphs.Chain(100)); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMappingHelpersThroughPublicAPI(t *testing.T) {
 	g := graphs.LU(6)
 	p := 4

@@ -10,10 +10,11 @@ import (
 )
 
 // TestStreamEpochRecycleStress pushes thousands of tiny windows through one
-// native streaming session under WaitPark, so dependency waits park on the
-// per-data waiter registry in nearly every window and the join between
-// windows recycles the registry's state right behind them. What it proves,
-// under -race:
+// native streaming session on the default wait, and the join between
+// windows recycles the per-data state right behind them. Whether a
+// hand-off here parks depends on timing; internal/core's
+// TestSessionParkedWindows forces and observes a park in every window of
+// both forms. What it proves, under -race:
 //
 //   - recycling never resurrects a stale wakeup: a task that ran on a
 //     wakeup left over from a previous window would read its data before
@@ -54,7 +55,6 @@ func TestStreamEpochRecycleStress(t *testing.T) {
 			eng, err := rio.NewEngine(rio.Options{
 				Workers: workers,
 				Mapping: mode.mapping,
-				Tuning:  rio.TuningOptions{WaitPolicy: rio.WaitPark},
 			})
 			if err != nil {
 				t.Fatal(err)
