@@ -104,6 +104,62 @@ func TestStructuralFindingsFromProgram(t *testing.T) {
 	}
 }
 
+// The structural scan's rows: each flow's access-structure findings (in
+// report order) and the accesses the sanitized flow keeps, through both
+// entry points. A valid access is a duplicate only of an earlier valid
+// access of its task, so one after a rejected (mode None) access to the
+// same datum is kept, and a list longer than 32 accesses, scanned through
+// a set, finds the same duplicates as a short one scanned by its prefix.
+func TestStructuralScanRows(t *testing.T) {
+	long := func(extra ...stf.Access) []stf.Access {
+		var as []stf.Access
+		for d := 0; d < 40; d++ {
+			as = append(as, stf.R(stf.DataID(d)))
+		}
+		return append(as, extra...)
+	}
+	none := stf.Access{Data: 3, Mode: stf.None}
+	for _, row := range []struct {
+		name     string
+		accesses []stf.Access
+		want     []string
+		kept     int
+	}{
+		{"clean", []stf.Access{stf.R(0), stf.W(1)}, nil, 2},
+		{"duplicate", []stf.Access{stf.R(0), stf.W(1), stf.W(0)},
+			[]string{"RIO-A002 task 0 data 0: data 0 accessed more than once by the same task"}, 2},
+		{"out of range twice", []stf.Access{stf.R(50), stf.R(50)},
+			[]string{"RIO-A001 task 0 data 50: access to data 50 outside [0,40)", "RIO-A001 task 0 data 50: access to data 50 outside [0,40)"}, 0},
+		{"valid after rejected", []stf.Access{none, stf.R(3)},
+			[]string{"RIO-A001 task 0 data 3: access declares mode None"}, 1},
+		{"valid after rejected, long", append([]stf.Access{none, stf.R(3)}, long()[4:]...),
+			[]string{"RIO-A001 task 0 data 3: access declares mode None"}, 37},
+		{"duplicate in a long task", long(stf.W(5), stf.R(39)),
+			[]string{"RIO-A002 task 0 data 5: data 5 accessed more than once by the same task", "RIO-A002 task 0 data 39: data 39 accessed more than once by the same task"}, 40},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			g := stf.NewGraph(row.name, 40)
+			g.Add(0, 0, 0, 0, row.accesses...)
+			fromGraph := analyze.Graph(g, analyze.Config{Passes: analyze.PassAccess})
+			fromProgram, sanitized := analyze.Program(40, func(s stf.Submitter) { s.Submit(nil, row.accesses...) }, analyze.Config{Passes: analyze.PassAccess})
+			for _, rep := range []*analyze.Report{fromGraph, fromProgram} {
+				var got []string
+				for _, f := range rep.Findings {
+					if f.Code == analyze.CodeBadAccess || f.Code == analyze.CodeDuplicateAccess {
+						got = append(got, strings.TrimSpace(strings.TrimPrefix(f.String(), "error")))
+					}
+				}
+				if strings.Join(got, "\n") != strings.Join(row.want, "\n") {
+					t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(row.want, "\n"))
+				}
+			}
+			if err := sanitized.Validate(); err != nil || len(sanitized.Tasks[0].Accesses) != row.kept {
+				t.Errorf("sanitized task keeps %d accesses (%v), want %d", len(sanitized.Tasks[0].Accesses), err, row.kept)
+			}
+		})
+	}
+}
+
 func TestRecordPanicBecomesFinding(t *testing.T) {
 	rep, _ := analyze.Program(1, func(s stf.Submitter) {
 		s.Submit(nil, stf.W(0))

@@ -22,7 +22,7 @@ type recording struct {
 
 	badAccess int
 	dupAccess int
-	seen      map[stf.DataID]bool // scanAccesses' scratch set, cleared per task
+	dups      dupScan
 }
 
 // record replays prog once in record mode. A panic in the program is
@@ -67,11 +67,8 @@ func (r *recording) addf(code Code, sev Severity, task stf.TaskID, data stf.Data
 
 // scanAccesses emits structural findings for one task's access list.
 func (r *recording) scanAccesses(id stf.TaskID, accesses []stf.Access) {
-	if r.seen == nil {
-		r.seen = make(map[stf.DataID]bool, len(accesses))
-	}
-	clear(r.seen)
-	for _, a := range accesses {
+	r.dups.start(accesses)
+	for i, a := range accesses {
 		switch {
 		case a.Data < 0 || int(a.Data) >= r.g.NumData:
 			r.badAccess++
@@ -84,16 +81,59 @@ func (r *recording) scanAccesses(id stf.TaskID, accesses []stf.Access) {
 			if r.badAccess <= capPerCode {
 				r.addf(CodeBadAccess, Error, id, a.Data, "access declares mode None")
 			}
-		case r.seen[a.Data]:
+		case r.dups.repeated(accesses, i):
 			r.dupAccess++
 			if r.dupAccess <= capPerCode {
 				r.addf(CodeDuplicateAccess, Error, id, a.Data,
 					"data %d accessed more than once by the same task", a.Data)
 			}
-		default:
-			r.seen[a.Data] = true
 		}
 	}
+}
+
+// dupScanMax is the longest access list whose duplicates dupScan finds by
+// scanning the list's prefix, as stf.checkAccesses does.
+const dupScanMax = 32
+
+// dupScan finds the accesses of one task that repeat the datum of an
+// earlier valid access (in range, mode not None) of the same task: a
+// short list by its prefix, which costs no map per task, a longer one
+// through a set, so that a hostile list stays linear.
+type dupScan struct {
+	seen map[stf.DataID]bool // the long list's valid data so far
+}
+
+// start begins the scan of accesses.
+func (d *dupScan) start(accesses []stf.Access) {
+	if len(accesses) <= dupScanMax {
+		return
+	}
+	if d.seen == nil {
+		d.seen = make(map[stf.DataID]bool, len(accesses))
+	}
+	clear(d.seen)
+}
+
+// repeated reports whether accesses[i], a valid access, repeats the datum
+// of a valid access before it. The accesses of a long list must be asked
+// about in order, each valid one once.
+func (d *dupScan) repeated(accesses []stf.Access, i int) bool {
+	a := accesses[i]
+	if len(accesses) > dupScanMax {
+		if d.seen[a.Data] {
+			return true
+		}
+		d.seen[a.Data] = true
+		return false
+	}
+	for _, prev := range accesses[:i] {
+		// a.Data is in range, so a prev of the same datum is too: it
+		// counts unless its mode was rejected.
+		if prev.Data == a.Data && prev.Mode != stf.None {
+			return true
+		}
+	}
+	return false
 }
 
 // Submit implements stf.Submitter: the closure body is not executed.
@@ -156,15 +196,15 @@ func structuralScan(rep *Report, g *stf.Graph) (clean bool) {
 // stf.Graph.Validate and is what the graph-level passes analyze.
 func sanitizeGraph(g *stf.Graph) *stf.Graph {
 	out := stf.NewGraph(g.Name, g.NumData)
+	var dups dupScan
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		seen := make(map[stf.DataID]bool, len(t.Accesses))
+		dups.start(t.Accesses)
 		accesses := make([]stf.Access, 0, len(t.Accesses))
-		for _, a := range t.Accesses {
-			if a.Data < 0 || int(a.Data) >= g.NumData || a.Mode == stf.None || seen[a.Data] {
+		for j, a := range t.Accesses {
+			if a.Data < 0 || int(a.Data) >= g.NumData || a.Mode == stf.None || dups.repeated(t.Accesses, j) {
 				continue
 			}
-			seen[a.Data] = true
 			accesses = append(accesses, a)
 		}
 		out.Add(t.Kernel, t.I, t.J, t.K, accesses...)

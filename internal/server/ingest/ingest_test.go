@@ -377,6 +377,22 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// BenchmarkPreflight is Preflight of coldBody's flow under the server's
+// default passes (access and mapping): the cold path's stage after Parse,
+// whose structural scan looks at every access of every task.
+func BenchmarkPreflight(b *testing.B) {
+	sub, err := Parse(bytes.NewReader(coldBody(b)), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Preflight(sub, analyze.PassAccess|analyze.PassMapping); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestParseDecodesOnce is the white-box check that a submission body is
 // read once and scanned once, straight into the graph, and that what dies
 // with the request comes from a pool: in steady state Parse of coldBody,

@@ -26,6 +26,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -232,13 +233,16 @@ type flowInfo struct {
 	Verified bool `json:"verified"`
 	// Runs counts completed executions of the flow.
 	Runs int64 `json:"runs"`
-	// ProgramBytes is what the flow holds for its programs (programBytes),
-	// its 1-worker streams included once they exist.
+	// ProgramBytes is what the flow holds for its programs (programBytes):
+	// the task table once, and the streams of every program it holds.
 	ProgramBytes int64 `json:"program_bytes"`
-	// Widths reports, for each kernel the flow has run with since its
-	// 1-worker program exists, the run width it has settled on and the
-	// recent walls it chose by (tenant.program); absent while
-	// the flow runs only at Config.Workers.
+	// ProgramWidths lists the widths whose programs the flow holds: the one
+	// compiled at submit, and the other once the executor compiled it.
+	ProgramWidths []int `json:"program_widths"`
+	// Widths reports, for each kernel the flow has run with since it holds
+	// programs of both widths, the run width it has settled on and the
+	// recent walls it chose by (tenant.program); absent while the flow
+	// runs at one width only.
 	Widths map[string]widthInfo `json:"widths,omitempty"`
 	// Findings tallies the preflight report (informational findings do
 	// not reject).
@@ -260,15 +264,16 @@ type widthInfo struct {
 
 func (s *Server) flowInfo(f *flow, cached bool) flowInfo {
 	info := flowInfo{
-		ID:           f.id,
-		Name:         f.sub.Graph.Name,
-		Tasks:        len(f.sub.Graph.Tasks),
-		Data:         f.sub.Graph.NumData,
-		Mapping:      f.sub.MappingSpec.Canonical(),
-		Cached:       cached,
-		Verified:     s.cfg.Verify,
-		Runs:         f.runs.Load(),
-		ProgramBytes: f.bytes.Load(),
+		ID:            f.id,
+		Name:          f.sub.Graph.Name,
+		Tasks:         len(f.sub.Graph.Tasks),
+		Data:          f.sub.Graph.NumData,
+		Mapping:       f.sub.MappingSpec.Canonical(),
+		Cached:        cached,
+		Verified:      s.cfg.Verify,
+		Runs:          f.runs.Load(),
+		ProgramBytes:  f.bytes.Load(),
+		ProgramWidths: f.widthsHeld(),
 	}
 	if widths := f.widths.Load(); widths != nil {
 		info.Widths = make(map[string]widthInfo, len(*widths))
@@ -294,7 +299,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	f, sub, err := s.submit(w, r, t)
+	f, sub, err := s.submit(w, r, t, false)
 	if err != nil {
 		writeSubmitErr(w, err)
 		return
@@ -303,13 +308,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // submit runs the shared submission path on the request body: one
-// ingest.Parse, flow-level deduplication by content hash, and — for the
-// first submitter of a new hash — preflight and one compile. The flow's
-// ready gate is the singleflight: concurrent submitters of the same flow
-// wait for the winner's program instead of compiling their own. It
-// returns the flow and this request's own submission, which is the
-// flow's (f.sub == sub) exactly when this request registered it.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flow, *ingest.Submission, error) {
+// ingest.Parse, for a run (POST /v1/run) the kernel check, flow-level
+// deduplication by content hash, and — for the first submitter of a new
+// hash — preflight and one compile (prepare). A flow registered to be run
+// with a kernel under the default mapping compiles at the width the
+// tenant's choice for that kernel names (kernelWidths.next), every other
+// at Config.Workers. The flow's ready gate is the singleflight: concurrent
+// submitters of the same flow wait for the winner's program instead of
+// compiling their own. It returns the flow and this request's own
+// submission, which is the flow's (f.sub == sub) exactly when this request
+// registered it.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant, run bool) (*flow, *ingest.Submission, error) {
 	var body io.Reader = http.MaxBytesReader(w, r.Body, ingest.MaxBodyBytes)
 	if r.ContentLength > 0 { // declared, not chunked: Parse sizes its buffer by it, up to what it pools
 		body = sizedBody{body, int(min(r.ContentLength, ingest.MaxBodyBytes))}
@@ -318,20 +327,22 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flo
 	if err != nil {
 		return nil, nil, err
 	}
+	var kernel string
+	if run {
+		if kernel, _, err = s.kernel(sub.Kernel); err != nil {
+			return nil, nil, err
+		}
+	}
 	f, err := t.register(sub)
 	if err != nil {
 		return nil, nil, err
 	}
 	if f.sub == sub {
-		f.report, f.err = ingest.Preflight(sub, s.cfg.Preflight)
-		if f.err == nil {
-			start := time.Now()
-			f.cp, f.err = s.cfg.compile(sub.Graph, s.cfg.Workers, sub.Mapping)
-			f.compileWall = time.Since(start)
+		width := s.cfg.Workers
+		if run && sub.MappingSpec.IsDefault() {
+			width = t.kernels.next(kernel, s.cfg.Workers)
 		}
-		if f.err == nil {
-			f.bytes.Store(programBytes(f.cp))
-		}
+		s.prepare(f, width)
 		if f.err != nil {
 			t.unregister(f)
 		} else {
@@ -350,6 +361,43 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant) (*flo
 	return f, sub, nil
 }
 
+// prepare preflights f's submission and compiles its program of width
+// workers: the lowering runs on a goroutine beside the preflight and is
+// joined before prepare returns, and certification (Config.Verify) starts
+// only once preflight has accepted, so a rejected flow costs at most the
+// one lowering. It sets f's report and err, and on success its program,
+// bytes and compileWall.
+func (s *Server) prepare(f *flow, workers int) {
+	type lowered struct {
+		cp   *rio.CompiledProgram
+		err  error
+		wall time.Duration
+	}
+	g, m := f.sub.Graph, f.mapping(workers, s.cfg.Workers)
+	done := make(chan lowered, 1)
+	go func() {
+		start := time.Now()
+		cp, err := rio.Compile(g, workers, m, s.cfg.Prune)
+		done <- lowered{cp, err, time.Since(start)}
+	}()
+	f.report, f.err = ingest.Preflight(f.sub, s.cfg.Preflight)
+	low := <-done
+	if f.err == nil {
+		f.err = low.err
+	}
+	if f.err == nil {
+		start := time.Now()
+		f.err = s.cfg.certified(g, low.cp, m)
+		low.wall += time.Since(start)
+	}
+	if f.err != nil {
+		return
+	}
+	f.compileWall = low.wall
+	f.progs[slot(workers)].Store(low.cp)
+	f.bytes.Store(programBytes(low.cp))
+}
+
 // sizedBody is a request body that reports its declared Content-Length
 // the way in-memory readers report what they hold. It is a capacity hint
 // and nothing else: what limits the body is the MaxBytesReader inside,
@@ -364,20 +412,30 @@ func (b sizedBody) Len() int { return b.n }
 
 // compile lowers g for workers under m (nil: the cyclic default), pruned
 // as Config.Prune says, and certifies the result when Config.Verify is
-// set. A submission compiles under its own mapping — the one the client
-// submitted and preflight vetted — at Config.Workers; the executor
-// compiles a flow's 1-worker program with it too (tenant.program).
+// set. The executor compiles a flow's second program with it
+// (tenant.compileOther); a submission's first is lowered and certified in
+// two steps (Server.prepare).
 func (c *Config) compile(g *stf.Graph, workers int, m rio.Mapping) (*rio.CompiledProgram, error) {
 	cp, err := rio.Compile(g, workers, m, c.Prune)
+	if err == nil {
+		err = c.certified(g, cp, m)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if c.Verify {
-		if report := certify(g, cp, m, nil); report.Reject() {
-			return nil, &analyze.PreflightError{Report: report}
-		}
-	}
 	return cp, nil
+}
+
+// certified certifies cp against g and m when Config.Verify is set: a
+// rejected certificate is a PreflightError carrying the report.
+func (c *Config) certified(g *stf.Graph, cp *rio.CompiledProgram, m rio.Mapping) error {
+	if !c.Verify {
+		return nil
+	}
+	if report := certify(g, cp, m, nil); report.Reject() {
+		return &analyze.PreflightError{Report: report}
+	}
+	return nil
 }
 
 // certify is the translation validator compile runs under Config.Verify.
@@ -394,7 +452,7 @@ func programBytes(cp *rio.CompiledProgram) int64 {
 	return int64(n) + streamBytes(cp)
 }
 
-// streamBytes is what cp's compiled streams hold: all a flow's 1-worker
+// streamBytes is what cp's compiled streams hold: all a flow's second
 // program adds to its bytes, since every program of a graph shares the
 // graph's task table.
 func streamBytes(cp *rio.CompiledProgram) int64 {
@@ -439,8 +497,8 @@ type runResult struct {
 	Kernel string `json:"kernel"`
 	// Executed is the number of tasks the run executed.
 	Executed int64 `json:"executed"`
-	// Workers is the run's width: Config.Workers, or 1 when the flow's
-	// width choice ran it on one worker (tenant.program).
+	// Workers is the run's width: Config.Workers, or 1 when the program
+	// it ran is the flow's 1-worker one (tenant.program).
 	Workers int `json:"workers"`
 	// WallNS is the execution's wall time; QueueNS the time the request
 	// spent queued behind other executions.
@@ -465,7 +523,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body is {"kernel": name}, optional: the task body to replay the
 	// flow with, one of the built-in kernels (noop, spin, sleep) or a
-	// Config.Kernels entry; none means noop, the synchronization skeleton.
+	// Config.Kernels entry; none means noop, the synchronization skeleton
+	// (Server.kernel).
 	kernel, err := ingest.ParseRun(http.MaxBytesReader(w, r.Body, maxRunRequestBytes))
 	if err != nil {
 		writeSubmitErr(w, err) // 413 when oversized, else 400
@@ -484,7 +543,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	f, sub, err := s.submit(w, r, t)
+	f, sub, err := s.submit(w, r, t, true)
 	if err != nil {
 		writeSubmitErr(w, err)
 		return
@@ -492,16 +551,24 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	s.execute(w, r, t, f, sub.Kernel)
 }
 
+// kernel resolves a run's kernel name against the registry: none means
+// noop. The error is a 400's text.
+func (s *Server) kernel(name string) (string, rio.Kernel, error) {
+	name = cmp.Or(name, "noop")
+	k, ok := s.kernels[name]
+	if !ok {
+		return name, nil, fmt.Errorf("unknown kernel %q", name)
+	}
+	return name, k, nil
+}
+
 // execute resolves the kernel, admits the request into the tenant's
 // bounded queue (or answers 429), waits for the executor and writes the
 // result.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *flow, kernel string) {
-	if kernel == "" {
-		kernel = "noop"
-	}
-	k, ok := s.kernels[kernel]
-	if !ok {
-		writeErr(w, http.StatusBadRequest, "unknown kernel %q", kernel)
+	kernel, k, err := s.kernel(kernel)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req := &execReq{
@@ -554,10 +621,12 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 // progressInfo is the JSON response of GET /v1/progress: the tenant's run
 // counters (tenant.Progress) plus the admission and flow-table state that
 // frames them. Cache is the flow table as a program cache: one miss per
-// registered flow (a flow's 1-worker compile is not a miss), one hit per
+// registered flow (a flow's second compile is not a miss), one hit per
 // execution started, one entry per registered flow, and the entries'
-// program bytes. Runs says how many executions started; Progress is the
-// current or last of them, its wait histogram included.
+// program bytes. Runs says how many executions started; Kernels is each
+// kernel's width choice (kernelWidths), which names the width a never-seen
+// flow run with it compiles at; Progress is the current or last run, its
+// wait histogram included.
 type progressInfo struct {
 	Tenant   string `json:"tenant"`
 	Draining bool   `json:"draining"`
@@ -573,7 +642,8 @@ type progressInfo struct {
 	Runs struct {
 		Total int64 `json:"total"`
 	} `json:"runs"`
-	Progress rio.Progress `json:"progress"`
+	Kernels  map[string]kernelWidthInfo `json:"kernels,omitempty"`
+	Progress rio.Progress               `json:"progress"`
 }
 
 // handleProgress is GET /v1/progress.
@@ -589,6 +659,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		QueueLen: len(t.queue),
 		QueueCap: cap(t.queue),
 		Flows:    len(flows),
+		Kernels:  t.kernels.info(),
 		Progress: t.Progress(),
 	}
 	for _, f := range flows {

@@ -443,6 +443,18 @@ func TestRunErrors(t *testing.T) {
 	if resp := do(t, "POST", hs.URL+"/v1/flows/"+info.ID+"/run", "", []byte(`{"kernel":"warp"}`), nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown kernel: status %d, want 400", resp.StatusCode)
 	}
+	// On POST /v1/run the kernel is resolved before the flow is registered:
+	// an unknown one leaves no flow, no compile and no kernel entry behind.
+	warp := []byte(`{"kernel":"warp","graph":` + string(graphJSON(t, graphs.Chain(5))) + `}`)
+	var refused struct {
+		Error string `json:"error"`
+	}
+	if resp := do(t, "POST", hs.URL+"/v1/run", "", warp, &refused); resp.StatusCode != http.StatusBadRequest || refused.Error != `unknown kernel "warp"` {
+		t.Errorf("one-shot run with an unknown kernel: status %d, error %q, want 400 naming it", resp.StatusCode, refused.Error)
+	}
+	if p := progressOf(t, hs.URL, ""); p.Flows != 1 || p.Cache.Misses != 1 || p.Kernels != nil {
+		t.Errorf("after the unknown kernel: flows %d, misses %d, kernels %v; want the one flow submitted before, and no kernel measured", p.Flows, p.Cache.Misses, p.Kernels)
+	}
 	if resp := do(t, "GET", hs.URL+"/metrics", "ghost", nil, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("metrics of unknown tenant: status %d, want 404", resp.StatusCode)
 	}

@@ -13,6 +13,7 @@ package server
 // instead of blocking, which is the 429 backpressure path.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -31,37 +32,67 @@ import (
 )
 
 // flow is one registered (graph, mapping) pair: the parsed submission,
-// its preflight report, its program compiled under the submitted mapping,
-// and the singleflight gate the first submitter closes once preflight +
-// compile finished.
+// its preflight report, its programs by width, and the singleflight gate
+// the first submitter closes once preflight + compile finished.
 type flow struct {
 	id  string // ingest content hash
 	sub *ingest.Submission
 
-	// ready is closed by the registering submitter once report/cp/err
-	// are set; concurrent submitters of the same hash wait on it.
+	// ready is closed by the registering submitter once report, err and
+	// the submit program are set; concurrent submitters of the same hash
+	// wait on it.
 	ready  chan struct{}
 	report *analyze.Report
-	cp     *rio.CompiledProgram
 	err    error
-	bytes  atomic.Int64 // programBytes of cp, and of narrow once it exists
-	// compileWall is how long compiling (and certifying) cp took.
+	bytes  atomic.Int64 // programBytes of the programs in progs
+	// compileWall is how long compiling (and certifying) the submit
+	// program took.
 	compileWall time.Duration
 
 	runs atomic.Int64
 
-	// The run width (tenant.program): narrow is the flow's cyclic(1)
-	// program, compiled off the executor once the flow's runs have taken
-	// as long as compiling cp did (runWall; tenant.compileNarrow;
-	// narrowTried) — nil until it is published, and for good when the flow
-	// is pinned at p or the compile failed. widths holds one widthChoice
-	// per kernel the flow has run with since, replaced whole by the
-	// executor when a kernel is added, for GET /v1/flows/{id} to read.
-	// runWall and narrowTried are the executor's alone.
-	narrow      atomic.Pointer[rio.CompiledProgram]
-	runWall     time.Duration
-	narrowTried bool
-	widths      atomic.Pointer[map[string]*widthChoice]
+	// progs holds the flow's programs by width (slot): the one compiled at
+	// submit (Server.prepare), at Config.Workers or at the width its
+	// kernel's choice named, and the other width's once the executor has
+	// compiled it (tenant.program; tenant.compileOther; otherTried) — nil
+	// until it is published, and for good when the flow is pinned at p or
+	// the compile failed. widths holds one widthChoice per kernel the flow
+	// has run with since it holds both, replaced whole by the executor when
+	// a kernel is added, for GET /v1/flows/{id} to read. runWall and
+	// otherTried are the executor's alone.
+	progs      [2]atomic.Pointer[rio.CompiledProgram]
+	runWall    time.Duration
+	otherTried bool
+	widths     atomic.Pointer[map[string]*widthChoice]
+}
+
+// slot is the index of width w in a flow's progs and a widthChoice's
+// walls: 0 for one worker, 1 for Config.Workers.
+func slot(w int) int {
+	if w == 1 {
+		return 0
+	}
+	return 1
+}
+
+// mapping is what f's program of width w compiles under: the submitted
+// mapping at Config.Workers (p), the cyclic default at one worker.
+func (f *flow) mapping(w, p int) rio.Mapping {
+	if w == p {
+		return f.sub.Mapping
+	}
+	return nil
+}
+
+// widthsHeld lists the widths whose programs f holds, narrowest first.
+func (f *flow) widthsHeld() []int {
+	var ws []int
+	for i := range f.progs {
+		if cp := f.progs[i].Load(); cp != nil {
+			ws = append(ws, cp.Workers)
+		}
+	}
+	return ws
 }
 
 // reprobeEvery is how often a (flow, kernel) pair that has settled on one
@@ -81,27 +112,35 @@ const reprobeEvery = 64
 // unlucky run cannot move.
 const recentRuns, settleAfter = 4, 2
 
-// widthChoice is the run width of one (flow, kernel) pair, chosen between
-// the two candidates 1 and p by measurement. Eq. (2) prices a run at
-// n·t_r + n·t_t/w on top of a fixed cost per run that grows with w (spawn,
-// wake, join): at w = 1 the compiled stream is bare exec words (no get,
-// no terminate, no wait) and nothing is spawned, so a flow of cheap tasks
-// finishes sooner on one worker, and one of dear tasks on p. Rather than
-// predict the crossover, the executor times both widths and keeps the
-// faster. Reporting eq. (2)'s prediction beside the measurement waits for
-// a per-run task share.
+// widthChoice is the run width of one (flow, kernel) pair, or of one
+// kernel across a tenant's flows, chosen between the two candidates 1 and
+// p by measurement. Eq. (2) prices a run at n·t_r + n·t_t/w on top of a
+// fixed cost per run that grows with w (spawn, wake, join): at w = 1 the
+// compiled stream is bare exec words (no get, no terminate, no wait) and
+// nothing is spawned, so a flow of cheap tasks finishes sooner on one
+// worker, and one of dear tasks on p. Rather than predict the crossover,
+// the executor times both widths and keeps the faster. Reporting eq. (2)'s
+// prediction beside the measurement waits for a per-run task share.
 type widthChoice struct {
 	// workers is the width the pair has settled on (what it runs at between
-	// probes); wall the recent wall time of a run at width 1
-	// (wall[0]) and p (wall[1]), in ns, 0 until measured.
+	// probes); wall the recent cost of a run at width 1
+	// (wall[0]) and p (wall[1]), in ns, 0 until measured: a run's wall for
+	// a flow's choice, its wall per executed task for a kernel's.
 	workers atomic.Int64
 	wall    [2]atomic.Int64
 
-	// Executor only: each width's latest measured walls (a ring) and how
+	// Its owner's only (the executor for a flow's choice, kernelWidths.mu
+	// for a kernel's): each width's latest measured walls (a ring) and how
 	// many it has had, and the runs since the last probe.
 	samples  [2][recentRuns]int64
 	measured [2]int
 	runs     int
+}
+
+func newWidthChoice(p int) *widthChoice {
+	c := &widthChoice{}
+	c.workers.Store(int64(p))
+	return c
 }
 
 // next returns the width of the pair's next run: the less measured one
@@ -130,14 +169,76 @@ func (c *widthChoice) next(p int) int {
 // observe records that a run at width w took wall, and
 // publishes the least of the width's recent walls.
 func (c *widthChoice) observe(w int, wall time.Duration) {
-	i := 1
-	if w == 1 {
-		i = 0
-	}
+	i := slot(w)
 	ring := &c.samples[i]
 	ring[c.measured[i]%recentRuns] = max(wall.Nanoseconds(), 1)
 	c.measured[i]++
 	c.wall[i].Store(slices.Min(ring[:min(c.measured[i], recentRuns)]))
+}
+
+// kernelWidths is a tenant's width choice per kernel name: fed by the
+// executor with every run of a default-mapping flow (a submitted mapping
+// says nothing of how a cyclic program of the kernel runs), as its wall per
+// executed task, so that flows of every size add to one estimate, and read
+// when a never-seen flow registered by POST /v1/run picks the width of its
+// submit compile (Server.submit). The kernel is resolved first, so only
+// registered names have an entry.
+type kernelWidths struct {
+	mu sync.Mutex
+	m  map[string]*widthChoice
+}
+
+// next returns the width a never-seen flow to be run with kernel compiles
+// at: p while the kernel has no measured run, then the width its choice's
+// next names.
+func (k *kernelWidths) next(kernel string, p int) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	c := k.m[kernel]
+	if c == nil {
+		return p
+	}
+	return c.next(p)
+}
+
+// observe records that a run of kernel at width w took perTask per
+// executed task.
+func (k *kernelWidths) observe(kernel string, w, p int, perTask time.Duration) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	c := k.m[kernel]
+	if c == nil {
+		if k.m == nil {
+			k.m = make(map[string]*widthChoice)
+		}
+		c = newWidthChoice(p)
+		k.m[kernel] = c
+	}
+	c.observe(w, perTask)
+}
+
+// kernelWidthInfo is one kernel's entry of GET /v1/progress's kernels: the
+// width a never-seen flow run with it compiles at between probes, and the
+// recent wall per executed task of a run at width 1 and at Config.Workers
+// (0 until measured).
+type kernelWidthInfo struct {
+	Workers         int64 `json:"workers"`
+	NarrowNSPerTask int64 `json:"narrow_ns_per_task"`
+	WideNSPerTask   int64 `json:"wide_ns_per_task"`
+}
+
+// info reads every kernel's choice.
+func (k *kernelWidths) info() map[string]kernelWidthInfo {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if len(k.m) == 0 {
+		return nil
+	}
+	out := make(map[string]kernelWidthInfo, len(k.m))
+	for name, c := range k.m {
+		out[name] = kernelWidthInfo{Workers: c.workers.Load(), NarrowNSPerTask: c.wall[0].Load(), WideNSPerTask: c.wall[1].Load()}
+	}
+	return out
 }
 
 // flowTableFullError rejects a submission when the tenant's flow table
@@ -184,6 +285,7 @@ type tenant struct {
 	// block's hits and the runs block's total of GET /v1/progress —
 	// misses the compiles that registered a flow.
 	hits, misses atomic.Int64
+	kernels      kernelWidths
 
 	queue chan *execReq
 }
@@ -385,35 +487,41 @@ func (t *tenant) execute(req *execReq) {
 		if choice != nil {
 			choice.observe(cp.Workers, wall)
 		}
+		if res.executed > 0 && req.flow.sub.MappingSpec.IsDefault() {
+			t.kernels.observe(req.name, cp.Workers, t.reg.cfg.Workers, wall/time.Duration(res.executed))
+		}
 	}
 	req.done <- res
 }
 
 // program picks the program a run of f with the named kernel takes, and
 // the width choice its wall time feeds (nil when the run does not feed
-// one). A flow runs at p on the program compiled at submit: on its first
-// run, for good when it was submitted with a mapping (that mapping is the one run: it pins
-// w = p) or p is 1, and otherwise until its cyclic(1) program is
-// published; from then on each (flow, kernel) pair runs at the width its
-// widthChoice picks. The first run whose flow's earlier runs took as long
-// in all as its submit compile did starts that compile (compileNarrow).
-// That is the rent-or-buy rule: a flow run only a few times, whose runs
-// cost less than a compile, never pays for a second one, and a flow that
-// keeps running buys the compile once it has spent as much on runs at p.
+// one). A flow runs on the program compiled at submit: on its first run,
+// for good when it was submitted with a mapping (that mapping is the one
+// run: it pins w = p) or p is 1, and otherwise until its other width's
+// program is published; from then on each (flow, kernel) pair runs at the
+// width its widthChoice picks. The first run whose flow's earlier runs took
+// as long in all as its submit compile did starts that compile
+// (compileOther). That is the rent-or-buy rule: a flow run only a few
+// times, whose runs cost less than a compile, never pays for a second one,
+// and a flow that keeps running buys the compile once it has spent as much
+// on runs at the width it holds.
 // Executor only.
 func (t *tenant) program(f *flow, kernel string) (*rio.CompiledProgram, *widthChoice) {
-	cfg := &t.reg.cfg
-	if f.runs.Load() == 0 || f.runWall < f.compileWall || cfg.Workers == 1 || !f.sub.MappingSpec.IsDefault() {
-		return f.cp, nil
-	}
-	if !f.narrowTried {
-		f.narrowTried = true
-		t.reg.executors.Add(1)
-		go t.compileNarrow(f)
-	}
-	narrow := f.narrow.Load()
-	if narrow == nil {
-		return f.cp, nil
+	p := t.reg.cfg.Workers
+	narrow, wide := f.progs[0].Load(), f.progs[1].Load()
+	if narrow == nil || wide == nil {
+		held := cmp.Or(narrow, wide)
+		if !f.otherTried && f.runs.Load() > 0 && f.runWall >= f.compileWall && p > 1 && f.sub.MappingSpec.IsDefault() {
+			f.otherTried = true
+			other := 1
+			if held.Workers == 1 {
+				other = p
+			}
+			t.reg.executors.Add(1)
+			go t.compileOther(f, other)
+		}
+		return held, nil
 	}
 	var widths map[string]*widthChoice
 	if m := f.widths.Load(); m != nil {
@@ -421,35 +529,34 @@ func (t *tenant) program(f *flow, kernel string) (*rio.CompiledProgram, *widthCh
 	}
 	c := widths[kernel]
 	if c == nil {
-		c = &widthChoice{}
-		c.workers.Store(int64(cfg.Workers))
+		c = newWidthChoice(p)
 		grown := make(map[string]*widthChoice, len(widths)+1)
 		maps.Copy(grown, widths)
 		grown[kernel] = c
 		f.widths.Store(&grown)
 	}
-	if c.next(cfg.Workers) == 1 {
+	if c.next(p) == 1 {
 		return narrow, c
 	}
-	return f.cp, c
+	return wide, c
 }
 
-// compileNarrow compiles f's cyclic(1) program — pruned as Config.Prune
+// compileOther compiles f's program of width w — pruned as Config.Prune
 // says, certified first under Config.Verify — and publishes it for
 // tenant.program, its streams added to the flow's bytes first. It runs on
 // its own goroutine, counted with the executors, so that no request queued
 // behind the flow's run waits for the compile. A program that fails to
-// compile or certify is logged, and the flow stays at p.
-func (t *tenant) compileNarrow(f *flow) {
+// compile or certify is logged, and the flow stays at the width it holds.
+func (t *tenant) compileOther(f *flow, w int) {
 	defer t.reg.executors.Done()
 	cfg := &t.reg.cfg
-	narrow, err := cfg.compile(f.sub.Graph, 1, nil)
+	cp, err := cfg.compile(f.sub.Graph, w, f.mapping(w, cfg.Workers))
 	if err != nil {
-		cfg.Logf("rio-serve: flow %s stays at %d workers: its 1-worker program: %v", f.id, cfg.Workers, err)
+		cfg.Logf("rio-serve: flow %s stays at %d workers: its %d-worker program: %v", f.id, cfg.Workers+1-w, w, err)
 		return
 	}
-	f.bytes.Add(streamBytes(narrow))
-	f.narrow.Store(narrow)
+	f.bytes.Add(streamBytes(cp))
+	f.progs[slot(w)].Store(cp)
 }
 
 // registry owns the tenant table and the drain protocol.
@@ -463,7 +570,7 @@ type registry struct {
 	// inflight counts admitted execution requests; drain waits on it.
 	inflight sync.WaitGroup
 	// executors counts executor goroutines, which exit when stopped
-	// closes, and the narrow compiles they start (tenant.compileNarrow).
+	// closes, and the compiles they start (tenant.compileOther).
 	executors sync.WaitGroup
 	stopped   chan struct{}
 	// abortCtx is canceled when a Drain deadline expires: every running

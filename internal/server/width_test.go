@@ -1,19 +1,25 @@
 package server
 
-// The run width (tenant.program): a flow submitted without a mapping runs
-// at Config.Workers until its 1-worker program is compiled — which starts
-// once its runs have taken as long as its submit compile did
-// (tenant.compileNarrow) — then at whichever of 1 and Config.Workers its
-// recent runs found faster, per kernel.
+// The run width (tenant.program): a flow holds a program per width it has
+// needed. Its submit compile makes one — at Config.Workers, or for a
+// never-seen POST /v1/run flow at the width its kernel's per-tenant choice
+// names (kernelWidths) — and the other is compiled once its runs have taken
+// as long as that compile did (tenant.compileOther); from then on each
+// (flow, kernel) pair runs at whichever of 1 and Config.Workers its recent
+// runs found faster.
 
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rio"
 	"rio/internal/analyze"
@@ -28,18 +34,19 @@ func flowInfoOf(t *testing.T, base, id string) flowInfo {
 	return info
 }
 
-// runUntilNarrow runs the default tenant's flow id with kernel until its
-// 1-worker program is published, and returns how many runs that took.
-func runUntilNarrow(t *testing.T, s *Server, base, id, kernel string) int {
+// runUntilBoth runs the default tenant's flow id with kernel until it holds
+// the programs of both widths, and returns how many runs that took.
+func runUntilBoth(t *testing.T, s *Server, base, id, kernel string) int {
 	t.Helper()
 	f := s.reg.lookup(DefaultTenant).lookup(id)
+	both := func() bool { return f.progs[0].Load() != nil && f.progs[1].Load() != nil }
 	deadline := time.Now().Add(10 * time.Second)
-	for n := 0; f.narrow.Load() == nil; n++ {
+	for n := 0; !both(); n++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("flow %s: no 1-worker program after %d runs and 10 s", id, n)
+			t.Fatalf("flow %s: one program only after %d runs and 10 s", id, n)
 		}
 		runFlow(t, base, "", id, kernel)
-		if f.narrow.Load() != nil {
+		if both() {
 			return n + 1
 		}
 	}
@@ -60,7 +67,7 @@ func TestWidthNoopSettlesAtOne(t *testing.T) {
 	if res := runFlow(t, hs.URL, "", info.ID, "noop"); res.Workers != 2 {
 		t.Errorf("first run at width %d, want the submitted program's 2", res.Workers)
 	}
-	runs := 1 + runUntilNarrow(t, s, hs.URL, info.ID, "noop")
+	runs := 1 + runUntilBoth(t, s, hs.URL, info.ID, "noop")
 	var widths []int
 	for i := 0; i < 10; i++ {
 		res := runFlow(t, hs.URL, "", info.ID, "noop")
@@ -95,7 +102,7 @@ func TestWidthDearKernelStaysWide(t *testing.T) {
 	pause := func(*rio.Task, rio.WorkerID) { time.Sleep(10 * time.Microsecond) }
 	s, hs := newTestServer(t, Config{Workers: 2, Kernels: map[string]rio.Kernel{"pause": pause}})
 	info := submitFlow(t, hs.URL, "", graphs.Independent(32))
-	runUntilNarrow(t, s, hs.URL, info.ID, "pause")
+	runUntilBoth(t, s, hs.URL, info.ID, "pause")
 	var widths []int
 	for i := 0; i < 10; i++ {
 		widths = append(widths, runFlow(t, hs.URL, "", info.ID, "pause").Workers)
@@ -289,5 +296,198 @@ func TestWidthChoice(t *testing.T) {
 	}
 	if c.next(p); c.workers.Load() != 1 {
 		t.Errorf("%d slow runs at %d did not move the choice to 1: walls %d / %d ns", recentRuns, p, c.wall[0].Load(), c.wall[1].Load())
+	}
+}
+
+// runNew submits g under name through POST /v1/run with kernel (and
+// mapping, when not empty) and returns the run's result and the flow's
+// info: a never-seen flow, compiled at the width its kernel's choice names.
+func runNew(t *testing.T, base string, g *stf.Graph, name, kernel, mapping string) (runResult, flowInfo) {
+	t.Helper()
+	named := *g
+	named.Name = name
+	body := fmt.Sprintf(`{"kernel":%q,"graph":%s`, kernel, graphJSON(t, &named))
+	if mapping != "" {
+		body += fmt.Sprintf(`,"mapping":%q`, mapping)
+	}
+	var res runResult
+	if resp := do(t, "POST", base+"/v1/run", "", []byte(body+"}"), &res); resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("run %s: status %d: %s", name, resp.StatusCode, raw)
+	}
+	if res.Executed != int64(len(g.Tasks)) {
+		t.Fatalf("run %s executed %d of %d tasks", name, res.Executed, len(g.Tasks))
+	}
+	return res, flowInfoOf(t, base, res.Flow)
+}
+
+// settleKernel runs never-seen flows of g with kernel until the kernel's
+// choice has measured both widths settleAfter times, then one more, the
+// first its settled choice compiles; it returns the widths the flows ran at
+// and the choice.
+func settleKernel(t *testing.T, base string, g *stf.Graph, kernel string) ([]int, kernelWidthInfo) {
+	t.Helper()
+	var widths []int
+	for i := 0; i <= 2*settleAfter; i++ {
+		res, _ := runNew(t, base, g, fmt.Sprintf("settle-%s-%d", kernel, i), kernel, "")
+		widths = append(widths, res.Workers)
+	}
+	return widths, progressOf(t, base, "").Kernels[kernel]
+}
+
+// tableBytes is what a flow's programs share: its task table and accesses.
+func tableBytes(g *stf.Graph) int64 {
+	n := int64(len(g.Tasks)) * int64(unsafe.Sizeof(stf.Task{}))
+	for i := range g.Tasks {
+		n += int64(len(g.Tasks[i].Accesses)) * int64(unsafe.Sizeof(stf.Access{}))
+	}
+	return n
+}
+
+// A kernel measured faster at width 1 compiles a never-seen /v1/run flow at
+// width 1 only: the flow holds its 1-worker program — the task table and
+// one exec word per task — and runs on it, and its kernel's first flow,
+// measured at neither width, ran at p. GET /v1/progress shows the choice.
+func TestWidthNeverSeenFlowAtOne(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2, Prune: true})
+	g := graphs.Cholesky(8)
+	widths, k := settleKernel(t, hs.URL, g, "noop")
+	if fmt.Sprint(widths) != "[2 1 1 2 1]" || k.Workers != 1 || k.NarrowNSPerTask <= 0 || k.NarrowNSPerTask >= k.WideNSPerTask {
+		t.Fatalf("flows ran at %v, kernel choice %+v: want [2 1 1 2 1] (p unmeasured, then each width twice) settled at 1, narrow the cheaper", widths, k)
+	}
+	for i := 0; i < 3; i++ {
+		res, info := runNew(t, hs.URL, g, fmt.Sprintf("cold-%d", i), "noop", "")
+		if want := tableBytes(g) + 4*int64(len(g.Tasks)); res.Workers != 1 || fmt.Sprint(info.ProgramWidths) != "[1]" || info.ProgramBytes != want {
+			t.Errorf("never-seen flow %d ran at %d holding widths %v, %d program bytes; want 1, [1] and %d", i, res.Workers, info.ProgramWidths, info.ProgramBytes, want)
+		}
+	}
+	if p := progressOf(t, hs.URL, ""); p.Cache.Misses != int64(len(widths)+3) || p.Cache.Hits != p.Cache.Misses {
+		t.Errorf("cache %+v, want one miss and one hit per flow", p.Cache)
+	}
+}
+
+// A kernel of 10 µs tasks, as in TestWidthDearKernelStaysWide, measures
+// cheaper per task on two workers and keeps compiling new flows at p.
+func TestWidthDearKernelKeepsNewFlowsWide(t *testing.T) {
+	pause := func(*rio.Task, rio.WorkerID) { time.Sleep(10 * time.Microsecond) }
+	_, hs := newTestServer(t, Config{Workers: 2, Kernels: map[string]rio.Kernel{"pause": pause}})
+	g := graphs.Independent(32)
+	if widths, k := settleKernel(t, hs.URL, g, "pause"); fmt.Sprint(widths) != "[2 1 1 2 2]" || k.Workers != 2 || k.WideNSPerTask >= k.NarrowNSPerTask {
+		t.Fatalf("flows ran at %v, kernel choice %+v: want [2 1 1 2 2], settled at 2", widths, k)
+	}
+	for i := 0; i < 3; i++ {
+		if res, info := runNew(t, hs.URL, g, fmt.Sprintf("dear-%d", i), "pause", ""); res.Workers != 2 || fmt.Sprint(info.ProgramWidths) != "[2]" {
+			t.Errorf("never-seen flow %d of 10 µs tasks ran at %d holding widths %v, want 2 and [2]", i, res.Workers, info.ProgramWidths)
+		}
+	}
+}
+
+// A flow submitted at width 1 and then run on with a dear kernel compiles
+// its p-program once its runs have cost as much as its submit compile, by
+// the same rent-or-buy rule as the 1-worker one, then settles at p; the
+// second compile is no cache miss.
+func TestWidthWideCompiledForNarrowFlow(t *testing.T) {
+	pause := func(*rio.Task, rio.WorkerID) { time.Sleep(10 * time.Microsecond) }
+	s, hs := newTestServer(t, Config{Workers: 2, Kernels: map[string]rio.Kernel{"pause": pause}})
+	g := graphs.Independent(32)
+	runNew(t, hs.URL, g, "first", "pause", "") // at p: the kernel is unmeasured
+	res, info := runNew(t, hs.URL, g, "second", "pause", "")
+	if res.Workers != 1 || fmt.Sprint(info.ProgramWidths) != "[1]" {
+		t.Fatalf("the kernel's second flow ran at %d holding widths %v, want the less measured width 1 and [1]", res.Workers, info.ProgramWidths)
+	}
+	misses := progressOf(t, hs.URL, "").Cache.Misses
+	runUntilBoth(t, s, hs.URL, info.ID, "pause")
+	var widths []int
+	for i := 0; i < 10; i++ {
+		widths = append(widths, runFlow(t, hs.URL, "", info.ID, "pause").Workers)
+	}
+	if last := widths[len(widths)-4:]; fmt.Sprint(last) != "[2 2 2 2]" {
+		t.Errorf("run widths %v: a flow of 10 µs tasks held at 1 did not settle at 2", widths)
+	}
+	got := flowInfoOf(t, hs.URL, info.ID)
+	if w := got.Widths["pause"]; w.Workers != 2 || fmt.Sprint(got.ProgramWidths) != "[1 2]" || got.ProgramBytes <= info.ProgramBytes {
+		t.Errorf("flow info widths %+v, programs %v of %d bytes; want pause settled at 2, [1 2] and more than the submitted %d bytes",
+			got.Widths, got.ProgramWidths, got.ProgramBytes, info.ProgramBytes)
+	}
+	if p := progressOf(t, hs.URL, ""); p.Cache.Misses != misses {
+		t.Errorf("cache misses %d after the p-program's compile, want %d", p.Cache.Misses, misses)
+	}
+}
+
+// A submitted mapping pins a /v1/run flow at p whatever its kernel's
+// choice, and a server of one worker compiles every flow at 1.
+func TestWidthPinnedOnSubmit(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2, Prune: true})
+	g := graphs.Cholesky(8)
+	if _, k := settleKernel(t, hs.URL, g, "noop"); k.Workers != 1 {
+		t.Fatalf("noop settled at %d, want 1", k.Workers)
+	}
+	if res, info := runNew(t, hs.URL, g, "pinned", "noop", "blockcyclic:1"); res.Workers != 2 || fmt.Sprint(info.ProgramWidths) != "[2]" {
+		t.Errorf("a flow submitted with a mapping ran at %d holding widths %v, want 2 and [2]", res.Workers, info.ProgramWidths)
+	}
+
+	_, one := newTestServer(t, Config{Workers: 1})
+	for i := 0; i < 2*settleAfter+2; i++ {
+		if res, info := runNew(t, one.URL, g, fmt.Sprintf("one-%d", i), "noop", ""); res.Workers != 1 || fmt.Sprint(info.ProgramWidths) != "[1]" {
+			t.Fatalf("flow %d on a 1-worker server ran at %d holding widths %v", i, res.Workers, info.ProgramWidths)
+		}
+	}
+}
+
+// A /v1/run flow that preflight rejects answers 422, registers nothing and
+// leaves no goroutine behind: the lowering beside the preflight is joined
+// before the answer. A drain with a submit in flight completes, and the
+// submit, admitted by no queue, answers 503.
+func TestRunRejectedLeavesNothing(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	swapCertify(t, &eventLog{}, func(int) *rio.AnalysisReport {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		return nil
+	})
+	s, hs := newTestServer(t, Config{Workers: 2, Verify: true})
+	bad := []byte(`{"kernel":"noop","graph":{"name":"bad","num_data":1,"tasks":[{"kernel":0,"accesses":[{"data":0,"mode":"R"}]},{"kernel":0,"accesses":[{"data":0,"mode":"W"}]}]}}`)
+	do(t, "POST", hs.URL+"/v1/run", "", bad, nil) // the tenant, its executor and a client connection
+	time.Sleep(20 * time.Millisecond)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if resp := do(t, "POST", hs.URL+"/v1/run", "", bad, nil); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("rejected flow: status %d, want 422", resp.StatusCode)
+		}
+	}
+	after := runtime.NumGoroutine()
+	for i := 0; i < 200 && after > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("goroutines %d after 20 rejected runs, %d before", after, before)
+	}
+	if p := progressOf(t, hs.URL, ""); p.Flows != 0 || p.Cache.Misses != 0 || p.Cache.Hits != 0 {
+		t.Errorf("flows %d, cache %+v after rejected runs, want nothing registered", p.Flows, p.Cache)
+	}
+
+	submitted := make(chan int, 1)
+	go func() {
+		submitted <- do(t, "POST", hs.URL+"/v1/run", "", graphJSON(t, graphs.Chain(8)), nil).StatusCode
+	}()
+	<-entered // the submit is certifying its program
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(context.Background()) }()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain did not complete with a submit in flight")
+	}
+	close(gate)
+	if status := <-submitted; status != http.StatusServiceUnavailable {
+		t.Errorf("submit in flight during the drain: status %d, want 503", status)
 	}
 }
