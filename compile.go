@@ -44,7 +44,9 @@ func compile(g *Graph, workers int, m Mapping, prune, canonical bool) (*Compiled
 		if workers < 1 {
 			return nil, fmt.Errorf("rio: Compile: workers must be >= 1, got %d", workers)
 		}
-		m = CyclicMapping(workers)
+		if workers > 1 { // one worker: stf lowers a nil mapping as every task on worker 0
+			m = CyclicMapping(workers)
+		}
 	}
 	var rel [][]bool
 	if prune {

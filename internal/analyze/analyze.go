@@ -32,6 +32,7 @@
 package analyze
 
 import (
+	"rio/internal/sched"
 	"rio/internal/stf"
 )
 
@@ -96,6 +97,13 @@ type Config struct {
 	// Mapping is the static mapping to analyze (nil skips the mapping
 	// pass and makes the spec pass fall back to a cyclic mapping).
 	Mapping stf.Mapping
+	// Owners, when set, is Mapping resolved over the flow's tasks
+	// (Owners[i] = Mapping(i)), which the mapping pass then reads instead
+	// of calling Mapping.
+	Owners []stf.WorkerID
+	// Validated declares that the flow passed stf.Graph.Validate, so
+	// Graph skips its structural scan.
+	Validated bool
 	// InOrder enables the in-order feasibility check of the mapping pass
 	// (the per-worker replay chain only constrains the RIO model).
 	InOrder bool
@@ -191,7 +199,7 @@ func Program(numData int, prog stf.Program, cfg Config) (*Report, *stf.Graph) {
 // rather than aborting the analysis.
 func Graph(g *stf.Graph, cfg Config) *Report {
 	rep := &Report{NumData: g.NumData, Tasks: len(g.Tasks)}
-	if !structuralScan(rep, g) {
+	if !cfg.Validated && !structuralScan(rep, g) {
 		g = sanitizeGraph(g)
 	}
 	graphPasses(rep, g, cfg)
@@ -199,13 +207,38 @@ func Graph(g *stf.Graph, cfg Config) *Report {
 }
 
 // graphPasses runs the graph-level passes (access, mapping, spec) on a
-// sanitized (structurally valid) flow.
+// sanitized (structurally valid) flow. The access lint and the mapping
+// pass's feasibility check read the flow's accesses in one walk.
 func graphPasses(rep *Report, g *stf.Graph, cfg Config) {
+	var lint *accessLint
 	if cfg.Passes&PassAccess != 0 {
-		accessPass(rep, g)
+		lint = newAccessLint(rep, g.NumData)
 	}
+	var owners, chains []stf.WorkerID
 	if cfg.Passes&PassMapping != 0 && cfg.Mapping != nil {
-		mappingPass(rep, g, cfg)
+		owners = cfg.Owners
+		if owners == nil {
+			owners = sched.Owners(g, cfg.Mapping)
+		}
+		// In-order feasibility is checked for more than one task over more
+		// than one worker, every task mapped in range: then the walk
+		// follows the ownership chains.
+		if cfg.InOrder && cfg.Workers > 1 && len(g.Tasks) > 1 && sched.ValidateOwners(owners, cfg.Workers) == nil {
+			chains = owners
+		}
+	}
+	var cp, span int
+	if lint != nil || chains != nil {
+		cp, span = walk(g, lint, chains, cfg.Workers)
+	}
+	if lint != nil {
+		lint.finish()
+	}
+	if owners != nil {
+		mappingPass(rep, g, cfg, owners)
+	}
+	if chains != nil {
+		reportSerialization(rep, g, chains, cfg.Workers, cfg.serializationFactor(), cp, span)
 	}
 	if cfg.Passes&PassSpec != 0 {
 		specPass(rep, g, cfg)

@@ -357,7 +357,7 @@ func TestWorkloadGraphAndParsers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		if err := analyze.ValidateInstance(g, 2, m); err != nil {
+		if _, err := analyze.ValidateInstance(g, 2, m); err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
 	}
@@ -365,7 +365,7 @@ func TestWorkloadGraphAndParsers(t *testing.T) {
 		t.Fatal("unknown mapping accepted")
 	}
 	if m, _ := analyze.ParseMapping("single:7", g, 2); m != nil {
-		if err := analyze.ValidateInstance(g, 2, m); err == nil {
+		if _, err := analyze.ValidateInstance(g, 2, m); err == nil {
 			t.Fatal("out-of-range mapping validated")
 		}
 	}

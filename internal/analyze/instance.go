@@ -102,20 +102,33 @@ func ParseMapping(mapSpec string, g *stf.Graph, p int) (stf.Mapping, error) {
 // ValidateInstance is the strict (error, not finding) validation of one
 // runnable instance: a structurally valid flow, a positive worker count,
 // and a mapping staying in range. Tools validate instances through this
-// single entry point.
-func ValidateInstance(g *stf.Graph, workers int, m stf.Mapping) error {
+// single entry point. It returns the mapping's owner table (nil for a nil
+// mapping), which later stages read instead of calling the mapping again.
+func ValidateInstance(g *stf.Graph, workers int, m stf.Mapping) ([]stf.WorkerID, error) {
 	if workers < 1 {
-		return fmt.Errorf("analyze: worker count %d < 1", workers)
+		return nil, fmt.Errorf("analyze: worker count %d < 1", workers)
 	}
 	if err := g.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	if m != nil {
-		if err := sched.Validate(g, m, workers); err != nil {
-			return err
-		}
+	return ValidateMapping(g, workers, m)
+}
+
+// ValidateMapping is ValidateInstance for a flow its caller has validated
+// already (stf.Graph.Validate, as stf.GraphReader does): the worker count
+// and the mapping alone.
+func ValidateMapping(g *stf.Graph, workers int, m stf.Mapping) ([]stf.WorkerID, error) {
+	if workers < 1 {
+		return nil, fmt.Errorf("analyze: worker count %d < 1", workers)
 	}
-	return nil
+	if m == nil {
+		return nil, nil
+	}
+	owners := sched.Owners(g, m)
+	if err := sched.ValidateOwners(owners, workers); err != nil {
+		return nil, err
+	}
+	return owners, nil
 }
 
 // NondetDemo returns a deliberately nondeterministic program: every

@@ -24,8 +24,11 @@ import (
 //     serializes the run.
 //
 // Tasks mapped to stf.SharedWorker (partial mappings) are claimed
-// dynamically and contribute no ownership-chain edge.
-func mappingPass(rep *Report, g *stf.Graph, cfg Config) {
+// dynamically and contribute no ownership-chain edge. owners is the
+// mapping resolved over g's tasks. The feasibility check's two numbers
+// come from the preflight walk, and graphPasses reports them after this
+// pass (reportSerialization).
+func mappingPass(rep *Report, g *stf.Graph, cfg Config, owners []stf.WorkerID) {
 	p := cfg.Workers
 	if p <= 0 {
 		rep.addf(CodeBadMapping, Error, NoID, NoID, NoID,
@@ -33,15 +36,9 @@ func mappingPass(rep *Report, g *stf.Graph, cfg Config) {
 		return
 	}
 	n := len(g.Tasks)
-	owners := make([]stf.WorkerID, n)
 	badRange := 0
-	for i := 0; i < n; i++ {
-		w := cfg.Mapping(stf.TaskID(i))
-		owners[i] = w
-		if w == stf.SharedWorker {
-			continue
-		}
-		if w < 0 || int(w) >= p {
+	for i, w := range owners {
+		if w != stf.SharedWorker && (w < 0 || int(w) >= p) {
 			badRange++
 			if badRange <= capPerCode {
 				rep.addf(CodeBadMapping, Error, stf.TaskID(i), NoID, w,
@@ -87,39 +84,48 @@ func mappingPass(rep *Report, g *stf.Graph, cfg Config) {
 				maxW, max, mapped, mean, hist)
 		}
 	}
-
-	if cfg.InOrder && p > 1 && n > 1 {
-		serializationCheck(rep, g, owners, p, cfg.serializationFactor())
-	}
 }
 
-// criticalPaths computes, in one forward pass over the flow (task IDs are
-// a topological order for both edge families), the dependency critical
-// path cp and the in-order makespan lower bound span of the mapping,
-// counting every task as one unit of work. No DAG is built: two
-// stf.Frontier walks share the loop, dep over the dependency edges alone
-// and inOrder over the ownership chains too.
-func criticalPaths(g *stf.Graph, owners []stf.WorkerID, p int) (cp, span int) {
+// walk is preflight's one forward walk over the flow (task IDs are a
+// topological order for both edge families): it reads each task's
+// accesses once for the access lint (when lint is non-nil) and for the two
+// stf.Frontier walks of the serialization check (when owners is non-nil),
+// and once more to record their finish. Those compute, counting every task
+// as one unit of work, the dependency critical path cp (dep, over the
+// dependency edges alone) and the in-order makespan lower bound span of the
+// mapping (inOrder, over the ownership chains too). No DAG is built.
+func walk(g *stf.Graph, lint *accessLint, owners []stf.WorkerID, p int) (cp, span int) {
+	if owners == nil {
+		for i := range g.Tasks {
+			for _, a := range g.Tasks[i].Accesses {
+				lint.access(stf.TaskID(i), a)
+			}
+		}
+		return 0, 0
+	}
 	dep, inOrder := stf.NewFrontier[int](g.NumData), stf.NewFrontier[int](g.NumData)
 	lastOwned := make([]int, p) // in-order finish of the worker's last task so far
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		d, o := dep.Ready(t)+1, inOrder.Ready(t)+1
+		var d, o int
+		for _, a := range t.Accesses {
+			if lint != nil {
+				lint.access(stf.TaskID(i), a)
+			}
+			d, o = max(d, dep.AccessReady(a)), max(o, inOrder.AccessReady(a))
+		}
+		d, o = d+1, o+1
 		if w := owners[i]; w != stf.SharedWorker {
 			o = max(o, lastOwned[w]+1)
 			lastOwned[w] = o
 		}
-		dep.Done(t, d)
-		inOrder.Done(t, o)
+		for _, a := range t.Accesses {
+			dep.AccessDone(a, d)
+			inOrder.AccessDone(a, o)
+		}
 		cp, span = max(cp, d), max(span, o)
 	}
 	return cp, span
-}
-
-// serializationCheck is the in-order feasibility check of mappingPass.
-func serializationCheck(rep *Report, g *stf.Graph, owners []stf.WorkerID, p int, factor float64) {
-	cp, span := criticalPaths(g, owners, p)
-	reportSerialization(rep, g, owners, p, factor, cp, span)
 }
 
 // reportSerialization reports a mapping whose in-order bound span exceeds

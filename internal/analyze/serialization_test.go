@@ -59,7 +59,7 @@ func serializationCases(p int) map[string]stf.Mapping {
 	}
 }
 
-// checkAgainstReference compares criticalPaths with the reference on g
+// checkAgainstReference compares the preflight walk's two numbers with the reference on g
 // under m, and the report of the whole analysis with the one the reference
 // leads to: every other pass's findings, then the serialization findings
 // for the reference's (cp, span). It reports whether there were any.
@@ -69,7 +69,7 @@ func checkAgainstReference(t *testing.T, g *stf.Graph, p int, name string, m stf
 	for i := range owners {
 		owners[i] = m(stf.TaskID(i))
 	}
-	cp, span := criticalPaths(g, owners, p)
+	cp, span := walk(g, nil, owners, p)
 	wantCP, wantSpan := referenceCriticalPaths(g, owners, p)
 	if cp != wantCP || span != wantSpan {
 		t.Errorf("%s, %d tasks, %s over %d workers: (cp, span) = (%d, %d), reference (%d, %d)",

@@ -16,6 +16,24 @@ import (
 	"rio/internal/stf"
 )
 
+// goroutineBaseline returns the goroutine count to compare a test's
+// later counts with, once the count has stopped falling: goroutine exits
+// are asynchronous, so the priming run's may still be unwinding. A test
+// binary's own goroutines keep the count above zero, so the count is taken
+// when three polls 10 ms apart find it no lower, or after 2 s.
+func goroutineBaseline() int {
+	n := runtime.NumGoroutine()
+	for still, polls := 0, 0; still < 3 && polls < 200; polls++ {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return runtime.NumGoroutine()
+}
+
 // settleGoroutines polls the goroutine count until it drops to the
 // baseline (goroutine exits are asynchronous — a just-finished run's
 // monitor may still be unwinding) or a deadline passes.
@@ -48,8 +66,7 @@ func TestWatchdogNoGoroutineLeak(t *testing.T) {
 	if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
 		t.Fatal(err)
 	}
-	settleGoroutines(0)
-	before := runtime.NumGoroutine()
+	before := goroutineBaseline()
 
 	// Early completion: each run arms the watchdog and finishes far below
 	// the threshold, so the monitor must exit with the run, not with the
@@ -136,8 +153,7 @@ func TestSessionLeavesNoGoroutine(t *testing.T) {
 	const p = 4
 	e := newEngine(t, core.Options{Workers: p})
 	streamOracle(t, e, graphs.LU(4), 16) // prime the runtime before baselining
-	settleGoroutines(0)
-	before := runtime.NumGoroutine()
+	before := goroutineBaseline()
 	check := func(what string) {
 		t.Helper()
 		if after := settleGoroutines(before); after > before {
@@ -223,8 +239,7 @@ func TestNarrowRunsLeaveNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	settleGoroutines(0)
-	before := runtime.NumGoroutine()
+	before := goroutineBaseline()
 
 	for i := 0; i < 10; i++ {
 		for _, cp := range programs {

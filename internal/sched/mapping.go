@@ -108,15 +108,25 @@ func OwnerComputes(g *stf.Graph, grid Grid2D) stf.Mapping {
 	return FromTask(g, func(t *stf.Task) stf.WorkerID { return grid.Owner(t.I, t.J) })
 }
 
+// Owners resolves m over g's tasks: owners[i] = m(i).
+func Owners(g *stf.Graph, m stf.Mapping) []stf.WorkerID {
+	owners := make([]stf.WorkerID, len(g.Tasks))
+	for i := range owners {
+		owners[i] = m(stf.TaskID(i))
+	}
+	return owners
+}
+
 // Validate checks that m maps every task of g into [0, p) or to
 // stf.SharedWorker (partial mappings).
 func Validate(g *stf.Graph, m stf.Mapping, p int) error {
-	for i := range g.Tasks {
-		w := m(stf.TaskID(i))
-		if w == stf.SharedWorker {
-			continue
-		}
-		if w < 0 || int(w) >= p {
+	return ValidateOwners(Owners(g, m), p)
+}
+
+// ValidateOwners is Validate over a resolved owner table.
+func ValidateOwners(owners []stf.WorkerID, p int) error {
+	for i, w := range owners {
+		if w != stf.SharedWorker && (w < 0 || int(w) >= p) {
 			return fmt.Errorf("sched: mapping(%d) = %d out of range [0,%d)", i, w, p)
 		}
 	}

@@ -18,8 +18,32 @@ import "rio/internal/stf"
 // process (execute or declare) under mapping m. The result feeds
 // PrunedReplay. Tasks mapped to stf.SharedWorker (partial mappings) may be
 // executed by anyone, so they are relevant to every worker and their data
-// counts as touched by every worker.
+// counts as touched by every worker. A lone worker executes or claims
+// every task, so at p = 1 every task is relevant and m is not called.
 func Relevant(g *stf.Graph, m stf.Mapping, p int) [][]bool {
+	if p == 1 {
+		return RelevantOwned(g, nil, 1)
+	}
+	return RelevantOwned(g, Owners(g, m), p)
+}
+
+// RelevantOwned is Relevant under a mapping resolved into an owner table
+// (owners[i] owns task i; nil will do at p = 1, where every task is
+// relevant). It does not check the instance: a task owned outside [0, p)
+// is relevant to no worker it does not touch the data of, and an access
+// outside g's data touches nothing, so that a caller may prune before it
+// compiles, which rejects both.
+func RelevantOwned(g *stf.Graph, owners []stf.WorkerID, p int) [][]bool {
+	rel := make([][]bool, p)
+	for w := range rel {
+		rel[w] = make([]bool, len(g.Tasks))
+	}
+	if p == 1 {
+		for i := range rel[0] {
+			rel[0][i] = true
+		}
+		return rel
+	}
 	// Pass 1: which data objects does each worker own tasks on?
 	touches := make([][]bool, p)
 	for w := range touches {
@@ -27,41 +51,43 @@ func Relevant(g *stf.Graph, m stf.Mapping, p int) [][]bool {
 	}
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		w := m(t.ID)
-		if w == stf.SharedWorker {
-			for _, a := range t.Accesses {
-				for v := 0; v < p; v++ {
-					touches[v][a.Data] = true
-				}
-			}
+		w := owners[i]
+		if w != stf.SharedWorker && (w < 0 || int(w) >= p) {
 			continue
 		}
 		for _, a := range t.Accesses {
-			touches[w][a.Data] = true
+			if a.Data < 0 || int(a.Data) >= g.NumData {
+				continue
+			}
+			if w != stf.SharedWorker {
+				touches[w][a.Data] = true
+				continue
+			}
+			for v := 0; v < p; v++ {
+				touches[v][a.Data] = true
+			}
 		}
 	}
 	// Pass 2: a task is relevant to w if owned by w (or shared) or
 	// touching w's data.
-	rel := make([][]bool, p)
-	for w := range rel {
-		rel[w] = make([]bool, len(g.Tasks))
-	}
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		owner := m(t.ID)
+		owner := owners[i]
 		if owner == stf.SharedWorker {
 			for w := 0; w < p; w++ {
 				rel[w][i] = true
 			}
 			continue
 		}
-		rel[owner][i] = true
+		if owner >= 0 && int(owner) < p {
+			rel[owner][i] = true
+		}
 		for w := 0; w < p; w++ {
 			if rel[w][i] {
 				continue
 			}
 			for _, a := range t.Accesses {
-				if touches[w][a.Data] {
+				if a.Data >= 0 && int(a.Data) < g.NumData && touches[w][a.Data] {
 					rel[w][i] = true
 					break
 				}

@@ -26,6 +26,7 @@ import (
 	"strconv"
 
 	"rio/internal/analyze"
+	"rio/internal/sched"
 	"rio/internal/stf"
 )
 
@@ -141,9 +142,13 @@ type Submission struct {
 	// Graph is the recorded task flow.
 	Graph *stf.Graph
 	// MappingSpec is the submission's mapping in wire form (nil = cyclic
-	// default); Mapping is its resolved, validated closure.
+	// default); Mapping is its resolved, validated closure, and Owners
+	// that closure resolved over the graph's tasks (Owners[i] runs task
+	// i): the instance check, preflight's mapping pass and the lowering at
+	// Workers all read the one table.
 	MappingSpec *MappingSpec
 	Mapping     stf.Mapping
+	Owners      []stf.WorkerID
 	// Workers is the worker count the instance was validated against.
 	Workers int
 	// Hash is the content identity of (graph, mapping): two submissions
@@ -220,11 +225,11 @@ func Parse(r io.Reader, workers int) (*Submission, error) {
 		}
 		doc = &bare
 	}
-	g, err := doc.Graph()
+	g, err := doc.Graph() // validated: the stages after Parse do not check it again
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
-	sub, err := NewSubmission(g, ms, workers)
+	sub, err := newSubmission(g, ms, workers, analyze.ValidateMapping)
 	if err != nil {
 		return nil, err
 	}
@@ -267,18 +272,52 @@ func ParseRun(r io.Reader) (kernel string, err error) {
 // derives its hash — the non-HTTP entry used by tools that built the
 // graph in process.
 func NewSubmission(g *stf.Graph, ms *MappingSpec, workers int) (*Submission, error) {
+	return newSubmission(g, ms, workers, analyze.ValidateInstance)
+}
+
+// newSubmission builds the submission of g under ms, checking the
+// instance with validate: analyze.ValidateInstance for a graph nobody has
+// validated, analyze.ValidateMapping for one Parse's reader has.
+func newSubmission(g *stf.Graph, ms *MappingSpec, workers int,
+	validate func(*stf.Graph, int, stf.Mapping) ([]stf.WorkerID, error)) (*Submission, error) {
 	m, err := ms.Build(g, workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := analyze.ValidateInstance(g, workers, m); err != nil {
+	owners, err := validate(g, workers, m)
+	if err != nil {
 		return nil, err
 	}
 	hash, err := Hash(g, ms)
 	if err != nil {
 		return nil, err
 	}
-	return &Submission{Graph: g, MappingSpec: ms, Mapping: m, Workers: workers, Hash: hash}, nil
+	return &Submission{Graph: g, MappingSpec: ms, Mapping: m, Owners: owners, Workers: workers, Hash: hash}, nil
+}
+
+// Compile lowers the submission's program of width workers from what the
+// submission already knows: at Workers under its mapping, through Owners
+// (or the mapping resolved again once a holder has dropped the table), and
+// at one worker with every task on worker 0, which needs no mapping call
+// and no analysis (stf.CompileOwned). prune applies §3.5 pruning. The
+// graph is not validated again. It is rio.Compile's program for the same
+// width and mapping (the cyclic default at one worker).
+func (s *Submission) Compile(workers int, prune bool) (*stf.CompiledProgram, error) {
+	var owners []stf.WorkerID
+	switch workers {
+	case s.Workers:
+		if owners = s.Owners; owners == nil {
+			owners = sched.Owners(s.Graph, s.Mapping)
+		}
+	case 1:
+	default:
+		return nil, fmt.Errorf("ingest: a submission validated for %d workers compiles for %d or 1, not %d", s.Workers, s.Workers, workers)
+	}
+	var rel [][]bool
+	if prune {
+		rel = sched.RelevantOwned(s.Graph, owners, workers)
+	}
+	return stf.CompileOwned(s.Graph, owners, workers, rel)
 }
 
 // Hash returns the content identity of a (graph, mapping) pair: the
@@ -291,41 +330,72 @@ func NewSubmission(g *stf.Graph, ms *MappingSpec, workers int) (*Submission, err
 // lets a server compile it once and replay it for everyone. The error is
 // always nil.
 func Hash(g *stf.Graph, ms *MappingSpec) (string, error) {
+	// The form is encoded into one buffer handed to the hash about 4 KB
+	// at a time: a write per task and a call into encoding/binary per
+	// value cost more than the SHA-256 blocks do.
 	h := sha256.New()
-	buf := binary.AppendUvarint(make([]byte, 0, 256), uint64(len(g.Name)))
+	buf := binary.AppendUvarint(make([]byte, 0, hashChunk+hashSlack), uint64(len(g.Name)))
 	buf = append(buf, g.Name...)
-	buf = binary.AppendVarint(buf, int64(g.NumData))
+	buf = appendVarint(buf, g.NumData)
 	buf = binary.AppendUvarint(buf, uint64(len(g.Tasks)))
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		for _, v := range [...]int{t.Kernel, t.I, t.J, t.K, len(t.Accesses)} {
-			buf = binary.AppendVarint(buf, int64(v))
+		if len(buf) >= hashChunk {
+			h.Write(buf)
+			buf = buf[:0]
 		}
+		buf = appendVarint(buf, t.Kernel)
+		buf = appendVarint(buf, t.I)
+		buf = appendVarint(buf, t.J)
+		buf = appendVarint(buf, t.K)
+		buf = appendVarint(buf, len(t.Accesses))
 		for _, a := range t.Accesses {
-			buf = binary.AppendVarint(buf, int64(a.Data))
+			buf = appendVarint(buf, int(a.Data))
 			mode := byte(a.Mode) << 1
 			if a.Idempotent {
 				mode |= 1
 			}
 			buf = append(buf, mode)
 		}
-		h.Write(buf)
-		buf = buf[:0]
 	}
 	h.Write(append(buf, ms.Canonical()...))
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
+// hashChunk is how much of the canonical form Hash gathers before handing
+// it to the hash, and hashSlack the room left after it for the task that
+// crosses it (a longer task grows the buffer).
+const (
+	hashChunk = 4 << 10
+	hashSlack = 1 << 10
+)
+
+// appendVarint is binary.AppendVarint, with the one-byte values of most
+// fields written in line.
+func appendVarint(b []byte, v int) []byte {
+	u := uint64(v) << 1
+	if v < 0 {
+		u = ^u
+	}
+	if u < 0x80 {
+		return append(b, byte(u))
+	}
+	return binary.AppendUvarint(b, u)
+}
+
 // Preflight runs the static-analysis passes over a validated submission
-// exactly as rio.Options.Preflight would before a run: findings of
+// (from Parse or NewSubmission, whose checks it does not repeat) exactly
+// as rio.Options.Preflight would before a run: findings of
 // Warning or worse reject it with a *analyze.PreflightError. The
 // returned report carries every finding either way.
 func Preflight(sub *Submission, passes analyze.Passes) (*analyze.Report, error) {
 	report := analyze.Graph(sub.Graph, analyze.Config{
-		Passes:  passes,
-		Workers: sub.Workers,
-		Mapping: sub.Mapping,
-		InOrder: true,
+		Passes:    passes,
+		Workers:   sub.Workers,
+		Mapping:   sub.Mapping,
+		Owners:    sub.Owners,
+		Validated: true,
+		InOrder:   true,
 	})
 	if report.Reject() {
 		return report, &analyze.PreflightError{Report: report}

@@ -393,6 +393,43 @@ func BenchmarkPreflight(b *testing.B) {
 	}
 }
 
+// BenchmarkHash is Hash of coldBody's flow: the encoding of its canonical
+// form and the SHA-256 blocks over it.
+func BenchmarkHash(b *testing.B) {
+	sub, err := Parse(bytes.NewReader(coldBody(b)), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Hash(sub.Graph, sub.MappingSpec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSubmit is the server's cold stages of coldBody without HTTP:
+// Parse, Preflight under the default passes and the one-worker lowering,
+// pruned as rio-serve prunes by default — what a never-seen flow pays
+// before its first task when its kernel runs at one worker.
+func BenchmarkSubmit(b *testing.B) {
+	body := coldBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		sub, err := Parse(bytes.NewReader(body), 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Preflight(sub, analyze.PassAccess|analyze.PassMapping); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sub.Compile(1, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestParseDecodesOnce is the white-box check that a submission body is
 // read once and scanned once, straight into the graph, and that what dies
 // with the request comes from a pool: in steady state Parse of coldBody,

@@ -362,11 +362,13 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, t *tenant, run b
 }
 
 // prepare preflights f's submission and compiles its program of width
-// workers: the lowering runs on a goroutine beside the preflight and is
-// joined before prepare returns, and certification (Config.Verify) starts
-// only once preflight has accepted, so a rejected flow costs at most the
-// one lowering. It sets f's report and err, and on success its program,
-// bytes and compileWall.
+// workers: a lowering at more than one worker runs on a goroutine beside
+// the preflight and is joined before prepare returns (the one-worker
+// lowering, a few microseconds, costs less than waking a goroutine, and
+// runs first), and certification (Config.Verify) starts only once
+// preflight has accepted, so a rejected flow costs at most the one
+// lowering. It sets f's report and err, and on success its program, bytes
+// and compileWall.
 func (s *Server) prepare(f *flow, workers int) {
 	type lowered struct {
 		cp   *rio.CompiledProgram
@@ -375,11 +377,16 @@ func (s *Server) prepare(f *flow, workers int) {
 	}
 	g, m := f.sub.Graph, f.mapping(workers, s.cfg.Workers)
 	done := make(chan lowered, 1)
-	go func() {
+	lower := func() {
 		start := time.Now()
-		cp, err := rio.Compile(g, workers, m, s.cfg.Prune)
+		cp, err := f.sub.Compile(workers, s.cfg.Prune)
 		done <- lowered{cp, err, time.Since(start)}
-	}()
+	}
+	if workers == 1 {
+		lower()
+	} else {
+		go lower()
+	}
 	f.report, f.err = ingest.Preflight(f.sub, s.cfg.Preflight)
 	low := <-done
 	if f.err == nil {
@@ -396,6 +403,10 @@ func (s *Server) prepare(f *flow, workers int) {
 	f.compileWall = low.wall
 	f.progs[slot(workers)].Store(low.cp)
 	f.bytes.Store(programBytes(low.cp))
+	// The owner table has served the checks and this lowering; the flow
+	// table does not keep it (a later compile at Workers resolves the
+	// mapping again).
+	f.sub.Owners = nil
 }
 
 // sizedBody is a request body that reports its declared Content-Length
@@ -410,15 +421,15 @@ type sizedBody struct {
 
 func (b sizedBody) Len() int { return b.n }
 
-// compile lowers g for workers under m (nil: the cyclic default), pruned
-// as Config.Prune says, and certifies the result when Config.Verify is
-// set. The executor compiles a flow's second program with it
+// compile lowers sub's program of width workers (ingest.Submission.Compile),
+// pruned as Config.Prune says, and certifies the result when Config.Verify
+// is set. The executor compiles a flow's second program with it
 // (tenant.compileOther); a submission's first is lowered and certified in
 // two steps (Server.prepare).
-func (c *Config) compile(g *stf.Graph, workers int, m rio.Mapping) (*rio.CompiledProgram, error) {
-	cp, err := rio.Compile(g, workers, m, c.Prune)
+func (c *Config) compile(sub *ingest.Submission, workers int, m rio.Mapping) (*rio.CompiledProgram, error) {
+	cp, err := sub.Compile(workers, c.Prune)
 	if err == nil {
-		err = c.certified(g, cp, m)
+		err = c.certified(sub.Graph, cp, m)
 	}
 	if err != nil {
 		return nil, err

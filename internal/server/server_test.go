@@ -642,19 +642,15 @@ func TestSubmittedMappingGoverns(t *testing.T) {
 // TestRejectedCertificateIs422: with Config.Verify a program that does not
 // certify against the submitted mapping is refused like a preflight
 // finding — 422 with the report. No honest compile produces one, so the
-// mapping here changes its answer after the compiler has asked once per
-// task: the certifier then sees every task on the wrong worker.
+// submission's owner table, which the compiler reads, puts every task on
+// worker 0 and its mapping, which the certifier asks, on worker 1: the
+// certifier then sees every task on the wrong worker.
 func TestRejectedCertificateIs422(t *testing.T) {
 	s := New(Config{Workers: 2, Verify: true})
 	g := graphs.Chain(8)
-	var asked atomic.Int64
-	sub := &ingest.Submission{Graph: g, Workers: 2, Mapping: func(stf.TaskID) stf.WorkerID {
-		if asked.Add(1) <= int64(len(g.Tasks)) {
-			return 0
-		}
-		return 1
-	}}
-	_, err := s.cfg.compile(sub.Graph, sub.Workers, sub.Mapping)
+	sub := &ingest.Submission{Graph: g, Workers: 2, Owners: make([]stf.WorkerID, len(g.Tasks)),
+		Mapping: func(stf.TaskID) stf.WorkerID { return 1 }}
+	_, err := s.cfg.compile(sub, sub.Workers, sub.Mapping)
 	var pf *analyze.PreflightError
 	if !errors.As(err, &pf) {
 		t.Fatalf("compile = %v, want a *analyze.PreflightError", err)

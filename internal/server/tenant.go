@@ -550,7 +550,7 @@ func (t *tenant) program(f *flow, kernel string) (*rio.CompiledProgram, *widthCh
 func (t *tenant) compileOther(f *flow, w int) {
 	defer t.reg.executors.Done()
 	cfg := &t.reg.cfg
-	cp, err := cfg.compile(f.sub.Graph, w, f.mapping(w, cfg.Workers))
+	cp, err := cfg.compile(f.sub, w, f.mapping(w, cfg.Workers))
 	if err != nil {
 		cfg.Logf("rio-serve: flow %s stays at %d workers: its %d-worker program: %v", f.id, cfg.Workers+1-w, w, err)
 		return

@@ -101,7 +101,9 @@ func (cp *CompiledProgram) Ops() int {
 // The mapping is evaluated exactly once per task, at compile time. It
 // must be total over g and must not return SharedWorker: partial mappings
 // resolve ownership at run time by first-to-reach claims, which a
-// pre-resolved stream cannot express — use closure replay for those.
+// pre-resolved stream cannot express — use closure replay for those. A
+// one-worker program may take a nil mapping: every task runs on worker 0,
+// and no mapping is called.
 func Compile(g *Graph, m Mapping, workers int, relevant [][]bool) (*CompiledProgram, error) {
 	return compile(g, m, workers, relevant, true)
 }
@@ -115,16 +117,48 @@ func CompileCanonical(g *Graph, m Mapping, workers int, relevant [][]bool) (*Com
 	return compile(g, m, workers, relevant, false)
 }
 
+// CompileOwned is Compile for a flow its caller has validated already
+// (Validate) under a mapping it has resolved already: owners[i] executes
+// task i. Nil owners make the one-worker program, every task on worker 0,
+// whose lowering needs no analysis at all — every task is relevant to its
+// one worker and every datum it accesses has one owner, so the stream is
+// the exec words alone.
+func CompileOwned(g *Graph, owners []WorkerID, workers int, relevant [][]bool) (*CompiledProgram, error) {
+	switch {
+	case workers < 1:
+		return nil, fmt.Errorf("stf: compile: workers must be >= 1, got %d", workers)
+	case owners == nil && workers != 1:
+		return nil, fmt.Errorf("stf: compile: no owner table for %d workers", workers)
+	case owners != nil && len(owners) != len(g.Tasks):
+		return nil, fmt.Errorf("stf: compile: owner table covers %d tasks, graph has %d", len(owners), len(g.Tasks))
+	}
+	return lowerOwned(g, owners, workers, relevant, true)
+}
+
 func compile(g *Graph, m Mapping, workers int, relevant [][]bool, elide bool) (*CompiledProgram, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("stf: compile: workers must be >= 1, got %d", workers)
 	}
-	if m == nil {
+	if m == nil && workers != 1 {
 		return nil, fmt.Errorf("stf: compile: nil mapping")
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("stf: compile: %w", err)
 	}
+	var owners []WorkerID
+	if m != nil {
+		// Resolve ownership once per task (not once per task per worker).
+		owners = make([]WorkerID, len(g.Tasks))
+		for i := range g.Tasks {
+			owners[i] = m(g.Tasks[i].ID)
+		}
+	}
+	return lowerOwned(g, owners, workers, relevant, elide)
+}
+
+// lowerOwned is the lowering of a validated flow under an owner table (nil:
+// every task on worker 0 of a one-worker program).
+func lowerOwned(g *Graph, owners []WorkerID, workers int, relevant [][]bool, elide bool) (*CompiledProgram, error) {
 	if relevant != nil {
 		if len(relevant) != workers {
 			return nil, fmt.Errorf("stf: compile: pruning bitmaps for %d workers, compiling for %d", len(relevant), workers)
@@ -138,18 +172,16 @@ func compile(g *Graph, m Mapping, workers int, relevant [][]bool, elide bool) (*
 	if err := checkIndexable(g.NumData, len(g.Tasks)); err != nil {
 		return nil, err
 	}
-
-	// Resolve ownership once per task (not once per task per worker).
-	owners := make([]WorkerID, len(g.Tasks))
-	for i := range g.Tasks {
-		o := m(g.Tasks[i].ID)
+	for i, o := range owners {
 		if o == SharedWorker {
 			return nil, fmt.Errorf("stf: compile: task %d has no static owner (SharedWorker); partial mappings require closure replay", i)
 		}
 		if o < 0 || int(o) >= workers {
 			return nil, fmt.Errorf("stf: compile: mapping(%d) = %d out of range [0,%d)", i, o, workers)
 		}
-		owners[i] = o
+	}
+	if owners == nil && !elide { // nil owners lower to exec words alone, which needs every access elided
+		owners = make([]WorkerID, len(g.Tasks))
 	}
 
 	cp := &CompiledProgram{
@@ -175,7 +207,21 @@ func compile(g *Graph, m Mapping, workers int, relevant [][]bool, elide bool) (*
 // holds a wait on its cell, so nothing published there is ever read. Tasks
 // without an owner (owners[i] < 0) are not part of the flow. The result
 // marks the uncontended data that are accessed at all; nil means none.
+// Nil owners put every task on one worker: then every datum accessed is
+// uncontended, and nothing else need be looked at.
 func uncontended(tasks []Task, owners []WorkerID, numData int) []bool {
+	if owners == nil {
+		var out []bool
+		for i := range tasks {
+			for _, a := range tasks[i].Accesses {
+				if out == nil {
+					out = make([]bool, numData)
+				}
+				out[a.Data] = true
+			}
+		}
+		return out
+	}
 	const unseen, several = WorkerID(-1), WorkerID(-2)
 	type use struct {
 		owner                WorkerID
@@ -224,8 +270,19 @@ func uncontended(tasks []Task, owners []WorkerID, numData int) []bool {
 // owners[i] executes task i, a negative owner drops the task from every
 // stream, relevant (when non-nil) drops foreign tasks per worker, and
 // accesses to cp.Elided data emit nothing. The counts are of tasks, so
-// they do not depend on how many micro-ops a task kept.
+// they do not depend on how many micro-ops a task kept. Nil owners put
+// every task on the one worker with every access elided (uncontended's
+// nil-owners case), so its stream is one exec word a task.
 func (cp *CompiledProgram) lower(owners []WorkerID, relevant [][]bool) {
+	if owners == nil {
+		words := make([]Word, len(cp.Tasks))
+		for i := range cp.Tasks {
+			words[i] = word(OpExec, int32(cp.Tasks[i].ID))
+		}
+		cp.Streams = [][]Word{words}
+		cp.Stats = []StreamStats{{Executed: int64(len(cp.Tasks))}}
+		return
+	}
 	// Size every stream exactly, so each is allocated once: an owned task
 	// takes a group word (when it has live accesses), its gets, the exec and
 	// its terminates; a foreign one a group word and its declares, or

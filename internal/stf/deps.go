@@ -168,37 +168,51 @@ func NewFrontier[T ~int | ~int64](numData int) *Frontier[T] {
 }
 
 // Ready returns the latest finish among t's predecessors (zero if none):
-// a read waits for the writer and the reductions, a reduction for the
-// writer and the readers, a write for all three.
+// the latest AccessReady of its accesses.
 func (f *Frontier[T]) Ready(t *Task) T {
 	var ready T
 	for _, a := range t.Accesses {
-		d := &f.data[a.Data]
-		switch {
-		case a.Mode.Writes():
-			ready = max(ready, d.writer, d.readers, d.reductions)
-		case a.Mode.Commutes():
-			ready = max(ready, d.writer, d.readers)
-		default: // read
-			ready = max(ready, d.writer, d.reductions)
-		}
+		ready = max(ready, f.AccessReady(a))
 	}
 	return ready
 }
 
-// Done records that t finishes at finish: a write starts a new group on
-// its data, a read or a reduction joins the current one.
+// AccessReady returns the latest finish among the predecessors of one
+// access (zero if none): a read waits for the writer and the reductions, a
+// reduction for the writer and the readers, a write for all three. A walk
+// that reads each access once for several purposes calls it in place of
+// Ready.
+func (f *Frontier[T]) AccessReady(a Access) T {
+	d := &f.data[a.Data]
+	switch {
+	case a.Mode.Writes():
+		return max(d.writer, d.readers, d.reductions)
+	case a.Mode.Commutes():
+		return max(d.writer, d.readers)
+	default: // read
+		return max(d.writer, d.reductions)
+	}
+}
+
+// Done records that t finishes at finish: AccessDone of each of its
+// accesses.
 func (f *Frontier[T]) Done(t *Task, finish T) {
 	for _, a := range t.Accesses {
-		d := &f.data[a.Data]
-		switch {
-		case a.Mode.Writes():
-			*d = frontierDatum[T]{writer: finish}
-		case a.Mode.Commutes():
-			d.reductions = max(d.reductions, finish)
-		default: // read
-			d.readers = max(d.readers, finish)
-		}
+		f.AccessDone(a, finish)
+	}
+}
+
+// AccessDone records that one access finishes at finish: a write starts a
+// new group on its datum, a read or a reduction joins the current one.
+func (f *Frontier[T]) AccessDone(a Access, finish T) {
+	d := &f.data[a.Data]
+	switch {
+	case a.Mode.Writes():
+		*d = frontierDatum[T]{writer: finish}
+	case a.Mode.Commutes():
+		d.reductions = max(d.reductions, finish)
+	default: // read
+		d.readers = max(d.readers, finish)
 	}
 }
 
