@@ -179,6 +179,33 @@ func BenchmarkRunWidth(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmRun is the run a warm rio-serve request makes once it holds
+// its tenant's turn: the 364 no-op tasks of a 12×12-tile Cholesky at width
+// 1, whose compiled stream is bare exec words, on an engine of p = 2 with
+// no accounting. Eq. (2)'s n·t_t is near zero here, so ns/task is the
+// per-task bookkeeping — the progress cell's one store — plus the run's
+// fixed cost spread over its tasks.
+func BenchmarkWarmRun(b *testing.B) {
+	g := graphs.Cholesky(12)
+	e, err := rio.NewEngine(rio.Options{Workers: 2, NoAccounting: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp, err := rio.Compile(g, 1, nil, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	noop := func(*stf.Task, stf.WorkerID) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.RunCompiled(cp, noop); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
+}
+
 // BenchmarkCompiledReplay — the replay term n·t_r of cost model (2), paid
 // per run under closure replay and hoisted to compile time by the
 // compiled fast path. The Fig 7 weak-scaling workload (independent tasks,

@@ -52,7 +52,7 @@ func WorkloadGraph(workload string, size int, seed int64) (*stf.Graph, error) {
 //	cyclic          round-robin (the in-order engine's default)
 //	block           contiguous chunks over the graph's tasks
 //	blockcyclic:B   blocks of B tasks, round-robin
-//	single:W        every task on worker W
+//	single:W        every task on worker W (W >= 0)
 //	owner2d         2-D block-cyclic owner-computes over (Task.I, Task.J)
 //
 // g may be nil for specs that do not need the graph (cyclic, single:W,
@@ -84,8 +84,13 @@ func ParseMapping(mapSpec string, g *stf.Graph, p int) (stf.Mapping, error) {
 		w := 0
 		if hasArg {
 			v, err := strconv.Atoi(arg)
-			if err != nil {
+			switch {
+			case err != nil:
 				return nil, fmt.Errorf("analyze: bad worker in %q", mapSpec)
+			case v < 0:
+				// No worker, or stf.SharedWorker (-2), which no compiled
+				// program runs: rejected here, before preflight.
+				return nil, fmt.Errorf("analyze: negative worker in %q", mapSpec)
 			}
 			w = v
 		}

@@ -121,7 +121,10 @@ func (r *flowRecorder) NumWorkers() int      { return r.workers }
 // replay (so the stall watchdog and abort latch behave identically), and
 // hand them no access mode: a wait that turns slow reads it from the task
 // table (declaredMode). OpExec polls the abort flag once per task,
-// mirroring the per-submission poll of the closure path.
+// mirroring the per-submission poll of the closure path. A task's
+// completion is published in the store that starts the next task when the
+// next micro-op is an exec, and on its own otherwise (exec): a bare-exec
+// stream pays one progress store per task.
 //
 // The stream is interpreted against an explicit task table. For a one-shot
 // run the table is cp.Tasks itself; streaming sessions pass the current
@@ -203,11 +206,18 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 		case stf.OpExec:
 			task = arg
 			if s.abort.raised() {
+				s.prog.Publish() // the task before may be unpublished
 				s.fail(errAborted)
 				return
 			}
 			if t := &tasks[arg]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}) {
 				return // task failed terminally (retries exhausted)
+			}
+			if armed || i+1 == len(stream) || stream[i+1].Op() != stf.OpExec {
+				// The next exec's start publishes this completion;
+				// anything else publishes it now. An armed replay always
+				// does: its next exec may be a stolen task's, skipped.
+				s.prog.Publish()
 			}
 		case stf.OpTermRead:
 			s.local[arg].terminateRead(&s.shared[arg])

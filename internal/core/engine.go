@@ -631,6 +631,9 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 		return // aborted while waiting
 	}
 	if s.exec(id, accesses, b) {
+		// Published before the user's program runs again: the watchdog
+		// must not blame a body that has finished.
+		s.prog.Publish()
 		s.release(accesses, int64(id))
 	}
 }
@@ -652,27 +655,30 @@ func (s *submitter) skipCompleted(id stf.TaskID) {
 // its executor (closure replay, a compiled stream's OpExec, a steal): run
 // the body between its reduction locks, published as the worker's current
 // task, under the lifecycle hooks and — when installed — the retry policy,
-// and count it. It reports whether the body completed; the caller then publishes
-// completion its own way (release, releaseStolen, or the stream's
-// terminate micro-ops). The reduction mutexes are therefore released before
-// the counters publish, which is safe: the mutex only serializes bodies of
-// commuting reductions, while waiters are gated by the counters, which
-// advance only after the body has completed either way. The unlock is
-// deferred so a panicking body cannot leave the per-data mutexes held. On
-// a failure completion stays unpublished: without a retry policy the panic
-// propagates to the worker recover and the run aborts; with one,
-// runAttempts has recorded the terminal failure in s.err.
+// and count it. It reports whether the body completed; the caller then
+// publishes completion its own way (release, releaseStolen, or the stream's
+// terminate micro-ops), and publishes the count too: exec only counts it
+// (trace.ProgressCell.Finish), so a compiled stream whose next micro-op is
+// an exec carries it in that task's start (trace.ProgressCell.Start), and
+// every other caller publishes it (Publish) before its next step. The reduction mutexes are
+// therefore released before the counters publish, which is safe: the mutex
+// only serializes bodies of commuting reductions, while waiters are gated
+// by the counters, which advance only after the body has completed either
+// way. The unlock is deferred so a panicking body cannot leave the per-data
+// mutexes held. On a failure completion stays unpublished: without a retry
+// policy the panic propagates to the worker recover and the run aborts;
+// with one, runAttempts has recorded the terminal failure in s.err.
 func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body) bool {
 	if s.lockReductions(accesses) {
 		defer s.unlockReductions(accesses)
 	}
-	s.prog.SetCurrent(id)
+	s.prog.Start(id)
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(s.worker, id)
 	}
 	if s.retry != nil {
 		if !s.runAttempts(id, accesses, b) {
-			s.prog.SetCurrent(stf.NoTask)
+			s.prog.Publish()
 			return false
 		}
 	} else {
@@ -681,8 +687,7 @@ func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body) bool {
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(s.worker, id)
 	}
-	s.prog.SetCurrent(stf.NoTask)
-	s.prog.CountExecuted()
+	s.prog.Finish()
 	if s.track {
 		s.done = append(s.done, id)
 	}
@@ -780,7 +785,12 @@ func (s *submitter) lockReductions(accesses []stf.Access) bool {
 		if next == -1 {
 			return locked
 		}
-		s.shared[next].redMu.Lock()
+		if mu := &s.shared[next].redMu; !mu.TryLock() {
+			// About to block: a task finished before this one must not
+			// read as current meanwhile (see exec).
+			s.prog.Publish()
+			mu.Lock()
+		}
 		locked = true
 		last = next
 	}

@@ -12,14 +12,14 @@ import "rio/internal/stf"
 func (s *submitter) runAttempts(id stf.TaskID, accesses []stf.Access, b body) bool {
 	tf, ok := s.retry.RunAttempts(s.snaps, id, accesses,
 		func() {
-			s.prog.SetCurrent(id)
+			s.prog.Start(id)
 			s.runTimed(b)
 		},
 		func() bool { return s.abort.raised() },
 		func(attempt int, cause any) {
 			// A task in backoff executes nothing: to the watchdog it is
 			// live, not stuck, and each attempt is a state of its own.
-			s.prog.SetCurrent(stf.NoTask)
+			s.prog.Publish()
 			s.prog.CountRetried()
 			if h := s.hooks; h != nil && h.OnTaskRetry != nil {
 				h.OnTaskRetry(s.worker, id, attempt, cause)

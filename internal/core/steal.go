@@ -145,6 +145,7 @@ func (s *submitter) stealExec(owner stf.WorkerID, t *stf.Task) {
 	if !s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.flow.kernel}) {
 		return
 	}
+	s.prog.Publish() // a steal returns to a wait or the drain
 	s.releaseStolen(t.Accesses, int64(t.ID))
 	s.prog.CountStolen()
 }

@@ -10,7 +10,8 @@ import (
 // TestRejectionsUnchanged pins what a malformed or rejected flow gets
 // back, status and body, from both submission endpoints. Each check runs
 // once on the cold path, wherever it runs, and must answer as it did when
-// every stage checked the flow again.
+// every stage checked the flow again — bar a negative single:W, which the
+// mapping parser rejects before preflight analyzes the flow.
 func TestRejectionsUnchanged(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2})
 	flow := func(tasks string) string { // a bare graph without its closing brace
@@ -71,9 +72,9 @@ func TestRejectionsUnchanged(t *testing.T) {
 		{"parametric mapping out of range", `{"graph":` + ok + `},"mapping":"single:7"`, http.StatusBadRequest,
 			errBody(`"sched: mapping(0) = 7 out of range [0,2)"`)},
 		{"negative worker", `{"graph":` + ok + `},"mapping":"single:-1"`, http.StatusBadRequest,
-			errBody(`"sched: mapping(0) = -1 out of range [0,2)"`)},
+			errBody(`"analyze: negative worker in \"single:-1\""`)},
 		{"shared tasks", `{"graph":` + ok + `},"mapping":"single:-2"`, http.StatusBadRequest,
-			errBody(`"stf: compile: task 0 has no static owner (SharedWorker); partial mappings require closure replay"`)},
+			errBody(`"analyze: negative worker in \"single:-2\""`)},
 		{"lint findings", `{"name":"r","num_data":3,"tasks":[{"kernel":0,"accesses":[{"data":0,"mode":"R"},{"data":1,"mode":"W"}]},` +
 			`{"kernel":0,"accesses":[{"data":1,"mode":"W"},{"data":0,"mode":"W"}]}]`, http.StatusUnprocessableEntity, lintReport},
 	} {

@@ -16,9 +16,11 @@
 // hooks time the blocking waits /v1/progress and /metrics report).
 //
 // Admission control: each tenant owns a bounded worker pool (its
-// engine's Config.Workers threads), a bounded submission queue, and one
-// executor goroutine that serializes runs on the engine (one flow at a
-// time). A full queue answers
+// engine's Config.Workers threads) and one turn that serializes runs on the
+// engine (one flow at a time): a request runs on its own handler goroutine
+// while it holds the turn, and one admitted while another runs waits in a
+// FIFO list bounded by Config.QueueDepth until the finishing run hands it
+// the turn; no tenant has a goroutine of its own. A full list answers
 // 429 with a Retry-After hint instead of queueing unboundedly; each
 // execution is bounded by Config.Timeout (rio.Options.Timeout on the
 // tenant engine); Drain stops admission with 503 and lets in-flight and
@@ -49,9 +51,10 @@ import (
 type Config struct {
 	// Workers is each tenant engine's worker-pool size (default 4).
 	Workers int
-	// QueueDepth bounds each tenant's submission queue; an execution
-	// request arriving at a full queue is rejected with 429 and a
-	// Retry-After hint rather than admitted (default 64).
+	// QueueDepth bounds each tenant's submission queue: the execution
+	// requests waiting while another runs. One arriving at a full queue is
+	// rejected with 429 and a Retry-After hint rather than admitted
+	// (default 64).
 	QueueDepth int
 	// MaxTenants bounds the number of distinct tenants the server will
 	// lazily create engines for; beyond it, requests naming a new tenant
@@ -237,7 +240,7 @@ type flowInfo struct {
 	// the task table once, and the streams of every program it holds.
 	ProgramBytes int64 `json:"program_bytes"`
 	// ProgramWidths lists the widths whose programs the flow holds: the one
-	// compiled at submit, and the other once the executor compiled it.
+	// compiled at submit, and the other once a run's compile published it.
 	ProgramWidths []int `json:"program_widths"`
 	// Widths reports, for each kernel the flow has run with since it holds
 	// programs of both widths, the run width it has settled on and the
@@ -423,7 +426,7 @@ func (b sizedBody) Len() int { return b.n }
 
 // compile lowers sub's program of width workers (ingest.Submission.Compile),
 // pruned as Config.Prune says, and certifies the result when Config.Verify
-// is set. The executor compiles a flow's second program with it
+// is set. A run starts the compile of a flow's second program with it
 // (tenant.compileOther); a submission's first is lowered and certified in
 // two steps (Server.prepare).
 func (c *Config) compile(sub *ingest.Submission, workers int, m rio.Mapping) (*rio.CompiledProgram, error) {
@@ -574,8 +577,8 @@ func (s *Server) kernel(name string) (string, rio.Kernel, error) {
 }
 
 // execute resolves the kernel, admits the request into the tenant's
-// bounded queue (or answers 429), waits for the executor and writes the
-// result.
+// bounded queue (or answers 429), runs it on this goroutine once it holds
+// the tenant's turn and writes the result.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *flow, kernel string) {
 	kernel, k, err := s.kernel(kernel)
 	if err != nil {
@@ -588,7 +591,6 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 		name:   kernel,
 		ctx:    r.Context(),
 		queued: time.Now(),
-		done:   make(chan execResult, 1),
 	}
 	if !t.admit(req) {
 		// admit refuses for two reasons: a drain raced past the
@@ -599,34 +601,32 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 		}
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
 		writeErr(w, http.StatusTooManyRequests,
-			"tenant %q submission queue is full (%d pending); retry later", t.name, cap(t.queue))
+			"tenant %q submission queue is full (%d pending); retry later", t.name, s.cfg.QueueDepth)
 		return
 	}
-	select {
-	case res := <-req.done:
-		if res.err != nil {
-			switch {
-			case errors.Is(res.err, context.DeadlineExceeded):
-				writeErr(w, http.StatusGatewayTimeout, "execution exceeded the %v request timeout: %v", s.cfg.Timeout, res.err)
-			case errors.Is(res.err, context.Canceled):
-				writeErr(w, http.StatusServiceUnavailable, "execution canceled: %v", res.err)
-			default:
-				writeErr(w, http.StatusInternalServerError, "execution failed: %v", res.err)
-			}
-			return
-		}
-		writeJSON(w, http.StatusOK, runResult{
-			Flow:     f.id,
-			Kernel:   kernel,
-			Executed: res.executed,
-			Workers:  res.workers,
-			WallNS:   int64(res.wall),
-			QueueNS:  int64(res.queueWait),
-		})
-	case <-r.Context().Done():
-		// Client gone; the executor will observe the dead context and
-		// skip or cancel the run. Nothing useful can be written.
+	res, ok := t.run(req)
+	if !ok || r.Context().Err() != nil {
+		return // client gone: nothing useful can be written
 	}
+	if res.err != nil {
+		switch {
+		case errors.Is(res.err, context.DeadlineExceeded):
+			writeErr(w, http.StatusGatewayTimeout, "execution exceeded the %v request timeout: %v", s.cfg.Timeout, res.err)
+		case errors.Is(res.err, context.Canceled):
+			writeErr(w, http.StatusServiceUnavailable, "execution canceled: %v", res.err)
+		default:
+			writeErr(w, http.StatusInternalServerError, "execution failed: %v", res.err)
+		}
+		return
+	}
+	writeJSON(w, http.StatusOK, runResult{
+		Flow:     f.id,
+		Kernel:   kernel,
+		Executed: res.executed,
+		Workers:  res.workers,
+		WallNS:   int64(res.wall),
+		QueueNS:  int64(res.queueWait),
+	})
 }
 
 // progressInfo is the JSON response of GET /v1/progress: the tenant's run
@@ -667,8 +667,8 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	info := progressInfo{
 		Tenant:   t.name,
 		Draining: s.Draining(),
-		QueueLen: len(t.queue),
-		QueueCap: cap(t.queue),
+		QueueLen: t.queueLen(),
+		QueueCap: s.cfg.QueueDepth,
 		Flows:    len(flows),
 		Kernels:  t.kernels.info(),
 		Progress: t.Progress(),

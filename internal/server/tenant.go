@@ -1,15 +1,17 @@
 package server
 
 // The tenant layer: one flow table (content hash → compiled program), one
-// rio.Engine, one bounded submission queue and one executor goroutine per
-// tenant. Submitters compile into the flow table concurrently and never
-// touch the engine; the executor is the only goroutine that runs programs
-// on it, one flow at a time, so serialization through the queue is what
-// makes the whole service safe. The engine keeps no stopwatch
-// (NoAccounting): its wait hooks time the blocking waits and nothing else
-// (waitSlot), and every reader of a tenant's counters goes through
-// tenant.Progress.
-// Admission is the try-send on the bounded queue: a full queue rejects
+// rio.Engine and one turn per tenant. Submitters compile into the flow
+// table concurrently and never touch the engine; a run request runs its
+// program on its own handler goroutine, but only while it holds the
+// tenant's turn, which one request holds at a time, so the turn is what
+// makes the whole service safe. A request admitted while another runs waits
+// in the tenant's bounded FIFO list, and the run that finishes hands the
+// turn to the list's head: no goroutine of the tenant's own exists. The
+// engine keeps no stopwatch (NoAccounting): its wait hooks time the
+// blocking waits and nothing else (waitSlot), and every reader of a
+// tenant's counters goes through tenant.Progress.
+// Admission takes the turn or a place in the list: a full list rejects
 // instead of blocking, which is the 429 backpressure path.
 
 import (
@@ -53,13 +55,13 @@ type flow struct {
 
 	// progs holds the flow's programs by width (slot): the one compiled at
 	// submit (Server.prepare), at Config.Workers or at the width its
-	// kernel's choice named, and the other width's once the executor has
-	// compiled it (tenant.program; tenant.compileOther; otherTried) — nil
+	// kernel's choice named, and the other width's once a run has started
+	// its compile (tenant.program; tenant.compileOther; otherTried) — nil
 	// until it is published, and for good when the flow is pinned at p or
 	// the compile failed. widths holds one widthChoice per kernel the flow
-	// has run with since it holds both, replaced whole by the executor when
-	// a kernel is added, for GET /v1/flows/{id} to read. runWall and
-	// otherTried are the executor's alone.
+	// has run with since it holds both, replaced whole by the run that adds
+	// a kernel, for GET /v1/flows/{id} to read. runWall and otherTried
+	// belong to the request holding the turn.
 	progs      [2]atomic.Pointer[rio.CompiledProgram]
 	runWall    time.Duration
 	otherTried bool
@@ -119,7 +121,7 @@ const recentRuns, settleAfter = 4, 2
 // compiled stream is bare exec words (no get, no terminate, no wait) and
 // nothing is spawned, so a flow of cheap tasks finishes sooner on one
 // worker, and one of dear tasks on p. Rather than predict the crossover,
-// the executor times both widths and keeps the faster. Reporting eq. (2)'s
+// the tenant times both widths and keeps the faster. Reporting eq. (2)'s
 // prediction beside the measurement waits for a per-run task share.
 type widthChoice struct {
 	// workers is the width the pair has settled on (what it runs at between
@@ -129,9 +131,9 @@ type widthChoice struct {
 	workers atomic.Int64
 	wall    [2]atomic.Int64
 
-	// Its owner's only (the executor for a flow's choice, kernelWidths.mu
-	// for a kernel's): each width's latest measured walls (a ring) and how
-	// many it has had, and the runs since the last probe.
+	// Its owner's only (the request holding the turn for a flow's choice,
+	// kernelWidths.mu for a kernel's): each width's latest measured walls
+	// (a ring) and how many it has had, and the runs since the last probe.
 	samples  [2][recentRuns]int64
 	measured [2]int
 	runs     int
@@ -176,10 +178,10 @@ func (c *widthChoice) observe(w int, wall time.Duration) {
 	c.wall[i].Store(slices.Min(ring[:min(c.measured[i], recentRuns)]))
 }
 
-// kernelWidths is a tenant's width choice per kernel name: fed by the
-// executor with every run of a default-mapping flow (a submitted mapping
-// says nothing of how a cyclic program of the kernel runs), as its wall per
-// executed task, so that flows of every size add to one estimate, and read
+// kernelWidths is a tenant's width choice per kernel name: fed with every
+// run of a default-mapping flow (a submitted mapping says nothing of how a
+// cyclic program of the kernel runs), as its wall per executed task, so
+// that flows of every size add to one estimate, and read
 // when a never-seen flow registered by POST /v1/run picks the width of its
 // submit compile (Server.submit). The kernel is resolved first, so only
 // registered names have an entry.
@@ -252,15 +254,17 @@ func (e *flowTableFullError) Error() string {
 	return fmt.Sprintf("tenant %q flow table is full (%d flows registered)", e.tenant, e.limit)
 }
 
-// execReq is one admitted execution request, handed from the HTTP
-// handler to the tenant's executor through the bounded queue.
+// execReq is one admitted execution request. Its handler runs it once it
+// holds the tenant's turn.
 type execReq struct {
 	flow   *flow
 	kernel rio.Kernel
 	name   string
 	ctx    context.Context // the HTTP request's context
 	queued time.Time
-	done   chan execResult // buffered(1): the executor never blocks on it
+	// turn is closed when the turn is handed to the request, which then
+	// waited in the tenant's list; nil when admission found the tenant idle.
+	turn chan struct{}
 }
 
 type execResult struct {
@@ -287,14 +291,19 @@ type tenant struct {
 	hits, misses atomic.Int64
 	kernels      kernelWidths
 
-	queue chan *execReq
+	// The turn: busy while an admitted request holds it, waiting the
+	// requests admitted behind it, oldest first and at most
+	// Config.QueueDepth of them. turnMu guards both.
+	turnMu  sync.Mutex
+	busy    bool
+	waiting []*execReq
 }
 
 // waitSlot is one worker's part of the tenant's wait hooks: the trace.Stamp
 // at which its current blocking wait began, and the histogram of the waits
-// it completed in the current run, which the executor clears before each
-// run. The hooks fire on the worker, so each slot has one writer during a
-// run; the padding keeps the workers' slots off each other's cache lines.
+// it completed in the current run, cleared before each run. The hooks fire
+// on the worker, so each slot has one writer during a run; the padding
+// keeps the workers' slots off each other's cache lines.
 type waitSlot struct {
 	waitClock
 	_ [(64 - unsafe.Sizeof(waitClock{})%64) % 64]byte // to whole 64-byte cache lines
@@ -406,14 +415,15 @@ func (t *tenant) snapshot() []*flow {
 	return flows
 }
 
-// admit try-sends req onto the bounded queue. False means the request
-// was not admitted — the queue is full (429) or the registry started
-// draining (503; the caller distinguishes via Draining()). An admitted
-// request is counted in the registry's drain WaitGroup until its
-// execution (or skip) finishes. The flag check and the Add share the
-// registry lock with drain's flag flip, so every Add happens before
-// the flip — and hence before drain's Wait — or observes the flag and
-// rejects: no admitted request can slip past the drain barrier.
+// admit admits req: it takes the turn when no request holds it, else a
+// place at the end of the waiting list. False means the request was not
+// admitted — the list is full (429) or the registry started draining (503;
+// the caller distinguishes via Draining()). An admitted request is counted
+// in the registry's drain WaitGroup until tenant.run is done with it. The
+// flag check and the Add share the registry lock with drain's flag flip,
+// so every Add happens before the flip — and hence before drain's Wait — or
+// observes the flag and rejects: no admitted request can slip past the
+// drain barrier.
 func (t *tenant) admit(req *execReq) bool {
 	r := t.reg
 	r.mu.Lock()
@@ -423,43 +433,89 @@ func (t *tenant) admit(req *execReq) bool {
 	}
 	r.inflight.Add(1)
 	r.mu.Unlock()
-	select {
-	case t.queue <- req:
-		return true
+	t.turnMu.Lock()
+	defer t.turnMu.Unlock()
+	switch {
+	case !t.busy:
+		t.busy = true
+	case len(t.waiting) < r.cfg.QueueDepth:
+		req.turn = make(chan struct{})
+		t.waiting = append(t.waiting, req)
 	default:
 		r.inflight.Done()
 		return false
 	}
+	return true
 }
 
-// executor serializes the tenant's executions. It exits when the
-// registry's stopped channel closes, which drain only does after every
-// admitted request completed — so a queued request is never abandoned.
-func (t *tenant) executor() {
-	defer t.reg.executors.Done()
-	for {
-		select {
-		case req := <-t.queue:
-			t.execute(req)
-			t.reg.inflight.Done()
-		case <-t.reg.stopped:
-			return
-		}
+// queueLen returns how many admitted requests wait for the turn.
+func (t *tenant) queueLen() int {
+	t.turnMu.Lock()
+	defer t.turnMu.Unlock()
+	return len(t.waiting)
+}
+
+// run serves an admitted request on the calling goroutine: it waits for the
+// request's turn, executes it and passes the turn on. ok is false when the
+// client left while the request waited: it withdrew, and nothing ran. A
+// queued request is never abandoned: drain waits for run to return.
+func (t *tenant) run(req *execReq) (res execResult, ok bool) {
+	defer t.reg.inflight.Done()
+	if !t.await(req) {
+		return execResult{}, false
 	}
+	defer t.pass()
+	return t.execute(req), true
 }
 
-// execute runs one admitted request on the tenant's engine, its wait
-// histogram cleared first so that Progress shows this run's. The run
+// await blocks until req holds the turn, or its client leaves first: then
+// it withdraws from the waiting list and reports false. If the turn reached
+// it at that moment, it holds the turn anyway and reports true; execute
+// finds its context done, and run passes the turn on.
+func (t *tenant) await(req *execReq) bool {
+	if req.turn == nil {
+		return true
+	}
+	select {
+	case <-req.turn:
+		return true
+	case <-req.ctx.Done():
+	}
+	t.turnMu.Lock()
+	defer t.turnMu.Unlock()
+	i := slices.Index(t.waiting, req)
+	if i < 0 {
+		return true // pass removed it: the turn is its
+	}
+	t.waiting = slices.Delete(t.waiting, i, i+1)
+	return false
+}
+
+// pass hands the turn from the request that ran to the head of the waiting
+// list, or leaves the tenant idle when nobody waits.
+func (t *tenant) pass() {
+	t.turnMu.Lock()
+	defer t.turnMu.Unlock()
+	if len(t.waiting) == 0 {
+		t.busy = false
+		return
+	}
+	next := t.waiting[0]
+	t.waiting = slices.Delete(t.waiting, 0, 1)
+	close(next.turn)
+}
+
+// execute runs one request holding the turn on the tenant's engine, its
+// wait histogram cleared first so that Progress shows this run's. The run
 // context is the client's request context; the registry's abort context
 // (armed when a Drain deadline expires) cancels it too, and the engine adds
 // Config.Timeout on top (rio.Options.Timeout).
 // Execution runs under pprof labels naming the tenant and flow, so CPU
 // profiles of the serving process split by tenant.
-func (t *tenant) execute(req *execReq) {
+func (t *tenant) execute(req *execReq) execResult {
 	queueWait := time.Since(req.queued)
 	if req.ctx.Err() != nil {
-		req.done <- execResult{err: req.ctx.Err(), queueWait: queueWait}
-		return
+		return execResult{err: req.ctx.Err(), queueWait: queueWait}
 	}
 	runCtx, cancel := context.WithCancel(req.ctx)
 	stop := context.AfterFunc(t.reg.abortCtx, cancel)
@@ -483,7 +539,9 @@ func (t *tenant) execute(req *execReq) {
 	if err == nil {
 		req.flow.runs.Add(1)
 		req.flow.runWall += wall
-		res.executed = t.Progress().Executed()
+		// A run that returns nil executed every task of its program once:
+		// the count needs no Progress snapshot.
+		res.executed = int64(len(cp.Tasks))
 		if choice != nil {
 			choice.observe(cp.Workers, wall)
 		}
@@ -491,7 +549,7 @@ func (t *tenant) execute(req *execReq) {
 			t.kernels.observe(req.name, cp.Workers, t.reg.cfg.Workers, wall/time.Duration(res.executed))
 		}
 	}
-	req.done <- res
+	return res
 }
 
 // program picks the program a run of f with the named kernel takes, and
@@ -506,7 +564,7 @@ func (t *tenant) execute(req *execReq) {
 // times, whose runs cost less than a compile, never pays for a second one,
 // and a flow that keeps running buys the compile once it has spent as much
 // on runs at the width it holds.
-// Executor only.
+// The request holding the turn only.
 func (t *tenant) program(f *flow, kernel string) (*rio.CompiledProgram, *widthChoice) {
 	p := t.reg.cfg.Workers
 	narrow, wide := f.progs[0].Load(), f.progs[1].Load()
@@ -518,7 +576,8 @@ func (t *tenant) program(f *flow, kernel string) (*rio.CompiledProgram, *widthCh
 			if held.Workers == 1 {
 				other = p
 			}
-			t.reg.executors.Add(1)
+			// Counted while this request still is, so drain waits for it.
+			t.reg.inflight.Add(1)
 			go t.compileOther(f, other)
 		}
 		return held, nil
@@ -544,11 +603,11 @@ func (t *tenant) program(f *flow, kernel string) (*rio.CompiledProgram, *widthCh
 // compileOther compiles f's program of width w — pruned as Config.Prune
 // says, certified first under Config.Verify — and publishes it for
 // tenant.program, its streams added to the flow's bytes first. It runs on
-// its own goroutine, counted with the executors, so that no request queued
-// behind the flow's run waits for the compile. A program that fails to
+// its own goroutine, counted with the admitted requests, so that no
+// request queued behind the flow's run waits for the compile. A program that fails to
 // compile or certify is logged, and the flow stays at the width it holds.
 func (t *tenant) compileOther(f *flow, w int) {
-	defer t.reg.executors.Done()
+	defer t.reg.inflight.Done()
 	cfg := &t.reg.cfg
 	cp, err := cfg.compile(f.sub, w, f.mapping(w, cfg.Workers))
 	if err != nil {
@@ -567,12 +626,9 @@ type registry struct {
 	tenants map[string]*tenant
 
 	draining atomic.Bool
-	// inflight counts admitted execution requests; drain waits on it.
+	// inflight counts admitted execution requests and the compiles their
+	// runs start (tenant.compileOther); drain waits on it.
 	inflight sync.WaitGroup
-	// executors counts executor goroutines, which exit when stopped
-	// closes, and the compiles they start (tenant.compileOther).
-	executors sync.WaitGroup
-	stopped   chan struct{}
 	// abortCtx is canceled when a Drain deadline expires: every running
 	// execution's context descends from it.
 	abortCtx context.Context
@@ -587,14 +643,13 @@ func newRegistry(cfg Config) *registry {
 	return &registry{
 		cfg:      cfg,
 		tenants:  make(map[string]*tenant),
-		stopped:  make(chan struct{}),
 		abortCtx: ctx,
 		abort:    cancel,
 	}
 }
 
-// tenant returns the named tenant, lazily creating its engine, queue
-// and executor, bounded by Config.MaxTenants.
+// tenant returns the named tenant, lazily creating it and its engine,
+// bounded by Config.MaxTenants. It starts no goroutine.
 func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -609,7 +664,6 @@ func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 		waits: make([]waitSlot, cfg.Workers),
 		reg:   r,
 		flows: make(map[string]*flow),
-		queue: make(chan *execReq, cfg.QueueDepth),
 	}
 	eng, err := rio.NewEngine(rio.Options{Workers: cfg.Workers, Timeout: cfg.Timeout, NoAccounting: true, Hooks: t.waitHooks()})
 	if err != nil {
@@ -620,8 +674,6 @@ func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 		rio.PublishExpvar("rio."+name, t)
 	}
 	r.tenants[name] = t
-	r.executors.Add(1)
-	go t.executor()
 	cfg.Logf("rio-serve: tenant %q admitted (%d workers, queue %d)", name, cfg.Workers, cfg.QueueDepth)
 	return t, nil
 }
@@ -633,13 +685,13 @@ func (r *registry) lookup(name string) *tenant {
 }
 
 // drain implements Server.Drain: flip the draining flag (handlers
-// reject new work), wait for admitted requests, cancel them if ctx
-// expires first, then stop the executors.
+// reject new work), then wait for admitted requests, the waiting ones run
+// in turn, canceling them if ctx expires first.
 func (r *registry) drain(ctx context.Context) error {
 	r.drainOnce.Do(func() {
 		// The flag flips under the registry lock (see admit): once the
 		// store is visible, no admission can add to inflight, so the
-		// Wait below covers every request the queues will ever hold.
+		// Wait below covers every request the tenants will ever admit.
 		r.mu.Lock()
 		r.draining.Store(true)
 		r.mu.Unlock()
@@ -655,8 +707,6 @@ func (r *registry) drain(ctx context.Context) error {
 			<-done
 			r.drainErr = ctx.Err()
 		}
-		close(r.stopped)
-		r.executors.Wait()
 		r.cfg.Logf("rio-serve: drained")
 	})
 	return r.drainErr

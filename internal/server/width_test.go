@@ -451,7 +451,7 @@ func TestRunRejectedLeavesNothing(t *testing.T) {
 	})
 	s, hs := newTestServer(t, Config{Workers: 2, Verify: true})
 	bad := []byte(`{"kernel":"noop","graph":{"name":"bad","num_data":1,"tasks":[{"kernel":0,"accesses":[{"data":0,"mode":"R"}]},{"kernel":0,"accesses":[{"data":0,"mode":"W"}]}]}}`)
-	do(t, "POST", hs.URL+"/v1/run", "", bad, nil) // the tenant, its executor and a client connection
+	do(t, "POST", hs.URL+"/v1/run", "", bad, nil) // the tenant and a client connection
 	time.Sleep(20 * time.Millisecond)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -156,10 +157,25 @@ type Progress struct {
 // goes, plus its task, idle and wall times, stored once when it exits. Each
 // cell is cache-line padded and written by exactly one worker, so a counter
 // counts in place with a load and a store — no read-modify-write on a shared
-// line: the always-on cost is one store per declare and three per
-// execution. The wait histogram is the one field that is not always on: a
-// wait has to be timed to be bucketed, so only accounted runs call AddWait
-// and a NoAccounting run leaves it empty.
+// line.
+//
+// The executed count and the current task are one word, published by one
+// store, so a reader always gets a pair that held at one moment. Finish
+// counts a completion without publishing it, and the worker's next Start
+// (the next task's) or Publish (no task) publishes it: an engine that
+// starts its next task straight away pays one store per executed task, one
+// that publishes each completion on its own two. Until then a reader sees
+// the finished task as current and not yet counted, so an engine publishes
+// before anything that can block (DESIGN.md §9, "What a task's progress
+// costs"). The sequential and centralized engines publish the same two
+// facts the way they always have, in two words of their own, with a store
+// per step (SetCurrent, CountExecuted): on the one word each step would
+// also pay a store of the worker's copy, and the sequential engine's time
+// is the benchmark's efficiency denominator.
+//
+// The wait histogram is the one field that is not always on: a wait has to
+// be timed to be bucketed, so only accounted runs call AddWait and a
+// NoAccounting run leaves it empty.
 type ProgressCell struct {
 	progressCounters
 	// Pad to a cache-line multiple to keep neighboring workers off this
@@ -171,28 +187,125 @@ type ProgressCell struct {
 // cacheLine is the coherence granularity ProgressCell pads to.
 const cacheLine = 64
 
+// The layout of a cell's state word: the current task in the low 32 bits
+// (lowMask: 0 for stf.NoTask, else 1 plus the ID, and lowMask itself when
+// the ID does not fit, which far then holds in the slot the farSlot bit
+// names), and the executed count in the 31 bits above (countShift),
+// rebased before it reaches countMax.
+const (
+	lowMask    = 1<<32 - 1
+	farSlot    = 1 << 32
+	countShift = 33
+	countMax   = 1<<31 - 1
+)
+
 // progressCounters is the payload of a ProgressCell.
 type progressCounters struct {
-	executed    atomic.Int64
+	// state packs the executed count, counted from execBase, with the
+	// current task (see lowMask). A closure run's task IDs pass 2^32: such
+	// an ID goes to the far slot the next flip of farSlot names, which the
+	// far store after next rewrites, so a reader that finds state unchanged
+	// after reading the slot has the ID state was stored with.
+	state atomic.Uint64
+	far   [2]atomic.Int64
+	// execBase is what the count in state counts from: a run or a session
+	// can execute more than 2^31 tasks on one worker, so rebase folds the
+	// count into execBase before it reaches countMax, publishing both while
+	// seq is odd.
+	seq      atomic.Uint64
+	execBase atomic.Int64
+	// The two-word record of the sequential and centralized engines: the
+	// tasks executed and the task being executed (stf.NoTask when none).
+	executed atomic.Int64
+	current  atomic.Int64
+
 	declared    atomic.Int64
 	claimed     atomic.Int64
 	retried     atomic.Int64
 	skipped     atomic.Int64
 	stolen      atomic.Int64
 	stealFailed atomic.Int64
-	current     atomic.Int64 // task ID being executed, or stf.NoTask
 	waitHist    [NumWaitBuckets]atomic.Int64
 	// The slow wait the worker is blocked in (stf.NoTask when none) and its
 	// access, packed data<<8|mode; published on watchdog-armed runs only.
 	waitTask   atomic.Int64
 	waitAccess atomic.Int64
 	exited     atomic.Bool
+
+	// word is the worker's own copy of state, ahead of it by the
+	// executions Finish counted since the last store.
+	word uint64
 	// Written once by Exit, read by Stats once the run is joined.
 	task, idle, wall time.Duration
 }
 
-// CountExecuted counts one executed task.
+// Start publishes that the worker executes task id, together with every
+// execution counted so far. Start, Finish and Publish are the per-task
+// cost, so they stay small enough to inline: methods of the payload,
+// promoted to ProgressCell, with the rare rebase out of line.
+func (c *progressCounters) Start(id stf.TaskID) {
+	low := uint64(id + 1)
+	if low >= lowMask {
+		c.word ^= farSlot
+		c.far[c.word/farSlot&1].Store(int64(id))
+		low = lowMask
+	}
+	w := c.word&^lowMask | low
+	c.state.Store(w)
+	c.word = w
+}
+
+// Finish counts one executed task without publishing it: the worker's next
+// Start, Publish or Exit does.
+func (c *progressCounters) Finish() {
+	if c.word += 1 << countShift; c.word >= countMax<<countShift {
+		c.rebase()
+	}
+}
+
+// Publish publishes every execution counted so far, with no task current.
+func (c *progressCounters) Publish() { c.Start(stf.NoTask) }
+
+// rebase folds the count into execBase and publishes state without it,
+// both while seq is odd: a reader retries rather than pair a count with a
+// base it was not stored against. Kept out of line, so that Finish inlines.
+//
+//go:noinline
+func (c *progressCounters) rebase() {
+	seq := c.seq.Load()
+	c.seq.Store(seq + 1)
+	c.execBase.Store(c.execBase.Load() + int64(c.word>>countShift))
+	c.word &= 1<<countShift - 1
+	c.state.Store(c.word)
+	c.seq.Store(seq + 2)
+}
+
+// CountExecuted counts one executed task in the two-word record.
 func (c *ProgressCell) CountExecuted() { c.executed.Store(c.executed.Load() + 1) }
+
+// load reads the executed count and the current task: one pair from state,
+// plus the two-word record, which a cell's engine leaves at zero and
+// stf.NoTask when it publishes through state.
+func (c *ProgressCell) load() (executed int64, current stf.TaskID) {
+	for ; ; runtime.Gosched() { // a retry: the worker was mid-store
+		seq := c.seq.Load()
+		eb, w := c.execBase.Load(), c.state.Load()
+		current = stf.TaskID(w&lowMask) - 1
+		if w&lowMask == lowMask {
+			if current = stf.TaskID(c.far[w/farSlot&1].Load()); c.state.Load() != w {
+				continue
+			}
+		}
+		if seq&1 == 0 && c.seq.Load() == seq {
+			executed = eb + int64(w>>countShift)
+			break
+		}
+	}
+	if current == stf.NoTask {
+		current = stf.TaskID(c.current.Load())
+	}
+	return executed + c.executed.Load(), current
+}
 
 // CountDeclared counts n declare-only task visits.
 func (c *ProgressCell) CountDeclared(n int64) { c.declared.Store(c.declared.Load() + n) }
@@ -213,7 +326,7 @@ func (c *ProgressCell) CountStolen() { c.stolen.Store(c.stolen.Load() + 1) }
 func (c *ProgressCell) CountStealFailed() { c.stealFailed.Store(c.stealFailed.Load() + 1) }
 
 // SetCurrent publishes the task the worker is executing (stf.NoTask to
-// clear).
+// clear) in the two-word record.
 func (c *ProgressCell) SetCurrent(id stf.TaskID) { c.current.Store(int64(id)) }
 
 // SetWaiting publishes the slow wait the worker enters: task id blocked on
@@ -228,19 +341,23 @@ func (c *ProgressCell) AddWait(d time.Duration) {
 	c.waitHist[WaitBucket(d)].Add(1)
 }
 
-// Exit stores the worker's task, idle and wall times and marks it exited:
-// the worker's last write to its cell (in a stream session, a window's).
+// Exit publishes the executions Finish counted, stores the worker's task,
+// idle and wall times and marks it exited: the worker's last write to its
+// cell (in a stream session, a window's). The current task stays as it
+// was: a body that panicked is still named.
 func (c *ProgressCell) Exit(task, idle, wall time.Duration) {
 	c.task, c.idle, c.wall = task, idle, wall
+	c.state.Store(c.word)
 	c.exited.Store(true)
 }
 
 // read is the live reading of the cell, every published word but the
 // watchdog's: what a Progress snapshot reports, and Stats before the times.
 func (c *ProgressCell) read() Worker {
+	executed, current := c.load()
 	w := Worker{
 		Counters: Counters{
-			Executed:    c.executed.Load(),
+			Executed:    executed,
 			Declared:    c.declared.Load(),
 			Claimed:     c.claimed.Load(),
 			Retried:     c.retried.Load(),
@@ -248,7 +365,7 @@ func (c *ProgressCell) read() Worker {
 			Stolen:      c.stolen.Load(),
 			StealFailed: c.stealFailed.Load(),
 		},
-		Current: stf.TaskID(c.current.Load()),
+		Current: current,
 	}
 	for b := range c.waitHist {
 		w.WaitHist[b] = c.waitHist[b].Load()
@@ -271,11 +388,12 @@ type WorkerState struct {
 
 // State reads the cell for a stall monitor.
 func (c *ProgressCell) State() WorkerState {
+	executed, current := c.load()
 	acc := c.waitAccess.Load()
 	return WorkerState{
-		Executed: c.executed.Load(),
+		Executed: executed,
 		Retried:  c.retried.Load(),
-		Current:  stf.TaskID(c.current.Load()),
+		Current:  current,
 		Waiting:  stf.TaskID(c.waitTask.Load()),
 		WaitOn:   stf.Access{Data: stf.DataID(acc >> 8), Mode: stf.AccessMode(acc)},
 		Exited:   c.exited.Load(),
