@@ -25,7 +25,10 @@ const benchWorkers = 4
 
 func newRuntime(b *testing.B, model rio.Model, workers int, m rio.Mapping) rio.Runtime {
 	b.Helper()
-	rt, err := rio.New(rio.Options{Model: model, Workers: workers, Mapping: m})
+	// Unaccounted, as the benchmark ledger's engines are: an accounted run
+	// reads the clock twice a task, which on empty bodies is most of what
+	// it times (BenchmarkAccountingOverhead prices it).
+	rt, err := rio.New(rio.Options{Model: model, Workers: workers, Mapping: m, NoAccounting: true})
 	if err != nil {
 		b.Fatal(err)
 	}

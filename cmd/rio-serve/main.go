@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	queue := fs.Int("queue", 64, "per-tenant submission-queue depth (full queues answer 429)")
 	tenants := fs.Int("tenants", 16, "maximum number of tenants")
 	flows := fs.Int("flows", 128, "maximum registered flows per tenant")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution timeout (rio.Options.Timeout)")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution timeout (server.Config.Timeout)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
 	verify := fs.Bool("verify", false, "certify compiled streams on every cache miss (translation validation)")
 	prune := fs.Bool("prune", true, "apply §3.5 task pruning when compiling")

@@ -124,7 +124,8 @@ func (r *flowRecorder) NumWorkers() int      { return r.workers }
 // mirroring the per-submission poll of the closure path. A task's
 // completion is published in the store that starts the next task when the
 // next micro-op is an exec, and on its own otherwise (exec): a bare-exec
-// stream pays one progress store per task.
+// stream pays one progress store per task. A program without reductions
+// (stf.HasReductions) has exec skip its scan for reduction locks.
 //
 // The stream is interpreted against an explicit task table. For a one-shot
 // run the table is cp.Tasks itself; streaming sessions pass the current
@@ -145,6 +146,7 @@ func (r *flowRecorder) NumWorkers() int      { return r.workers }
 func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k stf.Kernel) {
 	stream := cp.Streams[s.worker]
 	armed := s.steal != nil
+	reds := stf.HasReductions(cp)
 	task := int32(-1)    // the task register
 	claimed := int32(-1) // owned task the claim verdict below applies to
 	lost := false        // claimed was stolen
@@ -210,7 +212,7 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 				s.fail(errAborted)
 				return
 			}
-			if t := &tasks[arg]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}) {
+			if t := &tasks[arg]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}, reds) {
 				return // task failed terminally (retries exhausted)
 			}
 			if armed || i+1 == len(stream) || stream[i+1].Op() != stf.OpExec {

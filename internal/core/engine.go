@@ -275,7 +275,11 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 // a worker wedged inside a body.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f flow) error {
 	w := rp.Workers()
-	st := e.borrow(numData, w, rp, spinSeed)
+	cells := numData
+	if f.bare() {
+		cells = 0
+	}
+	st := e.borrow(cells, w, rp, spinSeed)
 	subs := st.subs[:w]
 	for _, s := range subs {
 		s.resume, s.track, s.watched = e.resume, e.checkpoint, e.stallTimeout > 0
@@ -286,13 +290,10 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		}
 	}
 	var stopCancel func() bool
-	var canceled chan struct{}
 	if ctx.Done() != nil {
-		canceled = make(chan struct{})
-		stopCancel = context.AfterFunc(ctx, func() {
-			defer close(canceled)
-			st.abort.raise(fmt.Errorf("core: run canceled: %w", context.Cause(ctx)), true)
-		})
+		st.ctx = ctx
+		st.cancelJoin.Add(1)
+		stopCancel = context.AfterFunc(ctx, st.onCancel)
 	}
 	watched := e.stallTimeout > 0
 	start := time.Now()
@@ -337,8 +338,11 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		for range stalled {
 		}
 	}
-	if stopCancel != nil && !stopCancel() {
-		<-canceled
+	if stopCancel != nil {
+		if stopCancel() {
+			st.cancelJoin.Done() // stopped before it started: it never will
+		}
+		st.cancelJoin.Wait()
 	}
 
 	e.End(wall, !e.noAcct)
@@ -463,6 +467,13 @@ type flow struct {
 	tasks  []stf.Task
 	kernel stf.Kernel
 	meta   *stf.StealMeta // non-nil iff the replay is armed; cp is then meta.Program
+}
+
+// bare reports whether a replay of f reads no per-data cell: an unarmed
+// compiled flow whose program has no data micro-op and no reduction (a
+// reduction's body still takes its datum's lock in the shared cells).
+func (f *flow) bare() bool {
+	return f.cp != nil && f.meta == nil && !stf.HasDataOps(f.cp) && !stf.HasReductions(f.cp)
 }
 
 // compiledFlow is the one place a replay gets armed: on an engine with a
@@ -630,7 +641,7 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 	if s.err != nil {
 		return // aborted while waiting
 	}
-	if s.exec(id, accesses, b) {
+	if s.exec(id, accesses, b, true) {
 		// Published before the user's program runs again: the watchdog
 		// must not blame a body that has finished.
 		s.prog.Publish()
@@ -653,10 +664,11 @@ func (s *submitter) skipCompleted(id stf.TaskID) {
 
 // exec is the task-execution lifecycle, shared by every way a task reaches
 // its executor (closure replay, a compiled stream's OpExec, a steal): run
-// the body between its reduction locks, published as the worker's current
-// task, under the lifecycle hooks and — when installed — the retry policy,
-// and count it. It reports whether the body completed; the caller then
-// publishes completion its own way (release, releaseStolen, or the stream's
+// the body between its reduction locks (looked for only when reds is set: a
+// compiled stream of a program without reductions passes false), published
+// as the worker's current task, under the lifecycle hooks and — when
+// installed — the retry policy, and count it. It reports whether the body
+// completed; the caller then publishes completion its own way (release, releaseStolen, or the stream's
 // terminate micro-ops), and publishes the count too: exec only counts it
 // (trace.ProgressCell.Finish), so a compiled stream whose next micro-op is
 // an exec carries it in that task's start (trace.ProgressCell.Start), and
@@ -668,8 +680,8 @@ func (s *submitter) skipCompleted(id stf.TaskID) {
 // mutexes held. On a failure completion stays unpublished: without a retry
 // policy the panic propagates to the worker recover and the run aborts;
 // with one, runAttempts has recorded the terminal failure in s.err.
-func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body) bool {
-	if s.lockReductions(accesses) {
+func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body, reds bool) bool {
+	if reds && s.lockReductions(accesses) {
 		defer s.unlockReductions(accesses)
 	}
 	s.prog.Start(id)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 	"weak"
@@ -34,6 +37,14 @@ type runState struct {
 	live atomic.Int32
 	done chan struct{}
 
+	// The cancel callback of a run in flight (execute): ctx is the run's
+	// context, onCancel the callback context.AfterFunc calls on it (the
+	// method value cancel, made once with the state) and cancelJoin what
+	// execute joins it through.
+	ctx        context.Context
+	onCancel   func()
+	cancelJoin sync.WaitGroup
+
 	// idle is set when the state is given back and won by the borrow that
 	// takes it (Engine.takeIdle); handle is the state's weak reference to
 	// itself, allocated once, which giveBack leaves in Engine.lastIdle.
@@ -50,6 +61,7 @@ func (e *Engine) newRunState(numData int) *runState {
 	}
 	st.handle = new(weak.Pointer[runState])
 	*st.handle = weak.Make(st)
+	st.onCancel = st.cancel
 	for w := range st.subs {
 		st.subs[w] = &submitter{}
 		if e.steal != nil {
@@ -62,7 +74,10 @@ func (e *Engine) newRunState(numData int) *runState {
 // borrow hands a one-shot run (execute) or a streaming session (OpenSession)
 // the state it replays on over numData data objects: an idle one
 // (takeIdle) when its capacity covers numData — every word the run can reach reset
-// to idle — else a fresh one. The first width submitters, those of the run's workers,
+// to idle — else a fresh one. A run that reads no cell (a bare program,
+// flow.bare) borrows over no data: it takes any idle state and clears none
+// of its cells or local mirrors, which the next run that reads them clears
+// for itself. The first width submitters, those of the run's workers,
 // come wired to the state, the engine's policies, their cells of rp and one
 // snapshot of its mapping (every worker must resolve ownership identically
 // even if SetMapping races the start); execute adds the per-run checkpoint,
@@ -73,8 +88,10 @@ func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget 
 	if st == nil || len(st.shared) < numData {
 		st = e.newRunState(numData)
 	} else {
-		clear(st.shared[:numData])
-		st.arena.reset(numData)
+		if numData > 0 {
+			clear(st.shared[:numData])
+			st.arena.reset(numData)
+		}
 		st.claims.reset()
 	}
 	shared := st.shared[:numData]
@@ -86,7 +103,7 @@ func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget 
 			worker:     stf.WorkerID(w),
 			mapping:    mapping,
 			shared:     shared,
-			local:      st.arena.worker(w),
+			local:      st.arena.worker(w)[:numData],
 			claims:     &st.claims,
 			abort:      &st.abort,
 			prog:       rp.Worker(w),
@@ -112,7 +129,7 @@ func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget 
 // timers. takeIdle then hands st to one run at a time. A state that cannot
 // be proven unreachable — an abandoned run's — is never given back.
 func (e *Engine) giveBack(st *runState) {
-	st.flow, st.done = flow{}, nil
+	st.flow, st.done, st.ctx = flow{}, nil, nil
 	for _, s := range st.subs {
 		*s = submitter{thief: s.thief, parkTimer: s.parkTimer}
 		if s.thief != nil {
@@ -122,6 +139,13 @@ func (e *Engine) giveBack(st *runState) {
 	st.idle.Store(true)
 	e.lastIdle.Store(st.handle)
 	e.states.Put(st)
+}
+
+// cancel is the run's cancel callback: it aborts the run with its
+// context's cause.
+func (st *runState) cancel() {
+	defer st.cancelJoin.Done()
+	st.abort.raise(fmt.Errorf("core: run canceled: %w", context.Cause(st.ctx)), true)
 }
 
 // takeIdle takes an idle state for borrow, or returns nil: a pooled one or,

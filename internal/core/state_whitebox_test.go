@@ -40,6 +40,9 @@ func assertIdle(t *testing.T, st *runState, numData int) {
 		c.redMu.Unlock()
 	}
 	for w, s := range st.subs {
+		if s.eng == nil {
+			continue // a worker a narrow run leaves idle
+		}
 		for d, l := range s.local {
 			if l != (localState{}) {
 				t.Fatalf("worker %d data %d: local mirror %+v, want idle", w, d, l)

@@ -142,7 +142,7 @@ func (s *submitter) stealExec(owner stf.WorkerID, t *stf.Task) {
 	if h := s.hooks; h != nil && h.OnTaskSteal != nil {
 		h.OnTaskSteal(s.worker, owner, t.ID)
 	}
-	if !s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.flow.kernel}) {
+	if !s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.flow.kernel}, true) {
 		return
 	}
 	s.prog.Publish() // a steal returns to a wait or the drain

@@ -254,7 +254,8 @@ func ParseRun(r io.Reader) (kernel string, err error) {
 	if len(bytes.TrimLeft(body.Bytes(), " \t\r\n")) == 0 {
 		return "", nil
 	}
-	s := stf.NewScanner(body.Bytes())
+	var s stf.Scanner
+	s.Reset(body.Bytes())
 	err = s.Object(runKeys, func(int) (err error) {
 		kernel, err = s.String()
 		return err

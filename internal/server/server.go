@@ -22,9 +22,8 @@
 // FIFO list bounded by Config.QueueDepth until the finishing run hands it
 // the turn; no tenant has a goroutine of its own. A full list answers
 // 429 with a Retry-After hint instead of queueing unboundedly; each
-// execution is bounded by Config.Timeout (rio.Options.Timeout on the
-// tenant engine); Drain stops admission with 503 and lets in-flight and
-// queued work finish.
+// execution is bounded by Config.Timeout (the run's context); Drain stops
+// admission with 503 and lets in-flight and queued work finish.
 package server
 
 import (
@@ -36,7 +35,8 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"regexp"
+	"strconv"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -65,9 +65,9 @@ type Config struct {
 	// tenant at the bound stays there until the server restarts
 	// (resubmitting a registered flow still answers 200; default 128).
 	MaxFlows int
-	// Timeout bounds each execution (rio.Options.Timeout on the tenant
-	// engine): a run exceeding it is canceled and the request answers
-	// 504 (default 30s; negative disables).
+	// Timeout bounds each execution (through the run's context): a run
+	// exceeding it is canceled and the request answers 504 (default 30s;
+	// negative disables).
 	Timeout time.Duration
 	// RetryAfter is the hint sent with 429 responses (default 1s).
 	RetryAfter time.Duration
@@ -133,7 +133,19 @@ const TenantHeader = "X-Rio-Tenant"
 // DefaultTenant is the tenant of requests that send no TenantHeader.
 const DefaultTenant = "default"
 
-var tenantNameRE = regexp.MustCompile(`^[a-z0-9_-]{1,64}$`)
+// validTenantName reports whether name is a tenant name: 1 to 64 bytes of
+// [a-z0-9_-].
+func validTenantName(name string) bool {
+	if len(name) == 0 || len(name) > 64 {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
 
 // Server is the rio-serve HTTP service. Create one with New, mount
 // Handler on an http.Server, and call Drain on shutdown.
@@ -195,7 +207,7 @@ func (s *Server) tenantFor(w http.ResponseWriter, r *http.Request) *tenant {
 	if name == "" {
 		name = DefaultTenant
 	}
-	if !tenantNameRE.MatchString(name) {
+	if !validTenantName(name) {
 		writeErr(w, http.StatusBadRequest, "bad tenant name %q (want lowercase [a-z0-9_-], at most 64 bytes)", name)
 		return nil
 	}
@@ -520,6 +532,59 @@ type runResult struct {
 	QueueNS int64 `json:"queue_ns"`
 }
 
+// appendJSON appends r as json.Encoder writes it with SetIndent("", "  ")
+// — every run response is this document, so it is written by hand, without
+// reflection or an indenting pass.
+func (r *runResult) appendJSON(b []byte) []byte {
+	b = append(b, "{\n  \"flow\": "...)
+	b = appendJSONString(b, r.Flow)
+	b = append(b, ",\n  \"kernel\": "...)
+	b = appendJSONString(b, r.Kernel)
+	b = append(b, ",\n  \"executed\": "...)
+	b = strconv.AppendInt(b, r.Executed, 10)
+	b = append(b, ",\n  \"workers\": "...)
+	b = strconv.AppendInt(b, int64(r.Workers), 10)
+	b = append(b, ",\n  \"wall_ns\": "...)
+	b = strconv.AppendInt(b, r.WallNS, 10)
+	b = append(b, ",\n  \"queue_ns\": "...)
+	b = strconv.AppendInt(b, r.QueueNS, 10)
+	return append(b, "\n}\n"...)
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json does:
+// a string of printable ASCII that needs no escape as it stands, any other
+// through json.Marshal itself (control bytes, quotes, backslashes, HTML's
+// <, > and &, invalid UTF-8, U+2028 and U+2029 all escape there).
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// runBufs holds the buffers run responses are written from.
+var runBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonContentType is the Content-Type header value of a JSON response,
+// assigned without canonicalizing the (already canonical) key. Nothing
+// writes to it: net/http only reads header values.
+var jsonContentType = []string{"application/json"}
+
+// writeRunResult answers 200 with r (runResult.appendJSON).
+func writeRunResult(w http.ResponseWriter, r *runResult) {
+	buf := runBufs.Get().(*[]byte)
+	*buf = r.appendJSON((*buf)[:0])
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf)
+	runBufs.Put(buf)
+}
+
 // handleRun is POST /v1/flows/{id}/run: admission-controlled execution
 // of a registered flow.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -619,7 +684,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, t *tenant, f *f
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, runResult{
+	writeRunResult(w, &runResult{
 		Flow:     f.id,
 		Kernel:   kernel,
 		Executed: res.executed,

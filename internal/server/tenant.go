@@ -66,6 +66,26 @@ type flow struct {
 	runWall    time.Duration
 	otherTried bool
 	widths     atomic.Pointer[map[string]*widthChoice]
+
+	// labels holds, per kernel name, the context carrying the pprof labels
+	// of the flow's runs with that kernel (runLabels). The request holding
+	// the turn only.
+	labels map[string]context.Context
+}
+
+// runLabels returns the context whose pprof labels name a run of f with
+// kernel under tenant — rio_tenant, rio_flow and rio_kernel — built by the
+// first such run and kept for the others.
+func (f *flow) runLabels(tenant, kernel string) context.Context {
+	ctx := f.labels[kernel]
+	if ctx == nil {
+		if f.labels == nil {
+			f.labels = make(map[string]context.Context, 1)
+		}
+		ctx = pprof.WithLabels(context.Background(), pprof.Labels("rio_tenant", tenant, "rio_flow", f.id, "rio_kernel", kernel))
+		f.labels[kernel] = ctx
+	}
+	return ctx
 }
 
 // slot is the index of width w in a flow's progs and a widthChoice's
@@ -297,13 +317,26 @@ type tenant struct {
 	turnMu  sync.Mutex
 	busy    bool
 	waiting []*execReq
+
+	// cancelRun cancels the run of the request holding the turn, nil
+	// between runs, with the cause that ends it: a drain's abort
+	// (registry.abortRuns), or the run's deadline (expire). runMu guards it
+	// and deadline, when the run times out.
+	runMu     sync.Mutex
+	cancelRun context.CancelCauseFunc
+	deadline  time.Time
+	// timer calls expire at the run's deadline: made by the first run under
+	// a Config.Timeout and re-armed by every run after it. The request
+	// holding the turn only.
+	timer *time.Timer
 }
 
 // waitSlot is one worker's part of the tenant's wait hooks: the trace.Stamp
 // at which its current blocking wait began, and the histogram of the waits
-// it completed in the current run, cleared before each run. The hooks fire
-// on the worker, so each slot has one writer during a run; the padding
-// keeps the workers' slots off each other's cache lines.
+// it completed in the current run, cleared before the next run when the
+// worker recorded one (waited). The hooks fire on the worker, so each slot
+// has one writer during a run; the padding keeps the workers' slots off
+// each other's cache lines.
 type waitSlot struct {
 	waitClock
 	_ [(64 - unsafe.Sizeof(waitClock{})%64) % 64]byte // to whole 64-byte cache lines
@@ -311,8 +344,9 @@ type waitSlot struct {
 
 // waitClock is the payload of a waitSlot.
 type waitClock struct {
-	since time.Duration
-	hist  [trace.NumWaitBuckets]atomic.Int64
+	since  time.Duration
+	hist   [trace.NumWaitBuckets]atomic.Int64
+	waited bool
 }
 
 // waitHooks are the tenant engine's hooks: they bucket every blocking
@@ -326,6 +360,7 @@ func (t *tenant) waitHooks() *rio.Hooks {
 		OnWaitEnd: func(w rio.WorkerID, _ rio.TaskID, _ rio.Access) {
 			s := &t.waits[w]
 			s.hist[trace.WaitBucket(trace.Stamp()-s.since)].Add(1)
+			s.waited = true
 		},
 	}
 }
@@ -507,34 +542,35 @@ func (t *tenant) pass() {
 
 // execute runs one request holding the turn on the tenant's engine, its
 // wait histogram cleared first so that Progress shows this run's. The run
-// context is the client's request context; the registry's abort context
-// (armed when a Drain deadline expires) cancels it too, and the engine adds
-// Config.Timeout on top (rio.Options.Timeout).
-// Execution runs under pprof labels naming the tenant and flow, so CPU
-// profiles of the serving process split by tenant.
+// has one context of its own (runContext): the client's request context
+// bounded by Config.Timeout, which a drain's abort cancels too.
+// Execution runs under pprof labels naming the tenant, flow and kernel
+// (flow.runLabels), so CPU profiles of the serving process split by tenant;
+// the workers a wide run spawns inherit them, and the handler goroutine's
+// own labels, those of its request context, are restored afterwards.
 func (t *tenant) execute(req *execReq) execResult {
 	queueWait := time.Since(req.queued)
 	if req.ctx.Err() != nil {
 		return execResult{err: req.ctx.Err(), queueWait: queueWait}
 	}
-	runCtx, cancel := context.WithCancel(req.ctx)
-	stop := context.AfterFunc(t.reg.abortCtx, cancel)
-	defer stop()
-	defer cancel()
+	ctx := t.runContext(req.ctx)
+	defer t.endRun()
 
 	t.hits.Add(1)
 	cp, choice := t.program(req.flow, req.name)
 	for w := range t.waits {
-		for b := range t.waits[w].hist {
-			t.waits[w].hist[b].Store(0)
+		if s := &t.waits[w]; s.waited {
+			for b := range s.hist {
+				s.hist[b].Store(0)
+			}
+			s.waited = false
 		}
 	}
-	var err error
+	pprof.SetGoroutineLabels(req.flow.runLabels(t.name, req.name))
 	start := time.Now()
-	pprof.Do(runCtx, pprof.Labels("rio_tenant", t.name, "rio_flow", req.flow.id, "rio_kernel", req.name), func(ctx context.Context) {
-		err = t.eng.RunCompiledContext(ctx, cp, req.kernel)
-	})
+	err := t.eng.RunCompiledContext(ctx, cp, req.kernel)
 	wall := time.Since(start)
+	pprof.SetGoroutineLabels(req.ctx)
 	res := execResult{err: err, workers: cp.Workers, wall: wall, queueWait: queueWait}
 	if err == nil {
 		req.flow.runs.Add(1)
@@ -550,6 +586,56 @@ func (t *tenant) execute(req *execReq) execResult {
 		}
 	}
 	return res
+}
+
+// runContext derives the one context of the run about to start from the
+// request's. Config.Timeout bounds it: the tenant's timer cancels it with
+// context.DeadlineExceeded as its cause, as a context.WithTimeout would,
+// without a timer of its own per run. A drain's abort cancels it too — at
+// once when the abort has fired already. endRun cancels it.
+func (t *tenant) runContext(parent context.Context) context.Context {
+	ctx, cancel := context.WithCancelCause(parent)
+	d := t.reg.cfg.Timeout
+	t.runMu.Lock()
+	t.cancelRun, t.deadline = cancel, time.Now().Add(d)
+	t.runMu.Unlock()
+	if d > 0 {
+		if t.timer == nil {
+			t.timer = time.AfterFunc(d, t.expire)
+		} else {
+			t.timer.Reset(d)
+		}
+	}
+	// After the store: an abort that this load misses stores its flag after
+	// it, and then finds cancel when it walks the tenants (abortRuns).
+	if t.reg.aborted.Load() {
+		cancel(nil)
+	}
+	return ctx
+}
+
+// expire is the tenant timer's callback: it cancels the run in flight once
+// its deadline has passed. A timer armed for an earlier run can fire late,
+// into a later run, whose deadline then lies ahead.
+func (t *tenant) expire() {
+	t.runMu.Lock()
+	defer t.runMu.Unlock()
+	if t.cancelRun != nil && !time.Now().Before(t.deadline) {
+		t.cancelRun(context.DeadlineExceeded)
+	}
+}
+
+// endRun disarms the tenant's timer and cancels the run context
+// runContext made.
+func (t *tenant) endRun() {
+	if t.timer != nil {
+		t.timer.Stop()
+	}
+	t.runMu.Lock()
+	cancel := t.cancelRun
+	t.cancelRun = nil
+	t.runMu.Unlock()
+	cancel(nil)
 }
 
 // program picks the program a run of f with the named kernel takes, and
@@ -629,22 +715,18 @@ type registry struct {
 	// inflight counts admitted execution requests and the compiles their
 	// runs start (tenant.compileOther); drain waits on it.
 	inflight sync.WaitGroup
-	// abortCtx is canceled when a Drain deadline expires: every running
-	// execution's context descends from it.
-	abortCtx context.Context
-	abort    context.CancelFunc
+	// aborted is set when a Drain deadline expires (abortRuns): every run
+	// then in flight is canceled, and so is every run that starts after.
+	aborted atomic.Bool
 
 	drainOnce sync.Once
 	drainErr  error
 }
 
 func newRegistry(cfg Config) *registry {
-	ctx, cancel := context.WithCancel(context.Background())
 	return &registry{
-		cfg:      cfg,
-		tenants:  make(map[string]*tenant),
-		abortCtx: ctx,
-		abort:    cancel,
+		cfg:     cfg,
+		tenants: make(map[string]*tenant),
 	}
 }
 
@@ -665,7 +747,9 @@ func (r *registry) tenant(name string, cfg Config) (*tenant, error) {
 		reg:   r,
 		flows: make(map[string]*flow),
 	}
-	eng, err := rio.NewEngine(rio.Options{Workers: cfg.Workers, Timeout: cfg.Timeout, NoAccounting: true, Hooks: t.waitHooks()})
+	// Config.Timeout bounds a run through its context (tenant.runContext),
+	// not through the engine's Options.Timeout.
+	eng, err := rio.NewEngine(rio.Options{Workers: cfg.Workers, NoAccounting: true, Hooks: t.waitHooks()})
 	if err != nil {
 		return nil, fmt.Errorf("creating engine for tenant %q: %w", name, err)
 	}
@@ -682,6 +766,21 @@ func (r *registry) lookup(name string) *tenant {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.tenants[name]
+}
+
+// abortRuns cancels the run holding each tenant's turn and, through the
+// flag, every run that takes a turn after it (tenant.runContext).
+func (r *registry) abortRuns() {
+	r.aborted.Store(true)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, t := range r.tenants {
+		t.runMu.Lock()
+		if t.cancelRun != nil {
+			t.cancelRun(nil)
+		}
+		t.runMu.Unlock()
+	}
 }
 
 // drain implements Server.Drain: flip the draining flag (handlers
@@ -703,7 +802,7 @@ func (r *registry) drain(ctx context.Context) error {
 		select {
 		case <-done:
 		case <-ctx.Done():
-			r.abort() // cancel running executions; they unwind cooperatively
+			r.abortRuns() // cancel running executions; they unwind cooperatively
 			<-done
 			r.drainErr = ctx.Err()
 		}

@@ -73,6 +73,12 @@ type CompiledProgram struct {
 	// stealing needs Canonical.
 	Elided []bool
 
+	// noDataOps and noReductions are what the lowering learns as it visits
+	// the accesses: no stream holds a data micro-op, no task has a
+	// commutative access (HasDataOps, HasReductions). Their zero value claims
+	// neither, so a program built any other way runs as one that has both.
+	noDataOps, noReductions bool
+
 	// stealMeta memoises StealMeta; programs travel by pointer only, so the
 	// Once is never copied.
 	stealOnce sync.Once
@@ -89,6 +95,16 @@ func (cp *CompiledProgram) Ops() int {
 	}
 	return n
 }
+
+// HasDataOps reports whether some stream of cp holds a data micro-op (a
+// declare, get or terminate): false only when the lowering found every
+// stream bare exec words, so a run of cp reads no per-data cell.
+func HasDataOps(cp *CompiledProgram) bool { return !cp.noDataOps }
+
+// HasReductions reports whether some task of cp has a commutative access:
+// false only when the lowering found none, so no body of cp takes a
+// reduction lock.
+func HasReductions(cp *CompiledProgram) bool { return !cp.noReductions }
 
 // Compile lowers g into per-worker instruction streams for the given
 // mapping and worker count. relevant, when non-nil, is the §3.5 pruning
@@ -191,7 +207,7 @@ func lowerOwned(g *Graph, owners []WorkerID, workers int, relevant [][]bool, eli
 		Tasks:   g.Tasks,
 		Pruned:  relevant != nil,
 	}
-	if elide {
+	if elide && owners != nil {
 		cp.Elided = uncontended(g.Tasks, owners, g.NumData)
 	}
 	cp.lower(owners, relevant)
@@ -207,21 +223,9 @@ func lowerOwned(g *Graph, owners []WorkerID, workers int, relevant [][]bool, eli
 // holds a wait on its cell, so nothing published there is ever read. Tasks
 // without an owner (owners[i] < 0) are not part of the flow. The result
 // marks the uncontended data that are accessed at all; nil means none.
-// Nil owners put every task on one worker: then every datum accessed is
-// uncontended, and nothing else need be looked at.
+// (Nil owners, every task on one worker, make every datum accessed
+// uncontended: lower marks those as it writes the exec words.)
 func uncontended(tasks []Task, owners []WorkerID, numData int) []bool {
-	if owners == nil {
-		var out []bool
-		for i := range tasks {
-			for _, a := range tasks[i].Accesses {
-				if out == nil {
-					out = make([]bool, numData)
-				}
-				out[a.Data] = true
-			}
-		}
-		return out
-	}
 	const unseen, several = WorkerID(-1), WorkerID(-2)
 	type use struct {
 		owner                WorkerID
@@ -271,16 +275,27 @@ func uncontended(tasks []Task, owners []WorkerID, numData int) []bool {
 // stream, relevant (when non-nil) drops foreign tasks per worker, and
 // accesses to cp.Elided data emit nothing. The counts are of tasks, so
 // they do not depend on how many micro-ops a task kept. Nil owners put
-// every task on the one worker with every access elided (uncontended's
-// nil-owners case), so its stream is one exec word a task.
+// every task on the one worker, where every datum accessed is uncontended:
+// one pass marks those in cp.Elided and writes one exec word a task. Either
+// way the pass that visits the accesses records the program's facts
+// (HasDataOps, HasReductions).
 func (cp *CompiledProgram) lower(owners []WorkerID, relevant [][]bool) {
+	reductions := false
 	if owners == nil {
 		words := make([]Word, len(cp.Tasks))
 		for i := range cp.Tasks {
 			words[i] = word(OpExec, int32(cp.Tasks[i].ID))
+			for _, a := range cp.Tasks[i].Accesses {
+				if cp.Elided == nil {
+					cp.Elided = make([]bool, cp.NumData)
+				}
+				cp.Elided[a.Data] = true
+				reductions = reductions || a.Mode.Commutes()
+			}
 		}
 		cp.Streams = [][]Word{words}
 		cp.Stats = []StreamStats{{Executed: int64(len(cp.Tasks))}}
+		cp.noDataOps, cp.noReductions = true, !reductions
 		return
 	}
 	// Size every stream exactly, so each is allocated once: an owned task
@@ -292,14 +307,12 @@ func (cp *CompiledProgram) lower(owners []WorkerID, relevant [][]bool) {
 		if owners[i] < 0 {
 			continue
 		}
-		live := len(cp.Tasks[i].Accesses) // accesses that emit micro-ops
-		if cp.Elided != nil {
-			live = 0
-			for _, a := range cp.Tasks[i].Accesses {
-				if !cp.Elided[a.Data] {
-					live++
-				}
+		live := 0 // accesses that emit micro-ops
+		for _, a := range cp.Tasks[i].Accesses {
+			if cp.Elided == nil || !cp.Elided[a.Data] {
+				live++
 			}
+			reductions = reductions || a.Mode.Commutes()
 		}
 		group := 0
 		if live > 0 {
@@ -337,6 +350,19 @@ func (cp *CompiledProgram) lower(owners []WorkerID, relevant [][]bool) {
 		}
 		cp.Streams[w] = a.words
 	}
+	cp.noDataOps, cp.noReductions = cp.bare(), !reductions
+}
+
+// bare reports whether cp's streams are exec words alone: a stream's words
+// outnumber its executed tasks exactly when it holds a data micro-op (a
+// group word opens only before one).
+func (cp *CompiledProgram) bare() bool {
+	for w, s := range cp.Streams {
+		if int64(len(s)) != cp.Stats[w].Executed {
+			return false
+		}
+	}
+	return true
 }
 
 // execOwners recovers each task's executor from the streams (an owned task

@@ -48,6 +48,10 @@ func PruneCompleted(cp *CompiledProgram, c *Checkpoint) *CompiledProgram {
 		Stats:   append([]StreamStats(nil), cp.Stats...),
 		Pruned:  cp.Pruned,
 		Elided:  cp.Elided,
+		// Dropping a task's micro-ops adds no data micro-op and no
+		// reduction.
+		noDataOps:    cp.noDataOps,
+		noReductions: cp.noReductions,
 	}
 	for w, old := range cp.Streams {
 		st := &out.Stats[w]

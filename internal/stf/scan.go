@@ -76,9 +76,16 @@ type Scanner struct {
 
 // NewScanner returns a scanner at the first value of doc.
 func NewScanner(doc []byte) *Scanner {
-	s := &Scanner{b: doc, task: -1, access: -1}
-	s.space()
+	s := new(Scanner)
+	s.Reset(doc)
 	return s
+}
+
+// Reset sets s at the first value of doc: what NewScanner returns, in a
+// Scanner the caller holds (a local one stays off the heap).
+func (s *Scanner) Reset(doc []byte) {
+	*s = Scanner{b: doc, task: -1, access: -1}
+	s.space()
 }
 
 // errorf is an error about the token at byte offset off, prefixed with
