@@ -1,6 +1,6 @@
 // Micro-benchmarks of the runtime's own costs, one layer at a time: per-task
 // overhead per model, the divergence guard, accounting, run width, compiled
-// replay, wait contention, declaration, hooks, retry, stealing, certification
+// replay, wait contention, declaration, hooks, stealing, certification
 // and streaming. Each reports ns/task (or its own unit) next to the standard
 // columns; -benchmem adds what a run allocates.
 //
@@ -386,52 +386,6 @@ func BenchmarkHookOverhead(b *testing.B) {
 				Model: rio.InOrder, Workers: benchWorkers, Mapping: m,
 				NoAccounting: true, Hooks: v.hooks,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog := rio.Replay(g, noop)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := rt.Run(g.NumData, prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
-		})
-	}
-}
-
-// BenchmarkRetryOverhead bounds the hot-path tax of the fault-tolerance
-// machinery. "nil-policy" is what every pre-existing caller pays after
-// this feature landed: one pointer test per task (it must stay
-// indistinguishable from the historical per-task overhead). "retry-armed"
-// installs a policy plus snapshotter on a fault-free run, pricing the
-// always-taken snapshot/bookkeeping path; "checkpoint" prices completed-task
-// tracking alone. Independent empty-body tasks with NoAccounting make
-// per-task engine overhead the entire signal.
-func BenchmarkRetryOverhead(b *testing.B) {
-	g := graphs.Independent(32768)
-	noop := func(*stf.Task, stf.WorkerID) {}
-	m := rio.CyclicMapping(benchWorkers)
-	// Empty-body tasks write nothing, so the armed policy needs no real
-	// snapshot storage; the Snapshotter still prices the capability test.
-	snaps := rio.SnapshotFuncs{Save: func(rio.DataID) func() { return func() {} }}
-	for _, v := range []struct {
-		name string
-		opts rio.Options
-	}{
-		{"nil-policy", rio.Options{}},
-		{"checkpoint", rio.Options{Fault: rio.FaultOptions{Checkpoint: true}}},
-		{"retry-armed", rio.Options{Fault: rio.FaultOptions{Retry: &rio.RetryPolicy{MaxAttempts: 3}, Snapshots: snaps}}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := v.opts
-			opts.Model = rio.InOrder
-			opts.Workers = benchWorkers
-			opts.Mapping = m
-			opts.NoAccounting = true
-			rt, err := rio.New(opts)
 			if err != nil {
 				b.Fatal(err)
 			}

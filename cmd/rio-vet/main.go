@@ -68,12 +68,9 @@ func run(args []string, out io.Writer) (reject bool, err error) {
 	graphFile := fs.String("graph", "", "vet a task flow from a JSON file (as written by -emit json) instead of a named workload")
 	workers := fs.Int("workers", 4, "worker count the flow will run with")
 	mapSpec := fs.String("mapping", "cyclic", "static mapping: cyclic | block | blockcyclic:B | single:W | owner (owner2d)")
-	passSpec := fs.String("passes", "all", "comma-separated passes: access,mapping,determinism,spec,retry (or all)")
+	passSpec := fs.String("passes", "all", "comma-separated passes: access,mapping,determinism,spec (or all)")
 	replays := fs.Int("replays", analyze.DefaultReplays, "record-mode replays of the determinism lint")
 	specTasks := fs.Int("spec-tasks", analyze.DefaultSpecTaskLimit, "task-count bound of the spec-conformance pass")
-	retry := fs.Bool("retry", false, "vet the flow as running under a retry policy (arms the retry pass)")
-	snapshottable := fs.Bool("snapshottable", false, "assume every data object is snapshottable (default: none, matching a run without rio.Options.Snapshots)")
-	writeSetLimit := fs.Int("retry-write-set", analyze.DefaultRetryWriteSetLimit, "per-task snapshotted-object count above which the retry pass warns")
 	doVerify := fs.Bool("verify", false, "compile the flow (pruned and unpruned) and certify the streams against the graph (translation validation, RIO-V00x findings)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	emitKind := fs.String("emit", "", "print the flow instead of vetting it: stats | json (the rio-serve wire format) | dot")
@@ -137,17 +134,12 @@ func run(args []string, out io.Writer) (reject bool, err error) {
 		return false, err
 	}
 	cfg := analyze.Config{
-		Passes:             passes,
-		Workers:            *workers,
-		Mapping:            mapping,
-		InOrder:            true,
-		Replays:            *replays,
-		SpecTaskLimit:      *specTasks,
-		Retry:              *retry,
-		RetryWriteSetLimit: *writeSetLimit,
-	}
-	if *snapshottable {
-		cfg.Snapshottable = func(stf.DataID) bool { return true }
+		Passes:        passes,
+		Workers:       *workers,
+		Mapping:       mapping,
+		InOrder:       true,
+		Replays:       *replays,
+		SpecTaskLimit: *specTasks,
 	}
 	report, _ := analyze.Program(numData, prog, cfg)
 
@@ -278,11 +270,9 @@ func parsePasses(s string) (analyze.Passes, error) {
 			p |= analyze.PassDeterminism
 		case "spec":
 			p |= analyze.PassSpec
-		case "retry":
-			p |= analyze.PassRetry
 		case "":
 		default:
-			return 0, fmt.Errorf("unknown pass %q (want access|mapping|determinism|spec|retry|all)", name)
+			return 0, fmt.Errorf("unknown pass %q (want access|mapping|determinism|spec|all)", name)
 		}
 	}
 	if p == 0 {

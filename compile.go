@@ -160,19 +160,7 @@ func (e *Engine) compileOne(g *Graph) (*CompiledProgram, error) {
 			return nil, err
 		}
 	}
-	cp, err := e.lower(g, e.mapping)
-	if err != nil {
-		return nil, err
-	}
-	if resume := e.opts.Fault.Resume; e.opts.Verify && resume != nil {
-		// The run will prune the checkpointed tasks out (see
-		// core.RunCompiledContext); certify what will actually run.
-		pruned := stf.PruneCompleted(cp, resume)
-		if err := certify(g, pruned, e.mapping, resume); err != nil {
-			return nil, err
-		}
-	}
-	return cp, nil
+	return e.lower(g, e.mapping)
 }
 
 // lower is the compile-miss pipeline shared by the graph cache (compileOne)
@@ -187,7 +175,7 @@ func (e *Engine) lower(g *Graph, mapping Mapping) (*CompiledProgram, error) {
 		return nil, err
 	}
 	if e.opts.Verify {
-		if err := certify(g, cp, mapping, nil); err != nil {
+		if err := certify(g, cp, mapping); err != nil {
 			return nil, err
 		}
 	}
@@ -196,8 +184,8 @@ func (e *Engine) lower(g *Graph, mapping Mapping) (*CompiledProgram, error) {
 
 // certify runs translation validation and converts a failed certificate
 // into the preflight rejection error.
-func certify(g *Graph, cp *CompiledProgram, m Mapping, resume *Checkpoint) error {
-	report := verify.Certify(g, cp, verify.Config{Mapping: m, Resume: resume})
+func certify(g *Graph, cp *CompiledProgram, m Mapping) error {
+	report := verify.Certify(g, cp, verify.Config{Mapping: m})
 	if report.Reject() {
 		return &PreflightError{Report: report}
 	}
@@ -208,17 +196,23 @@ func certify(g *Graph, cp *CompiledProgram, m Mapping, resume *Checkpoint) error
 // mapping m (nil means the cyclic default for cp's worker count):
 // coverage and program order, ownership, §3.5 pruning soundness, and the
 // vector-clock happens-before certificate over every conflicting access
-// pair. resume, when non-nil, declares that cp had the checkpoint's
-// completed tasks pruned out (for chained checkpoints, pass the union).
-// The returned report is empty when the program is certified; findings
-// carry the RIO-V00x codes. Options.Verify runs the same certification
-// automatically on every Engine cache miss.
-func Verify(g *Graph, cp *CompiledProgram, m Mapping, resume *Checkpoint) *AnalysisReport {
+// pair. The returned report is empty when the program is certified;
+// findings carry the RIO-V00x codes. Options.Verify runs the same
+// certification automatically on every Engine cache miss.
+//
+// The last parameter must be nil. It once carried a resume checkpoint; it
+// stays only so that callers passing nil keep compiling, and is dropped
+// together with those callers.
+func Verify(g *Graph, cp *CompiledProgram, m Mapping, _ *noCheckpoint) *AnalysisReport {
 	if m == nil && cp != nil && cp.Workers > 0 {
 		m = CyclicMapping(cp.Workers)
 	}
-	return verify.Certify(g, cp, verify.Config{Mapping: m, Resume: resume})
+	return verify.Certify(g, cp, verify.Config{Mapping: m})
 }
+
+// noCheckpoint is the type of Verify's last parameter: unexported, so nil
+// is the only value a caller outside the package can pass.
+type noCheckpoint struct{}
 
 // RunCompiled executes an explicitly pre-compiled program (see Compile)
 // with kernel k, bypassing the cache. The program's baked-in mapping

@@ -52,14 +52,9 @@ const (
 	PassDeterminism
 	// PassSpec model-checks small instances against internal/spec.
 	PassSpec
-	// PassRetry lints fault-tolerance configuration: retryability of
-	// every task's write-set and snapshot cost (retry.go). The pass only
-	// fires when Config.Retry is set — without a retry policy there is
-	// nothing to check — so it is safe to include in PassAll.
-	PassRetry
 
 	// PassAll selects every pass.
-	PassAll = PassAccess | PassMapping | PassDeterminism | PassSpec | PassRetry
+	PassAll = PassAccess | PassMapping | PassDeterminism | PassSpec
 )
 
 // Default bounds of the configurable passes.
@@ -80,9 +75,6 @@ const (
 	// the ideal lower bound above which the mapping analysis reports
 	// mapping-induced serialization.
 	DefaultSerializationFactor = 1.5
-	// DefaultRetryWriteSetLimit is the per-task snapshotted-object count
-	// above which the retry pass warns that rollback cost may dominate.
-	DefaultRetryWriteSetLimit = 16
 )
 
 // Config parameterizes an analysis run.
@@ -118,17 +110,6 @@ type Config struct {
 	// thresholds (defaults apply when <= 0).
 	ImbalanceFactor     float64
 	SerializationFactor float64
-	// Retry marks the program as running under a retry policy; the retry
-	// pass (PassRetry) is a no-op without it.
-	Retry bool
-	// Snapshottable reports whether the configured Snapshotter can
-	// capture a data object (mirror of stf.Snapshotter.CanSnapshot); nil
-	// means no object is snapshottable — the same default as running
-	// without rio.Options.Snapshots.
-	Snapshottable func(stf.DataID) bool
-	// RetryWriteSetLimit tunes the retry pass's write-set-size warning
-	// (DefaultRetryWriteSetLimit when <= 0).
-	RetryWriteSetLimit int
 }
 
 func (c *Config) replays() int {
@@ -164,13 +145,6 @@ func (c *Config) serializationFactor() float64 {
 		return DefaultSerializationFactor
 	}
 	return c.SerializationFactor
-}
-
-func (c *Config) retryWriteSetLimit() int {
-	if c.RetryWriteSetLimit <= 0 {
-		return DefaultRetryWriteSetLimit
-	}
-	return c.RetryWriteSetLimit
 }
 
 // Program records prog once (plus Config.Replays-1 more times when the
@@ -242,8 +216,5 @@ func graphPasses(rep *Report, g *stf.Graph, cfg Config) {
 	}
 	if cfg.Passes&PassSpec != 0 {
 		specPass(rep, g, cfg)
-	}
-	if cfg.Passes&PassRetry != 0 && cfg.Retry {
-		retryPass(rep, g, cfg)
 	}
 }

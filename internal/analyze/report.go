@@ -138,17 +138,6 @@ const (
 	CodeSpecSkipped Code = "RIO-S002"
 )
 
-// Fault-tolerance finding codes (RIO-Rxxx).
-const (
-	// CodeRetryUnprotected: retry is enabled but a task writes data that
-	// is neither idempotent nor snapshottable, so the runtime cannot roll
-	// it back and will give the task exactly one attempt.
-	CodeRetryUnprotected Code = "RIO-R001"
-	// CodeRetryWriteSet: a task's per-attempt snapshot covers more data
-	// objects than the configured limit; rollback cost may dominate.
-	CodeRetryWriteSet Code = "RIO-R002"
-)
-
 // Translation-validation finding codes (RIO-Vxxx), produced by the
 // internal/verify certifier over (Graph, Mapping, CompiledProgram)
 // triples. All are Error severity: each one means a compiled stream is
@@ -158,8 +147,8 @@ const (
 	// opcode, out-of-range task or data ID, worker count or data count
 	// disagreeing with the graph, or an unusable mapping.
 	CodeVerifyStructure Code = "RIO-V001"
-	// CodeVerifyCoverage: a task the checkpoint does not cover is never
-	// executed, or is executed more than once.
+	// CodeVerifyCoverage: a task is never executed, or is executed more
+	// than once.
 	CodeVerifyCoverage Code = "RIO-V002"
 	// CodeVerifyOwnership: a task executes on a worker other than the one
 	// the mapping assigns it to.
@@ -173,14 +162,12 @@ const (
 	// instruction.
 	CodeVerifyAccessSet Code = "RIO-V005"
 	// CodeVerifyElision: an elided declare is not dominated by a later
-	// surviving op establishing the same version — §3.5 pruning or
-	// checkpoint resume dropped a real dependency, so a wait would admit
-	// a stale version.
+	// surviving op establishing the same version — §3.5 pruning dropped
+	// a real dependency, so a wait would admit a stale version.
 	CodeVerifyElision Code = "RIO-V006"
-	// CodeVerifyResume: inconsistent checkpoint resume — the checkpoint
-	// is not dependency-closed, or a completed task's micro-ops survive
-	// in some stream.
-	CodeVerifyResume Code = "RIO-V007"
+	// RIO-V007 (an inconsistent checkpoint resume) is retired with the
+	// fault-tolerance layer, like the RIO-Rxxx retry codes; none of them
+	// is reused.
 	// CodeVerifyHappensBefore: a conflicting access pair (W→W, W→R, R→W,
 	// or a reduction fence) is not ordered by the certified
 	// happens-before relation of the streams' waits.

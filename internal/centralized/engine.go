@@ -30,32 +30,14 @@ type Options struct {
 	// Hooks optionally installs lifecycle callbacks (see stf.Hooks). Nil
 	// costs the hot path one pointer test per site.
 	Hooks *stf.Hooks
-	// Retry installs transient-fault retry of task bodies with write-set
-	// rollback (see stf.RetryPolicy); nil disables retry. Note that with
-	// retry enabled a terminal task failure stops the run (so the
-	// completed set stays dependency-closed), whereas the legacy nil-retry
-	// behavior records the panic and keeps executing independent tasks.
-	Retry *stf.RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback.
-	Snapshots stf.Snapshotter
-	// Resume skips the completed tasks of a previous run's checkpoint.
-	Resume *stf.Checkpoint
-	// Checkpoint enables completed-task tracking even without a retry
-	// policy; failed runs then return a stf.PartialError. Retry != nil
-	// implies it.
-	Checkpoint bool
 }
 
 // Engine is a centralized out-of-order STF execution engine.
 type Engine struct {
-	workers    int // total threads, master included
-	window     int
-	clk        clock // the accounting switch
-	hooks      *stf.Hooks
-	retry      *stf.RetryPolicy
-	snaps      stf.Snapshotter
-	resume     *stf.Checkpoint
-	checkpoint bool
+	workers int // total threads, master included
+	window  int
+	clk     clock // the accounting switch
+	hooks   *stf.Hooks
 	// LastRun holds the run record Stats and Progress read. Its layout
 	// mirrors the threads: cell 0 is the master (whose Declared counts the
 	// tasks it has submitted), executor w publishes to cell w+1.
@@ -70,11 +52,7 @@ func New(o Options) (*Engine, error) {
 	if o.Window < 0 {
 		return nil, fmt.Errorf("centralized: negative Window %d", o.Window)
 	}
-	return &Engine{
-		workers: o.Workers, window: o.Window, clk: clock{o.NoAccounting}, hooks: o.Hooks,
-		retry: o.Retry, snaps: o.Snapshots, resume: o.Resume,
-		checkpoint: o.Checkpoint || o.Retry != nil,
-	}, nil
+	return &Engine{workers: o.Workers, window: o.Window, clk: clock{o.NoAccounting}, hooks: o.Hooks}, nil
 }
 
 // Name identifies the execution model in reports.
@@ -170,27 +148,10 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 					break
 				}
 				cell.SetCurrent(t.id)
-				outcome := execTask(m, t, stf.WorkerID(w), &task, cell)
+				execTask(m, t, stf.WorkerID(w), &task)
 				cell.SetCurrent(stf.NoTask)
-				if outcome == taskFailed {
-					// Terminal failure under a retry policy: successors are
-					// NOT released (the completed set stays dependency-
-					// closed) and the run stops dispatching. This executor
-					// unwinds; the others drain their in-flight bodies and
-					// stop at the canceled flag.
-					m.onFailed(t)
-					break
-				}
-				if outcome == taskDropped {
-					// The run aborted mid-backoff; the task neither
-					// completed nor failed terminally.
-					break
-				}
 				cell.CountExecuted()
-				// Without a retry policy, completion is propagated even
-				// after a panic so the master's drain and the successors'
-				// counts terminate; the recorded error fails the run.
-				m.onComplete(t, outcome == taskDone)
+				m.onComplete(t)
 			}
 			cell.Exit(task, idle, time.Since(t0))
 		}(w)
@@ -211,9 +172,6 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		m.mu.Lock()
 		err = errors.Join(m.cancelErr, m.asyncErr)
 		m.mu.Unlock()
-	}
-	if err != nil && e.checkpoint {
-		return &stf.PartialError{Cause: err, Result: m.partialResult()}
 	}
 	return err
 }
@@ -243,14 +201,6 @@ type master struct {
 	inflight  int
 	submitted int64
 	completed int64
-
-	// failed flags a terminal task failure under a retry policy (guarded
-	// by mu): dispatch and drain stop, keeping the completed set
-	// dependency-closed. doneIDs and failedIDs (also mu-guarded) feed the
-	// PartialResult when checkpointing is on.
-	failed    bool
-	doneIDs   []stf.TaskID
-	failedIDs []stf.TaskID
 
 	idle time.Duration // accounted master time blocked on window or final drain
 }
@@ -303,17 +253,9 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 	if m.err != nil {
 		return
 	}
-	if m.eng.resume != nil && m.eng.resume.Contains(t.id) {
-		// The task completed in a previous run; its effects are already in
-		// data memory, so no dependency state is registered on its behalf —
-		// successors see it as never having existed, which is exactly an
-		// already-satisfied dependency.
-		m.prog.CountSkipped(1)
-		return
-	}
 	m.mu.Lock()
 	if m.eng.window > 0 {
-		for m.inflight >= m.eng.window && m.cancelErr == nil && !m.failed {
+		for m.inflight >= m.eng.window && m.cancelErr == nil {
 			m.await()
 		}
 	}
@@ -324,22 +266,10 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 		m.mu.Unlock()
 		return
 	}
-	if m.failed {
-		// A task failed terminally; submission stops but m.err stays nil —
-		// the failure surfaces through asyncErr (every later dispatch
-		// re-checks under the lock, which is fine: the run is over).
-		m.mu.Unlock()
-		return
-	}
 	m.inflight++
 	m.submitted++
 	m.prog.CountDeclared(1)
 	m.mu.Unlock()
-
-	if m.eng.retry != nil {
-		// The attempt loop snapshots the write-set from the access list.
-		t.accs = accesses
-	}
 
 	for _, a := range accesses {
 		if a.Mode.Commutes() {
@@ -357,11 +287,8 @@ func (m *master) dispatch(t *task, accesses []stf.Access) {
 }
 
 // onComplete is called by an executor after running t: release successors
-// and update completion accounting. bodyDone reports whether the body
-// actually finished (false after a nil-retry panic, where completion is
-// still propagated for the legacy run-continues semantics, but the task
-// must not enter the checkpoint frontier).
-func (m *master) onComplete(t *task, bodyDone bool) {
+// and update completion accounting.
+func (m *master) onComplete(t *task) {
 	for _, s := range t.complete() {
 		if s.pending.Add(-1) == 0 {
 			m.ready.push(s)
@@ -370,114 +297,25 @@ func (m *master) onComplete(t *task, bodyDone bool) {
 	m.mu.Lock()
 	m.inflight--
 	m.completed++
-	if bodyDone && m.eng.checkpoint {
-		m.doneIDs = append(m.doneIDs, t.id)
-	}
 	m.mu.Unlock()
 	m.progress.Broadcast()
 }
 
-// onFailed is called by an executor after t failed terminally under a
-// retry policy: successors stay blocked (never released), the run stops
-// dispatching and popping, and in-flight bodies on other executors drain.
-func (m *master) onFailed(t *task) {
-	m.mu.Lock()
-	m.inflight--
-	m.failed = true
-	if m.eng.checkpoint {
-		m.failedIDs = append(m.failedIDs, t.id)
-	}
-	m.mu.Unlock()
-	m.canceled.Store(true)
-	// Parked executors are woken by ready.close() once the master's drain
-	// observes the failure — same shutdown path as cancellation.
-	m.progress.Broadcast()
-}
-
-// partialResult assembles the frontier of a failed checkpointing run. The
-// completed set is dependency-closed: a task only ever entered the ready
-// queue after every predecessor completed, and failed tasks never release
-// successors.
-func (m *master) partialResult() *stf.PartialResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return stf.NewPartialResult(int(m.next), m.eng.resume, m.doneIDs, m.failedIDs)
-}
-
-// Outcomes of execTask.
-const (
-	// taskDone: the body completed; effects are published.
-	taskDone = iota
-	// taskPanicked: the body panicked without a retry policy; the error is
-	// recorded and the legacy run-continues semantics apply (completion is
-	// still propagated so independent tasks keep executing).
-	taskPanicked
-	// taskFailed: terminal failure under a retry policy (retries
-	// exhausted, permanent failure, or unsnapshottable write-set); the
-	// write-set was rolled back where a snapshot existed.
-	taskFailed
-	// taskDropped: the run aborted during a retry backoff; the task
-	// neither completed nor failed terminally.
-	taskDropped
-)
-
-// execTask runs one task body under its reduction locks and reports its
-// outcome. Without a retry policy a panic is converted into a recorded run
-// error (the unlocks are deferred so a panicking body cannot wedge the
-// per-data mutexes). With one, failed attempts roll back the task's
-// write-set (captured after the reduction locks are held, so the data is
-// quiescent) and re-execute with deterministic backoff; a terminal failure
-// is recorded as a *stf.TaskFailure. The task hooks bracket the body here
-// so that a failing body skips OnTaskEnd, matching the in-order engine's
-// contract.
-func execTask(m *master, t *task, w stf.WorkerID, taskTime *time.Duration, cell *trace.ProgressCell) int {
+// execTask runs one task body under its reduction locks. A panic is
+// converted into a recorded run error (the unlocks are deferred so a
+// panicking body cannot wedge the per-data mutexes); the executor still
+// propagates the task's completion, so the master's drain and the
+// successors' counts terminate, and the recorded error fails the run. The
+// task hooks bracket the body here so that a panicking body skips
+// OnTaskEnd, matching the in-order engine's contract.
+func execTask(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) {
 	for _, d := range t.reds {
 		m.redMu[d].Lock()
 		defer m.redMu[d].Unlock()
 	}
-	h := m.eng.hooks
-	p := m.eng.retry
-	if p == nil {
-		return execOnce(m, t, w, taskTime)
-	}
-
-	if h != nil && h.OnTaskStart != nil {
-		h.OnTaskStart(w, t.id)
-	}
-	tf, ok := p.RunAttempts(m.eng.snaps, t.id, t.accs,
-		func() {
-			cell.SetCurrent(t.id)
-			runTimed(m, t, w, taskTime)
-		},
-		func() bool { return m.canceled.Load() },
-		func(attempt int, cause any) {
-			cell.SetCurrent(stf.NoTask) // a backoff executes nothing
-			cell.CountRetried()
-			if h != nil && h.OnTaskRetry != nil {
-				h.OnTaskRetry(w, t.id, attempt, cause)
-			}
-		})
-	switch {
-	case ok:
-		if h != nil && h.OnTaskEnd != nil {
-			h.OnTaskEnd(w, t.id)
-		}
-		return taskDone
-	case tf != nil:
-		m.recordError(tf)
-		return taskFailed
-	}
-	return taskDropped
-}
-
-// execOnce is the legacy nil-policy path of execTask: one attempt, panic
-// recovered into a recorded run error.
-func execOnce(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) (outcome int) {
-	outcome = taskDone
 	defer func() {
 		if r := recover(); r != nil {
 			m.recordError(fmt.Errorf("centralized: task %d panicked: %v", t.id, r))
-			outcome = taskPanicked
 		}
 	}()
 	h := m.eng.hooks
@@ -488,7 +326,6 @@ func execOnce(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) (outc
 	if h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(w, t.id)
 	}
-	return outcome
 }
 
 // runTimed runs the body once, charging its duration to *taskTime (nothing
@@ -521,12 +358,11 @@ func insertSorted(s []stf.DataID, d stf.DataID) []stf.DataID {
 }
 
 // drain blocks until every submitted task has completed, or the run is
-// canceled or a task failed terminally (executors then drop the
-// still-queued tasks).
+// canceled (executors then drop the still-queued tasks).
 func (m *master) drain() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.completed < m.submitted && m.cancelErr == nil && !m.failed {
+	for m.completed < m.submitted && m.cancelErr == nil {
 		m.await()
 	}
 }

@@ -39,11 +39,6 @@ type task struct {
 	// any order but must not overlap).
 	reds []stf.DataID
 
-	// accs is the full declared access list, retained only when a retry
-	// policy is installed (the attempt loop snapshots the write-set from
-	// it); nil otherwise to keep the per-task footprint unchanged.
-	accs []stf.Access
-
 	// pending counts unresolved predecessors plus one submission guard;
 	// the task becomes ready when it reaches zero.
 	pending atomic.Int32

@@ -8,7 +8,6 @@ package core
 // sequential oracle.
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"rio/internal/enginetest"
@@ -218,50 +217,6 @@ func TestArmedBareProgramRunsCanonical(t *testing.T) {
 		}
 		if borrowed != g.NumData {
 			t.Errorf("%s: the armed run borrowed over %d data, want %d", g.Name, borrowed, g.NumData)
-		}
-	}
-}
-
-// TestResumedBareProgramsMatchSequential: a resumed run prunes the completed
-// tasks out of the program it runs, whose facts must still hold — a bare
-// program stays bare, one with reductions keeps them. The completed prefix
-// runs sequentially on the oracle's trace first, then the engine resumes
-// past it on the same trace.
-func TestResumedBareProgramsMatchSequential(t *testing.T) {
-	const p = 2
-	for _, pr := range bareMix(t, p) {
-		g := pr.g
-		done := make([]stf.TaskID, len(g.Tasks)/3) // a flow prefix is dependency-closed
-		for i := range done {
-			done[i] = stf.TaskID(i)
-		}
-		e, err := New(Options{Workers: p, Resume: &stf.Checkpoint{Tasks: len(g.Tasks), Completed: done}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		borrowed := -1
-		e.borrowed = func(st *runState, numData int) {
-			borrowed = numData
-			assertIdle(t, st, numData)
-		}
-		want, err := enginetest.Golden(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := enginetest.NewTrace(g)
-		var clock atomic.Int64
-		k := enginetest.Kernel(tr, &clock)
-		for _, id := range done {
-			k(&g.Tasks[id], 0)
-		}
-		if err := e.RunCompiled(pr.cp, k); err != nil {
-			t.Fatalf("%s: %v", pr.name, err)
-		}
-		if err := enginetest.Compare(g, want, tr); err != nil {
-			t.Errorf("%s resumed: %v", pr.name, err)
-		}
-		if wantData := g.NumData; (borrowed == 0) != pr.bare || (!pr.bare && borrowed != wantData) {
-			t.Errorf("%s resumed: borrowed over %d data (bare %v)", pr.name, borrowed, pr.bare)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -15,14 +14,14 @@ import (
 // cellChecker's hooks check, at every hook a worker fires, the pair its
 // progress cell publishes (trace.ProgressCell): at a task's start and end
 // the task is current and only the tasks that ended before it are counted;
-// in a blocking wait, at a steal and in a retry backoff no task is current
-// and every task that ended is counted. The hooks fire on the worker whose
+// in a blocking wait and at a steal no task is current and every task that
+// ended is counted. The hooks fire on the worker whose
 // cell they read, so ends[w] has one writer at a time.
 type cellChecker struct {
 	t    *testing.T
 	e    *core.Engine
 	ends []int64 // OnTaskEnd calls per worker
-	hits [5]int  // checks made at start, end, wait, steal, retry
+	hits [4]int  // checks made at start, end, wait, steal
 
 	mu     sync.Mutex
 	failed bool
@@ -41,11 +40,10 @@ func (c *cellChecker) hooks() *stf.Hooks {
 		},
 		OnWaitStart: func(w stf.WorkerID, _ stf.TaskID, _ stf.Access) { c.check(w, 2, stf.NoTask) },
 		OnTaskSteal: func(thief, _ stf.WorkerID, _ stf.TaskID) { c.check(thief, 3, stf.NoTask) },
-		OnTaskRetry: func(w stf.WorkerID, _ stf.TaskID, _ int, _ any) { c.check(w, 4, stf.NoTask) },
 	}
 }
 
-var cellHookNames = [...]string{"task start", "task end", "wait", "steal", "retry backoff"}
+var cellHookNames = [...]string{"task start", "task end", "wait", "steal"}
 
 func (c *cellChecker) check(w stf.WorkerID, at int, current stf.TaskID) {
 	st := c.e.Table().Worker(int(w)).State()
@@ -180,47 +178,6 @@ func TestCellPublishStealDrain(t *testing.T) {
 	c.finished(tasks)
 	if stolen := e.Progress().Stolen(); stolen == 0 || c.hits[3] != int(stolen) {
 		t.Errorf("%d tasks stolen, %d steals checked: want as many, at least one", stolen, c.hits[3])
-	}
-}
-
-// A retry backoff clears the current task, on the compiled and the closure
-// path, and a retried task is counted once.
-func TestCellPublishRetryBackoff(t *testing.T) {
-	const tasks = 8
-	g := graphs.Chain(tasks)
-	for _, compiled := range []bool{true, false} {
-		t.Run(fmt.Sprintf("compiled=%v", compiled), func(t *testing.T) {
-			c := newCellChecker(t, 1)
-			e := c.engine(core.Options{
-				Workers: 1, NoAccounting: true,
-				Retry:     &stf.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
-				Snapshots: stf.SnapshotFuncs{Save: func(stf.DataID) func() { return func() {} }},
-			})
-			attempts := make([]int, tasks)
-			body := func(id stf.TaskID) {
-				if attempts[id]++; attempts[id] == 1 && id%2 == 0 {
-					panic("transient")
-				}
-			}
-			var err error
-			if compiled {
-				err = e.RunCompiled(compile(t, g, nil, 1, nil), func(task *stf.Task, _ stf.WorkerID) { body(task.ID) })
-			} else {
-				err = e.Run(g.NumData, func(s stf.Submitter) {
-					for i := 0; i < tasks; i++ {
-						id := stf.TaskID(i)
-						s.Submit(func() { body(id) }, g.Tasks[i].Accesses...)
-					}
-				})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.finished(tasks)
-			if c.hits[4] != tasks/2 || e.Progress().Retried() != tasks/2 {
-				t.Errorf("%d backoffs checked, %d retries counted; want %d", c.hits[4], e.Progress().Retried(), tasks/2)
-			}
-		})
 	}
 }
 

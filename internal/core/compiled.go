@@ -44,11 +44,6 @@ func (e *Engine) RunCompiledContext(ctx context.Context, cp *stf.CompiledProgram
 	case e.steal != nil && cp.Workers != e.workers:
 		return fmt.Errorf("core: program compiled for %d workers run on an engine with %d armed to steal, which runs only programs of its own width", cp.Workers, e.workers)
 	}
-	if e.resume != nil {
-		// Checkpoint resume is literal §3.5-style stream pruning: the
-		// completed tasks' micro-ops are dropped from every stream.
-		cp = stf.PruneCompleted(cp, e.resume)
-	}
 	return e.run(ctx, cp.NumData, e.compiledFlow(cp, cp.Tasks, k))
 }
 
@@ -212,9 +207,8 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 				s.fail(errAborted)
 				return
 			}
-			if t := &tasks[arg]; !s.exec(t.ID, t.Accesses, body{t: t, k: k}, reds) {
-				return // task failed terminally (retries exhausted)
-			}
+			t := &tasks[arg]
+			s.exec(t.ID, t.Accesses, body{t: t, k: k}, reds)
 			if armed || i+1 == len(stream) || stream[i+1].Op() != stf.OpExec {
 				// The next exec's start publishes this completion;
 				// anything else publishes it now. An armed replay always
@@ -236,13 +230,10 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 	}
 	// Declared counts are known at compile time; charge them only on a
 	// completed stream (an aborted run reports what actually happened:
-	// Executed is counted live, Declared is unavailable). Resume-pruned
-	// owned tasks are charged the same way. The counts accumulate so a
-	// streaming session's windows add up; one-shot runs start from zero.
+	// Executed is counted live, Declared is unavailable). The counts
+	// accumulate so a streaming session's windows add up; one-shot runs
+	// start from zero.
 	s.prog.CountDeclared(cp.Stats[s.worker].Declared)
-	if sk := cp.Stats[s.worker].Skipped; sk > 0 {
-		s.prog.CountSkipped(sk)
-	}
 }
 
 // declaredMode is the access mode task id declared on datum d, read from

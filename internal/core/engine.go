@@ -49,23 +49,6 @@ type Options struct {
 	// Hooks optionally installs lifecycle callbacks (see stf.Hooks). Nil
 	// costs the hot path one pointer test per site.
 	Hooks *stf.Hooks
-	// Retry installs transient-fault retry of task bodies (see
-	// stf.RetryPolicy): failed attempts roll back their write-set via
-	// Snapshots and re-execute with deterministic backoff. Nil (the
-	// default) disables retry at the cost of one pointer test per task.
-	Retry *stf.RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback. A
-	// task writing data the Snapshotter cannot capture (or nil Snapshots)
-	// is not retried unless its write accesses are flagged Idempotent.
-	Snapshots stf.Snapshotter
-	// Resume skips the completed tasks of a previous run's checkpoint:
-	// their effects are already in data memory, so the run converges to
-	// the same final state as an uninterrupted one.
-	Resume *stf.Checkpoint
-	// Checkpoint enables completed-task tracking even without a retry
-	// policy, so a failed run's error carries a stf.PartialResult (and
-	// therefore a resumable stf.Checkpoint). Retry != nil implies it.
-	Checkpoint bool
 	// Steal enables bounded, dependency-safe work stealing: an idle worker
 	// (parked or past its spin budget in a dependency wait, or done with
 	// its own replay) may claim and execute a victim's next in-order task
@@ -105,10 +88,6 @@ type Engine struct {
 	stallTimeout time.Duration
 	guard        bool
 	hooks        *stf.Hooks
-	retry        *stf.RetryPolicy
-	snaps        stf.Snapshotter
-	resume       *stf.Checkpoint
-	checkpoint   bool
 	steal        *stf.StealPolicy
 	// LastRun holds the run record Stats and Progress read.
 	trace.LastRun
@@ -157,10 +136,6 @@ func New(o Options) (*Engine, error) {
 		stallTimeout: o.StallTimeout,
 		guard:        !o.NoGuard,
 		hooks:        o.Hooks,
-		retry:        o.Retry,
-		snaps:        o.Snapshots,
-		resume:       o.Resume,
-		checkpoint:   o.Checkpoint || o.Retry != nil,
 		steal:        o.Steal,
 	}
 	e.mapping.Store(&m)
@@ -282,7 +257,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	st := e.borrow(cells, w, rp, spinSeed)
 	subs := st.subs[:w]
 	for _, s := range subs {
-		s.resume, s.track, s.watched = e.resume, e.checkpoint, e.stallTimeout > 0
+		s.watched = e.stallTimeout > 0
 		if e.guard && f.prog != nil {
 			// Only a closure program can diverge between workers: compiled
 			// streams all derive from one graph.
@@ -352,9 +327,6 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 			err = fmt.Errorf("core: %w", err)
 		}
 	}
-	if err != nil && e.checkpoint {
-		err = &stf.PartialError{Cause: err, Result: e.partialResult(subs, len(f.tasks))}
-	}
 	// The workers, the monitor and the cancel callback are joined above and
 	// nothing returned references the state: it goes back to the pool.
 	e.giveBack(st)
@@ -393,28 +365,6 @@ func verdict(subs []*submitter, abort *abortState) error {
 	return errors.Join(errs...)
 }
 
-// partialResult assembles the dependency-closed frontier of a failed
-// fault-tolerant run from the workers' completed-task logs. A task is
-// completed when its body finished (its effects are published in data
-// memory); the set is dependency-closed because a body only ever started
-// after its get_* waits observed every predecessor's completion. flowLen
-// is the task table's length; closure replay has none (0) and derives the
-// flow length from the replay positions.
-func (e *Engine) partialResult(subs []*submitter, flowLen int) *stf.PartialResult {
-	var completed, failed []stf.TaskID
-	for _, s := range subs {
-		completed = append(completed, s.done...)
-		if flowLen < int(s.next) {
-			flowLen = int(s.next)
-		}
-		var tf *stf.TaskFailure
-		if errors.As(s.err, &tf) {
-			failed = append(failed, tf.Task)
-		}
-	}
-	return stf.NewPartialResult(flowLen, e.resume, completed, failed)
-}
-
 // submitter is the per-worker view of the task flow (Algorithm 1). Each
 // worker replays the program against its own submitter.
 type submitter struct {
@@ -431,17 +381,12 @@ type submitter struct {
 	claims  *claimTable
 	abort   *abortState
 	watched bool                // the stall watchdog reads this worker's slow waits
-	track   bool                // log completed tasks for checkpoints
 	guard   *guardState         // nil when the divergence guard is disabled
 	prog    *trace.ProgressCell // the worker's run record (Progress, Stats, watchdog)
 	hooks   *stf.Hooks          // nil when no lifecycle hooks are installed
-	retry   *stf.RetryPolicy    // nil disables task retry
-	snaps   stf.Snapshotter     // write-set capture for retry rollback
-	resume  *stf.Checkpoint     // completed tasks of a previous run to skip
 	thief   *stealState         // this worker's steal state; nil unless the engine is armed
 	steal   *stealState         // thief while the flow being replayed is armed, else nil
 	flow    *flow               // the flow being replayed, nil between runs
-	done    []stf.TaskID        // tasks this worker completed (track only)
 	err     error
 	// task and idle are the accounted body and wait time, stored in the
 	// cell when the worker exits.
@@ -480,8 +425,7 @@ func (f *flow) bare() bool {
 // steal policy a compiled flow (cp != nil: closure windows never steal)
 // runs the canonical program of its steal metadata in cp's place — a thief
 // proves readiness against the shared cells, which streams with elided data
-// do not keep current. The metadata describes the program actually run, so
-// the tasks a resume pruned out of every stream are never stealable.
+// do not keep current.
 func (e *Engine) compiledFlow(cp *stf.CompiledProgram, tasks []stf.Task, k stf.Kernel) flow {
 	f := flow{cp: cp, tasks: tasks, kernel: k}
 	if e.steal != nil && cp != nil {
@@ -610,7 +554,7 @@ func (s *submitter) SubmitTask(t *stf.Task, k stf.Kernel) stf.TaskID {
 	return t.ID
 }
 
-// submit is one step of the closure replay (Algorithm 1): skip, declare or
+// submit is one step of the closure replay (Algorithm 1): declare or
 // acquire → execute → release task id, as the mapping decides.
 func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 	if s.err != nil {
@@ -618,10 +562,6 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 	}
 	if s.abort.raised() {
 		s.fail(errAborted)
-		return
-	}
-	if s.resume != nil && s.resume.Contains(id) {
-		s.skipCompleted(id)
 		return
 	}
 	s.next = id + 1
@@ -641,46 +581,31 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 	if s.err != nil {
 		return // aborted while waiting
 	}
-	if s.exec(id, accesses, b, true) {
-		// Published before the user's program runs again: the watchdog
-		// must not blame a body that has finished.
-		s.prog.Publish()
-		s.release(accesses, int64(id))
-	}
-}
-
-// skipCompleted advances past a task a Resume checkpoint marks completed:
-// its effects are already in data memory, so no synchronization state may
-// be touched on its behalf — every worker skips the same set, keeping the
-// replays aligned (the §3.5 pruning argument). The guard does not fold
-// skipped tasks (consistently, on every worker), and Skipped is charged to
-// the task's owner so run totals line up with compiled-replay resume.
-func (s *submitter) skipCompleted(id stf.TaskID) {
-	s.next = id + 1
-	if o := s.mapping(id); o == s.worker || (o == stf.SharedWorker && s.worker == 0) {
-		s.prog.CountSkipped(1)
-	}
+	s.exec(id, accesses, b, true)
+	// Published before the user's program runs again: the watchdog must
+	// not blame a body that has finished.
+	s.prog.Publish()
+	s.release(accesses, int64(id))
 }
 
 // exec is the task-execution lifecycle, shared by every way a task reaches
 // its executor (closure replay, a compiled stream's OpExec, a steal): run
 // the body between its reduction locks (looked for only when reds is set: a
 // compiled stream of a program without reductions passes false), published
-// as the worker's current task, under the lifecycle hooks and — when
-// installed — the retry policy, and count it. It reports whether the body
-// completed; the caller then publishes completion its own way (release, releaseStolen, or the stream's
-// terminate micro-ops), and publishes the count too: exec only counts it
+// as the worker's current task, under the lifecycle hooks, and count it.
+// When it returns the body completed; the caller then publishes completion
+// its own way (release, releaseStolen, or the stream's terminate
+// micro-ops), and publishes the count too: exec only counts it
 // (trace.ProgressCell.Finish), so a compiled stream whose next micro-op is
 // an exec carries it in that task's start (trace.ProgressCell.Start), and
 // every other caller publishes it (Publish) before its next step. The reduction mutexes are
 // therefore released before the counters publish, which is safe: the mutex
 // only serializes bodies of commuting reductions, while waiters are gated
-// by the counters, which advance only after the body has completed either
-// way. The unlock is deferred so a panicking body cannot leave the per-data
-// mutexes held. On a failure completion stays unpublished: without a retry
-// policy the panic propagates to the worker recover and the run aborts;
-// with one, runAttempts has recorded the terminal failure in s.err.
-func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body, reds bool) bool {
+// by the counters, which advance only after the body has completed. The
+// unlock is deferred so a panicking body cannot leave the per-data mutexes
+// held. A panicking body leaves completion unpublished: the panic
+// propagates to the worker's recover (replay) and the run aborts.
+func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body, reds bool) {
 	if reds && s.lockReductions(accesses) {
 		defer s.unlockReductions(accesses)
 	}
@@ -688,22 +613,11 @@ func (s *submitter) exec(id stf.TaskID, accesses []stf.Access, b body, reds bool
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(s.worker, id)
 	}
-	if s.retry != nil {
-		if !s.runAttempts(id, accesses, b) {
-			s.prog.Publish()
-			return false
-		}
-	} else {
-		s.runTimed(b)
-	}
+	s.runTimed(b)
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(s.worker, id)
 	}
 	s.prog.Finish()
-	if s.track {
-		s.done = append(s.done, id)
-	}
-	return true
 }
 
 // runTimed runs the body once, charging its duration to the worker's task

@@ -269,9 +269,7 @@ const stallGrace = 500 * time.Millisecond
 //
 // No worker reads a clock for it: the monitor dates each worker's state
 // itself, by the first tick that read it, so a state's age is measured at
-// tick resolution and never exceeds its true age. A task in retry backoff
-// has cleared its Current and each failed attempt counts a retry, so a long
-// backoff never reads as one stuck body.
+// tick resolution and never exceeds its true age.
 func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struct{}, stalled chan<- *stf.StallError) {
 	defer close(stalled)
 	threshold := e.stallTimeout
@@ -334,8 +332,8 @@ func (e *Engine) monitor(subs []*submitter, abort *abortState, done <-chan struc
 					Worker: w, Task: ws.Waiting, Data: ws.WaitOn.Data, Mode: ws.WaitOn.Mode, For: age,
 				})
 			default:
-				// Actively unrolling the flow or backing off a retry: not
-				// conclusive, keep watching.
+				// Actively unrolling the flow: not conclusive, keep
+				// watching.
 				allBlockedOrDone = false
 			}
 		}

@@ -80,9 +80,8 @@ func (e *Engine) newRunState(numData int) *runState {
 // for itself. The first width submitters, those of the run's workers,
 // come wired to the state, the engine's policies, their cells of rp and one
 // snapshot of its mapping (every worker must resolve ownership identically
-// even if SetMapping races the start); execute adds the per-run checkpoint,
-// guard and watchdog wiring. A narrow run (width < p) leaves the others
-// idle.
+// even if SetMapping races the start); execute adds the per-run guard and
+// watchdog wiring. A narrow run (width < p) leaves the others idle.
 func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget int) *runState {
 	st := e.takeIdle()
 	if st == nil || len(st.shared) < numData {
@@ -108,8 +107,6 @@ func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget 
 			abort:      &st.abort,
 			prog:       rp.Worker(w),
 			hooks:      e.hooks,
-			retry:      e.retry,
-			snaps:      e.snaps,
 			thief:      s.thief,
 			spinBudget: spinBudget,
 			parkTimer:  s.parkTimer,

@@ -51,7 +51,7 @@ func assertIdle(t *testing.T, st *runState, numData int) {
 		if len(s.local) != numData || len(s.shared) != numData {
 			t.Fatalf("worker %d: views of %d local and %d shared cells, want %d", w, len(s.local), len(s.shared), numData)
 		}
-		if s.next != 0 || s.err != nil || s.task != 0 || s.idle != 0 || s.done != nil || s.guard != nil || s.watched || s.prog != s.eng.Table().Worker(w) {
+		if s.next != 0 || s.err != nil || s.task != 0 || s.idle != 0 || s.guard != nil || s.watched || s.prog != s.eng.Table().Worker(w) {
 			t.Fatalf("worker %d: submitter carries an earlier run's replay state", w)
 		}
 	}

@@ -136,15 +136,13 @@ func (s *submitter) stealReady(reqs []stf.StealReq) bool {
 // thief performs shared-only terminates (releaseStolen), because its *own*
 // replay declares the task separately at its flow position, which it may
 // or may not have reached yet: the private bookkeeping belongs to the
-// replay, not to the execution. A terminal failure leaves completion
+// replay, not to the execution. A panicking body leaves completion
 // unpublished.
 func (s *submitter) stealExec(owner stf.WorkerID, t *stf.Task) {
 	if h := s.hooks; h != nil && h.OnTaskSteal != nil {
 		h.OnTaskSteal(s.worker, owner, t.ID)
 	}
-	if !s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.flow.kernel}, true) {
-		return
-	}
+	s.exec(t.ID, t.Accesses, body{t: t, k: s.steal.flow.kernel}, true)
 	s.prog.Publish() // a steal returns to a wait or the drain
 	s.releaseStolen(t.Accesses, int64(t.ID))
 	s.prog.CountStolen()

@@ -9,7 +9,6 @@ import (
 
 	"rio/internal/core"
 	"rio/internal/enginetest"
-	"rio/internal/faultinject"
 	"rio/internal/graphs"
 	"rio/internal/sched"
 	"rio/internal/stf"
@@ -251,51 +250,6 @@ func TestStealClaimRaceHammer(t *testing.T) {
 			return e.RunCompiled(cp, k)
 		})
 	})
-}
-
-// Stealing must compose with transient-fault retry: a stolen task's failed
-// attempts roll back and re-run on the thief, and the storm as a whole
-// stays indistinguishable from a fault-free run.
-func TestStealRetryChaos(t *testing.T) {
-	g := graphs.LU(5)
-	want, err := enginetest.Golden(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := 4
-	m := sched.Single(0)
-	cp := compile(t, g, m, p, nil)
-	for _, mode := range []string{"closure", "compiled"} {
-		t.Run(mode, func(t *testing.T) {
-			tr := enginetest.NewTrace(g)
-			var clock atomic.Int64
-			e := newEngine(t, core.Options{
-				Workers: p,
-				Mapping: m,
-				Steal:   &stf.StealPolicy{},
-				Retry:   &stf.RetryPolicy{MaxAttempts: 3},
-				Snapshots: stf.SnapshotFuncs{Save: func(d stf.DataID) func() {
-					v := tr.Vals[d]
-					return func() { tr.Vals[d] = v }
-				}},
-			})
-			kern := faultinject.Flaky(enginetest.Kernel(tr, &clock), 42, 0.4)
-			if mode == "closure" {
-				err = e.Run(g.NumData, stf.Replay(g, kern))
-			} else {
-				err = e.RunCompiled(cp, kern)
-			}
-			if err != nil {
-				t.Fatalf("chaos run failed: %v", err)
-			}
-			if err := enginetest.Compare(g, want, tr); err != nil {
-				t.Error(err)
-			}
-			if e.Stats().Retried() == 0 {
-				t.Error("chaos storm triggered no retries (injector inert?)")
-			}
-		})
-	}
 }
 
 // The observability contract: OnTaskSteal fires once per successful steal

@@ -94,10 +94,9 @@ type Session struct {
 // poisons the session). The mapping is snapshotted at open: SetMapping
 // during a session does not affect it.
 //
-// Sessions do not arm the stall watchdog (a window with no traffic is
-// indistinguishable from a stall at this layer — use timeout for bounded
-// windows), do not take checkpoints and ignore Options.Resume: those are
-// finite-flow notions.
+// Sessions do not arm the stall watchdog: a window with no traffic is
+// indistinguishable from a stall at this layer (use timeout for bounded
+// windows).
 func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, error) {
 	if numData < 0 {
 		return nil, errors.New("core: negative numData")

@@ -3,9 +3,9 @@ package enginetest_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,18 +52,59 @@ func sleepKernel(d time.Duration) stf.Kernel {
 	return func(*stf.Task, stf.WorkerID) { time.Sleep(d) }
 }
 
+// TestFaultPanic: a panicking body fails the run with an error that names
+// the panic, and the run leaves no goroutine behind. Beyond the engines of
+// faultEngines (closure replay), two rows take the in-order engine's other
+// ways to a body: compiled replay through RunGraph, and a steal-armed
+// engine, where every task of a one-owner mapping is up for stealing and
+// the panic may unwind a thief's exec.
 func TestFaultPanic(t *testing.T) {
 	g := graphs.Chain(50)
+	type row struct {
+		name string
+		run  func(t *testing.T, kern stf.Kernel) error
+	}
+	var rows []row
 	for _, spec := range faultEngines() {
-		t.Run(spec.name, func(t *testing.T) {
-			rt := mustEngine(t, spec.opts)
-			kern := faultinject.PanicAt(noop, 7)
-			err := rt.Run(g.NumData, rio.Replay(g, kern))
+		rows = append(rows, row{spec.name, func(t *testing.T, kern stf.Kernel) error {
+			return mustEngine(t, spec.opts).Run(g.NumData, rio.Replay(g, kern))
+		}})
+	}
+	rows = append(rows,
+		row{"rio-compiled", func(t *testing.T, kern stf.Kernel) error {
+			eng, err := rio.NewEngine(rio.Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng.RunGraph(g, kern)
+		}},
+		row{"rio-steal", func(t *testing.T, kern stf.Kernel) error {
+			ind := graphs.Independent(64)
+			rt := mustEngine(t, rio.Options{Workers: 4, Steal: &rio.StealPolicy{},
+				Mapping: func(rio.TaskID) rio.WorkerID { return 0 }})
+			return rt.Run(ind.NumData, rio.Replay(ind, func(tk *stf.Task, w stf.WorkerID) {
+				time.Sleep(50 * time.Microsecond) // slow enough for the thieves to steal
+				kern(tk, w)
+			}))
+		}},
+	)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			err := r.run(t, faultinject.PanicAt(noop, 7))
 			if err == nil {
 				t.Fatal("injected panic returned nil error")
 			}
 			if !strings.Contains(err.Error(), "panic") {
 				t.Fatalf("error does not mention the panic: %v", err)
+			}
+			after := runtime.NumGoroutine()
+			for i := 0; i < 200 && after > before; i++ {
+				time.Sleep(10 * time.Millisecond) // goroutine exits are asynchronous
+				after = runtime.NumGoroutine()
+			}
+			if after > before {
+				t.Errorf("%d goroutines after the failed run, %d before", after, before)
 			}
 		})
 	}
@@ -370,224 +411,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
-}
-
-// --- Transient-fault retry matrix -----------------------------------------
-//
-// Every engine against the transient-fault injectors of internal/faultinject
-// with a retry policy installed: a fault that clears within the attempt
-// budget must leave the run indistinguishable from a fault-free one (same
-// final values as the sequential reference), and an exhausted budget must
-// surface as a *rio.TaskFailure wrapped in a *rio.PartialError whose
-// completed set is dependency-closed.
-
-// snapshotVals adapts an oracle trace's value array into a Snapshotter:
-// rollback restores the written objects' pre-attempt values. Snapshot is
-// only ever called by the worker holding write access to d, so the
-// unsynchronized copy is race-free by the STF discipline itself.
-func snapshotVals(tr *enginetest.Trace) stf.Snapshotter {
-	return stf.SnapshotFuncs{Save: func(d stf.DataID) func() {
-		v := tr.Vals[d]
-		return func() { tr.Vals[d] = v }
-	}}
-}
-
-func TestFaultRetryToSuccess(t *testing.T) {
-	g := graphs.LURect(3, 3)
-	want, err := enginetest.Golden(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const failID, failures = 7, 2
-	for _, spec := range faultEngines() {
-		t.Run(spec.name, func(t *testing.T) {
-			tr := enginetest.NewTrace(g)
-			var clock atomic.Int64
-			var mu sync.Mutex
-			var retries []int
-			opts := spec.opts
-			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond}
-			opts.Fault.Snapshots = snapshotVals(tr)
-			opts.Hooks = &rio.Hooks{OnTaskRetry: func(_ stf.WorkerID, id stf.TaskID, attempt int, _ any) {
-				mu.Lock()
-				defer mu.Unlock()
-				if id != failID {
-					t.Errorf("OnTaskRetry for unexpected task %d", id)
-				}
-				retries = append(retries, attempt)
-			}}
-			rt := mustEngine(t, opts)
-			kern := faultinject.FailNTimes(enginetest.Kernel(tr, &clock), failID, failures)
-			if err := rt.Run(g.NumData, stf.Replay(g, kern)); err != nil {
-				t.Fatalf("run with transient fault failed: %v", err)
-			}
-			if err := enginetest.Compare(g, want, tr); err != nil {
-				t.Error(err)
-			}
-			if p := rt.Progress(); p.Retried() != failures {
-				t.Errorf("Progress().Retried() = %d, want %d", p.Retried(), failures)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if len(retries) != failures || retries[0] != 1 || retries[1] != 2 {
-				t.Errorf("OnTaskRetry attempts = %v, want [1 2]", retries)
-			}
-		})
-	}
-}
-
-// A fault that dirties the write-set before failing makes rollback
-// load-bearing: without the snapshot restore, the retried body would
-// re-execute over corrupted values and the oracle comparison would fail.
-func TestFaultRetryRollsBackWriteSet(t *testing.T) {
-	g := stf.NewGraph("rollback", 2)
-	g.Add(0, 0, 0, 0, stf.W(0))
-	g.Add(0, 1, 0, 0, stf.RW(0), stf.W(1))
-	g.Add(0, 2, 0, 0, stf.R(0), stf.RW(1))
-	want, err := enginetest.Golden(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range faultEngines() {
-		t.Run(spec.name, func(t *testing.T) {
-			tr := enginetest.NewTrace(g)
-			var clock atomic.Int64
-			opts := spec.opts
-			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3}
-			opts.Fault.Snapshots = snapshotVals(tr)
-			rt := mustEngine(t, opts)
-			kern := faultinject.CorruptThenFail(enginetest.Kernel(tr, &clock), 1, 2, func() {
-				tr.Vals[0] = 0xDEAD // dirty task 1's write-set mid-body
-				tr.Vals[1] = 0xBEEF
-			})
-			if err := rt.Run(g.NumData, stf.Replay(g, kern)); err != nil {
-				t.Fatalf("run failed: %v", err)
-			}
-			if err := enginetest.Compare(g, want, tr); err != nil {
-				t.Errorf("write-set rollback did not restore pre-attempt values: %v", err)
-			}
-		})
-	}
-}
-
-func TestFaultRetriesExhausted(t *testing.T) {
-	g := graphs.LURect(3, 3)
-	const failID = 7
-	deps := g.Dependencies()
-	for _, spec := range faultEngines() {
-		t.Run(spec.name, func(t *testing.T) {
-			tr := enginetest.NewTrace(g)
-			var clock atomic.Int64
-			opts := spec.opts
-			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
-			opts.Fault.Snapshots = snapshotVals(tr)
-			rt := mustEngine(t, opts)
-			kern := faultinject.PanicAt(enginetest.Kernel(tr, &clock), failID)
-			err := rt.Run(g.NumData, stf.Replay(g, kern))
-			if err == nil {
-				t.Fatal("run survived a permanent fault")
-			}
-			var tf *rio.TaskFailure
-			if !errors.As(err, &tf) {
-				t.Fatalf("error %v does not wrap a TaskFailure", err)
-			}
-			if tf.Task != failID || tf.Attempts != 3 {
-				t.Errorf("TaskFailure = task %d after %d attempts, want task %d after 3", tf.Task, tf.Attempts, failID)
-			}
-			var pe *rio.PartialError
-			if !errors.As(err, &pe) {
-				t.Fatalf("error %v does not wrap a PartialError", err)
-			}
-			completed := make(map[stf.TaskID]bool, len(pe.Result.Completed))
-			for _, id := range pe.Result.Completed {
-				completed[id] = true
-			}
-			if completed[failID] {
-				t.Error("failed task listed as completed")
-			}
-			if len(pe.Result.Failed) != 1 || pe.Result.Failed[0] != failID {
-				t.Errorf("Failed = %v, want [%d]", pe.Result.Failed, failID)
-			}
-			// The frontier must be dependency-closed: every predecessor of
-			// a completed task is itself completed.
-			for _, id := range pe.Result.Completed {
-				for _, p := range deps[id] {
-					if !completed[p] {
-						t.Errorf("completed task %d has uncompleted predecessor %d", id, p)
-					}
-				}
-			}
-		})
-	}
-}
-
-// Backoff sleeps must read as liveness to the stall watchdog: a retrying
-// task re-stamps its heartbeat across every backoff slice, so a backoff
-// longer than StallTimeout must NOT abort the run as a stuck task.
-func TestFaultRetryBackoffKeepsWatchdogQuiet(t *testing.T) {
-	g := graphs.Chain(10)
-	want, err := enginetest.Golden(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const failID, failures = 5, 2
-	tr := enginetest.NewTrace(g)
-	var clock atomic.Int64
-	rt := mustEngine(t, rio.Options{
-		Model: rio.InOrder, Workers: 2,
-		StallTimeout: 50 * time.Millisecond,
-		Fault: rio.FaultOptions{
-			Retry:     &rio.RetryPolicy{MaxAttempts: 4, Backoff: 150 * time.Millisecond},
-			Snapshots: snapshotVals(tr),
-		},
-	})
-	kern := faultinject.FailNTimes(enginetest.Kernel(tr, &clock), failID, failures)
-	start := time.Now()
-	err = rt.Run(g.NumData, stf.Replay(g, kern))
-	elapsed := time.Since(start)
-	var se *rio.StallError
-	if errors.As(err, &se) {
-		t.Fatalf("watchdog fired during retry backoff: %v", se)
-	}
-	if err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	// Delay(2)+Delay(3) = 150ms+300ms of backoff actually slept.
-	if elapsed < 300*time.Millisecond {
-		t.Errorf("run took %v; backoff apparently not applied", elapsed)
-	}
-	if err := enginetest.Compare(g, want, tr); err != nil {
-		t.Error(err)
-	}
-}
-
-// A whole-flow storm of deterministic first-attempt failures — the chaos
-// scenario of the CI fault matrix. With retry installed the run must be
-// indistinguishable from a fault-free one on every engine.
-func TestFaultChaosStorm(t *testing.T) {
-	g := graphs.LURect(3, 3)
-	want, err := enginetest.Golden(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range faultEngines() {
-		t.Run(spec.name, func(t *testing.T) {
-			tr := enginetest.NewTrace(g)
-			var clock atomic.Int64
-			opts := spec.opts
-			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 3}
-			opts.Fault.Snapshots = snapshotVals(tr)
-			rt := mustEngine(t, opts)
-			kern := faultinject.Flaky(enginetest.Kernel(tr, &clock), 42, 0.4)
-			if err := rt.Run(g.NumData, stf.Replay(g, kern)); err != nil {
-				t.Fatalf("chaos run failed: %v", err)
-			}
-			if err := enginetest.Compare(g, want, tr); err != nil {
-				t.Error(err)
-			}
-			if p := rt.Progress(); p.Retried() == 0 {
-				t.Error("chaos storm triggered no retries (injector inert?)")
-			}
-		})
-	}
 }

@@ -2,7 +2,6 @@ package enginetest_test
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"rio/internal/centralized"
 	"rio/internal/core"
 	"rio/internal/enginetest"
-	"rio/internal/faultinject"
 	"rio/internal/graphs"
 	"rio/internal/sequential"
 	"rio/internal/stf"
@@ -407,7 +405,7 @@ func TestHooksPanicSkipsTaskEnd(t *testing.T) {
 // where time decomposition stops but task counting does not. The rows make
 // each counter nonzero somewhere: Declared (every in-order row, and the
 // centralized master's submissions), Stolen and StealFailed (a skewed armed
-// run), Retried, Skipped (a resume), Executed everywhere.
+// run), Executed everywhere.
 func TestProgressMatchesStats(t *testing.T) {
 	g := graphs.Wavefront(8, 8)
 	const p = 4
@@ -433,8 +431,8 @@ func TestProgressMatchesStats(t *testing.T) {
 				t.Errorf("worker %d: Current=%d (Stats %d) after the run, want NoTask", w, wp.Current, ws.Current)
 			}
 		}
-		if n := st.Executed() + st.Skipped(); n != int64(len(g.Tasks)) {
-			t.Errorf("executed + skipped = %d, want the flow's %d tasks", n, len(g.Tasks))
+		if n := st.Executed(); n != int64(len(g.Tasks)) {
+			t.Errorf("executed = %d, want the flow's %d tasks", n, len(g.Tasks))
 		}
 		return st, pr
 	}
@@ -496,32 +494,6 @@ func TestProgressMatchesStats(t *testing.T) {
 		}
 	})
 
-	t.Run("rio-retry", func(t *testing.T) {
-		noSnap := stf.SnapshotFuncs{Save: func(stf.DataID) func() { return func() {} }}
-		st, _ := run(t, rio.Options{
-			Model: rio.InOrder, Workers: p,
-			Fault: rio.FaultOptions{Retry: &rio.RetryPolicy{MaxAttempts: 3}, Snapshots: noSnap},
-		}, faultinject.FailNTimes(noop, 9, 2))
-		if st.Retried() != 2 {
-			t.Errorf("Retried = %d, want 2", st.Retried())
-		}
-	})
-
-	t.Run("rio-resume", func(t *testing.T) {
-		// A flow prefix is dependency-closed: a valid checkpoint.
-		done := make([]stf.TaskID, 16)
-		for i := range done {
-			done[i] = stf.TaskID(i)
-		}
-		st, _ := run(t, rio.Options{
-			Model: rio.InOrder, Workers: p,
-			Fault: rio.FaultOptions{Resume: &stf.Checkpoint{Tasks: len(g.Tasks), Completed: done}},
-		}, noop)
-		if st.Skipped() != int64(len(done)) {
-			t.Errorf("Skipped = %d, want %d", st.Skipped(), len(done))
-		}
-	})
-
 	t.Run("centralized", func(t *testing.T) {
 		// The centralized engine's one ready queue is FIFO.
 		t.Run("fifo", func(t *testing.T) {
@@ -547,54 +519,6 @@ func TestProgressMatchesStats(t *testing.T) {
 			t.Errorf("sequential run bucketed waits: %v", pr.WaitHist())
 		}
 	})
-}
-
-// A task in retry backoff executes nothing: between its attempts no
-// worker's Current names it, on every engine. The stall watchdog reads the
-// same word, so this is also what keeps a long backoff from reading as one
-// stuck body.
-func TestCurrentClearedInRetryBackoff(t *testing.T) {
-	g := graphs.Chain(8)
-	const failID = 3
-	for _, spec := range faultEngines() {
-		t.Run(spec.name, func(t *testing.T) {
-			opts := spec.opts
-			opts.Fault.Retry = &rio.RetryPolicy{MaxAttempts: 2, Backoff: 200 * time.Millisecond}
-			opts.Fault.Snapshots = stf.SnapshotFuncs{Save: func(stf.DataID) func() { return func() {} }}
-			rt := mustEngine(t, opts)
-			failed := make(chan struct{})
-			var once sync.Once
-			kern := func(tk *stf.Task, _ stf.WorkerID) {
-				first := false
-				if tk.ID == failID {
-					once.Do(func() { first = true; close(failed) })
-				}
-				if first {
-					panic("transient")
-				}
-			}
-			errc := make(chan error, 1)
-			go func() { errc <- rt.Run(g.NumData, stf.Replay(g, kern)) }()
-			<-failed
-			// The retry is counted once the backoff is entered; the snapshot
-			// reads Current after Retried, well inside the 200 ms backoff.
-			pr := rt.Progress()
-			for deadline := time.Now().Add(5 * time.Second); pr.Retried() == 0 && time.Now().Before(deadline); pr = rt.Progress() {
-				runtime.Gosched()
-			}
-			if pr.Retried() != 1 {
-				t.Errorf("Retried = %d after the first failure, want 1", pr.Retried())
-			}
-			for w, wp := range pr.Workers {
-				if wp.Current == failID {
-					t.Errorf("worker %d shows task %d as current during its backoff", w, failID)
-				}
-			}
-			if err := <-errc; err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // Progress must be callable from any goroutine while a run is in flight

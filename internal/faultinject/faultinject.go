@@ -11,7 +11,6 @@
 package faultinject
 
 import (
-	"sync"
 	"time"
 
 	"rio/internal/stf"
@@ -177,86 +176,4 @@ func SwapAccessesAt(g *stf.Graph, k stf.Kernel, w stf.WorkerID, a, b stf.TaskID)
 			s.SubmitTask(t, k)
 		}
 	}
-}
-
-// FailNTimes wraps k to panic the first n times task id is attempted,
-// then succeed — the canonical transient fault for exercising the retry
-// machinery. The injected panic fires *before* k runs, so a failed
-// attempt leaves the task's write-set untouched; pair with CorruptThenFail
-// to exercise rollback. The counter is engine-agnostic (guarded by a
-// mutex) and counts attempts, not runs: a retrying engine decrements the
-// budget on every re-execution.
-func FailNTimes(k stf.Kernel, id stf.TaskID, n int) stf.Kernel {
-	var mu sync.Mutex
-	remaining := n
-	return func(t *stf.Task, w stf.WorkerID) {
-		if t.ID == id {
-			mu.Lock()
-			fail := remaining > 0
-			if fail {
-				remaining--
-			}
-			mu.Unlock()
-			if fail {
-				panic("faultinject: injected transient fault")
-			}
-		}
-		k(t, w)
-	}
-}
-
-// CorruptThenFail wraps k to, on each of the first n attempts of task id,
-// first run corrupt (dirtying the task's write-set mid-body) and then
-// panic — the fault class that makes write-set rollback load-bearing: a
-// retry without rollback re-executes on corrupted inputs and the
-// sequential-consistency oracle catches it.
-func CorruptThenFail(k stf.Kernel, id stf.TaskID, n int, corrupt func()) stf.Kernel {
-	var mu sync.Mutex
-	remaining := n
-	return func(t *stf.Task, w stf.WorkerID) {
-		if t.ID == id {
-			mu.Lock()
-			fail := remaining > 0
-			if fail {
-				remaining--
-			}
-			mu.Unlock()
-			if fail {
-				corrupt()
-				panic("faultinject: injected fault after partial write")
-			}
-		}
-		k(t, w)
-	}
-}
-
-// Flaky wraps k so that each task's first attempt fails with probability
-// p (deterministically derived from seed and the task ID — the same tasks
-// fail on every run) and every later attempt succeeds. A whole-flow
-// transient-fault storm for chaos testing: with retry enabled the run
-// must complete with the sequential reference's results.
-func Flaky(k stf.Kernel, seed uint64, p float64) stf.Kernel {
-	var mu sync.Mutex
-	attempted := make(map[stf.TaskID]bool)
-	return func(t *stf.Task, w stf.WorkerID) {
-		mu.Lock()
-		first := !attempted[t.ID]
-		attempted[t.ID] = true
-		mu.Unlock()
-		if first && flakyHash(seed, uint64(t.ID)) < p {
-			panic("faultinject: injected flaky fault")
-		}
-		k(t, w)
-	}
-}
-
-// flakyHash maps (seed, id) to [0, 1) with a splitmix64 finalizer.
-func flakyHash(seed, id uint64) float64 {
-	x := seed ^ id*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }

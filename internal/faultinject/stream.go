@@ -21,7 +21,6 @@ import (
 //	MutReorderGroups  → RIO-V004 (program order broken)
 //	MutRetargetData   → RIO-V005 (micro-op points at the wrong data)
 //	MutElideDeclares  → RIO-V006 (undominated declare elision)
-//	MutSplitResume    → RIO-V007 (checkpoint pruning applied unevenly)
 //	MutDropWait       → RIO-V008 (a dependency wait removed; also V005)
 //	MutElideContended → RIO-V009 (a contended data object lowered to nothing)
 
@@ -35,7 +34,6 @@ const (
 	MutReorderGroups
 	MutRetargetData
 	MutElideDeclares
-	MutSplitResume
 	MutDropWait
 	MutElideContended
 	numStreamMutations
@@ -65,8 +63,6 @@ func (m StreamMutation) String() string {
 		return "retarget-data"
 	case MutElideDeclares:
 		return "elide-declares"
-	case MutSplitResume:
-		return "split-resume"
 	case MutDropWait:
 		return "drop-wait"
 	case MutElideContended:
@@ -78,9 +74,7 @@ func (m StreamMutation) String() string {
 // MutateStream applies one defect of class m to a deep copy of cp, using
 // site to select among the applicable locations. It returns the mutated
 // copy and true, or (nil, false) when cp offers no site for the class
-// (e.g. retargeting data in a single-data program). MutSplitResume needs
-// a checkpoint and is not applicable through this driver — use
-// SplitResume directly.
+// (e.g. retargeting data in a single-data program).
 func MutateStream(cp *stf.CompiledProgram, m StreamMutation, site int) (*stf.CompiledProgram, bool) {
 	if site < 0 {
 		site = -site
@@ -410,41 +404,5 @@ func elideContended(cp *stf.CompiledProgram, site int) (*stf.CompiledProgram, bo
 		out.Elided = make([]bool, cp.NumData)
 	}
 	out.Elided[d] = true
-	return out, true
-}
-
-// SplitResume applies checkpoint pruning to exactly one worker's stream,
-// leaving every other stream with the completed tasks' micro-ops intact —
-// the inconsistent-resume defect (the protocol requires every worker to
-// drop the same task set). It picks the site-th worker whose pruned
-// stream still leaves the checkpointed tasks visible in some other
-// stream; returns false when the checkpoint removes nothing anywhere.
-func SplitResume(cp *stf.CompiledProgram, c *stf.Checkpoint, site int) (*stf.CompiledProgram, bool) {
-	if c == nil || len(c.Completed) == 0 {
-		return nil, false
-	}
-	pruned := stf.PruneCompleted(cp, c)
-	var candidates []int
-	for w := range cp.Streams {
-		if len(pruned.Streams[w]) == len(cp.Streams[w]) {
-			continue // pruning removed nothing here
-		}
-		for w2, s := range cp.Streams {
-			if w2 == w {
-				continue
-			}
-			if len(pruned.Streams[w2]) != len(s) {
-				candidates = append(candidates, w)
-				break
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		return nil, false
-	}
-	w := candidates[site%len(candidates)]
-	out := CloneProgram(cp)
-	out.Streams[w] = append([]stf.Word(nil), pruned.Streams[w]...)
-	out.Stats[w] = pruned.Stats[w]
 	return out, true
 }

@@ -19,12 +19,8 @@ import (
 // Engine executes STF programs sequentially. The zero value is not usable;
 // use New.
 type Engine struct {
-	noAcct     bool
-	hooks      *stf.Hooks
-	retry      *stf.RetryPolicy
-	snaps      stf.Snapshotter
-	resume     *stf.Checkpoint
-	checkpoint bool
+	noAcct bool
+	hooks  *stf.Hooks
 	// LastRun holds the run record Stats and Progress read: a single
 	// worker cell whose wait histogram is always empty (the sequential
 	// engine never blocks on a dependency).
@@ -38,28 +34,11 @@ type Options struct {
 	// Hooks optionally installs lifecycle callbacks (see stf.Hooks). The
 	// sequential engine never waits, so the wait hooks never fire.
 	Hooks *stf.Hooks
-	// Retry installs transient-fault retry of task bodies with write-set
-	// rollback (see stf.RetryPolicy); nil disables retry. A terminal task
-	// failure stops the run with a *stf.TaskFailure (instead of the
-	// legacy bare panic message).
-	Retry *stf.RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback.
-	Snapshots stf.Snapshotter
-	// Resume skips the completed tasks of a previous run's checkpoint.
-	Resume *stf.Checkpoint
-	// Checkpoint enables completed-task tracking even without a retry
-	// policy; failed runs then return a stf.PartialError. Retry != nil
-	// implies it.
-	Checkpoint bool
 }
 
 // New returns a sequential engine.
 func New(o Options) *Engine {
-	return &Engine{
-		noAcct: o.NoAccounting, hooks: o.Hooks,
-		retry: o.Retry, snaps: o.Snapshots, resume: o.Resume,
-		checkpoint: o.Checkpoint || o.Retry != nil,
-	}
+	return &Engine{noAcct: o.NoAccounting, hooks: o.Hooks}
 }
 
 // Name identifies the execution model in reports.
@@ -88,10 +67,7 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	if h := e.hooks; h != nil && h.OnRunStart != nil {
 		h.OnRunStart(1, numData)
 	}
-	s := &submitter{
-		noAcct: e.noAcct, hooks: e.hooks, prog: rp.Worker(0),
-		retry: e.retry, snaps: e.snaps, resume: e.resume, track: e.checkpoint,
-	}
+	s := &submitter{noAcct: e.noAcct, hooks: e.hooks, prog: rp.Worker(0)}
 	if ctx.Done() != nil {
 		s.ctx = ctx
 	}
@@ -100,14 +76,10 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 	wall := time.Since(t0)
 	s.prog.Exit(s.task, 0, wall)
 	e.End(wall, !e.noAcct)
-	err := s.err
-	if err != nil && e.checkpoint {
-		err = &stf.PartialError{Cause: err, Result: s.partialResult(e.resume)}
-	}
 	if h := e.hooks; h != nil && h.OnRunEnd != nil {
-		h.OnRunEnd(err)
+		h.OnRunEnd(s.err)
 	}
-	return err
+	return s.err
 }
 
 type submitter struct {
@@ -115,26 +87,9 @@ type submitter struct {
 	noAcct bool
 	ctx    context.Context // non-nil only for cancelable runs
 	hooks  *stf.Hooks
-	retry  *stf.RetryPolicy    // nil disables task retry
-	snaps  stf.Snapshotter     // write-set capture for retry rollback
-	resume *stf.Checkpoint     // completed tasks of a previous run to skip
-	track  bool                // log completed tasks for checkpoints
-	done   []stf.TaskID        // completed tasks (track only)
 	prog   *trace.ProgressCell // the run record (Progress, Stats)
 	task   time.Duration       // accounted body time, stored in the cell at the end
 	err    error
-}
-
-// partialResult assembles the frontier of a failed checkpointing run;
-// sequential execution makes it trivially dependency-closed (a prefix of
-// the flow, minus nothing).
-func (s *submitter) partialResult(resume *stf.Checkpoint) *stf.PartialResult {
-	var failed []stf.TaskID
-	var tf *stf.TaskFailure
-	if errors.As(s.err, &tf) {
-		failed = []stf.TaskID{tf.Task}
-	}
-	return stf.NewPartialResult(int(s.next), resume, s.done, failed)
 }
 
 // Worker implements stf.Submitter; the sequential executor is its own
@@ -148,7 +103,7 @@ func (s *submitter) NumWorkers() int { return 1 }
 func (s *submitter) Submit(fn stf.TaskFunc, accesses ...stf.Access) stf.TaskID {
 	id := s.next
 	s.next++
-	s.run(accesses, func() { fn() })
+	s.run(fn)
 	return id
 }
 
@@ -161,11 +116,11 @@ func (s *submitter) SubmitTask(t *stf.Task, k stf.Kernel) stf.TaskID {
 		return t.ID
 	}
 	s.next = t.ID + 1
-	s.run(t.Accesses, func() { k(t, stf.MasterWorker) })
+	s.run(func() { k(t, stf.MasterWorker) })
 	return t.ID
 }
 
-func (s *submitter) run(accesses []stf.Access, f func()) {
+func (s *submitter) run(f func()) {
 	if s.err != nil {
 		return
 	}
@@ -174,21 +129,16 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 		return
 	}
 	id := s.next - 1
-	if s.resume != nil && s.resume.Contains(id) {
-		// Completed in a previous run; its effects are already in memory.
-		s.prog.CountSkipped(1)
-		return
-	}
 	s.prog.SetCurrent(id)
 	if h := s.hooks; h != nil && h.OnTaskStart != nil {
 		h.OnTaskStart(stf.MasterWorker, id)
 	}
 	// A failing task fails the run but does not unwind the caller (Submit
 	// keeps its documented return-after-execution contract); subsequent
-	// tasks are skipped via the sticky error, so the completed set is a
-	// clean prefix. The failure skips OnTaskEnd and leaves Current parked on
-	// the failed task, matching the parallel engines' contract.
-	if s.err = s.attempt(id, accesses, f); s.err != nil {
+	// tasks are skipped via the sticky error. The failure skips OnTaskEnd
+	// and leaves Current parked on the failed task, matching the parallel
+	// engines' contract.
+	if s.err = s.attempt(id, f); s.err != nil {
 		return
 	}
 	if h := s.hooks; h != nil && h.OnTaskEnd != nil {
@@ -196,47 +146,18 @@ func (s *submitter) run(accesses []stf.Access, f func()) {
 	}
 	s.prog.SetCurrent(stf.NoTask)
 	s.prog.CountExecuted()
-	if s.track {
-		s.done = append(s.done, id)
-	}
 }
 
-// attempt runs one task body to completion and returns its failure, if
-// any. Without a retry policy that is one shot, a panic converted into the
-// run's error. With one it is the shared attempt loop
-// (stf.RetryPolicy.RunAttempts): failed attempts roll back the write-set
-// (the sequential engine's data is trivially quiescent) and re-execute
-// after a deterministic backoff; a terminal failure is a *stf.TaskFailure.
-func (s *submitter) attempt(id stf.TaskID, accesses []stf.Access, f func()) (err error) {
-	if s.retry == nil {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("sequential: task %d panicked: %v", id, r)
-			}
-		}()
-		s.timed(f)
-		return nil
-	}
-	tf, ok := s.retry.RunAttempts(s.snaps, id, accesses,
-		func() {
-			s.prog.SetCurrent(id)
-			s.timed(f)
-		},
-		func() bool { return s.ctx != nil && s.ctx.Err() != nil },
-		func(attempt int, cause any) {
-			s.prog.SetCurrent(stf.NoTask) // a backoff executes nothing
-			s.prog.CountRetried()
-			if h := s.hooks; h != nil && h.OnTaskRetry != nil {
-				h.OnTaskRetry(stf.MasterWorker, id, attempt, cause)
-			}
-		})
-	switch {
-	case ok:
-		return nil
-	case tf != nil:
-		return tf
-	}
-	return fmt.Errorf("sequential: run canceled: %w", context.Cause(s.ctx))
+// attempt runs one task body to completion, a panic converted into the
+// run's error.
+func (s *submitter) attempt(id stf.TaskID, f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sequential: task %d panicked: %v", id, r)
+		}
+	}()
+	s.timed(f)
+	return nil
 }
 
 // timed runs the body once, charging its duration to the task time unless

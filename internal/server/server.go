@@ -458,14 +458,16 @@ func (c *Config) certified(g *stf.Graph, cp *rio.CompiledProgram, m rio.Mapping)
 	if !c.Verify {
 		return nil
 	}
-	if report := certify(g, cp, m, nil); report.Reject() {
+	if report := certify(g, cp, m); report.Reject() {
 		return &analyze.PreflightError{Report: report}
 	}
 	return nil
 }
 
 // certify is the translation validator compile runs under Config.Verify.
-var certify = rio.Verify
+var certify = func(g *stf.Graph, cp *rio.CompiledProgram, m rio.Mapping) *rio.AnalysisReport {
+	return rio.Verify(g, cp, m, nil)
+}
 
 // programBytes is what a registered flow holds for as long as it is
 // registered: the task table and its accesses, which kernels receive, and

@@ -162,12 +162,12 @@ func TestWidthCompileWaitsForRuns(t *testing.T) {
 func swapCertify(t *testing.T, log *eventLog, verdict func(workers int) *rio.AnalysisReport) {
 	t.Helper()
 	old := certify
-	certify = func(g *stf.Graph, cp *rio.CompiledProgram, m rio.Mapping, r *rio.Checkpoint) *rio.AnalysisReport {
+	certify = func(g *stf.Graph, cp *rio.CompiledProgram, m rio.Mapping) *rio.AnalysisReport {
 		log.add(fmt.Sprintf("certify %d", cp.Workers))
 		if rep := verdict(cp.Workers); rep != nil {
 			return rep
 		}
-		return old(g, cp, m, r)
+		return old(g, cp, m)
 	}
 	t.Cleanup(func() { certify = old })
 }

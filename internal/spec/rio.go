@@ -57,14 +57,6 @@ type RIOOptions struct {
 	// SkipRefinement disables the (more expensive) STF-reachability
 	// refinement check and verifies only the direct invariants.
 	SkipRefinement bool
-	// Retry adds the fault-tolerance rollback transition: an active task
-	// may fail, roll its write-set back and return the worker to the
-	// pre-attempt position (active → idle, pos decremented) so it can be
-	// re-executed. Checking with Retry confirms that rollback+re-execute
-	// preserves every invariant — each post-rollback state projects onto a
-	// reachable STF state and re-execution is ready under STF rules — i.e.
-	// retried runs stay sequentially consistent.
-	Retry bool
 	// Steal adds the work-stealing transition of Options.Steal: an idle
 	// worker (the thief) may execute the *next* unexecuted task of any
 	// other worker (the victim) when the task is ready, advancing the
@@ -91,11 +83,11 @@ type rioNext struct {
 	// blockers decides an in-order step, stealBlockers a stolen one; the
 	// mutations of RIOOptions swap in unsoundBlockers.
 	blockers, stealBlockers []uint64
-	retry, steal            bool
+	steal                   bool
 }
 
 func (m *Model) rioNext(opts RIOOptions) *rioNext {
-	r := &rioNext{m: m, blockers: m.blockers, retry: opts.Retry, steal: opts.Steal || opts.UnsafeSteal}
+	r := &rioNext{m: m, blockers: m.blockers, steal: opts.Steal || opts.UnsafeSteal}
 	if opts.SkipReadBlockers {
 		r.blockers = m.unsoundBlockers()
 	}
@@ -107,8 +99,7 @@ func (m *Model) rioNext(opts RIOOptions) *rioNext {
 }
 
 // successors appends every successor of s, whose terminated set is given,
-// to buf. A busy worker finishes its task or, with Retry, rolls it back; an
-// idle worker has at most one in-order candidate, the *first* unexecuted
+// to buf. A busy worker finishes its task; an idle worker has at most one in-order candidate, the *first* unexecuted
 // task of its own list, and with Steal may take any other worker's next
 // one. Every step is checked against the STF readiness predicate — the step
 // part of refinement — and a step the relation allows but STF does not is
@@ -120,21 +111,6 @@ func (r *rioNext) successors(s rioState, terminated uint64, buf []rioState, res 
 			n := s
 			n.active[w] = idle
 			buf = append(buf, n)
-			if r.retry {
-				// Rollback: the attempt fails, the write-set is
-				// restored, and the worker stands before the same task
-				// again. The restored state must be (and is) a previously
-				// reachable one — the model has no memory of the failed
-				// attempt, which is exactly the write-set-rollback
-				// guarantee. Only a task from the worker's own queue rolls
-				// back to a queue position; a *stolen* task is retried in
-				// place by the thief (write-set restore, same executor),
-				// which is a model stutter — no transition.
-				if p := int(s.pos[w]); p > 0 && m.owned[w][p-1] == s.active[w] {
-					n.pos[w]--
-					buf = append(buf, n)
-				}
-			}
 			continue
 		}
 		p := int(s.pos[w])

@@ -123,49 +123,6 @@ func TestRIOOnLUInstances(t *testing.T) {
 	}
 }
 
-// The fault-tolerance rollback transition (a failed attempt restores its
-// write-set and the worker re-executes the task) must preserve every
-// invariant: no data race, refinement of STF, and termination still
-// reachable. This is the model-level argument that retried runs remain
-// sequentially consistent.
-func TestRIORetryOnLUInstances(t *testing.T) {
-	for _, sz := range [][2]int{{2, 2}, {3, 2}} {
-		g := graphs.LURect(sz[0], sz[1])
-		m := mustModel(t, g, 2, sched.Cyclic(2))
-		res := m.CheckRIO(spec.RIOOptions{Retry: true})
-		if !res.OK() {
-			t.Errorf("%dx%d with retry: %v", sz[0], sz[1], res.Violations)
-		}
-		// Rollback adds transitions, never states: every post-rollback
-		// state was reachable before the failed attempt.
-		base := m.CheckRIO(spec.RIOOptions{Retry: false})
-		if res.Distinct != base.Distinct {
-			t.Errorf("%dx%d: retry changed the state count: %d != %d",
-				sz[0], sz[1], res.Distinct, base.Distinct)
-		}
-		if res.Generated <= base.Generated {
-			t.Errorf("%dx%d: retry added no transitions (%d <= %d)",
-				sz[0], sz[1], res.Generated, base.Generated)
-		}
-	}
-}
-
-// Negative control: the rollback transition must not mask an unsound
-// readiness rule — retry plus the dropped WAR ordering is still caught.
-func TestRIORetryDoesNotMaskUnsoundness(t *testing.T) {
-	g := stf.NewGraph("war-retry", 1)
-	g.Add(0, 0, 0, 0, stf.R(0))
-	g.Add(0, 1, 0, 0, stf.W(0))
-	m := mustModel(t, g, 2, sched.Cyclic(2))
-	if res := m.CheckRIO(spec.RIOOptions{Retry: true}); !res.OK() {
-		t.Fatalf("sound retry model failed: %v", res.Violations)
-	}
-	res := m.CheckRIO(spec.RIOOptions{Retry: true, SkipReadBlockers: true})
-	if res.OK() {
-		t.Error("retry masked the dropped WAR ordering")
-	}
-}
-
 // The work-stealing transition (an idle worker executes a victim's next
 // in-order task when the counter state proves it ready) must preserve
 // every invariant: no data race, refinement of STF, and termination still
@@ -188,19 +145,6 @@ func TestRIOStealOnLUInstances(t *testing.T) {
 		if res.Generated <= base.Generated {
 			t.Errorf("%dx%d: steal added no transitions (%d <= %d)",
 				sz[0], sz[1], res.Generated, base.Generated)
-		}
-	}
-}
-
-// Steal composed with the rollback transition: a stolen task that fails is
-// retried in place by the thief, an own task rolls back to its queue slot;
-// the combination must preserve all invariants.
-func TestRIOStealWithRetry(t *testing.T) {
-	for _, sz := range [][2]int{{2, 2}, {3, 2}} {
-		g := graphs.LURect(sz[0], sz[1])
-		m := mustModel(t, g, 2, sched.Cyclic(2))
-		if res := m.CheckRIO(spec.RIOOptions{Steal: true, Retry: true}); !res.OK() {
-			t.Errorf("%dx%d steal+retry: %v", sz[0], sz[1], res.Violations)
 		}
 	}
 }

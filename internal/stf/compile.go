@@ -36,10 +36,6 @@ type StreamStats struct {
 	// Declared is the number of distinct foreign tasks the stream declares
 	// accesses for (tasks pruned from the stream count for neither).
 	Declared int64
-	// Skipped is the number of owned tasks removed from the stream by a
-	// checkpoint resume (PruneCompleted). Zero for freshly compiled
-	// programs.
-	Skipped int64
 }
 
 // CompiledProgram is a recorded Graph lowered for one (mapping, workers)
@@ -366,8 +362,8 @@ func (cp *CompiledProgram) bare() bool {
 }
 
 // execOwners recovers each task's executor from the streams (an owned task
-// always keeps its OpExec); -1 marks tasks no stream executes — those a
-// checkpoint resume pruned out.
+// always keeps its OpExec); -1 marks tasks no stream executes, which only a
+// hand-built or mutated program has.
 func (cp *CompiledProgram) execOwners() []WorkerID {
 	owners := make([]WorkerID, len(cp.Tasks))
 	for i := range owners {
@@ -385,7 +381,7 @@ func (cp *CompiledProgram) execOwners() []WorkerID {
 
 // Canonical returns cp's flow with every access lowered: cp itself when
 // nothing was elided, otherwise a re-lowering of cp.Tasks under the
-// executors the streams record, resume-pruned tasks still absent. §3.5
+// executors the streams record. §3.5
 // pruning is not carried over (which foreign tasks an elided stream found
 // relevant is no longer recoverable; the full flow is always sound).
 func (cp *CompiledProgram) Canonical() *CompiledProgram {
@@ -399,9 +395,6 @@ func (cp *CompiledProgram) Canonical() *CompiledProgram {
 		Tasks:   cp.Tasks,
 	}
 	out.lower(cp.execOwners(), nil)
-	for w := range out.Stats {
-		out.Stats[w].Skipped = cp.Stats[w].Skipped
-	}
 	return out
 }
 

@@ -54,13 +54,6 @@ func TestProgramFacts(t *testing.T) {
 				}
 				return cp.Canonical(), nil
 			}, true, c.reductions},
-			lowering{g.Name + "/resume-pruned", func() (*stf.CompiledProgram, error) {
-				cp, err := stf.Compile(g, cyclic(2), 2, nil)
-				if err != nil {
-					return nil, err
-				}
-				return stf.PruneCompleted(cp, &stf.Checkpoint{Completed: []stf.TaskID{0}}), nil
-			}, c.wideOps, c.reductions},
 		)
 	}
 	for _, c := range cases {

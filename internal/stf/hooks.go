@@ -48,11 +48,4 @@ type Hooks struct {
 	// a stealable task owned by another worker (Options.Steal), before the
 	// task's OnTaskStart. Requires a StealPolicy; see internal/stf/steal.go.
 	OnTaskSteal func(thief, owner WorkerID, id TaskID)
-	// OnTaskRetry fires on the executing worker after a task attempt
-	// failed, its write-set was rolled back, and the runtime decided to
-	// retry: attempt is the number of the attempt that just failed (1 for
-	// the first try), cause the recovered failure. It fires before the
-	// backoff sleep, and never for terminal failures (those surface through
-	// the run error). Requires a RetryPolicy; see internal/stf/retry.go.
-	OnTaskRetry func(w WorkerID, id TaskID, attempt int, cause any)
 }

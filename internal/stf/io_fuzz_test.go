@@ -26,7 +26,7 @@ import (
 // coordinates, weights, reductions, idempotence, unicode names.
 func fuzzSeedGraphs() []*stf.Graph {
 	weighted := stf.NewGraph("weighted π", 3)
-	weighted.Add(7, -1, 0, 1000, stf.W(0).AsIdempotent(), stf.R(2))
+	weighted.Add(7, -1, 0, 1000, stf.Access{Data: 0, Mode: stf.WriteOnly, Idempotent: true}, stf.R(2))
 	weighted.Add(0, 0, 0, 0) // no accesses: the omitempty edge
 	weighted.Add(1, 2, 3, -4, stf.Red(1), stf.RW(0))
 	return []*stf.Graph{

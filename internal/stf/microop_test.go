@@ -14,10 +14,10 @@ import (
 )
 
 // reference lowers g for worker w the way the 12-byte stream form did, one
-// micro-op per protocol operation: tasks with a negative owner or done are
-// left out, foreign tasks not relevant to w too, and accesses to elided data
-// emit nothing.
-func reference(g *stf.Graph, owners []stf.WorkerID, relevant [][]bool, elided, done []bool, w int) []stf.Instr {
+// micro-op per protocol operation: tasks with a negative owner are left out,
+// foreign tasks not relevant to w too, and accesses to elided data emit
+// nothing.
+func reference(g *stf.Graph, owners []stf.WorkerID, relevant [][]bool, elided []bool, w int) []stf.Instr {
 	pick := func(m stf.AccessMode, write, red, read stf.OpCode) stf.OpCode {
 		switch {
 		case m.Writes():
@@ -30,7 +30,7 @@ func reference(g *stf.Graph, owners []stf.WorkerID, relevant [][]bool, elided, d
 	var out []stf.Instr
 	for i := range g.Tasks {
 		t, id := &g.Tasks[i], int32(i)
-		if owners[i] < 0 || (done != nil && done[i]) || (relevant != nil && !relevant[w][i]) {
+		if owners[i] < 0 || (relevant != nil && !relevant[w][i]) {
 			continue
 		}
 		live := func(yield func(stf.Access) bool) {
@@ -82,7 +82,7 @@ func checkEncoding(t *testing.T, what string, cp *stf.CompiledProgram, want func
 }
 
 // TestStreamEncodingProperty: over random flows and mappings, every program
-// the compilers, PruneCompleted and Canonical produce stores the micro-ops
+// the compilers and Canonical produce stores the micro-ops
 // of the per-operation lowering, in Encode's encoding.
 func TestStreamEncodingProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
@@ -103,12 +103,6 @@ func TestStreamEncodingProperty(t *testing.T) {
 		if trial%3 == 0 {
 			rel = sched.Relevant(g, m, workers)
 		}
-		done := make([]bool, len(g.Tasks))
-		c := &stf.Checkpoint{Tasks: len(g.Tasks)}
-		for i := 0; i < rng.Intn(len(g.Tasks)+1); i++ {
-			done[i] = true
-			c.Completed = append(c.Completed, stf.TaskID(i))
-		}
 		for _, lowering := range []struct {
 			name    string
 			compile func(*stf.Graph, stf.Mapping, int, [][]bool) (*stf.CompiledProgram, error)
@@ -118,21 +112,7 @@ func TestStreamEncodingProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			checkEncoding(t, what, cp, func(w int) []stf.Instr { return reference(g, owners, rel, cp.Elided, nil, w) })
-			resumed := stf.PruneCompleted(cp, c)
-			checkEncoding(t, what+", resumed", resumed, func(w int) []stf.Instr { return reference(g, owners, rel, cp.Elided, done, w) })
-			live := slices.Clone(owners)
-			for i := range live {
-				if done[i] {
-					live[i] = -1
-				}
-			}
-			checkEncoding(t, what+", resumed, Canonical()", resumed.Canonical(), func(w int) []stf.Instr {
-				if resumed.Elided == nil {
-					return reference(g, owners, rel, nil, done, w)
-				}
-				return reference(g, live, nil, nil, nil, w)
-			})
+			checkEncoding(t, what, cp, func(w int) []stf.Instr { return reference(g, owners, rel, cp.Elided, w) })
 		}
 	}
 }
@@ -174,7 +154,7 @@ func TestStreamEncodingWindowShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkEncoding(t, fmt.Sprintf("window %d, elide %v", trial, elide), cp, func(w int) []stf.Instr {
-				return reference(g, owners, nil, cp.Elided, nil, w)
+				return reference(g, owners, nil, cp.Elided, w)
 			})
 		}
 	}

@@ -103,8 +103,8 @@ type StealMeta struct {
 	// the flow must publish there — streams with elided data do not.
 	Program *CompiledProgram
 	// Owners maps each task index to its owning worker, or -1 for tasks
-	// absent from every stream (checkpoint-resume pruned: already
-	// executed, never stealable).
+	// absent from every stream (a hand-built or mutated program: never
+	// stealable).
 	Owners []WorkerID
 	// Reqs holds, per task, one StealReq per access (flow-order
 	// registered values; nil for non-surviving tasks).
@@ -119,7 +119,7 @@ type StealMeta struct {
 // The tables ride on the program: whoever caches cp (a graph cache, a
 // stream's shape cache, a server's flow table) caches them with it, and a
 // program that is evicted or was made for one run (a recorded closure
-// flow, a resume-pruned copy) takes them along.
+// flow) takes them along.
 func (cp *CompiledProgram) StealMeta() *StealMeta {
 	cp.stealOnce.Do(func() { cp.stealMeta = BuildStealMeta(cp) })
 	return cp.stealMeta
@@ -132,9 +132,7 @@ func (cp *CompiledProgram) StealMeta() *StealMeta {
 // is recovered from the streams (each OpExec belongs to the stream's
 // worker); the registered counter values are produced by replaying the
 // surviving flow's declare_* semantics once. Tasks without an OpExec in
-// any stream (checkpoint-resume pruned) contribute neither requirements
-// nor counter updates, matching PruneCompleted's streams, which dropped
-// their micro-ops everywhere.
+// any stream contribute neither requirements nor counter updates.
 func BuildStealMeta(cp *CompiledProgram) *StealMeta {
 	cp = cp.Canonical()
 	n := len(cp.Tasks)

@@ -108,46 +108,6 @@ func TestBuildStealMeta(t *testing.T) {
 	}
 }
 
-// Checkpoint-pruned tasks must be unstealable — no owner, no requirements,
-// absent from every victim queue — and the surviving tasks' registered
-// values must be computed over the surviving flow alone, matching the
-// pruned streams in which the completed tasks' declares were dropped from
-// every worker.
-func TestBuildStealMetaPruned(t *testing.T) {
-	g := compileGraph()
-	cp, err := stf.Compile(g, cyclic(2), 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned := stf.PruneCompleted(cp, &stf.Checkpoint{
-		Tasks:     len(g.Tasks),
-		Completed: []stf.TaskID{0, 1},
-	})
-	m := stf.BuildStealMeta(pruned)
-
-	for _, id := range []int{0, 1} {
-		if m.Owners[id] != -1 || m.Reqs[id] != nil {
-			t.Errorf("pruned task %d still stealable: owner %d reqs %+v", id, m.Owners[id], m.Reqs[id])
-		}
-	}
-	assertQueue(t, "queue[0]", m.ByOwner[0], []int32{2, 4})
-	assertQueue(t, "queue[1]", m.ByOwner[1], []int32{3})
-
-	// Task 4's counters now describe a flow in which tasks 0 and 1 never
-	// happened (their data effects live in checkpointed memory, their
-	// declares in no stream): both data start pristine.
-	none := int64(stf.NoTask)
-	want := []stf.StealReq{
-		{Data: 1, Mode: stf.ReadWrite, LastWrite: none},
-		{Data: 0, Mode: stf.ReadOnly, LastWrite: none},
-	}
-	for j := range want {
-		if m.Reqs[4][j] != want[j] {
-			t.Errorf("pruned reqs[4][%d] = %+v, want %+v", j, m.Reqs[4][j], want[j])
-		}
-	}
-}
-
 // Compile rejects a task accessing the same data twice — pinned here
 // because BuildStealMeta's snapshot-then-update pass additionally defends
 // against it (all of a task's requirements see the pre-task counters), and

@@ -98,18 +98,11 @@ func (m AccessMode) Commutes() bool { return m == Reduction }
 type Access struct {
 	Data DataID
 	Mode AccessMode
-	// Idempotent marks a write or reduction as safe to re-execute without
-	// rollback: running the task body twice over this data leaves the same
-	// value as running it once (e.g. the body fully overwrites the object
-	// from read-only inputs). Retry machinery skips snapshotting idempotent
-	// accesses; read-only accesses never need the flag. See RetryPolicy.
+	// Idempotent marks a write or reduction as safe to re-execute. No
+	// engine reads it: it stays for wire compatibility (the JSON member
+	// "idempotent" is read, validated and written) and for flow identity
+	// (it is a bit of a served flow's hash).
 	Idempotent bool
-}
-
-// AsIdempotent returns a copy of a with the Idempotent flag set.
-func (a Access) AsIdempotent() Access {
-	a.Idempotent = true
-	return a
 }
 
 // R constructs a read-only access.

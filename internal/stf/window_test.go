@@ -93,7 +93,7 @@ func TestWindowFingerprint(t *testing.T) {
 		w.Add(func() {}, 0, 0, 0, 0, []Access{RW(1)})
 	})
 	b := shape(3, func(w *Window) { // same shape, different bodies/coords/flags
-		w.Add(nil, 9, 7, 8, 9, []Access{R(0), W(1).AsIdempotent()})
+		w.Add(nil, 9, 7, 8, 9, []Access{R(0), {Data: 1, Mode: WriteOnly, Idempotent: true}})
 		w.Add(nil, 4, 1, 1, 1, []Access{RW(1)})
 	})
 	if a.Fingerprint() != b.Fingerprint() {

@@ -55,7 +55,7 @@ func WriteMetrics(w io.Writer, p Progress) error {
 	return ew.err
 }
 
-// counterSeries are the Prometheus counters of the seven Counters, in
+// counterSeries are the Prometheus counters of the five Counters, in
 // exposition order, one sample per worker each.
 var counterSeries = [...]struct {
 	name, help string
@@ -64,8 +64,6 @@ var counterSeries = [...]struct {
 	{"rio_tasks_executed_total", "Tasks executed so far, per worker.", func(c *Counters) int64 { return c.Executed }},
 	{"rio_tasks_declared_total", "Declare-only task visits so far, per worker.", func(c *Counters) int64 { return c.Declared }},
 	{"rio_tasks_claimed_total", "Dynamically claimed executions so far, per worker.", func(c *Counters) int64 { return c.Claimed }},
-	{"rio_tasks_retried_total", "Rolled-back-and-retried task attempts so far, per worker.", func(c *Counters) int64 { return c.Retried }},
-	{"rio_tasks_skipped_total", "Resume-skipped completed tasks so far, per worker.", func(c *Counters) int64 { return c.Skipped }},
 	{"rio_tasks_stolen_total", "Stolen task executions so far, per worker (thief side).", func(c *Counters) int64 { return c.Stolen }},
 	{"rio_steal_failed_total", "Steal attempts that lost the claim race so far, per worker.", func(c *Counters) int64 { return c.StealFailed }},
 }

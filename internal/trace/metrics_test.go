@@ -15,8 +15,8 @@ func TestWriteMetricsExposition(t *testing.T) {
 	p := trace.Progress{
 		Running: true,
 		Workers: trace.Workers{
-			{Counters: trace.Counters{Executed: 5, Declared: 7, Claimed: 1, Retried: 2, Stolen: 4}, Current: 12},
-			{Counters: trace.Counters{Executed: 3, Declared: 9, Skipped: 6, StealFailed: 8}, Current: stf.NoTask},
+			{Counters: trace.Counters{Executed: 5, Declared: 7, Claimed: 1, Stolen: 4}, Current: 12},
+			{Counters: trace.Counters{Executed: 3, Declared: 9, StealFailed: 8}, Current: stf.NoTask},
 		},
 	}
 	p.Workers[0].WaitHist[0] = 2 // < 1µs
@@ -32,8 +32,6 @@ func TestWriteMetricsExposition(t *testing.T) {
 		`rio_tasks_executed_total{worker="1"} 3`,
 		`rio_tasks_declared_total{worker="1"} 9`,
 		`rio_tasks_claimed_total{worker="0"} 1`,
-		`rio_tasks_retried_total{worker="0"} 2`,
-		`rio_tasks_skipped_total{worker="1"} 6`,
 		`rio_tasks_stolen_total{worker="0"} 4`,
 		`rio_steal_failed_total{worker="1"} 8`,
 		"# HELP rio_steal_failed_total Steal attempts that lost the claim race so far, per worker.\n# TYPE rio_steal_failed_total counter\n",
@@ -58,14 +56,14 @@ func TestWriteMetricsExposition(t *testing.T) {
 // times a Stats reading adds never show.
 func TestProgressJSONWireFormat(t *testing.T) {
 	p := trace.Progress{Running: true, Workers: trace.Workers{{
-		Counters: trace.Counters{Executed: 1, Declared: 2, Claimed: 3, Retried: 4, Skipped: 5, Stolen: 6, StealFailed: 7},
+		Counters: trace.Counters{Executed: 1, Declared: 2, Claimed: 3, Stolen: 6, StealFailed: 7},
 		Current:  stf.NoTask, WaitHist: [trace.NumWaitBuckets]int64{8}, Task: 9, Wall: 10,
 	}}}
 	b, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"running":true,"workers":[{"executed":1,"declared":2,"claimed":3,"retried":4,"skipped":5,"stolen":6,"steal_failed":7,"current":-1,"wait_hist":[8,0,0,0,0,0,0,0]}]}`
+	const want = `{"running":true,"workers":[{"executed":1,"declared":2,"claimed":3,"stolen":6,"steal_failed":7,"current":-1,"wait_hist":[8,0,0,0,0,0,0,0]}]}`
 	if string(b) != want {
 		t.Errorf("Progress JSON =\n%s\nwant\n%s", b, want)
 	}

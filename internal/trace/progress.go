@@ -39,7 +39,7 @@ func WaitBucket(d time.Duration) int {
 	return NumWaitBuckets - 1
 }
 
-// Counters are a worker's seven task counters: the always-on part of its
+// Counters are a worker's five task counters: the always-on part of its
 // run record, counted in place in its ProgressCell.
 type Counters struct {
 	// Executed counts tasks this worker ran.
@@ -52,13 +52,6 @@ type Counters struct {
 	// Claimed counts executed tasks that had no static owner and were won
 	// dynamically (partial mappings); Claimed <= Executed.
 	Claimed int64 `json:"claimed"`
-	// Retried counts failed task attempts that were rolled back and
-	// re-executed under a retry policy; a task succeeding on its third
-	// attempt contributes 2.
-	Retried int64 `json:"retried"`
-	// Skipped counts tasks a Resume checkpoint marked completed, charged
-	// to the worker that would have executed them.
-	Skipped int64 `json:"skipped"`
 	// Stolen counts executed tasks this worker took from another worker's
 	// static assignment under a steal policy; Stolen <= Executed.
 	Stolen int64 `json:"stolen"`
@@ -73,8 +66,8 @@ type Counters struct {
 type Worker struct {
 	Counters
 	// Current is the ID of the task this worker is executing, or
-	// stf.NoTask (-1) when it is between tasks (replaying, waiting or done)
-	// or sleeping in a retry backoff.
+	// stf.NoTask (-1) when it is between tasks (replaying, waiting or
+	// done).
 	Current stf.TaskID `json:"current"`
 	// WaitHist is the histogram of completed dependency-wait durations
 	// (bucket bounds in WaitBucketBounds). Populated only when accounting
@@ -112,12 +105,6 @@ func (ws Workers) Declared() int64 { return ws.sum(func(c *Counters) int64 { ret
 
 // Claimed returns the total number of dynamically claimed executions.
 func (ws Workers) Claimed() int64 { return ws.sum(func(c *Counters) int64 { return c.Claimed }) }
-
-// Retried returns the total number of retried task attempts.
-func (ws Workers) Retried() int64 { return ws.sum(func(c *Counters) int64 { return c.Retried }) }
-
-// Skipped returns the total number of resume-skipped tasks.
-func (ws Workers) Skipped() int64 { return ws.sum(func(c *Counters) int64 { return c.Skipped }) }
 
 // Stolen returns the total number of stolen task executions.
 func (ws Workers) Stolen() int64 { return ws.sum(func(c *Counters) int64 { return c.Stolen }) }
@@ -221,8 +208,6 @@ type progressCounters struct {
 
 	declared    atomic.Int64
 	claimed     atomic.Int64
-	retried     atomic.Int64
-	skipped     atomic.Int64
 	stolen      atomic.Int64
 	stealFailed atomic.Int64
 	waitHist    [NumWaitBuckets]atomic.Int64
@@ -313,12 +298,6 @@ func (c *ProgressCell) CountDeclared(n int64) { c.declared.Store(c.declared.Load
 // CountClaimed counts one dynamically claimed execution.
 func (c *ProgressCell) CountClaimed() { c.claimed.Store(c.claimed.Load() + 1) }
 
-// CountRetried counts one rolled-back-and-retried attempt.
-func (c *ProgressCell) CountRetried() { c.retried.Store(c.retried.Load() + 1) }
-
-// CountSkipped counts n resume-skipped tasks.
-func (c *ProgressCell) CountSkipped(n int64) { c.skipped.Store(c.skipped.Load() + n) }
-
 // CountStolen counts one stolen execution.
 func (c *ProgressCell) CountStolen() { c.stolen.Store(c.stolen.Load() + 1) }
 
@@ -360,8 +339,6 @@ func (c *ProgressCell) read() Worker {
 			Executed:    executed,
 			Declared:    c.declared.Load(),
 			Claimed:     c.claimed.Load(),
-			Retried:     c.retried.Load(),
-			Skipped:     c.skipped.Load(),
 			Stolen:      c.stolen.Load(),
 			StealFailed: c.stealFailed.Load(),
 		},
@@ -377,10 +354,10 @@ func (c *ProgressCell) read() Worker {
 // comparable: a monitor dates a worker's state by the first reading that
 // differs from the one before.
 type WorkerState struct {
-	Executed, Retried int64
-	// Current is the task being executed (stf.NoTask between tasks and
-	// during a retry backoff); Waiting and WaitOn the slow wait the worker
-	// is blocked in (Waiting is stf.NoTask when none).
+	Executed int64
+	// Current is the task being executed (stf.NoTask between tasks);
+	// Waiting and WaitOn the slow wait the worker is blocked in (Waiting is
+	// stf.NoTask when none).
 	Current, Waiting stf.TaskID
 	WaitOn           stf.Access
 	Exited           bool
@@ -392,7 +369,6 @@ func (c *ProgressCell) State() WorkerState {
 	acc := c.waitAccess.Load()
 	return WorkerState{
 		Executed: executed,
-		Retried:  c.retried.Load(),
 		Current:  current,
 		Waiting:  stf.TaskID(c.waitTask.Load()),
 		WaitOn:   stf.Access{Data: stf.DataID(acc >> 8), Mode: stf.AccessMode(acc)},

@@ -37,8 +37,6 @@ func TestProgressTableStats(t *testing.T) {
 	c.CountExecuted()
 	c.CountDeclared(5)
 	c.CountClaimed()
-	c.CountRetried()
-	c.CountSkipped(3)
 	c.CountStolen()
 	c.CountStealFailed()
 	c.Exit(10, 4, 20)
@@ -46,7 +44,7 @@ func TestProgressTableStats(t *testing.T) {
 	for _, accounted := range []bool{true, false} {
 		s := tb.stats(30, accounted)
 		want := Worker{
-			Counters: Counters{Executed: 2, Declared: 5, Claimed: 1, Retried: 1, Skipped: 3, Stolen: 1, StealFailed: 1},
+			Counters: Counters{Executed: 2, Declared: 5, Claimed: 1, Stolen: 1, StealFailed: 1},
 			Current:  stf.NoTask, Task: 10, Idle: 4, Wall: 20,
 		}
 		if accounted {
@@ -61,7 +59,7 @@ func TestProgressTableStats(t *testing.T) {
 	if w := s.Workers[0]; p.Workers[0] != (Worker{Counters: w.Counters, Current: w.Current, WaitHist: w.WaitHist}) {
 		t.Errorf("Snapshot worker 0 = %+v, want Stats' %+v without times", p.Workers[0], w)
 	}
-	if st := c.State(); !st.Exited || st.Executed != 2 || st.Retried != 1 || st.Waiting != stf.NoTask {
+	if st := c.State(); !st.Exited || st.Executed != 2 || st.Waiting != stf.NoTask {
 		t.Errorf("State = %+v", st)
 	}
 	c.SetWaiting(7, stf.RW(300))
@@ -117,13 +115,13 @@ func TestCumulativeAddsTailAsIdle(t *testing.T) {
 // Stats and Progress share their sums: each is Workers', over one counter.
 func TestCounters(t *testing.T) {
 	ws := Workers{
-		{Counters: Counters{Executed: 3, Declared: 7, Claimed: 1, Retried: 2, Skipped: 5, Stolen: 1, StealFailed: 4}, WaitHist: [NumWaitBuckets]int64{1, 2}},
-		{Counters: Counters{Executed: 4, Declared: 6, Claimed: 2, Retried: 1, Skipped: 1, Stolen: 2, StealFailed: 1}, WaitHist: [NumWaitBuckets]int64{0, 3}},
+		{Counters: Counters{Executed: 3, Declared: 7, Claimed: 1, Stolen: 1, StealFailed: 4}, WaitHist: [NumWaitBuckets]int64{1, 2}},
+		{Counters: Counters{Executed: 4, Declared: 6, Claimed: 2, Stolen: 2, StealFailed: 1}, WaitHist: [NumWaitBuckets]int64{0, 3}},
 	}
 	s, p := &Stats{Workers: ws}, Progress{Workers: ws}
-	got := [...]int64{s.Executed(), s.Declared(), s.Claimed(), s.Retried(), s.Skipped(), s.Stolen(), s.StealFailed()}
-	if want := [...]int64{7, 13, 3, 3, 6, 3, 5}; got != want {
-		t.Errorf("sums (executed, declared, claimed, retried, skipped, stolen, steal-failed) = %v, want %v", got, want)
+	got := [...]int64{s.Executed(), s.Declared(), s.Claimed(), s.Stolen(), s.StealFailed()}
+	if want := [...]int64{7, 13, 3, 3, 5}; got != want {
+		t.Errorf("sums (executed, declared, claimed, stolen, steal-failed) = %v, want %v", got, want)
 	}
 	if p.Executed() != s.Executed() || p.WaitHist() != s.WaitHist() || p.WaitHist() != [NumWaitBuckets]int64{1, 5} {
 		t.Errorf("Progress sums %d %v, Stats %d %v", p.Executed(), p.WaitHist(), s.Executed(), s.WaitHist())

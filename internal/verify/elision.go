@@ -12,7 +12,7 @@ import (
 // against a read — sits on one worker; then no stream ever waits on the
 // object's cell, so nothing the missing terminates would have published is
 // read. The check below takes that definition pair kind by pair kind over
-// the residual flow and the mapping, sharing nothing with the compiler's
+// the flow and the mapping, sharing nothing with the compiler's
 // own classification.
 
 // ownerSet summarizes which workers own one class of accesses (writes,
@@ -43,7 +43,7 @@ func (c *certifier) elided(d stf.DataID) bool {
 }
 
 // checkElision flags every claimed-elided data object that is contended
-// in the residual flow, once per object.
+// in the flow, once per object.
 func (c *certifier) checkElision() {
 	if c.cp.Elided == nil {
 		return
@@ -51,9 +51,6 @@ func (c *certifier) checkElision() {
 	type use struct{ writes, reads, reds ownerSet }
 	uses := make([]use, c.g.NumData)
 	for i := range c.g.Tasks {
-		if c.completed[i] {
-			continue
-		}
 		for _, a := range c.g.Tasks[i].Accesses {
 			u := &uses[a.Data]
 			switch {

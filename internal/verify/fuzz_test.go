@@ -14,8 +14,8 @@ import (
 
 // FuzzCompileVerify is the translation-validation property: for any
 // graph, mapping and worker count, whatever stf.Compile (eliding) and
-// stf.CompileCanonical produce — with or without §3.5 pruning, with or
-// without checkpoint resume — must certify clean, and every faultinject
+// stf.CompileCanonical produce — with or without §3.5 pruning — must
+// certify clean, and every faultinject
 // stream mutation of either must be rejected. The first half fuzzes the
 // compilers against the certifier; the second fuzzes the certifier against
 // known-broken streams. Every stream compiled or mutated must also
@@ -61,25 +61,8 @@ func FuzzCompileVerify(f *testing.F) {
 			roundTrips(t, "compiled", cp)
 			roundTrips(t, "canonical", cp.Canonical())
 
-			// Resume from a task-flow prefix (always dependency-closed).
-			c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: prefixIDs(site % (len(g.Tasks) + 1))}
-			resumed := stf.PruneCompleted(cp, c)
-			roundTrips(t, "resumed", resumed)
-			if rep := Certify(g, resumed, Config{Mapping: m, Resume: c}); len(rep.Findings) != 0 {
-				t.Fatalf("resumed program did not certify: %s", rep.Findings[0])
-			}
-
 			// Every applicable stream mutation must be rejected.
 			for _, mut := range faultinject.StreamMutations() {
-				if mut == faultinject.MutSplitResume {
-					if mutated, ok := faultinject.SplitResume(cp, c, site); ok {
-						roundTrips(t, mut.String(), mutated)
-						if rep := Certify(g, mutated, Config{Mapping: m, Resume: c}); rep.Errors == 0 {
-							t.Fatalf("%s at site %d not rejected", mut, site)
-						}
-					}
-					continue
-				}
 				mutated, ok := faultinject.MutateStream(cp, mut, site)
 				if !ok {
 					continue

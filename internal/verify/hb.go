@@ -7,7 +7,7 @@ import (
 
 // Static happens-before certification (RIO-V008): build, from the
 // streams' certified waits alone, a vector-clock order over task
-// executions, then require every conflicting access pair of the residual
+// executions, then require every conflicting access pair of the
 // flow to be covered by it.
 //
 // Construction: each worker's exec groups are numbered by stream
@@ -32,10 +32,9 @@ import (
 // pos(earlier). Vector-clock order is transitive, so frontier coverage
 // extends to all conflicting pairs.
 func (c *certifier) certifyHB() {
-	if c.counts[analyze.CodeVerifyOrder] > 0 || c.counts[analyze.CodeVerifyResume] > 0 {
-		// Without intact program order (or with completed tasks leaking
-		// back into streams) stream positions don't define a usable
-		// clock; the defects are already reported.
+	if c.counts[analyze.CodeVerifyOrder] > 0 {
+		// Without intact program order stream positions don't define a
+		// usable clock; the defects are already reported.
 		return
 	}
 	n := len(c.g.Tasks)
@@ -47,7 +46,7 @@ func (c *certifier) certifyHB() {
 		prevOnWorker[i] = stf.NoTask
 	}
 	for i := range c.g.Tasks {
-		if c.completed[i] || c.execCount[i] != 1 {
+		if c.execCount[i] != 1 {
 			continue
 		}
 		pos := c.execAt[i]
@@ -76,7 +75,7 @@ func (c *certifier) certifyHB() {
 	reported := make([]bool, c.g.NumData)
 	copy(reported, c.contended)
 	for i := range c.g.Tasks {
-		if c.completed[i] || !known[i] {
+		if !known[i] {
 			continue
 		}
 		for ai, a := range c.g.Tasks[i].Accesses {

@@ -2,9 +2,8 @@ package verify
 
 import "rio/internal/stf"
 
-// The reference walk replays the residual task flow (the graph minus any
-// checkpoint-completed tasks) once, in program order, recording for every
-// access of every task the state of its data object just before the task
+// The reference walk replays the task flow once, in program order,
+// recording for every access of every task the state of its data object just before the task
 // — the same four quantities the protocol's local counters track
 // (core/data.go localState), plus the identities behind the counts:
 // which terminations the access's get_* wait requires, and which earlier
@@ -32,7 +31,7 @@ type preState struct {
 	conflicts []stf.TaskID
 }
 
-// buildReference computes c.pre over the residual flow.
+// buildReference computes c.pre over the flow.
 func (c *certifier) buildReference() {
 	type refCell struct {
 		lastWrite stf.TaskID
@@ -48,9 +47,6 @@ func (c *certifier) buildReference() {
 	}
 	c.pre = make([][]preState, len(c.g.Tasks))
 	for i := range c.g.Tasks {
-		if c.completed[i] {
-			continue
-		}
 		t := &c.g.Tasks[i]
 		ps := make([]preState, len(t.Accesses))
 		for ai, a := range t.Accesses {

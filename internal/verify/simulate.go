@@ -6,8 +6,7 @@ import (
 )
 
 // Pruning soundness (RIO-V006): a compiled stream may omit a foreign
-// task's declares — §3.5 relevance pruning and checkpoint resume both do
-// — but only when the omission is *dominated*: every later wait on the
+// task's declares — §3.5 relevance pruning does — but only when the omission is *dominated*: every later wait on the
 // affected data must observe local counters that a surviving op already
 // re-established (most commonly a surviving declare_write, which resets
 // the whole quadruple and thereby forgives everything elided before it).
@@ -17,7 +16,7 @@ import (
 // uses (declares and terminates mutate, waits only observe —
 // core/data.go and the compiled interpreter in core/compiled.go), and at
 // every get_* the simulated quadruple is compared against the reference
-// pre-state the full residual flow implies. Agreement at every wait is
+// pre-state the full flow implies. Agreement at every wait is
 // precisely the condition under which the §3.5 argument goes through:
 // the wait blocks until the same version of the data the sequential flow
 // would hand the task. A counter left behind means the wait would admit
@@ -76,9 +75,6 @@ func (c *certifier) simulate(w int) {
 // reference pre-state of the waiting task, field by field as the wait
 // condition reads them (readReady/writeReady/redReady in core/data.go).
 func (c *certifier) checkWait(w stf.WorkerID, in stf.Instr, l *simCell, flagged []bool) {
-	if c.completed[in.Task] {
-		return // already RIO-V007; no reference state exists
-	}
 	t := &c.g.Tasks[in.Task]
 	ai := accessIndex(t, in.Data)
 	if ai < 0 {

@@ -10,19 +10,19 @@
 //
 // Four properties are certified, each with its own RIO-V00x codes:
 //
-//   - Coverage & order (RIO-V001..V005): every surviving task executes
+//   - Coverage & order (RIO-V001..V005): every task executes
 //     exactly once, on its mapped worker, in program order, with its
 //     get_* acquires before the exec and its terminate_* publications
 //     after, and with micro-ops matching the recorded access list
 //     exactly.
 //
-//   - Pruning soundness (RIO-V006, RIO-V007): a worker's stream may
-//     legally omit a foreign task's declares (§3.5 pruning, checkpoint
-//     resume) only when every later wait on the affected data is
+//   - Pruning soundness (RIO-V006): a worker's stream may legally omit a
+//     foreign task's declares (§3.5 pruning) only when every later wait
+//     on the affected data is
 //     dominated by a surviving op that re-establishes the same version —
 //     checked by simulating each worker's private counters over its
 //     stream and comparing them, at every wait, against the counters the
-//     full residual flow implies. An elision that drops a real
+//     full flow implies. An elision that drops a real
 //     dependency leaves the simulated counters behind (the wait would
 //     admit a stale version) or ahead (the wait could never be
 //     satisfied); either divergence is flagged.
@@ -60,12 +60,6 @@ type Config struct {
 	// Mapping is the static task→worker mapping cp was compiled for. It
 	// must be total over the graph and must not return SharedWorker.
 	Mapping stf.Mapping
-	// Resume, when non-nil, declares that cp had the checkpoint's
-	// completed tasks pruned out (stf.PruneCompleted): completed tasks
-	// must have no surviving micro-ops, and the certificate covers the
-	// residual flow only. For chained checkpoints, pass the union of all
-	// applied checkpoints.
-	Resume *stf.Checkpoint
 }
 
 // maxPerCode caps how many findings of one code a single certification
@@ -91,13 +85,12 @@ type certifier struct {
 	// after scanStructure reads.
 	streams [][]stf.Instr
 
-	owners    []stf.WorkerID
-	completed []bool
+	owners []stf.WorkerID
 	// contended marks the claimed-elided data objects checkElision flagged
 	// (nil when none).
 	contended []bool
-	// pre holds, for each residual task and each of its accesses, the
-	// state of the data object the full residual flow implies just before
+	// pre holds, for each task and each of its accesses, the state of the
+	// data object the full flow implies just before
 	// the task (see reference.go).
 	pre [][]preState
 	// execCount and execAt record where each task's exec group landed;
@@ -129,7 +122,6 @@ func Certify(g *stf.Graph, cp *stf.CompiledProgram, cfg Config) *analyze.Report 
 	if !c.validateInputs() {
 		return c.rep.Finish()
 	}
-	c.validateResume()
 	c.checkElision()
 	c.buildReference()
 	structOK := true
@@ -224,7 +216,6 @@ func (c *certifier) validateInputs() bool {
 		}
 		c.owners[i] = o
 	}
-	c.completed = make([]bool, len(c.g.Tasks))
 	c.execCount = make([]int, len(c.g.Tasks))
 	c.execAt = make([]execPos, len(c.g.Tasks))
 	c.dupInGroup = make([]bool, len(c.g.Tasks))
@@ -246,34 +237,6 @@ func sameTask(a, b *stf.Task) bool {
 		}
 	}
 	return true
-}
-
-// validateResume checks the checkpoint is dependency-closed (RIO-V007):
-// resuming from a frontier with a missing predecessor would replay a task
-// whose inputs were never produced. Completed IDs beyond the task table
-// are ignored, matching PruneCompleted.
-func (c *certifier) validateResume() {
-	if c.cfg.Resume == nil {
-		return
-	}
-	for _, id := range c.cfg.Resume.Completed {
-		if id < 0 || int(id) >= len(c.g.Tasks) {
-			continue
-		}
-		c.completed[id] = true
-	}
-	deps := c.g.Dependencies()
-	for id := range c.g.Tasks {
-		if !c.completed[id] {
-			continue
-		}
-		for _, d := range deps[id] {
-			if !c.completed[d] {
-				c.addf(analyze.CodeVerifyResume, stf.TaskID(id), analyze.NoID, analyze.NoID,
-					"checkpoint is not dependency-closed: completed task %d depends on task %d, which is not completed", id, d)
-			}
-		}
-	}
 }
 
 // scanStructure decodes worker w's stream into c.streams and validates it
@@ -338,8 +301,8 @@ func canonical(words []stf.Word) bool {
 
 // scanGroups certifies coverage, ownership, order and access-set
 // faithfulness of worker w's stream. A task's micro-ops are contiguous
-// (Compile emits task by task; PruneCompleted drops whole groups), so the
-// stream is parsed as a sequence of per-task groups.
+// (Compile emits task by task), so the stream is parsed as a sequence of
+// per-task groups.
 func (c *certifier) scanGroups(w int) {
 	stream := c.streams[w]
 	wid := stf.WorkerID(w)
@@ -357,11 +320,6 @@ func (c *certifier) scanGroups(w int) {
 		}
 		group := stream[i:j]
 		i = j
-		if c.completed[id] {
-			c.addf(analyze.CodeVerifyResume, stf.TaskID(id), analyze.NoID, wid,
-				"task %d is completed by the checkpoint but still has %d micro-op(s) in worker %d's stream", id, len(group), w)
-			continue
-		}
 		if id <= lastTask {
 			c.addf(analyze.CodeVerifyOrder, stf.TaskID(id), analyze.NoID, wid,
 				"worker %d's stream is out of program order: task %d's group appears after task %d's", w, id, lastTask)
@@ -420,13 +378,10 @@ func (c *certifier) checkGroupShape(w stf.WorkerID, t *stf.Task, got, want []stf
 	}
 }
 
-// checkCoverage requires every task the checkpoint does not cover to
-// execute exactly once across all streams (RIO-V002).
+// checkCoverage requires every task to execute exactly once across all
+// streams (RIO-V002).
 func (c *certifier) checkCoverage() {
 	for id := range c.g.Tasks {
-		if c.completed[id] {
-			continue
-		}
 		switch n := c.execCount[id]; {
 		case n == 0:
 			c.addf(analyze.CodeVerifyCoverage, stf.TaskID(id), analyze.NoID, c.owners[id],

@@ -82,38 +82,6 @@ func TestCertifyReductionsClean(t *testing.T) {
 	}
 }
 
-// TestCertifyResumePruned certifies checkpoint-resumed programs,
-// including a chained (checkpoint-of-a-checkpoint) prune.
-func TestCertifyResumePruned(t *testing.T) {
-	g, err := analyze.WorkloadGraph("lu", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cyclic(3)
-	for _, prune := range []bool{false, true} {
-		cp := mustCompile(t, g, m, 3, prune)
-		// A task-flow prefix is always dependency-closed (every
-		// dependency has a smaller ID).
-		c1 := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: prefixIDs(3)}
-		p1 := stf.PruneCompleted(cp, c1)
-		assertClean(t, Certify(g, p1, Config{Mapping: m, Resume: c1}), "resume")
-
-		// Chained: resume the resumed program from a later frontier.
-		// The certificate covers the union of the applied checkpoints.
-		c2 := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: prefixIDs(7)}
-		p2 := stf.PruneCompleted(p1, c2)
-		assertClean(t, Certify(g, p2, Config{Mapping: m, Resume: c2}), "chained resume")
-	}
-}
-
-func prefixIDs(n int) []stf.TaskID {
-	out := make([]stf.TaskID, n)
-	for i := range out {
-		out[i] = stf.TaskID(i)
-	}
-	return out
-}
-
 // mutationGraph is the crafted flow the mutation-class table runs over:
 // two data objects, writer/reader pairs split across two workers, so
 // every defect class has an applicable and detectable site.
@@ -171,17 +139,6 @@ func TestMutationClassesFlagged(t *testing.T) {
 				}
 			}
 		}
-	}
-
-	// The split-resume class needs a checkpoint: prune one stream only.
-	c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: []stf.TaskID{0}}
-	mutated, ok := faultinject.SplitResume(cp, c, 0)
-	if !ok {
-		t.Fatal("split-resume: no mutation site")
-	}
-	rep := Certify(g, mutated, Config{Mapping: m, Resume: c})
-	if !rep.Has(analyze.CodeVerifyResume) {
-		t.Errorf("split-resume: want %s, got findings: %v", analyze.CodeVerifyResume, rep.Findings)
 	}
 }
 
@@ -250,9 +207,6 @@ func TestMutationSiteSweep(t *testing.T) {
 	g, m := mutationGraph()
 	cp := mustCompile(t, g, m, 2, false)
 	for _, mut := range faultinject.StreamMutations() {
-		if mut == faultinject.MutSplitResume {
-			continue // driven via SplitResume below
-		}
 		for site := 0; site < 12; site++ {
 			mutated, ok := faultinject.MutateStream(cp, mut, site)
 			if !ok {
@@ -263,19 +217,9 @@ func TestMutationSiteSweep(t *testing.T) {
 			}
 		}
 	}
-	c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: []stf.TaskID{0, 1}}
-	for site := 0; site < 4; site++ {
-		mutated, ok := faultinject.SplitResume(cp, c, site)
-		if !ok {
-			continue
-		}
-		if rep := Certify(g, mutated, Config{Mapping: m, Resume: c}); rep.Errors == 0 {
-			t.Errorf("split-resume at site %d: mutation not rejected", site)
-		}
-	}
 }
 
-// TestCertifyRejectsBadInputs covers the structural V001/V007 paths that
+// TestCertifyRejectsBadInputs covers the structural V001 paths that
 // don't come from stream mutations.
 func TestCertifyRejectsBadInputs(t *testing.T) {
 	g, m := mutationGraph()
@@ -302,14 +246,6 @@ func TestCertifyRejectsBadInputs(t *testing.T) {
 	stray.Streams[1] = append(stray.Streams[1], taskWord)
 	if rep := Certify(g, stray, Config{Mapping: m}); !rep.Has(analyze.CodeVerifyStructure) {
 		t.Errorf("stray task word: want %s, got %v", analyze.CodeVerifyStructure, rep.Findings)
-	}
-
-	// A checkpoint that is not dependency-closed: task 1 reads what
-	// task 0 wrote, but only task 1 is marked completed.
-	c := &stf.Checkpoint{Tasks: len(g.Tasks), Completed: []stf.TaskID{1}}
-	pruned := stf.PruneCompleted(cp, c)
-	if rep := Certify(g, pruned, Config{Mapping: m, Resume: c}); !rep.Has(analyze.CodeVerifyResume) {
-		t.Errorf("open checkpoint: want %s, got %v", analyze.CodeVerifyResume, rep.Findings)
 	}
 }
 

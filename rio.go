@@ -107,27 +107,6 @@ type (
 	// replay the same task flow (the program is nondeterministic).
 	DivergenceError = stf.DivergenceError
 
-	// RetryPolicy configures transient-fault retry of task bodies with
-	// write-set rollback (Options.Fault.Retry).
-	RetryPolicy = stf.RetryPolicy
-	// Snapshotter captures and restores data objects so a failed task's
-	// write-set can be rolled back before a retry (Options.Fault.Snapshots).
-	Snapshotter = stf.Snapshotter
-	// SnapshotFuncs adapts two closures into a Snapshotter.
-	SnapshotFuncs = stf.SnapshotFuncs
-	// TaskFailure is the terminal failure of one task after retry was
-	// exhausted or declined (use errors.As).
-	TaskFailure = stf.TaskFailure
-	// Checkpoint is the dependency-closed completed-task frontier of an
-	// aborted run; pass it to Options.Fault.Resume to skip those tasks.
-	Checkpoint = stf.Checkpoint
-	// PartialResult describes how far an aborted run got: completed,
-	// failed and skipped task sets.
-	PartialResult = stf.PartialResult
-	// PartialError wraps the cause of an aborted checkpointing run
-	// together with its PartialResult (use errors.As).
-	PartialError = stf.PartialError
-
 	// PreflightPasses selects the static-analysis passes Options.Preflight
 	// runs before every Run (see internal/analyze).
 	PreflightPasses = analyze.Passes
@@ -157,11 +136,6 @@ const (
 	// PreflightSpec model-checks small instances against the formal
 	// specification (internal/spec); larger instances are skipped.
 	PreflightSpec = analyze.PassSpec
-	// PreflightRetry lints fault-tolerance configuration: with a retry
-	// policy installed, every task's written data must be idempotent or
-	// snapshottable to be retryable (RIO-R001), and oversized per-attempt
-	// snapshots are flagged (RIO-R002). No-op without Options.Fault.Retry.
-	PreflightRetry = analyze.PassRetry
 	// PreflightAll runs every pass.
 	PreflightAll = analyze.PassAll
 )
@@ -229,34 +203,7 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
-// FaultOptions groups the fault-tolerance knobs (Options.Fault): retry
-// with write-set rollback, checkpointing and resume. The zero value
-// disables all of it.
-type FaultOptions struct {
-	// Retry installs transient-fault tolerance: a task body that panics
-	// (or fails per Retry.Classify) has its write-set rolled back via
-	// Snapshots and is re-executed after a deterministic backoff, up to
-	// Retry.MaxAttempts times. Tasks whose written data is neither
-	// idempotent (see Access.AsIdempotent) nor snapshottable get exactly
-	// one attempt. nil (the default) disables retry and costs the hot
-	// path one pointer test per task. Retry implies Checkpoint.
-	Retry *RetryPolicy
-	// Snapshots captures and restores data objects for retry rollback.
-	// Without it, only tasks whose writes are all idempotent are retried.
-	Snapshots Snapshotter
-	// Resume skips the tasks recorded as completed in a previous run's
-	// Checkpoint (obtained from a PartialError); their effects must still
-	// be present in the data objects. The program (or graph) must be the
-	// one that produced the checkpoint.
-	Resume *Checkpoint
-	// Checkpoint enables completed-task tracking: a failed run returns a
-	// *PartialError whose PartialResult carries the dependency-closed
-	// completed frontier for Resume. Implied by Retry.
-	Checkpoint bool
-}
-
-// Options configures an engine. The fault-tolerance knobs live in the Fault
-// sub-struct.
+// Options configures an engine.
 type Options struct {
 	// Model selects the execution model (InOrder by default).
 	Model Model
@@ -289,9 +236,6 @@ type Options struct {
 	// already float. nil (the default) disables stealing and costs the hot
 	// path one flag test per compiled micro-op. Other models ignore it.
 	Steal *StealPolicy
-	// Fault groups the fault-tolerance knobs: Retry, Snapshots, Resume and
-	// Checkpoint.
-	Fault FaultOptions
 	// NoAccounting disables fine-grained time-stamping: no clock is read
 	// inside a run, so Stats carries only the wall time and the task
 	// counts (Stats.Accounted is false) and Progress's wait histogram
@@ -341,8 +285,7 @@ type Options struct {
 	Preflight PreflightPasses
 	// Verify runs translation validation (internal/verify) on every
 	// compiled-program cache miss of a caching Engine: the freshly
-	// compiled streams — and, with Fault.Resume set, their checkpoint-pruned
-	// form — are statically certified against the recorded graph
+	// compiled streams are statically certified against the recorded graph
 	// (coverage, order, ownership, pruning soundness, happens-before)
 	// before they enter the cache. A failed certificate rejects the run
 	// with a *PreflightError carrying RIO-V00x findings. The cost is paid
@@ -429,10 +372,6 @@ func coreOptions(o Options) core.Options {
 		StallTimeout: o.StallTimeout,
 		NoGuard:      o.NoGuard,
 		Hooks:        o.Hooks,
-		Retry:        o.Fault.Retry,
-		Snapshots:    o.Fault.Snapshots,
-		Resume:       o.Fault.Resume,
-		Checkpoint:   o.Fault.Checkpoint,
 	}
 }
 
@@ -445,17 +384,9 @@ func newEngine(o Options) (Runtime, error) {
 			Window:       o.Window,
 			NoAccounting: o.NoAccounting,
 			Hooks:        o.Hooks,
-			Retry:        o.Fault.Retry,
-			Snapshots:    o.Fault.Snapshots,
-			Resume:       o.Fault.Resume,
-			Checkpoint:   o.Fault.Checkpoint,
 		})
 	case Sequential:
-		return sequential.New(sequential.Options{
-			NoAccounting: o.NoAccounting, Hooks: o.Hooks,
-			Retry: o.Fault.Retry, Snapshots: o.Fault.Snapshots,
-			Resume: o.Fault.Resume, Checkpoint: o.Fault.Checkpoint,
-		}), nil
+		return sequential.New(sequential.Options{NoAccounting: o.NoAccounting, Hooks: o.Hooks}), nil
 	}
 	return nil, fmt.Errorf("rio: unknown model %v", o.Model)
 }
@@ -481,10 +412,6 @@ func preflightConfig(o Options, workers int) analyze.Config {
 		Workers: workers,
 		Mapping: o.Mapping,
 		InOrder: o.Model == InOrder,
-		Retry:   o.Fault.Retry != nil,
-	}
-	if o.Fault.Snapshots != nil {
-		cfg.Snapshottable = o.Fault.Snapshots.CanSnapshot
 	}
 	if cfg.Mapping == nil && o.Model == InOrder {
 		cfg.Mapping = CyclicMapping(workers)

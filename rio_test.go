@@ -2,6 +2,7 @@ package rio_test
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,8 +194,8 @@ func TestPartialMappingThroughPublicAPI(t *testing.T) {
 // only steal mechanism): under a fully skewed mapping it executes every
 // task exactly once, matches the Sequential oracle, reports thief-side
 // steals through Progress and fires the OnTaskSteal hook (RankVictims feeds
-// the policy's preference list), and a panicking body under
-// Fault.Checkpoint yields a resumable *PartialError. Under an
+// the policy's preference list), and a panicking body fails the run with
+// an error naming the panic. Under an
 // all-SharedWorker mapping the same program cannot compile and falls back
 // to plain closure replay, where the tasks float without stealing.
 func TestStealThroughPublicAPI(t *testing.T) {
@@ -241,8 +242,8 @@ func TestStealThroughPublicAPI(t *testing.T) {
 				t.Errorf("vals[%d] = %d, sequential oracle %d", i, vals[i], want[i])
 			}
 		}
-		if pr := rt.Progress(); pr.Executed()+pr.Skipped() != n {
-			t.Errorf("executed %d + skipped %d != %d", pr.Executed(), pr.Skipped(), n)
+		if pr := rt.Progress(); pr.Executed() != n {
+			t.Errorf("executed %d != %d", pr.Executed(), n)
 		}
 	}
 
@@ -290,32 +291,14 @@ func TestStealThroughPublicAPI(t *testing.T) {
 		})
 	}
 
-	t.Run("checkpoint-resume", func(t *testing.T) {
-		const fail = 20
-		opts := rio.Options{Workers: 3, Mapping: skew, Steal: &rio.StealPolicy{}, Fault: rio.FaultOptions{Checkpoint: true}}
-		rt, err := rio.New(opts)
+	t.Run("panic", func(t *testing.T) {
+		rt, err := rio.New(rio.Options{Workers: 3, Mapping: skew, Steal: &rio.StealPolicy{}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		vals, execs := make([]int64, n), new([n]atomic.Int64)
-		var pe *rio.PartialError
-		if err := rt.Run(n, program(vals, execs, fail)); !errors.As(err, &pe) {
-			t.Fatalf("panicking body on the recorded path = %v, want *PartialError", err)
-		}
-		cp := pe.Result.Checkpoint()
-		if cp.Len() == 0 || cp.Contains(fail) || pe.Result.Tasks != n {
-			t.Fatalf("checkpoint: %d of %d tasks completed, contains the failed task: %v", cp.Len(), pe.Result.Tasks, cp.Contains(fail))
-		}
-		opts.Fault.Resume = cp
-		if rt, err = rio.New(opts); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Run(n, program(vals, execs, -1)); err != nil {
-			t.Fatalf("resumed run: %v", err)
-		}
-		check(t, rt, vals, execs)
-		if pr := rt.Progress(); pr.Skipped() != int64(cp.Len()) {
-			t.Errorf("resumed run skipped %d tasks, checkpoint holds %d", pr.Skipped(), cp.Len())
+		if err := rt.Run(n, program(vals, execs, 20)); err == nil || !strings.Contains(err.Error(), "injected failure") {
+			t.Fatalf("panicking body on the recorded path = %v, want an error naming the panic", err)
 		}
 	})
 }
@@ -513,20 +496,6 @@ func TestVerifyOptionCertifiesOnCacheMiss(t *testing.T) {
 	}
 	if hits, misses, _ := e.CacheStats(); misses != 1 || hits != 2 {
 		t.Errorf("cache stats = %d hits / %d misses, want 2 / 1", hits, misses)
-	}
-}
-
-// With Resume set, Verify also certifies the checkpoint-pruned form the
-// run will actually execute.
-func TestVerifyOptionWithResume(t *testing.T) {
-	g := graphs.LU(4)
-	c := &rio.Checkpoint{Tasks: len(g.Tasks), Completed: []rio.TaskID{0, 1, 2}}
-	e, err := rio.NewEngine(rio.Options{Workers: 2, Mapping: rio.CyclicMapping(2), Verify: true, Fault: rio.FaultOptions{Resume: c}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunGraph(g, func(*rio.Task, rio.WorkerID) {}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -114,8 +114,7 @@ func newStream(numData int, o StreamOptions) (*Stream, error) {
 //
 // Preflight analysis does not apply to stream windows: a window routinely
 // reads data written by an earlier window, which single-window analysis
-// would misdiagnose as a read of never-written data. Resume/Checkpoint are
-// finite-flow notions and are likewise not in effect during a session.
+// would misdiagnose as a read of never-written data.
 func (e *Engine) Stream(numData int, opts StreamOptions) (*Stream, error) {
 	s, err := newStream(numData, opts)
 	if err != nil {
