@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rio"
 	"rio/internal/graphs"
@@ -104,10 +103,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 // the service runs it) with empty bodies on two workers, so the clock reads
 // are not hidden behind any work: a body's reads sit on the hand-off chain
 // between the workers, a wait's overlap the wait. This is the worst case,
-// and the number behind internal/server's one-run-in-16 sampling. The
-// watchdog case is unaccounted with the stall watchdog armed: what arming
-// it adds to a run (its monitor goroutine and ticker, and whatever the
-// workers publish for it).
+// and the number behind internal/server's one-run-in-16 sampling.
 func BenchmarkAccountingOverhead(b *testing.B) {
 	const workers = 2
 	g := graphs.Cholesky(12)
@@ -119,10 +115,9 @@ func BenchmarkAccountingOverhead(b *testing.B) {
 	for _, v := range []struct {
 		name   string
 		noAcct bool
-		stall  time.Duration
-	}{{"accounted", false, 0}, {"unaccounted", true, 0}, {"watchdog", true, time.Minute}} {
+	}{{"accounted", false}, {"unaccounted", true}} {
 		b.Run(v.name, func(b *testing.B) {
-			e, err := rio.NewEngine(rio.Options{Workers: workers, NoAccounting: v.noAcct, StallTimeout: v.stall})
+			e, err := rio.NewEngine(rio.Options{Workers: workers, NoAccounting: v.noAcct})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -470,58 +465,25 @@ func BenchmarkStealOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyOverhead prices Options.Verify, the translation
-// validator run at every Engine cache miss. The steady-state cost must be
-// zero — certification happens once, at the miss, and cache hits replay
-// untouched streams — so the off/on sub-benchmarks are primed with one
-// RunGraph before timing and should report identical ns/task. The
-// certify-once sub-benchmark times the certificate itself (rio.Verify on
-// a freshly compiled program), the one-off price a miss pays.
+// BenchmarkVerifyOverhead times the translation validator (rio.Verify on a
+// freshly compiled, pruned program): the one-off price of certifying a
+// program before its first run. Runs never pay it: an engine replays the
+// streams it is given.
 func BenchmarkVerifyOverhead(b *testing.B) {
 	g := graphs.Independent(32768)
-	noop := func(*stf.Task, stf.WorkerID) {}
 	m := rio.CyclicMapping(benchWorkers)
-	for _, v := range []struct {
-		name   string
-		verify bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			e, err := rio.NewEngine(rio.Options{
-				Workers: benchWorkers, Mapping: m, Prune: true,
-				Verify: v.verify, NoAccounting: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Prime the cache (and pay certification) outside the timed
-			// region; the loop then measures pure cache-hit replay.
-			if err := e.RunGraph(g, noop); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.RunGraph(g, noop); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
-		})
+	cp, err := rio.Compile(g, benchWorkers, m, true)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("certify-once", func(b *testing.B) {
-		cp, err := rio.Compile(g, benchWorkers, m, true)
-		if err != nil {
-			b.Fatal(err)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := rio.Verify(g, cp, m, nil); len(rep.Findings) != 0 {
+			b.Fatal("clean program rejected")
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rep := rio.Verify(g, cp, m, nil); len(rep.Findings) != 0 {
-				b.Fatal("clean program rejected")
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
-	})
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Tasks)), "ns/task")
 }
 
 // BenchmarkStreamPipeline — the streaming steady state: one window of a

@@ -32,7 +32,7 @@
 // The exit status is 0 when the flow is clean, 1 when findings at or
 // above -fail-on were reported, and 2 on usage errors. With -json the
 // report is machine-readable; the same analysis runs inside the library
-// via rio.Options.Preflight and rio.Options.Verify.
+// via rio.Options.Preflight and rio.Verify.
 package main
 
 import (

@@ -128,9 +128,8 @@ func (e *Engine) RunGraphContext(ctx context.Context, g *Graph, k Kernel) error 
 }
 
 // precompile returns the cached program for g, compiling on a miss. The
-// miss path is also where Options.Preflight analyzes the graph and
-// Options.Verify certifies the streams: once per (engine, graph) pair, not
-// once per run.
+// miss path is also where Options.Preflight analyzes the graph: once per
+// (engine, graph) pair, not once per run.
 func (e *Engine) precompile(g *Graph) (*CompiledProgram, error) {
 	e.mu.Lock()
 	cp, ok := e.cache[g]
@@ -152,8 +151,8 @@ func (e *Engine) precompile(g *Graph) (*CompiledProgram, error) {
 	return cp, nil
 }
 
-// compileOne is the miss path: preflight, compile and certify g under the
-// engine's mapping.
+// compileOne is the miss path: preflight and compile g under the engine's
+// mapping.
 func (e *Engine) compileOne(g *Graph) (*CompiledProgram, error) {
 	if e.opts.Preflight != 0 {
 		if err := preflightGraph(g, e.opts, e.core.NumWorkers()); err != nil {
@@ -165,31 +164,11 @@ func (e *Engine) compileOne(g *Graph) (*CompiledProgram, error) {
 
 // lower is the compile-miss pipeline shared by the graph cache (compileOne)
 // and a stream's shape cache (compileShape): Compile under the given
-// mapping snapshot — §3.5-pruned when Options.Prune is set — and with
-// Options.Verify the translation-validation certificate. With Options.Steal
-// the lowering is canonical: a thief may execute any task, so every access
-// must stay provable against the shared cells.
+// mapping snapshot — §3.5-pruned when Options.Prune is set. With
+// Options.Steal the lowering is canonical: a thief may execute any task, so
+// every access must stay provable against the shared cells.
 func (e *Engine) lower(g *Graph, mapping Mapping) (*CompiledProgram, error) {
-	cp, err := compile(g, e.core.NumWorkers(), mapping, e.opts.Prune, e.opts.Steal != nil)
-	if err != nil {
-		return nil, err
-	}
-	if e.opts.Verify {
-		if err := certify(g, cp, mapping); err != nil {
-			return nil, err
-		}
-	}
-	return cp, nil
-}
-
-// certify runs translation validation and converts a failed certificate
-// into the preflight rejection error.
-func certify(g *Graph, cp *CompiledProgram, m Mapping) error {
-	report := verify.Certify(g, cp, verify.Config{Mapping: m})
-	if report.Reject() {
-		return &PreflightError{Report: report}
-	}
-	return nil
+	return compile(g, e.core.NumWorkers(), mapping, e.opts.Prune, e.opts.Steal != nil)
 }
 
 // Verify statically certifies that cp is a faithful lowering of g under
@@ -197,8 +176,8 @@ func certify(g *Graph, cp *CompiledProgram, m Mapping) error {
 // coverage and program order, ownership, §3.5 pruning soundness, and the
 // vector-clock happens-before certificate over every conflicting access
 // pair. The returned report is empty when the program is certified;
-// findings carry the RIO-V00x codes. Options.Verify runs the same
-// certification automatically on every Engine cache miss.
+// findings carry the RIO-V00x codes. Certify a program once, before its
+// first run: an Engine runs what it is given.
 //
 // The last parameter must be nil. It once carried a resume checkpoint; it
 // stays only so that callers passing nil keep compiling, and is dropped

@@ -73,8 +73,8 @@ func (e *Engine) Run(numData int, prog stf.Program) error {
 // stop picking up ready tasks, and the call returns once the tasks already
 // inside executor bodies have finished. The returned error wraps ctx's
 // cause. Cancellation is cooperative: a task body that never returns keeps
-// RunContext blocked (the in-order engine's stall watchdog has no
-// centralized counterpart — the master already bounds what can stall here).
+// RunContext blocked, as on every engine. A panicking body stops the run
+// the same way, with the panic as its error.
 func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("centralized: run not started: %w", context.Cause(ctx))
@@ -142,13 +142,15 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 				if hooks != nil && hooks.OnWaitEnd != nil {
 					hooks.OnWaitEnd(stf.WorkerID(w), stf.NoTask, stf.Access{})
 				}
-				// On cancellation a popped task is dropped unrun: the
-				// master's drain no longer waits for completion counts.
+				// On a stop a popped task is dropped unrun: the master's
+				// drain no longer waits for completion counts.
 				if t == nil || m.canceled.Load() {
 					break
 				}
 				cell.SetCurrent(t.id)
-				execTask(m, t, stf.WorkerID(w), &task)
+				if !execTask(m, t, stf.WorkerID(w), &task) {
+					break // the body panicked: not executed, nothing released
+				}
 				cell.SetCurrent(stf.NoTask)
 				cell.CountExecuted()
 				m.onComplete(t)
@@ -170,7 +172,7 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	err := m.err
 	if err == nil {
 		m.mu.Lock()
-		err = errors.Join(m.cancelErr, m.asyncErr)
+		err = m.cancelErr
 		m.mu.Unlock()
 	}
 	return err
@@ -186,13 +188,10 @@ type master struct {
 	err    error
 	prog   *trace.ProgressCell // master's progress cell (index 0)
 
-	// asyncErr records the first worker-side failure (task panic);
-	// guarded by mu.
-	asyncErr error
-
-	// canceled flags a context cancellation; cancelErr (guarded by mu)
-	// carries the wrapped cause. Executors poll the flag between tasks;
-	// the master checks it at every dispatch and inside its waits.
+	// canceled flags a stop — a context cancellation or a panicking body;
+	// cancelErr (guarded by mu) carries the first cause. Executors poll the
+	// flag between tasks; the master checks it at every dispatch and
+	// inside its waits.
 	canceled  atomic.Bool
 	cancelErr error
 
@@ -205,7 +204,7 @@ type master struct {
 	idle time.Duration // accounted master time blocked on window or final drain
 }
 
-// cancel aborts the run: the master's window wait and drain are woken and
+// cancel stops the run: the master's window wait and drain are woken and
 // stop waiting, and executors stop picking up tasks.
 func (m *master) cancel(err error) {
 	m.mu.Lock()
@@ -301,21 +300,21 @@ func (m *master) onComplete(t *task) {
 	m.progress.Broadcast()
 }
 
-// execTask runs one task body under its reduction locks. A panic is
-// converted into a recorded run error (the unlocks are deferred so a
-// panicking body cannot wedge the per-data mutexes); the executor still
-// propagates the task's completion, so the master's drain and the
-// successors' counts terminate, and the recorded error fails the run. The
-// task hooks bracket the body here so that a panicking body skips
-// OnTaskEnd, matching the in-order engine's contract.
-func execTask(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) {
+// execTask runs one task body under its reduction locks and reports whether
+// it completed. A panic stops the run the way a cancellation does, with the
+// panic as its error (the unlocks are deferred so a panicking body cannot
+// wedge the per-data mutexes): the task is neither counted nor completed,
+// so no successor runs over the data it left. The task hooks bracket the
+// body here so that a panicking body skips OnTaskEnd, matching the
+// in-order engine's contract.
+func execTask(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) (ok bool) {
 	for _, d := range t.reds {
 		m.redMu[d].Lock()
 		defer m.redMu[d].Unlock()
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			m.recordError(fmt.Errorf("centralized: task %d panicked: %v", t.id, r))
+			m.cancel(fmt.Errorf("centralized: task %d panicked: %v", t.id, r))
 		}
 	}()
 	h := m.eng.hooks
@@ -326,6 +325,7 @@ func execTask(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) {
 	if h != nil && h.OnTaskEnd != nil {
 		h.OnTaskEnd(w, t.id)
 	}
+	return true
 }
 
 // runTimed runs the body once, charging its duration to *taskTime (nothing
@@ -334,15 +334,6 @@ func runTimed(m *master, t *task, w stf.WorkerID, taskTime *time.Duration) {
 	t0 := m.eng.clk.stamp()
 	t.run(w)
 	*taskTime += m.eng.clk.stamp() - t0
-}
-
-// recordError stores the first asynchronous (worker-side) error.
-func (m *master) recordError(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.asyncErr == nil {
-		m.asyncErr = err
-	}
 }
 
 // insertSorted inserts d into the (short) sorted slice s.
@@ -358,7 +349,7 @@ func insertSorted(s []stf.DataID, d stf.DataID) []stf.DataID {
 }
 
 // drain blocks until every submitted task has completed, or the run is
-// canceled (executors then drop the still-queued tasks).
+// stopped (executors then drop the still-queued tasks).
 func (m *master) drain() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

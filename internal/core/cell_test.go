@@ -46,7 +46,7 @@ func (c *cellChecker) hooks() *stf.Hooks {
 var cellHookNames = [...]string{"task start", "task end", "wait", "steal"}
 
 func (c *cellChecker) check(w stf.WorkerID, at int, current stf.TaskID) {
-	st := c.e.Table().Worker(int(w)).State()
+	st := c.e.Progress().Workers[w]
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hits[at]++
@@ -132,12 +132,12 @@ func TestCellPublishGetAfterExec(t *testing.T) {
 }
 
 // Closure replay publishes each completion before the user's program runs
-// again: user code that sleeps between submissions is neither a task in
-// flight to a progress reader nor a stuck body to the watchdog.
+// again: user code that sleeps between submissions is not a task in flight
+// to a progress reader.
 func TestCellPublishClosureSlowUserCode(t *testing.T) {
 	const workers, tasks = 2, 6
 	c := newCellChecker(t, workers)
-	e := c.engine(core.Options{Workers: workers, StallTimeout: 20 * time.Millisecond})
+	e := c.engine(core.Options{Workers: workers})
 	err := e.Run(2, func(s stf.Submitter) {
 		var mine int64
 		for i := 0; i < tasks; i++ {
@@ -145,11 +145,11 @@ func TestCellPublishClosureSlowUserCode(t *testing.T) {
 			if int(id)%workers == int(s.Worker()) {
 				mine++
 			}
-			if st := e.Table().Worker(int(s.Worker())).State(); st.Current != stf.NoTask || st.Executed != mine {
+			if st := e.Progress().Workers[s.Worker()]; st.Current != stf.NoTask || st.Executed != mine {
 				t.Errorf("worker %d back in user code after task %d: current %d, executed %d; want NoTask, %d",
 					s.Worker(), id, st.Current, st.Executed, mine)
 			}
-			time.Sleep(50 * time.Millisecond) // three watchdog thresholds
+			time.Sleep(20 * time.Millisecond) // long enough for a reader to look
 		}
 	})
 	if err != nil {

@@ -113,9 +113,10 @@ func (r *flowRecorder) NumWorkers() int      { return r.workers }
 // a declare_write or terminate_write, a get's diagnostics, the armed
 // claim. Declares and terminates call the localState/sharedState protocol
 // primitives directly; gets reuse the same escalating waits as closure
-// replay (so the stall watchdog and abort latch behave identically), and
-// hand them no access mode: a wait that turns slow reads it from the task
-// table (declaredMode). OpExec polls the abort flag once per task,
+// replay (so the abort latch and a stopped run's diagnosis behave
+// identically), and hand them no access mode: a wait that needs one (for
+// the hooks, or because the run stopped it) reads it from the task table
+// (declaredMode). OpExec polls the abort flag once per task,
 // mirroring the per-submission poll of the closure path. A task's
 // completion is published in the store that starts the next task when the
 // next micro-op is an exec, and on its own otherwise (exec): a bare-exec
@@ -238,8 +239,8 @@ func (s *submitter) runStreamTasks(cp *stf.CompiledProgram, tasks []stf.Task, k 
 
 // declaredMode is the access mode task id declared on datum d, read from
 // the task table of the flow being replayed: compiled streams carry no
-// modes, and a wait needs one only once it is slow, for the hooks and the
-// stall watchdog.
+// modes, and a wait needs one only for the hooks or a stopped run's
+// diagnosis.
 func (s *submitter) declaredMode(id stf.TaskID, d stf.DataID) stf.AccessMode {
 	if s.flow == nil || id < 0 || int(id) >= len(s.flow.tasks) {
 		return stf.None

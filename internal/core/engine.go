@@ -31,13 +31,6 @@ type Options struct {
 	// measurable on bodies of a microsecond (BenchmarkAccountingOverhead;
 	// DESIGN.md §9, "What accounting costs").
 	NoAccounting bool
-	// StallTimeout arms the stall watchdog: when no task completes for
-	// this long and the workers are provably deadlocked (all blocked in
-	// dependency waits) or stuck inside one task body, the run aborts
-	// with a stf.StallError naming the stuck tasks and data accesses.
-	// 0 disables the watchdog (the default); mere load imbalance never
-	// trips it because completions elsewhere reset the window.
-	StallTimeout time.Duration
 	// NoGuard disables the replay-divergence guard. By default every
 	// worker folds its observed (taskID, accesses) stream into a running
 	// hash (a few arithmetic ops per task, private memory only) and the
@@ -73,22 +66,19 @@ type Options struct {
 // engine holds one such state in flight and an idle one holds it only until
 // the garbage collector empties the pool. The pool hands a state to one run
 // (or session) at a time, and a run gives it back only once nothing of it
-// can still be running, so state is exclusive to a run. The state of a run
-// the stall watchdog abandons is never given back: it leaks with the wedged
-// goroutine, and the next run starts from a fresh one.
+// can still be running, so state is exclusive to a run.
 type Engine struct {
 	workers int
 	// mapping is published atomically: should a SetMapping race a run's
 	// start, each run still snapshots one consistent mapping for all of
 	// its workers — a racing swap affects the next run, never a running one.
-	mapping      atomic.Pointer[stf.Mapping]
-	noAcct       bool
-	spinSeed     int // the wait's escalation lengths: the constants of the
-	yieldIters   int // same names, changed only by tests (SetWaitLimits)
-	stallTimeout time.Duration
-	guard        bool
-	hooks        *stf.Hooks
-	steal        *stf.StealPolicy
+	mapping    atomic.Pointer[stf.Mapping]
+	noAcct     bool
+	spinSeed   int // the wait's escalation lengths: the constants of the
+	yieldIters int // same names, changed only by tests (SetWaitLimits)
+	guard      bool
+	hooks      *stf.Hooks
+	steal      *stf.StealPolicy
 	// LastRun holds the run record Stats and Progress read.
 	trace.LastRun
 	// sessionActive latches while a streaming Session (OpenSession) holds the
@@ -110,9 +100,6 @@ func New(o Options) (*Engine, error) {
 	if o.Workers < 1 {
 		return nil, fmt.Errorf("core: Workers must be >= 1, got %d", o.Workers)
 	}
-	if o.StallTimeout < 0 {
-		return nil, fmt.Errorf("core: negative StallTimeout %v", o.StallTimeout)
-	}
 	if p := o.Steal; p != nil {
 		if p.MaxScan < 0 {
 			return nil, fmt.Errorf("core: negative Steal.MaxScan %d", p.MaxScan)
@@ -129,14 +116,13 @@ func New(o Options) (*Engine, error) {
 		m = func(id stf.TaskID) stf.WorkerID { return stf.WorkerID(id % stf.TaskID(p)) }
 	}
 	e := &Engine{
-		workers:      o.Workers,
-		noAcct:       o.NoAccounting,
-		spinSeed:     spinSeed,
-		yieldIters:   yieldIters,
-		stallTimeout: o.StallTimeout,
-		guard:        !o.NoGuard,
-		hooks:        o.Hooks,
-		steal:        o.Steal,
+		workers:    o.Workers,
+		noAcct:     o.NoAccounting,
+		spinSeed:   spinSeed,
+		yieldIters: yieldIters,
+		guard:      !o.NoGuard,
+		hooks:      o.Hooks,
+		steal:      o.Steal,
 	}
 	e.mapping.Store(&m)
 	return e, nil
@@ -165,10 +151,10 @@ func (e *Engine) SetMapping(m stf.Mapping) {
 // (decentralized task management); the call returns once all workers have
 // finished the whole task flow. Run returns an error if any worker detected
 // a protocol violation (non-monotonic task IDs, mapping out of range), if a
-// task body panicked, if the replay-divergence guard found the workers
-// replaying different flows, or if the stall watchdog (when armed) gave up
-// on the run — the run then aborts: the failing worker unwinds and the
-// others stop at their next dependency wait or task submission.
+// task body panicked, or if the replay-divergence guard found the workers
+// replaying different flows — a failure aborts the run: the failing worker
+// unwinds and the others stop at their next dependency wait or task
+// submission.
 func (e *Engine) Run(numData int, prog stf.Program) error {
 	return e.RunContext(context.Background(), numData, prog)
 }
@@ -177,10 +163,11 @@ func (e *Engine) Run(numData int, prog stf.Program) error {
 // deadline expires), workers blocked in dependency waits unwind promptly
 // and workers between tasks stop submitting; a worker already inside a
 // task body finishes that body first. The returned error wraps ctx's
-// cause. Cancellation is cooperative — a task body that never returns
-// keeps RunContext blocked unless the stall watchdog is armed, in which
-// case the run is abandoned with a StallError after the threshold (the
-// wedged worker goroutine is leaked and the engine must not be reused).
+// cause, and a stf.StallError names every worker the cancellation unwound
+// from a dependency wait, with the task and access it was blocked on (a
+// deadlocked nondeterministic replay shows there once a deadline stops
+// it). Cancellation is cooperative — a task body that never returns keeps
+// RunContext blocked.
 //
 // With Options.Steal set the program is recorded once on the caller's
 // goroutine (bodies kept, none executed), compiled under the engine's
@@ -200,9 +187,8 @@ func (e *Engine) RunContext(ctx context.Context, numData int, prog stf.Program) 
 }
 
 // run is the scaffolding shared by the closure-replay and compiled-replay
-// paths: borrow the synchronization state, spawn one goroutine per worker
-// replaying f against its submitter, supervise the run (cancellation, stall
-// watchdog) and assemble the error verdict.
+// paths: borrow the synchronization state, replay f on every worker, watch
+// the run's context and assemble the error verdict.
 func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: run not started: %w", context.Cause(ctx))
@@ -238,16 +224,13 @@ func (e *Engine) run(ctx context.Context, numData int, f flow) error {
 }
 
 // execute is run's engine room, split out so run can bracket it with the
-// OnRunStart/OnRunEnd hooks. It starts the run's w workers (w is rp's
-// width) and, when the watchdog is armed, its monitor, and it ends the
-// run's record.
+// OnRunStart/OnRunEnd hooks. It runs the run's w workers (w is rp's width)
+// and ends the run's record.
 //
-// The caller is worker 0 unless the watchdog is armed: launch replays worker
-// 0's stream on this goroutine and spawns only the other w−1, so a width-1
-// run starts no goroutine. The cancel callback is registered before the
-// launch, because the caller cannot watch ctx while it replays. A watched
-// run keeps the caller as a pure supervisor: only a free caller can abandon
-// a worker wedged inside a body.
+// The caller is worker 0: launch replays worker 0's stream on this
+// goroutine and spawns only the other w−1, so a width-1 run starts no
+// goroutine. The cancel callback is registered before the launch, because
+// the caller cannot watch ctx while it replays.
 func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTable, spinSeed int, f flow) error {
 	w := rp.Workers()
 	cells := numData
@@ -256,11 +239,10 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	}
 	st := e.borrow(cells, w, rp, spinSeed)
 	subs := st.subs[:w]
-	for _, s := range subs {
-		s.watched = e.stallTimeout > 0
-		if e.guard && f.prog != nil {
-			// Only a closure program can diverge between workers: compiled
-			// streams all derive from one graph.
+	if e.guard && f.prog != nil {
+		// Only a closure program can diverge between workers: compiled
+		// streams all derive from one graph.
+		for _, s := range subs {
 			s.guard = &guardState{}
 		}
 	}
@@ -270,49 +252,12 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 		st.cancelJoin.Add(1)
 		stopCancel = context.AfterFunc(ctx, st.onCancel)
 	}
-	watched := e.stallTimeout > 0
 	start := time.Now()
-	st.launch(f, w, !watched)
-	done := st.done
-	var stalled chan *stf.StallError
-	if watched {
-		stalled = make(chan *stf.StallError, 1)
-		go e.monitor(subs, &st.abort, done, stalled)
-	}
-
-	select {
-	case <-done:
-	case stall := <-stalled:
-		// nil: the monitor left without a verdict, the run is failing for
-		// another reason and the workers unwind through the abort flag.
-		if stall != nil {
-			// The watchdog aborted the run; give the workers the grace
-			// window to unwind through the abort flag. Only a worker wedged
-			// inside a task body can miss it — then the run is abandoned:
-			// the wedged goroutine leaks, and with it the run's state, which
-			// is never given back; per-worker stats are unavailable (reading
-			// them would race with the leaked goroutine).
-			grace := time.NewTimer(stallGrace)
-			select {
-			case <-done:
-				grace.Stop()
-			case <-grace.C:
-				if stopCancel != nil {
-					stopCancel()
-				}
-				e.Abandon(time.Since(start))
-				return fmt.Errorf("core: run abandoned (a worker is wedged inside a task body and cannot be stopped; do not reuse this engine): %w", stall)
-			}
-		}
-		<-done
-	}
+	st.launch(f, w, true)
+	<-st.done
 	wall := time.Since(start)
-	// Join the monitor, which closes stalled on its way out, and the cancel
-	// callback, which stop no longer prevents once it has started.
-	if stalled != nil {
-		for range stalled {
-		}
-	}
+	// Join the cancel callback, which stop no longer prevents once it has
+	// started.
 	if stopCancel != nil {
 		if stopCancel() {
 			st.cancelJoin.Done() // stopped before it started: it never will
@@ -323,12 +268,12 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 	e.End(wall, !e.noAcct)
 	err := verdict(subs, &st.abort)
 	if err == nil {
-		if err = guardVerdict(subs); err != nil {
-			err = fmt.Errorf("core: %w", err)
+		if div := guardVerdict(subs); div != nil {
+			err = fmt.Errorf("core: %w", div)
 		}
 	}
-	// The workers, the monitor and the cancel callback are joined above and
-	// nothing returned references the state: it goes back to the pool.
+	// The workers and the cancel callback are joined above and nothing
+	// returned references the state: it goes back to the pool.
 	e.giveBack(st)
 	return err
 }
@@ -336,19 +281,29 @@ func (e *Engine) execute(ctx context.Context, numData int, rp *trace.ProgressTab
 // verdict assembles the error of a run (execute) or a stream window
 // (Session.join) from its workers' error slots, read after every worker
 // has finished. The originating failure comes first when it came from
-// outside the workers (cancellation, a timeout, the watchdog) — it is in no
-// worker's slot — then the workers' own errors, then the secondary
-// casualties of the abort collapsed into one summary entry. An external
-// raise that lost the race against a fully completed flow — every worker
-// clean, so every task ran — is ignored: the flow met its deadline.
+// outside the workers (cancellation, a timeout) — it is in no worker's
+// slot — then the workers' own errors, then the secondary casualties of
+// the abort collapsed into one summary entry and, when the abort unwound
+// workers from dependency waits, a stf.StallError naming where each was
+// blocked (with the divergence the guard can prove from the streams up to
+// the stop). An external raise that lost the race against a fully
+// completed flow — every worker clean, so every task ran — is ignored: the
+// flow met its deadline.
 func verdict(subs []*submitter, abort *abortState) error {
 	var errs []error
+	var stall *stf.StallError
 	aborted := 0
 	for w, s := range subs {
 		switch {
 		case s.err == nil:
 		case errors.Is(s.err, errAborted):
 			aborted++
+			if b, ok := s.err.(*stalled); ok {
+				if stall == nil {
+					stall = &stf.StallError{}
+				}
+				stall.Stalled = append(stall.Stalled, b.StalledWorker)
+			}
 		default:
 			errs = append(errs, fmt.Errorf("worker %d: %w", w, s.err))
 		}
@@ -361,6 +316,10 @@ func verdict(subs []*submitter, abort *abortState) error {
 	}
 	if aborted > 0 {
 		errs = append(errs, fmt.Errorf("core: %d worker(s) %w", aborted, errAborted))
+	}
+	if stall != nil {
+		stall.Divergence = guardVerdict(subs)
+		errs = append(errs, stall)
 	}
 	return errors.Join(errs...)
 }
@@ -380,9 +339,8 @@ type submitter struct {
 	local   []localState
 	claims  *claimTable
 	abort   *abortState
-	watched bool                // the stall watchdog reads this worker's slow waits
 	guard   *guardState         // nil when the divergence guard is disabled
-	prog    *trace.ProgressCell // the worker's run record (Progress, Stats, watchdog)
+	prog    *trace.ProgressCell // the worker's run record (Progress, Stats)
 	hooks   *stf.Hooks          // nil when no lifecycle hooks are installed
 	thief   *stealState         // this worker's steal state; nil unless the engine is armed
 	steal   *stealState         // thief while the flow being replayed is armed, else nil
@@ -473,7 +431,7 @@ func (s *submitter) replay(f *flow) {
 }
 
 // errAborted marks workers stopped because the run aborted on another
-// worker (panic, protocol violation, cancellation or watchdog).
+// worker (panic, protocol violation) or on its context.
 var errAborted = errors.New("aborted after a failure elsewhere in the run")
 
 // owns resolves the executor of task id for this worker: statically via
@@ -548,7 +506,7 @@ func (s *submitter) SubmitTask(t *stf.Task, k stf.Kernel) stf.TaskID {
 	if t.ID > s.next && s.guard != nil {
 		// A pruned flow: per-worker streams legitimately differ, so the
 		// cross-worker divergence check does not apply.
-		s.guard.markGap()
+		s.guard.gapSeen = true
 	}
 	s.submit(t.ID, t.Accesses, body{t: t, k: k})
 	return t.ID
@@ -582,8 +540,8 @@ func (s *submitter) submit(id stf.TaskID, accesses []stf.Access, b body) {
 		return // aborted while waiting
 	}
 	s.exec(id, accesses, b, true)
-	// Published before the user's program runs again: the watchdog must
-	// not blame a body that has finished.
+	// Published before the user's program runs again: a progress reader
+	// must not see a body that has finished as current.
 	s.prog.Publish()
 	s.release(accesses, int64(id))
 }
@@ -640,8 +598,8 @@ func (s *submitter) fail(err error) {
 
 // acquire implements the get_read / get_write / get_red calls of
 // Algorithm 1: block until every dependency registered locally has
-// executed. id is the acquiring task, threaded through for stall
-// diagnosis.
+// executed. id is the acquiring task, threaded through for the wait hooks
+// and a stopped run's diagnosis.
 func (s *submitter) acquire(id stf.TaskID, accesses []stf.Access) {
 	for _, a := range accesses {
 		switch {

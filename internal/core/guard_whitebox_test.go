@@ -7,11 +7,10 @@ package core
 //     mode-blind fold would let real divergences collide;
 //   - the spin-then-park dependency wait must budget its busy-poll phase
 //     per *wait*, not per worker lifetime — a leaked budget would push
-//     every later wait straight into the sleep phase.
+//     every later wait straight into the slow phase.
 
 import (
 	"testing"
-	"time"
 
 	"rio/internal/stf"
 	"rio/internal/trace"
@@ -90,68 +89,51 @@ func TestGuardFoldPackingHeadroom(t *testing.T) {
 }
 
 // The spin budget must be per wait: a worker that waits many times, each
-// resolving within the busy-poll phase, must never escalate to the
-// publish/park phase (audited: `spin` is a local of wait(), so the budget
-// resets — this test fails if it is ever hoisted into worker state).
+// resolving within the busy-poll phase, must never escalate to the slow
+// phase (audited: `spin` is a local of wait(), so the budget resets — this
+// test fails if it is ever hoisted into worker state). The abort latch is
+// raised throughout, so a wait that reaches the slow phase unwinds, its
+// worker's error slot naming the task and access it was blocked on.
 func TestWaitSpinBudgetIsPerWait(t *testing.T) {
-	e, err := New(Options{Workers: 1, StallTimeout: time.Minute})
+	e, err := New(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := trace.NewProgressTable(1).Worker(0)
 	sh := &sharedState{}
 	// The busy budget floats by design (each wait the busy-poll phase
 	// catches doubles it), so the test pins it before every wait.
 	const budget = 1000
-	s := &submitter{eng: e, abort: &abortState{}, watched: true, prog: cell}
+	s := &submitter{eng: e, abort: &abortState{}, prog: trace.NewProgressTable(1).Worker(0)}
+	s.abort.flag.Store(true)
 	const waits = 100
 	for i := 0; i < waits; i++ {
 		s.spinBudget = budget
 		polls := 0
 		s.wait(3, stf.R(0), sh, func() bool {
-			polls++
-			if cell.State().Waiting != stf.NoTask {
-				t.Fatalf("wait %d escalated to the slow phase: spin budget not per-wait", i)
-			}
 			// Resolve well inside one wait's busy budget, but so that the
 			// cumulative polls across waits far exceed the budget and the
 			// yield phase: a count leaked across waits escalates within
 			// the first fifty.
+			polls++
 			return polls > 40
 		})
-	}
-	// Control: a single wait exceeding the budget and the yield phase must
-	// escalate, publishing what it waits on while it is slow, and clear it
-	// on its way out.
-	s.spinBudget = budget
-	polls := 0
-	var slow trace.WorkerState
-	s.wait(4, stf.W(0), sh, func() bool {
-		polls++
-		if st := cell.State(); st.Waiting != stf.NoTask {
-			slow = st
+		if s.err != nil {
+			t.Fatalf("wait %d escalated to the slow phase: spin budget not per-wait (%v)", i, s.err)
 		}
-		return polls > budget+yieldIters+3 // past the busy and yield phases: a few park rounds
-	})
-	if slow.Waiting != 4 || slow.WaitOn != stf.W(0) {
-		t.Fatalf("slow wait published task %d access %+v, want 4/%+v", slow.Waiting, slow.WaitOn, stf.W(0))
 	}
-	if st := cell.State(); st.Waiting != stf.NoTask {
-		t.Fatalf("after a slow wait, the cell still shows a wait on task %d", st.Waiting)
+	// Control: a wait that never resolves passes the busy and yield phases
+	// and is unwound by the abort, naming what it waited on.
+	unwound := func(id stf.TaskID, a stf.Access, want stf.StalledWorker) {
+		t.Helper()
+		s.err, s.spinBudget = nil, budget
+		s.wait(id, a, sh, func() bool { return false })
+		if b, ok := s.err.(*stalled); !ok || b.StalledWorker != want {
+			t.Fatalf("unwound wait left %#v in the error slot, want %+v", s.err, want)
+		}
 	}
-	// A compiled stream's get carries no mode: a slow one publishes the
-	// mode its task declared, read from the task table.
+	unwound(4, stf.W(0), stf.StalledWorker{Task: 4, Data: 0, Mode: stf.W(0).Mode})
+	// A compiled stream's get carries no mode: the diagnosis names the mode
+	// its task declared, read from the task table.
 	s.flow = &flow{tasks: []stf.Task{{ID: 0, Accesses: []stf.Access{stf.R(1), stf.RW(0)}}}}
-	s.spinBudget = budget
-	polls = 0
-	s.wait(0, stf.Access{Data: 0}, sh, func() bool {
-		polls++
-		if st := cell.State(); st.Waiting != stf.NoTask {
-			slow = st
-		}
-		return polls > budget+yieldIters+3
-	})
-	if slow.Waiting != 0 || slow.WaitOn != stf.RW(0) {
-		t.Fatalf("slow compiled wait published task %d access %+v, want 0/%+v", slow.Waiting, slow.WaitOn, stf.RW(0))
-	}
+	unwound(0, stf.Access{Data: 0}, stf.StalledWorker{Task: 0, Data: 0, Mode: stf.RW(0).Mode})
 }

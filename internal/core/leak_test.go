@@ -36,7 +36,7 @@ func goroutineBaseline() int {
 
 // settleGoroutines polls the goroutine count until it drops to the
 // baseline (goroutine exits are asynchronous — a just-finished run's
-// monitor may still be unwinding) or a deadline passes.
+// workers may still be unwinding) or a deadline passes.
 func settleGoroutines(baseline int) int {
 	var n int
 	for i := 0; i < 200; i++ {
@@ -47,66 +47,6 @@ func settleGoroutines(baseline int) int {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return n
-}
-
-// TestWatchdogNoGoroutineLeak audits the stall watchdog's supervision
-// machinery (monitor goroutine + ticker, the context.AfterFunc cancel
-// callback): N runs that complete far below the stall threshold, and N runs
-// canceled mid-dependency-wait, must leave the goroutine count where it
-// started. (Audited: the monitor exits via the run's done channel with its
-// ticker stopped by defer, its final send cannot block because the stalled
-// channel is buffered, and the run joins both before it returns — this
-// test pins that no future change regresses it.)
-func TestWatchdogNoGoroutineLeak(t *testing.T) {
-	g := graphs.LU(4)
-	kern := func(*stf.Task, stf.WorkerID) {}
-	e := newEngine(t, core.Options{Workers: 3, Mapping: sched.Cyclic(3), StallTimeout: time.Minute})
-
-	// Prime the runtime (timer wheels, test plumbing) before baselining.
-	if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
-		t.Fatal(err)
-	}
-	before := goroutineBaseline()
-
-	// Early completion: each run arms the watchdog and finishes far below
-	// the threshold, so the monitor must exit with the run, not with the
-	// ticker.
-	for i := 0; i < 30; i++ {
-		if err := e.Run(g.NumData, stf.Replay(g, kern)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Cancellation mid-wait: workers blocked in dependency waits unwind
-	// through the abort flag; monitor and cancel callback must follow.
-	chain := graphs.Chain(200)
-	for i := 0; i < 10; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		started := make(chan struct{})
-		k := func(tk *stf.Task, _ stf.WorkerID) {
-			if tk.ID == 0 {
-				close(started)
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		canceled := make(chan struct{})
-		go func() {
-			<-started
-			cancel()
-			close(canceled)
-		}()
-		if err := e.RunContext(ctx, chain.NumData, stf.Replay(chain, k)); err == nil {
-			t.Fatal("canceled run returned nil error")
-		}
-		<-canceled
-	}
-
-	// A couple of goroutines of slack: unrelated runtime internals
-	// (timer maintenance) may come and go.
-	after := settleGoroutines(before)
-	if after > before+2 {
-		t.Errorf("goroutines grew from %d to %d across %d watchdog-armed runs (monitor/timer leak)", before, after, 41)
-	}
 }
 
 // streamOracle streams g through one session of e, size tasks a window
@@ -147,8 +87,9 @@ func streamOracle(t *testing.T, e *core.Engine, g *stf.Graph, size int) {
 // from the Flush that launches it to the join that receives their done — so
 // an open session between windows, and a closed one, leaves the goroutine
 // count where it was before OpenSession: after one window and Drain, after
-// 200 windows and Close, after a window that times out and after one whose
-// body panics. The engine's next session still matches the oracle.
+// 200 windows and Close, after a window that times out (its error naming
+// the worker it unwound from a dependency wait) and after one whose body
+// panics. The engine's next session still matches the oracle.
 func TestSessionLeavesNoGoroutine(t *testing.T) {
 	const p = 4
 	e := newEngine(t, core.Options{Workers: p})
@@ -205,8 +146,12 @@ func TestSessionLeavesNoGoroutine(t *testing.T) {
 	if err := ss.Flush(window(func(*stf.Task, stf.WorkerID) { time.Sleep(50 * time.Millisecond) })); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.Close(); err == nil || !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("timed-out window: Close returned %v", err)
+	err := ss.Close()
+	var stall *stf.StallError
+	blocked := stf.StalledWorker{Worker: 1, Task: 1, Data: 0, Mode: stf.RW(0).Mode}
+	if err == nil || !strings.Contains(err.Error(), "timeout") || !errors.As(err, &stall) ||
+		len(stall.Stalled) != 1 || stall.Stalled[0] != blocked {
+		t.Fatalf("timed-out window: Close returned %v, want a timeout naming %+v", err, blocked)
 	}
 	check("a timed-out window and Close")
 
@@ -222,12 +167,12 @@ func TestSessionLeavesNoGoroutine(t *testing.T) {
 	streamOracle(t, e, graphs.RandomDeps(300, 24, 3, 1, 7), 32)
 }
 
-// TestNarrowRunsLeaveNoGoroutine: the caller replays worker 0 of an
-// unwatched run, so a run's goroutines are its other w−1 workers and the
-// cancel callback. Runs alternating width 1 and width p — clean ones, ones
-// whose body panics on worker 0 (the caller's stack) and ones canceled
-// while the caller is inside a body — leave the goroutine count where it
-// was, and the engine's next run still matches the oracle.
+// TestNarrowRunsLeaveNoGoroutine: the caller replays worker 0 of a run, so
+// a run's goroutines are its other w−1 workers and the cancel callback.
+// Runs alternating width 1 and width p — clean ones, ones whose body
+// panics on worker 0 (the caller's stack) and ones canceled while the
+// caller is inside a body — leave the goroutine count where it was, and
+// the engine's next run still matches the oracle.
 func TestNarrowRunsLeaveNoGoroutine(t *testing.T) {
 	const p = 3
 	chain := graphs.Chain(200) // task i writes data i, reads data i-1

@@ -9,9 +9,7 @@ import (
 // publication, shared by all engines): the counters are published on every
 // run so that any goroutine can snapshot the run's progress mid-flight via
 // Engine.Progress (trace.LastRun) — the "is the flow moving, who is the
-// straggler" question the watchdog only answers once it has already given
-// up — and the same cells give the stall watchdog its readings and Stats
-// its decomposition.
+// straggler" question — and the same cells give Stats its decomposition.
 
 // adaptiveSeed derives the starting per-worker spin budget of a run from
 // the previous run's wait histogram (the same feedback signal the per-wait

@@ -80,8 +80,8 @@ func (e *Engine) newRunState(numData int) *runState {
 // for itself. The first width submitters, those of the run's workers,
 // come wired to the state, the engine's policies, their cells of rp and one
 // snapshot of its mapping (every worker must resolve ownership identically
-// even if SetMapping races the start); execute adds the per-run guard and
-// watchdog wiring. A narrow run (width < p) leaves the others idle.
+// even if SetMapping races the start); execute adds the per-run guard. A
+// narrow run (width < p) leaves the others idle.
 func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget int) *runState {
 	st := e.takeIdle()
 	if st == nil || len(st.shared) < numData {
@@ -122,9 +122,8 @@ func (e *Engine) borrow(numData, width int, rp *trace.ProgressTable, spinBudget 
 // borrower reuses: the cells, the arena, the claim pages, the steal states
 // and the park timers — nothing of the caller's flow. The caller must have
 // joined every goroutine that can touch st: the workers and, for a run, the
-// watchdog monitor and the cancel callback; for a session, the window
-// timers. takeIdle then hands st to one run at a time. A state that cannot
-// be proven unreachable — an abandoned run's — is never given back.
+// cancel callback; for a session, the window timers. takeIdle then hands st
+// to one run at a time.
 func (e *Engine) giveBack(st *runState) {
 	st.flow, st.done, st.ctx = flow{}, nil, nil
 	for _, s := range st.subs {

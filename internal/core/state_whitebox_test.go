@@ -51,7 +51,7 @@ func assertIdle(t *testing.T, st *runState, numData int) {
 		if len(s.local) != numData || len(s.shared) != numData {
 			t.Fatalf("worker %d: views of %d local and %d shared cells, want %d", w, len(s.local), len(s.shared), numData)
 		}
-		if s.next != 0 || s.err != nil || s.task != 0 || s.idle != 0 || s.guard != nil || s.watched || s.prog != s.eng.Table().Worker(w) {
+		if s.next != 0 || s.err != nil || s.task != 0 || s.idle != 0 || s.guard != nil || s.prog != s.eng.Table().Worker(w) {
 			t.Fatalf("worker %d: submitter carries an earlier run's replay state", w)
 		}
 	}
@@ -160,41 +160,6 @@ func TestRunStateReuseIsInvisible(t *testing.T) {
 	if !raceEnabled && reused == 0 {
 		t.Errorf("%d runs over %d states: no run borrowed a state an earlier one gave back", borrows, len(seen))
 	}
-}
-
-// TestAbandonedRunStateNotReused: a run the watchdog abandons leaves a
-// worker inside a task body, still holding the run's state; the next run
-// of the engine must borrow another.
-func TestAbandonedRunStateNotReused(t *testing.T) {
-	e, err := New(Options{Workers: 2, Mapping: sched.Cyclic(2), StallTimeout: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var borrowed []*runState
-	e.borrowed = func(st *runState, numData int) {
-		assertIdle(t, st, numData)
-		borrowed = append(borrowed, st)
-	}
-	if err := enginetest.Check(e, graphs.LU(3)); err != nil {
-		t.Fatal(err)
-	}
-	block := make(chan struct{})
-	err = e.Run(1, func(s stf.Submitter) {
-		s.Submit(func() { <-block }, stf.W(0))
-	})
-	if err == nil || !strings.Contains(err.Error(), "abandoned") {
-		close(block)
-		t.Fatalf("wedged run: %v, want an abandoned run", err)
-	}
-	abandoned := borrowed[len(borrowed)-1]
-	if err := enginetest.Check(e, graphs.LU(3)); err != nil {
-		t.Error(err)
-	}
-	if borrowed[len(borrowed)-1] == abandoned {
-		t.Error("the run after an abandoned one borrowed the abandoned run's state")
-	}
-	close(block)
-	<-abandoned.done // the wedged worker was the last one out
 }
 
 // TestRunAllocBudget: a warm engine's run allocates nothing proportional to

@@ -92,11 +92,8 @@ type Session struct {
 // and further OpenSession calls are rejected while it is open. timeout > 0
 // bounds each window's execution (a window exceeding it is aborted and
 // poisons the session). The mapping is snapshotted at open: SetMapping
-// during a session does not affect it.
-//
-// Sessions do not arm the stall watchdog: a window with no traffic is
-// indistinguishable from a stall at this layer (use timeout for bounded
-// windows).
+// during a session does not affect it. A stopped window's error names
+// where each worker was blocked, as a run's does (stf.StallError).
 func (e *Engine) OpenSession(numData int, timeout time.Duration) (*Session, error) {
 	if numData < 0 {
 		return nil, errors.New("core: negative numData")
@@ -186,7 +183,7 @@ func (ss *Session) Drain() error {
 // Close joins the window in flight, gives the run state back and releases
 // the engine. Idempotent; returns the session's sticky error. Windows always
 // end (even failed ones), so Close returns unless a task body is truly
-// wedged — the same contract as Run without the watchdog.
+// wedged — the same contract as Run.
 func (ss *Session) Close() error {
 	if ss.closed {
 		return ss.err

@@ -42,8 +42,8 @@ const (
 
 // wait blocks until cond() holds, accounting the elapsed time as idle time
 // (τ_{p,i}) when accounting is enabled. id and a identify the acquiring
-// task and the unsatisfied data access, published for the stall watchdog
-// once the wait turns slow; sh is the data object's shared cell, whose
+// task and the unsatisfied data access, for the wait hooks and, should the
+// run stop, for its diagnosis; sh is the data object's shared cell, whose
 // event gate the slow phase parks on.
 //
 // The wait escalates in three phases, trading latency for CPU use:
@@ -55,23 +55,25 @@ const (
 //  2. poll with runtime.Gosched() for yieldIters iterations — lets the
 //     producing goroutine run when goroutines are multiplexed on fewer
 //     hardware threads.
-//  3. park. On entry the worker publishes in its progress cell what it is
-//     stuck on (watchdog armed runs only), and the phase polls the
-//     run-abort flag so that a dependency held by a failed worker cannot
-//     block forever. It parks on sh's event gate (woken by the terminate
-//     that publishes the dependency, or by the abort latch's wake-all),
-//     one round per iteration, so this loop's re-check of cond, the abort
-//     flag and the steal attempt run between rounds.
+//  3. park. The phase polls the run-abort flag so that a dependency held
+//     by a failed worker cannot block forever: a wait the abort unwinds
+//     leaves the task and access it was blocked on in the worker's error
+//     slot (stalled), which the run's verdict lists. It parks on sh's
+//     event gate (woken by the terminate that publishes the dependency, or
+//     by the abort latch's wake-all), one round per iteration, so this
+//     loop's re-check of cond, the abort flag and the steal attempt run
+//     between rounds.
 //
 // Every phase keeps the wait's obligations: one OnWaitEnd per OnWaitStart,
-// stall-watchdog publication, abort responsiveness, idle-time accounting.
+// abort responsiveness, idle-time accounting. Nothing is stored for a
+// diagnosis unless the run stops.
 //
 // cond must read shared state with atomic loads; it is called repeatedly.
 func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func() bool) {
 	if cond() {
 		return
 	}
-	if a.Mode == stf.None { // a compiled stream's get
+	if a.Mode == stf.None && s.hooks != nil { // a compiled stream's get
 		a.Mode = s.declaredMode(id, a.Data)
 	}
 	if h := s.hooks; h != nil && h.OnWaitStart != nil {
@@ -86,7 +88,6 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 	yieldCap := spinCap + s.eng.yieldIters
 
 	spin := 0
-	published := false
 	backstop := parkBackstop
 	for !cond() {
 		spin++
@@ -96,22 +97,14 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 		case spin < yieldCap:
 			runtime.Gosched()
 		default:
-			if !published && s.watched {
-				// The wait is officially slow: publish which task and
-				// which access this worker is stuck on, and commit the
-				// guard head so a deadlock diagnosis can compare the
-				// stalled workers' replay positions.
-				s.prog.SetWaiting(id, a)
-				if s.guard != nil {
-					s.guard.commitHead()
-				}
-				published = true
-			}
-			// A dependency held by a failed (panicked, canceled,
-			// stalled) worker will never resolve; bail out once the run
-			// is aborting.
+			// A dependency held by a failed (panicked, canceled) worker
+			// will never resolve; bail out once the run is aborting,
+			// saying where this worker was blocked.
 			if s.abort.raised() {
-				s.fail(errAborted)
+				if a.Mode == stf.None {
+					a.Mode = s.declaredMode(id, a.Data)
+				}
+				s.fail(&stalled{stf.StalledWorker{Worker: s.worker, Task: id, Data: a.Data, Mode: a.Mode}})
 				break
 			}
 			// A provably idle worker (slow-phase wait) is the steal
@@ -131,9 +124,6 @@ func (s *submitter) wait(id stf.TaskID, a stf.Access, sh *sharedState, cond func
 		if s.err != nil {
 			break
 		}
-	}
-	if published {
-		s.prog.SetWaiting(stf.NoTask, stf.Access{})
 	}
 	if !s.eng.noAcct {
 		waited := trace.Stamp() - t0

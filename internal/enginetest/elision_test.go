@@ -67,7 +67,8 @@ func sequentialVals(t *testing.T, g *stf.Graph) []uint64 {
 // TestElisionDifferential runs random flows × mappings × §3.5 pruning
 // through a one-shot RunGraph and through Stream windows (where every
 // window shape is classified on its own, with window-local IDs under the
-// same mapping), with every program certified on its cache miss, and
+// same mapping), with every program certified (the one-shot program and
+// each window's, lowered by rio.Compile as the engine lowers them), and
 // compares the final data with the sequential oracle. Run it under -race:
 // an elided datum two workers do conflict on is a data race in the fold.
 func TestElisionDifferential(t *testing.T) {
@@ -79,7 +80,8 @@ func TestElisionDifferential(t *testing.T) {
 			for _, prune := range []bool{false, true} {
 				for _, windowed := range []bool{false, true} {
 					name := fmt.Sprintf("seed%d/%s/prune=%v/windowed=%v", seed, nm.name, prune, windowed)
-					eng, err := rio.NewEngine(rio.Options{Workers: workers, Mapping: nm.m, Prune: prune, Verify: true})
+					certifyLowering(t, name, g, workers, nm.m, prune, windowed)
+					eng, err := rio.NewEngine(rio.Options{Workers: workers, Mapping: nm.m, Prune: prune})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,6 +99,33 @@ func TestElisionDifferential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// certifyLowering certifies what an engine under m lowers from g: the whole
+// graph, or with windowed each 7-task window of streamFlow, its IDs
+// window-local.
+func certifyLowering(t *testing.T, name string, g *stf.Graph, workers int, m rio.Mapping, prune, windowed bool) {
+	t.Helper()
+	lowered := []*stf.Graph{g}
+	if windowed {
+		lowered = nil
+		for lo := 0; lo < len(g.Tasks); lo += 7 {
+			w := stf.NewGraph(g.Name, g.NumData)
+			for _, tk := range g.Tasks[lo:min(lo+7, len(g.Tasks))] {
+				w.Add(tk.Kernel, tk.I, tk.J, tk.K, tk.Accesses...)
+			}
+			lowered = append(lowered, w)
+		}
+	}
+	for _, lg := range lowered {
+		cp, err := rio.Compile(lg, workers, m, prune)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep := rio.Verify(lg, cp, m, nil); len(rep.Findings) != 0 {
+			t.Fatalf("%s: lowering not certified: %v", name, rep.Findings)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,37 +161,33 @@ func TestFaultDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestFaultWatchdogDeadlock injects the fault the paper's determinism
+// TestFaultDeadlineDiagnosis injects the fault the paper's determinism
 // assumption warns about: one worker's replay silently drops a task it
 // owns, so the task never executes and every worker ends up blocked in a
-// dependency wait. Without the watchdog this hangs forever; with it the
-// run must abort with a StallError naming the stuck tasks and data.
-func TestFaultWatchdogDeadlock(t *testing.T) {
+// dependency wait. Nothing stops such a run but its context: once the
+// deadline does, the error must name every worker blocked in a wait, with
+// the task and datum it waited on.
+func TestFaultDeadlineDiagnosis(t *testing.T) {
 	g := graphs.Chain(64)
 	for _, workers := range []int{2, 4} {
 		t.Run(rio.InOrder.String()+"-"+itoa(workers)+"w", func(t *testing.T) {
-			rt := mustEngine(t, rio.Options{
-				Model:        rio.InOrder,
-				Workers:      workers,
-				StallTimeout: 50 * time.Millisecond,
-			})
+			rt := mustEngine(t, rio.Options{Model: rio.InOrder, Workers: workers})
 			// Task 1 is owned by worker 1 under the cyclic mapping; worker
 			// 1's replay drops it, so nobody executes it.
 			prog := faultinject.DropTaskAt(g, noop, 1, 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
 			start := time.Now()
-			err := rt.Run(g.NumData, prog)
-			if err == nil {
-				t.Fatal("divergent replay deadlock returned nil error")
+			err := rt.RunContext(ctx, g.NumData, prog)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("deadlocked run returned %v, want a deadline error", err)
 			}
 			var st *rio.StallError
 			if !errors.As(err, &st) {
 				t.Fatalf("error is not a StallError: %v", err)
 			}
-			if st.Kind != rio.Deadlock {
-				t.Fatalf("StallError kind = %v, want Deadlock (err: %v)", st.Kind, err)
-			}
-			if len(st.Stalled) == 0 {
-				t.Fatalf("StallError names no stalled workers: %v", err)
+			if len(st.Stalled) != workers {
+				t.Fatalf("StallError names %d blocked workers, want all %d: %v", len(st.Stalled), workers, err)
 			}
 			for _, sw := range st.Stalled {
 				if sw.Data != 0 {
@@ -201,59 +198,72 @@ func TestFaultWatchdogDeadlock(t *testing.T) {
 				}
 			}
 			if d := time.Since(start); d > 5*time.Second {
-				t.Errorf("deadlock detection took %v", d)
+				t.Errorf("the deadline took %v to stop the run", d)
 			}
 		})
 	}
 }
 
-// TestFaultWatchdogStuckTask wedges one task body forever: the watchdog
-// must classify the stall as a stuck task (not a deadlock), name the task,
-// and abandon the run instead of blocking RunContext forever.
-func TestFaultWatchdogStuckTask(t *testing.T) {
-	g := graphs.Chain(32)
-	rt := mustEngine(t, rio.Options{
-		Model:        rio.InOrder,
-		Workers:      2,
-		StallTimeout: 50 * time.Millisecond,
+// TestFaultDeadlineDiagnosisDivergence: worker 1's replay diverges early
+// without blocking (an extra read of an otherwise untouched datum at task
+// 5) and deadlocks later (it sees task 300, worker 0's write, as a read, so
+// its own task 301 waits for a read nobody performs). Both workers pass the
+// guard's first checkpoint before they block, so the StallError of the run
+// Options.Timeout stops carries the divergence the checkpoints prove.
+func TestFaultDeadlineDiagnosisDivergence(t *testing.T) {
+	const n = 400
+	rt := mustEngine(t, rio.Options{Model: rio.InOrder, Workers: 2, Timeout: 50 * time.Millisecond})
+	err := rt.Run(2, func(s stf.Submitter) {
+		for i := 0; i < n; i++ {
+			acc := []stf.Access{stf.RW(0)}
+			if s.Worker() == 1 && i == 5 {
+				acc = append(acc, stf.R(1))
+			}
+			if s.Worker() == 1 && i == 300 {
+				acc = []stf.Access{stf.R(0)}
+			}
+			s.Submit(func() {}, acc...)
+		}
 	})
-	release := make(chan struct{})
-	defer close(release) // let the wedged goroutine exit after the test
-	kern := faultinject.HangAt(noop, 2, release)
-	err := rt.Run(g.NumData, rio.Replay(g, kern))
-	if err == nil {
-		t.Fatal("never-terminating task returned nil error")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadlocked run returned %v, want a deadline error", err)
 	}
 	var st *rio.StallError
-	if !errors.As(err, &st) {
-		t.Fatalf("error is not a StallError: %v", err)
+	if !errors.As(err, &st) || len(st.Stalled) != 2 {
+		t.Fatalf("error does not name both blocked workers: %v", err)
 	}
-	if st.Kind != rio.StuckTask {
-		t.Fatalf("StallError kind = %v, want StuckTask (err: %v)", st.Kind, err)
-	}
-	found := false
-	for _, bw := range st.Busy {
-		if bw.Task == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("StallError does not name the wedged task 2: %v", err)
+	if st.Divergence == nil || st.Divergence.Window != [2]rio.TaskID{0, 256} {
+		t.Fatalf("StallError divergence = %v, want one in tasks [0,256): %v", st.Divergence, err)
 	}
 }
 
-// TestFaultStragglerBelowThreshold: a slow task under the watchdog
-// threshold is imbalance, not a stall — the run must complete cleanly.
-func TestFaultStragglerBelowThreshold(t *testing.T) {
-	g := graphs.Independent(64)
-	rt := mustEngine(t, rio.Options{
-		Model:        rio.InOrder,
-		Workers:      4,
-		StallTimeout: 400 * time.Millisecond,
-	})
-	kern := faultinject.DelayAt(noop, 3, 60*time.Millisecond)
-	if err := rt.Run(g.NumData, rio.Replay(g, kern)); err != nil {
-		t.Fatalf("sub-threshold straggler tripped the watchdog: %v", err)
+// TestFaultPanicStopsSuccessors: task 0 panics after writing datum 0 and
+// task 1 reads it. On every engine the run fails with the panic, the
+// panicking task does not count as executed, and task 1's body never runs
+// over the data task 0 left.
+func TestFaultPanicStopsSuccessors(t *testing.T) {
+	for _, spec := range faultEngines() {
+		t.Run(spec.name, func(t *testing.T) {
+			rt := mustEngine(t, spec.opts)
+			var datum atomic.Int64
+			var ran atomic.Bool
+			err := rt.Run(1, func(s stf.Submitter) {
+				s.Submit(func() {
+					datum.Store(1)
+					panic("boom")
+				}, stf.W(0))
+				s.Submit(func() { ran.Store(true) }, stf.R(0))
+			})
+			if err == nil || !strings.Contains(err.Error(), "panic") {
+				t.Fatalf("run returned %v, want an error naming the panic", err)
+			}
+			if n := rt.Progress().Executed(); n != 0 {
+				t.Errorf("Progress().Executed() = %d after the only other task's predecessor panicked, want 0", n)
+			}
+			if ran.Load() {
+				t.Error("task 1 ran over the data of the task that panicked")
+			}
+		})
 	}
 }
 

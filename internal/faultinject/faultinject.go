@@ -1,7 +1,7 @@
 // Package faultinject builds deliberately broken STF programs, kernels and
 // mappings for exercising the runtime's failure paths: task panics,
-// delays, tasks that never terminate, replays that diverge across workers,
-// and mappings that return out-of-range workers. The engine test suites
+// replays that diverge across workers, and mappings that return
+// out-of-range workers. The engine test suites
 // (internal/enginetest) run every engine against every fault class under
 // the race detector, asserting that each fault surfaces as a prompt,
 // descriptive error instead of a hang or silent corruption.
@@ -11,8 +11,6 @@
 package faultinject
 
 import (
-	"time"
-
 	"rio/internal/stf"
 )
 
@@ -22,32 +20,6 @@ func PanicAt(k stf.Kernel, id stf.TaskID) stf.Kernel {
 	return func(t *stf.Task, w stf.WorkerID) {
 		if t.ID == id {
 			panic("faultinject: injected panic")
-		}
-		k(t, w)
-	}
-}
-
-// DelayAt wraps k to sleep for d before executing task id — a
-// configurable straggler for exercising imbalance (which must NOT trip the
-// stall watchdog: other tasks keep completing).
-func DelayAt(k stf.Kernel, id stf.TaskID, d time.Duration) stf.Kernel {
-	return func(t *stf.Task, w stf.WorkerID) {
-		if t.ID == id {
-			time.Sleep(d)
-		}
-		k(t, w)
-	}
-}
-
-// HangAt wraps k to block on release when executing task id — a task that
-// never terminates. Close release to let the wedged goroutine exit (the
-// stall watchdog abandons such a run; the test must still release the
-// goroutine during cleanup or it leaks for the process lifetime).
-func HangAt(k stf.Kernel, id stf.TaskID, release <-chan struct{}) stf.Kernel {
-	return func(t *stf.Task, w stf.WorkerID) {
-		if t.ID == id {
-			<-release
-			return
 		}
 		k(t, w)
 	}
@@ -68,9 +40,9 @@ func OutOfRange(m stf.Mapping, at stf.TaskID) stf.Mapping {
 // DropTaskAt returns a Program replaying g with k, except that the worker
 // with ID w silently skips task id — a divergent replay. When mapping(id)
 // == w the task is never executed and every worker that depends on its
-// data deadlocks: the scenario the stall watchdog must turn into a
-// StallError. (The skip is an ID gap, so it masquerades as pruning; the
-// divergence guard rightly stays silent and the watchdog is the detector.)
+// data deadlocks until the run is stopped, whose StallError then names the
+// blocked workers. (The skip is an ID gap, so it masquerades as pruning;
+// the divergence guard rightly stays silent.)
 func DropTaskAt(g *stf.Graph, k stf.Kernel, w stf.WorkerID, id stf.TaskID) stf.Program {
 	return func(s stf.Submitter) {
 		drop := s.Worker() == w

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -328,6 +329,35 @@ func TestRequestTimeout(t *testing.T) {
 	fast := submitFlow(t, hs.URL, "", graphs.Chain(8))
 	if res := runFlow(t, hs.URL, "", fast.ID, "noop"); res.Executed != 8 {
 		t.Errorf("post-timeout run executed %d, want 8", res.Executed)
+	}
+}
+
+// TestRequestTimeoutNamesBlockedWorkers: the 504 of a run Config.Timeout
+// stops carries the run's error, which names where each worker was
+// blocked. A one-datum RW chain under a submitted two-worker mapping (which
+// pins the run at width 2) alternates between the workers, so while one
+// sleeps in a body the other waits on data 0.
+func TestRequestTimeoutNamesBlockedWorkers(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2, Timeout: 50 * time.Millisecond})
+	g := stf.NewGraph("slow-chain", 1)
+	for i := 0; i < 200; i++ {
+		g.Add(0, 0, 0, 2, stf.RW(0)) // 2ms under the sleep kernel
+	}
+	body, err := json.Marshal(map[string]any{
+		"graph":   json.RawMessage(graphJSON(t, g)),
+		"mapping": "cyclic",
+		"kernel":  "sleep",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := do(t, "POST", hs.URL+"/v1/run", "", body, nil)
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, raw)
+	}
+	if !regexp.MustCompile(`worker [01] blocked at task \d+ waiting for RW access to data 0`).Match(raw) {
+		t.Errorf("504 body names no blocked worker on data 0: %s", raw)
 	}
 }
 

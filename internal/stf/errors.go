@@ -3,82 +3,37 @@ package stf
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // This file defines the structured failure vocabulary shared by all
 // execution engines. The STF model itself cannot fail; these errors
 // describe the ways an *execution* of an STF program can go wrong beyond a
-// plain task panic: a run that stops making progress (StallError) and a
-// replay that is not the same on every worker (DivergenceError). They live
-// here, next to the programming-model types, so that every engine and the
-// public API can share one vocabulary without import cycles.
+// plain task panic: a run stopped while workers were blocked in dependency
+// waits (StallError) and a replay that is not the same on every worker
+// (DivergenceError). They live here, next to the programming-model types,
+// so that every engine and the public API can share one vocabulary without
+// import cycles.
 
-// StallKind classifies what a stall watchdog observed when it gave up on a
-// run.
-type StallKind int
-
-const (
-	// Deadlock means every live worker was blocked in a dependency wait
-	// and no task completed for the whole watchdog window — the signature
-	// of a divergent replay or an impossible dependency, since a correct
-	// in-order run always has a runnable earliest task.
-	Deadlock StallKind = iota
-	// StuckTask means no task completed for the whole watchdog window
-	// while at least one worker sat inside the same task body — the
-	// signature of a task that never terminates (or vastly exceeds the
-	// configured threshold).
-	StuckTask
-)
-
-// String names the stall kind.
-func (k StallKind) String() string {
-	switch k {
-	case Deadlock:
-		return "deadlock"
-	case StuckTask:
-		return "stuck task"
-	}
-	return fmt.Sprintf("StallKind(%d)", int(k))
-}
-
-// StalledWorker describes one worker blocked in a dependency wait: the
-// task whose acquisition is blocked, the data access that is unsatisfied,
-// and for how long the worker has been waiting.
+// StalledWorker describes one worker that was blocked in a dependency wait
+// when its run was stopped: the task whose acquisition was blocked and the
+// data access that was unsatisfied.
 type StalledWorker struct {
 	Worker WorkerID
 	Task   TaskID
 	Data   DataID
 	Mode   AccessMode
-	For    time.Duration
 }
 
-// BusyWorker describes one worker that was inside a task body when the
-// watchdog fired.
-type BusyWorker struct {
-	Worker WorkerID
-	Task   TaskID
-	For    time.Duration
-}
-
-// StallError is the structured diagnosis produced by the stall watchdog:
-// no task completed for Threshold, and the per-worker states below explain
-// why. It is returned (wrapped) by Run/RunContext; use errors.As to
-// retrieve it.
+// StallError is the in-order engine's diagnosis of a stopped run or stream
+// window (a failure elsewhere, a cancel, a deadline, a timeout): where each
+// worker that the stop unwound from a dependency wait was blocked. A
+// nondeterministic replay that deadlocks shows here once a deadline stops
+// it. It is joined into the run's error; use errors.As to retrieve it.
 type StallError struct {
-	// Kind distinguishes a global deadlock from a stuck task.
-	Kind StallKind
-	// Threshold is the configured watchdog window that elapsed without a
-	// task completion.
-	Threshold time.Duration
 	// Stalled lists the workers blocked in dependency waits.
 	Stalled []StalledWorker
-	// Busy lists the workers inside task bodies.
-	Busy []BusyWorker
-	// Done lists the workers that had already finished their replay.
-	Done []WorkerID
 	// Divergence is non-nil when the replay-divergence guard could prove,
-	// from the already-committed portion of each worker's replay, that the
+	// from the part of each worker's replay done before the stop, that the
 	// workers were not replaying the same task flow — the usual root cause
 	// of an in-order deadlock.
 	Divergence *DivergenceError
@@ -87,17 +42,10 @@ type StallError struct {
 // Error formats the full diagnosis on one line.
 func (e *StallError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "stall watchdog: %s: no task completed for %v", e.Kind, e.Threshold)
+	b.WriteString("stopped with blocked workers")
 	for _, s := range e.Stalled {
-		fmt.Fprintf(&b, "; worker %d stuck at task %d waiting for %s access to data %d (%v)",
-			s.Worker, s.Task, s.Mode, s.Data, s.For.Round(time.Millisecond))
-	}
-	for _, s := range e.Busy {
-		fmt.Fprintf(&b, "; worker %d executing task %d for %v",
-			s.Worker, s.Task, s.For.Round(time.Millisecond))
-	}
-	if len(e.Done) > 0 {
-		fmt.Fprintf(&b, "; finished workers: %v", e.Done)
+		fmt.Fprintf(&b, "; worker %d blocked at task %d waiting for %s access to data %d",
+			s.Worker, s.Task, s.Mode, s.Data)
 	}
 	if e.Divergence != nil {
 		fmt.Fprintf(&b, "; %v", e.Divergence)
@@ -111,15 +59,15 @@ func (e *StallError) Error() string {
 // tasks with the same accesses in the same order). It is produced by the
 // replay-divergence guard, either at the end of a run that completed with
 // differing replay streams, or as the Divergence field of a StallError
-// when a divergent replay deadlocked mid-run.
+// when a run stopped while a divergent replay was deadlocked.
 type DivergenceError struct {
 	// Window is the [Lo, Hi) task-index range in which the workers' replay
 	// streams are first known to differ. The guard checkpoints its stream
 	// hash periodically, so the window is a checkpoint stride wide, not a
 	// single task.
 	Window [2]TaskID
-	// Counts holds each worker's total submitted-task count, when known
-	// (nil for a mid-run diagnosis).
+	// Counts holds each worker's submitted-task count: the whole stream
+	// of a completed run, the position of a stopped one.
 	Counts []int64
 }
 

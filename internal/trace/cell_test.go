@@ -98,11 +98,11 @@ func TestCellPublishTable(t *testing.T) {
 			}
 			for i, step := range tc.steps {
 				step(c)
-				st, p := c.State(), tb.Snapshot().Workers[0]
-				w := tc.want[i]
-				if st.Executed != w.executed || st.Current != w.current || p.Executed != w.executed || p.Current != w.current {
-					t.Fatalf("step %d: State (%d, %d), Progress (%d, %d), want (%d, %d)",
-						i, st.Executed, st.Current, p.Executed, p.Current, w.executed, w.current)
+				n, cur := c.load()
+				p, w := tb.Snapshot().Workers[0], tc.want[i]
+				if n != w.executed || cur != w.current || p.Executed != w.executed || p.Current != w.current {
+					t.Fatalf("step %d: cell (%d, %d), Progress (%d, %d), want (%d, %d)",
+						i, n, cur, p.Executed, p.Current, w.executed, w.current)
 				}
 			}
 		})
@@ -132,21 +132,18 @@ func TestCellPublishFarRace(t *testing.T) {
 		c.Publish()
 		c.Exit(0, 0, 0)
 	}()
-	for last := int64(-1); ; {
-		st := c.State()
-		if st.Current != stf.NoTask && st.Current != stf.TaskID(st.Executed<<33) {
-			t.Fatalf("reading (%d, %d) pairs a count with a task it was not published with", st.Executed, st.Current)
+	for last := int64(-1); last < n; {
+		executed, current := c.load()
+		if current != stf.NoTask && current != stf.TaskID(executed<<33) {
+			t.Fatalf("reading (%d, %d) pairs a count with a task it was not published with", executed, current)
 		}
-		if st.Executed < last {
-			t.Fatalf("executed went back from %d to %d", last, st.Executed)
+		if executed < last {
+			t.Fatalf("executed went back from %d to %d", last, executed)
 		}
-		last = st.Executed
-		if st.Exited {
-			break
-		}
+		last = executed
 	}
 	wg.Wait()
-	if st := c.State(); st.Executed != n {
-		t.Fatalf("executed %d after the worker exited, want %d", st.Executed, n)
+	if executed, _ := c.load(); executed != n {
+		t.Fatalf("executed %d after the worker exited, want %d", executed, n)
 	}
 }

@@ -139,9 +139,8 @@ type Progress struct {
 }
 
 // ProgressCell is one worker's run record inside a ProgressTable: its task
-// counters, the task it is executing, its wait histogram and — read only by
-// the stall watchdog — the slow wait it is blocked in, all published as it
-// goes, plus its task, idle and wall times, stored once when it exits. Each
+// counters, the task it is executing and its wait histogram, all published
+// as it goes, plus its task, idle and wall times, stored once when it exits. Each
 // cell is cache-line padded and written by exactly one worker, so a counter
 // counts in place with a load and a store — no read-modify-write on a shared
 // line.
@@ -211,11 +210,6 @@ type progressCounters struct {
 	stolen      atomic.Int64
 	stealFailed atomic.Int64
 	waitHist    [NumWaitBuckets]atomic.Int64
-	// The slow wait the worker is blocked in (stf.NoTask when none) and its
-	// access, packed data<<8|mode; published on watchdog-armed runs only.
-	waitTask   atomic.Int64
-	waitAccess atomic.Int64
-	exited     atomic.Bool
 
 	// word is the worker's own copy of state, ahead of it by the
 	// executions Finish counted since the last store.
@@ -308,30 +302,22 @@ func (c *ProgressCell) CountStealFailed() { c.stealFailed.Store(c.stealFailed.Lo
 // clear) in the two-word record.
 func (c *ProgressCell) SetCurrent(id stf.TaskID) { c.current.Store(int64(id)) }
 
-// SetWaiting publishes the slow wait the worker enters: task id blocked on
-// access a (stf.NoTask to clear).
-func (c *ProgressCell) SetWaiting(id stf.TaskID, a stf.Access) {
-	c.waitAccess.Store(int64(a.Data)<<8 | int64(a.Mode))
-	c.waitTask.Store(int64(id))
-}
-
 // AddWait buckets one completed dependency wait of duration d.
 func (c *ProgressCell) AddWait(d time.Duration) {
 	c.waitHist[WaitBucket(d)].Add(1)
 }
 
-// Exit publishes the executions Finish counted, stores the worker's task,
-// idle and wall times and marks it exited: the worker's last write to its
-// cell (in a stream session, a window's). The current task stays as it
-// was: a body that panicked is still named.
+// Exit publishes the executions Finish counted and stores the worker's
+// task, idle and wall times: the worker's last write to its cell (in a
+// stream session, a window's). The current task stays as it was: a body
+// that panicked is still named.
 func (c *ProgressCell) Exit(task, idle, wall time.Duration) {
 	c.task, c.idle, c.wall = task, idle, wall
 	c.state.Store(c.word)
-	c.exited.Store(true)
 }
 
-// read is the live reading of the cell, every published word but the
-// watchdog's: what a Progress snapshot reports, and Stats before the times.
+// read is the live reading of the cell, every published word: what a
+// Progress snapshot reports, and Stats before the times.
 func (c *ProgressCell) read() Worker {
 	executed, current := c.load()
 	w := Worker{
@@ -350,32 +336,6 @@ func (c *ProgressCell) read() Worker {
 	return w
 }
 
-// WorkerState is what a stall monitor reads of a worker's cell. It is
-// comparable: a monitor dates a worker's state by the first reading that
-// differs from the one before.
-type WorkerState struct {
-	Executed int64
-	// Current is the task being executed (stf.NoTask between tasks);
-	// Waiting and WaitOn the slow wait the worker is blocked in (Waiting is
-	// stf.NoTask when none).
-	Current, Waiting stf.TaskID
-	WaitOn           stf.Access
-	Exited           bool
-}
-
-// State reads the cell for a stall monitor.
-func (c *ProgressCell) State() WorkerState {
-	executed, current := c.load()
-	acc := c.waitAccess.Load()
-	return WorkerState{
-		Executed: executed,
-		Current:  current,
-		Waiting:  stf.TaskID(c.waitTask.Load()),
-		WaitOn:   stf.Access{Data: stf.DataID(acc >> 8), Mode: stf.AccessMode(acc)},
-		Exited:   c.exited.Load(),
-	}
-}
-
 // ProgressTable is the run record of one run, shared by the engines: one
 // padded cell per worker plus a running flag. Engines publish a fresh table
 // at run start through an atomic pointer (LastRun), so snapshots never race
@@ -386,13 +346,11 @@ type ProgressTable struct {
 }
 
 // NewProgressTable returns a table for the given worker count with every
-// current-task and waiting-task slot initialized to stf.NoTask and the
-// running flag set.
+// current-task slot initialized to stf.NoTask and the running flag set.
 func NewProgressTable(workers int) *ProgressTable {
 	t := &ProgressTable{workers: make([]ProgressCell, workers)}
 	for w := range t.workers {
 		t.workers[w].current.Store(int64(stf.NoTask))
-		t.workers[w].waitTask.Store(int64(stf.NoTask))
 	}
 	t.running.Store(true)
 	return t
@@ -450,8 +408,8 @@ func (t *ProgressTable) stats(wall time.Duration, accounted bool) Stats {
 // LastRun is the one Stats and Progress implementation behind every
 // engine: the progress table of its current or most recent run, and the
 // Stats of its most recent finished run. Engines embed it. Progress is safe
-// from any goroutine; Begin, End, Abandon and Stats belong to the goroutine
-// that runs the engine.
+// from any goroutine; Begin, End and Stats belong to the goroutine that
+// runs the engine.
 type LastRun struct {
 	table atomic.Pointer[ProgressTable]
 	// ended is the table of the most recent finished run until the first
@@ -475,14 +433,6 @@ func (l *LastRun) Begin(workers int) *ProgressTable {
 func (l *LastRun) End(wall time.Duration, accounted bool) {
 	t := l.table.Load()
 	l.ended, l.stats = t, Stats{Wall: wall, Accounted: accounted}
-	t.Finish()
-}
-
-// Abandon ends a run some of whose workers could not be joined: their
-// cells may still be written, so its Stats keep only the wall time.
-func (l *LastRun) Abandon(wall time.Duration) {
-	t := l.table.Load()
-	l.ended, l.stats = nil, Stats{Workers: make(Workers, len(t.workers)), Wall: wall}
 	t.Finish()
 }
 

@@ -59,18 +59,11 @@ func TestProgressTableStats(t *testing.T) {
 	if w := s.Workers[0]; p.Workers[0] != (Worker{Counters: w.Counters, Current: w.Current, WaitHist: w.WaitHist}) {
 		t.Errorf("Snapshot worker 0 = %+v, want Stats' %+v without times", p.Workers[0], w)
 	}
-	if st := c.State(); !st.Exited || st.Executed != 2 || st.Waiting != stf.NoTask {
-		t.Errorf("State = %+v", st)
-	}
-	c.SetWaiting(7, stf.RW(300))
-	if st := c.State(); st.Waiting != 7 || st.WaitOn != stf.RW(300) {
-		t.Errorf("State after SetWaiting(7, RW(300)) = %+v", st)
-	}
 }
 
 // LastRun's lifecycle: Progress follows the table Begin published, Stats the
 // last run that ended — read on demand, so a later run's Begin does not
-// disturb it — and an abandoned run keeps only its wall time.
+// disturb it.
 func TestLastRun(t *testing.T) {
 	var l LastRun
 	if p, s := l.Progress(), l.Stats(); p.Running || p.Workers != nil || s.Workers != nil {
@@ -92,10 +85,6 @@ func TestLastRun(t *testing.T) {
 	}
 	if p := l.Progress(); !p.Running || len(p.Workers) != 3 {
 		t.Errorf("Progress after the next Begin = %+v", p)
-	}
-	l.Abandon(9)
-	if s := l.Stats(); s.Wall != 9 || len(s.Workers) != 3 || s.Executed() != 0 || l.Progress().Running {
-		t.Errorf("Stats of an abandoned run = %+v", s)
 	}
 }
 

@@ -93,16 +93,14 @@ type (
 	// at the cost of one pointer test per task.
 	StealPolicy = stf.StealPolicy
 
-	// StallError is the stall watchdog's structured diagnosis: no task
-	// completed for Options.StallTimeout and the error names which
-	// workers are stuck on which tasks and data accesses (use errors.As).
+	// StallError is the in-order engine's diagnosis of a stopped run or
+	// stream window: which workers were blocked in dependency waits, on
+	// which tasks and data accesses (use errors.As). A nondeterministic
+	// replay that deadlocks shows here once a deadline or Options.Timeout
+	// stops it.
 	StallError = stf.StallError
 	// StalledWorker is one blocked worker inside a StallError.
 	StalledWorker = stf.StalledWorker
-	// BusyWorker is one task-executing worker inside a StallError.
-	BusyWorker = stf.BusyWorker
-	// StallKind distinguishes a global deadlock from a stuck task.
-	StallKind = stf.StallKind
 	// DivergenceError reports that the in-order engine's workers did not
 	// replay the same task flow (the program is nondeterministic).
 	DivergenceError = stf.DivergenceError
@@ -138,16 +136,6 @@ const (
 	PreflightSpec = analyze.PassSpec
 	// PreflightAll runs every pass.
 	PreflightAll = analyze.PassAll
-)
-
-// Stall kinds reported by the watchdog.
-const (
-	// Deadlock: every live worker blocked in a dependency wait, nothing
-	// completing — the signature of a divergent replay.
-	Deadlock = stf.Deadlock
-	// StuckTask: a task body overran the watchdog threshold while nothing
-	// else completed.
-	StuckTask = stf.StuckTask
 )
 
 // Access-mode constants.
@@ -249,14 +237,6 @@ type Options struct {
 	// is canceled when the deadline expires, as if the caller had passed
 	// a context with that timeout. A convenience over RunContext.
 	Timeout time.Duration
-	// StallTimeout arms the in-order engine's stall watchdog: when no
-	// task completes for this long and the workers are provably
-	// deadlocked (all blocked in dependency waits — the signature of a
-	// nondeterministic replay) or stuck inside one task body, the run
-	// aborts with a StallError naming the stuck tasks and data accesses.
-	// 0 (the default) disables the watchdog; load imbalance never trips
-	// it. Other engines ignore it.
-	StallTimeout time.Duration
 	// NoGuard disables the in-order engine's replay-divergence guard
 	// (a few private arithmetic ops per task that detect nondeterministic
 	// programs; see DESIGN.md "Failure semantics"). Other engines have no
@@ -283,16 +263,6 @@ type Options struct {
 	// or serializing mappings, malformed accesses) are caught at
 	// submission time instead. See PreflightAccess … PreflightAll.
 	Preflight PreflightPasses
-	// Verify runs translation validation (internal/verify) on every
-	// compiled-program cache miss of a caching Engine: the freshly
-	// compiled streams are statically certified against the recorded graph
-	// (coverage, order, ownership, pruning soundness, happens-before)
-	// before they enter the cache. A failed certificate rejects the run
-	// with a *PreflightError carrying RIO-V00x findings. The cost is paid
-	// once per (engine, graph) pair; cache hits are untouched. Other
-	// runtimes and explicitly pre-compiled programs (Compile /
-	// RunCompiled) ignore it — certify those with rio.Verify directly.
-	Verify bool
 }
 
 // Runtime executes STF programs under one execution model.
@@ -300,15 +270,15 @@ type Runtime interface {
 	// Run executes prog over numData data objects and blocks until the
 	// whole task flow has executed. It returns an error — rather than
 	// hanging or corrupting data — when a task panics, a protocol
-	// violation is detected (out-of-range mapping, non-monotonic IDs),
-	// the replay diverges across workers (in-order engine), or the stall
-	// watchdog gives up on the run (see Options.StallTimeout).
+	// violation is detected (out-of-range mapping, non-monotonic IDs) or
+	// the replay diverges across workers (in-order engine).
 	Run(numData int, prog Program) error
 	// RunContext is Run with cancellation: when ctx is canceled or its
 	// deadline expires, workers blocked inside the runtime unwind
 	// promptly, no further tasks start, and the call returns an error
-	// wrapping ctx's cause. Cancellation is cooperative — task bodies
-	// already running finish first.
+	// wrapping ctx's cause (the in-order engine joins a StallError naming
+	// the workers it unwound from dependency waits). Cancellation is
+	// cooperative — task bodies already running finish first.
 	RunContext(ctx context.Context, numData int, prog Program) error
 	// Stats returns the time decomposition of the last Run.
 	Stats() *Stats
@@ -369,7 +339,6 @@ func coreOptions(o Options) core.Options {
 		Mapping:      o.Mapping,
 		Steal:        o.Steal,
 		NoAccounting: o.NoAccounting,
-		StallTimeout: o.StallTimeout,
 		NoGuard:      o.NoGuard,
 		Hooks:        o.Hooks,
 	}

@@ -480,25 +480,6 @@ func TestPreflightPassesCleanProgramsThrough(t *testing.T) {
 	}
 }
 
-// Options.Verify: each compiled program is certified on the cache miss;
-// clean graphs run unchanged, later runs hit the cache and pay nothing.
-func TestVerifyOptionCertifiesOnCacheMiss(t *testing.T) {
-	e, err := rio.NewEngine(rio.Options{Workers: 3, Mapping: rio.CyclicMapping(3), Prune: true, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graphs.LU(4)
-	noop := func(*rio.Task, rio.WorkerID) {}
-	for i := 0; i < 3; i++ {
-		if err := e.RunGraph(g, noop); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-	if hits, misses, _ := e.CacheStats(); misses != 1 || hits != 2 {
-		t.Errorf("cache stats = %d hits / %d misses, want 2 / 1", hits, misses)
-	}
-}
-
 // rio.Verify is the library surface of the certifier: a fresh compile
 // certifies clean, and a corrupted stream is rejected with a RIO-V code.
 func TestVerifyFunctionRejectsCorruptedStream(t *testing.T) {
